@@ -160,27 +160,10 @@ class Algebra:
         J = cert.radical
         if J.ambient_dim != self.dim or J.field != self.field:
             raise InputError("bad certificate: radical basis lives in the wrong space")
-        # two-sided ideal
-        for v in J.basis_rows:
-            for i in range(self.dim):
-                if not J.contains_vector(self.mul_coords(self.basis_coords(i), v)):
-                    raise InputError("bad certificate: claimed radical is not a left ideal")
-                if not J.contains_vector(self.mul_coords(v, self.basis_coords(i))):
-                    raise InputError("bad certificate: claimed radical is not a right ideal")
-        # nilpotent
-        power = J
-        for _ in range(self.dim + 1):
-            if power.dim == 0:
-                break
-            vectors = [
-                self.mul_coords(x, y) for x in power.basis_rows for y in J.basis_rows
-            ]
-            nxt = Subspace.from_vectors(self.field, self.dim, vectors)
-            if nxt.dim >= power.dim and nxt.dim > 0:
-                raise InputError("bad certificate: claimed radical is not nilpotent")
-            power = nxt
-        if power.dim != 0:
-            raise InputError("bad certificate: claimed radical is not nilpotent")
+        defect = _nilpotent_ideal_defect(self, J)
+        if defect:
+            lacks = {"left": "a left ideal", "right": "a right ideal", "nilpotent": "nilpotent"}[defect]
+            raise InputError(f"bad certificate: claimed radical is not {lacks}")
         if cert.split:
             self._verify_split_blocks(cert)
         elif cert.local:
@@ -522,6 +505,26 @@ def _encode_coords(coords, q: int) -> int:
     return code
 
 
+def _nilpotent_ideal_defect(r: Algebra, J: Subspace) -> str | None:
+    """The first property of a nilpotent two-sided ideal that J lacks:
+    "left" or "right" (ideal), "nilpotent", or None when it has them all."""
+    for v in J.basis_rows:
+        for i in range(r.dim):
+            if not J.contains_vector(r.mul_coords(r.basis_coords(i), v)):
+                return "left"
+            if not J.contains_vector(r.mul_coords(v, r.basis_coords(i))):
+                return "right"
+    # in an ideal the powers descend; a nonzero power that stops descending never reaches 0
+    power = J
+    while power.dim:
+        products = [r.mul_coords(x, y) for x in power.basis_rows for y in J.basis_rows]
+        nxt = Subspace.from_vectors(r.field, r.dim, products)
+        if nxt.dim >= power.dim:
+            return "nilpotent"
+        power = nxt
+    return None
+
+
 def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
     """Exhaustive quasi-regularity oracle for the Jacobson radical.
 
@@ -588,21 +591,10 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
 
     radical = Subspace.from_vectors(field, d, jbasis.snapshot())
 
-    # sanity: two-sided nilpotent ideal
-    for v in radical.basis_rows:
-        for i in range(d):
-            if not radical.contains_vector(r.mul_coords(r.basis_coords(i), v)):
-                raise TheoremViolation("radical oracle produced a non-left-ideal")
-            if not radical.contains_vector(r.mul_coords(v, r.basis_coords(i))):
-                raise TheoremViolation("radical oracle produced a non-right-ideal")
-    power = radical
-    for _ in range(d + 1):
-        if power.dim == 0:
-            break
-        vectors = [r.mul_coords(x, y) for x in power.basis_rows for y in radical.basis_rows]
-        power = Subspace.from_vectors(field, d, vectors)
-    if power.dim != 0:
-        raise TheoremViolation("radical oracle produced a non-nilpotent ideal")
+    defect = _nilpotent_ideal_defect(r, radical)
+    if defect:
+        produced = {"left": "non-left-ideal", "right": "non-right-ideal", "nilpotent": "non-nilpotent ideal"}[defect]
+        raise TheoremViolation(f"radical oracle produced a {produced}")
     return radical
 
 

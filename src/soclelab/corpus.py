@@ -28,7 +28,7 @@ from .exactla import (
 )
 from .gf import Field
 from .modrep import ModuleRep, faithful
-from .strongness import BilinearSystem, BlockSpec, predicates, prop41_check
+from .strongness import BilinearSystem, BlockSpec, SystemReport, predicates, prop41_check
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +317,7 @@ def faithful_corpus(rng: random.Random, min_count: int = 200) -> list[tuple[str,
 # random verified split systems
 # ---------------------------------------------------------------------------
 
-def _tensor_block_maps(field: Field, u_rows: list, s_blocks, t_blocks, e: int, f: int,
+def _tensor_block_maps(field: Field, u_rows: tuple, s_blocks, t_blocks, e: int, f: int,
                        dim_b: int, dim_c: int, b_off: int, c_off: int) -> list[Mat]:
     """Basis of U (x) Matr(n_f x n_e) as full-size maps B -> C."""
     n_e, s_mult = s_blocks[e].n, s_blocks[e].mult
@@ -365,22 +365,16 @@ def random_split_system(field: Field, rng: random.Random) -> BilinearSystem:
         s_mult, t_mult = s_blocks[e].mult, t_blocks[f].mult
         hom_dim = s_mult * t_mult
         u_dim = hom_dim if rng.random() < 0.6 else max(1, hom_dim - 1)
-        u_rows = _random_subspace_rows(field, t_mult * s_mult, u_dim, rng)
+        u_rows = _random_subspace(field, t_mult * s_mult, u_dim, rng).basis_rows
         a_mats.extend(_tensor_block_maps(field, u_rows, s_blocks, t_blocks, e, f,
                                          dim_b, dim_c, b_offsets[e], c_offsets[f]))
     # closure under the block actions holds by construction (U tensor Matr)
     return BilinearSystem(field, s_blocks, t_blocks, tuple(a_mats), _skip_verify=True)
 
 
-def _random_subspace_rows(field: Field, n: int, dim: int, rng: random.Random) -> list:
-    while True:
-        vectors = [[rng.randrange(field.q) for _ in range(n)] for _ in range(dim)]
-        sub = Subspace.from_vectors(field, n, vectors)
-        if sub.dim == dim:
-            return [list(r) for r in sub.basis_rows]
-
-
-def random_verified_system(field: Field, rng: random.Random, max_tries: int = 60) -> BilinearSystem | None:
+def random_verified_system(
+    field: Field, rng: random.Random, max_tries: int = 60
+) -> tuple[BilinearSystem, SystemReport] | None:
     """A random split system whose hypotheses all verify: nondegeneracy, both
     coverage conditions, and the cardinality condition; the swap condition
     holds by the proved implication from the split block structure (its

@@ -627,24 +627,27 @@ def enum_hyperplanes(s: Subspace):
 
 def enum_subspaces(field: Field, n: int, dim: int):
     """All dim-dimensional subspaces of F_q^n by direct RREF enumeration."""
-    if dim == 0:
-        yield Subspace.zero(field, n)
-        return
     for pivots in itertools.combinations(range(n), dim):
-        pivot_set = set(pivots)
-        free_positions = [
-            (i, j)
-            for i in range(dim)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivot_set
-        ]
-        for values in itertools.product(field.elements(), repeat=len(free_positions)):
-            rows = [[0] * n for _ in range(dim)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), v in zip(free_positions, values):
-                rows[i][j] = v
-            yield Subspace(field, n, tuple(tuple(r) for r in rows), tuple(pivots))
+        yield from enum_pivot_subspaces(field, n, pivots)
+
+
+def enum_pivot_subspaces(field: Field, n: int, pivots: tuple[int, ...]):
+    """All subspaces of F_q^n whose RREF has the given pivot columns."""
+    dim = len(pivots)
+    pivot_set = set(pivots)
+    free_positions = [
+        (i, j)
+        for i in range(dim)
+        for j in range(pivots[i] + 1, n)
+        if j not in pivot_set
+    ]
+    for values in itertools.product(field.elements(), repeat=len(free_positions)):
+        rows = [[0] * n for _ in range(dim)]
+        for i, p in enumerate(pivots):
+            rows[i][p] = 1
+        for (i, j), v in zip(free_positions, values):
+            rows[i][j] = v
+        yield Subspace(field, n, tuple(tuple(r) for r in rows), tuple(pivots))
 
 
 def all_subspaces(field: Field, n: int, dims=None):

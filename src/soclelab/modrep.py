@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, bimodule_length, socle_graph, socle_is_central, socles
+from .algebra import Algebra, Block, bimodule_length, socle_graph, socle_is_central, socles
 from .budget import Budget, default_budget
 from .errors import InputError, NotSplitError, PreconditionError, TheoremViolation
 from .exactla import (
@@ -267,10 +267,6 @@ def socle_subspace(m: ModuleRep, budget: Budget | None = None) -> Subspace:
 # blockwise lengths over the split quotient
 # ---------------------------------------------------------------------------
 
-def _block_action(rep: ModuleRep, coords) -> Mat:
-    return rep.act_mat(coords)
-
-
 def semisimple_lengths(rep: ModuleRep, budget: Budget | None = None) -> dict[int, int]:
     """Per-block lengths of a module killed by the radical.
 
@@ -318,8 +314,41 @@ def top_socle(m: ModuleRep, budget: Budget | None = None) -> TopSocle:
 # submodule lattice, blockwise
 # ---------------------------------------------------------------------------
 
-def _unit_coords(alg: Algebra, f: int, i: int, j: int):
-    return alg.blocks()[f].unit(i, j)
+class BlockPart:
+    """Block f of a module over R/J(R): the multiplicity space E_f,00 W of a
+    subspace W, and the module actions of the matrix units E_f,ij, each
+    computed on first use and then kept."""
+
+    def __init__(self, rep: ModuleRep, f: int, block: Block, sub: Subspace | None):
+        self.f = f
+        self.n = block.n
+        self._rep = rep
+        self._block = block
+        self._units: dict[tuple[int, int], Mat] = {}
+        e00 = self.unit(0, 0)
+        if sub is None:
+            self.mult = image(e00)
+        else:
+            self.mult = Subspace.from_vectors(rep.field, rep.dim, [e00.apply(v) for v in sub.basis_rows])
+
+    def unit(self, i: int, j: int) -> Mat:
+        mat = self._units.get((i, j))
+        if mat is None:
+            mat = self._units[(i, j)] = self._rep.act_mat(self._block.unit(i, j))
+        return mat
+
+    def summand(self, u) -> list[tuple]:
+        """The vectors E_f,i0 u (i < n), spanning the simple summand that a
+        vector u of the multiplicity space generates."""
+        return [self.unit(i, 0).apply(u) for i in range(self.n)]
+
+
+def block_decomposition(rep: ModuleRep, sub: Subspace | None = None):
+    """Yield one BlockPart per block of the split quotient, for W = sub, or
+    for the whole module when sub is None.  Blocks are built lazily, so a
+    caller that stops early does no work for the later blocks."""
+    for f, block in enumerate(rep.algebra.blocks()):
+        yield BlockPart(rep, f, block, sub)
 
 
 def maximal_submodules(m: ModuleRep, budget: Budget | None = None):
@@ -327,18 +356,15 @@ def maximal_submodules(m: ModuleRep, budget: Budget | None = None):
 
     Maximal submodules contain JM and correspond to block-multiplicity
     hyperplanes of the top."""
-    alg = m.algebra
-    blocks = alg.blocks()
+    m.algebra.blocks()  # NotSplitError before any radical work
     jm = radical_image(m, budget)
     qd = quotient_action(m, jm)
     top = qd.rep
-    for f, block in enumerate(blocks):
-        a11 = top.act_mat(_unit_coords(alg, f, 0, 0))
-        mult_space = image(a11)
-        if mult_space.dim == 0:
+    for part in block_decomposition(top):
+        if part.mult.dim == 0:
             continue
-        extractors = [top.act_mat(_unit_coords(alg, f, 0, i)) for i in range(block.n)]
-        for hyper in enum_hyperplanes(mult_space):
+        extractors = [part.unit(0, i) for i in range(part.n)]
+        for hyper in enum_hyperplanes(part.mult):
             cond_rows = []
             for ext in extractors:
                 reduced_cols = [hyper.reduce(ext.col(j)) for j in range(top.dim)]
@@ -346,26 +372,20 @@ def maximal_submodules(m: ModuleRep, budget: Budget | None = None):
                     cond_rows.append([reduced_cols[j][coord] for j in range(top.dim)])
             y_space = kernel(Mat.from_rows(m.field, cond_rows))
             vectors = list(jm.basis_rows) + [qd.lift(y) for y in y_space.basis_rows]
-            yield f, hyper, Subspace.from_vectors(m.field, m.dim, vectors)
+            yield part.f, hyper, Subspace.from_vectors(m.field, m.dim, vectors)
 
 
 def simple_socle_submodules(m: ModuleRep, budget: Budget | None = None):
     """Yield every simple submodule of soc(M), blockwise, as (f, generator,
     subspace of M)."""
-    alg = m.algebra
-    blocks = alg.blocks()
+    m.algebra.blocks()  # NotSplitError before any radical work
     soc = socle_subspace(m, budget)
-    for f, block in enumerate(blocks):
-        a11 = m.act_mat(_unit_coords(alg, f, 0, 0))
-        mult_vectors = [a11.apply(v) for v in soc.basis_rows]
-        mult_space = Subspace.from_vectors(m.field, m.dim, mult_vectors)
-        if mult_space.dim == 0:
+    for part in block_decomposition(m, soc):
+        if part.mult.dim == 0:
             continue
-        injectors = [m.act_mat(_unit_coords(alg, f, i, 0)) for i in range(block.n)]
-        for coeffs in enum_coeff_points(m.field, mult_space.dim):
-            u = vec_combo(m.field, list(mult_space.basis_rows), coeffs)
-            vectors = [inj.apply(u) for inj in injectors]
-            yield f, u, Subspace.from_vectors(m.field, m.dim, vectors)
+        for coeffs in enum_coeff_points(m.field, part.mult.dim):
+            u = vec_combo(m.field, list(part.mult.basis_rows), coeffs)
+            yield part.f, u, Subspace.from_vectors(m.field, m.dim, part.summand(u))
 
 
 @dataclass
@@ -483,7 +503,7 @@ def system_from_module(m: ModuleRep, budget: Budget | None = None) -> BilinearSy
     """The induced system: soc(R) acting from M/JM into soc(M), written in
     block-standard coordinates via adapted bases on both sides."""
     alg = m.algebra
-    blocks = alg.blocks()
+    alg.blocks()  # NotSplitError before any radical work
     soc_r = socles(alg, budget).twosided
     jm = radical_image(m, budget)
     qd = quotient_action(m, jm)
@@ -493,14 +513,10 @@ def system_from_module(m: ModuleRep, budget: Budget | None = None) -> BilinearSy
     def adapted(rep: ModuleRep) -> tuple[tuple[BlockSpec, ...], list[tuple]]:
         specs = []
         columns = []
-        for f, block in enumerate(blocks):
-            a11 = rep.act_mat(_unit_coords(alg, f, 0, 0))
-            mult_space = image(a11)
-            specs.append(BlockSpec(block.n, mult_space.dim))
-            injectors = [rep.act_mat(_unit_coords(alg, f, i, 0)) for i in range(block.n)]
-            for u in mult_space.basis_rows:
-                for inj in injectors:
-                    columns.append(inj.apply(u))
+        for part in block_decomposition(rep):
+            specs.append(BlockSpec(part.n, part.mult.dim))
+            for u in part.mult.basis_rows:
+                columns.extend(part.summand(u))
         stacked = Subspace.from_vectors(rep.field, rep.dim, columns)
         if stacked.dim != rep.dim or len(columns) != rep.dim:
             raise TheoremViolation("adapted block basis failed to decompose the module")
@@ -635,26 +651,6 @@ def _soc_annihilator_of_quotient(m: ModuleRep, k_sub: Subspace, soc_r: Subspace)
     return soc_r.intersect(annihilator_of_quotient(m, k_sub))
 
 
-def _top_summands(m: ModuleRep, budget: Budget | None = None):
-    """Decompose M/JM into simple summands; yield (f, lift_of_generator,
-    top_subspace_of_summand, quotient_data)."""
-    alg = m.algebra
-    blocks = alg.blocks()
-    jm = radical_image(m, budget)
-    qd = quotient_action(m, jm)
-    top = qd.rep
-    out = []
-    for f, block in enumerate(blocks):
-        a11 = top.act_mat(_unit_coords(alg, f, 0, 0))
-        mult_space = image(a11)
-        injectors = [top.act_mat(_unit_coords(alg, f, i, 0)) for i in range(block.n)]
-        for u in mult_space.basis_rows:
-            l_top = Subspace.from_vectors(m.field, top.dim, [inj.apply(u) for inj in injectors])
-            x = qd.lift(u)
-            out.append((f, x, l_top))
-    return out, qd
-
-
 def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
     """Faithful submodule M' with top length at most the bimodule length of
     soc(R), built from cyclic pieces with simple tops accumulated while the
@@ -666,10 +662,16 @@ def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
         raise PreconditionError("shrinking needs a faithful module")
     soc_r = socles(alg, budget).twosided
     n_bound = bimodule_length(alg, soc_r, budget)
-    summands, qd = _top_summands(m, budget)
+    qd = quotient_action(m, radical_image(m, budget))
+    # one (generator lift, top of its simple summand) per simple summand of M/JM
+    summands = [
+        (qd.lift(u), Subspace.from_vectors(m.field, qd.rep.dim, part.summand(u)))
+        for part in block_decomposition(qd.rep)
+        for u in part.mult.basis_rows
+    ]
 
     pieces = []
-    for f, x, l_top in summands:
+    for x, l_top in summands:
         n_sub = submodule_closure(m, [x])
         while True:
             shrunk = False
@@ -723,22 +725,6 @@ def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
     return result
 
 
-def _socle_summands(m: ModuleRep, budget: Budget | None = None):
-    """Decompose soc(M) into simple summands; yield (f, generator, subspace)."""
-    alg = m.algebra
-    blocks = alg.blocks()
-    soc = socle_subspace(m, budget)
-    out = []
-    for f, block in enumerate(blocks):
-        a11 = m.act_mat(_unit_coords(alg, f, 0, 0))
-        mult_space = Subspace.from_vectors(m.field, m.dim, [a11.apply(v) for v in soc.basis_rows])
-        injectors = [m.act_mat(_unit_coords(alg, f, i, 0)) for i in range(block.n)]
-        for u in mult_space.basis_rows:
-            l_sub = Subspace.from_vectors(m.field, m.dim, [inj.apply(u) for inj in injectors])
-            out.append((f, u, l_sub))
-    return out, soc
-
-
 def shrink_quotient(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
     """Faithful quotient M'' with socle length at most the bimodule length of
     soc(R), via co-pieces with simple essential socle."""
@@ -749,12 +735,17 @@ def shrink_quotient(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
         raise PreconditionError("shrinking needs a faithful module")
     soc_r = socles(alg, budget).twosided
     n_bound = bimodule_length(alg, soc_r, budget)
-    summands, soc = _socle_summands(m, budget)
+    # the simple summands of soc(M), one per basis vector of each block's multiplicity space
+    summands = [
+        Subspace.from_vectors(m.field, m.dim, part.summand(u))
+        for part in block_decomposition(m, socle_subspace(m, budget))
+        for u in part.mult.basis_rows
+    ]
 
     kernels = []
-    for j, (f, u, l_sub) in enumerate(summands):
+    for j, l_sub in enumerate(summands):
         k_vectors = []
-        for j2, (_f2, _u2, l2) in enumerate(summands):
+        for j2, l2 in enumerate(summands):
             if j2 != j:
                 k_vectors.extend(l2.basis_rows)
         k_j = Subspace.from_vectors(m.field, m.dim, k_vectors)

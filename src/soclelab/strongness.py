@@ -512,89 +512,93 @@ class StrongReport:
         }
 
 
-def _left_strong_parts(sys: BilinearSystem, parts: list[list[Mat]], f: int, N, budget: Budget) -> StrongReport:
-    """Left N-strong for a union of map sets with codomain block f.
+def _strong_parts(
+    sys: BilinearSystem, parts: list[list[Mat]], side: str, block: int, N, budget: Budget
+) -> StrongReport:
+    """Left or right N-strength of the union of the parts, on codomain block
+    f = block (left) or domain block e = block (right).
 
-    Checking families of maximal submodules only is lossless: enlarging a
-    member of a family can only make the evasion requirement harder, and
-    every proper submodule sits inside a maximal one.
+    Left: for every family of at most floor(N) hyperplanes of k^t, some
+    element's image generates a simple submodule (multiplicity dimension 1)
+    outside every member.  Checking families of maximal submodules only is
+    lossless: enlarging a member of a family can only make the evasion
+    requirement harder, and every proper submodule sits inside a maximal one.
+
+    Right: for every family of at most floor(N) points of k^s, some element's
+    kernel contains a maximal submodule (multiplicity dimension s - 1) that
+    misses every member.  Families of simple submodules suffice: shrinking a
+    member to a simple submodule inside it hardens the not-contained
+    requirement.
     """
     field = sys.field
-    t = sys.t_blocks[f].mult
-    size = _floor_n(N)
-    hyperplanes = []
-    for phi in enum_coeff_points(field, t):
-        hyperplanes.append(kernel(Mat.from_rows(field, [list(phi)])))
-    part_spans = []
-    for part in parts:
-        span = Subspace.from_vectors(field, sys.dim_b * sys.dim_c, [m.flatten() for m in part])
-        part_spans.append(span)
-    total_families = sum(math.comb(len(hyperplanes), k) for k in range(0, min(size, len(hyperplanes)) + 1))
-    n_elements = sum(num_projective_points(s.dim, field.q) if s.dim else 0 for s in part_spans)
-    budget.guard("left-strong family enumeration", total_families * max(n_elements, 1))
-    for k in range(0, min(size, len(hyperplanes)) + 1):
-        for family in itertools.combinations(hyperplanes, k):
-            found = False
-            for span in part_spans:
-                if span.dim == 0:
-                    continue
-                for vec in _iter_span_elements(field, list(span.basis_rows)):
-                    a = Mat(field, sys.dim_c, sys.dim_b, tuple(vec))
-                    mult = sys.image_mult_space(a, f)
-                    if mult.dim != 1:
-                        continue
-                    if all(not member.contains(mult) for member in family):
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                return StrongReport(False, "left", N, [list(h.basis_rows) for h in family])
-    return StrongReport(True, "left", N, None)
-
-
-def _right_strong_parts(sys: BilinearSystem, parts: list[list[Mat]], e: int, N, budget: Budget) -> StrongReport:
-    """Right N-strong for a union of map sets with domain block e.
-
-    Families of simple submodules suffice: shrinking a member to a simple
-    submodule inside it hardens the not-contained requirement."""
-    field = sys.field
-    s = sys.s_blocks[e].mult
-    size = _floor_n(N)
-    points = [pt for pt in enum_coeff_points(field, s)]
-    part_spans = []
-    for part in parts:
-        span = Subspace.from_vectors(field, sys.dim_b * sys.dim_c, [m.flatten() for m in part])
-        part_spans.append(span)
-    total_families = sum(math.comb(len(points), k) for k in range(0, min(size, len(points)) + 1))
+    if side == "left":
+        t = sys.t_blocks[block].mult
+        members = [kernel(Mat.from_rows(field, [list(phi)])) for phi in enum_coeff_points(field, t)]
+        mult_space, want = sys.image_mult_space, 1
+        avoids, as_json = (lambda mult, hyper: not hyper.contains(mult)), (lambda hyper: list(hyper.basis_rows))
+    else:
+        s = sys.s_blocks[block].mult
+        members = list(enum_coeff_points(field, s))
+        mult_space, want = sys.kernel_mult_space, s - 1
+        avoids, as_json = (lambda mult, point: not mult.contains_vector(point)), list
+    max_k = min(_floor_n(N), len(members))
+    part_spans = [Subspace.from_vectors(field, sys.dim_b * sys.dim_c, [m.flatten() for m in part]) for part in parts]
+    total_families = sum(math.comb(len(members), k) for k in range(0, max_k + 1))
     n_elements = sum(num_projective_points(sp.dim, field.q) if sp.dim else 0 for sp in part_spans)
-    budget.guard("right-strong family enumeration", total_families * max(n_elements, 1))
-    for k in range(0, min(size, len(points)) + 1):
-        for family in itertools.combinations(points, k):
-            found = False
-            for span in part_spans:
-                if span.dim == 0:
-                    continue
-                for vec in _iter_span_elements(field, list(span.basis_rows)):
-                    a = Mat(field, sys.dim_c, sys.dim_b, tuple(vec))
-                    kmult = sys.kernel_mult_space(a, e)
-                    if kmult.dim != s - 1:
-                        continue
-                    if all(not kmult.contains_vector(pt) for pt in family):
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                return StrongReport(False, "right", N, [list(pt) for pt in family])
-    return StrongReport(True, "right", N, None)
+    budget.guard(f"{side}-strong family enumeration", total_families * max(n_elements, 1))
+
+    # each element's multiplicity space is solved once, on first need, in enumeration order
+    elements = (
+        Mat(field, sys.dim_c, sys.dim_b, tuple(vec))
+        for span in part_spans if span.dim
+        for vec in _iter_span_elements(field, list(span.basis_rows))
+    )
+    qualifying: list[Subspace] = []
+
+    def candidates():
+        yield from qualifying
+        for a in elements:
+            mult = mult_space(a, block)
+            if mult.dim == want:
+                qualifying.append(mult)
+                yield mult
+
+    for k in range(0, max_k + 1):
+        for family in itertools.combinations(members, k):
+            if not any(all(avoids(mult, member) for member in family) for mult in candidates()):
+                return StrongReport(False, side, N, [as_json(member) for member in family])
+    return StrongReport(True, side, N, None)
 
 
-def _resolve_single_block(blocks, kind: str) -> int:
+def _side_block(sys: BilinearSystem, side: str, t_block: int | None, s_block: int | None) -> int:
+    """The block whose multiplicity space a side's families live in: the
+    codomain block on the left, the domain block on the right; it may be
+    omitted when only one block of that kind is nonzero."""
+    if side == "left":
+        given, blocks, kind = t_block, sys.t_blocks, "codomain"
+    elif side == "right":
+        given, blocks, kind = s_block, sys.s_blocks, "domain"
+    else:
+        raise InputError(f"side must be left or right, got {side!r}")
+    if given is not None:
+        return given
     live = [i for i, b in enumerate(blocks) if b.mult > 0]
     if len(live) != 1:
         raise PreconditionError(f"{kind} block must be specified when several are nonzero")
     return live[0]
+
+
+def _block_maps(sys: BilinearSystem, f: int | None, e: int | None) -> list[Mat]:
+    """The generators compressed to codomain block f and domain block e,
+    where given: the corner f A e, the row f A, or the column A e."""
+    maps = list(sys.a_basis)
+    if f is not None:
+        pf = sys.t_block_projector(f)
+        maps = [pf.mul(a) for a in maps]
+    if e is not None:
+        pe = sys.s_block_projector(e)
+        maps = [a.mul(pe) for a in maps]
+    return maps
 
 
 def n_strong(
@@ -612,23 +616,9 @@ def n_strong(
     given on the left, and dually on the right.  Family sizes use floor(N).
     """
     budget = budget or default_budget()
-    if side == "left":
-        f = t_block if t_block is not None else _resolve_single_block(sys.t_blocks, "codomain")
-        if s_block is not None:
-            maps = sys.corner_maps(f, s_block)
-        else:
-            pf = sys.t_block_projector(f)
-            maps = [pf.mul(a) for a in sys.a_basis]
-        return _left_strong_parts(sys, [maps], f, N, budget)
-    if side == "right":
-        e = s_block if s_block is not None else _resolve_single_block(sys.s_blocks, "domain")
-        if t_block is not None:
-            maps = sys.corner_maps(t_block, e)
-        else:
-            pe = sys.s_block_projector(e)
-            maps = [a.mul(pe) for a in sys.a_basis]
-        return _right_strong_parts(sys, [maps], e, N, budget)
-    raise InputError(f"side must be left or right, got {side!r}")
+    block = _side_block(sys, side, t_block, s_block)
+    f, e = (block, s_block) if side == "left" else (t_block, block)
+    return _strong_parts(sys, [_block_maps(sys, f, e)], side, block, N, budget)
 
 
 def union_split(
@@ -648,23 +638,14 @@ def union_split(
     contradicts a proved statement and raises TheoremViolation.
     """
     budget = budget or default_budget()
-    if side not in ("left", "right"):
-        raise InputError(f"side must be left or right, got {side!r}")
-    if side == "left":
-        f = t_block if t_block is not None else _resolve_single_block(sys.t_blocks, "codomain")
-        union_report = _left_strong_parts(sys, parts, f, N, budget)
-    else:
-        e = s_block if s_block is not None else _resolve_single_block(sys.s_blocks, "domain")
-        union_report = _right_strong_parts(sys, parts, e, N, budget)
+    block = _side_block(sys, side, t_block, s_block)
+    union_report = _strong_parts(sys, parts, side, block, N, budget)
     if not union_report.strong:
         return None, union_report
     d = len(parts)
     target = Fraction(N) / d
     for idx, part in enumerate(parts):
-        if side == "left":
-            rep = _left_strong_parts(sys, [part], f, target, budget)
-        else:
-            rep = _right_strong_parts(sys, [part], e, target, budget)
+        rep = _strong_parts(sys, [part], side, block, target, budget)
         if rep.strong:
             return idx, rep
     raise TheoremViolation(f"union is {N}-strong but no part of {d} is {target}-strong")
@@ -879,12 +860,8 @@ def relative_n_strong(
     intermediates are relatively strong.  Memoized on canonical forms.
     """
     budget = budget or default_budget()
-    f = t_block if t_block is not None else _resolve_single_block(sys.t_blocks, "codomain")
-    if s_block is not None:
-        maps = sys.corner_maps(f, s_block)
-    else:
-        pf = sys.t_block_projector(f)
-        maps = [pf.mul(a) for a in sys.a_basis]
+    f = _side_block(sys, "left", t_block, s_block)
+    maps = _block_maps(sys, f, s_block)
     w_system = BilinearSystem(sys.field, sys.s_blocks, sys.t_blocks, tuple(maps), _skip_verify=True)
     if y_prime.dim == 0:
         raise PreconditionError("relative strength needs a nonzero submodule")

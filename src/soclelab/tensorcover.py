@@ -26,6 +26,7 @@ from .exactla import (
     RowBasis,
     Subspace,
     enum_coeff_points,
+    enum_pivot_subspaces,
     enum_subspaces,
     gaussian_binomial,
     kernel,
@@ -286,22 +287,11 @@ def _scan_dimension(field: Field, m: int, n: int, dim: int, cap: int) -> tuple[l
 
 def _scan_pivot_shard(args) -> tuple[list[tuple], int]:
     """Worker for parallel search: one pivot pattern of one dimension."""
-    field_json, m, n, dim, pivots = args
+    field_json, m, n, pivots = args
     field = Field.from_json(field_json)
-    mn = m * n
-    pivot_set = set(pivots)
-    free_positions = [
-        (i, j) for i in range(dim) for j in range(pivots[i] + 1, mn) if j not in pivot_set
-    ]
     found = []
     examined = 0
-    for values in itertools.product(field.elements(), repeat=len(free_positions)):
-        rows = [[0] * mn for _ in range(dim)]
-        for i, p in enumerate(pivots):
-            rows[i][p] = 1
-        for (i, j), v in zip(free_positions, values):
-            rows[i][j] = v
-        flat = Subspace(field, mn, tuple(tuple(r) for r in rows), tuple(pivots))
+    for flat in enum_pivot_subspaces(field, m * n, pivots):
         examined += 1
         if _both_conditions_flat(flat, m, n):
             found.append(flat.basis_rows)
@@ -358,7 +348,7 @@ def search_minimal(
 def _scan_dimension_parallel(field: Field, m: int, n: int, dim: int, cap: int, threads: int):
     mn = m * n
     shards = [
-        (field.to_json(), m, n, dim, pivots)
+        (field.to_json(), m, n, pivots)
         for pivots in itertools.combinations(range(mn), dim)
     ]
     found: list[Subspace] = []

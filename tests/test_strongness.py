@@ -162,25 +162,71 @@ def brute_left_strong_all_proper_families(sys_obj, f, N):
     return True
 
 
+def brute_right_strong_all_nonzero_families(sys_obj, e, N):
+    """Oracle for the simple-family reduction on the right: families drawn
+    from ALL nonzero submodules, not just simple ones."""
+    field = sys_obj.field
+    s = sys_obj.s_blocks[e].mult
+    nonzero = [y for y in all_subspaces(field, s) if y.dim > 0]
+    pe = sys_obj.s_block_projector(e)
+    span = Subspace.from_vectors(field, sys_obj.dim_b * sys_obj.dim_c, [a.mul(pe).flatten() for a in sys_obj.a_basis])
+    elements = list(_iter_span_elements(field, list(span.basis_rows))) if span.dim else []
+    size = int(N)
+    for k in range(0, min(size, len(nonzero)) + 1):
+        for family in itertools.combinations(nonzero, k):
+            found = False
+            for vec in elements:
+                a = Mat(field, sys_obj.dim_c, sys_obj.dim_b, tuple(vec))
+                kmult = sys_obj.kernel_mult_space(a, e)
+                if kmult.dim != s - 1:
+                    continue
+                if all(not kmult.contains(member) for member in family):
+                    found = True
+                    break
+            if not found:
+                return False
+    return True
+
+
 def test_maximal_family_reduction_is_exact():
-    # exhaustive comparison against the all-proper-families oracle at q = 2
+    # exhaustive comparison against the all-proper (left) or all-nonzero
+    # (right) families oracle at q = 2
     samples = [
         full_hom_system(GF2, 1, 2),
         full_hom_system(GF2, 2, 2),
         full_hom_system(GF2, 1, 3),
+        full_hom_system(GF2, 2, 1),
+        full_hom_system(GF2, 3, 1),
         LINE_COVER_2,
     ]
-    # plus every 1- and 2-dimensional span inside Hom(k^1, k^2)
+    # plus every 1- and 2-dimensional span inside Hom(k^1, k^2) and Hom(k^2, k^1)
     for flat in all_subspaces(GF2, 2):
         if flat.dim == 0:
             continue
         gens = tuple(Mat(GF2, 2, 1, row) for row in flat.basis_rows)
         samples.append(BilinearSystem(GF2, (BlockSpec(1, 1),), (BlockSpec(1, 2),), gens))
+        gens = tuple(Mat(GF2, 1, 2, row) for row in flat.basis_rows)
+        samples.append(BilinearSystem(GF2, (BlockSpec(1, 2),), (BlockSpec(1, 1),), gens))
     for sys_obj in samples:
         for N in (1, 2, 3):
             fast = n_strong(sys_obj, "left", N, t_block=0).strong
             slow = brute_left_strong_all_proper_families(sys_obj, 0, N)
-            assert fast == slow, (sys_obj.to_json(), N)
+            assert fast == slow, (sys_obj.to_json(), "left", N)
+            fast = n_strong(sys_obj, "right", N, s_block=0).strong
+            slow = brute_right_strong_all_nonzero_families(sys_obj, 0, N)
+            assert fast == slow, (sys_obj.to_json(), "right", N)
+
+
+def test_failing_witness_families_are_pinned():
+    # left: the only element of the corner 0 A 0 maps onto the line (1, 0),
+    # so the hyperplane spanned by (1, 0) is avoided by nothing
+    left = n_strong(LINE_COVER_2, "left", 1, t_block=0, s_block=0)
+    assert not left.strong
+    assert left.witness_family == [[(1, 0)]]
+    # right: every nonzero functional on F_2^2 kills one of the three points
+    right = n_strong(full_hom_system(GF2, 2, 1), "right", 3, s_block=0)
+    assert not right.strong
+    assert right.witness_family == [[1, 0], [1, 1], [0, 1]]
 
 
 def test_budget_guard_on_families():
