@@ -118,20 +118,19 @@ class Algebra:
         return out
 
     def mul_coords(self, x: Coords, y: Coords) -> Coords:
-        field = self.field
-        add, mul = field.add, field.mul
+        add, mul = self.field.tables.add, self.field.tables.mul
         out = [0] * self.dim
         for i, xi in enumerate(x):
             if not xi:
                 continue
             row = self.mult[i]
+            mx = mul[xi]
             for j, yj in enumerate(y):
                 if yj:
-                    f = mul(xi, yj)
-                    cij = row[j]
-                    for k, ck in enumerate(cij):
+                    mf = mul[mx[yj]]
+                    for k, ck in enumerate(row[j]):
                         if ck:
-                            out[k] = add(out[k], mul(f, ck))
+                            out[k] = add[out[k]][mf[ck]]
         return tuple(out)
 
     def basis_coords(self, i: int) -> Coords:
@@ -429,8 +428,8 @@ def _action_flats(r: Algebra) -> tuple[list[tuple[int, ...]], int]:
 
 def _full_rank_flat(flat: list[int], n: int, field: Field) -> bool:
     """Early-exit full-rank test on a flat row-major n*n matrix."""
-    sub, mul, inv = field.sub, field.mul, field.inv
-    rows = [list(flat[i * n: (i + 1) * n]) for i in range(n)]
+    sub, mul = field.tables.sub, field.tables.mul
+    rows = [flat[i * n: (i + 1) * n] for i in range(n)]
     for c in range(n):
         piv = None
         for i in range(c, n):
@@ -443,12 +442,13 @@ def _full_rank_flat(flat: list[int], n: int, field: Field) -> bool:
         prow = rows[c]
         head = prow[c]
         if head != 1:
-            f = inv(head)
-            rows[c] = prow = [mul(f, x) for x in prow]
+            mf = mul[field.inv(head)]
+            rows[c] = prow = [mf[x] for x in prow]
         for i in range(c + 1, n):
             f = rows[i][c]
             if f:
-                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], prow)]
+                mf = mul[f]
+                rows[i] = [sub[x][mf[y]] for x, y in zip(rows[i], prow)]
     return True
 
 
@@ -462,11 +462,12 @@ def _unit_flags(r: Algebra) -> bytearray:
     field = r.field
     q, d = field.q, r.dim
     flats, n = _action_flats(r)
-    add = field.add
+    add, mul = field.tables.add, field.tables.mul
     scaled = [[None] * q for _ in range(d)]
     for k in range(d):
         for v in range(1, q):
-            scaled[k][v] = [field.mul(v, x) for x in flats[k]]
+            mv = mul[v]
+            scaled[k][v] = [mv[x] for x in flats[k]]
     size = q**d
     unit = bytearray(size)
     digits = [0] * d
@@ -484,7 +485,7 @@ def _unit_flags(r: Algebra) -> bytearray:
         digits[k] += 1
         base = acc[k + 1]
         s = scaled[k][digits[k]]
-        acc[k] = [add(a, b) for a, b in zip(base, s)]
+        acc[k] = [add[a][b] for a, b in zip(base, s)]
         for j in range(k - 1, -1, -1):
             acc[j] = acc[j + 1]
     return unit
@@ -543,11 +544,11 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
     unit = _unit_flags(r)
     one_coords = r.one
 
-    sub = field.sub
+    add, sub, mul = field.tables.add, field.tables.sub, field.tables.mul
     qr = bytearray(size)
     coords = [0] * d
     for code in range(size):
-        diff = tuple(sub(a, b) for a, b in zip(one_coords, coords))
+        diff = [sub[a][b] for a, b in zip(one_coords, coords)]
         qr[code] = unit[_encode_coords(diff, q)]
         if code + 1 < size:
             k = 0
@@ -568,14 +569,15 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
         # single-coordinate multiples first: cheap witnesses live here
         for row in rows:
             for c in field.nonzero():
-                y = tuple(field.mul(c, t) for t in row)
-                if qr[_encode_coords(y, q)] == 0:
+                mc = mul[c]
+                if qr[_encode_coords([mc[t] for t in row], q)] == 0:
                     return False
         for combo in itertools.product(field.elements(), repeat=len(rows)):
-            y = (0,) * d
+            y = [0] * d
             for c, row in zip(combo, rows):
                 if c:
-                    y = tuple(field.add(a, field.mul(c, b)) for a, b in zip(y, row))
+                    mc = mul[c]
+                    y = [add[a][mc[b]] for a, b in zip(y, row)]
             if qr[_encode_coords(y, q)] == 0:
                 return False
         return True

@@ -4,7 +4,8 @@ All quantifier checks here run over finite enumerations (projective points,
 subspaces, families of submodules, whole rings).  A Budget keeps those loops
 from silently exploding: callers get a distinct BudgetExceeded instead of a
 partial answer.  The environment variable SOCLELAB_BUDGET overrides the
-default enumeration cap.
+default enumeration cap; a value that is not a non-negative integer is an
+input error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InputError
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 DEFAULT_RING_CAP = 2**16  # element-count guard for whole-ring scans
@@ -22,6 +23,11 @@ DEFAULT_RING_CAP = 2**16  # element-count guard for whole-ring scans
 class Budget:
     max_enumeration: int = DEFAULT_ENUMERATION_CAP
     max_ring: int = DEFAULT_RING_CAP
+
+    def __post_init__(self):
+        for name in ("max_enumeration", "max_ring"):
+            if getattr(self, name) < 0:
+                raise InputError(f"budget {name} must be non-negative, got {getattr(self, name)}")
 
     def guard(self, what: str, needed: int) -> None:
         if needed > self.max_enumeration:
@@ -39,5 +45,5 @@ def default_budget() -> Budget:
     try:
         cap = int(env)
     except ValueError:
-        return Budget()
+        raise InputError(f"SOCLELAB_BUDGET must be an integer, got {env!r}") from None
     return Budget(max_enumeration=cap, max_ring=min(cap, DEFAULT_RING_CAP))

@@ -245,6 +245,8 @@ def _cmd_system_strong(args, reporter: Reporter, budget: Budget) -> int:
     n_value = Fraction(args.N)
     f, e = _parse_block(args.block)
     if args.relative:
+        if args.side != "left":
+            raise InputError("--relative is only implemented for --side left")
         t_idx = f if f is not None else 0
         mult = sys_obj.t_blocks[t_idx].mult
         target = Subspace.full(sys_obj.field, mult)
@@ -477,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--N", required=True, help="positive rational, e.g. 2 or 2/3")
     ss.add_argument("--block", default=None, help="f,e to pick one corner; f alone for a block row")
     ss.add_argument("--relative", action="store_true",
-                    help="experimental: recursive relative strength against the full codomain")
+                    help="experimental, left side only: recursive relative strength against the full codomain")
 
     strong = sub.add_parser("strong", help="alias for `system strong`")
     strong.add_argument("file")
@@ -505,10 +507,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     reporter = Reporter(args)
-    if args.budget is not None:
-        budget = Budget(max_enumeration=args.budget, max_ring=min(args.budget, 2**16))
-    else:
-        budget = default_budget()
     dispatch = {
         ("cover", "check"): _cmd_cover_check,
         ("cover", "search-minimal"): _cmd_cover_search,
@@ -527,6 +525,10 @@ def main(argv=None) -> int:
     if handler is None:
         parser.error(f"unknown command {key}")
     try:
+        if args.budget is not None:
+            budget = Budget(max_enumeration=args.budget, max_ring=min(args.budget, 2**16))
+        else:
+            budget = default_budget()
         return handler(args, reporter, budget)
     except BudgetExceeded as exc:
         reporter.emit(args.command, "budget", {"error": str(exc)})

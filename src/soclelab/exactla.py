@@ -30,7 +30,7 @@ Vec = tuple  # tuple of element codes
 def _rref_generic(rows: list[list[int]], ncols: int, field: Field) -> tuple[list[list[int]], list[int]]:
     rows = [list(r) for r in rows]
     nrows = len(rows)
-    sub, mul, inv = field.sub, field.mul, field.inv
+    sub, mul = field.tables.sub, field.tables.mul
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -44,13 +44,13 @@ def _rref_generic(rows: list[list[int]], ncols: int, field: Field) -> tuple[list
         rows[r], rows[piv] = rows[piv], rows[r]
         head = rows[r][c]
         if head != 1:
-            f = inv(head)
-            rows[r] = [mul(f, x) for x in rows[r]]
+            mf = mul[field.inv(head)]
+            rows[r] = [mf[x] for x in rows[r]]
         prow = rows[r]
         for i in range(nrows):
             if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], prow)]
+                mf = mul[rows[i][c]]
+                rows[i] = [sub[x][mf[y]] for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -125,13 +125,13 @@ class RowBasis:
         return len(self._by_pivot)
 
     def reduce(self, vec) -> list[int]:
-        field = self.field
-        sub, mul = field.sub, field.mul
+        sub, mul = self.field.tables.sub, self.field.tables.mul
         v = list(vec)
         for c, row in self._by_pivot.items():
             f = v[c]
             if f:
-                v = [sub(x, mul(f, y)) for x, y in zip(v, row)]
+                mf = mul[f]
+                v = [sub[x][mf[y]] for x, y in zip(v, row)]
         return v
 
     def add(self, vec) -> bool:
@@ -139,16 +139,16 @@ class RowBasis:
         pivot = next((c for c, x in enumerate(v) if x), None)
         if pivot is None:
             return False
-        field = self.field
+        sub, mul = self.field.tables.sub, self.field.tables.mul
         head = v[pivot]
         if head != 1:
-            f = field.inv(head)
-            v = [field.mul(f, x) for x in v]
-        sub, mul = field.sub, field.mul
+            mf = mul[self.field.inv(head)]
+            v = [mf[x] for x in v]
         for c, row in self._by_pivot.items():
             f = row[pivot]
             if f:
-                self._by_pivot[c] = [sub(x, mul(f, y)) for x, y in zip(row, v)]
+                mf = mul[f]
+                self._by_pivot[c] = [sub[x][mf[y]] for x, y in zip(row, v)]
         self._by_pivot[pivot] = v
         return True
 
@@ -179,14 +179,14 @@ class SpanTracker:
         return len(self._rows)
 
     def _reduce(self, vec, combo):
-        field = self.field
-        sub, mul = field.sub, field.mul
+        sub, mul = self.field.tables.sub, self.field.tables.mul
         v, w = list(vec), list(combo)
         for c, (row, rcombo) in self._rows.items():
             f = v[c]
             if f:
-                v = [sub(x, mul(f, y)) for x, y in zip(v, row)]
-                w = [sub(x, mul(f, y)) for x, y in zip(w, rcombo)]
+                mf = mul[f]
+                v = [sub[x][mf[y]] for x, y in zip(v, row)]
+                w = [sub[x][mf[y]] for x, y in zip(w, rcombo)]
         return v, w
 
     def add(self, vec) -> bool:
@@ -199,19 +199,19 @@ class SpanTracker:
         pivot = next((c for c, x in enumerate(v) if x), None)
         if pivot is None:
             return False
-        field = self.field
+        sub, mul = self.field.tables.sub, self.field.tables.mul
         head = v[pivot]
         if head != 1:
-            f = field.inv(head)
-            v = [field.mul(f, x) for x in v]
-            w = [field.mul(f, x) for x in w]
-        sub, mul = field.sub, field.mul
+            mf = mul[self.field.inv(head)]
+            v = [mf[x] for x in v]
+            w = [mf[x] for x in w]
         for c, (row, rcombo) in self._rows.items():
             f = row[pivot]
             if f:
+                mf = mul[f]
                 self._rows[c] = (
-                    [sub(x, mul(f, y)) for x, y in zip(row, v)],
-                    [sub(x, mul(f, y)) for x, y in zip(rcombo, w)],
+                    [sub[x][mf[y]] for x, y in zip(row, v)],
+                    [sub[x][mf[y]] for x, y in zip(rcombo, w)],
                 )
         self._rows[pivot] = (v, w)
         return True
@@ -222,7 +222,8 @@ class SpanTracker:
         v, w = self._reduce(vec, zero_combo)
         if any(v):
             return None
-        return tuple(self.field.neg(x) for x in w)
+        neg = self.field.tables.neg
+        return tuple([neg[x] for x in w])
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +240,10 @@ class Mat:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise InputError(f"matrix literal has {len(self.entries)} entries, needs {self.rows * self.cols}")
-        if any(not (0 <= x < self.field.q) for x in self.entries):
+        entries = self.entries
+        if len(entries) != self.rows * self.cols:
+            raise InputError(f"matrix literal has {len(entries)} entries, needs {self.rows * self.cols}")
+        if entries and (min(entries) < 0 or max(entries) >= self.field.q):
             raise InputError("matrix entry out of field range")
 
     # construction ----------------------------------------------------------
@@ -291,21 +293,21 @@ class Mat:
 
     def add(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        add = self.field.add
-        return Mat(self.field, self.rows, self.cols, tuple(add(a, b) for a, b in zip(self.entries, other.entries)))
+        add = self.field.tables.add
+        return Mat(self.field, self.rows, self.cols, tuple([add[a][b] for a, b in zip(self.entries, other.entries)]))
 
     def sub(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        sub = self.field.sub
-        return Mat(self.field, self.rows, self.cols, tuple(sub(a, b) for a, b in zip(self.entries, other.entries)))
+        sub = self.field.tables.sub
+        return Mat(self.field, self.rows, self.cols, tuple([sub[a][b] for a, b in zip(self.entries, other.entries)]))
 
     def neg(self) -> "Mat":
-        neg = self.field.neg
-        return Mat(self.field, self.rows, self.cols, tuple(neg(a) for a in self.entries))
+        neg = self.field.tables.neg
+        return Mat(self.field, self.rows, self.cols, tuple([neg[a] for a in self.entries]))
 
     def scale(self, c: int) -> "Mat":
-        mul = self.field.mul
-        return Mat(self.field, self.rows, self.cols, tuple(mul(c, a) for a in self.entries))
+        mc = self.field.tables.mul[c]
+        return Mat(self.field, self.rows, self.cols, tuple([mc[a] for a in self.entries]))
 
     def mul(self, other: "Mat") -> "Mat":
         if self.field != other.field:
@@ -313,7 +315,7 @@ class Mat:
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         field = self.field
-        add, mul = field.add, field.mul
+        add, mul = field.tables.add, field.tables.mul
         n, k, m = self.rows, self.cols, other.cols
         a, b = self.entries, other.entries
         out = [0] * (n * m)
@@ -323,8 +325,9 @@ class Mat:
             for t in range(k):
                 f = arow[t]
                 if f:
+                    mf = mul[f]
                     brow = b[t * m: (t + 1) * m]
-                    orow = [add(x, mul(f, y)) for x, y in zip(orow, brow)]
+                    orow = [add[x][mf[y]] for x, y in zip(orow, brow)]
             out[i * m: (i + 1) * m] = orow
         return Mat(field, n, m, tuple(out))
 
@@ -332,15 +335,13 @@ class Mat:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise InputError("vector length mismatch")
-        field = self.field
-        add, mul = field.add, field.mul
+        add, mul = self.field.tables.add, self.field.tables.mul
         out = []
         for i in range(self.rows):
             acc = 0
-            row = self.row(i)
-            for x, v in zip(row, vec):
+            for x, v in zip(self.row(i), vec):
                 if x and v:
-                    acc = add(acc, mul(x, v))
+                    acc = add[acc][mul[x][v]]
             out.append(acc)
         return tuple(out)
 
@@ -405,19 +406,23 @@ def mat_vec(mats: list[Mat], coords) -> Mat:
 
 
 def vec_add(field: Field, a, b) -> Vec:
-    return tuple(field.add(x, y) for x, y in zip(a, b))
+    add = field.tables.add
+    return tuple([add[x][y] for x, y in zip(a, b)])
 
 
 def vec_scale(field: Field, c: int, a) -> Vec:
-    return tuple(field.mul(c, x) for x in a)
+    mc = field.tables.mul[c]
+    return tuple([mc[x] for x in a])
 
 
 def vec_combo(field: Field, vectors, coeffs) -> Vec:
-    out = (0,) * len(vectors[0])
+    add, mul = field.tables.add, field.tables.mul
+    out = [0] * len(vectors[0])
     for c, v in zip(coeffs, vectors):
         if c:
-            out = vec_add(field, out, vec_scale(field, c, v))
-    return out
+            mc = mul[c]
+            out = [add[x][mc[y]] for x, y in zip(out, v)]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +469,13 @@ class Subspace:
         return Mat.from_rows(self.field, self.basis_rows)
 
     def reduce(self, vec) -> Vec:
-        field = self.field
-        sub, mul = field.sub, field.mul
+        sub, mul = self.field.tables.sub, self.field.tables.mul
         v = list(vec)
         for prow, c in zip(self.basis_rows, self.pivots):
             f = v[c]
             if f:
-                v = [sub(x, mul(f, y)) for x, y in zip(v, prow)]
+                mf = mul[f]
+                v = [sub[x][mf[y]] for x, y in zip(v, prow)]
         return tuple(v)
 
     def contains_vector(self, vec) -> bool:
@@ -539,7 +544,7 @@ def subspace_ops(a: Subspace, b: Subspace, op: str):
 def kernel(m: Mat) -> Subspace:
     """Right null space {v : m v = 0}, canonical."""
     reduced, pivots = rref_rows(m.row_list(), m.cols, m.field)
-    field = m.field
+    neg = m.field.tables.neg
     pivot_set = set(pivots)
     free = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
@@ -547,9 +552,9 @@ def kernel(m: Mat) -> Subspace:
         v = [0] * m.cols
         v[f] = 1
         for i, p in enumerate(pivots):
-            v[p] = field.neg(reduced[i][f])
+            v[p] = neg[reduced[i][f]]
         basis.append(v)
-    return Subspace.from_vectors(field, m.cols, basis)
+    return Subspace.from_vectors(m.field, m.cols, basis)
 
 
 def image(m: Mat) -> Subspace:

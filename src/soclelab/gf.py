@@ -9,8 +9,13 @@ coefficient vector read from the highest-degree digit down).
 
 Fields bigger than a configured cap (default q <= 9) are rejected: every
 search in this package enumerates projective points or whole element sets,
-and the cap keeps those loops at desk scale.  Multiplication and inversion
-are table-driven; scalar cost is irrelevant next to the linear algebra.
+and the cap keeps those loops at desk scale.
+
+Arithmetic is table-driven.  Each Field holds its operation tables as the
+plain attribute `tables`, shared by equal fields.  Scalar cost matters: the
+whole-ring scans run tens of millions of operations, so the hot kernels in
+`exactla` and `algebra` index table rows directly (one `mul` row per pivot
+or factor); the methods are the reference their tests compare against.
 """
 
 from __future__ import annotations
@@ -109,7 +114,9 @@ def _default_modulus(p: int, e: int) -> tuple[int, ...]:
 class Field:
     """The finite field F_q with q = p^e elements.
 
-    Immutable and hashable; all arithmetic goes through precomputed tables.
+    Immutable and hashable; all arithmetic goes through the precomputed
+    `tables`, an attribute set once at construction and left out of
+    equality, hashing and repr.
     """
 
     p: int
@@ -119,29 +126,30 @@ class Field:
 
     def __post_init__(self):
         object.__setattr__(self, "q", self.p**self.e)
+        object.__setattr__(self, "tables", _field_tables(self.p, self.e, self.modulus))
 
-    # -- tables -----------------------------------------------------------
     @property
-    def _tables(self):
-        return _field_tables(self.p, self.e, self.modulus)
+    def _tables(self) -> "_Tables":
+        """The same object as `tables` (a read-only hook for instrumentation)."""
+        return self.tables
 
     # -- arithmetic on element codes --------------------------------------
     def add(self, a: int, b: int) -> int:
-        return self._tables.add[a][b]
+        return self.tables.add[a][b]
 
     def sub(self, a: int, b: int) -> int:
-        return self._tables.add[a][self._tables.neg[b]]
+        return self.tables.sub[a][b]
 
     def neg(self, a: int) -> int:
-        return self._tables.neg[a]
+        return self.tables.neg[a]
 
     def mul(self, a: int, b: int) -> int:
-        return self._tables.mul[a][b]
+        return self.tables.mul[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise InputError("inversion of zero")
-        return self._tables.inv[a]
+        return self.tables.inv[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -194,7 +202,10 @@ class Field:
 
 
 class _Tables:
-    __slots__ = ("add", "neg", "mul", "inv")
+    """Operation tables on element codes: add[a][b], sub[a][b], neg[a],
+    mul[a][b], inv[a] (inv[0] is 0 and never read through Field.inv)."""
+
+    __slots__ = ("add", "sub", "neg", "mul", "inv")
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
         q = p**e
@@ -204,6 +215,7 @@ class _Tables:
             for a in range(q)
         ]
         self.neg = [_encode([(-x) % p for x in coeffs[a]], p) for a in range(q)]
+        self.sub = [[self.add[a][self.neg[b]] for b in range(q)] for a in range(q)]
         self.mul = [
             [_encode(_poly_mul_mod(coeffs[a], coeffs[b], modulus, p), p) for b in range(q)]
             for a in range(q)

@@ -170,7 +170,7 @@ def check_cond_b(a: TensorSubspace) -> CoverageSide:
         if partner.dim == 0:
             return CoverageSide(False, witnesses, b)
         c = partner.basis_rows[0]
-        if not a.contains_matrix(rank_one(a.field, b, c)):
+        if not flat.contains_vector(rank_one(a.field, b, c).flatten()):
             raise TheoremViolation("coverage witness failed membership re-check")
         witnesses.append((b, c))
     return CoverageSide(True, witnesses, None)
@@ -286,12 +286,13 @@ def _scan_dimension(field: Field, m: int, n: int, dim: int, cap: int) -> tuple[l
 
 
 def _scan_pivot_shard(args) -> tuple[list[tuple], int]:
-    """Worker for parallel search: one pivot pattern of one dimension."""
-    field_json, m, n, pivots = args
+    """Worker for parallel search: the first `share` subspaces of one pivot
+    pattern of one dimension, in enumeration order."""
+    field_json, m, n, pivots, share = args
     field = Field.from_json(field_json)
     found = []
     examined = 0
-    for flat in enum_pivot_subspaces(field, m * n, pivots):
+    for flat in itertools.islice(enum_pivot_subspaces(field, m * n, pivots), share):
         examined += 1
         if _both_conditions_flat(flat, m, n):
             found.append(flat.basis_rows)
@@ -346,11 +347,21 @@ def search_minimal(
 
 
 def _scan_dimension_parallel(field: Field, m: int, n: int, dim: int, cap: int, threads: int):
+    """The parallel form of `_scan_dimension`: one shard per pivot pattern.
+
+    The cap is split over the shards in enumeration order (a pattern with
+    f free positions holds q^f subspaces), so the shards together scan
+    exactly the prefix that the sequential scan examines."""
     mn = m * n
-    shards = [
-        (field.to_json(), m, n, pivots)
-        for pivots in itertools.combinations(range(mn), dim)
-    ]
+    shards = []
+    total = 0
+    for pivots in itertools.combinations(range(mn), dim):
+        # free positions of row i: the columns after its pivot, less the later pivots
+        size = field.q ** sum(mn - 1 - p - (dim - 1 - i) for i, p in enumerate(pivots))
+        share = min(size, cap - total)
+        total += size
+        if share > 0:
+            shards.append((field.to_json(), m, n, pivots, share))
     found: list[Subspace] = []
     examined = 0
     with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -359,10 +370,7 @@ def _scan_dimension_parallel(field: Field, m: int, n: int, dim: int, cap: int, t
             for rows in rows_list:
                 found.append(Subspace.from_vectors(field, mn, rows))
     found.sort(key=lambda s: s.sort_key())
-    if examined > cap:
-        # parallel scan does not interleave with the cap; report honest overrun
-        return found, examined, False
-    return found, examined, True
+    return found, examined, total <= cap
 
 
 # ---------------------------------------------------------------------------

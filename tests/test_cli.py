@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from soclelab.cli import main
+from soclelab.errors import InputError
 from soclelab.gallery import make_row_diagonal_pair
 
 
@@ -125,6 +128,19 @@ def test_system_check_and_strong(tmp_path, capsys):
     assert code6 == 0
 
 
+def test_relative_strength_rejects_right_side(tmp_path, capsys):
+    # relative strength is only implemented on the left; the right side must not
+    # run the left predicate and report "side": "right"
+    path = write_gallery(tmp_path, capsys, "line-cover-system", "q=2", "d=2")
+    for command in ("system", "strong"), ("strong",):
+        code, out = run(capsys, *command, str(path), "--side", "right", "--N", "1",
+                        "--block", "0", "--relative")
+        assert code == 2
+        record = json.loads(out.strip().splitlines()[-1])
+        assert record["verdict"] == "input-error"
+        assert "--side left" in record["details"]["error"]
+
+
 def test_gallery_stub_exit(capsys):
     code, out = run(capsys, "gallery", "make", "number-field-example")
     assert code == 2
@@ -202,3 +218,37 @@ def test_budget_env_var(monkeypatch):
     assert budget.max_ring == 1234
     monkeypatch.delenv("SOCLELAB_BUDGET")
     assert default_budget().max_enumeration == 1_000_000
+    for bad in ("abc", "-5", "1.5", ""):
+        monkeypatch.setenv("SOCLELAB_BUDGET", bad)
+        with pytest.raises(InputError):
+            default_budget()
+
+
+def test_malformed_budget_is_an_input_error(capsys, monkeypatch):
+    argv = ("cover", "search-minimal", "--m", "2", "--n", "2", "--q", "2")
+    cases = [({"SOCLELAB_BUDGET": "abc"}, ()), ({"SOCLELAB_BUDGET": "-5"}, ()), ({}, ("--budget", "-5"))]
+    for env, flags in cases:
+        monkeypatch.delenv("SOCLELAB_BUDGET", raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        code, out = run(capsys, *flags, *argv)
+        assert code == 2
+        record = json.loads(out.strip().splitlines()[-1])
+        assert record["verdict"] == "input-error"
+        assert "budget" in record["details"]["error"].lower()
+    # the flag overrides the environment, and a zero cap is a valid (empty) budget
+    monkeypatch.setenv("SOCLELAB_BUDGET", "abc")
+    code, out = run(capsys, "--budget", "0", *argv)
+    assert code == 3
+    assert json.loads(out.strip().splitlines()[-1])["details"]["examined"] == 0
+
+
+def test_parallel_search_budget_matches_sequential(capsys):
+    argv = ("--budget", "700", "cover", "search-minimal", "--m", "2", "--n", "3", "--q", "2")
+    records = []
+    for threads in ("1", "2"):
+        code, out = run(capsys, "--threads", threads, *argv)
+        assert code == 3
+        records.append(json.loads(out.strip().splitlines()[-1]))
+    assert records[0]["details"]["examined"] == 700
+    assert records[0] == records[1]

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from soclelab.algebra import _full_rank_flat
 from soclelab.errors import InputError
 from soclelab.exactla import (
     Mat,
@@ -18,6 +19,7 @@ from soclelab.exactla import (
     image,
     kernel,
     num_projective_points,
+    rref_rows,
     solve,
     subspace_ops,
     vec_combo,
@@ -27,6 +29,8 @@ from soclelab.gf import field_make
 GF2 = field_make(2)
 GF3 = field_make(3)
 GF4 = field_make(2, 2)
+# every field the table-indexed kernels are cross-checked on
+ORACLE_FIELDS = [field_make(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
 
 
 def random_mat(field, rows, cols, rng):
@@ -265,3 +269,85 @@ def test_mat_json_round_trip():
         assert again == m
     s = Subspace.from_vectors(GF4, 3, [(1, 2, 0), (0, 1, 3)])
     assert Subspace.from_json(s.to_json()) == s
+
+
+# -- table-indexed kernels against the Field methods -------------------------------------
+
+def _naive_mul(a: Mat, b: Mat) -> tuple:
+    f = a.field
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = 0
+            for k in range(a.cols):
+                acc = f.add(acc, f.mul(a[i, k], b[k, j]))
+            out.append(acc)
+    return tuple(out)
+
+
+def _naive_reduce(field, basis_rows, pivots, vec) -> tuple:
+    # rows in RREF: subtract vec[p] times the row with pivot p, for each pivot
+    out = list(vec)
+    for row, p in zip(basis_rows, pivots):
+        out = [field.sub(x, field.mul(vec[p], y)) for x, y in zip(out, row)]
+    return tuple(out)
+
+
+def _random_rows(field, nrows, ncols, rng, dependent: bool):
+    rows = [[rng.randrange(field.q) for _ in range(ncols)] for _ in range(nrows)]
+    if dependent and nrows >= 2:
+        c = rng.randrange(field.q)
+        rows[-1] = [field.add(x, field.mul(c, y)) for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_full_rank_flat_matches_rank(field, rng):
+    for trial in range(60):
+        n = rng.randrange(1, 6)
+        m = Mat.from_rows(field, _random_rows(field, n, n, rng, dependent=trial % 3 == 0))
+        assert _full_rank_flat(list(m.entries), n, field) == (m.rank() == n)
+        assert _full_rank_flat(m.entries, n, field) == (m.rank() == n)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_mat_mul_and_apply_match_naive(field, rng):
+    for _ in range(30):
+        n, k, m = (rng.randrange(1, 5) for _ in range(3))
+        a, b = random_mat(field, n, k, rng), random_mat(field, k, m, rng)
+        assert a.mul(b).entries == _naive_mul(a, b)
+        vec = tuple(rng.randrange(field.q) for _ in range(k))
+        column = Mat.from_rows(field, [[x] for x in vec])
+        assert a.apply(vec) == _naive_mul(a, column)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_row_basis_and_reduce_match_generic_rref(field, rng):
+    for trial in range(30):
+        ncols = rng.randrange(1, 6)
+        rows = _random_rows(field, rng.randrange(1, 5), ncols, rng, dependent=trial % 2 == 0)
+        reduced, pivots = rref_rows(rows, ncols, field, force_generic=True)
+        rb = RowBasis(field, ncols)
+        for r in rows:
+            rb.add(r)
+        assert rb.snapshot() == [tuple(r) for r in reduced]
+        s = Subspace.from_vectors(field, ncols, rows)
+        assert s.basis_rows == tuple(tuple(r) for r in reduced) and s.pivots == tuple(pivots)
+        for _ in range(5):
+            vec = tuple(rng.randrange(field.q) for _ in range(ncols))
+            expected = _naive_reduce(field, reduced, pivots, vec)
+            assert s.reduce(vec) == expected
+            assert tuple(rb.reduce(vec)) == expected
+            member = len(rref_rows(rows + [list(vec)], ncols, field, force_generic=True)[1]) == len(pivots)
+            assert s.contains_vector(vec) == rb.contains(vec) == member
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF4, field_make(3, 2)], ids=repr)
+def test_mat_rejects_entries_out_of_range(field):
+    for bad in (-1, field.q):
+        with pytest.raises(InputError, match="matrix entry out of field range"):
+            Mat(field, 2, 2, (0, 1, bad, 0))
+    assert Mat(field, 1, 2, (0, field.q - 1)).entries == (0, field.q - 1)
+    assert Mat(field, 0, 3, ()).rows == 0
+    with pytest.raises(InputError, match="matrix literal has 3 entries, needs 4"):
+        Mat(field, 2, 2, (0, 1, 0))

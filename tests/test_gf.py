@@ -1,9 +1,10 @@
 import itertools
+import pickle
 
 import pytest
 
 from soclelab.errors import InputError
-from soclelab.gf import Field, field_make, is_prime, _poly_is_irreducible
+from soclelab.gf import Field, field_make, is_prime, _poly_is_irreducible, _poly_mul_mod
 
 ALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -104,3 +105,31 @@ def test_gf2_flag():
     assert field_make(2).is_gf2
     assert not field_make(2, 2).is_gf2
     assert not field_make(3).is_gf2
+
+
+@pytest.mark.parametrize("p,e", ALL_Q)
+def test_tables_agree_with_the_methods(p, e):
+    # the kernels index `tables` directly; the methods and coefficient-vector
+    # arithmetic are the oracle
+    f = field_make(p, e)
+    t = f.tables
+    assert f._tables is t
+    assert Field(f.p, f.e, f.modulus).tables is t  # shared, built once per field
+    for a, b in itertools.product(f.elements(), repeat=2):
+        ca, cb = f.coeffs(a), f.coeffs(b)
+        assert t.add[a][b] == f.add(a, b) == f.from_coeffs([x + y for x, y in zip(ca, cb)])
+        assert t.sub[a][b] == f.sub(a, b) == f.add(a, f.neg(b)) == f.from_coeffs([x - y for x, y in zip(ca, cb)])
+        assert t.mul[a][b] == f.mul(a, b) == f.from_coeffs(_poly_mul_mod(ca, cb, f.modulus, p))
+    for a in f.elements():
+        assert t.neg[a] == f.neg(a)
+        if a:
+            assert t.inv[a] == f.inv(a) and f.mul(a, t.inv[a]) == 1
+
+
+@pytest.mark.parametrize("p,e", ALL_Q)
+def test_pickle_round_trip(p, e):
+    f = field_make(p, e)
+    again = pickle.loads(pickle.dumps(f))
+    assert again == f and hash(again) == hash(f) and repr(again) == repr(f)
+    for name in ("add", "sub", "neg", "mul", "inv"):
+        assert getattr(again.tables, name) == getattr(f.tables, name)

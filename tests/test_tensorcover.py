@@ -251,3 +251,19 @@ def test_parallel_search_matches_sequential():
     par = search_minimal(2, 2, GF2, threads=2, parallel_threshold=4)
     assert par.complete == seq.complete
     assert [t.sort_key() for t in par.minimal] == [t.sort_key() for t in seq.minimal]
+
+
+@pytest.mark.parametrize("cap", [5, 38, 700, 2400])
+def test_parallel_search_stops_at_the_cap(cap):
+    # 2x3 over F_2 has 1, 63, 651, 1395, 651, ... subspaces by dimension; the
+    # pivot patterns of dimension 1 hold 32, 16, 8, ... of them.  The caps stop
+    # inside the first and the second pattern of dimension 1, and inside
+    # dimensions 2 and 4
+    budget = Budget(max_enumeration=cap)
+    seq = search_minimal(2, 3, GF2, budget=budget)
+    par = search_minimal(2, 3, GF2, budget=budget, threads=2, parallel_threshold=4)
+    assert seq.examined == par.examined == cap
+    assert not seq.complete and not par.complete
+    assert [t.sort_key() for t in par.minimal] == [t.sort_key() for t in seq.minimal]
+    if cap == 2400:
+        assert len(seq.minimal) == 10  # a prefix of dimension 4 holds minimal spaces
