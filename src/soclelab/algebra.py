@@ -11,10 +11,11 @@ blindly; every piece is re-verified at construction time.
 The radical certificate has an independent oracle: an exhaustive scan of the
 whole ring by quasi-regularity (x is radical iff 1 - rx is invertible for
 every r).  The scan enumerates every element once for unit flags, then
-decides membership per element by walking the principal left ideal Rx with
-early exit.  Unit testing goes through a faithful matrix representation
-when one is available (invertibility in the matrix ring equals
-invertibility in the subalgebra), else through the regular representation.
+decides membership once per coset of the verified radical span, up to
+scalars, by walking the principal left ideal Rx with early exit.  Unit
+testing goes through a faithful matrix representation when one is
+available (invertibility in the matrix ring equals invertibility in the
+subalgebra), else through the regular representation.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ class Algebra:
         self.certificate = certificate
         self._radical_cache: Subspace | None = None
         self._local_cache: bool | None = None
+        self._socles_cache: SocleTriple | None = None
         self.left_mats = tuple(
             Mat(field, dim, dim, tuple(mult[i][j][k] for k in range(dim) for j in range(dim)))
             for i in range(dim)
@@ -531,8 +533,13 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
 
     Membership is decided exactly: x is radical iff every element of the
     principal left ideal Rx is quasi-regular (1 - y invertible for all
-    y in Rx).  Units can never be radical and are skipped outright; elements
-    already inside the span of verified members are radical by linearity.
+    y in Rx).  Units can never be radical and are skipped outright.  Every
+    other quasi-regular element is reduced by the span V of the verified
+    members and scaled to a leading 1; this representative stands for its
+    whole coset x + V up to nonzero scalars, since x is radical iff x - v is
+    (v in V) and R(cx) = Rx (c != 0).  Zero means x is in V; each other
+    representative is tested once, and a rejected one stays rejected while
+    V grows (if one falls into V the oracle has contradicted itself).
     The result is re-verified as a nilpotent two-sided ideal.
     """
     budget = budget or default_budget()
@@ -582,14 +589,32 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
                 return False
         return True
 
+    inv = field.tables.inv
+    zero = (0,) * d
+
+    def representative(x) -> Coords:
+        # x reduced by the verified span, then scaled to a leading 1
+        v = jbasis.reduce(x)
+        head = next((c for c in v if c), 1)
+        if head != 1:
+            mf = mul[inv[head]]
+            v = [mf[c] for c in v]
+        return tuple(v)
+
+    rejected: set[Coords] = set()
     for code in range(size):
         if unit[code] or not qr[code]:
             continue
-        x = _decode_coords(code, q, d)
-        if jbasis.contains(x):
+        rep = representative(_decode_coords(code, q, d))
+        if rep == zero or rep in rejected:
             continue
-        if ideal_inside_qr(x):
-            jbasis.add(x)
+        if ideal_inside_qr(rep):
+            jbasis.add(rep)
+            rejected = {representative(v) for v in rejected}
+            if zero in rejected:
+                raise TheoremViolation("radical oracle rejected a member of the verified span")
+        else:
+            rejected.add(rep)
 
     radical = Subspace.from_vectors(field, d, jbasis.snapshot())
 
@@ -613,7 +638,14 @@ class SocleTriple:
 
 def socles(r: Algebra, budget: Budget | None = None) -> SocleTriple:
     """Left socle {x : Jx = 0}, right socle {x : xJ = 0}, and their
-    intersection (the two-sided socle).  Valid because J is nilpotent."""
+    intersection (the two-sided socle).  Valid because J is nilpotent.
+    Computed once per algebra and then kept."""
+    if r._socles_cache is None:
+        r._socles_cache = _socles(r, budget)
+    return r._socles_cache
+
+
+def _socles(r: Algebra, budget: Budget | None) -> SocleTriple:
     J = r.radical(budget)
     if J.dim == 0:
         full = Subspace.full(r.field, r.dim)

@@ -47,6 +47,7 @@ class ModuleRep:
         self.algebra = algebra
         self.dim = dim
         self.action = tuple(action)
+        self._radical_image_cache: Subspace | None = None
         if len(self.action) != algebra.dim:
             raise InputError("need one action matrix per algebra basis element")
         for mat in self.action:
@@ -243,13 +244,16 @@ def quotient_action(m: ModuleRep, sub: Subspace) -> QuotientData:
 
 
 def radical_image(m: ModuleRep, budget: Budget | None = None) -> Subspace:
-    """JM: the span of the radical's action images."""
-    J = m.algebra.radical(budget)
-    vectors = []
-    for j in J.basis_rows:
-        jmat = m.act_mat(j)
-        vectors.extend(image(jmat).basis_rows)
-    return Subspace.from_vectors(m.field, m.dim, vectors)
+    """JM: the span of the radical's action images, computed once per module
+    and then kept."""
+    if m._radical_image_cache is None:
+        J = m.algebra.radical(budget)
+        vectors = []
+        for j in J.basis_rows:
+            jmat = m.act_mat(j)
+            vectors.extend(image(jmat).basis_rows)
+        m._radical_image_cache = Subspace.from_vectors(m.field, m.dim, vectors)
+    return m._radical_image_cache
 
 
 def socle_subspace(m: ModuleRep, budget: Budget | None = None) -> Subspace:

@@ -858,6 +858,7 @@ def relative_n_strong(
     subspace.  Length 1: some nonzero element of W maps into it.  Length
     r+1: for every length-(r-1) submodule below it, more than N length-r
     intermediates are relatively strong.  Memoized on canonical forms.
+    Every subspace the recursion enumerates is charged to the budget.
     """
     budget = budget or default_budget()
     f = _side_block(sys, "left", t_block, s_block)
@@ -867,6 +868,7 @@ def relative_n_strong(
         raise PreconditionError("relative strength needs a nonzero submodule")
     memo: dict = {}
     field = sys.field
+    examined = 0
 
     def submodule_vectors(mult_sub: Subspace) -> list:
         return [w_system.c_vector(f, m, i) for m in mult_sub.basis_rows for i in range(sys.t_blocks[f].n)]
@@ -874,9 +876,12 @@ def relative_n_strong(
     def subspaces_of_dim(space: Subspace, d: int):
         from .exactla import enum_subspaces
 
+        nonlocal examined
         if d > space.dim:
             return
         for inner in enum_subspaces(field, space.dim, d):
+            examined += 1
+            budget.guard("relative-strength subspace enumeration", examined)
             vectors = [vec_combo(field, list(space.basis_rows), c) for c in inner.basis_rows]
             yield Subspace.from_vectors(field, space.ambient_dim, vectors)
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from soclelab.algebra import (
@@ -14,13 +17,14 @@ from soclelab.algebra import (
 )
 from soclelab.budget import Budget
 from soclelab.errors import BudgetExceeded, InputError, NotSplitError, TheoremViolation
-from soclelab.exactla import Mat, Subspace
+from soclelab.exactla import Mat, RowBasis, Subspace
 from soclelab.gf import field_make
 from soclelab.gallery import (
     make_matrix_algebra,
     make_row_diagonal_pair,
     make_square_zero_extension,
     make_triangular,
+    iter_gallery_algebras,
     make_twisted_truncated,
 )
 
@@ -116,6 +120,61 @@ def test_radical_budget_guard():
         radical_bruteforce(alg, Budget(max_ring=1000))
 
 
+def radical_by_definition(alg):
+    """J(R) from the definition alone: x is radical iff 1 - y is a unit for
+    every y in Rx = {r x : r in R}, a unit being an element whose left
+    multiplication has full rank.  Every element x is tested and Rx is walked
+    element by element: no coset, scalar or span shortcut."""
+    field, d = alg.field, alg.dim
+    elements = list(itertools.product(field.elements(), repeat=d))
+    units = {z for z in elements if alg.left_mult_mat(z).rank() == d}
+
+    def quasi_regular(y):
+        return tuple(field.sub(a, b) for a, b in zip(alg.one, y)) in units
+
+    members = [x for x in elements if all(quasi_regular(alg.mul_coords(r, x)) for r in elements)]
+    radical = Subspace.from_vectors(field, d, members)
+    assert len(members) == field.q ** radical.dim  # the members form a subspace
+    return radical
+
+
+def random_triangular_subalgebra(field, n, max_dim, rng):
+    """A random unital subalgebra of the upper-triangular n x n matrices: the
+    closure of the identity and two random upper-triangular matrices, redrawn
+    until it has dimension 2..max_dim."""
+    while True:
+        gens = [Mat(field, n, n, tuple(rng.randrange(field.q) if j >= i and rng.random() < 0.5 else 0
+                                       for i in range(n) for j in range(n)))
+                for _ in range(2)]
+        span = RowBasis(field, n * n)
+        basis = [m for m in [Mat.identity(field, n)] + gens if span.add(m.entries)]
+        i = 0
+        while i < len(basis) <= max_dim:
+            for j in range(len(basis)):
+                for prod in (basis[i].mul(basis[j]), basis[j].mul(basis[i])):
+                    if span.add(prod.entries):
+                        basis.append(prod)
+            i += 1
+        if 2 <= len(basis) <= max_dim:
+            return algebra_make(field, matrix_basis=basis)
+
+
+def test_radical_oracle_matches_definition_on_small_gallery():
+    for name, alg in iter_gallery_algebras(max_ring=3**5):
+        assert radical_bruteforce(alg) == radical_by_definition(alg), name
+
+
+@pytest.mark.parametrize("p,e,n,max_dim", [(2, 1, 4, 7), (3, 1, 3, 5), (2, 2, 3, 4)])
+def test_radical_oracle_matches_definition_on_random_triangular(p, e, n, max_dim):
+    # F_4 has two scalars besides 1, each the inverse of the other, so the
+    # oracle's scaling of coset representatives by inverses is exercised there
+    field = field_make(p, e)
+    rng = random.Random(f"radical-by-definition/{field.q}")
+    for _ in range(6):
+        alg = random_triangular_subalgebra(field, n, max_dim, rng)
+        assert radical_bruteforce(alg) == radical_by_definition(alg)
+
+
 # -- socles --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -134,6 +193,15 @@ def test_triangular_socle_closed_forms(q, n):
         corner_index = n + uppers.index((0, n - 1))
         expect = tuple(1 if k == corner_index else 0 for k in range(alg.dim))
         assert st.twosided.contains_vector(expect)
+
+
+def test_socles_are_kept_but_not_after_a_budget_stop():
+    alg = truncated_poly(GF2)  # uncertified: socles runs the radical oracle
+    with pytest.raises(BudgetExceeded):
+        socles(alg, Budget(max_ring=1))
+    st = socles(alg)
+    assert st.twosided == Subspace.from_vectors(GF2, 2, [(0, 1)])
+    assert socles(alg) is st
 
 
 def test_simple_algebra_socle_is_everything():

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from soclelab.algebra import bimodule_length, socle_graph, socles
-from soclelab.errors import InputError, NotSplitError, PreconditionError
+from soclelab.algebra import algebra_make, bimodule_length, socle_graph, socles
+from soclelab.budget import Budget
+from soclelab.errors import BudgetExceeded, InputError, NotSplitError, PreconditionError
 from soclelab.exactla import Mat, Subspace, enum_vectors
 from soclelab.gf import field_make
 from soclelab.gallery import (
@@ -43,6 +44,17 @@ GF3 = field_make(3)
 KX2 = make_twisted_truncated(2, 1, 1)      # F_2[x]/(x^2)
 KX3 = make_twisted_truncated(3, 1, 1)      # F_3[x]/(x^2)
 KXY = make_square_zero_extension(GF2, 2)   # F_2[x,y]/(x,y)^2
+
+
+def test_radical_image_is_kept_but_not_after_a_budget_stop():
+    # F_2[x]/(x^2) without a certificate: JM needs the radical oracle
+    alg = algebra_make(GF2, dim=2, mult=[[(1, 0), (0, 1)], [(0, 1), (0, 0)]], one=(1, 0))
+    m = regular_module(alg)
+    with pytest.raises(BudgetExceeded):
+        radical_image(m, Budget(max_ring=1))
+    jm = radical_image(m)
+    assert jm == Subspace.from_vectors(GF2, 2, [(0, 1)])
+    assert radical_image(m) is jm
 
 
 # -- construction ----------------------------------------------------------------

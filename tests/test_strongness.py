@@ -320,6 +320,15 @@ def test_relative_base_case():
     assert not relative_n_strong(weak, 1, line, t_block=0)
 
 
+def test_relative_strength_charges_its_enumeration():
+    # length 2 enumerates the zero subspace, then the three lines of F_2^2
+    target = Subspace.full(GF2, 2)
+    with pytest.raises(BudgetExceeded, match="relative-strength subspace enumeration") as exc:
+        relative_n_strong(LINE_COVER_2, 1, target, t_block=0, budget=Budget(max_enumeration=1))
+    assert (exc.value.needed, exc.value.cap) == (2, 1)
+    assert relative_n_strong(LINE_COVER_2, 1, target, t_block=0, budget=Budget(max_enumeration=4))
+
+
 def test_relative_full_map_space_small_n():
     for field in (GF2, GF3):
         q = field.q
