@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .budget import Budget, default_budget
 from .errors import InputError, NotSplitError, PreconditionError, TheoremViolation
-from .exactla import Mat, RowBasis, SpanTracker, Subspace, kernel, vec_add
+from .exactla import Mat, RowBasis, SpanTracker, Subspace, kernel, mat_of_rows, mat_vec, vec_add
 from .gf import Field
 
 Coords = tuple
@@ -106,18 +106,10 @@ class Algebra:
 
     # -- arithmetic on coordinate vectors ------------------------------------
     def left_mult_mat(self, x: Coords) -> Mat:
-        out = Mat.zero(self.field, self.dim, self.dim)
-        for c, L in zip(x, self.left_mats):
-            if c:
-                out = out.add(L.scale(c))
-        return out
+        return mat_vec(self.left_mats, x)
 
     def right_mult_mat(self, x: Coords) -> Mat:
-        out = Mat.zero(self.field, self.dim, self.dim)
-        for c, R in zip(x, self.right_mats):
-            if c:
-                out = out.add(R.scale(c))
-        return out
+        return mat_vec(self.right_mats, x)
 
     def mul_coords(self, x: Coords, y: Coords) -> Coords:
         add, mul = self.field.tables.add, self.field.tables.mul
@@ -255,7 +247,7 @@ class Algebra:
                         col = [add(a, mul(xi, b)) for a, b in zip(col, cij)]
                 for k in range(dim_res):
                     rows[k][j] = col[k]
-            if Mat.from_rows(field, rows).rank() != dim_res:
+            if mat_of_rows(field, dim_res, rows).rank() != dim_res:
                 return False
         return True
 
@@ -655,8 +647,8 @@ def _socles(r: Algebra, budget: Budget | None) -> SocleTriple:
     for v in J.basis_rows:
         left_rows.extend(r.left_mult_mat(v).row_list())
         right_rows.extend(r.right_mult_mat(v).row_list())
-    left = kernel(Mat.from_rows(r.field, left_rows))
-    right = kernel(Mat.from_rows(r.field, right_rows))
+    left = kernel(mat_of_rows(r.field, r.dim, left_rows))
+    right = kernel(mat_of_rows(r.field, r.dim, right_rows))
     return SocleTriple(left, right, left.intersect(right))
 
 

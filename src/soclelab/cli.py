@@ -440,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=20260808, help="seed for randomized batteries")
     parser.add_argument("--budget", type=int, default=None, help="enumeration cap override")
-    parser.add_argument("--threads", type=int, default=1, help="worker count for partitioned searches")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker count (at least 1) for `cover search-minimal`; other commands take only 1")
     parser.add_argument("--pretty", action="store_true", help="render a human table after the JSON lines")
     parser.add_argument("--timing", action="store_true", help="attach wall-clock timing to reports")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -525,6 +526,10 @@ def main(argv=None) -> int:
     if handler is None:
         parser.error(f"unknown command {key}")
     try:
+        if args.threads < 1:
+            raise InputError(f"--threads must be at least 1, got {args.threads}")
+        if args.threads > 1 and key != ("cover", "search-minimal"):
+            raise InputError("--threads applies only to `cover search-minimal`")
         if args.budget is not None:
             budget = Budget(max_enumeration=args.budget, max_ring=min(args.budget, 2**16))
         else:

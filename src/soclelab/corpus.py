@@ -23,8 +23,7 @@ from .exactla import (
     SpanTracker,
     Subspace,
     enum_subspaces,
-    kernel,
-    vec_combo,
+    mat_vec,
 )
 from .gf import Field
 from .modrep import ModuleRep, faithful
@@ -35,49 +34,40 @@ from .strongness import BilinearSystem, BlockSpec, SystemReport, predicates, pro
 # square-zero matrices
 # ---------------------------------------------------------------------------
 
-def _embed_through(field: Field, w_sub: Subspace, g_rows, proj_rows) -> Mat:
+def _embed_through(w_sub: Subspace, g: Mat, proj: Mat) -> Mat:
     """X = (basis of W)^T . G . P, so that im X = W and ker X contains ker P."""
-    n = w_sub.ambient_dim
-    r = w_sub.dim
-    gp = Mat.from_rows(field, g_rows).mul(Mat.from_rows(field, proj_rows))
-    wt = Mat.from_rows(field, list(w_sub.basis_rows)).transpose()
-    return wt.mul(gp)
+    return w_sub.basis_mat().transpose().mul(g.mul(proj))
 
 
-def _projection_rows(k_sub: Subspace) -> list[list[int]]:
-    """Rows of the map F^n -> F^r with kernel exactly k_sub (complement coords)."""
+def _projection(k_sub: Subspace) -> Mat:
+    """The map F^n -> F^r with kernel exactly k_sub (complement coords)."""
     n = k_sub.ambient_dim
     pivots = set(k_sub.pivots)
     free = [t for t in range(n) if t not in pivots]
-    rows = []
-    for t in free:
-        row = []
-        for j in range(n):
-            basis_vec = tuple(1 if s == j else 0 for s in range(n))
-            row.append(k_sub.reduce(basis_vec)[t])
-        rows.append(row)
-    return rows
+    # column j is the residual of the j-th unit vector, read at the free coordinates
+    residuals = [k_sub.reduce(tuple(1 if s == j else 0 for s in range(n))) for j in range(n)]
+    return Mat._of(k_sub.field, len(free), n, tuple(residuals[j][t] for t in free for j in range(n)))
 
 
-def _invertible_matrices(field: Field, r: int):
-    for entries in itertools.product(field.elements(), repeat=r * r):
-        rows = [list(entries[i * r: (i + 1) * r]) for i in range(r)]
-        if Mat.from_rows(field, rows).rank() == r:
-            yield rows
+def _invertible_matrices(field: Field, r: int) -> list[Mat]:
+    mats = (Mat._of(field, r, r, entries) for entries in itertools.product(field.elements(), repeat=r * r))
+    return [g for g in mats if g.rank() == r]
 
 
 def square_zero_matrices(field: Field, n: int) -> list[Mat]:
     """Every n x n matrix X with X X = 0, by rank stratification: choose the
-    image W, a kernel K containing it, and an isomorphism onto W."""
+    image W, a kernel K containing it, and an isomorphism onto W.  The
+    isomorphisms and the candidate kernels are listed once per rank."""
     out = [Mat.zero(field, n, n)]
     for r in range(1, n // 2 + 1):
+        isos = _invertible_matrices(field, r)
+        kernels = [(k_sub, _projection(k_sub)) for k_sub in enum_subspaces(field, n, n - r)]
         for w_sub in enum_subspaces(field, n, r):
-            for k_sub in enum_subspaces(field, n, n - r):
+            for k_sub, proj in kernels:
                 if not k_sub.contains(w_sub):
                     continue
-                proj = _projection_rows(k_sub)
-                for g_rows in _invertible_matrices(field, r):
-                    out.append(_embed_through(field, w_sub, g_rows, proj))
+                for g in isos:
+                    out.append(_embed_through(w_sub, g, proj))
     return out
 
 
@@ -88,12 +78,12 @@ def random_square_zero(field: Field, n: int, rng: random.Random) -> Mat:
         return Mat.zero(field, n, n)
     w_sub = _random_subspace(field, n, r, rng)
     k_sub = _random_oversubspace(field, w_sub, n - r, rng)
-    proj = _projection_rows(k_sub)
+    proj = _projection(k_sub)
     while True:
-        g_rows = [[rng.randrange(field.q) for _ in range(r)] for _ in range(r)]
-        if Mat.from_rows(field, g_rows).rank() == r:
+        g = Mat._of(field, r, r, tuple(rng.randrange(field.q) for _ in range(r * r)))
+        if g.rank() == r:
             break
-    return _embed_through(field, w_sub, g_rows, proj)
+    return _embed_through(w_sub, g, proj)
 
 
 def _random_subspace(field: Field, n: int, dim: int, rng: random.Random) -> Subspace:
@@ -164,15 +154,9 @@ class ModuleAssembler:
         word_mats = [Mat.identity(field, dim)]
         for parent, g_pos in self.word_recipe:
             word_mats.append(word_mats[parent].mul(gen_mats[g_pos]))
-        actions = []
-        for combo in self.basis_combos:
-            action = Mat.zero(field, dim, dim)
-            for c, mat in zip(combo, word_mats):
-                if c:
-                    action = action.add(mat.scale(c))
-            actions.append(action)
+        actions = tuple(mat_vec(word_mats, combo) for combo in self.basis_combos)
         try:
-            return ModuleRep(self.algebra, dim, tuple(actions))
+            return ModuleRep(self.algebra, dim, actions)
         except InputError:
             return None
 
@@ -332,8 +316,8 @@ def _tensor_block_maps(field: Field, u_rows: tuple, s_blocks, t_blocks, e: int, 
                         c = u[i * s_mult + j]
                         if c:
                             entries[(c_off + i * n_f + a, b_off + j * n_e + b)] = c
-                mats.append(Mat(field, dim_c, dim_b,
-                                tuple(entries.get((r, col), 0) for r in range(dim_c) for col in range(dim_b))))
+                mats.append(Mat._of(field, dim_c, dim_b,
+                                    tuple(entries.get((r, col), 0) for r in range(dim_c) for col in range(dim_b))))
     return mats
 
 

@@ -9,6 +9,11 @@ Two row-reduction paths live behind the same interface: a generic one that
 works over any F_q through the field tables, and a GF(2) path that packs
 rows into machine integers and eliminates with XOR.  RREF is unique, so
 both produce identical output; tests cross-check them.
+
+Matrix validation runs only on external input: `Mat(...)`, `Mat.from_rows`
+and `Mat.from_json` check shape and entry range.  Every matrix the package
+computes itself (sums, products, transposes, actions, ...) is built with the
+unchecked `Mat._of`, since its entries are field codes by construction.
 """
 
 from __future__ import annotations
@@ -232,7 +237,12 @@ class SpanTracker:
 
 @dataclass(frozen=True)
 class Mat:
-    """Immutable row-major matrix over a fixed finite field."""
+    """Immutable row-major matrix over a fixed finite field.
+
+    `Mat(...)`, `from_rows` and `from_json` validate their input (entry count,
+    entry range, ragged rows); they are the entry points for external data.
+    `_of` skips the checks and is for entries the package computed itself.
+    """
 
     field: Field
     rows: int
@@ -248,6 +258,21 @@ class Mat:
 
     # construction ----------------------------------------------------------
     @staticmethod
+    def _of(field: Field, rows: int, cols: int, entries: tuple[int, ...]) -> "Mat":
+        """Unchecked constructor: entries must be a tuple of rows * cols codes.
+
+        The fields are set one at a time, as the dataclass __init__ does;
+        going through `__dict__` would give every such matrix a dict of its
+        own and add about 130 bytes to each."""
+        mat = object.__new__(Mat)
+        setattr_ = object.__setattr__
+        setattr_(mat, "field", field)
+        setattr_(mat, "rows", rows)
+        setattr_(mat, "cols", cols)
+        setattr_(mat, "entries", entries)
+        return mat
+
+    @staticmethod
     def from_rows(field: Field, rows) -> "Mat":
         rows = [tuple(int(x) % field.q if isinstance(x, int) else x for x in r) for r in rows]
         ncols = len(rows[0]) if rows else 0
@@ -257,15 +282,15 @@ class Mat:
 
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Mat":
-        return Mat(field, rows, cols, (0,) * (rows * cols))
+        return Mat._of(field, rows, cols, (0,) * (rows * cols))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
-        return Mat(field, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return Mat._of(field, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @staticmethod
     def unit(field: Field, rows: int, cols: int, i: int, j: int) -> "Mat":
-        return Mat(field, rows, cols, tuple(1 if (r, c) == (i, j) else 0 for r in range(rows) for c in range(cols)))
+        return Mat._of(field, rows, cols, tuple(1 if (r, c) == (i, j) else 0 for r in range(rows) for c in range(cols)))
 
     # access ------------------------------------------------------------------
     def __getitem__(self, rc: tuple[int, int]) -> int:
@@ -276,7 +301,7 @@ class Mat:
         return self.entries[i * self.cols: (i + 1) * self.cols]
 
     def col(self, j: int) -> Vec:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def row_list(self) -> list[Vec]:
         return [self.row(i) for i in range(self.rows)]
@@ -294,20 +319,20 @@ class Mat:
     def add(self, other: "Mat") -> "Mat":
         self._same_shape(other)
         add = self.field.tables.add
-        return Mat(self.field, self.rows, self.cols, tuple([add[a][b] for a, b in zip(self.entries, other.entries)]))
+        return Mat._of(self.field, self.rows, self.cols, tuple([add[a][b] for a, b in zip(self.entries, other.entries)]))
 
     def sub(self, other: "Mat") -> "Mat":
         self._same_shape(other)
         sub = self.field.tables.sub
-        return Mat(self.field, self.rows, self.cols, tuple([sub[a][b] for a, b in zip(self.entries, other.entries)]))
+        return Mat._of(self.field, self.rows, self.cols, tuple([sub[a][b] for a, b in zip(self.entries, other.entries)]))
 
     def neg(self) -> "Mat":
         neg = self.field.tables.neg
-        return Mat(self.field, self.rows, self.cols, tuple([neg[a] for a in self.entries]))
+        return Mat._of(self.field, self.rows, self.cols, tuple([neg[a] for a in self.entries]))
 
     def scale(self, c: int) -> "Mat":
         mc = self.field.tables.mul[c]
-        return Mat(self.field, self.rows, self.cols, tuple([mc[a] for a in self.entries]))
+        return Mat._of(self.field, self.rows, self.cols, tuple([mc[a] for a in self.entries]))
 
     def mul(self, other: "Mat") -> "Mat":
         if self.field != other.field:
@@ -329,25 +354,26 @@ class Mat:
                     brow = b[t * m: (t + 1) * m]
                     orow = [add[x][mf[y]] for x, y in zip(orow, brow)]
             out[i * m: (i + 1) * m] = orow
-        return Mat(field, n, m, tuple(out))
+        return Mat._of(field, n, m, tuple(out))
 
     def apply(self, vec) -> Vec:
-        """Matrix times column vector."""
-        if len(vec) != self.cols:
+        """Matrix times column vector: the combination of the columns at the
+        vector's nonzero coordinates."""
+        cols = self.cols
+        if len(vec) != cols:
             raise InputError("vector length mismatch")
         add, mul = self.field.tables.add, self.field.tables.mul
-        out = []
-        for i in range(self.rows):
-            acc = 0
-            for x, v in zip(self.row(i), vec):
-                if x and v:
-                    acc = add[acc][mul[x][v]]
-            out.append(acc)
+        entries = self.entries
+        out = [0] * self.rows
+        for j, v in enumerate(vec):
+            if v:
+                mv = mul[v]
+                out = [add[x][mv[y]] for x, y in zip(out, entries[j::cols])]
         return tuple(out)
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, self.cols, self.rows,
-                   tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)))
+        columns = (self.entries[j::self.cols] for j in range(self.cols))
+        return Mat._of(self.field, self.cols, self.rows, tuple(itertools.chain.from_iterable(columns)))
 
     def flatten(self) -> Vec:
         return self.entries
@@ -357,8 +383,7 @@ class Mat:
         """Reduced row echelon form (zero rows dropped to the bottom) and rank."""
         reduced, pivots = rref_rows(self.row_list(), self.cols, self.field, force_generic)
         rank = len(pivots)
-        rows = reduced + [[0] * self.cols] * (self.rows - rank)
-        return Mat.from_rows(self.field, rows) if rows else Mat.zero(self.field, 0, self.cols), rank
+        return mat_of_rows(self.field, self.cols, reduced + [[0] * self.cols] * (self.rows - rank)), rank
 
     def rank(self) -> int:
         return len(rref_rows(self.row_list(), self.cols, self.field)[1])
@@ -381,6 +406,8 @@ class Mat:
             field = Field.from_json(data.get("field", {}))
         def dec(x):
             if isinstance(x, list):
+                if len(x) > field.e:
+                    raise InputError("matrix entry out of field range")
                 return field.from_coeffs(x)
             return int(x) % field.q
         try:
@@ -397,12 +424,20 @@ def mat_vec(mats: list[Mat], coords) -> Mat:
     """Linear combination of matrices with the given coefficients."""
     if not mats:
         raise InputError("empty combination")
-    field = mats[0].field
-    out = Mat.zero(field, mats[0].rows, mats[0].cols)
-    for c, m in zip(coords, mats):
-        if c:
-            out = out.add(m.scale(c))
-    return out
+    first = mats[0]
+    return Mat._of(first.field, first.rows, first.cols, vec_combo(first.field, [m.entries for m in mats], coords))
+
+
+def mat_of_rows(field: Field, ncols: int, rows) -> Mat:
+    """The matrix with the given rows, unchecked: a list of code vectors the
+    package computed itself, each of length ncols."""
+    return Mat._of(field, len(rows), ncols, tuple(itertools.chain.from_iterable(rows)))
+
+
+def mat_of_columns(field: Field, nrows: int, columns) -> Mat:
+    """The matrix with the given columns, unchecked: a list of code vectors
+    the package computed itself, each of length nrows."""
+    return Mat._of(field, nrows, len(columns), tuple(itertools.chain.from_iterable(zip(*columns))))
 
 
 def vec_add(field: Field, a, b) -> Vec:
@@ -466,7 +501,7 @@ class Subspace:
     def basis_mat(self) -> Mat:
         if not self.basis_rows:
             return Mat.zero(self.field, 0, self.ambient_dim)
-        return Mat.from_rows(self.field, self.basis_rows)
+        return mat_of_rows(self.field, self.ambient_dim, self.basis_rows)
 
     def reduce(self, vec) -> Vec:
         sub, mul = self.field.tables.sub, self.field.tables.mul
@@ -504,7 +539,7 @@ class Subspace:
         field = self.field
         # columns: basis of self, then negated basis of other; kernel gives combos
         cols = [list(v) for v in self.basis_rows] + [[field.neg(x) for x in v] for v in other.basis_rows]
-        m = Mat.from_rows(field, [[cols[k][i] for k in range(ra + rb)] for i in range(self.ambient_dim)])
+        m = mat_of_columns(field, self.ambient_dim, cols)
         combos = kernel(m)
         vectors = [vec_combo(field, list(self.basis_rows), combo[:ra]) for combo in combos.basis_rows]
         return Subspace.from_vectors(field, self.ambient_dim, vectors)
@@ -624,7 +659,7 @@ def enum_hyperplanes(s: Subspace):
     d = s.dim
     for phi in enum_coeff_points(field, d):
         # coefficient vectors orthogonal to phi, mapped through the basis
-        phi_mat = Mat.from_rows(field, [list(phi)])
+        phi_mat = Mat._of(field, 1, d, phi)
         coeff_kernel = kernel(phi_mat)
         vectors = [vec_combo(field, basis, c) for c in coeff_kernel.basis_rows]
         yield Subspace.from_vectors(field, s.ambient_dim, vectors)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .algebra import Algebra, algebra_make, socle_is_central, socles
 from .budget import Budget, default_budget
 from .errors import InputError, OutOfScopeError, TheoremViolation
-from .exactla import Mat, Subspace, enum_coeff_points
+from .exactla import Mat, Subspace, enum_coeff_points, mat_of_columns, mat_of_rows
 from .gf import Field, field_make
 from .modrep import ModuleRep, module_make, quotient_action
 from .strongness import BilinearSystem, BlockSpec
@@ -54,7 +54,7 @@ def make_corner_family(m: int, n: int, t: int, field: Field) -> TensorSubspace:
     diag_entries = {}
     for i in range(t):
         diag_entries[(i, i)] = 1
-    diag = Mat(field, m, n, tuple(diag_entries.get((i, j), 0) for i in range(m) for j in range(n)))
+    diag = Mat._of(field, m, n, tuple(diag_entries.get((i, j), 0) for i in range(m) for j in range(n)))
     basis = [diag]
     for i in range(m):
         for j in range(n):
@@ -220,7 +220,7 @@ def make_line_cover_system(field: Field, d: int, budget: Budget | None = None) -
         entries = [[0] * count for _ in range(d)]
         for r in range(d):
             entries[r][i] = pt[r]
-        a_mats.append(Mat.from_rows(field, entries))
+        a_mats.append(mat_of_rows(field, count, entries))
     sys = BilinearSystem(field, tuple(BlockSpec(1, 1) for _ in range(count)), (BlockSpec(1, d),), tuple(a_mats))
     return sys
 
@@ -270,7 +270,7 @@ def make_row_diagonal_pair() -> tuple[Algebra, ModuleRep]:
             if check != product:
                 raise TheoremViolation("module span is not invariant under the ring")
             cols.append(coords)
-        return Mat(F, 6, 6, tuple(cols[j][i] for i in range(6) for j in range(6)))
+        return mat_of_columns(F, 6, cols)
 
     action6 = tuple(act_on_span(mat) for mat in basis)
     m6 = ModuleRep(alg, 6, action6)

@@ -22,6 +22,7 @@ bound it is supposed to satisfy; a failure raises TheoremViolation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .algebra import Algebra, Block, bimodule_length, socle_graph, socle_is_central, socles
@@ -35,6 +36,10 @@ from .exactla import (
     enum_hyperplanes,
     image,
     kernel,
+    mat_of_columns,
+    mat_of_rows,
+    mat_vec,
+    num_projective_points,
     vec_combo,
 )
 from .strongness import BilinearSystem, BlockSpec, SystemReport, prop41_check
@@ -48,6 +53,7 @@ class ModuleRep:
         self.dim = dim
         self.action = tuple(action)
         self._radical_image_cache: Subspace | None = None
+        self._annihilator_cache: Subspace | None = None
         if len(self.action) != algebra.dim:
             raise InputError("need one action matrix per algebra basis element")
         for mat in self.action:
@@ -61,11 +67,7 @@ class ModuleRep:
         return self.algebra.field
 
     def act_mat(self, coords) -> Mat:
-        out = Mat.zero(self.field, self.dim, self.dim)
-        for c, mat in zip(coords, self.action):
-            if c:
-                out = out.add(mat.scale(c))
-        return out
+        return mat_vec(self.action, coords)
 
     def _verify(self):
         alg = self.algebra
@@ -90,7 +92,7 @@ class ModuleRep:
                 entries.extend(list(a.row(i)) + [0] * n2)
             for i in range(n2):
                 entries.extend([0] * n1 + list(b.row(i)))
-            mats.append(Mat(self.field, n1 + n2, n1 + n2, tuple(entries)))
+            mats.append(Mat._of(self.field, n1 + n2, n1 + n2, tuple(entries)))
         return ModuleRep(self.algebra, n1 + n2, tuple(mats), _skip_verify=True)
 
     def to_json(self, inline_algebra: bool = True) -> dict:
@@ -125,13 +127,16 @@ def regular_module(algebra: Algebra) -> ModuleRep:
 # ---------------------------------------------------------------------------
 
 def annihilator(m: ModuleRep) -> Subspace:
-    """Kernel of the algebra's map into endomorphisms, in algebra coordinates."""
-    field = m.field
-    d = m.algebra.dim
-    rows = []
-    for k in range(m.dim * m.dim):
-        rows.append([m.action[i].entries[k] for i in range(d)])
-    return kernel(Mat.from_rows(field, rows))
+    """Kernel of the algebra's map into endomorphisms, in algebra coordinates;
+    computed once per module and then kept."""
+    if m._annihilator_cache is None:
+        m._annihilator_cache = _annihilator(m)
+    return m._annihilator_cache
+
+
+def _annihilator(m: ModuleRep) -> Subspace:
+    # column i is the flattened action of basis element i
+    return kernel(mat_of_columns(m.field, m.dim * m.dim, [mat.entries for mat in m.action]))
 
 
 def faithful(m: ModuleRep) -> tuple[bool, Subspace]:
@@ -141,29 +146,21 @@ def faithful(m: ModuleRep) -> tuple[bool, Subspace]:
 
 def annihilator_of_subspace(m: ModuleRep, w: Subspace) -> Subspace:
     """{r : r acts as zero on w}, in algebra coordinates."""
-    field = m.field
-    d = m.algebra.dim
-    rows = []
-    for v in w.basis_rows:
-        images = [m.action[i].apply(v) for i in range(d)]
-        for coord in range(m.dim):
-            rows.append([images[i][coord] for i in range(d)])
-    if not rows:
-        return Subspace.full(field, d)
-    return kernel(Mat.from_rows(field, rows))
+    if w.dim == 0:
+        return Subspace.full(m.field, m.algebra.dim)
+    # column i stacks the images of w's basis under basis element i
+    columns = [tuple(itertools.chain.from_iterable(mat.apply(v) for v in w.basis_rows)) for mat in m.action]
+    return kernel(mat_of_columns(m.field, w.dim * m.dim, columns))
 
 
 def annihilator_of_quotient(m: ModuleRep, k_sub: Subspace) -> Subspace:
     """{r : r M is contained in k_sub}, in algebra coordinates."""
-    field = m.field
-    d = m.algebra.dim
-    rows = []
-    for v_idx in range(m.dim):
-        basis_vec = tuple(1 if t == v_idx else 0 for t in range(m.dim))
-        residuals = [k_sub.reduce(m.action[i].apply(basis_vec)) for i in range(d)]
-        for coord in range(m.dim):
-            rows.append([residuals[i][coord] for i in range(d)])
-    return kernel(Mat.from_rows(field, rows))
+    # column i stacks the residuals mod k_sub of basis element i's columns
+    columns = [
+        tuple(itertools.chain.from_iterable(k_sub.reduce(mat.col(k)) for k in range(m.dim)))
+        for mat in m.action
+    ]
+    return kernel(mat_of_columns(m.field, m.dim * m.dim, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +195,10 @@ def _check_invariant(m: ModuleRep, sub: Subspace):
 def restrict_action(m: ModuleRep, sub: Subspace) -> ModuleRep:
     """The submodule as a module in its own right, in the canonical basis."""
     _check_invariant(m, sub)
-    mats = []
-    for mat in m.action:
-        cols = [sub.coordinates_of(mat.apply(v)) for v in sub.basis_rows]
-        entries = tuple(cols[j][i] for i in range(sub.dim) for j in range(sub.dim))
-        mats.append(Mat(m.field, sub.dim, sub.dim, entries))
+    mats = [
+        mat_of_columns(m.field, sub.dim, [sub.coordinates_of(mat.apply(v)) for v in sub.basis_rows])
+        for mat in m.action
+    ]
     return ModuleRep(m.algebra, sub.dim, tuple(mats), _skip_verify=True)
 
 
@@ -228,18 +224,10 @@ def quotient_action(m: ModuleRep, sub: Subspace) -> QuotientData:
     _check_invariant(m, sub)
     pivots = set(sub.pivots)
     free = tuple(k for k in range(m.dim) if k not in pivots)
-    qdim = len(free)
-    placeholder = ModuleRep(m.algebra, 0, tuple(Mat.zero(m.field, 0, 0) for _ in m.action), _skip_verify=True)
-    data = QuotientData(placeholder, sub, free)
-    mats = []
-    for mat in m.action:
-        cols = []
-        for j in range(qdim):
-            lifted = data.lift(tuple(1 if t == j else 0 for t in range(qdim)))
-            cols.append(data.project(mat.apply(lifted)))
-        entries = tuple(cols[j][i] for i in range(qdim) for j in range(qdim))
-        mats.append(Mat(m.field, qdim, qdim, entries))
-    data.rep = ModuleRep(m.algebra, qdim, tuple(mats), _skip_verify=True)
+    data = QuotientData(m, sub, free)  # rep is replaced by the quotient below
+    # the lift of the j-th quotient unit vector is the unit vector at free[j]
+    mats = [mat_of_columns(m.field, len(free), [data.project(mat.col(k)) for k in free]) for mat in m.action]
+    data.rep = ModuleRep(m.algebra, len(free), tuple(mats), _skip_verify=True)
     return data
 
 
@@ -261,10 +249,8 @@ def socle_subspace(m: ModuleRep, budget: Budget | None = None) -> Subspace:
     J = m.algebra.radical(budget)
     if J.dim == 0:
         return Subspace.full(m.field, m.dim)
-    rows = []
-    for j in J.basis_rows:
-        rows.extend(m.act_mat(j).row_list())
-    return kernel(Mat.from_rows(m.field, rows))
+    rows = [row for j in J.basis_rows for row in m.act_mat(j).row_list()]
+    return kernel(mat_of_rows(m.field, m.dim, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -359,34 +345,44 @@ def maximal_submodules(m: ModuleRep, budget: Budget | None = None):
     """Yield every maximal submodule of M as a subspace of M.
 
     Maximal submodules contain JM and correspond to block-multiplicity
-    hyperplanes of the top."""
+    hyperplanes of the top.  Each block's hyperplane count is charged to the
+    budget, as a running total, before that block is scanned."""
+    budget = budget or default_budget()
     m.algebra.blocks()  # NotSplitError before any radical work
     jm = radical_image(m, budget)
     qd = quotient_action(m, jm)
     top = qd.rep
+    charged = 0
     for part in block_decomposition(top):
         if part.mult.dim == 0:
             continue
+        charged += num_projective_points(part.mult.dim, m.field.q)
+        budget.guard("maximal-submodule hyperplane enumeration", charged)
         extractors = [part.unit(0, i) for i in range(part.n)]
         for hyper in enum_hyperplanes(part.mult):
-            cond_rows = []
-            for ext in extractors:
-                reduced_cols = [hyper.reduce(ext.col(j)) for j in range(top.dim)]
-                for coord in range(top.dim):
-                    cond_rows.append([reduced_cols[j][coord] for j in range(top.dim)])
-            y_space = kernel(Mat.from_rows(m.field, cond_rows))
+            # column j stacks, over the extractors, the residual of its column j mod hyper
+            columns = [
+                tuple(itertools.chain.from_iterable(hyper.reduce(ext.col(j)) for ext in extractors))
+                for j in range(top.dim)
+            ]
+            y_space = kernel(mat_of_columns(m.field, part.n * top.dim, columns))
             vectors = list(jm.basis_rows) + [qd.lift(y) for y in y_space.basis_rows]
             yield part.f, hyper, Subspace.from_vectors(m.field, m.dim, vectors)
 
 
 def simple_socle_submodules(m: ModuleRep, budget: Budget | None = None):
     """Yield every simple submodule of soc(M), blockwise, as (f, generator,
-    subspace of M)."""
+    subspace of M).  Each block's point count is charged to the budget, as
+    a running total, before that block is scanned."""
+    budget = budget or default_budget()
     m.algebra.blocks()  # NotSplitError before any radical work
     soc = socle_subspace(m, budget)
+    charged = 0
     for part in block_decomposition(m, soc):
         if part.mult.dim == 0:
             continue
+        charged += num_projective_points(part.mult.dim, m.field.q)
+        budget.guard("simple-socle point enumeration", charged)
         for coeffs in enum_coeff_points(m.field, part.mult.dim):
             u = vec_combo(m.field, list(part.mult.basis_rows), coeffs)
             yield part.f, u, Subspace.from_vectors(m.field, m.dim, part.summand(u))
@@ -529,7 +525,7 @@ def system_from_module(m: ModuleRep, budget: Budget | None = None) -> BilinearSy
     s_blocks, b_columns = adapted(qd.rep)
     t_blocks, c_columns = adapted(soc_rep)
     # change of basis: standard layout -> module coordinates
-    c_basis_mat = Mat.from_rows(m.field, c_columns).transpose()  # soc_rep coords x dim_c
+    c_basis_mat = mat_of_columns(m.field, soc_rep.dim, c_columns)  # soc_rep coords x dim_c
     a_mats = []
     for a in soc_r.basis_rows:
         act = m.act_mat(a)
@@ -539,9 +535,7 @@ def system_from_module(m: ModuleRep, budget: Budget | None = None) -> BilinearSy
             w_soc = soc_m.coordinates_of(w)
             y = _solve_columns(c_basis_mat, w_soc)
             cols.append(y)
-        dim_c, dim_b = len(c_columns), len(b_columns)
-        entries = tuple(cols[j][i] for i in range(dim_c) for j in range(dim_b))
-        a_mats.append(Mat(m.field, dim_c, dim_b, entries))
+        a_mats.append(mat_of_columns(m.field, len(c_columns), cols))
     return BilinearSystem(m.field, s_blocks, t_blocks, tuple(a_mats))
 
 

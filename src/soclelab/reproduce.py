@@ -433,8 +433,8 @@ def _two_block_full_system(field, s: int, t: int):
         for i in range(t):
             for j in range(s):
                 entries = {(i, off + j): 1}
-                gens.append(Mat(field, t, dim_b,
-                                tuple(entries.get((r, c), 0) for r in range(t) for c in range(dim_b))))
+                gens.append(Mat._of(field, t, dim_b,
+                                    tuple(entries.get((r, c), 0) for r in range(t) for c in range(dim_b))))
     return BilinearSystem(field, (BlockSpec(1, s), BlockSpec(1, s)), (BlockSpec(1, t),), tuple(gens))
 
 

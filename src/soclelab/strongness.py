@@ -32,6 +32,7 @@ from .exactla import (
     Subspace,
     enum_coeff_points,
     kernel,
+    mat_of_rows,
     mat_vec,
     num_projective_points,
     vec_combo,
@@ -109,7 +110,7 @@ class BilinearSystem:
         return self._sparse(self.dim_c, entries)
 
     def _sparse(self, n: int, entries: dict) -> Mat:
-        return Mat(self.field, n, n, tuple(entries.get((i, j), 0) for i in range(n) for j in range(n)))
+        return Mat._of(self.field, n, n, tuple(entries.get((i, j), 0) for i in range(n) for j in range(n)))
 
     def s_block_projector(self, e: int) -> Mat:
         block = self.s_blocks[e]
@@ -208,7 +209,7 @@ class BilinearSystem:
                 mat_rows.append([images[j][coord] for j in range(block.mult)])
         if not mat_rows:
             return Subspace.full(self.field, block.mult)
-        return kernel(Mat.from_rows(self.field, mat_rows))
+        return kernel(mat_of_rows(self.field, block.mult, mat_rows))
 
     # -- submodule enumeration ---------------------------------------------------------
     def maximal_b_submodules(self):
@@ -219,7 +220,7 @@ class BilinearSystem:
                 continue
             full = Subspace.full(self.field, block.mult)
             for phi in enum_coeff_points(self.field, block.mult):
-                hyper = kernel(Mat.from_rows(self.field, [list(phi)]))
+                hyper = kernel(mat_of_rows(self.field, block.mult, [phi]))
                 vectors = []
                 for e2, block2 in enumerate(self.s_blocks):
                     if e2 == e:
@@ -300,7 +301,7 @@ def _annihilating_combo(sys: BilinearSystem, vectors) -> tuple | None:
         images = [a.apply(v) for a in sys.a_basis]
         for coord in range(sys.dim_c):
             rows.append([images[t][coord] for t in range(d)])
-    combos = kernel(Mat.from_rows(field, rows)) if rows else Subspace.full(field, d)
+    combos = kernel(mat_of_rows(field, d, rows)) if rows else Subspace.full(field, d)
     return combos.basis_rows[0] if combos.dim else None
 
 
@@ -316,7 +317,7 @@ def _image_in_submodule_combo(sys: BilinearSystem, target_basis: list) -> tuple 
         residuals = [target.reduce(a.col(col)) for a in sys.a_basis]
         for coord in range(sys.dim_c):
             rows.append([residuals[t][coord] for t in range(d)])
-    combos = kernel(Mat.from_rows(field, rows)) if rows else Subspace.full(field, d)
+    combos = kernel(mat_of_rows(field, d, rows)) if rows else Subspace.full(field, d)
     return combos.basis_rows[0] if combos.dim else None
 
 
@@ -420,10 +421,10 @@ def _orbit_has_maximal_kernel(sys: BilinearSystem, a: Mat) -> bool:
     for e, hyper, vectors in sys.maximal_b_submodules():
         rows = []
         for v in vectors:
-            images = [Mat(sys.field, sys.dim_c, sys.dim_b, w).apply(v) for w in orbit]
+            images = [Mat._of(sys.field, sys.dim_c, sys.dim_b, w).apply(v) for w in orbit]
             for coord in range(sys.dim_c):
                 rows.append([images[t][coord] for t in range(len(orbit))])
-        if rows and kernel(Mat.from_rows(sys.field, rows)).dim > 0:
+        if rows and kernel(mat_of_rows(sys.field, len(orbit), rows)).dim > 0:
             return True
         if not rows:
             return True
@@ -433,7 +434,7 @@ def _orbit_has_maximal_kernel(sys: BilinearSystem, a: Mat) -> bool:
 def _orbit_has_simple_image(sys: BilinearSystem, a: Mat) -> bool:
     orbit = _bimodule_orbit(sys, a)
     sys_like = BilinearSystem(sys.field, sys.s_blocks, sys.t_blocks,
-                              tuple(Mat(sys.field, sys.dim_c, sys.dim_b, w) for w in orbit),
+                              tuple(Mat._of(sys.field, sys.dim_c, sys.dim_b, w) for w in orbit),
                               _skip_verify=True)
     for f, mu, vectors in sys.simple_c_submodules():
         if _image_in_submodule_combo(sys_like, vectors) is not None:
@@ -455,7 +456,7 @@ def small_conditions(sys: BilinearSystem, budget: Budget | None = None) -> Small
     budget.guard("small-conditions enumeration", count)
     swap_both = True
     for vec in _iter_span_elements(sys.field, list(span.basis_rows)):
-        a = Mat(sys.field, sys.dim_c, sys.dim_b, tuple(vec))
+        a = Mat._of(sys.field, sys.dim_c, sys.dim_b, tuple(vec))
         if _image_is_inside_simple(sys, a) and not _orbit_has_maximal_kernel(sys, a):
             swap_both = False
             break
@@ -478,7 +479,7 @@ def _swap_either_literal(sys: BilinearSystem, budget: Budget) -> bool:
             forward = True   # simple image -> orbit has maximal kernel
             backward = True  # maximal kernel -> orbit has simple image
             for vec in _iter_span_elements(sys.field, list(corner.basis_rows)):
-                a = Mat(sys.field, sys.dim_c, sys.dim_b, tuple(vec))
+                a = Mat._of(sys.field, sys.dim_c, sys.dim_b, tuple(vec))
                 if forward and _image_is_inside_simple(sys, a) and not _orbit_has_maximal_kernel(sys, a):
                     forward = False
                 if backward and _kernel_contains_maximal(sys, a) and not _orbit_has_simple_image(sys, a):
@@ -533,7 +534,7 @@ def _strong_parts(
     field = sys.field
     if side == "left":
         t = sys.t_blocks[block].mult
-        members = [kernel(Mat.from_rows(field, [list(phi)])) for phi in enum_coeff_points(field, t)]
+        members = [kernel(mat_of_rows(field, t, [phi])) for phi in enum_coeff_points(field, t)]
         mult_space, want = sys.image_mult_space, 1
         avoids, as_json = (lambda mult, hyper: not hyper.contains(mult)), (lambda hyper: list(hyper.basis_rows))
     else:
@@ -549,7 +550,7 @@ def _strong_parts(
 
     # each element's multiplicity space is solved once, on first need, in enumeration order
     elements = (
-        Mat(field, sys.dim_c, sys.dim_b, tuple(vec))
+        Mat._of(field, sys.dim_c, sys.dim_b, tuple(vec))
         for span in part_spans if span.dim
         for vec in _iter_span_elements(field, list(span.basis_rows))
     )

@@ -30,6 +30,8 @@ from .exactla import (
     enum_subspaces,
     gaussian_binomial,
     kernel,
+    mat_of_columns,
+    mat_of_rows,
     mat_vec,
     vec_combo,
 )
@@ -64,7 +66,7 @@ class TensorSubspace:
 
     @staticmethod
     def from_flat(field: Field, m: int, n: int, flat: Subspace) -> "TensorSubspace":
-        mats = tuple(Mat(field, m, n, row) for row in flat.basis_rows)
+        mats = tuple(Mat._of(field, m, n, row) for row in flat.basis_rows)
         return TensorSubspace(field, m, n, mats)
 
     @staticmethod
@@ -98,7 +100,7 @@ class TensorSubspace:
 def rank_one(field: Field, b, c) -> Mat:
     """The matrix b (x) c with entries b_i * c_j."""
     mul = field.mul
-    return Mat(field, len(b), len(c), tuple(mul(x, y) for x in b for y in c))
+    return Mat._of(field, len(b), len(c), tuple(mul(x, y) for x in b for y in c))
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +119,7 @@ def _partner_space(flat: Subspace, b, n: int):
                 v[i * n + j] = bi
         residuals.append(flat.reduce(v))
     # c must combine the residual columns to zero
-    mat = Mat.from_rows(field, [[residuals[j][k] for j in range(n)] for k in range(len(b) * n)])
-    return kernel(mat)
+    return kernel(mat_of_columns(field, len(b) * n, residuals))
 
 
 def _covers_rows_flat(flat: Subspace, m: int, n: int) -> bool:
@@ -245,7 +246,7 @@ def check_minimal(a: TensorSubspace) -> tuple[bool, TensorSubspace | None]:
     d = a.dim
     basis = list(a.basis)
     for phi in enum_coeff_points(field, d):
-        coeff_kernel = kernel(Mat.from_rows(field, [list(phi)]))
+        coeff_kernel = kernel(mat_of_rows(field, d, [phi]))
         sub_basis = tuple(mat_vec(basis, coeffs) for coeffs in coeff_kernel.basis_rows)
         candidate = TensorSubspace(field, a.m, a.n, sub_basis)
         flat = candidate.flat()

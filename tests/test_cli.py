@@ -252,3 +252,22 @@ def test_parallel_search_budget_matches_sequential(capsys):
         records.append(json.loads(out.strip().splitlines()[-1]))
     assert records[0]["details"]["examined"] == 700
     assert records[0] == records[1]
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_an_input_error(capsys, threads):
+    code, out = run(capsys, "--threads", threads, "cover", "search-minimal", "--m", "2", "--n", "2", "--q", "2")
+    assert code == 2
+    record = json.loads(out.strip().splitlines()[-1])
+    assert record["verdict"] == "input-error"
+    assert "--threads" in record["details"]["error"]
+
+
+def test_threads_on_a_sequential_command_is_an_input_error(capsys):
+    code, out = run(capsys, "--threads", "4", "gallery", "list")
+    assert code == 2
+    record = json.loads(out.strip().splitlines()[-1])
+    assert record["verdict"] == "input-error"
+    assert "cover search-minimal" in record["details"]["error"]
+    code, _ = run(capsys, "--threads", "1", "gallery", "list")
+    assert code == 0

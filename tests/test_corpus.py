@@ -1,4 +1,7 @@
+import itertools
 import random
+
+import pytest
 
 from soclelab.corpus import (
     faithful_corpus,
@@ -11,6 +14,7 @@ from soclelab.corpus import (
     random_verified_system,
     square_zero_matrices,
 )
+from soclelab.exactla import Mat
 from soclelab.gf import field_make
 from soclelab.gallery import make_square_zero_extension, make_triangular, make_twisted_truncated
 from soclelab.modrep import faithful, regular_module
@@ -40,6 +44,19 @@ def test_square_zero_counts_and_property():
         if Mat(GF3, 3, 3, entries).mul(Mat(GF3, 3, 3, entries)).is_zero()
     )
     assert len(pool3) == brute
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 3), (2, 4)])
+def test_square_zero_matrices_equal_the_brute_force_set(q, n):
+    field = field_make(q)
+    pool = [m.entries for m in square_zero_matrices(field, n)]
+    assert len(pool) == len(set(pool))
+    brute = {
+        entries
+        for entries in itertools.product(range(q), repeat=n * n)
+        if Mat(field, n, n, entries).mul(Mat(field, n, n, entries)).is_zero()
+    }
+    assert set(pool) == brute
 
 
 def test_random_square_zero(rng):

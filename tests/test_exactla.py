@@ -18,6 +18,7 @@ from soclelab.exactla import (
     gaussian_binomial,
     image,
     kernel,
+    mat_vec,
     num_projective_points,
     rref_rows,
     solve,
@@ -316,9 +317,15 @@ def test_mat_mul_and_apply_match_naive(field, rng):
         n, k, m = (rng.randrange(1, 5) for _ in range(3))
         a, b = random_mat(field, n, k, rng), random_mat(field, k, m, rng)
         assert a.mul(b).entries == _naive_mul(a, b)
-        vec = tuple(rng.randrange(field.q) for _ in range(k))
-        column = Mat.from_rows(field, [[x] for x in vec])
-        assert a.apply(vec) == _naive_mul(a, column)
+        # random, zero, sparse (at most two nonzero coordinates) and dense vectors
+        nonzero = range(1, field.q)
+        sparse = [0] * k
+        for j in rng.sample(range(k), min(2, k)):
+            sparse[j] = rng.choice(nonzero)
+        for vec in (tuple(rng.randrange(field.q) for _ in range(k)), (0,) * k, tuple(sparse),
+                    tuple(rng.choice(nonzero) for _ in range(k))):
+            column = Mat.from_rows(field, [[x] for x in vec])
+            assert a.apply(vec) == _naive_mul(a, column)
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
@@ -342,7 +349,7 @@ def test_row_basis_and_reduce_match_generic_rref(field, rng):
             assert s.contains_vector(vec) == rb.contains(vec) == member
 
 
-@pytest.mark.parametrize("field", [GF2, GF3, GF4, field_make(3, 2)], ids=repr)
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_mat_rejects_entries_out_of_range(field):
     for bad in (-1, field.q):
         with pytest.raises(InputError, match="matrix entry out of field range"):
@@ -351,3 +358,52 @@ def test_mat_rejects_entries_out_of_range(field):
     assert Mat(field, 0, 3, ()).rows == 0
     with pytest.raises(InputError, match="matrix literal has 3 entries, needs 4"):
         Mat(field, 2, 2, (0, 1, 0))
+    # the other two validating entry points
+    with pytest.raises(InputError, match="ragged"):
+        Mat.from_rows(field, [[0, 1], [1]])
+    with pytest.raises(InputError, match="out of field range"):
+        Mat.from_rows(field, [[0, float(field.q)]])
+    good = Mat.from_rows(field, [[0, 1], [field.q - 1, 0]]).to_json()
+    # a coefficient list one longer than the degree encodes q, one past the last code
+    too_long = [0] * field.e + [1]
+    for entries, message in (([[0, 1], [too_long, 0]], "out of field range"),
+                             ([[0, 1], [1]], "ragged"),
+                             ([[0, 1]], "shape disagrees")):
+        with pytest.raises(InputError, match=message):
+            Mat.from_json({**good, "entries": entries}, field)
+    assert Mat.from_json(good, field) == Mat.from_rows(field, [[0, 1], [field.q - 1, 0]])
+
+
+# -- unchecked internal construction against the checked boundary ------------------------
+
+def recheck(m: Mat) -> None:
+    """An internally built matrix passes the checked constructor again."""
+    again = Mat(m.field, m.rows, m.cols, m.entries)
+    assert type(m.entries) is tuple
+    assert again == m and hash(again) == hash(m)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_internal_matrices_pass_the_checked_constructor(field, rng):
+    for _ in range(20):
+        n, k, m = (rng.randrange(1, 5) for _ in range(3))
+        a, b, c = random_mat(field, n, k, rng), random_mat(field, n, k, rng), random_mat(field, k, m, rng)
+        s = rng.randrange(field.q)
+        for out in (a.add(b), a.sub(b), a.neg(), a.scale(s), a.mul(c), a.transpose(), a.rref()[0],
+                    mat_vec([a, b], (s, field.q - 1)), Mat.zero(field, n, k), Mat.identity(field, n),
+                    Mat.unit(field, n, k, rng.randrange(n), rng.randrange(k))):
+            recheck(out)
+    empty = Mat.zero(field, 0, 3)
+    for out in (empty, empty.transpose(), empty.rref()[0], empty.neg(), Mat.identity(field, 0)):
+        recheck(out)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_col_is_apply_to_a_unit_vector(field, rng):
+    for _ in range(20):
+        n, k = rng.randrange(1, 5), rng.randrange(1, 5)
+        a = random_mat(field, n, k, rng)
+        for j in range(k):
+            unit = tuple(1 if t == j else 0 for t in range(k))
+            assert a.col(j) == a.apply(unit) == tuple(a[i, j] for i in range(n))
+    assert Mat.zero(field, 0, 3).col(2) == ()

@@ -5,9 +5,11 @@ import pytest
 from soclelab.algebra import algebra_make, bimodule_length, socle_graph, socles
 from soclelab.budget import Budget
 from soclelab.errors import BudgetExceeded, InputError, NotSplitError, PreconditionError
-from soclelab.exactla import Mat, Subspace, enum_vectors
+from soclelab.exactla import Mat, Subspace, enum_vectors, kernel
 from soclelab.gf import field_make
+from soclelab import modrep
 from soclelab.gallery import (
+    iter_gallery_algebras,
     make_matrix_algebra,
     make_row_diagonal_pair,
     make_square_zero_extension,
@@ -17,6 +19,9 @@ from soclelab.gallery import (
 from soclelab.modrep import (
     ModuleRep,
     annihilator,
+    annihilator_of_quotient,
+    annihilator_of_subspace,
+    block_decomposition,
     faithful,
     graph_socle_check,
     local_socle_check,
@@ -383,3 +388,150 @@ def test_json_round_trip():
     data = module.to_json()
     again = ModuleRep.from_json(data)
     assert again.to_json() == data
+
+
+# -- fast module paths against their unit-vector references --------------------------------
+
+# every field the unchecked constructor and the column reads are cross-checked on
+ORACLE_FIELDS = [field_make(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
+
+
+def recheck(m: Mat) -> None:
+    """An internally built matrix passes the checked constructor again."""
+    again = Mat(m.field, m.rows, m.cols, m.entries)
+    assert type(m.entries) is tuple
+    assert again == m and hash(again) == hash(m)
+
+
+def unit_vector(n: int, k: int) -> tuple:
+    return tuple(1 if t == k else 0 for t in range(n))
+
+
+def quotient_by_unit_vectors(m: ModuleRep, sub: Subspace) -> tuple:
+    """The action matrices of M/sub: lift each quotient unit vector, apply, project."""
+    free = [k for k in range(m.dim) if k not in sub.pivots]
+    mats = []
+    for mat in m.action:
+        cols = []
+        for k in free:
+            residual = sub.reduce(mat.apply(unit_vector(m.dim, k)))
+            cols.append([residual[t] for t in free])
+        mats.append(Mat.from_rows(m.field, [[col[i] for col in cols] for i in range(len(free))])
+                    if free else Mat.zero(m.field, 0, 0))
+    return tuple(mats)
+
+
+def annihilator_of_quotient_by_unit_vectors(m: ModuleRep, sub: Subspace) -> Subspace:
+    rows = []
+    for v in range(m.dim):
+        residuals = [sub.reduce(mat.apply(unit_vector(m.dim, v))) for mat in m.action]
+        for coord in range(m.dim):
+            rows.append([res[coord] for res in residuals])
+    return kernel(Mat.from_rows(m.field, rows))
+
+
+def annihilator_of_subspace_by_images(m: ModuleRep, w: Subspace) -> Subspace:
+    rows = []
+    for v in w.basis_rows:
+        images = [mat.apply(v) for mat in m.action]
+        for coord in range(m.dim):
+            rows.append([img[coord] for img in images])
+    return kernel(Mat.from_rows(m.field, rows)) if rows else Subspace.full(m.field, m.algebra.dim)
+
+
+def invariant_subspaces(m: ModuleRep) -> list[Subspace]:
+    subs = [Subspace.zero(m.field, m.dim), radical_image(m), socle_subspace(m), Subspace.full(m.field, m.dim)]
+    subs.extend(submodule_closure(m, [unit_vector(m.dim, k)]) for k in range(m.dim))
+    return subs
+
+
+def oracle_algebras(field):
+    return [make_triangular(2, field), make_triangular(3, field, True),
+            make_square_zero_extension(field, 2), make_matrix_algebra(2, field)]
+
+
+def check_module_against_references(m: ModuleRep) -> None:
+    for sub in invariant_subspaces(m):
+        assert quotient_action(m, sub).rep.action == quotient_by_unit_vectors(m, sub)
+        assert annihilator_of_quotient(m, sub) == annihilator_of_quotient_by_unit_vectors(m, sub)
+        assert annihilator_of_subspace(m, sub) == annihilator_of_subspace_by_images(m, sub)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_quotients_match_unit_vector_references(field):
+    for alg in oracle_algebras(field):
+        check_module_against_references(regular_module(alg))
+
+
+def test_quotients_match_unit_vector_references_on_small_gallery():
+    for name, alg in iter_gallery_algebras(max_ring=3**5):
+        m = regular_module(alg)
+        check_module_against_references(m)
+        check_module_against_references(m.direct_sum(m))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_module_matrices_pass_the_checked_constructor(field, rng):
+    for alg in oracle_algebras(field):
+        m = regular_module(alg)
+        for _ in range(5):
+            recheck(m.act_mat(tuple(rng.randrange(field.q) for _ in range(alg.dim))))
+        for sub in invariant_subspaces(m):
+            for mat in restrict_action(m, sub).action + quotient_action(m, sub).rep.action:
+                recheck(mat)
+        for mat in m.direct_sum(m).action:
+            recheck(mat)
+
+
+def test_faithful_then_minimal_faithful_computes_the_annihilator_once(monkeypatch):
+    calls = []
+    original = modrep._annihilator
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(modrep, "_annihilator", counting)
+    m = regular_module(KXY)
+    assert faithful(m)[0]
+    assert minimal_faithful(m).minimal
+    local_socle_check(m)
+    assert calls == [m]
+    assert annihilator(regular_module(KXY)).dim == 0
+    assert len(calls) == 2
+
+
+def test_zero_module_is_not_faithful():
+    zero = ModuleRep(KX2, 0, tuple(Mat.zero(GF2, 0, 0) for _ in range(KX2.dim)))
+    ok, ann = faithful(zero)
+    assert not ok and ann == Subspace.full(GF2, KX2.dim)
+
+
+def _two_block_modules():
+    # regular T_2(F_2) twice: the top has multiplicity 2 in each of the two
+    # blocks, and the top itself is a semisimple module with the same socle
+    m = regular_module(make_triangular(2, GF2))
+    twice = m.direct_sum(m)
+    top = quotient_action(twice, radical_image(twice)).rep
+    return twice, top
+
+
+def test_maximal_submodule_scan_charges_the_budget():
+    twice, _ = _two_block_modules()
+    total = len(list(maximal_submodules(twice)))
+    assert total == 3 + 3
+    with pytest.raises(BudgetExceeded, match="maximal-submodule hyperplane enumeration") as exc:
+        list(maximal_submodules(twice, Budget(max_enumeration=total - 1)))
+    assert (exc.value.needed, exc.value.cap) == (total, total - 1)
+    assert len(list(maximal_submodules(twice, Budget(max_enumeration=total)))) == total
+
+
+def test_simple_socle_scan_charges_the_budget():
+    _, top = _two_block_modules()
+    assert [part.mult.dim for part in block_decomposition(top, socle_subspace(top))] == [2, 2]
+    total = len(list(simple_socle_submodules(top)))
+    assert total == 3 + 3
+    with pytest.raises(BudgetExceeded, match="simple-socle point enumeration") as exc:
+        list(simple_socle_submodules(top, Budget(max_enumeration=total - 1)))
+    assert (exc.value.needed, exc.value.cap) == (total, total - 1)
+    assert len(list(simple_socle_submodules(top, Budget(max_enumeration=total)))) == total
