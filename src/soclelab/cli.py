@@ -102,7 +102,7 @@ def _cmd_cover_check(args, reporter: Reporter, budget: Budget) -> int:
     ts = TensorSubspace.from_json(data)
     # check_bound raises TheoremViolation when the conditions hold yet the
     # bound fails, so a returned report is always a pass
-    report = check_bound(ts, check_minimality=args.minimal)
+    report = check_bound(ts, check_minimality=args.minimal, budget=budget)
     verdict = "pass"
     reporter.emit("cover check", verdict, report.to_json(), {args.file: _sha256_file(args.file)})
     reporter.table(

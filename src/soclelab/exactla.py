@@ -651,17 +651,26 @@ def enum_points(s: Subspace):
 
 
 def enum_hyperplanes(s: Subspace):
-    """All codimension-1 subspaces of s, canonical, in a fixed order."""
+    """All codimension-1 subspaces of s, canonical, in a fixed order.
+
+    One hyperplane per projective point phi of the coefficient space, in
+    `enum_coeff_points` order: the x in s whose coordinates satisfy
+    phi . x = 0.  phi is already in echelon form (leading 1 at `lead`), so
+    that kernel is read off directly: it is spanned by
+    basis[j] - phi[j] * basis[lead] for every j != lead."""
     if s.dim == 0:
         raise InputError("zero subspace has no hyperplanes")
     field = s.field
-    basis = list(s.basis_rows)
-    d = s.dim
-    for phi in enum_coeff_points(field, d):
-        # coefficient vectors orthogonal to phi, mapped through the basis
-        phi_mat = Mat._of(field, 1, d, phi)
-        coeff_kernel = kernel(phi_mat)
-        vectors = [vec_combo(field, basis, c) for c in coeff_kernel.basis_rows]
+    sub, mul = field.tables.sub, field.tables.mul
+    basis = s.basis_rows
+    for phi in enum_coeff_points(field, s.dim):
+        lead = phi.index(1)
+        lead_row = basis[lead]
+        vectors = []
+        for j, row in enumerate(basis):
+            if j != lead:
+                mf = mul[phi[j]]
+                vectors.append([sub[x][mf[y]] for x, y in zip(row, lead_row)])
         yield Subspace.from_vectors(field, s.ambient_dim, vectors)
 
 

@@ -31,6 +31,7 @@ from .exactla import (
     RowBasis,
     Subspace,
     enum_coeff_points,
+    enum_hyperplanes,
     kernel,
     mat_of_rows,
     mat_vec,
@@ -196,11 +197,12 @@ class BilinearSystem:
     def kernel_mult_space(self, a: Mat, e: int) -> Subspace:
         """Multiplicity space of the largest submodule of eB inside ker(a)."""
         block = self.s_blocks[e]
+        off = self._b_offsets[e]
         rows = []
         for i in range(block.n):
             for m_idx in range(block.mult):
-                basis_vec = self.b_vector(e, tuple(1 if j == m_idx else 0 for j in range(block.mult)), i)
-                rows.append((i, m_idx, a.apply(basis_vec)))
+                # a applied to the unit B-vector of copy m_idx at row i
+                rows.append((i, m_idx, a.col(off + m_idx * block.n + i)))
         # m in k^{mult} lies in the kernel-submodule iff sum_j m_j a(e_{j,i}) = 0 for all i
         mat_rows = []
         for i in range(block.n):
@@ -218,9 +220,7 @@ class BilinearSystem:
         for e, block in enumerate(self.s_blocks):
             if block.mult == 0:
                 continue
-            full = Subspace.full(self.field, block.mult)
-            for phi in enum_coeff_points(self.field, block.mult):
-                hyper = kernel(mat_of_rows(self.field, block.mult, [phi]))
+            for hyper in enum_hyperplanes(Subspace.full(self.field, block.mult)):
                 vectors = []
                 for e2, block2 in enumerate(self.s_blocks):
                     if e2 == e:
@@ -417,11 +417,11 @@ def _bimodule_orbit(sys: BilinearSystem, a: Mat) -> list:
 
 
 def _orbit_has_maximal_kernel(sys: BilinearSystem, a: Mat) -> bool:
-    orbit = _bimodule_orbit(sys, a)
+    orbit = [Mat._of(sys.field, sys.dim_c, sys.dim_b, w) for w in _bimodule_orbit(sys, a)]
     for e, hyper, vectors in sys.maximal_b_submodules():
         rows = []
         for v in vectors:
-            images = [Mat._of(sys.field, sys.dim_c, sys.dim_b, w).apply(v) for w in orbit]
+            images = [w.apply(v) for w in orbit]
             for coord in range(sys.dim_c):
                 rows.append([images[t][coord] for t in range(len(orbit))])
         if rows and kernel(mat_of_rows(sys.field, len(orbit), rows)).dim > 0:
@@ -534,7 +534,7 @@ def _strong_parts(
     field = sys.field
     if side == "left":
         t = sys.t_blocks[block].mult
-        members = [kernel(mat_of_rows(field, t, [phi])) for phi in enum_coeff_points(field, t)]
+        members = list(enum_hyperplanes(Subspace.full(field, t))) if t else []
         mult_space, want = sys.image_mult_space, 1
         avoids, as_json = (lambda mult, hyper: not hyper.contains(mult)), (lambda hyper: list(hyper.basis_rows))
     else:

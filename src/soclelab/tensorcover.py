@@ -11,21 +11,24 @@ Both conditions quantify over projective points rather than all nonzero
 vectors: rank-one membership is scalar-homogeneous, so nothing is lost and
 the work drops by a factor of (q - 1).  Minimality is decided on hyperplanes
 only, which suffices because the conditions are upward monotone (tested).
+`check_minimal` tests each hyperplane of one space directly; the exhaustive
+`search_minimal` instead looks each hyperplane up among the satisfiers it
+found one dimension down, which it has already enumerated in full.
 """
 
 from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .budget import Budget, default_budget
 from .errors import InputError, PreconditionError, TheoremViolation
 from .exactla import (
     Mat,
-    RowBasis,
     Subspace,
     enum_coeff_points,
+    enum_hyperplanes,
     enum_pivot_subspaces,
     enum_subspaces,
     gaussian_binomial,
@@ -33,7 +36,7 @@ from .exactla import (
     mat_of_columns,
     mat_of_rows,
     mat_vec,
-    vec_combo,
+    num_projective_points,
 )
 from .gf import Field
 
@@ -214,7 +217,9 @@ class CoverageReport:
         return out
 
 
-def check_bound(a: TensorSubspace, check_minimality: bool = False) -> CoverageReport:
+def check_bound(
+    a: TensorSubspace, check_minimality: bool = False, budget: Budget | None = None
+) -> CoverageReport:
     """Run both coverage conditions and compare dim(A) with m + n - 1.
 
     A verified instance where both conditions hold but the bound fails is an
@@ -229,21 +234,24 @@ def check_bound(a: TensorSubspace, check_minimality: bool = False) -> CoverageRe
             f"coverage conditions hold but dim {a.dim} < {a.m}+{a.n}-1 for m={a.m}, n={a.n}, q={a.field.q}"
         )
     if check_minimality and report.both_hold:
-        report.minimal, report.violating_hyperplane = check_minimal(a)
+        report.minimal, report.violating_hyperplane = check_minimal(a, budget)
     return report
 
 
-def check_minimal(a: TensorSubspace) -> tuple[bool, TensorSubspace | None]:
+def check_minimal(a: TensorSubspace, budget: Budget | None = None) -> tuple[bool, TensorSubspace | None]:
     """True when no hyperplane of A satisfies both coverage conditions.
 
     Hyperplanes suffice: the conditions are upward monotone (if a subspace
     satisfies them, so does everything between it and A), so any satisfying
-    proper subspace extends to a satisfying hyperplane.
+    proper subspace extends to a satisfying hyperplane.  The hyperplane scan
+    is charged to the budget before it starts.
     """
+    budget = budget or default_budget()
     if not (check_cond_b(a).holds and check_cond_c(a).holds):
         raise PreconditionError("minimality is only defined for spaces satisfying both coverage conditions")
     field = a.field
     d = a.dim
+    budget.guard("minimality hyperplane enumeration", num_projective_points(d, field.q))
     basis = list(a.basis)
     for phi in enum_coeff_points(field, d):
         coeff_kernel = kernel(mat_of_rows(field, d, [phi]))
@@ -314,8 +322,12 @@ def search_minimal(
 
     Dimensions are scanned low to high, and a satisfier is minimal exactly
     when none of its hyperplanes satisfies both conditions (upward
-    monotonicity).  The budget caps the number of subspaces examined; on
-    exhaustion the partial result is flagged incomplete.
+    monotonicity).  That is decided by lookup, not by re-testing: the
+    hyperplanes of a dimension-d satisfier have dimension d - 1, and
+    dimension d is scanned only after the scan of d - 1 finished, so the
+    canonical satisfiers of d - 1 kept in `below` are all of them.  The
+    budget caps the number of subspaces examined; on exhaustion the partial
+    result is flagged incomplete.
     """
     budget = budget or default_budget()
     mn = m * n
@@ -323,6 +335,7 @@ def search_minimal(
     examined = 0
     minimal: list[TensorSubspace] = []
     complete = True
+    below: set[Subspace] = set()  # every satisfier of dimension dim - 1
     for dim in range(0, mn + 1):
         remaining = cap - examined
         if remaining <= 0:
@@ -337,12 +350,11 @@ def search_minimal(
         if not done:
             complete = False
         for flat in satisfiers:
-            ts = TensorSubspace.from_flat(field, m, n, flat)
-            is_min, _ = check_minimal(ts)
-            if is_min:
-                minimal.append(ts)
+            if dim == 0 or not any(h in below for h in enum_hyperplanes(flat)):
+                minimal.append(TensorSubspace.from_flat(field, m, n, flat))
         if not complete:
             break
+        below = set(satisfiers)
     minimal.sort(key=lambda t: t.sort_key())
     return SearchResult(minimal, complete, examined)
 

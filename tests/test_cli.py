@@ -46,6 +46,18 @@ def test_cover_search_budget_exit(capsys):
     assert record["verdict"] == "budget"
 
 
+def test_cover_check_minimal_uses_the_cli_budget(tmp_path, capsys):
+    # the 2x2 cross space over F_2 has dim 3, so 7 hyperplanes to test
+    path = write_gallery(tmp_path, capsys, "cross", "m=2", "n=2", "q=2")
+    code, out = run(capsys, "--budget", "6", "cover", "check", str(path), "--minimal")
+    assert code == 3
+    record = json.loads(out.strip().splitlines()[-1])
+    assert record["verdict"] == "budget"
+    assert "minimality hyperplane enumeration" in record["details"]["error"]
+    code, _ = run(capsys, "--budget", "7", "cover", "check", str(path), "--minimal")
+    assert code == 0
+
+
 def test_algebra_analyze(tmp_path, capsys):
     ring, _module = make_row_diagonal_pair()
     path = tmp_path / "ring.json"

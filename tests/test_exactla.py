@@ -190,6 +190,27 @@ def test_enum_hyperplanes_counts():
         assert h.dim == 2
 
 
+def _hyperplanes_by_kernel(s):
+    """The kernel-based construction: one 1 x d kernel per coefficient point."""
+    field, basis = s.field, list(s.basis_rows)
+    for phi in enum_coeff_points(field, s.dim):
+        coeff_kernel = kernel(Mat.from_rows(field, [phi]))
+        vectors = [vec_combo(field, basis, c) for c in coeff_kernel.basis_rows]
+        yield Subspace.from_vectors(field, s.ambient_dim, vectors)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f"q{f.q}")
+def test_enum_hyperplanes_matches_kernel_construction(field, rng):
+    for ambient in range(1, 6):
+        for dim in range(1, min(4, ambient) + 1):
+            for _ in range(3):
+                vectors = [[rng.randrange(field.q) for _ in range(ambient)] for _ in range(dim)]
+                s = Subspace.from_vectors(field, ambient, vectors)
+                if s.dim == 0:
+                    continue
+                assert list(enum_hyperplanes(s)) == list(_hyperplanes_by_kernel(s))
+
+
 def test_subspace_counts_match_gaussian_binomials():
     assert sum(1 for _ in all_subspaces(GF2, 4)) == 67
     assert sum(1 for _ in all_subspaces(GF2, 6)) == 2825

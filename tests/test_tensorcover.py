@@ -1,8 +1,8 @@
 import pytest
 
 from soclelab.budget import Budget
-from soclelab.errors import InputError, PreconditionError
-from soclelab.exactla import Subspace, all_subspaces, enum_coeff_points, enum_subspaces
+from soclelab.errors import BudgetExceeded, InputError, PreconditionError
+from soclelab.exactla import Subspace, all_subspaces, enum_coeff_points, enum_subspaces, num_projective_points
 from soclelab.gf import field_make
 from soclelab.strongness import predicates
 from soclelab.tensorcover import (
@@ -16,6 +16,7 @@ from soclelab.tensorcover import (
     to_bilinear,
 )
 from soclelab.gallery import make_corner_family, make_cross
+from soclelab import tensorcover
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -169,6 +170,52 @@ def test_corner_family_minimality_split():
     assert witness is not None
     assert check_cond_b(witness).holds and check_cond_c(witness).holds
     assert witness.dim == ts2.dim - 1
+
+
+def test_minimality_scan_is_charged_to_the_budget():
+    full = TensorSubspace.full(GF2, 2, 2)
+    hyperplanes = num_projective_points(full.dim, GF2.q)
+    with pytest.raises(BudgetExceeded) as info:
+        check_minimal(full, Budget(max_enumeration=hyperplanes - 1))
+    assert info.value.what == "minimality hyperplane enumeration"
+    assert info.value.needed == hyperplanes
+    assert check_minimal(full, Budget(max_enumeration=hyperplanes))[0] is False
+    with pytest.raises(BudgetExceeded):
+        check_bound(full, check_minimality=True, budget=Budget(max_enumeration=hyperplanes - 1))
+    assert check_bound(full, check_minimality=True, budget=Budget(max_enumeration=hyperplanes)).minimal is False
+
+
+@pytest.mark.parametrize("m, n, q", [(2, 2, 2), (2, 2, 3), (1, 3, 2), (3, 2, 2), (2, 3, 2)])
+def test_search_minimal_agrees_with_check_minimal(m, n, q):
+    # check_minimal re-tests every hyperplane; search_minimal looks them up
+    # among the satisfiers one dimension down
+    field = field_make(q)
+    expected = []
+    for flat in all_subspaces(field, m * n):
+        ts = TensorSubspace.from_flat(field, m, n, flat)
+        if check_cond_b(ts).holds and check_cond_c(ts).holds and check_minimal(ts)[0]:
+            expected.append(ts.sort_key())
+    assert expected
+    for kwargs in ({"threads": 1}, {"threads": 2, "parallel_threshold": 4}):
+        result = search_minimal(m, n, field, **kwargs)
+        assert result.complete
+        assert sorted(t.sort_key() for t in result.minimal) == sorted(expected)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_search_minimal_lookup_finds_a_lone_satisfying_hyperplane(q, monkeypatch):
+    # On every shape small enough for a test, each non-minimal coverage
+    # satisfier has several satisfying hyperplanes, so comparing with
+    # check_minimal cannot catch a lookup that misses one.  The upward-closed
+    # family of superspaces of one subspace `gen` can: a
+    # superspace of dimension dim(gen) + 1 has gen as its only satisfying
+    # hyperplane, and gen takes every position in the hyperplane order.
+    field = field_make(q)
+    for gen in all_subspaces(field, 3, dims=(1, 2)):
+        monkeypatch.setattr(tensorcover, "_both_conditions_flat", lambda flat, m, n, gen=gen: flat.contains(gen))
+        result = search_minimal(1, 3, field)
+        assert result.complete
+        assert [t.flat() for t in result.minimal] == [gen]
 
 
 def test_search_minimal_2x2_f2():
