@@ -13,7 +13,8 @@ the work drops by a factor of (q - 1).  Minimality is decided on hyperplanes
 only, which suffices because the conditions are upward monotone (tested).
 `check_minimal` tests each hyperplane of one space directly; the exhaustive
 `search_minimal` instead looks each hyperplane up among the satisfiers it
-found one dimension down, which it has already enumerated in full.
+found one dimension down, which it has already enumerated in full, and
+certifies every space it reports with `check_bound`.
 """
 
 from __future__ import annotations
@@ -325,8 +326,9 @@ def search_minimal(
     monotonicity).  That is decided by lookup, not by re-testing: the
     hyperplanes of a dimension-d satisfier have dimension d - 1, and
     dimension d is scanned only after the scan of d - 1 finished, so the
-    canonical satisfiers of d - 1 kept in `below` are all of them.  The
-    budget caps the number of subspaces examined; on exhaustion the partial
+    canonical satisfiers of d - 1 kept in `below` are all of them.  Each
+    minimal satisfier is certified by `check_bound` before it is reported.
+    The budget caps the number of subspaces examined; on exhaustion the partial
     result is flagged incomplete.
     """
     budget = budget or default_budget()
@@ -351,7 +353,12 @@ def search_minimal(
             complete = False
         for flat in satisfiers:
             if dim == 0 or not any(h in below for h in enum_hyperplanes(flat)):
-                minimal.append(TensorSubspace.from_flat(field, m, n, flat))
+                ts = TensorSubspace.from_flat(field, m, n, flat)
+                # certify what is reported: witnesses re-checked by membership,
+                # and a space below the bound raises TheoremViolation
+                if not check_bound(ts).both_hold:
+                    raise TheoremViolation("search satisfier failed the witnessed coverage check")
+                minimal.append(ts)
         if not complete:
             break
         below = set(satisfiers)

@@ -1,11 +1,14 @@
+from types import SimpleNamespace
+
 import pytest
 
 from soclelab.budget import Budget
-from soclelab.errors import BudgetExceeded, InputError, PreconditionError
+from soclelab.errors import BudgetExceeded, InputError, PreconditionError, TheoremViolation
 from soclelab.exactla import Subspace, all_subspaces, enum_coeff_points, enum_subspaces, num_projective_points
 from soclelab.gf import field_make
 from soclelab.strongness import predicates
 from soclelab.tensorcover import (
+    CoverageSide,
     TensorSubspace,
     check_bound,
     check_cond_b,
@@ -210,12 +213,28 @@ def test_search_minimal_lookup_finds_a_lone_satisfying_hyperplane(q, monkeypatch
     # family of superspaces of one subspace `gen` can: a
     # superspace of dimension dim(gen) + 1 has gen as its only satisfying
     # hyperplane, and gen takes every position in the hyperplane order.
+    # That family is not a coverage family, so the certification of each
+    # reported space is stubbed out too.
     field = field_make(q)
+    monkeypatch.setattr(tensorcover, "check_bound", lambda ts: SimpleNamespace(both_hold=True))
     for gen in all_subspaces(field, 3, dims=(1, 2)):
         monkeypatch.setattr(tensorcover, "_both_conditions_flat", lambda flat, m, n, gen=gen: flat.contains(gen))
         result = search_minimal(1, 3, field)
         assert result.complete
         assert [t.flat() for t in result.minimal] == [gen]
+
+
+def test_search_minimal_certifies_what_it_reports(monkeypatch):
+    # a fast scan that accepts every nonzero space is caught by the witnessed
+    # check, and one the witnessed check also accepts by the bound
+    monkeypatch.setattr(tensorcover, "_both_conditions_flat", lambda flat, m, n: flat.dim >= 1)
+    with pytest.raises(TheoremViolation, match="witnessed coverage check"):
+        search_minimal(2, 2, GF2)
+    holding = CoverageSide(True, [], None)
+    monkeypatch.setattr(tensorcover, "check_cond_b", lambda ts: holding)
+    monkeypatch.setattr(tensorcover, "check_cond_c", lambda ts: holding)
+    with pytest.raises(TheoremViolation, match="dim 1 < 2\\+2-1"):
+        search_minimal(2, 2, GF2)
 
 
 def test_search_minimal_2x2_f2():
