@@ -274,7 +274,7 @@ class Mat:
 
     @staticmethod
     def from_rows(field: Field, rows) -> "Mat":
-        rows = [tuple(int(x) % field.q if isinstance(x, int) else x for x in r) for r in rows]
+        rows = [tuple(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise InputError("ragged matrix literal")
@@ -409,7 +409,7 @@ class Mat:
                 if len(x) > field.e:
                     raise InputError("matrix entry out of field range")
                 return field.from_coeffs(x)
-            return int(x) % field.q
+            return int(x)
         try:
             rows = [[dec(x) for x in row] for row in data["entries"]]
         except (KeyError, TypeError) as exc:

@@ -18,6 +18,7 @@ guarded enumerations over these spaces.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -160,15 +161,6 @@ class BilinearSystem:
         )
 
     # -- multiplicity-space helpers -------------------------------------------------
-    def c_columns(self, vec, f: int) -> list[tuple[int, ...]]:
-        """Column components of a C-vector in block f: n_f vectors in k^{t_f}."""
-        block = self.t_blocks[f]
-        off = self._c_offsets[f]
-        return [
-            tuple(vec[off + j * block.n + i] for j in range(block.mult))
-            for i in range(block.n)
-        ]
-
     def b_vector(self, e: int, copy_vec, row: int) -> tuple[int, ...]:
         """B-vector with multiplicity pattern copy_vec at row coordinate `row`."""
         block = self.s_blocks[e]
@@ -187,28 +179,31 @@ class BilinearSystem:
         return tuple(out)
 
     def image_mult_space(self, a: Mat, f: int) -> Subspace:
-        """Multiplicity space of the submodule generated by a's image, block f."""
-        vectors = []
-        for col in range(self.dim_b):
-            image = a.col(col)
-            vectors.extend(self.c_columns(image, f))
-        return Subspace.from_vectors(self.field, self.t_blocks[f].mult, vectors)
+        """Multiplicity space of the submodule generated by a's image, block f:
+        the span of the copy vectors (a[(f, j, i), col])_j over every row i of
+        the block and every column col of a."""
+        block = self.t_blocks[f]
+        off = self._c_offsets[f]
+        entries, width = a.entries, a.cols
+        vectors = [
+            tuple(entries[(off + j * block.n + i) * width + col] for j in range(block.mult))
+            for col in range(width)
+            for i in range(block.n)
+        ]
+        return Subspace.from_vectors(self.field, block.mult, [v for v in vectors if any(v)])
 
     def kernel_mult_space(self, a: Mat, e: int) -> Subspace:
         """Multiplicity space of the largest submodule of eB inside ker(a)."""
         block = self.s_blocks[e]
         off = self._b_offsets[e]
-        rows = []
-        for i in range(block.n):
-            for m_idx in range(block.mult):
-                # a applied to the unit B-vector of copy m_idx at row i
-                rows.append((i, m_idx, a.col(off + m_idx * block.n + i)))
-        # m in k^{mult} lies in the kernel-submodule iff sum_j m_j a(e_{j,i}) = 0 for all i
-        mat_rows = []
-        for i in range(block.n):
-            images = [img for (ii, _, img) in rows if ii == i]
-            for coord in range(self.dim_c):
-                mat_rows.append([images[j][coord] for j in range(block.mult)])
+        entries, width = a.entries, a.cols
+        # m in k^{mult} lies in the kernel-submodule iff sum_j m_j a(e_{j,i}) = 0 for all i;
+        # row (i, coord) of the solve holds coordinate coord of a(e_{j,i}) for each copy j
+        mat_rows = [
+            [entries[coord * width + off + j * block.n + i] for j in range(block.mult)]
+            for i in range(block.n)
+            for coord in range(self.dim_c)
+        ]
         if not mat_rows:
             return Subspace.full(self.field, block.mult)
         return kernel(mat_of_rows(self.field, block.mult, mat_rows))
@@ -404,46 +399,148 @@ def _kernel_contains_maximal(sys: BilinearSystem, a: Mat) -> bool:
     return total_colength == 1
 
 
-def _bimodule_orbit(sys: BilinearSystem, a: Mat) -> list:
-    """Spanning rows of the sub-bimodule T a S of the map space."""
-    span = RowBasis(sys.field, sys.dim_b * sys.dim_c)
-    units_t = [sys.t_unit_mat(f, i, j) for f, bf in enumerate(sys.t_blocks) for i in range(bf.n) for j in range(bf.n)]
-    units_s = [sys.s_unit_mat(e, i, j) for e, be in enumerate(sys.s_blocks) for i in range(be.n) for j in range(be.n)]
-    for ut in units_t:
-        ua = ut.mul(a)
-        for us in units_s:
-            span.add(ua.mul(us).flatten())
-    return span.snapshot()
+def _corner_orbits(sys: BilinearSystem, a: Mat) -> dict[tuple[int, int], tuple]:
+    """RREF bases of the nonzero multiplicity spaces W_fe of the
+    sub-bimodule T a S, keyed by corner (f, e).
+
+    Write A^{fe}_{jk} for the t_f x s_e matrix (c, c') -> a[(f,c,j), (e,c',k)],
+    slots indexed offset + copy*n + row.  A matrix unit E_ij of T-block f
+    times a times a matrix unit E_kl of S-block e is A^{fe}_{jk} (x) E_il, so
+    T a S = (+)_{(f,e)} W_fe (x) Matr_{n_f x n_e}(k), where W_fe is the span
+    of the n_f * n_e blocks A^{fe}_{jk}.  The blocks are read off a's entries
+    by index selection; each basis row is a t_f x s_e matrix, row-major."""
+    entries, width = a.entries, a.cols
+    corners = {}
+    for f, bf in enumerate(sys.t_blocks):
+        c_off = sys._c_offsets[f]
+        for e, be in enumerate(sys.s_blocks):
+            b_off = sys._b_offsets[e]
+            blocks = []
+            for j in range(bf.n):
+                for k in range(be.n):
+                    block = tuple(
+                        entries[(c_off + c * bf.n + j) * width + b_off + c2 * be.n + k]
+                        for c in range(bf.mult)
+                        for c2 in range(be.mult)
+                    )
+                    if any(block):
+                        blocks.append(block)
+            if blocks:
+                corners[f, e] = Subspace.from_vectors(sys.field, bf.mult * be.mult, blocks).basis_rows
+    return corners
 
 
-def _orbit_has_maximal_kernel(sys: BilinearSystem, a: Mat) -> bool:
-    orbit = [Mat._of(sys.field, sys.dim_c, sys.dim_b, w) for w in _bimodule_orbit(sys, a)]
-    for e, hyper, vectors in sys.maximal_b_submodules():
-        rows = []
-        for v in vectors:
-            images = [w.apply(v) for w in orbit]
-            for coord in range(sys.dim_c):
-                rows.append([images[t][coord] for t in range(len(orbit))])
-        if rows and kernel(mat_of_rows(sys.field, len(orbit), rows)).dim > 0:
-            return True
-        if not rows:
-            return True
+def _has_nonzero_solution(field: Field, images: list, width: int) -> bool:
+    """Whether some nonzero combination of independent basis elements has
+    zero image, given each element's image as a vector of length width."""
+    return Subspace.from_vectors(field, width, images).dim < len(images)
+
+
+def _corners_have_maximal_kernel(sys: BilinearSystem, corners: dict) -> bool:
+    """Whether some nonzero w in T a S kills a maximal submodule of B.
+
+    The maximal submodules are H (x) k^{n_e} (+) (the other S-blocks), for H a
+    hyperplane of k^{s_e}.  w kills the other S-blocks exactly when its
+    components outside column block e vanish, and its (f, e) component
+    sum X_il (x) E_il kills H (x) k^{n_e} exactly when every multiplicity
+    block X_il kills H.  So the answer is yes exactly when, for some e and H,
+    some W_fe holds a nonzero X with X|_H = 0: one solve of W_fe -> Hom(H, k^{t_f})
+    per corner and hyperplane, in `enum_hyperplanes` order.  When s_e = 1,
+    H = 0 and any nonzero W_fe qualifies."""
+    field = sys.field
+    for e, be in enumerate(sys.s_blocks):
+        s = be.mult
+        if s == 0:
+            continue
+        column = [(sys.t_blocks[f].mult, basis) for (f, e2), basis in corners.items() if e2 == e]
+        for hyper in _hyperplane_bases(field, s):
+            for t, basis in column:
+                # X restricted to H: X h for every basis vector h of H, concatenated
+                images = [
+                    tuple(itertools.chain.from_iterable(
+                        vec_combo(field, [x[c::s] for c in range(s)], h) for h in hyper
+                    ))
+                    for x in basis
+                ]
+                if _has_nonzero_solution(field, images, t * len(hyper)):
+                    return True
     return False
 
 
-def _orbit_has_simple_image(sys: BilinearSystem, a: Mat) -> bool:
-    orbit = _bimodule_orbit(sys, a)
-    sys_like = BilinearSystem(sys.field, sys.s_blocks, sys.t_blocks,
-                              tuple(Mat._of(sys.field, sys.dim_c, sys.dim_b, w) for w in orbit),
-                              _skip_verify=True)
-    for f, mu, vectors in sys.simple_c_submodules():
-        if _image_in_submodule_combo(sys_like, vectors) is not None:
-            return True
+@functools.lru_cache(maxsize=None)
+def _hyperplane_bases(field: Field, dim: int) -> tuple[tuple, ...]:
+    """Basis rows of every hyperplane of k^dim, in `enum_hyperplanes` order."""
+    return tuple(hyper.basis_rows for hyper in enum_hyperplanes(Subspace.full(field, dim)))
+
+
+def _corners_have_simple_image(sys: BilinearSystem, corners: dict) -> bool:
+    """Whether some nonzero w in T a S maps B into a simple submodule of C.
+
+    The simple submodules are span(mu) (x) k^{n_f}, for mu a point of
+    P(k^{t_f}).  Dually to the kernel side, w maps into one exactly when its
+    components outside row block f vanish and every multiplicity block of
+    its (f, e) components has its columns in span(mu).  So the answer is yes
+    exactly when, for some f and mu, some W_fe holds a nonzero X with columns
+    in span(mu): X - mu (x) (row p of X) = 0, where mu has its leading 1 at p.
+    When t_f = 1 the only point is mu = (1) and any nonzero W_fe qualifies."""
+    field = sys.field
+    sub, mul = field.tables.sub, field.tables.mul
+    for f, bf in enumerate(sys.t_blocks):
+        t = bf.mult
+        if t == 0:
+            continue
+        row = [(sys.s_blocks[e].mult, basis) for (f2, e), basis in corners.items() if f2 == f]
+        for mu in enum_coeff_points(field, t):
+            p = mu.index(1)
+            for s, basis in row:
+                # the columns of X reduced modulo span(mu); row p reduces to zero
+                images = [
+                    tuple(
+                        sub[x[r * s + c]][mul[mu[r]][x[p * s + c]]]
+                        for r in range(t) if r != p
+                        for c in range(s)
+                    )
+                    for x in basis
+                ]
+                if _has_nonzero_solution(field, images, (t - 1) * s):
+                    return True
     return False
+
+
+def _swap_failures(sys: BilinearSystem, a: Mat, forward: bool = True, backward: bool = True) -> tuple[bool, bool]:
+    """Which swap directions fail at the element a.
+
+    Forward fails when a's image generates a simple submodule but no nonzero
+    element of T a S kills a maximal submodule of B; backward fails when
+    ker(a) contains a maximal submodule but no nonzero element of T a S maps
+    B into a simple submodule of C.  A direction passed as False is not
+    evaluated and reported as not failing.  T a S is built, by corners, only
+    when one of the hypotheses holds."""
+    simple_image = forward and _image_is_inside_simple(sys, a)
+    maximal_kernel = backward and _kernel_contains_maximal(sys, a)
+    if not (simple_image or maximal_kernel):
+        return False, False
+    corners = _corner_orbits(sys, a)
+    return (
+        simple_image and not _corners_have_maximal_kernel(sys, corners),
+        maximal_kernel and not _corners_have_simple_image(sys, corners),
+    )
 
 
 def small_conditions(sys: BilinearSystem, budget: Budget | None = None) -> SmallConditions:
     """Literal enumeration of the two orbit-swap conditions.
+
+    For every nonzero element a of A: when a's image generates a simple
+    submodule, some nonzero element of the sub-bimodule T a S must kill a
+    maximal submodule of B; when ker(a) contains a maximal submodule, some
+    nonzero element of T a S must map B into a simple submodule of C.
+
+    T a S is taken corner by corner: it is the direct sum over (f, e) of
+    W_fe (x) Matr_{n_f x n_e}(k), with W_fe spanned by the t_f x s_e
+    multiplicity blocks of a (`_corner_orbits`).  Every maximal submodule of
+    B and every simple submodule of C is still enumerated and decided by an
+    exact solve, on the corners instead of on full-size maps, so the method
+    stays "literal".
 
     matrix_blocks is true by construction (only split systems are
     representable).  The implication chain matrix_blocks => swap_both =>
@@ -456,11 +553,7 @@ def small_conditions(sys: BilinearSystem, budget: Budget | None = None) -> Small
     budget.guard("small-conditions enumeration", count)
     swap_both = True
     for vec in _iter_span_elements(sys.field, list(span.basis_rows)):
-        a = Mat._of(sys.field, sys.dim_c, sys.dim_b, tuple(vec))
-        if _image_is_inside_simple(sys, a) and not _orbit_has_maximal_kernel(sys, a):
-            swap_both = False
-            break
-        if _kernel_contains_maximal(sys, a) and not _orbit_has_simple_image(sys, a):
+        if any(_swap_failures(sys, Mat._of(sys.field, sys.dim_c, sys.dim_b, tuple(vec)))):
             swap_both = False
             break
     swap_either = swap_both or _swap_either_literal(sys, budget)
@@ -480,10 +573,9 @@ def _swap_either_literal(sys: BilinearSystem, budget: Budget) -> bool:
             backward = True  # maximal kernel -> orbit has simple image
             for vec in _iter_span_elements(sys.field, list(corner.basis_rows)):
                 a = Mat._of(sys.field, sys.dim_c, sys.dim_b, tuple(vec))
-                if forward and _image_is_inside_simple(sys, a) and not _orbit_has_maximal_kernel(sys, a):
-                    forward = False
-                if backward and _kernel_contains_maximal(sys, a) and not _orbit_has_simple_image(sys, a):
-                    backward = False
+                forward_fails, backward_fails = _swap_failures(sys, a, forward, backward)
+                forward = forward and not forward_fails
+                backward = backward and not backward_fails
                 if not forward and not backward:
                     return False
     return True

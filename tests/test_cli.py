@@ -140,6 +140,19 @@ def test_system_check_and_strong(tmp_path, capsys):
     assert code6 == 0
 
 
+def test_system_entry_out_of_field_range_is_an_input_error(tmp_path, capsys):
+    # an entry equal to q is rejected, not reduced to 0
+    path = write_gallery(tmp_path, capsys, "line-cover-system", "q=2", "d=2")
+    data = json.loads(path.read_text())
+    data["a_basis"][0]["entries"][0][0] = 2
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "system", "check", str(path))
+    assert code == 2
+    record = json.loads(out.strip().splitlines()[-1])
+    assert record["verdict"] == "input-error"
+    assert "out of field range" in record["details"]["error"]
+
+
 def test_relative_strength_rejects_right_side(tmp_path, capsys):
     # relative strength is only implemented on the left; the right side must not
     # run the left predicate and report "side": "right"

@@ -50,8 +50,8 @@ def test_rref_identity_and_zero():
 
 
 def test_rref_rank_one_dependent_rows():
-    # second row is twice the first over F_3
-    m = Mat.from_rows(GF3, [[1, 2], [2, 4]])
+    # second row is twice the first over F_3: 2 * (1, 2) = (2, 1)
+    m = Mat.from_rows(GF3, [[1, 2], [2, 1]])
     red, rank = m.rref()
     assert rank == 1
     assert red.row(0) == (1, 2)
@@ -375,6 +375,11 @@ def test_mat_rejects_entries_out_of_range(field):
     for bad in (-1, field.q):
         with pytest.raises(InputError, match="matrix entry out of field range"):
             Mat(field, 2, 2, (0, 1, bad, 0))
+        # the other two validating entry points reject, not reduce, the same values
+        with pytest.raises(InputError, match="matrix entry out of field range"):
+            Mat.from_rows(field, [[0, 1], [bad, 0]])
+        with pytest.raises(InputError, match="matrix entry out of field range"):
+            Mat.from_json({"rows": 2, "cols": 2, "entries": [[0, 1], [bad, 0]]}, field)
     assert Mat(field, 1, 2, (0, field.q - 1)).entries == (0, field.q - 1)
     assert Mat(field, 0, 3, ()).rows == 0
     with pytest.raises(InputError, match="matrix literal has 3 entries, needs 4"):

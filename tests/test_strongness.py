@@ -1,10 +1,22 @@
 import itertools
+import random
 
 import pytest
 
 from soclelab.budget import Budget
 from soclelab.errors import BudgetExceeded, InputError, PreconditionError
-from soclelab.exactla import Mat, Subspace, all_subspaces, enum_coeff_points, vec_combo
+from soclelab.corpus import random_split_system
+from soclelab.exactla import (
+    Mat,
+    RowBasis,
+    Subspace,
+    all_subspaces,
+    enum_coeff_points,
+    kernel,
+    mat_of_rows,
+    num_projective_points,
+    vec_combo,
+)
 from soclelab.gf import field_make
 from soclelab.gallery import make_cross, make_line_cover_system
 from soclelab.strongness import (
@@ -19,6 +31,10 @@ from soclelab.strongness import (
     strength_budget,
     system_graph,
     union_split,
+    _corner_orbits,
+    _corners_have_maximal_kernel,
+    _corners_have_simple_image,
+    _image_in_submodule_combo,
     _iter_span_elements,
 )
 from soclelab.tensorcover import to_bilinear
@@ -99,6 +115,160 @@ def test_small_conditions_vacuous_on_missing_block_pairs():
     sc = small_conditions(sys_obj)
     assert sc.matrix_blocks and sc.swap_both and sc.swap_either
     assert sys_obj.corner_span(0, 1).dim == 0  # the empty pair
+
+
+# -- the swap conditions by corners, against full-size maps built by matrix units --
+
+def unit_orbit(sys_obj, a):
+    """Oracle: T a S spanned by every E_ij a E_kl, each a product of full-size
+    matrices with the matrix units of the blocks."""
+    span = RowBasis(sys_obj.field, sys_obj.dim_b * sys_obj.dim_c)
+    units_t = [sys_obj.t_unit_mat(f, i, j) for f, bf in enumerate(sys_obj.t_blocks)
+               for i in range(bf.n) for j in range(bf.n)]
+    units_s = [sys_obj.s_unit_mat(e, k, l) for e, be in enumerate(sys_obj.s_blocks)
+               for k in range(be.n) for l in range(be.n)]
+    for ut in units_t:
+        ua = ut.mul(a)
+        for us in units_s:
+            span.add(ua.mul(us).flatten())
+    return [Mat._of(sys_obj.field, sys_obj.dim_c, sys_obj.dim_b, w) for w in span.snapshot()]
+
+
+def orbit_has_maximal_kernel(sys_obj, orbit):
+    """Oracle: some nonzero combination of the orbit kills a maximal submodule
+    of B, solved on full-size maps for every maximal submodule."""
+    for _, _, vectors in sys_obj.maximal_b_submodules():
+        rows = []
+        for v in vectors:
+            images = [w.apply(v) for w in orbit]
+            for coord in range(sys_obj.dim_c):
+                rows.append([image[coord] for image in images])
+        if not rows or kernel(mat_of_rows(sys_obj.field, len(orbit), rows)).dim > 0:
+            return True
+    return False
+
+
+def orbit_has_simple_image(sys_obj, orbit):
+    """Oracle: some nonzero combination of the orbit maps B into a simple
+    submodule of C, solved on full-size maps for every simple submodule."""
+    like = BilinearSystem(sys_obj.field, sys_obj.s_blocks, sys_obj.t_blocks, tuple(orbit), _skip_verify=True)
+    return any(_image_in_submodule_combo(like, vectors) is not None
+               for _, _, vectors in sys_obj.simple_c_submodules())
+
+
+def corner_tensor(sys_obj, f, e, x, i, l):
+    """The full-size map X (x) E_il on the corner (f, e): slot (f, c, i) <- (e, c', l)
+    carries X[c, c'], for X a flattened t_f x s_e matrix."""
+    bf, be = sys_obj.t_blocks[f], sys_obj.s_blocks[e]
+    c_off, b_off = sys_obj._c_offsets[f], sys_obj._b_offsets[e]
+    entries = [0] * (sys_obj.dim_c * sys_obj.dim_b)
+    for c in range(bf.mult):
+        for c2 in range(be.mult):
+            entries[(c_off + c * bf.n + i) * sys_obj.dim_b + b_off + c2 * be.n + l] = x[c * be.mult + c2]
+    return Mat._of(sys_obj.field, sys_obj.dim_c, sys_obj.dim_b, tuple(entries))
+
+
+def tensor_system(field, s_blocks, t_blocks, corner_spaces):
+    """The system whose A is the sum of U_fe (x) Matr_{n_f x n_e} over the given
+    corners {(f, e): spanning rows of U_fe}, built from full-size maps."""
+    skeleton = BilinearSystem(field, s_blocks, t_blocks, ())
+    gens = tuple(
+        corner_tensor(skeleton, f, e, x, i, l)
+        for (f, e), rows in sorted(corner_spaces.items())
+        for x in rows
+        for i in range(t_blocks[f].n)
+        for l in range(s_blocks[e].n)
+    )
+    return BilinearSystem(field, s_blocks, t_blocks, gens)
+
+
+# S = T = Matr_2 x k with multiplicity two on the Matr_2 blocks: n > 1 on both sides
+TWO_BY_TWO = tensor_system(
+    GF2,
+    (BlockSpec(2, 2), BlockSpec(1, 1)),
+    (BlockSpec(2, 2), BlockSpec(1, 1)),
+    {(0, 0): [(1, 0, 0, 1)], (1, 0): [(1, 1)], (0, 1): [(1, 0)]},
+)
+
+
+def corner_check_systems():
+    """Seeded random split systems over F_2 .. F_9 (small enough for the
+    full-size oracle) plus the fixed systems of the chain test."""
+    systems = [
+        full_hom_system(GF2, 2, 2),
+        full_hom_system(GF3, 1, 2),
+        to_bilinear(make_cross(2, 3, GF2)),
+        make_line_cover_system(GF3, 2),
+        TWO_BY_TWO,
+    ]
+    for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)):
+        field = field_make(p, e)
+        for seed in (0, 1, 2, 3, 20, 29):
+            sys_obj = random_split_system(field, random.Random(seed))
+            if num_projective_points(sys_obj.a_span().dim, field.q) <= 160:
+                systems.append(sys_obj)
+    return systems
+
+
+def test_corner_orbits_span_the_unit_orbit():
+    for sys_obj in corner_check_systems()[:12]:
+        field = sys_obj.field
+        for vec in itertools.islice(_iter_span_elements(field, list(sys_obj.a_span().basis_rows)), 40):
+            a = Mat._of(field, sys_obj.dim_c, sys_obj.dim_b, tuple(vec))
+            corners = _corner_orbits(sys_obj, a)
+            rebuilt = [
+                corner_tensor(sys_obj, f, e, x, i, l).flatten()
+                for (f, e), basis in corners.items()
+                for x in basis
+                for i in range(sys_obj.t_blocks[f].n)
+                for l in range(sys_obj.s_blocks[e].n)
+            ]
+            oracle = [w.flatten() for w in unit_orbit(sys_obj, a)]
+            ambient = sys_obj.dim_b * sys_obj.dim_c
+            assert len(rebuilt) == len(oracle)
+            assert Subspace.from_vectors(field, ambient, rebuilt) == Subspace.from_vectors(field, ambient, oracle)
+
+
+def test_corner_swap_predicates_agree_with_full_size_checks():
+    systems = corner_check_systems()
+    assert any(b.n > 1 for sys_obj in systems for b in sys_obj.s_blocks)
+    assert any(b.n > 1 for sys_obj in systems for b in sys_obj.t_blocks)
+    assert {sys_obj.field.q for sys_obj in systems} == {2, 3, 4, 5, 7, 9}
+    checked = false_kernel = false_image = 0
+    for sys_obj in systems:
+        field = sys_obj.field
+        for vec in _iter_span_elements(field, list(sys_obj.a_span().basis_rows)):
+            a = Mat._of(field, sys_obj.dim_c, sys_obj.dim_b, tuple(vec))
+            corners = _corner_orbits(sys_obj, a)
+            orbit = unit_orbit(sys_obj, a)
+            has_kernel = _corners_have_maximal_kernel(sys_obj, corners)
+            has_image = _corners_have_simple_image(sys_obj, corners)
+            assert has_kernel == orbit_has_maximal_kernel(sys_obj, orbit), (sys_obj.to_json(), vec)
+            assert has_image == orbit_has_simple_image(sys_obj, orbit), (sys_obj.to_json(), vec)
+            checked += 1
+            false_kernel += not has_kernel
+            false_image += not has_image
+    assert checked > 1500
+    assert false_kernel and false_image
+
+
+def test_corner_swap_predicates_pinned():
+    # Hom(k^2, k^2) over F_2 with n = 1: T a S is just span(a).  The identity
+    # kills no hyperplane and its image is no line; a rank-one map does both.
+    sys_obj = full_hom_system(GF2, 2, 2)
+    identity = _corner_orbits(sys_obj, Mat.identity(GF2, 2))
+    assert identity == {(0, 0): ((1, 0, 0, 1),)}
+    assert not _corners_have_maximal_kernel(sys_obj, identity)
+    assert not _corners_have_simple_image(sys_obj, identity)
+    rank_one = _corner_orbits(sys_obj, Mat.unit(GF2, 2, 2, 0, 1))
+    assert _corners_have_maximal_kernel(sys_obj, rank_one)
+    assert _corners_have_simple_image(sys_obj, rank_one)
+    # s_e = 1: the only maximal submodule of B is zero, which every nonzero
+    # element kills, so the kernel side holds on any nonzero corner
+    column_sys = full_hom_system(GF2, 1, 2)
+    column = _corner_orbits(column_sys, Mat.from_rows(GF2, [[1], [1]]))
+    assert column == {(0, 0): ((1, 1),)}
+    assert _corners_have_maximal_kernel(column_sys, column)
 
 
 def test_small_conditions_budget():
