@@ -10,17 +10,19 @@ blindly; every piece is re-verified at construction time.
 
 The radical certificate has an independent oracle: an exhaustive scan of the
 whole ring by quasi-regularity (x is radical iff 1 - rx is invertible for
-every r).  The scan enumerates every element once for unit flags, then
-decides membership once per coset of the verified radical span, up to
-scalars, by walking the principal left ideal Rx with early exit.  Unit
-testing goes through a faithful matrix representation when one is
-available (invertibility in the matrix ring equals invertibility in the
-subalgebra), else through the regular representation.
+every r).  The scan rank-tests one element per scalar class for unit flags
+(unit(cx) = unit(x) for c != 0), then decides membership once per coset of
+the verified radical span, up to scalars, by walking the principal left
+ideal Rx with early exit.  Unit testing goes through the matrix basis when
+it represents 1 as the identity matrix (invertibility in the matrix ring
+then equals invertibility in the subalgebra), else through the regular
+representation.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .budget import Budget, default_budget
@@ -413,10 +415,17 @@ def algebra_make(
 # ---------------------------------------------------------------------------
 
 def _action_flats(r: Algebra) -> tuple[list[tuple[int, ...]], int]:
-    """Flattened matrices of a faithful representation, one per basis element."""
+    """Flattened matrices of a faithful representation, one per basis element.
+
+    The matrix basis serves only when it represents 1 as the identity matrix:
+    then x is a unit of R iff its matrix is invertible.  A basis of corner
+    matrices (1 acting as a proper idempotent) makes every element singular,
+    so such an algebra falls back to its left regular representation.
+    """
     if r.matrix_basis is not None:
         n = r.matrix_basis[0].rows
-        return [m.entries for m in r.matrix_basis], n
+        if mat_vec(r.matrix_basis, r.one) == Mat.identity(r.field, n):
+            return [m.entries for m in r.matrix_basis], n
     return [L.entries for L in r.left_mats], r.dim
 
 
@@ -446,43 +455,94 @@ def _full_rank_flat(flat: list[int], n: int, field: Field) -> bool:
     return True
 
 
+def _odometer_flags(base, flats, n: int, field: Field) -> bytearray:
+    """flags[code] = 1 when base + sum_i digit_i * flats[i] has full rank, for
+    every code of len(flats) base-q digits (digit i the coefficient of flats[i]).
+
+    An odometer walks the codes, keeping the matrix incrementally (one scaled
+    matrix per digit change), and runs an early-exit rank test on each.
+    """
+    q = field.q
+    add, mul = field.tables.add, field.tables.mul
+    k = len(flats)
+    scaled = [[None] + [[mul[v][x] for x in flat] for v in range(1, q)] for flat in flats]
+    size = q**k
+    flags = bytearray(size)
+    digits = [0] * k
+    acc = [base] * (k + 1)  # acc[j] = base + contribution of digits j..k-1
+    code = 0
+    while True:
+        flags[code] = _full_rank_flat(acc[0], n, field)
+        code += 1
+        if code >= size:
+            break
+        j = 0
+        while digits[j] == q - 1:
+            digits[j] = 0
+            j += 1
+        digits[j] += 1
+        acc[j] = [add[a][b] for a, b in zip(acc[j + 1], scaled[j][digits[j]])]
+        for i in range(j - 1, -1, -1):
+            acc[i] = acc[j]
+    return flags
+
+
+def _permute_digits(table: bytes, q: int, maps) -> bytearray:
+    """out[code] = table[code'], digit i of code' being maps[i][digit i of code].
+
+    The low half of the digits is gathered through one index list, and the
+    high half moves whole slices of that size, so no q^len(maps)-long list
+    of ints is ever built.
+    """
+    out = bytearray(table)
+    if not maps:
+        return out
+    low = (len(maps) + 1) // 2
+
+    def offsets(digit_maps, scale):
+        # offsets[code] = sum of digit_maps[i][digit i of code] * scale * q^i
+        offs = [0]
+        for digit_map in digit_maps:
+            offs = [o + digit_map[v] * scale for v in range(q) for o in offs]
+            scale *= q
+        return offs
+
+    width = q**low
+    gather = operator.itemgetter(*offsets(maps[:low], 1))
+    for start, h in zip(range(0, len(table), width), offsets(maps[low:], width)):
+        out[start: start + width] = gather(table[h: h + width])
+    return out
+
+
 def _unit_flags(r: Algebra) -> bytearray:
     """unit[code] = 1 when the element with that coordinate code is invertible.
 
-    Walks all q^dim coordinate vectors with an odometer, maintaining the
-    representing matrix incrementally (one scaled basis matrix per digit
-    change), and runs an early-exit rank test on each.
+    unit(cx) = unit(x) for every scalar c != 0, so the rank test runs once
+    per scalar class: only on the elements whose most significant nonzero
+    digit is 1.  For each top digit k an odometer walks the lower digits,
+    starting from the matrix of basis element k.  The segment of leading
+    digit c >= 2 is that segment permuted by the digit map x -> c^-1 x.
     """
     field = r.field
     q, d = field.q, r.dim
     flats, n = _action_flats(r)
-    add, mul = field.tables.add, field.tables.mul
-    scaled = [[None] * q for _ in range(d)]
+    inv, mul = field.tables.inv, field.tables.mul
+    unit = bytearray(q**d)
+    unit[0] = _full_rank_flat([0] * (n * n), n, field)  # the zero element
     for k in range(d):
-        for v in range(1, q):
-            mv = mul[v]
-            scaled[k][v] = [mv[x] for x in flats[k]]
-    size = q**d
-    unit = bytearray(size)
-    digits = [0] * d
-    acc = [[0] * (n * n) for _ in range(d + 1)]  # acc[k] = contribution of digits k..d-1
-    code = 0
-    while True:
-        unit[code] = 1 if _full_rank_flat(acc[0], n, field) else 0
-        code += 1
-        if code >= size:
-            break
-        k = 0
-        while digits[k] == q - 1:
-            digits[k] = 0
-            k += 1
-        digits[k] += 1
-        base = acc[k + 1]
-        s = scaled[k][digits[k]]
-        acc[k] = [add[a][b] for a, b in zip(base, s)]
-        for j in range(k - 1, -1, -1):
-            acc[j] = acc[j + 1]
+        width = q**k  # the codes of top digit k and leading digit c are c * width + lower
+        lead = _odometer_flags(flats[k], flats[:k], n, field)
+        unit[width: 2 * width] = lead
+        for c in range(2, q):
+            unit[c * width: (c + 1) * width] = _permute_digits(lead, q, [mul[inv[c]]] * k)
     return unit
+
+
+def _quasi_regular_flags(r: Algebra, unit: bytearray) -> bytearray:
+    """qr[code] = unit(1 - x): the unit flags permuted by the digit maps
+    x_i -> one_i - x_i."""
+    sub = r.field.tables.sub
+    return _permute_digits(unit, r.field.q, [sub[o] for o in r.one])
 
 
 def _decode_coords(code: int, q: int, d: int) -> Coords:
@@ -532,6 +592,12 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
     (v in V) and R(cx) = Rx (c != 0).  Zero means x is in V; each other
     representative is tested once, and a rejected one stays rejected while
     V grows (if one falls into V the oracle has contradicted itself).
+
+    Only the codes whose most significant nonzero digit is 1 are visited,
+    one per scalar class.  That loses nothing: representative(cx) equals
+    representative(x), and a radical y has the radical c^-1 y in its class,
+    which is a non-unit, quasi-regular and visited.  The unit flags are
+    likewise computed once per scalar class (see _unit_flags).
     The result is re-verified as a nilpotent two-sided ideal.
     """
     budget = budget or default_budget()
@@ -541,20 +607,8 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
     budget.guard_ring("radical oracle", size)
 
     unit = _unit_flags(r)
-    one_coords = r.one
-
-    add, sub, mul = field.tables.add, field.tables.sub, field.tables.mul
-    qr = bytearray(size)
-    coords = [0] * d
-    for code in range(size):
-        diff = [sub[a][b] for a, b in zip(one_coords, coords)]
-        qr[code] = unit[_encode_coords(diff, q)]
-        if code + 1 < size:
-            k = 0
-            while coords[k] == q - 1:
-                coords[k] = 0
-                k += 1
-            coords[k] += 1
+    qr = _quasi_regular_flags(r, unit)
+    add, mul = field.tables.add, field.tables.mul
 
     jbasis = RowBasis(field, d)
 
@@ -594,7 +648,7 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
         return tuple(v)
 
     rejected: set[Coords] = set()
-    for code in range(size):
+    for code in itertools.chain.from_iterable(range(q**k, 2 * q**k) for k in range(d)):
         if unit[code] or not qr[code]:
             continue
         rep = representative(_decode_coords(code, q, d))

@@ -347,9 +347,10 @@ def _make_corner_json(params, budget):
 def _make_triangular_json(params, budget):
     from .gallery import make_triangular
 
-    return make_triangular(
-        params.get("n", 3), _field_from(params), bool(params.get("scalar", 0))
-    ).to_json()
+    scalar = params.get("scalar", 0)
+    if scalar not in (0, 1, "false", "true"):
+        raise InputError(f"scalar must be 0, 1, false or true, got {scalar!r}")
+    return make_triangular(params.get("n", 3), _field_from(params), scalar in (1, "true")).to_json()
 
 
 def _make_matrix_json(params, budget):

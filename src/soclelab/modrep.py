@@ -725,7 +725,9 @@ def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
 
 def shrink_quotient(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
     """Faithful quotient M'' with socle length at most the bimodule length of
-    soc(R), via co-pieces with simple essential socle."""
+    soc(R), via co-pieces with simple essential socle.  Each pass of the
+    point scan that grows a co-piece is charged to the budget, as a running
+    total of its point count, before it runs."""
     budget = budget or default_budget()
     alg = m.algebra
     ok, _ = faithful(m)
@@ -741,6 +743,7 @@ def shrink_quotient(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
     ]
 
     kernels = []
+    charged = 0
     for j, l_sub in enumerate(summands):
         k_vectors = []
         for j2, l2 in enumerate(summands):
@@ -753,6 +756,8 @@ def shrink_quotient(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
         grown = True
         while grown:
             grown = False
+            charged += num_projective_points(qd.rep.dim, m.field.q)
+            budget.guard("shrink-quotient point enumeration", charged)
             for coeffs in enum_coeff_points(m.field, qd.rep.dim):
                 if n_bar.contains_vector(coeffs):
                     continue

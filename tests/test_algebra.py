@@ -6,6 +6,13 @@ import pytest
 from soclelab.algebra import (
     Algebra,
     SocleGraph,
+    _action_flats,
+    _decode_coords,
+    _encode_coords,
+    _full_rank_flat,
+    _permute_digits,
+    _quasi_regular_flags,
+    _unit_flags,
     algebra_make,
     bimodule_length,
     improved_bound,
@@ -17,7 +24,7 @@ from soclelab.algebra import (
 )
 from soclelab.budget import Budget
 from soclelab.errors import BudgetExceeded, InputError, NotSplitError, TheoremViolation
-from soclelab.exactla import Mat, RowBasis, Subspace
+from soclelab.exactla import Mat, RowBasis, Subspace, mat_vec
 from soclelab.gf import field_make
 from soclelab.gallery import (
     make_matrix_algebra,
@@ -164,15 +171,106 @@ def test_radical_oracle_matches_definition_on_small_gallery():
         assert radical_bruteforce(alg) == radical_by_definition(alg), name
 
 
-@pytest.mark.parametrize("p,e,n,max_dim", [(2, 1, 4, 7), (3, 1, 3, 5), (2, 2, 3, 4)])
+@pytest.mark.parametrize("p,e,n,max_dim", [(2, 1, 4, 7), (3, 1, 3, 5), (2, 2, 3, 4), (5, 1, 3, 4)])
 def test_radical_oracle_matches_definition_on_random_triangular(p, e, n, max_dim):
     # F_4 has two scalars besides 1, each the inverse of the other, so the
-    # oracle's scaling of coset representatives by inverses is exercised there
+    # oracle's scaling of coset representatives by inverses is exercised
+    # there; over F_5 the scalars 2 and 3 are inverses and 4 is its own
     field = field_make(p, e)
     rng = random.Random(f"radical-by-definition/{field.q}")
     for _ in range(6):
         alg = random_triangular_subalgebra(field, n, max_dim, rng)
         assert radical_bruteforce(alg) == radical_by_definition(alg)
+
+
+def corner_truncated_poly():
+    """k[x]/(x^2) in a corner of M_3: 1 is diag(1, 1, 0), not the identity."""
+    corner = Mat(GF2, 3, 3, (1, 0, 0, 0, 1, 0, 0, 0, 0))
+    return algebra_make(GF2, matrix_basis=[corner, Mat.unit(GF2, 3, 3, 0, 1)], one=(1, 0))
+
+
+def test_radical_of_a_corner_matrix_basis():
+    # every matrix of the basis is singular in M_3, so units are read off
+    # the regular representation instead
+    alg = corner_truncated_poly()
+    assert mat_vec(alg.matrix_basis, alg.one) != Mat.identity(GF2, 3)
+    twin = algebra_make(GF2, dim=2, mult=alg.mult, one=alg.one)
+    expected = Subspace.from_vectors(GF2, 2, [(0, 1)])
+    assert radical_bruteforce(alg) == radical_by_definition(alg) == radical_bruteforce(twin) == expected
+    assert alg.radical() == expected  # uncertified: radical() falls back to the oracle
+
+
+def unit_flags_per_element(alg):
+    """unit[code] with one rank test per element: an odometer over every
+    coordinate vector, keeping the representing matrix incrementally."""
+    field = alg.field
+    q, d = field.q, alg.dim
+    flats, n = _action_flats(alg)
+    scaled = [[[field.mul(v, x) for x in flat] for v in range(q)] for flat in flats]
+    unit = bytearray(q**d)
+    digits = [0] * d
+    acc = [[0] * (n * n) for _ in range(d + 1)]  # acc[k] = contribution of digits k..d-1
+    for code in range(q**d):
+        if code:
+            k = 0
+            while digits[k] == q - 1:
+                digits[k] = 0
+                k += 1
+            digits[k] += 1
+            acc[k] = [field.add(a, b) for a, b in zip(acc[k + 1], scaled[k][digits[k]])]
+            for j in range(k - 1, -1, -1):
+                acc[j] = acc[j + 1]
+        unit[code] = _full_rank_flat(acc[0], n, field)
+    return bytes(unit)
+
+
+def unit_flag_algebras():
+    """Algebras over every field q <= 9, with and without a matrix basis,
+    of dimension 1 and up, some whose basis element 0 is not 1."""
+    yield from iter_gallery_algebras(max_ring=3**6)
+    yield "corner-truncated-poly", corner_truncated_poly()
+    for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
+        field = field_make(p, e)
+        q = field.q
+        yield f"field-q{q}", algebra_make(field, dim=1, mult=[[(1,)]], one=(1,))
+        # k[x]/(x^2) on the basis (x, 1)
+        yield f"x-first-q{q}", algebra_make(field, dim=2, mult=[[(0, 0), (1, 0)], [(1, 0), (0, 1)]], one=(0, 1))
+        yield f"triangular-2x2-q{q}", make_triangular(2, field, False)
+        yield f"triangular-2x2-q{q}-scalar", make_triangular(2, field, True)
+        yield f"square-zero-q{q}-g2", make_square_zero_extension(field, 2)
+        if q <= 5:
+            yield f"matrix-algebra-2x2-q{q}", make_matrix_algebra(2, field)
+
+
+def test_unit_flags_match_the_per_element_scan():
+    for name, alg in unit_flag_algebras():
+        assert _unit_flags(alg) == unit_flags_per_element(alg), name
+
+
+def test_quasi_regular_flags_read_the_unit_flag_of_one_minus_x():
+    for name, alg in unit_flag_algebras():
+        field, q, d = alg.field, alg.field.q, alg.dim
+        unit = _unit_flags(alg)
+        expected = bytes(
+            unit[_encode_coords([field.sub(o, x) for o, x in zip(alg.one, _decode_coords(code, q, d))], q)]
+            for code in range(q**d)
+        )
+        assert _quasi_regular_flags(alg, unit) == expected, name
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_permute_digits_matches_coordinate_codes(p, e):
+    field = field_make(p, e)
+    q = field.q
+    rng = random.Random(f"permute-digits/{q}")
+    for d in range(5):
+        table = bytes(rng.randrange(256) for _ in range(q**d))
+        maps = [rng.sample(range(q), q) for _ in range(d)]
+        expected = bytes(
+            table[_encode_coords([digit_map[c] for digit_map, c in zip(maps, _decode_coords(code, q, d))], q)]
+            for code in range(q**d)
+        )
+        assert _permute_digits(table, q, maps) == expected, d
 
 
 # -- socles --------------------------------------------------------------------------

@@ -178,6 +178,17 @@ def test_gallery_unknown_name(capsys):
     assert code == 2
 
 
+def test_gallery_triangular_scalar_flag(tmp_path, capsys):
+    dims = {}
+    for value in ("0", "false", "1", "true"):
+        path = write_gallery(tmp_path, capsys, "triangular", "n=3", "q=2", f"scalar={value}")
+        dims[value] = json.loads(path.read_text())["dim"]
+    assert dims == {"0": 6, "false": 6, "1": 4, "true": 4}
+    code, out = run(capsys, "gallery", "make", "triangular", "scalar=no")
+    assert code == 2
+    assert "scalar must be" in json.loads(out.strip().splitlines()[-1])["details"]["error"]
+
+
 def test_gallery_round_trips(tmp_path, capsys):
     # every gallery object must survive serialize -> parse -> serialize
     from soclelab.algebra import Algebra

@@ -5,7 +5,7 @@ import pytest
 from soclelab.algebra import algebra_make, bimodule_length, socle_graph, socles
 from soclelab.budget import Budget
 from soclelab.errors import BudgetExceeded, InputError, NotSplitError, PreconditionError
-from soclelab.exactla import Mat, Subspace, enum_vectors, kernel
+from soclelab.exactla import Mat, Subspace, enum_vectors, kernel, num_projective_points
 from soclelab.gf import field_make
 from soclelab import modrep
 from soclelab.gallery import (
@@ -535,3 +535,22 @@ def test_simple_socle_scan_charges_the_budget():
         list(simple_socle_submodules(top, Budget(max_enumeration=total - 1)))
     assert (exc.value.needed, exc.value.cap) == (total, total - 1)
     assert len(list(simple_socle_submodules(top, Budget(max_enumeration=total)))) == total
+
+
+def test_shrink_quotient_point_scan_charges_the_budget(monkeypatch):
+    _ring, module = make_row_diagonal_pair()
+    scans = []
+    real = modrep.enum_coeff_points
+
+    def counting(field, dim):
+        scans.append(dim)
+        return real(field, dim)
+
+    monkeypatch.setattr(modrep, "enum_coeff_points", counting)
+    shrunk = shrink_quotient(module)
+    assert len(scans) > 1  # the charge is a running total over several passes
+    total = sum(num_projective_points(dim, module.field.q) for dim in scans)
+    with pytest.raises(BudgetExceeded, match="shrink-quotient point enumeration") as exc:
+        shrink_quotient(module, Budget(max_enumeration=total - 1))
+    assert (exc.value.needed, exc.value.cap) == (total, total - 1)
+    assert shrink_quotient(module, Budget(max_enumeration=total)).action == shrunk.action
