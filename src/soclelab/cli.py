@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -172,6 +173,13 @@ def _resolve_module(args) -> "object":
     from .modrep import ModuleRep
 
     data = _load_json(args.file)
+    if not isinstance(data, dict):
+        raise InputError(f"{args.file} does not hold a JSON object")
+    if isinstance(data.get("module"), dict):
+        # the shape `gallery make row-diagonal-module` writes: {"algebra", "module"}
+        outer, data = data, dict(data["module"])
+        if "algebra" in outer:
+            data.setdefault("algebra", outer["algebra"])
     algebra = None
     if "algebra_ref" in data:
         ref = Path(args.file).parent / data["algebra_ref"]
@@ -268,22 +276,38 @@ def _cmd_gallery_list(args, reporter: Reporter, budget: Budget) -> int:
     return EXIT_PASS
 
 
-def _gallery_params(pairs) -> dict:
+_FLAGS = {"0": False, "1": True, "false": False, "true": True}
+
+
+def _gallery_params(name: str, pairs) -> dict:
+    """The key=value parameters of a gallery item, each checked against the
+    item's parameter names: `scalar` takes 0, 1, false or true, every other
+    parameter an integer."""
+    allowed = GALLERY[name]["params"]
     out = {}
     for pair in pairs:
         if "=" not in pair:
             raise InputError(f"gallery parameters look like key=value, got {pair!r}")
         key, value = pair.split("=", 1)
-        out[key] = int(value) if value.lstrip("-").isdigit() else value
+        if key not in allowed:
+            takes = ", ".join(allowed) if allowed else "no parameters"
+            raise InputError(f"gallery item {name!r} has no parameter {key!r} (it takes {takes})")
+        if key == "scalar":
+            if value not in _FLAGS:
+                raise InputError(f"scalar must be 0, 1, false or true, got {value!r}")
+            out[key] = _FLAGS[value]
+        elif re.fullmatch(r"-?[0-9]+", value):
+            out[key] = int(value)
+        else:
+            raise InputError(f"gallery parameter {key} must be an integer, got {value!r}")
     return out
 
 
 def _cmd_gallery_make(args, reporter: Reporter, budget: Budget) -> int:
     if args.name not in GALLERY:
         raise InputError(f"unknown gallery item {args.name!r}; run `gallery list`")
-    spec = GALLERY[args.name]
-    params = _gallery_params(args.params)
-    obj_json = spec["factory"](params, budget)
+    params = _gallery_params(args.name, args.params)
+    obj_json = GALLERY[args.name]["factory"](params, budget)
     if args.out:
         Path(args.out).write_text(json.dumps(obj_json, indent=2, sort_keys=True))
         reporter.emit("gallery make", "pass", {"name": args.name, "written": args.out})
@@ -347,10 +371,7 @@ def _make_corner_json(params, budget):
 def _make_triangular_json(params, budget):
     from .gallery import make_triangular
 
-    scalar = params.get("scalar", 0)
-    if scalar not in (0, 1, "false", "true"):
-        raise InputError(f"scalar must be 0, 1, false or true, got {scalar!r}")
-    return make_triangular(params.get("n", 3), _field_from(params), scalar in (1, "true")).to_json()
+    return make_triangular(params.get("n", 3), _field_from(params), params.get("scalar", False)).to_json()
 
 
 def _make_matrix_json(params, budget):
@@ -394,38 +415,47 @@ GALLERY = {
     "cross": {
         "description": "row + column support space; dim m+n-1, both coverage conditions (params m n q)",
         "factory": _make_cross_json,
+        "params": ("m", "n", "q"),
     },
     "corner": {
         "description": "first t rows and columns with equal leading diagonal (params m n t q)",
         "factory": _make_corner_json,
+        "params": ("m", "n", "t", "q"),
     },
     "triangular": {
         "description": "upper triangular n x n matrices, optionally scalar diagonal (params n q scalar)",
         "factory": _make_triangular_json,
+        "params": ("n", "q", "scalar"),
     },
     "matrix-algebra": {
         "description": "full n x n matrix algebra (params n q)",
         "factory": _make_matrix_json,
+        "params": ("n", "q"),
     },
     "square-zero-extension": {
         "description": "local algebra k + V with V V = 0, dim V = g (params q g)",
         "factory": _make_square_zero_json,
+        "params": ("q", "g"),
     },
     "twisted-truncated": {
         "description": "truncated twisted polynomial ring over F_{p^d} (params p d n)",
         "factory": _make_twisted_json,
+        "params": ("p", "d", "n"),
     },
     "line-cover-system": {
         "description": "one block per line of k^d acting onto that line; fails the length inequality (params q d)",
         "factory": _make_line_cover_json,
+        "params": ("q", "d"),
     },
     "row-diagonal-module": {
         "description": "the 6-dim F_2 ring (first row + diagonal) with its 5-dim faithful minimal module",
         "factory": _make_row_diagonal_json,
+        "params": (),
     },
     "number-field-example": {
         "description": "characteristic-zero example: documented out-of-scope stub",
         "factory": _make_number_field_json,
+        "params": (),
     },
 }
 

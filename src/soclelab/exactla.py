@@ -109,6 +109,12 @@ def rref_rows(rows, ncols: int, field: Field, force_generic: bool = False) -> tu
     return reduced[: len(pivots)], pivots
 
 
+def row_rank(rows, ncols: int, field: Field) -> int:
+    """Dimension of the span of the given row vectors: the pivot count of
+    their RREF, for callers that read only a dimension."""
+    return len(rref_rows(rows, ncols, field)[1])
+
+
 # ---------------------------------------------------------------------------
 # incremental row space (membership and rank without full re-reduction)
 # ---------------------------------------------------------------------------
@@ -386,7 +392,7 @@ class Mat:
         return mat_of_rows(self.field, self.cols, reduced + [[0] * self.cols] * (self.rows - rank)), rank
 
     def rank(self) -> int:
-        return len(rref_rows(self.row_list(), self.cols, self.field)[1])
+        return row_rank(self.row_list(), self.cols, self.field)
 
     # JSON ----------------------------------------------------------------------
     def to_json(self) -> dict:
@@ -412,10 +418,11 @@ class Mat:
             return int(x)
         try:
             rows = [[dec(x) for x in row] for row in data["entries"]]
-        except (KeyError, TypeError) as exc:
+            shape = int(data["rows"]), int(data["cols"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad matrix JSON: {exc}")
-        mat = Mat.from_rows(field, rows) if rows else Mat.zero(field, 0, int(data.get("cols", 0)))
-        if mat.rows != int(data["rows"]) or mat.cols != int(data["cols"]):
+        mat = Mat.from_rows(field, rows) if rows else Mat.zero(field, 0, shape[1])
+        if (mat.rows, mat.cols) != shape:
             raise InputError("matrix JSON shape disagrees with entries")
         return mat
 
@@ -655,23 +662,33 @@ def enum_hyperplanes(s: Subspace):
 
     One hyperplane per projective point phi of the coefficient space, in
     `enum_coeff_points` order: the x in s whose coordinates satisfy
-    phi . x = 0.  phi is already in echelon form (leading 1 at `lead`), so
-    that kernel is read off directly: it is spanned by
-    basis[j] - phi[j] * basis[lead] for every j != lead."""
+    phi . x = 0.  It is built directly in RREF.  Let k be the last index
+    with phi[k] != 0; the hyperplane is spanned by
+    r_j - (phi[j] / phi[k]) * r_k for every j != k, where r_j are the basis
+    rows of s.  Those rows are already reduced: for j > k the coefficient
+    is 0 and the row is r_j itself, and for j < k subtracting a multiple of
+    r_k leaves r_j's leading 1 in place, since r_k is zero before its pivot
+    p_k and zero at every other pivot column.  So the pivots are those of s
+    without p_k, and no elimination runs."""
     if s.dim == 0:
         raise InputError("zero subspace has no hyperplanes")
     field = s.field
-    sub, mul = field.tables.sub, field.tables.mul
-    basis = s.basis_rows
+    sub, mul, inv = field.tables.sub, field.tables.mul, field.tables.inv
+    basis, pivots = s.basis_rows, s.pivots
     for phi in enum_coeff_points(field, s.dim):
-        lead = phi.index(1)
-        lead_row = basis[lead]
-        vectors = []
+        k = max(j for j, x in enumerate(phi) if x)
+        last_row = basis[k]
+        scale = mul[inv[phi[k]]]  # phi[j] -> phi[j] / phi[k]
+        rows = []
         for j, row in enumerate(basis):
-            if j != lead:
-                mf = mul[phi[j]]
-                vectors.append([sub[x][mf[y]] for x, y in zip(row, lead_row)])
-        yield Subspace.from_vectors(field, s.ambient_dim, vectors)
+            if j == k:
+                continue
+            if phi[j]:
+                mf = mul[scale[phi[j]]]
+                rows.append(tuple([sub[x][mf[y]] for x, y in zip(row, last_row)]))
+            else:
+                rows.append(row)
+        yield Subspace(field, s.ambient_dim, tuple(rows), pivots[:k] + pivots[k + 1:])
 
 
 def enum_subspaces(field: Field, n: int, dim: int):

@@ -40,6 +40,7 @@ from .exactla import (
     mat_of_rows,
     mat_vec,
     num_projective_points,
+    row_rank,
     vec_combo,
 )
 from .strongness import BilinearSystem, BlockSpec, SystemReport, prop41_check
@@ -103,12 +104,18 @@ class ModuleRep:
 
     @staticmethod
     def from_json(data: dict, algebra: Algebra | None = None) -> "ModuleRep":
+        if not isinstance(data, dict):
+            raise InputError("module JSON must be an object")
+        dim, action = data.get("dim"), data.get("action")
+        if type(dim) is not int or dim < 0:
+            raise InputError(f"module JSON needs a nonnegative integer dim, got {dim!r}")
+        if not isinstance(action, list):
+            raise InputError("module JSON needs an action list, one matrix per algebra basis element")
         if algebra is None:
             if "algebra" not in data:
                 raise InputError("module JSON needs an inline algebra or a resolved algebra_ref")
             algebra = Algebra.from_json(data["algebra"])
-        action = tuple(Mat.from_json(mj, algebra.field) for mj in data["action"])
-        return module_make(algebra, action)
+        return ModuleRep(algebra, dim, tuple(Mat.from_json(mj, algebra.field) for mj in action))
 
 
 def module_make(algebra: Algebra, action) -> ModuleRep:
@@ -144,23 +151,31 @@ def faithful(m: ModuleRep) -> tuple[bool, Subspace]:
     return ann.dim == 0, ann
 
 
+def _images_on(mats, w: Subspace) -> list:
+    """Per matrix, the images of w's basis under it, concatenated."""
+    return [tuple(itertools.chain.from_iterable(mat.apply(v) for v in w.basis_rows)) for mat in mats]
+
+
+def _residuals_mod(mats, k_sub: Subspace) -> list:
+    """Per matrix, its columns reduced modulo k_sub, concatenated."""
+    return [
+        tuple(itertools.chain.from_iterable(k_sub.reduce(mat.col(k)) for k in range(mat.cols)))
+        for mat in mats
+    ]
+
+
 def annihilator_of_subspace(m: ModuleRep, w: Subspace) -> Subspace:
     """{r : r acts as zero on w}, in algebra coordinates."""
     if w.dim == 0:
         return Subspace.full(m.field, m.algebra.dim)
     # column i stacks the images of w's basis under basis element i
-    columns = [tuple(itertools.chain.from_iterable(mat.apply(v) for v in w.basis_rows)) for mat in m.action]
-    return kernel(mat_of_columns(m.field, w.dim * m.dim, columns))
+    return kernel(mat_of_columns(m.field, w.dim * m.dim, _images_on(m.action, w)))
 
 
 def annihilator_of_quotient(m: ModuleRep, k_sub: Subspace) -> Subspace:
     """{r : r M is contained in k_sub}, in algebra coordinates."""
     # column i stacks the residuals mod k_sub of basis element i's columns
-    columns = [
-        tuple(itertools.chain.from_iterable(k_sub.reduce(mat.col(k)) for k in range(m.dim)))
-        for mat in m.action
-    ]
-    return kernel(mat_of_columns(m.field, m.dim * m.dim, columns))
+    return kernel(mat_of_columns(m.field, m.dim * m.dim, _residuals_mod(m.action, k_sub)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +424,16 @@ def minimal_faithful(m: ModuleRep, budget: Budget | None = None) -> MinimalityRe
     ok, _ = faithful(m)
     if not ok:
         raise PreconditionError("minimality is only defined for faithful modules")
+    # an annihilator is zero exactly when the algebra basis acts independently
+    n, field = m.algebra.dim, m.field
     sub_flag, sub_wit = True, None
     for _f, _h, w in maximal_submodules(m, budget):
-        if annihilator_of_subspace(m, w).dim == 0:
+        if row_rank(_images_on(m.action, w), w.dim * m.dim, field) == n:
             sub_flag, sub_wit = False, w
             break
     quot_flag, quot_wit = True, None
     for _f, _u, l_sub in simple_socle_submodules(m, budget):
-        if annihilator_of_quotient(m, l_sub).dim == 0:
+        if row_rank(_residuals_mod(m.action, l_sub), m.dim * m.dim, field) == n:
             quot_flag, quot_wit = False, l_sub
             break
     return MinimalityReport(sub_flag, quot_flag, sub_wit, quot_wit)
@@ -641,12 +658,12 @@ def module_report(m: ModuleRep, budget: Budget | None = None) -> ModuleReport:
 # shrinking constructions
 # ---------------------------------------------------------------------------
 
-def _soc_annihilator_of_subspace(m: ModuleRep, w: Subspace, soc_r: Subspace) -> Subspace:
-    return soc_r.intersect(annihilator_of_subspace(m, w))
-
-
-def _soc_annihilator_of_quotient(m: ModuleRep, k_sub: Subspace, soc_r: Subspace) -> Subspace:
-    return soc_r.intersect(annihilator_of_quotient(m, k_sub))
+def _soc_annihilator_dim(field, soc_images: list, width: int) -> int:
+    """dim(soc(R) ∩ annihilator), given what each basis element of soc(R)
+    does (its action on a subspace, or its residuals modulo one), as vectors
+    of length width: the basis is independent, so the intersection has the
+    basis size less the rank of those vectors."""
+    return len(soc_images) - row_rank(soc_images, width, field)
 
 
 def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
@@ -692,19 +709,20 @@ def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
             raise TheoremViolation("cyclic piece failed to have simple top")
         pieces.append(n_sub)
 
+    soc_actions = [m.act_mat(r) for r in soc_r.basis_rows]
     chosen = Subspace.zero(m.field, m.dim)
-    ann_cur = soc_r
+    ann_dim = soc_r.dim
     used = [False] * len(pieces)
     steps = 0
-    while ann_cur.dim > 0:
+    while ann_dim > 0:
         progressed = False
         for idx, piece in enumerate(pieces):
             if used[idx]:
                 continue
             cand = chosen.sum(piece)
-            ann_new = _soc_annihilator_of_subspace(m, cand, soc_r)
-            if ann_new.dim < ann_cur.dim:
-                chosen, ann_cur = cand, ann_new
+            new_dim = _soc_annihilator_dim(m.field, _images_on(soc_actions, cand), cand.dim * m.dim)
+            if new_dim < ann_dim:
+                chosen, ann_dim = cand, new_dim
                 used[idx] = True
                 progressed = True
                 steps += 1
@@ -778,19 +796,20 @@ def shrink_quotient(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
             raise TheoremViolation("co-piece failed to have simple socle")
         kernels.append(n_j)
 
+    soc_actions = [m.act_mat(r) for r in soc_r.basis_rows]
     k_cur = Subspace.full(m.field, m.dim)
-    ann_cur = soc_r
+    ann_dim = soc_r.dim
     used = [False] * len(kernels)
     steps = 0
-    while ann_cur.dim > 0:
+    while ann_dim > 0:
         progressed = False
         for idx, n_j in enumerate(kernels):
             if used[idx]:
                 continue
             cand = k_cur.intersect(n_j)
-            ann_new = _soc_annihilator_of_quotient(m, cand, soc_r)
-            if ann_new.dim < ann_cur.dim:
-                k_cur, ann_cur = cand, ann_new
+            new_dim = _soc_annihilator_dim(m.field, _residuals_mod(soc_actions, cand), m.dim * m.dim)
+            if new_dim < ann_dim:
+                k_cur, ann_dim = cand, new_dim
                 used[idx] = True
                 progressed = True
                 steps += 1

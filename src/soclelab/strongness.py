@@ -37,6 +37,7 @@ from .exactla import (
     mat_of_rows,
     mat_vec,
     num_projective_points,
+    row_rank,
     vec_combo,
 )
 from .gf import Field
@@ -178,35 +179,43 @@ class BilinearSystem:
             out[off + j * block.n + row] = c
         return tuple(out)
 
-    def image_mult_space(self, a: Mat, f: int) -> Subspace:
-        """Multiplicity space of the submodule generated by a's image, block f:
-        the span of the copy vectors (a[(f, j, i), col])_j over every row i of
-        the block and every column col of a."""
+    def _image_mult_vectors(self, a: Mat, f: int) -> list:
+        """The copy vectors (a[(f, j, i), col])_j over every row i of block f
+        and every column col of a; they span `image_mult_space`."""
         block = self.t_blocks[f]
         off = self._c_offsets[f]
         entries, width = a.entries, a.cols
-        vectors = [
+        return [
             tuple(entries[(off + j * block.n + i) * width + col] for j in range(block.mult))
             for col in range(width)
             for i in range(block.n)
         ]
-        return Subspace.from_vectors(self.field, block.mult, [v for v in vectors if any(v)])
 
-    def kernel_mult_space(self, a: Mat, e: int) -> Subspace:
-        """Multiplicity space of the largest submodule of eB inside ker(a)."""
+    def image_mult_space(self, a: Mat, f: int) -> Subspace:
+        """Multiplicity space of the submodule generated by a's image, block f."""
+        vectors = self._image_mult_vectors(a, f)
+        return Subspace.from_vectors(self.field, self.t_blocks[f].mult, [v for v in vectors if any(v)])
+
+    def _kernel_mult_rows(self, a: Mat, e: int) -> list:
+        """Rows of the solve whose null space is `kernel_mult_space`."""
         block = self.s_blocks[e]
         off = self._b_offsets[e]
         entries, width = a.entries, a.cols
         # m in k^{mult} lies in the kernel-submodule iff sum_j m_j a(e_{j,i}) = 0 for all i;
         # row (i, coord) of the solve holds coordinate coord of a(e_{j,i}) for each copy j
-        mat_rows = [
+        return [
             [entries[coord * width + off + j * block.n + i] for j in range(block.mult)]
             for i in range(block.n)
             for coord in range(self.dim_c)
         ]
+
+    def kernel_mult_space(self, a: Mat, e: int) -> Subspace:
+        """Multiplicity space of the largest submodule of eB inside ker(a)."""
+        mult = self.s_blocks[e].mult
+        mat_rows = self._kernel_mult_rows(a, e)
         if not mat_rows:
-            return Subspace.full(self.field, block.mult)
-        return kernel(mat_of_rows(self.field, block.mult, mat_rows))
+            return Subspace.full(self.field, mult)
+        return kernel(mat_of_rows(self.field, mult, mat_rows))
 
     # -- submodule enumeration ---------------------------------------------------------
     def maximal_b_submodules(self):
@@ -375,28 +384,25 @@ def _iter_span_elements(field: Field, basis_rows, include_zero=False):
 
 
 def _image_is_inside_simple(sys: BilinearSystem, a: Mat) -> bool:
-    """True when the submodule generated by a's image is simple or zero-in-
-    all-but-one-block with multiplicity dimension one."""
-    nonzero_blocks = 0
-    simple = True
-    for f in range(len(sys.t_blocks)):
-        mdim = sys.image_mult_space(a, f).dim
-        if mdim > 0:
-            nonzero_blocks += 1
-            if mdim > 1:
-                simple = False
-    return nonzero_blocks == 1 and simple
+    """True when the submodule generated by a's image is simple: its
+    multiplicity spaces have dimensions summing to 1 over the blocks."""
+    total = 0
+    for f, block in enumerate(sys.t_blocks):
+        total += row_rank(sys._image_mult_vectors(a, f), block.mult, sys.field)
+        if total > 1:
+            return False
+    return total == 1
 
 
 def _kernel_contains_maximal(sys: BilinearSystem, a: Mat) -> bool:
-    """True when ker(a) contains a maximal submodule of B."""
-    total_colength = 0
+    """True when ker(a) contains a maximal submodule of B: the colengths
+    mult - dim `kernel_mult_space`, the ranks of its solves, sum to 1."""
+    total = 0
     for e, block in enumerate(sys.s_blocks):
-        if block.mult == 0:
-            continue
-        kdim = sys.kernel_mult_space(a, e).dim
-        total_colength += block.mult - kdim
-    return total_colength == 1
+        total += row_rank(sys._kernel_mult_rows(a, e), block.mult, sys.field)
+        if total > 1:
+            return False
+    return total == 1
 
 
 def _corner_orbits(sys: BilinearSystem, a: Mat) -> dict[tuple[int, int], tuple]:
@@ -433,7 +439,7 @@ def _corner_orbits(sys: BilinearSystem, a: Mat) -> dict[tuple[int, int], tuple]:
 def _has_nonzero_solution(field: Field, images: list, width: int) -> bool:
     """Whether some nonzero combination of independent basis elements has
     zero image, given each element's image as a vector of length width."""
-    return Subspace.from_vectors(field, width, images).dim < len(images)
+    return row_rank(images, width, field) < len(images)
 
 
 def _corners_have_maximal_kernel(sys: BilinearSystem, corners: dict) -> bool:

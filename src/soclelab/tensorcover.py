@@ -38,6 +38,7 @@ from .exactla import (
     mat_of_rows,
     mat_vec,
     num_projective_points,
+    row_rank,
 )
 from .gf import Field
 
@@ -111,10 +112,8 @@ def rank_one(field: Field, b, c) -> Mat:
 # the coverage conditions
 # ---------------------------------------------------------------------------
 
-def _partner_space(flat: Subspace, b, n: int):
-    """Basis of {c : b (x) c lies in the flat space}, given a row factor b."""
-    field = flat.field
-    mul = field.mul
+def _residuals(flat: Subspace, b, n: int) -> list:
+    """The residuals modulo the flat space of b (x) e_j, j = 0 .. n - 1."""
     residuals = []
     for j in range(n):
         v = [0] * (len(b) * n)
@@ -122,14 +121,21 @@ def _partner_space(flat: Subspace, b, n: int):
             if bi:
                 v[i * n + j] = bi
         residuals.append(flat.reduce(v))
+    return residuals
+
+
+def _partner_space(flat: Subspace, b, n: int):
+    """Basis of {c : b (x) c lies in the flat space}, given a row factor b."""
     # c must combine the residual columns to zero
-    return kernel(mat_of_columns(field, len(b) * n, residuals))
+    return kernel(mat_of_columns(flat.field, len(b) * n, _residuals(flat, b, n)))
 
 
 def _covers_rows_flat(flat: Subspace, m: int, n: int) -> bool:
+    # b is uncovered exactly when the partner space is zero: when the n
+    # residuals are independent
     field = flat.field
     for b in enum_coeff_points(field, m):
-        if _partner_space(flat, b, n).dim == 0:
+        if row_rank(_residuals(flat, b, n), m * n, field) == n:
             return False
     return True
 

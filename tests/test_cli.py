@@ -189,6 +189,67 @@ def test_gallery_triangular_scalar_flag(tmp_path, capsys):
     assert "scalar must be" in json.loads(out.strip().splitlines()[-1])["details"]["error"]
 
 
+@pytest.mark.parametrize("params, message", [
+    (["n=x", "q=3"], "must be an integer"),
+    (["n=3", "q=2.5"], "must be an integer"),
+    (["n=3", "bogus=1"], "no parameter 'bogus'"),
+])
+def test_gallery_bad_parameter_is_an_input_error(capsys, params, message):
+    code, out = run(capsys, "gallery", "make", "triangular", *params)
+    assert code == 2
+    record = json.loads(out.strip().splitlines()[-1])
+    assert record["verdict"] == "input-error"
+    assert message in record["details"]["error"]
+
+
+def test_gallery_unknown_parameter_is_not_ignored(capsys):
+    code, out = run(capsys, "gallery", "make", "cross", "m=2", "n=2", "q=2", "bogus=1")
+    assert code == 2
+    assert "no parameter 'bogus'" in json.loads(out.strip().splitlines()[-1])["details"]["error"]
+    code, _ = run(capsys, "gallery", "make", "row-diagonal-module", "q=2")
+    assert code == 2
+
+
+def test_module_commands_read_the_gallery_module_file(tmp_path, capsys):
+    # `gallery make row-diagonal-module` writes {"algebra", "module"}; the module
+    # commands read it as they read the bare module
+    path = write_gallery(tmp_path, capsys, "row-diagonal-module")
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(json.loads(path.read_text())["module"]))
+    code, out = run(capsys, "module", "check", str(path))
+    assert code == 1
+    code_bare, out_bare = run(capsys, "module", "check", str(bare))
+    assert code_bare == 1
+    assert json.loads(out)["details"] == json.loads(out_bare)["details"]
+    for mode in ("sub", "quot", "subfactor"):
+        code, out = run(capsys, "module", "shrink", str(path), "--mode", mode)
+        assert code == 0
+        code_bare, out_bare = run(capsys, "module", "shrink", str(bare), "--mode", mode)
+        assert json.loads(out)["details"] == json.loads(out_bare)["details"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.pop("action"), "action list"),
+    (lambda d: d.update(action={"0": 1}), "action list"),
+    (lambda d: d.pop("dim"), "integer dim"),
+    (lambda d: d.update(dim="5"), "integer dim"),
+    (lambda d: d.update(dim=4), "shape"),
+    (lambda d: d["action"][0].pop("rows"), "bad matrix JSON"),
+])
+def test_malformed_module_json_is_an_input_error(tmp_path, capsys, edit, message):
+    _ring, module = make_row_diagonal_pair()
+    data = module.to_json()
+    edit(data)
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(data))
+    for command in (["module", "check", str(path)], ["module", "shrink", str(path), "--mode", "sub"]):
+        code, out = run(capsys, *command)
+        assert code == 2
+        record = json.loads(out.strip().splitlines()[-1])
+        assert record["verdict"] == "input-error"
+        assert message in record["details"]["error"]
+
+
 def test_gallery_round_trips(tmp_path, capsys):
     # every gallery object must survive serialize -> parse -> serialize
     from soclelab.algebra import Algebra

@@ -20,6 +20,7 @@ from soclelab.exactla import (
     kernel,
     mat_vec,
     num_projective_points,
+    row_rank,
     rref_rows,
     solve,
     subspace_ops,
@@ -199,16 +200,51 @@ def _hyperplanes_by_kernel(s):
         yield Subspace.from_vectors(field, s.ambient_dim, vectors)
 
 
+def _hyperplanes_by_elimination(s):
+    """The construction the closed form replaced: r_j - phi[j] * r_lead for
+    every j != lead, phi's leading 1, then put in canonical form by rref."""
+    field, basis = s.field, s.basis_rows
+    sub, mul = field.tables.sub, field.tables.mul
+    for phi in enum_coeff_points(field, s.dim):
+        lead = phi.index(1)
+        vectors = [
+            [sub[x][mul[phi[j]][y]] for x, y in zip(row, basis[lead])]
+            for j, row in enumerate(basis) if j != lead
+        ]
+        yield Subspace.from_vectors(field, s.ambient_dim, vectors)
+
+
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f"q{f.q}")
 def test_enum_hyperplanes_matches_kernel_construction(field, rng):
-    for ambient in range(1, 6):
-        for dim in range(1, min(4, ambient) + 1):
+    # rows and pivots alike (Subspace equality), against both references, and
+    # the closed-form rows are already their own RREF
+    for ambient in range(1, 7):
+        for dim in range(1, min(5, ambient) + 1):
+            if num_projective_points(dim, field.q) > 1000:
+                continue
             for _ in range(3):
                 vectors = [[rng.randrange(field.q) for _ in range(ambient)] for _ in range(dim)]
                 s = Subspace.from_vectors(field, ambient, vectors)
                 if s.dim == 0:
                     continue
-                assert list(enum_hyperplanes(s)) == list(_hyperplanes_by_kernel(s))
+                closed = list(enum_hyperplanes(s))
+                assert closed == list(_hyperplanes_by_kernel(s)) == list(_hyperplanes_by_elimination(s))
+                for h in closed:
+                    assert rref_rows(h.basis_rows, ambient, field) == ([list(r) for r in h.basis_rows], list(h.pivots))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f"q{f.q}")
+def test_row_rank_is_the_dimension_of_the_span(field, rng):
+    for _ in range(30):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        vectors = [[rng.randrange(field.q) for _ in range(cols)] for _ in range(rows)]
+        if rows and rng.random() < 0.5:
+            vectors.append(list(vec_combo(field, vectors, [rng.randrange(field.q) for _ in vectors])))
+        rank = row_rank(vectors, cols, field)
+        assert rank == Subspace.from_vectors(field, cols, vectors).dim
+        if vectors:
+            m = Mat.from_rows(field, vectors)
+            assert rank == m.rank() == len(vectors) - kernel(m.transpose()).dim
 
 
 def test_subspace_counts_match_gaussian_binomials():

@@ -4,6 +4,7 @@ import pytest
 
 from soclelab.algebra import algebra_make, bimodule_length, socle_graph, socles
 from soclelab.budget import Budget
+from soclelab.corpus import iter_generator_modules
 from soclelab.errors import BudgetExceeded, InputError, NotSplitError, PreconditionError
 from soclelab.exactla import Mat, Subspace, enum_vectors, kernel, num_projective_points
 from soclelab.gf import field_make
@@ -554,3 +555,68 @@ def test_shrink_quotient_point_scan_charges_the_budget(monkeypatch):
         shrink_quotient(module, Budget(max_enumeration=total - 1))
     assert (exc.value.needed, exc.value.cap) == (total, total - 1)
     assert shrink_quotient(module, Budget(max_enumeration=total)).action == shrunk.action
+
+
+# -- dimension-only questions by rank, against the annihilator subspaces ----------
+
+CRITERION_8_ALGEBRAS = [
+    make_twisted_truncated(2, 1, 1),
+    make_twisted_truncated(3, 1, 1),
+    make_square_zero_extension(GF2, 2),
+    make_triangular(2, GF2, True),
+    make_triangular(3, GF2, True),
+]
+
+
+def minimal_faithful_by_annihilators(m: ModuleRep) -> tuple:
+    """Flags and witnesses of `minimal_faithful`, from the annihilator subspaces."""
+    sub_wit = next((w for _f, _h, w in maximal_submodules(m) if annihilator_of_subspace(m, w).dim == 0), None)
+    quot_wit = next((l for _f, _u, l in simple_socle_submodules(m) if annihilator_of_quotient(m, l).dim == 0), None)
+    return sub_wit is None, quot_wit is None, sub_wit, quot_wit
+
+
+def test_minimal_faithful_by_rank_matches_the_annihilators():
+    faithful_count = not_minimal = 0
+    for alg in CRITERION_8_ALGEBRAS:
+        for dim in (1, 2, 3):
+            for m in iter_generator_modules(alg, dim):
+                if not faithful(m)[0]:
+                    continue
+                report = minimal_faithful(m)
+                got = (report.no_faithful_max_submodule, report.no_faithful_simple_quotient,
+                       report.submodule_witness, report.quotient_witness)
+                assert got == minimal_faithful_by_annihilators(m)
+                faithful_count += 1
+                not_minimal += not report.minimal
+    assert faithful_count > 100 and 0 < not_minimal < faithful_count
+
+
+def shrink_test_modules() -> list[ModuleRep]:
+    ring, module = make_row_diagonal_pair()
+    modules = [module, regular_module(ring)]
+    for alg in CRITERION_8_ALGEBRAS + [make_triangular(2, GF2)]:
+        reg = regular_module(alg)
+        modules.extend([reg, reg.direct_sum(reg)])
+    return modules
+
+
+def test_shrink_annihilator_dims_by_rank_match_the_intersections(rng):
+    # dim(soc(R) ∩ ann) = dim soc(R) - rank of soc(R)'s basis acting, for
+    # any subspace, invariant (zero and full included) or not
+    checked = dropped = 0
+    for m in shrink_test_modules():
+        soc_r = socles(m.algebra).twosided
+        soc_actions = [m.act_mat(r) for r in soc_r.basis_rows]
+        subs = invariant_subspaces(m)
+        for _ in range(12):
+            k = rng.randint(1, m.dim)
+            subs.append(Subspace.from_vectors(m.field, m.dim, [[rng.randrange(m.field.q) for _ in range(m.dim)]
+                                                               for _ in range(k)]))
+        for w in subs:
+            on_sub = modrep._soc_annihilator_dim(m.field, modrep._images_on(soc_actions, w), w.dim * m.dim)
+            assert on_sub == soc_r.intersect(annihilator_of_subspace(m, w)).dim
+            on_quot = modrep._soc_annihilator_dim(m.field, modrep._residuals_mod(soc_actions, w), m.dim * m.dim)
+            assert on_quot == soc_r.intersect(annihilator_of_quotient(m, w)).dim
+            checked += 1
+            dropped += 0 < on_sub < soc_r.dim
+    assert checked > 100 and dropped

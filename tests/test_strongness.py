@@ -35,7 +35,9 @@ from soclelab.strongness import (
     _corners_have_maximal_kernel,
     _corners_have_simple_image,
     _image_in_submodule_combo,
+    _image_is_inside_simple,
     _iter_span_elements,
+    _kernel_contains_maximal,
 )
 from soclelab.tensorcover import to_bilinear
 
@@ -250,6 +252,27 @@ def test_corner_swap_predicates_agree_with_full_size_checks():
             false_image += not has_image
     assert checked > 1500
     assert false_kernel and false_image
+
+
+def test_swap_hypotheses_by_rank_match_the_multiplicity_spaces():
+    # the rank sums against the dimensions of the spaces they replace:
+    # a simple image has multiplicity dimension 1 in exactly one block, and a
+    # kernel holds a maximal submodule when the colengths sum to 1
+    simple = maximal = checked = 0
+    for sys_obj in corner_check_systems():
+        field = sys_obj.field
+        for vec in _iter_span_elements(field, list(sys_obj.a_span().basis_rows)):
+            a = Mat._of(field, sys_obj.dim_c, sys_obj.dim_b, tuple(vec))
+            image_dims = [sys_obj.image_mult_space(a, f).dim for f in range(len(sys_obj.t_blocks))]
+            colengths = [b.mult - sys_obj.kernel_mult_space(a, e).dim
+                         for e, b in enumerate(sys_obj.s_blocks) if b.mult]
+            by_spaces = [d for d in image_dims if d] == [1]
+            assert _image_is_inside_simple(sys_obj, a) == by_spaces, (sys_obj.to_json(), vec)
+            assert _kernel_contains_maximal(sys_obj, a) == (sum(colengths) == 1), (sys_obj.to_json(), vec)
+            simple += by_spaces
+            maximal += sum(colengths) == 1
+            checked += 1
+    assert 0 < simple < checked and 0 < maximal < checked
 
 
 def test_corner_swap_predicates_pinned():

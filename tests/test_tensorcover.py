@@ -96,6 +96,25 @@ def test_solver_agrees_with_brute_force_oracle(rng):
         assert check_cond_c(ts).holds == cols_ok
 
 
+def test_rank_coverage_matches_the_partner_spaces(rng):
+    # a point is uncovered exactly when its partner space is zero, and the
+    # rank form reads that off without building the partner space
+    fields = [GF2, GF3, field_make(2, 2), field_make(5)]
+    uncovered = covered = 0
+    for field in fields:
+        for m, n in ((1, 2), (2, 2), (2, 3), (3, 2)):
+            for _ in range(8):
+                dim = rng.randint(0, m * n)
+                flat = Subspace.from_vectors(
+                    field, m * n, [[rng.randrange(field.q) for _ in range(m * n)] for _ in range(dim)]
+                )
+                partner_dims = [tensorcover._partner_space(flat, b, n).dim for b in enum_coeff_points(field, m)]
+                assert tensorcover._covers_rows_flat(flat, m, n) == all(partner_dims)
+                uncovered += partner_dims.count(0)
+                covered += len(partner_dims) - partner_dims.count(0)
+    assert uncovered and covered
+
+
 def test_transpose_duality(rng):
     for _ in range(40):
         m, n = rng.choice(((2, 3), (3, 2), (2, 2)))
