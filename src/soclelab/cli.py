@@ -236,13 +236,36 @@ def _cmd_system_check(args, reporter: Reporter, budget: Budget) -> int:
     return VERDICT_EXIT[verdict]
 
 
-def _parse_block(spec: str):
+def _parse_block(spec: str | None, sys_obj) -> tuple[int | None, int | None]:
+    """--block "f,e", "f" or ",e": a codomain block f and a domain block e,
+    each an index within the system's block counts."""
     if spec is None:
         return None, None
     parts = spec.split(",")
-    f = int(parts[0]) if parts[0] != "" else None
-    e = int(parts[1]) if len(parts) > 1 and parts[1] != "" else None
-    return f, e
+    if len(parts) > 2:
+        raise InputError(f"--block takes f,e, f or ,e, got {spec!r}")
+    picked = [None, None]
+    for k, (text, blocks, kind) in enumerate(zip(parts, (sys_obj.t_blocks, sys_obj.s_blocks), ("codomain", "domain"))):
+        if text == "":
+            continue
+        try:
+            index = int(text)
+        except ValueError:
+            raise InputError(f"--block takes integer block indices, got {spec!r}") from None
+        if not 0 <= index < len(blocks):
+            raise InputError(f"--block {kind} block {index} out of range: the system has {len(blocks)}")
+        picked[k] = index
+    return picked[0], picked[1]
+
+
+def _positive_rational(text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or value <= 0:
+        raise InputError(f"--N must be a positive rational, got {text!r}")
+    return value
 
 
 def _cmd_system_strong(args, reporter: Reporter, budget: Budget) -> int:
@@ -250,8 +273,8 @@ def _cmd_system_strong(args, reporter: Reporter, budget: Budget) -> int:
     from .strongness import BilinearSystem, n_strong, relative_n_strong
 
     sys_obj = BilinearSystem.from_json(_load_json(args.file))
-    n_value = Fraction(args.N)
-    f, e = _parse_block(args.block)
+    n_value = _positive_rational(args.N)
+    f, e = _parse_block(args.block, sys_obj)
     if args.relative:
         if args.side != "left":
             raise InputError("--relative is only implemented for --side left")

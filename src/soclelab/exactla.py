@@ -458,13 +458,20 @@ def vec_scale(field: Field, c: int, a) -> Vec:
 
 
 def vec_combo(field: Field, vectors, coeffs) -> Vec:
+    """The combination sum c_i v_i.  The first term is taken as it is when
+    its coefficient is 1, so a single such term (a basis element, or a unit
+    structure constant) returns its vector with no arithmetic."""
     add, mul = field.tables.add, field.tables.mul
-    out = [0] * len(vectors[0])
+    out = None
     for c, v in zip(coeffs, vectors):
-        if c:
-            mc = mul[c]
+        if not c:
+            continue
+        mc = mul[c]
+        if out is None:
+            out = v if c == 1 else [mc[y] for y in v]
+        else:
             out = [add[x][mc[y]] for x, y in zip(out, v)]
-    return tuple(out)
+    return (0,) * len(vectors[0]) if out is None else tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -584,19 +591,27 @@ def subspace_ops(a: Subspace, b: Subspace, op: str):
 
 
 def kernel(m: Mat) -> Subspace:
-    """Right null space {v : m v = 0}, canonical."""
-    reduced, pivots = rref_rows(m.row_list(), m.cols, m.field)
+    """Right null space {v : m v = 0}, canonical, from one elimination.
+
+    The columns are eliminated in reverse order.  A free column f (in the
+    original order) then gives the solution e_f minus the pivot terms, and
+    every pivot it meets lies to the right of f, since a reduced row is
+    zero left of its pivot in reversed order.  So each solution has its
+    leading 1 at f and zeros at the other free columns: the solutions,
+    taken by f ascending, are the kernel's RREF as they stand."""
+    ncols = m.cols
+    reduced, pivots = rref_rows([m.row(i)[::-1] for i in range(m.rows)], ncols, m.field)
     neg = m.field.tables.neg
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
+    pivot_set = set(pivots)  # reversed indices: column j is ncols - 1 - j
+    free = [f for f in range(ncols) if ncols - 1 - f not in pivot_set]
     basis = []
     for f in free:
-        v = [0] * m.cols
+        v = [0] * ncols
         v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = neg[reduced[i][f]]
-        basis.append(v)
-    return Subspace.from_vectors(m.field, m.cols, basis)
+        for row, p in zip(reduced, pivots):
+            v[ncols - 1 - p] = neg[row[ncols - 1 - f]]
+        basis.append(tuple(v))
+    return Subspace(m.field, ncols, tuple(basis), tuple(free))
 
 
 def image(m: Mat) -> Subspace:

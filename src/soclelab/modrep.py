@@ -12,6 +12,15 @@ projective points of the multiplicity spaces of the socle.  Faithfulness is
 upward monotone, so minimality checks only need maximal submodules and
 simple quotient kernels.
 
+Both minimality tests read only how the two-sided socle soc2 = soc(R) acts.
+Annihilators of submodules and quotients are two-sided ideals, and every
+nonzero two-sided ideal meets soc2.  An element of soc2 kills JM, so it acts
+through the maps M/JM -> soc(M), and each test is one rank test of soc2's
+basis on M/JM.  When R/J is F itself (one block of size one), the block's
+E_00 is 1 modulo J and acts on M/JM and soc(M) as the identity: the
+multiplicity spaces are those spaces themselves, and a maximal submodule's
+W/JM is its hyperplane, with no image or kernel taken.
+
 The shrinking constructions follow the recursive proofs: pick cyclic pieces
 with simple top (descending through maximal submodules), or co-pieces with
 simple essential socle (growing a complement above the kernel of the socle
@@ -142,8 +151,12 @@ def annihilator(m: ModuleRep) -> Subspace:
 
 
 def _annihilator(m: ModuleRep) -> Subspace:
+    flats = [mat.entries for mat in m.action]
+    # the basis acts independently exactly when the annihilator is zero
+    if row_rank(flats, m.dim * m.dim, m.field) == m.algebra.dim:
+        return Subspace.zero(m.field, m.algebra.dim)
     # column i is the flattened action of basis element i
-    return kernel(mat_of_columns(m.field, m.dim * m.dim, [mat.entries for mat in m.action]))
+    return kernel(mat_of_columns(m.field, m.dim * m.dim, flats))
 
 
 def faithful(m: ModuleRep) -> tuple[bool, Subspace]:
@@ -164,18 +177,12 @@ def _residuals_mod(mats, k_sub: Subspace) -> list:
     ]
 
 
-def annihilator_of_subspace(m: ModuleRep, w: Subspace) -> Subspace:
-    """{r : r acts as zero on w}, in algebra coordinates."""
-    if w.dim == 0:
-        return Subspace.full(m.field, m.algebra.dim)
-    # column i stacks the images of w's basis under basis element i
-    return kernel(mat_of_columns(m.field, w.dim * m.dim, _images_on(m.action, w)))
-
-
-def annihilator_of_quotient(m: ModuleRep, k_sub: Subspace) -> Subspace:
-    """{r : r M is contained in k_sub}, in algebra coordinates."""
-    # column i stacks the residuals mod k_sub of basis element i's columns
-    return kernel(mat_of_columns(m.field, m.dim * m.dim, _residuals_mod(m.action, k_sub)))
+def _soc_annihilator_dim(field, soc_images: list, width: int) -> int:
+    """dim(soc(R) ∩ annihilator), given what each basis element of soc(R)
+    does (its action on a subspace, or its residuals modulo one), as vectors
+    of length width: the basis is independent, so the intersection has the
+    basis size less the rank of those vectors."""
+    return len(soc_images) - row_rank(soc_images, width, field)
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +258,8 @@ def radical_image(m: ModuleRep, budget: Budget | None = None) -> Subspace:
     and then kept."""
     if m._radical_image_cache is None:
         J = m.algebra.radical(budget)
-        vectors = []
-        for j in J.basis_rows:
-            jmat = m.act_mat(j)
-            vectors.extend(image(jmat).basis_rows)
-        m._radical_image_cache = Subspace.from_vectors(m.field, m.dim, vectors)
+        columns = [jmat.col(k) for jmat in (m.act_mat(j) for j in J.basis_rows) for k in range(m.dim)]
+        m._radical_image_cache = Subspace.from_vectors(m.field, m.dim, columns)
     return m._radical_image_cache
 
 
@@ -322,18 +326,27 @@ def top_socle(m: ModuleRep, budget: Budget | None = None) -> TopSocle:
 class BlockPart:
     """Block f of a module over R/J(R): the multiplicity space E_f,00 W of a
     subspace W, and the module actions of the matrix units E_f,ij, each
-    computed on first use and then kept."""
+    computed on first use and then kept.
+
+    W (the whole module when it is not given) must be killed by J: a top
+    M/JM or a socle.  When R/J is F itself (one block, n = 1), `identity`
+    is set: the certificate checks that E_0,00 is 1 modulo J, so it acts on
+    W as the identity.  Then mult is W itself and summand(u) is [u], and no
+    image is taken."""
 
     def __init__(self, rep: ModuleRep, f: int, block: Block, sub: Subspace | None):
         self.f = f
         self.n = block.n
+        self.identity = block.n == 1 and len(rep.algebra.blocks()) == 1
         self._rep = rep
         self._block = block
         self._units: dict[tuple[int, int], Mat] = {}
-        e00 = self.unit(0, 0)
-        if sub is None:
-            self.mult = image(e00)
+        if self.identity:
+            self.mult = Subspace.full(rep.field, rep.dim) if sub is None else sub
+        elif sub is None:
+            self.mult = image(self.unit(0, 0))
         else:
+            e00 = self.unit(0, 0)
             self.mult = Subspace.from_vectors(rep.field, rep.dim, [e00.apply(v) for v in sub.basis_rows])
 
     def unit(self, i: int, j: int) -> Mat:
@@ -345,34 +358,41 @@ class BlockPart:
     def summand(self, u) -> list[tuple]:
         """The vectors E_f,i0 u (i < n), spanning the simple summand that a
         vector u of the multiplicity space generates."""
+        if self.identity:
+            return [tuple(u)]
         return [self.unit(i, 0).apply(u) for i in range(self.n)]
 
 
 def block_decomposition(rep: ModuleRep, sub: Subspace | None = None):
     """Yield one BlockPart per block of the split quotient, for W = sub, or
-    for the whole module when sub is None.  Blocks are built lazily, so a
-    caller that stops early does no work for the later blocks."""
+    for the whole module when sub is None.  W must be killed by J: every
+    caller passes a top, a socle or a socle module.  Blocks are built
+    lazily, so a caller that stops early does no work for the later
+    blocks."""
     for f, block in enumerate(rep.algebra.blocks()):
         yield BlockPart(rep, f, block, sub)
 
 
-def maximal_submodules(m: ModuleRep, budget: Budget | None = None):
-    """Yield every maximal submodule of M as a subspace of M.
+def _maximal_tops(qd: QuotientData, budget: Budget):
+    """Yield (f, H, W/JM) for every maximal submodule W of M, where qd is
+    M/JM and W/JM is a subspace of it.
 
     Maximal submodules contain JM and correspond to block-multiplicity
-    hyperplanes of the top.  Each block's hyperplane count is charged to the
-    budget, as a running total, before that block is scanned."""
-    budget = budget or default_budget()
-    m.algebra.blocks()  # NotSplitError before any radical work
-    jm = radical_image(m, budget)
-    qd = quotient_action(m, jm)
+    hyperplanes H of the top: W/JM = {y : E_f,0i y in H for every i}, which
+    is H itself when the block acts as the identity.  Each block's
+    hyperplane count is charged to the budget, as a running total, before
+    that block is scanned."""
     top = qd.rep
     charged = 0
     for part in block_decomposition(top):
         if part.mult.dim == 0:
             continue
-        charged += num_projective_points(part.mult.dim, m.field.q)
+        charged += num_projective_points(part.mult.dim, top.field.q)
         budget.guard("maximal-submodule hyperplane enumeration", charged)
+        if part.identity:
+            for hyper in enum_hyperplanes(part.mult):
+                yield part.f, hyper, hyper
+            continue
         extractors = [part.unit(0, i) for i in range(part.n)]
         for hyper in enum_hyperplanes(part.mult):
             # column j stacks, over the extractors, the residual of its column j mod hyper
@@ -380,9 +400,29 @@ def maximal_submodules(m: ModuleRep, budget: Budget | None = None):
                 tuple(itertools.chain.from_iterable(hyper.reduce(ext.col(j)) for ext in extractors))
                 for j in range(top.dim)
             ]
-            y_space = kernel(mat_of_columns(m.field, part.n * top.dim, columns))
-            vectors = list(jm.basis_rows) + [qd.lift(y) for y in y_space.basis_rows]
-            yield part.f, hyper, Subspace.from_vectors(m.field, m.dim, vectors)
+            yield part.f, hyper, kernel(mat_of_columns(top.field, part.n * top.dim, columns))
+
+
+def _preimage(jm: Subspace, qd: QuotientData, w_top: Subspace) -> Subspace:
+    """The submodule W of M with W/JM = w_top."""
+    vectors = list(jm.basis_rows) + [qd.lift(y) for y in w_top.basis_rows]
+    return Subspace.from_vectors(jm.field, jm.ambient_dim, vectors)
+
+
+def _top(m: ModuleRep, budget: Budget | None):
+    """(budget, JM, M/JM): what the maximal-submodule walk starts from."""
+    budget = budget or default_budget()
+    m.algebra.blocks()  # NotSplitError before any radical work
+    jm = radical_image(m, budget)
+    return budget, jm, quotient_action(m, jm)
+
+
+def maximal_submodules(m: ModuleRep, budget: Budget | None = None):
+    """Yield every maximal submodule of M as (f, H, subspace of M); see
+    `_maximal_tops`."""
+    budget, jm, qd = _top(m, budget)
+    for f, hyper, w_top in _maximal_tops(qd, budget):
+        yield f, hyper, _preimage(jm, qd, w_top)
 
 
 def simple_socle_submodules(m: ModuleRep, budget: Budget | None = None):
@@ -420,20 +460,38 @@ def minimal_faithful(m: ModuleRep, budget: Budget | None = None) -> MinimalityRe
 
     Faithfulness is upward monotone, so no proper faithful submodule exists
     iff no maximal one is faithful, and dually a faithful proper quotient
-    exists iff M/L is faithful for some simple L in the socle."""
+    exists iff M/L is faithful for some simple L in the socle.
+
+    Both tests read only the two-sided socle soc2 = soc(R).  ann(W) and
+    ann(M/L) are two-sided ideals, and a nonzero two-sided ideal I meets
+    soc2: if J^k I != 0 = J^(k+1) I, then J^k I lies in I and is killed by J
+    on the left; repeat on the right.  So W (or M/L) is faithful iff no
+    nonzero element of soc2 kills it, a rank test on soc2's basis.  An
+    element t of soc2 has tJ = 0, so it kills JM, and it acts through its
+    columns at the free positions of JM, that is, on M/JM.  W is faithful
+    iff those maps, applied to a basis of W/JM, have rank dim soc2; M/L is
+    faithful iff those columns, reduced modulo L, do.  W/JM comes from the
+    top alone (it is the hyperplane itself when R/J is F; see
+    `BlockPart`), and W itself is built only for the witness."""
     ok, _ = faithful(m)
     if not ok:
         raise PreconditionError("minimality is only defined for faithful modules")
-    # an annihilator is zero exactly when the algebra basis acts independently
-    n, field = m.algebra.dim, m.field
+    budget, jm, qd = _top(m, budget)
+    field = m.field
+    soc_r = socles(m.algebra, budget).twosided
+    # soc2's actions restricted to the top: dim M x dim M/JM
+    soc_tops = [
+        mat_of_columns(field, m.dim, [act.col(k) for k in qd.free_positions])
+        for act in (m.act_mat(r) for r in soc_r.basis_rows)
+    ]
     sub_flag, sub_wit = True, None
-    for _f, _h, w in maximal_submodules(m, budget):
-        if row_rank(_images_on(m.action, w), w.dim * m.dim, field) == n:
-            sub_flag, sub_wit = False, w
+    for _f, _h, w_top in _maximal_tops(qd, budget):
+        if _soc_annihilator_dim(field, _images_on(soc_tops, w_top), w_top.dim * m.dim) == 0:
+            sub_flag, sub_wit = False, _preimage(jm, qd, w_top)
             break
     quot_flag, quot_wit = True, None
     for _f, _u, l_sub in simple_socle_submodules(m, budget):
-        if row_rank(_residuals_mod(m.action, l_sub), m.dim * m.dim, field) == n:
+        if _soc_annihilator_dim(field, _residuals_mod(soc_tops, l_sub), qd.rep.dim * m.dim) == 0:
             quot_flag, quot_wit = False, l_sub
             break
     return MinimalityReport(sub_flag, quot_flag, sub_wit, quot_wit)
@@ -657,14 +715,6 @@ def module_report(m: ModuleRep, budget: Budget | None = None) -> ModuleReport:
 # ---------------------------------------------------------------------------
 # shrinking constructions
 # ---------------------------------------------------------------------------
-
-def _soc_annihilator_dim(field, soc_images: list, width: int) -> int:
-    """dim(soc(R) ∩ annihilator), given what each basis element of soc(R)
-    does (its action on a subspace, or its residuals modulo one), as vectors
-    of length width: the basis is independent, so the intersection has the
-    basis size less the rank of those vectors."""
-    return len(soc_images) - row_rank(soc_images, width, field)
-
 
 def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
     """Faithful submodule M' with top length at most the bimodule length of

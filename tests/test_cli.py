@@ -166,6 +166,23 @@ def test_relative_strength_rejects_right_side(tmp_path, capsys):
         assert "--side left" in record["details"]["error"]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--N", "1", "--block", "x"], "integer block indices"),
+    (["--N", "abc"], "--N must be a positive rational"),
+    (["--N", "1", "--block", "7"], "codomain block 7 out of range"),
+    (["--N", "-1"], "--N must be a positive rational"),
+    (["--N", "0"], "--N must be a positive rational"),
+])
+def test_system_strong_bad_argument_is_an_input_error(tmp_path, capsys, flags, message):
+    # line-cover-system q=3 d=2 has one codomain block and four domain blocks
+    path = write_gallery(tmp_path, capsys, "line-cover-system", "q=3", "d=2")
+    code, out = run(capsys, "system", "strong", str(path), "--side", "left", *flags)
+    assert code == 2
+    record = json.loads(out.strip().splitlines()[-1])
+    assert record["verdict"] == "input-error"
+    assert message in record["details"]["error"]
+
+
 def test_gallery_stub_exit(capsys):
     code, out = run(capsys, "gallery", "make", "number-field-example")
     assert code == 2

@@ -88,6 +88,51 @@ def test_kernel_examples():
     assert k.contains_vector((1, 1, 0))
 
 
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f"q{f.q}")
+def test_vec_combo_matches_the_termwise_sum(field, rng):
+    # all-zero, single unit, single non-unit and random coefficients, on
+    # tuple and list vectors
+    for _ in range(200):
+        n, k = rng.randint(1, 6), rng.randint(1, 5)
+        vectors = [[rng.randrange(field.q) for _ in range(n)] for _ in range(k)]
+        if rng.random() < 0.5:
+            vectors = [tuple(v) for v in vectors]
+        at, c = rng.randrange(k), rng.randrange(1, field.q)
+        for coeffs in ([0] * k, [1 if i == at else 0 for i in range(k)], [c if i == at else 0 for i in range(k)],
+                       [rng.randrange(field.q) for _ in range(k)]):
+            want = [0] * n
+            for ci, v in zip(coeffs, vectors):
+                want = [field.add(x, field.mul(ci, y)) for x, y in zip(want, v)]
+            got = vec_combo(field, vectors, coeffs)
+            assert type(got) is tuple and got == tuple(want)
+
+
+def kernel_by_two_eliminations(m: Mat) -> Subspace:
+    """Solutions from the RREF of m's rows, then made canonical by a second
+    elimination."""
+    reduced, pivots = rref_rows(m.row_list(), m.cols, m.field)
+    basis = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = [0] * m.cols
+        v[f] = 1
+        for row, p in zip(reduced, pivots):
+            v[p] = m.field.neg(row[f])
+        basis.append(v)
+    return Subspace.from_vectors(m.field, m.cols, basis)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f"q{f.q}")
+def test_kernel_matches_the_two_elimination_construction(field, rng):
+    for _ in range(600):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 8)
+        density = rng.random()
+        m = Mat.from_rows(field, [[rng.randrange(field.q) if rng.random() < density else 0 for _ in range(cols)]
+                                  for _ in range(rows)]) if rows else Mat.zero(field, 0, cols)
+        got, want = kernel(m), kernel_by_two_eliminations(m)
+        assert (got.basis_rows, got.pivots) == (want.basis_rows, want.pivots)
+        assert all(type(v) is tuple for v in got.basis_rows)
+
+
 def test_kernel_image_rank_nullity(rng):
     for field in (GF2, GF3):
         for _ in range(40):

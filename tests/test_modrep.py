@@ -6,7 +6,7 @@ from soclelab.algebra import algebra_make, bimodule_length, socle_graph, socles
 from soclelab.budget import Budget
 from soclelab.corpus import iter_generator_modules
 from soclelab.errors import BudgetExceeded, InputError, NotSplitError, PreconditionError
-from soclelab.exactla import Mat, Subspace, enum_vectors, kernel, num_projective_points
+from soclelab.exactla import Mat, Subspace, enum_vectors, image, kernel, mat_of_columns, num_projective_points
 from soclelab.gf import field_make
 from soclelab import modrep
 from soclelab.gallery import (
@@ -20,8 +20,6 @@ from soclelab.gallery import (
 from soclelab.modrep import (
     ModuleRep,
     annihilator,
-    annihilator_of_quotient,
-    annihilator_of_subspace,
     block_decomposition,
     faithful,
     graph_socle_check,
@@ -422,6 +420,23 @@ def quotient_by_unit_vectors(m: ModuleRep, sub: Subspace) -> tuple:
     return tuple(mats)
 
 
+# The full annihilators of a subspace and of a quotient.  The package decides
+# minimality and shrinks by rank tests on soc(R) instead; these are the oracles.
+
+def annihilator_of_subspace(m: ModuleRep, w: Subspace) -> Subspace:
+    """{r : r acts as zero on w}, in algebra coordinates."""
+    if w.dim == 0:
+        return Subspace.full(m.field, m.algebra.dim)
+    # column i stacks the images of w's basis under basis element i
+    return kernel(mat_of_columns(m.field, w.dim * m.dim, modrep._images_on(m.action, w)))
+
+
+def annihilator_of_quotient(m: ModuleRep, k_sub: Subspace) -> Subspace:
+    """{r : r M is contained in k_sub}, in algebra coordinates."""
+    # column i stacks the residuals mod k_sub of basis element i's columns
+    return kernel(mat_of_columns(m.field, m.dim * m.dim, modrep._residuals_mod(m.action, k_sub)))
+
+
 def annihilator_of_quotient_by_unit_vectors(m: ModuleRep, sub: Subspace) -> Subspace:
     rows = []
     for v in range(m.dim):
@@ -575,20 +590,95 @@ def minimal_faithful_by_annihilators(m: ModuleRep) -> tuple:
     return sub_wit is None, quot_wit is None, sub_wit, quot_wit
 
 
+def minimality_oracle_modules():
+    """Criterion 8's five local algebras at dims 1-3 and kx2-q2 at dim 4, then
+    modules whose blocks do not act as the identity: the regular T_2(F_2)
+    (two blocks), the row-diagonal ring and module, the column module of
+    M_2(F_2) (one block of size two, J = 0), and each one summed with
+    itself."""
+    for alg in CRITERION_8_ALGEBRAS:
+        for dim in (1, 2, 3):
+            yield from iter_generator_modules(alg, dim)
+    yield from iter_generator_modules(KX2, 4)
+    ring, module = make_row_diagonal_pair()
+    columns = column_module(make_matrix_algebra(2, GF2))
+    for m in (regular_module(make_triangular(2, GF2)), regular_module(ring), module, columns):
+        yield m
+        yield m.direct_sum(m)
+
+
 def test_minimal_faithful_by_rank_matches_the_annihilators():
-    faithful_count = not_minimal = 0
+    faithful_count = not_minimal = not_identity = 0
+    for m in minimality_oracle_modules():
+        if not faithful(m)[0]:
+            continue
+        report = minimal_faithful(m)
+        got = (report.no_faithful_max_submodule, report.no_faithful_simple_quotient,
+               report.submodule_witness, report.quotient_witness)
+        assert got == minimal_faithful_by_annihilators(m)
+        faithful_count += 1
+        not_minimal += not report.minimal
+        blocks = m.algebra.blocks()
+        not_identity += not (len(blocks) == 1 and blocks[0].n == 1)
+    assert faithful_count > 100 and 0 < not_minimal < faithful_count
+    assert not_identity == 8
+
+
+def block_parts_by_images(rep: ModuleRep, sub: Subspace | None) -> list:
+    """(mult, summands) per block from E_00's action: its image, or its
+    values on sub's basis, and the vectors E_i0 u."""
+    parts = []
+    for block in rep.algebra.blocks():
+        e00 = rep.act_mat(block.unit(0, 0))
+        if sub is None:
+            mult = image(e00)
+        else:
+            mult = Subspace.from_vectors(rep.field, rep.dim, [e00.apply(v) for v in sub.basis_rows])
+        summands = [[rep.act_mat(block.unit(i, 0)).apply(u) for i in range(block.n)] for u in mult.basis_rows]
+        parts.append((mult, summands))
+    return parts
+
+
+def test_identity_block_part_matches_the_image_construction():
+    # one block of size one: E_00 acts as the identity on the top and on the socle
+    checked = 0
     for alg in CRITERION_8_ALGEBRAS:
         for dim in (1, 2, 3):
             for m in iter_generator_modules(alg, dim):
-                if not faithful(m)[0]:
-                    continue
-                report = minimal_faithful(m)
-                got = (report.no_faithful_max_submodule, report.no_faithful_simple_quotient,
-                       report.submodule_witness, report.quotient_witness)
-                assert got == minimal_faithful_by_annihilators(m)
-                faithful_count += 1
-                not_minimal += not report.minimal
-    assert faithful_count > 100 and 0 < not_minimal < faithful_count
+                top = quotient_action(m, radical_image(m)).rep
+                for rep, sub in ((top, None), (m, socle_subspace(m))):
+                    parts = list(block_decomposition(rep, sub))
+                    assert [part.identity for part in parts] == [True]
+                    got = [(part.mult, [part.summand(u) for u in part.mult.basis_rows]) for part in parts]
+                    assert got == block_parts_by_images(rep, sub)
+                checked += 1
+    assert checked > 500
+    # several blocks of size one: no block acts as the identity
+    _, top = _two_block_modules()
+    parts = list(block_decomposition(top, socle_subspace(top)))
+    assert [part.identity for part in parts] == [False, False]
+    assert [(part.mult, [part.summand(u) for u in part.mult.basis_rows]) for part in parts] \
+        == block_parts_by_images(top, socle_subspace(top))
+
+
+def annihilator_by_kernel(m: ModuleRep) -> Subspace:
+    """The kernel of the flattened actions, with no rank test first."""
+    return kernel(Mat.from_rows(m.field, [[mat.entries[k] for mat in m.action] for k in range(m.dim * m.dim)])
+                  if m.dim else Mat.zero(m.field, 0, m.algebra.dim))
+
+
+def test_faithful_by_rank_matches_the_kernel_form():
+    counts = {True: 0, False: 0}
+    modules = [m for alg in CRITERION_8_ALGEBRAS for dim in (1, 2, 3) for m in iter_generator_modules(alg, dim)]
+    ring, module = make_row_diagonal_pair()
+    modules += [module, regular_module(ring), regular_module(make_triangular(2, GF2)),
+                ModuleRep(KX2, 0, tuple(Mat.zero(GF2, 0, 0) for _ in range(KX2.dim)))]
+    for m in modules:
+        ok, ann = faithful(m)
+        assert ann == annihilator_by_kernel(m)
+        assert ok == (ann.dim == 0)
+        counts[ok] += 1
+    assert counts[True] > 100 and counts[False] > 100
 
 
 def shrink_test_modules() -> list[ModuleRep]:
