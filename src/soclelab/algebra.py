@@ -93,6 +93,7 @@ class Algebra:
         self._radical_cache: Subspace | None = None
         self._local_cache: bool | None = None
         self._socles_cache: SocleTriple | None = None
+        self._generators_cache: tuple[int, ...] | None = None
         self.left_mats = tuple(
             Mat(field, dim, dim, tuple(mult[i][j][k] for k in range(dim) for j in range(dim)))
             for i in range(dim)
@@ -132,8 +133,36 @@ class Algebra:
     def basis_coords(self, i: int) -> Coords:
         return tuple(1 if k == i else 0 for k in range(self.dim))
 
-    def element_codes(self) -> int:
-        return self.field.q ** self.dim
+    def generators(self) -> tuple[int, ...]:
+        """Basis indices that generate the algebra as a unital algebra, none
+        of them redundant.  Each index in turn is dropped when the others
+        kept so far still generate; an index that is kept cannot be dropped
+        from any subset either, so the result is irredundant.  Computed once
+        and then kept."""
+        if self._generators_cache is None:
+            gens = list(range(self.dim))
+            for i in range(self.dim):
+                rest = [g for g in gens if g != i]
+                if self._generated_dim(rest) == self.dim:
+                    gens = rest
+            self._generators_cache = tuple(gens)
+        return self._generators_cache
+
+    def _generated_dim(self, indices) -> int:
+        """Dimension of the unital subalgebra the given basis elements
+        generate: the span of 1 and of every word in them, grown one right
+        factor at a time until no new word leaves the span."""
+        span = RowBasis(self.field, self.dim)
+        frontier = [self.one] if span.add(self.one) else []
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for g in indices:
+                    w = self.mul_coords(v, self.basis_coords(g))
+                    if span.add(w):
+                        nxt.append(w)
+            frontier = nxt
+        return span.rank
 
     # -- verification ----------------------------------------------------------
     def _verify_structure(self):
@@ -270,9 +299,6 @@ class Algebra:
         if self._local_cache is None:
             self._local_cache = self._residue_is_division(self.radical(budget))
         return self._local_cache
-
-    def residue_dim(self, budget: Budget | None = None) -> int:
-        return self.dim - self.radical(budget).dim
 
     def blocks(self) -> tuple[Block, ...]:
         if self.certificate is None or not self.certificate.split:

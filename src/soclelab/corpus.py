@@ -27,7 +27,7 @@ from .exactla import (
 )
 from .gf import Field
 from .modrep import ModuleRep, faithful
-from .strongness import BilinearSystem, BlockSpec, SystemReport, predicates, prop41_check
+from .strongness import BilinearSystem, BlockSpec, SystemReport, prop41_check
 
 
 # ---------------------------------------------------------------------------
@@ -57,17 +57,20 @@ def _invertible_matrices(field: Field, r: int) -> list[Mat]:
 def square_zero_matrices(field: Field, n: int) -> list[Mat]:
     """Every n x n matrix X with X X = 0, by rank stratification: choose the
     image W, a kernel K containing it, and an isomorphism onto W.  The
-    isomorphisms and the candidate kernels are listed once per rank."""
+    isomorphisms and the candidate kernels are listed once per rank, and
+    the frames B^T G (B a basis of W) once per image, so each matrix is
+    one product (B^T G) P, the same as B^T (G P)."""
     out = [Mat.zero(field, n, n)]
     for r in range(1, n // 2 + 1):
         isos = _invertible_matrices(field, r)
         kernels = [(k_sub, _projection(k_sub)) for k_sub in enum_subspaces(field, n, n - r)]
         for w_sub in enum_subspaces(field, n, r):
+            basis_t = w_sub.basis_mat().transpose()
+            frames = [basis_t.mul(g) for g in isos]
             for k_sub, proj in kernels:
                 if not k_sub.contains(w_sub):
                     continue
-                for g in isos:
-                    out.append(_embed_through(w_sub, g, proj))
+                out.extend(frame.mul(proj) for frame in frames)
     return out
 
 
@@ -153,7 +156,9 @@ class ModuleAssembler:
         dim = gen_mats[0].rows if gen_mats else 0
         word_mats = [Mat.identity(field, dim)]
         for parent, g_pos in self.word_recipe:
-            word_mats.append(word_mats[parent].mul(gen_mats[g_pos]))
+            # word 0 is the empty word, so its one-letter children are the generators
+            gen = gen_mats[g_pos]
+            word_mats.append(gen if parent == 0 else word_mats[parent].mul(gen))
         actions = tuple(mat_vec(word_mats, combo) for combo in self.basis_combos)
         try:
             return ModuleRep(self.algebra, dim, actions)
@@ -254,23 +259,11 @@ def random_generator_module(algebra: Algebra, dim: int, rng: random.Random, atte
 def faithful_corpus(rng: random.Random, min_count: int = 200) -> list[tuple[str, ModuleRep]]:
     """At least min_count faithful modules: gallery fixtures plus seeded
     random modules over the small local algebras."""
-    from .gallery import (
-        make_row_diagonal_pair,
-        make_square_zero_extension,
-        make_triangular,
-        make_twisted_truncated,
-    )
-    from .gf import field_make
+    from .gallery import criterion8_algebras, make_row_diagonal_pair
     from .modrep import regular_module
 
     out: list[tuple[str, ModuleRep]] = []
-    algebras = [
-        ("kx2-q2", make_twisted_truncated(2, 1, 1)),
-        ("kx2-q3", make_twisted_truncated(3, 1, 1)),
-        ("kxy2-q2", make_square_zero_extension(field_make(2), 2)),
-        ("scalar-tri2-q2", make_triangular(2, field_make(2), True)),
-        ("scalar-tri3-q2", make_triangular(3, field_make(2), True)),
-    ]
+    algebras = criterion8_algebras()
     for name, alg in algebras:
         reg = regular_module(alg)
         out.append((f"{name}-regular", reg))

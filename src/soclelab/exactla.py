@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .errors import InputError
 from .gf import Field
@@ -292,7 +292,9 @@ class Mat:
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
-        return Mat._of(field, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        """The n x n identity, built once per (field, n) and then shared, as
+        every Mat is immutable."""
+        return _identity(field, n)
 
     @staticmethod
     def unit(field: Field, rows: int, cols: int, i: int, j: int) -> "Mat":
@@ -427,6 +429,11 @@ class Mat:
         return mat
 
 
+@lru_cache(maxsize=None)
+def _identity(field: Field, n: int) -> Mat:
+    return Mat._of(field, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+
+
 def mat_vec(mats: list[Mat], coords) -> Mat:
     """Linear combination of matrices with the given coefficients."""
     if not mats:
@@ -450,11 +457,6 @@ def mat_of_columns(field: Field, nrows: int, columns) -> Mat:
 def vec_add(field: Field, a, b) -> Vec:
     add = field.tables.add
     return tuple([add[x][y] for x, y in zip(a, b)])
-
-
-def vec_scale(field: Field, c: int, a) -> Vec:
-    mc = field.tables.mul[c]
-    return tuple([mc[x] for x in a])
 
 
 def vec_combo(field: Field, vectors, coeffs) -> Vec:

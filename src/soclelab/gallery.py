@@ -10,12 +10,12 @@ raising TheoremViolation when a promise fails.
 
 from __future__ import annotations
 
-from .algebra import Algebra, algebra_make, socle_is_central, socles
+from .algebra import Algebra, algebra_make, socle_is_central
 from .budget import Budget, default_budget
 from .errors import InputError, OutOfScopeError, TheoremViolation
 from .exactla import Mat, Subspace, enum_coeff_points, mat_of_columns, mat_of_rows
 from .gf import Field, field_make
-from .modrep import ModuleRep, module_make, quotient_action
+from .modrep import ModuleRep, quotient_action
 from .strongness import BilinearSystem, BlockSpec
 from .tensorcover import TensorSubspace, check_cond_b, check_cond_c, rank_one
 
@@ -316,6 +316,19 @@ LINE_COVER_EXPECTED = {
     (3, 2): (6, 5),
     (2, 3): (10, 8),
 }
+
+
+def criterion8_algebras() -> list[tuple[str, Algebra]]:
+    """The five small local algebras with central socle whose modules the
+    exhaustive local-bound battery scans, by name."""
+    f2 = field_make(2)
+    return [
+        ("kx2-q2", make_twisted_truncated(2, 1, 1)),
+        ("kx2-q3", make_twisted_truncated(3, 1, 1)),
+        ("kxy2-q2", make_square_zero_extension(f2, 2)),
+        ("scalar-tri2-q2", make_triangular(2, f2, True)),
+        ("scalar-tri3-q2", make_triangular(3, f2, True)),
+    ]
 
 
 def iter_gallery_algebras(max_ring: int | None = None):

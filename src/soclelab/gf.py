@@ -182,10 +182,6 @@ class Field:
         """True when q = 2: linear algebra may use the bit-packed fast path."""
         return self.q == 2
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.e == 1
-
     # -- JSON ---------------------------------------------------------------
     def to_json(self) -> dict:
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus[:-1]) if self.e > 1 else []}

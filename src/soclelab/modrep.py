@@ -2,8 +2,13 @@
 
 A ModuleRep stores one dim x dim matrix per algebra basis element; the
 defining relations (bilinearity against the structure constants, identity
-acting as identity) are checked on every basis pair at construction, and a
-rejection names the failing pair.
+acting as identity) are checked at construction, and a rejection names the
+first failing basis pair.  Relations and invariance are checked on the
+algebra's generators only (`Algebra.generators`): for a linear map
+rho: A -> End(M) with rho(1) = I, the elements a with rho(a y) = rho(a) rho(y)
+for all y form a unital subalgebra, and so do the elements a with
+rho(a) W inside W for a fixed subspace W.  Each is therefore all of A once it
+holds the generators.
 
 The submodule lattice is driven blockwise through a split certificate:
 maximal submodules of M are preimages of hyperplanes of the block
@@ -52,7 +57,7 @@ from .exactla import (
     row_rank,
     vec_combo,
 )
-from .strongness import BilinearSystem, BlockSpec, SystemReport, prop41_check
+from .strongness import BilinearSystem, BlockSpec, prop41_check
 
 
 class ModuleRep:
@@ -80,16 +85,27 @@ class ModuleRep:
         return mat_vec(self.action, coords)
 
     def _verify(self):
+        """rho(1) = I, and rho(g) rho(b_j) = rho(g b_j) for every generator g
+        of the algebra and every basis element b_j.  That is enough: the a
+        with rho(a y) = rho(a) rho(y) for all y are a subspace holding 1, and
+        if a and b are among them, so is ab, since by associativity
+        rho(ab y) = rho(a) rho(b y) = rho(a) rho(b) rho(y) = rho(ab) rho(y).
+        A unital subalgebra that holds the generators is all of A.  When a
+        generator pair fails, every basis pair is scanned in order, so the
+        error names the first failing pair (i, j)."""
         alg = self.algebra
-        ident = Mat.identity(self.field, self.dim)
-        if self.act_mat(alg.one) != ident:
+        if self.act_mat(alg.one) != Mat.identity(self.field, self.dim):
             raise InputError("identity element does not act as the identity")
+        if all(self._relation_holds(g, j) for g in alg.generators() for j in range(alg.dim)):
+            return
         for i in range(alg.dim):
             for j in range(alg.dim):
-                lhs = self.action[i].mul(self.action[j])
-                rhs = self.act_mat(alg.mult[i][j])
-                if lhs != rhs:
+                if not self._relation_holds(i, j):
                     raise InputError(f"action violates the structure constants at basis pair ({i}, {j})")
+        raise TheoremViolation("a generator pair failed but no basis pair does")
+
+    def _relation_holds(self, i: int, j: int) -> bool:
+        return self.action[i].mul(self.action[j]) == self.act_mat(self.algebra.mult[i][j])
 
     def direct_sum(self, other: "ModuleRep") -> "ModuleRep":
         if other.algebra is not self.algebra and other.algebra.to_json() != self.algebra.to_json():
@@ -189,8 +205,16 @@ def _soc_annihilator_dim(field, soc_images: list, width: int) -> int:
 # submodules, quotients, closures
 # ---------------------------------------------------------------------------
 
+def _generator_actions(m: ModuleRep) -> list[Mat]:
+    """The actions of the algebra's generators: a subspace they keep is kept
+    by every element (see the module docstring)."""
+    return [m.action[g] for g in m.algebra.generators()]
+
+
 def submodule_closure(m: ModuleRep, vectors) -> Subspace:
-    """Smallest action-invariant subspace containing the given vectors."""
+    """Smallest action-invariant subspace containing the given vectors,
+    closed under the generators' actions."""
+    gens = _generator_actions(m)
     basis = RowBasis(m.field, m.dim)
     frontier = []
     for v in vectors:
@@ -199,7 +223,7 @@ def submodule_closure(m: ModuleRep, vectors) -> Subspace:
     while frontier:
         nxt = []
         for v in frontier:
-            for mat in m.action:
+            for mat in gens:
                 w = mat.apply(v)
                 if basis.add(w):
                     nxt.append(w)
@@ -208,8 +232,9 @@ def submodule_closure(m: ModuleRep, vectors) -> Subspace:
 
 
 def _check_invariant(m: ModuleRep, sub: Subspace):
+    gens = _generator_actions(m)
     for v in sub.basis_rows:
-        for mat in m.action:
+        for mat in gens:
             if not sub.contains_vector(mat.apply(v)):
                 raise PreconditionError("subspace is not action-invariant")
 
@@ -224,11 +249,34 @@ def restrict_action(m: ModuleRep, sub: Subspace) -> ModuleRep:
     return ModuleRep(m.algebra, sub.dim, tuple(mats), _skip_verify=True)
 
 
-@dataclass
 class QuotientData:
-    rep: ModuleRep
-    sub: Subspace
-    free_positions: tuple[int, ...]
+    """The quotient module M/sub in complement coordinates: quotient vector
+    j lifts to the unit vector at free_positions[j].  Its module `rep` is
+    built on first read.  `algebra`, `field`, `dim` and `act_mat` let
+    `block_decomposition` read the quotient as a module, so a block that
+    acts as the identity never builds it."""
+
+    def __init__(self, m: ModuleRep, sub: Subspace):
+        pivots = set(sub.pivots)
+        self.module = m
+        self.sub = sub
+        self.free_positions = tuple(k for k in range(m.dim) if k not in pivots)
+        self.algebra = m.algebra
+        self.field = m.field
+        self.dim = len(self.free_positions)
+        self._rep: ModuleRep | None = None
+
+    @property
+    def rep(self) -> ModuleRep:
+        if self._rep is None:
+            free = self.free_positions
+            mats = [mat_of_columns(self.field, self.dim, [self.project(mat.col(k)) for k in free])
+                    for mat in self.module.action]
+            self._rep = ModuleRep(self.algebra, self.dim, tuple(mats), _skip_verify=True)
+        return self._rep
+
+    def act_mat(self, coords) -> Mat:
+        return self.rep.act_mat(coords)
 
     def project(self, vec) -> tuple:
         red = self.sub.reduce(vec)
@@ -242,15 +290,10 @@ class QuotientData:
 
 
 def quotient_action(m: ModuleRep, sub: Subspace) -> QuotientData:
-    """The quotient module M/sub in complement coordinates."""
+    """The quotient module M/sub in complement coordinates; sub must be
+    invariant."""
     _check_invariant(m, sub)
-    pivots = set(sub.pivots)
-    free = tuple(k for k in range(m.dim) if k not in pivots)
-    data = QuotientData(m, sub, free)  # rep is replaced by the quotient below
-    # the lift of the j-th quotient unit vector is the unit vector at free[j]
-    mats = [mat_of_columns(m.field, len(free), [data.project(mat.col(k)) for k in free]) for mat in m.action]
-    data.rep = ModuleRep(m.algebra, len(free), tuple(mats), _skip_verify=True)
-    return data
+    return QuotientData(m, sub)
 
 
 def radical_image(m: ModuleRep, budget: Budget | None = None) -> Subspace:
@@ -332,9 +375,10 @@ class BlockPart:
     M/JM or a socle.  When R/J is F itself (one block, n = 1), `identity`
     is set: the certificate checks that E_0,00 is 1 modulo J, so it acts on
     W as the identity.  Then mult is W itself and summand(u) is [u], and no
-    image is taken."""
+    image is taken, nor any action read: for a top given as its
+    QuotientData, the quotient's action matrices are never built."""
 
-    def __init__(self, rep: ModuleRep, f: int, block: Block, sub: Subspace | None):
+    def __init__(self, rep: ModuleRep | QuotientData, f: int, block: Block, sub: Subspace | None):
         self.f = f
         self.n = block.n
         self.identity = block.n == 1 and len(rep.algebra.blocks()) == 1
@@ -363,7 +407,7 @@ class BlockPart:
         return [self.unit(i, 0).apply(u) for i in range(self.n)]
 
 
-def block_decomposition(rep: ModuleRep, sub: Subspace | None = None):
+def block_decomposition(rep: ModuleRep | QuotientData, sub: Subspace | None = None):
     """Yield one BlockPart per block of the split quotient, for W = sub, or
     for the whole module when sub is None.  W must be killed by J: every
     caller passes a top, a socle or a socle module.  Blocks are built
@@ -382,12 +426,11 @@ def _maximal_tops(qd: QuotientData, budget: Budget):
     is H itself when the block acts as the identity.  Each block's
     hyperplane count is charged to the budget, as a running total, before
     that block is scanned."""
-    top = qd.rep
     charged = 0
-    for part in block_decomposition(top):
+    for part in block_decomposition(qd):
         if part.mult.dim == 0:
             continue
-        charged += num_projective_points(part.mult.dim, top.field.q)
+        charged += num_projective_points(part.mult.dim, qd.field.q)
         budget.guard("maximal-submodule hyperplane enumeration", charged)
         if part.identity:
             for hyper in enum_hyperplanes(part.mult):
@@ -398,9 +441,9 @@ def _maximal_tops(qd: QuotientData, budget: Budget):
             # column j stacks, over the extractors, the residual of its column j mod hyper
             columns = [
                 tuple(itertools.chain.from_iterable(hyper.reduce(ext.col(j)) for ext in extractors))
-                for j in range(top.dim)
+                for j in range(qd.dim)
             ]
-            yield part.f, hyper, kernel(mat_of_columns(top.field, part.n * top.dim, columns))
+            yield part.f, hyper, kernel(mat_of_columns(qd.field, part.n * qd.dim, columns))
 
 
 def _preimage(jm: Subspace, qd: QuotientData, w_top: Subspace) -> Subspace:
@@ -491,7 +534,7 @@ def minimal_faithful(m: ModuleRep, budget: Budget | None = None) -> MinimalityRe
             break
     quot_flag, quot_wit = True, None
     for _f, _u, l_sub in simple_socle_submodules(m, budget):
-        if _soc_annihilator_dim(field, _residuals_mod(soc_tops, l_sub), qd.rep.dim * m.dim) == 0:
+        if _soc_annihilator_dim(field, _residuals_mod(soc_tops, l_sub), qd.dim * m.dim) == 0:
             quot_flag, quot_wit = False, l_sub
             break
     return MinimalityReport(sub_flag, quot_flag, sub_wit, quot_wit)
@@ -730,8 +773,8 @@ def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
     qd = quotient_action(m, radical_image(m, budget))
     # one (generator lift, top of its simple summand) per simple summand of M/JM
     summands = [
-        (qd.lift(u), Subspace.from_vectors(m.field, qd.rep.dim, part.summand(u)))
-        for part in block_decomposition(qd.rep)
+        (qd.lift(u), Subspace.from_vectors(m.field, qd.dim, part.summand(u)))
+        for part in block_decomposition(qd)
         for u in part.mult.basis_rows
     ]
 
@@ -746,7 +789,7 @@ def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
                     m.field, m.dim,
                     [vec_combo(m.field, list(n_sub.basis_rows), c) for c in w_local.basis_rows],
                 )
-                w_top = Subspace.from_vectors(m.field, qd.rep.dim, [qd.project(v) for v in w_m.basis_rows])
+                w_top = Subspace.from_vectors(m.field, qd.dim, [qd.project(v) for v in w_m.basis_rows])
                 if w_top == l_top:
                     n_sub = w_m
                     shrunk = True
@@ -819,14 +862,14 @@ def shrink_quotient(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
                 k_vectors.extend(l2.basis_rows)
         k_j = Subspace.from_vectors(m.field, m.dim, k_vectors)
         qd = quotient_action(m, k_j)
-        l_bar = Subspace.from_vectors(m.field, qd.rep.dim, [qd.project(v) for v in l_sub.basis_rows])
-        n_bar = Subspace.zero(m.field, qd.rep.dim)
+        l_bar = Subspace.from_vectors(m.field, qd.dim, [qd.project(v) for v in l_sub.basis_rows])
+        n_bar = Subspace.zero(m.field, qd.dim)
         grown = True
         while grown:
             grown = False
-            charged += num_projective_points(qd.rep.dim, m.field.q)
+            charged += num_projective_points(qd.dim, m.field.q)
             budget.guard("shrink-quotient point enumeration", charged)
-            for coeffs in enum_coeff_points(m.field, qd.rep.dim):
+            for coeffs in enum_coeff_points(m.field, qd.dim):
                 if n_bar.contains_vector(coeffs):
                     continue
                 cyc = submodule_closure(qd.rep, [coeffs])

@@ -27,13 +27,13 @@ from .exactla import all_subspaces
 from .gallery import (
     LINE_COVER_EXPECTED,
     ROW_DIAGONAL_EXPECTED,
+    criterion8_algebras,
     iter_gallery_algebras,
     make_corner_family,
     make_cross,
     make_line_cover_system,
     make_matrix_algebra,
     make_row_diagonal_pair,
-    make_square_zero_extension,
     make_triangular,
     make_twisted_truncated,
 )
@@ -43,7 +43,6 @@ from .modrep import (
     graph_socle_check,
     local_socle_check,
     minimal_faithful,
-    regular_module,
     shrink_quotient,
     shrink_submodule,
     shrink_subfactor,
@@ -247,15 +246,8 @@ def battery_twisted_centrality(budget: Budget | None = None) -> list[dict]:
 
 def battery_local_bound_exhaustive(max_dim: int = 4, budget: Budget | None = None) -> list[dict]:
     budget = budget or default_budget()
-    algebras = [
-        ("kx2-q2", make_twisted_truncated(2, 1, 1)),
-        ("kx2-q3", make_twisted_truncated(3, 1, 1)),
-        ("kxy2-q2", make_square_zero_extension(field_make(2), 2)),
-        ("scalar-tri2-q2", make_triangular(2, field_make(2), True)),
-        ("scalar-tri3-q2", make_triangular(3, field_make(2), True)),
-    ]
     items = []
-    for name, alg in algebras:
+    for name, alg in criterion8_algebras():
         soc_dim = socles(alg, budget).twosided.dim
         scanned = 0
         faithful_count = 0

@@ -27,6 +27,7 @@ from soclelab.errors import BudgetExceeded, InputError, NotSplitError, TheoremVi
 from soclelab.exactla import Mat, RowBasis, Subspace, mat_vec
 from soclelab.gf import field_make
 from soclelab.gallery import (
+    criterion8_algebras,
     make_matrix_algebra,
     make_row_diagonal_pair,
     make_square_zero_extension,
@@ -457,3 +458,40 @@ def test_algebra_json_round_trip():
         data = alg.to_json()
         again = Algebra.from_json(data)
         assert again.to_json() == data
+
+
+# -- generators ----------------------------------------------------------------------------------
+
+def unital_closure_by_products(alg: Algebra, indices) -> Subspace:
+    """The unital subalgebra the given basis elements generate, grown as a
+    span closed under products of its own basis (no words): the oracle for
+    `Algebra.generators`."""
+    span = Subspace.from_vectors(alg.field, alg.dim, [alg.one] + [alg.basis_coords(g) for g in indices])
+    while True:
+        products = [alg.mul_coords(x, y) for x in span.basis_rows for y in span.basis_rows]
+        grown = span.sum(Subspace.from_vectors(alg.field, alg.dim, products))
+        if grown == span:
+            return span
+        span = grown
+
+
+def test_generators_generate_and_none_is_redundant():
+    checked = 0
+    for name, alg in iter_gallery_algebras():
+        gens = alg.generators()
+        assert alg.generators() is gens, name
+        assert list(gens) == sorted(set(gens)), name
+        assert unital_closure_by_products(alg, gens).dim == alg.dim, name
+        for g in gens:
+            assert unital_closure_by_products(alg, [h for h in gens if h != g]).dim < alg.dim, (name, g)
+        checked += 1
+    assert checked == 39
+
+
+def test_generators_of_the_criterion8_algebras():
+    assert {name: alg.generators() for name, alg in criterion8_algebras()} == {
+        "kx2-q2": (1,), "kx2-q3": (1,), "kxy2-q2": (1, 2), "scalar-tri2-q2": (1,), "scalar-tri3-q2": (1, 3),
+    }
+    # F_q needs no generator; upper triangular 2x2 needs e22 and e12, since e11 = 1 - e22
+    assert make_triangular(1, GF2).generators() == ()
+    assert make_triangular(2, GF3).generators() == (1, 2)

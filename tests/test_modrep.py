@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -6,10 +7,20 @@ from soclelab.algebra import algebra_make, bimodule_length, socle_graph, socles
 from soclelab.budget import Budget
 from soclelab.corpus import iter_generator_modules
 from soclelab.errors import BudgetExceeded, InputError, NotSplitError, PreconditionError
-from soclelab.exactla import Mat, Subspace, enum_vectors, image, kernel, mat_of_columns, num_projective_points
+from soclelab.exactla import (
+    Mat,
+    Subspace,
+    enum_vectors,
+    image,
+    kernel,
+    mat_of_columns,
+    mat_vec,
+    num_projective_points,
+)
 from soclelab.gf import field_make
 from soclelab import modrep
 from soclelab.gallery import (
+    criterion8_algebras,
     iter_gallery_algebras,
     make_matrix_algebra,
     make_row_diagonal_pair,
@@ -80,6 +91,38 @@ def test_rejects_relation_violation():
     )
     with pytest.raises(InputError, match="identity|basis pair"):
         module_make(tri, bad)
+
+
+def pair_error(i: int, j: int) -> str:
+    return re.escape(f"action violates the structure constants at basis pair ({i}, {j})")
+
+
+def test_relation_error_names_a_failing_generator_pair():
+    # 1 acts as I and x (the generator) does not square to zero: (1, 1) is
+    # the first failing pair, and a generator pair
+    assert KX2.generators() == (1,)
+    action = (Mat.identity(GF2, 2), Mat.from_rows(GF2, [[0, 1], [0, 1]]))
+    with pytest.raises(InputError, match=pair_error(1, 1)):
+        module_make(KX2, action)
+
+
+def test_relation_error_names_the_first_failing_pair_not_the_generator_pair():
+    # scalar T_3(F_2), basis 1, e12, e13, e23, generated by e12 and e23.
+    # Every pair (e12, b) holds, so the generator pass first fails at e23,
+    # at (3, 1); the first failing pair of the whole scan is (2, 1).
+    alg = make_triangular(3, GF2, True)
+    assert alg.generators() == (1, 3)
+    action = (
+        Mat.identity(GF2, 2),
+        Mat.from_rows(GF2, [[0, 0], [1, 0]]),
+        Mat.from_rows(GF2, [[0, 0], [0, 1]]),
+        Mat.from_rows(GF2, [[0, 1], [0, 0]]),
+    )
+    unchecked = ModuleRep(alg, 2, action, _skip_verify=True)
+    assert all(unchecked._relation_holds(1, j) for j in range(4))
+    assert [j for j in range(4) if not unchecked._relation_holds(3, j)][0] == 1
+    with pytest.raises(InputError, match=pair_error(2, 1)):
+        module_make(alg, action)
 
 
 def test_rejects_identity_violation():
@@ -574,13 +617,7 @@ def test_shrink_quotient_point_scan_charges_the_budget(monkeypatch):
 
 # -- dimension-only questions by rank, against the annihilator subspaces ----------
 
-CRITERION_8_ALGEBRAS = [
-    make_twisted_truncated(2, 1, 1),
-    make_twisted_truncated(3, 1, 1),
-    make_square_zero_extension(GF2, 2),
-    make_triangular(2, GF2, True),
-    make_triangular(3, GF2, True),
-]
+CRITERION_8_ALGEBRAS = [alg for _name, alg in criterion8_algebras()]
 
 
 def minimal_faithful_by_annihilators(m: ModuleRep) -> tuple:
@@ -710,3 +747,128 @@ def test_shrink_annihilator_dims_by_rank_match_the_intersections(rng):
             checked += 1
             dropped += 0 < on_sub < soc_r.dim
     assert checked > 100 and dropped
+
+
+# -- relations and invariance on the generators, against every basis element ---------------
+
+def first_failing_pair(alg, action) -> tuple[int, int] | None:
+    """The first basis pair, in row order, whose structure-constant relation
+    fails: the full scan over all dim^2 pairs."""
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            if action[i].mul(action[j]) != mat_vec(action, alg.mult[i][j]):
+                return i, j
+    return None
+
+
+def elementary(field, n: int, r: int, c: int, x: int) -> tuple[Mat, Mat]:
+    """I + x E_rc (r != c) and its inverse I - x E_rc."""
+    unit = Mat.unit(field, n, n, r, c)
+    ident = Mat.identity(field, n)
+    return ident.add(unit.scale(x)), ident.sub(unit.scale(x))
+
+
+def perturbed_actions(alg, rng) -> tuple:
+    """The regular actions conjugated by random elementary matrices, and,
+    three times in four, one entry of one basis element's action moved.  A
+    basis element that 1 involves is then set so that 1 still acts as the
+    identity, so every module reaches the pair check."""
+    field, n = alg.field, alg.dim
+    action = list(alg.left_mats)
+    for _ in range(3):
+        if n < 2:
+            break
+        r, c = rng.sample(range(n), 2)
+        p, p_inv = elementary(field, n, r, c, rng.randrange(1, field.q))
+        action = [p.mul(mat).mul(p_inv) for mat in action]
+    k = next(t for t, x in enumerate(alg.one) if x)
+    if n > 1 and rng.random() < 0.75:
+        i = rng.choice([t for t in range(n) if t != k])
+        entries = list(action[i].entries)
+        spot = rng.randrange(n * n)
+        entries[spot] = field.add(entries[spot], rng.randrange(1, field.q))
+        action[i] = Mat(field, n, n, tuple(entries))
+        # rho(b_k) = one_k^-1 (I - sum over t != k of one_t rho(b_t))
+        rest = mat_vec(action, tuple(0 if t == k else x for t, x in enumerate(alg.one)))
+        action[k] = Mat.identity(field, n).sub(rest).scale(field.inv(alg.one[k]))
+    return tuple(action)
+
+
+def test_generator_relation_check_agrees_with_the_full_scan(rng):
+    valid = invalid = moved = 0
+    for name, alg in iter_gallery_algebras(max_ring=3**8):
+        for _ in range(24):
+            action = perturbed_actions(alg, rng)
+            assert mat_vec(action, alg.one) == Mat.identity(alg.field, alg.dim)
+            want = first_failing_pair(alg, action)
+            if want is None:
+                module_make(alg, action)
+                valid += 1
+                continue
+            with pytest.raises(InputError, match=pair_error(*want)):
+                module_make(alg, action)
+            invalid += 1
+            # the generator pass alone would have named another pair
+            unchecked = ModuleRep(alg, alg.dim, action, _skip_verify=True)
+            gen_first = next((g, j) for g in alg.generators() for j in range(alg.dim)
+                             if not unchecked._relation_holds(g, j))
+            moved += gen_first != want
+    assert valid > 50 and invalid > 300 and moved > 50
+
+
+def closure_under_every_basis_action(m: ModuleRep, vectors) -> Subspace:
+    span = Subspace.from_vectors(m.field, m.dim, vectors)
+    while True:
+        images = [mat.apply(v) for mat in m.action for v in span.basis_rows]
+        grown = span.sum(Subspace.from_vectors(m.field, m.dim, images))
+        if grown == span:
+            return span
+        span = grown
+
+
+def invariant_under_every_basis_action(m: ModuleRep, sub: Subspace) -> bool:
+    return all(sub.contains_vector(mat.apply(v)) for mat in m.action for v in sub.basis_rows)
+
+
+def test_closure_and_invariance_on_generators_match_every_basis_action(rng):
+    invariant = not_invariant = 0
+    for name, alg in iter_gallery_algebras(max_ring=3**6):
+        reg = regular_module(alg)
+        for m in (reg, reg.direct_sum(reg)):
+            for _ in range(6):
+                vectors = [[rng.randrange(m.field.q) for _ in range(m.dim)] for _ in range(rng.randint(1, 2))]
+                closure = submodule_closure(m, vectors)
+                assert closure == closure_under_every_basis_action(m, vectors), name
+                for sub in (closure, Subspace.from_vectors(m.field, m.dim, vectors)):
+                    if invariant_under_every_basis_action(m, sub):
+                        modrep._check_invariant(m, sub)
+                        invariant += 1
+                    else:
+                        with pytest.raises(PreconditionError, match="not action-invariant"):
+                            quotient_action(m, sub)
+                        with pytest.raises(PreconditionError, match="not action-invariant"):
+                            restrict_action(m, sub)
+                        not_invariant += 1
+    assert invariant > 100 and not_invariant > 50
+
+
+def test_minimality_builds_the_top_module_only_for_non_identity_blocks(monkeypatch):
+    local = [m for m in iter_generator_modules(KX3, 3) if faithful(m)[0]]
+    two_block, _ = _two_block_modules()
+    built = []
+    real = ModuleRep.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModuleRep, "__init__", counting)
+    for m in local:
+        minimal_faithful(m)
+    assert built == []
+    minimal_faithful(two_block)
+    assert len(built) == 1
+    # the quotient built on first read is the unit-vector reference, and is kept
+    qd = quotient_action(two_block, radical_image(two_block))
+    assert qd.rep.action == quotient_by_unit_vectors(two_block, radical_image(two_block))
+    assert qd.rep is qd.rep
