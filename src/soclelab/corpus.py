@@ -27,7 +27,7 @@ from .exactla import (
 )
 from .gf import Field
 from .modrep import ModuleRep, faithful
-from .strongness import BilinearSystem, BlockSpec, SystemReport, prop41_check
+from .strongness import BilinearSystem, BlockSpec, SystemReport, prop41_check, tensor_maps
 
 
 # ---------------------------------------------------------------------------
@@ -294,42 +294,12 @@ def faithful_corpus(rng: random.Random, min_count: int = 200) -> list[tuple[str,
 # random verified split systems
 # ---------------------------------------------------------------------------
 
-def _tensor_block_maps(field: Field, u_rows: tuple, s_blocks, t_blocks, e: int, f: int,
-                       dim_b: int, dim_c: int, b_off: int, c_off: int) -> list[Mat]:
-    """Basis of U (x) Matr(n_f x n_e) as full-size maps B -> C."""
-    n_e, s_mult = s_blocks[e].n, s_blocks[e].mult
-    n_f, t_mult = t_blocks[f].n, t_blocks[f].mult
-    mats = []
-    for u in u_rows:  # u is a t_mult x s_mult matrix, flattened row-major
-        for a in range(n_f):
-            for b in range(n_e):
-                entries = {}
-                for i in range(t_mult):
-                    for j in range(s_mult):
-                        c = u[i * s_mult + j]
-                        if c:
-                            entries[(c_off + i * n_f + a, b_off + j * n_e + b)] = c
-                mats.append(Mat._of(field, dim_c, dim_b,
-                                    tuple(entries.get((r, col), 0) for r in range(dim_c) for col in range(dim_b))))
-    return mats
-
-
 def random_split_system(field: Field, rng: random.Random) -> BilinearSystem:
     """One random split system with full or near-full edge bimodules over a
     random support pattern covering every block."""
     s_blocks = tuple(BlockSpec(rng.choice((1, 1, 2)), rng.choice((1, 1, 2))) for _ in range(rng.choice((1, 2))))
     t_blocks = tuple(BlockSpec(rng.choice((1, 1, 2)), rng.choice((1, 1, 2))) for _ in range(rng.choice((1, 2))))
-    dim_b = sum(b.module_dim() for b in s_blocks)
-    dim_c = sum(b.module_dim() for b in t_blocks)
-    b_offsets, c_offsets = [], []
-    at = 0
-    for b in s_blocks:
-        b_offsets.append(at)
-        at += b.module_dim()
-    at = 0
-    for b in t_blocks:
-        c_offsets.append(at)
-        at += b.module_dim()
+    skeleton = BilinearSystem(field, s_blocks, t_blocks, (), _skip_verify=True)  # the layout only
     edges = set()
     for e in range(len(s_blocks)):
         edges.add((rng.randrange(len(t_blocks)), e))
@@ -343,8 +313,7 @@ def random_split_system(field: Field, rng: random.Random) -> BilinearSystem:
         hom_dim = s_mult * t_mult
         u_dim = hom_dim if rng.random() < 0.6 else max(1, hom_dim - 1)
         u_rows = _random_subspace(field, t_mult * s_mult, u_dim, rng).basis_rows
-        a_mats.extend(_tensor_block_maps(field, u_rows, s_blocks, t_blocks, e, f,
-                                         dim_b, dim_c, b_offsets[e], c_offsets[f]))
+        a_mats.extend(tensor_maps(skeleton, f, e, u_rows))
     # closure under the block actions holds by construction (U tensor Matr)
     return BilinearSystem(field, s_blocks, t_blocks, tuple(a_mats), _skip_verify=True)
 

@@ -365,7 +365,7 @@ def battery_strength_laws(budget: Budget | None = None) -> list[dict]:
             any_block_1_strong = True
     items.append(_item("line-cover-q2-no-block-1-strong", not any_block_1_strong))
 
-    idx, _rep = union_split(sys, [sys.corner_maps(0, e) for e in range(3)], "left", 2, t_block=0, budget=budget)
+    idx, _rep = union_split(sys, [sys.block_maps(0, e) for e in range(3)], "left", 2, t_block=0, budget=budget)
     items.append(_item("line-cover-union-law-instance", idx is not None, part=idx))
 
     # covering laws on small module lattices
@@ -405,7 +405,7 @@ def battery_strength_laws(budget: Budget | None = None) -> list[dict]:
         field = field_make(q)
         for s, t in ((1, 2), (2, 2)):
             twin = _two_block_full_system(field, s, t)
-            parts = [twin.corner_maps(0, 0), twin.corner_maps(0, 1)]
+            parts = [twin.block_maps(0, 0), twin.block_maps(0, 1)]
             idx, rep = union_split(twin, parts, "left", q, t_block=0, budget=budget)
             items.append(_item(
                 f"union-law-disjoint-corners-q{q}-s{s}-t{t}",

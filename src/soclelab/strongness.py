@@ -14,6 +14,15 @@ correspond to subspaces of the multiplicity space k^{t_f}, and the
 submodule generated by a vector corresponds to the span of that vector's
 column components.  All predicates reduce to small exact solves and
 guarded enumerations over these spaces.
+
+The coordinate layout is owned here: the slot (block, copy, row) of B or C
+sits at offset + copy*n + row, offsets block-major.  Everything that
+touches a block reads or writes it by index selection in this layout: the
+corner multiplicity spaces W_fe of a set of maps (`_corner_orbits`), their
+inverse U (x) Matr_{n_f x n_e}(k) (`tensor_maps`), the compressions to a
+corner, row or column (`BilinearSystem.block_maps`) and the multiplicity
+vectors of an image or kernel.  The balance check, the block graph and the
+degrees are read off the W_fe of the generators, kept once per system.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,10 +39,11 @@ from .budget import Budget, default_budget
 from .errors import BudgetExceeded, InputError, PreconditionError, TheoremViolation
 from .exactla import (
     Mat,
-    RowBasis,
     Subspace,
+    all_subspaces,
     enum_coeff_points,
     enum_hyperplanes,
+    enum_subspaces,
     kernel,
     mat_of_rows,
     mat_vec,
@@ -60,7 +71,8 @@ class BilinearSystem:
     Coordinates of B are block-major and copy-major within a block: the
     vector slot (block e, copy j, row i) sits at offset_e + j*n_e + i.
     The generators need not be independent; independence is exactly the
-    nondegeneracy predicate and is reported, not assumed.
+    nondegeneracy predicate and is reported, not assumed.  span(A) and the
+    W_fe of the generators are computed on first read and kept.
     """
 
     def __init__(
@@ -79,6 +91,8 @@ class BilinearSystem:
         self.dim_c = sum(b.module_dim() for b in self.t_blocks)
         self._b_offsets = self._offsets(self.s_blocks)
         self._c_offsets = self._offsets(self.t_blocks)
+        self._a_span: Subspace | None = None
+        self._corner_spaces: dict | None = None
         for a in self.a_basis:
             if a.field != field or (a.rows, a.cols) != (self.dim_c, self.dim_b):
                 raise InputError("system generator has wrong shape or field")
@@ -94,72 +108,53 @@ class BilinearSystem:
             at += b.module_dim()
         return tuple(out)
 
-    # -- block actions ---------------------------------------------------------
-    def s_unit_mat(self, e: int, a_row: int, b_col: int) -> Mat:
-        """Matrix-unit E_{ab} of S-block e acting on B (block-diagonal)."""
-        block = self.s_blocks[e]
-        off = self._b_offsets[e]
-        entries = {}
-        for j in range(block.mult):
-            entries[(off + j * block.n + a_row, off + j * block.n + b_col)] = 1
-        return self._sparse(self.dim_b, entries)
-
-    def t_unit_mat(self, f: int, a_row: int, b_col: int) -> Mat:
-        block = self.t_blocks[f]
-        off = self._c_offsets[f]
-        entries = {}
-        for j in range(block.mult):
-            entries[(off + j * block.n + a_row, off + j * block.n + b_col)] = 1
-        return self._sparse(self.dim_c, entries)
-
-    def _sparse(self, n: int, entries: dict) -> Mat:
-        return Mat._of(self.field, n, n, tuple(entries.get((i, j), 0) for i in range(n) for j in range(n)))
-
-    def s_block_projector(self, e: int) -> Mat:
-        block = self.s_blocks[e]
-        off = self._b_offsets[e]
-        entries = {(off + t, off + t): 1 for t in range(block.module_dim())}
-        return self._sparse(self.dim_b, entries)
-
-    def t_block_projector(self, f: int) -> Mat:
-        block = self.t_blocks[f]
-        off = self._c_offsets[f]
-        entries = {(off + t, off + t): 1 for t in range(block.module_dim())}
-        return self._sparse(self.dim_c, entries)
-
-    def _verify_balanced(self):
-        """The span of the generators must be closed under t . a . s."""
-        span = RowBasis(self.field, self.dim_b * self.dim_c)
-        for a in self.a_basis:
-            span.add(a.flatten())
-        units = []
-        for f, bf in enumerate(self.t_blocks):
-            for i in range(bf.n):
-                for j in range(bf.n):
-                    units.append(("t", self.t_unit_mat(f, i, j)))
-        for e, be in enumerate(self.s_blocks):
-            for i in range(be.n):
-                for j in range(be.n):
-                    units.append(("s", self.s_unit_mat(e, i, j)))
-        for a in self.a_basis:
-            for kind, u in units:
-                composed = u.mul(a) if kind == "t" else a.mul(u)
-                if not span.contains(composed.flatten()):
-                    raise InputError("generators are not closed under the block actions (not a sub-bimodule)")
-
     # -- spans and corners --------------------------------------------------------
-    def a_span(self) -> Subspace:
-        return Subspace.from_vectors(self.field, self.dim_b * self.dim_c, [a.flatten() for a in self.a_basis])
+    def _verify_balanced(self):
+        """The span of the generators must be closed under t . a . s.
 
-    def corner_maps(self, f: int, e: int) -> list[Mat]:
-        """Spanning set of f A e as full-size matrices (other blocks zeroed)."""
-        pf, pe = self.t_block_projector(f), self.s_block_projector(e)
-        return [pf.mul(a).mul(pe) for a in self.a_basis]
-
-    def corner_span(self, f: int, e: int) -> Subspace:
-        return Subspace.from_vectors(
-            self.field, self.dim_b * self.dim_c, [m.flatten() for m in self.corner_maps(f, e)]
+        The sum of T a S over the generators is the direct sum over (f, e) of
+        W_fe (x) Matr_{n_f x n_e}(k), with W_fe read off the generators'
+        corner blocks (`corner_spaces`), and it contains span(A) (take
+        t = 1, s = 1).  So span(A) is closed under the block actions exactly
+        when the two have the same dimension, sum n_f * n_e * dim W_fe."""
+        closure = sum(
+            self.t_blocks[f].n * self.s_blocks[e].n * len(basis) for (f, e), basis in self.corner_spaces().items()
         )
+        if self.a_span().dim != closure:
+            raise InputError("generators are not closed under the block actions (not a sub-bimodule)")
+
+    def a_span(self) -> Subspace:
+        """span(A) in the flattened map space, computed on first read."""
+        if self._a_span is None:
+            self._a_span = Subspace.from_vectors(
+                self.field, self.dim_b * self.dim_c, [a.flatten() for a in self.a_basis]
+            )
+        return self._a_span
+
+    def corner_spaces(self) -> dict[tuple[int, int], tuple]:
+        """RREF bases of the nonzero W_fe of A, keyed by corner (f, e),
+        computed on first read (`_corner_orbits` of the generators)."""
+        if self._corner_spaces is None:
+            self._corner_spaces = _corner_orbits(self, self.a_basis)
+        return self._corner_spaces
+
+    def block_maps(self, f: int | None = None, e: int | None = None) -> list[Mat]:
+        """The generators with every entry outside codomain block f and domain
+        block e zeroed, where given: the corner f A e, the row f A, or the
+        column A e."""
+        rows = self._slots(self._c_offsets, self.t_blocks, f, self.dim_c)
+        cols = self._slots(self._b_offsets, self.s_blocks, e, self.dim_b)
+        keep = [r in rows and c in cols for r in range(self.dim_c) for c in range(self.dim_b)]
+        return [
+            Mat._of(self.field, self.dim_c, self.dim_b, tuple(x if k else 0 for x, k in zip(a.entries, keep)))
+            for a in self.a_basis
+        ]
+
+    @staticmethod
+    def _slots(offsets, blocks, index: int | None, dim: int) -> range:
+        if index is None:
+            return range(dim)
+        return range(offsets[index], offsets[index] + blocks[index].module_dim())
 
     # -- multiplicity-space helpers -------------------------------------------------
     def b_vector(self, e: int, copy_vec, row: int) -> tuple[int, ...]:
@@ -180,34 +175,35 @@ class BilinearSystem:
         return tuple(out)
 
     def _image_mult_vectors(self, a: Mat, f: int) -> list:
-        """The copy vectors (a[(f, j, i), col])_j over every row i of block f
-        and every column col of a; they span `image_mult_space`."""
+        """The nonzero copy vectors (a[(f, j, i), col])_j over every row i of
+        block f and every column col of a; they span `image_mult_space`."""
         block = self.t_blocks[f]
         off = self._c_offsets[f]
         entries, width = a.entries, a.cols
-        return [
+        vectors = (
             tuple(entries[(off + j * block.n + i) * width + col] for j in range(block.mult))
             for col in range(width)
             for i in range(block.n)
-        ]
+        )
+        return [v for v in vectors if any(v)]
 
     def image_mult_space(self, a: Mat, f: int) -> Subspace:
         """Multiplicity space of the submodule generated by a's image, block f."""
-        vectors = self._image_mult_vectors(a, f)
-        return Subspace.from_vectors(self.field, self.t_blocks[f].mult, [v for v in vectors if any(v)])
+        return Subspace.from_vectors(self.field, self.t_blocks[f].mult, self._image_mult_vectors(a, f))
 
     def _kernel_mult_rows(self, a: Mat, e: int) -> list:
-        """Rows of the solve whose null space is `kernel_mult_space`."""
+        """The nonzero rows of the solve whose null space is `kernel_mult_space`."""
         block = self.s_blocks[e]
         off = self._b_offsets[e]
         entries, width = a.entries, a.cols
         # m in k^{mult} lies in the kernel-submodule iff sum_j m_j a(e_{j,i}) = 0 for all i;
         # row (i, coord) of the solve holds coordinate coord of a(e_{j,i}) for each copy j
-        return [
+        rows = (
             [entries[coord * width + off + j * block.n + i] for j in range(block.mult)]
             for i in range(block.n)
             for coord in range(self.dim_c)
-        ]
+        )
+        return [r for r in rows if any(r)]
 
     def kernel_mult_space(self, a: Mat, e: int) -> Subspace:
         """Multiplicity space of the largest submodule of eB inside ker(a)."""
@@ -333,9 +329,8 @@ def predicates(sys: BilinearSystem) -> PredicateReport:
     element of A annihilating it; the second, for every simple submodule of
     C, for a nonzero element of A mapping B into it.
     """
-    flat = Subspace.from_vectors(sys.field, sys.dim_b * sys.dim_c, [a.flatten() for a in sys.a_basis])
     # vacuously true for empty A; false exactly when the generators are dependent
-    nondeg = flat.dim == len(sys.a_basis)
+    nondeg = sys.a_span().dim == len(sys.a_basis)
     cond_b, cond_c = True, True
     b_wit, c_wit = [], []
     b_fail = c_fail = None
@@ -405,35 +400,55 @@ def _kernel_contains_maximal(sys: BilinearSystem, a: Mat) -> bool:
     return total == 1
 
 
-def _corner_orbits(sys: BilinearSystem, a: Mat) -> dict[tuple[int, int], tuple]:
+def _corner_orbits(sys: BilinearSystem, maps) -> dict[tuple[int, int], tuple]:
     """RREF bases of the nonzero multiplicity spaces W_fe of the
-    sub-bimodule T a S, keyed by corner (f, e).
+    sub-bimodule sum_a T a S over the given maps, keyed by corner (f, e).
 
     Write A^{fe}_{jk} for the t_f x s_e matrix (c, c') -> a[(f,c,j), (e,c',k)],
     slots indexed offset + copy*n + row.  A matrix unit E_ij of T-block f
     times a times a matrix unit E_kl of S-block e is A^{fe}_{jk} (x) E_il, so
     T a S = (+)_{(f,e)} W_fe (x) Matr_{n_f x n_e}(k), where W_fe is the span
-    of the n_f * n_e blocks A^{fe}_{jk}.  The blocks are read off a's entries
-    by index selection; each basis row is a t_f x s_e matrix, row-major."""
-    entries, width = a.entries, a.cols
+    of the n_f * n_e blocks A^{fe}_{jk}; over several maps the W_fe add up.
+    The blocks are read off the maps' entries by index selection; each basis
+    row is a t_f x s_e matrix, row-major."""
     corners = {}
     for f, bf in enumerate(sys.t_blocks):
         c_off = sys._c_offsets[f]
         for e, be in enumerate(sys.s_blocks):
             b_off = sys._b_offsets[e]
             blocks = []
-            for j in range(bf.n):
-                for k in range(be.n):
-                    block = tuple(
-                        entries[(c_off + c * bf.n + j) * width + b_off + c2 * be.n + k]
-                        for c in range(bf.mult)
-                        for c2 in range(be.mult)
-                    )
-                    if any(block):
-                        blocks.append(block)
+            for a in maps:
+                entries, width = a.entries, a.cols
+                for j in range(bf.n):
+                    for k in range(be.n):
+                        block = tuple(
+                            entries[(c_off + c * bf.n + j) * width + b_off + c2 * be.n + k]
+                            for c in range(bf.mult)
+                            for c2 in range(be.mult)
+                        )
+                        if any(block):
+                            blocks.append(block)
             if blocks:
                 corners[f, e] = Subspace.from_vectors(sys.field, bf.mult * be.mult, blocks).basis_rows
     return corners
+
+
+def tensor_maps(sys: BilinearSystem, f: int, e: int, u_rows) -> list[Mat]:
+    """Basis of U (x) Matr_{n_f x n_e}(k) as full-size maps B -> C, for U
+    spanned by the independent t_f x s_e matrices u_rows (row-major): the
+    inverse of the corner read, one map per u and matrix unit E_ab."""
+    bf, be = sys.t_blocks[f], sys.s_blocks[e]
+    c_off, b_off = sys._c_offsets[f], sys._b_offsets[e]
+    mats = []
+    for u in u_rows:
+        for a in range(bf.n):
+            for b in range(be.n):
+                entries = [0] * (sys.dim_c * sys.dim_b)
+                for c in range(bf.mult):
+                    for c2 in range(be.mult):
+                        entries[(c_off + c * bf.n + a) * sys.dim_b + b_off + c2 * be.n + b] = u[c * be.mult + c2]
+                mats.append(Mat._of(sys.field, sys.dim_c, sys.dim_b, tuple(entries)))
+    return mats
 
 
 def _has_nonzero_solution(field: Field, images: list, width: int) -> bool:
@@ -526,7 +541,7 @@ def _swap_failures(sys: BilinearSystem, a: Mat, forward: bool = True, backward: 
     maximal_kernel = backward and _kernel_contains_maximal(sys, a)
     if not (simple_image or maximal_kernel):
         return False, False
-    corners = _corner_orbits(sys, a)
+    corners = _corner_orbits(sys, (a,))
     return (
         simple_image and not _corners_have_maximal_kernel(sys, corners),
         maximal_kernel and not _corners_have_simple_image(sys, corners),
@@ -569,31 +584,24 @@ def small_conditions(sys: BilinearSystem, budget: Budget | None = None) -> Small
 
 
 def _swap_either_literal(sys: BilinearSystem, budget: Budget) -> bool:
-    for f in range(len(sys.t_blocks)):
-        for e in range(len(sys.s_blocks)):
-            corner = sys.corner_span(f, e)
-            if corner.dim == 0:
-                continue
-            budget.guard("either-swap corner enumeration", num_projective_points(corner.dim, sys.field.q))
-            forward = True   # simple image -> orbit has maximal kernel
-            backward = True  # maximal kernel -> orbit has simple image
-            for vec in _iter_span_elements(sys.field, list(corner.basis_rows)):
-                a = Mat._of(sys.field, sys.dim_c, sys.dim_b, tuple(vec))
-                forward_fails, backward_fails = _swap_failures(sys, a, forward, backward)
-                forward = forward and not forward_fails
-                backward = backward and not backward_fails
-                if not forward and not backward:
-                    return False
+    for f, e in sys.corner_spaces():
+        corner = Subspace.from_vectors(sys.field, sys.dim_b * sys.dim_c, [m.flatten() for m in sys.block_maps(f, e)])
+        budget.guard("either-swap corner enumeration", num_projective_points(corner.dim, sys.field.q))
+        forward = True   # simple image -> orbit has maximal kernel
+        backward = True  # maximal kernel -> orbit has simple image
+        for vec in _iter_span_elements(sys.field, list(corner.basis_rows)):
+            a = Mat._of(sys.field, sys.dim_c, sys.dim_b, tuple(vec))
+            forward_fails, backward_fails = _swap_failures(sys, a, forward, backward)
+            forward = forward and not forward_fails
+            backward = backward and not backward_fails
+            if not forward and not backward:
+                return False
     return True
 
 
 # ---------------------------------------------------------------------------
 # N-strong predicates
 # ---------------------------------------------------------------------------
-
-def _floor_n(N) -> int:
-    return int(math.floor(N))
-
 
 @dataclass
 class StrongReport:
@@ -640,7 +648,7 @@ def _strong_parts(
         members = list(enum_coeff_points(field, s))
         mult_space, want = sys.kernel_mult_space, s - 1
         avoids, as_json = (lambda mult, point: not mult.contains_vector(point)), list
-    max_k = min(_floor_n(N), len(members))
+    max_k = min(int(math.floor(N)), len(members))
     part_spans = [Subspace.from_vectors(field, sys.dim_b * sys.dim_c, [m.flatten() for m in part]) for part in parts]
     total_families = sum(math.comb(len(members), k) for k in range(0, max_k + 1))
     n_elements = sum(num_projective_points(sp.dim, field.q) if sp.dim else 0 for sp in part_spans)
@@ -687,19 +695,6 @@ def _side_block(sys: BilinearSystem, side: str, t_block: int | None, s_block: in
     return live[0]
 
 
-def _block_maps(sys: BilinearSystem, f: int | None, e: int | None) -> list[Mat]:
-    """The generators compressed to codomain block f and domain block e,
-    where given: the corner f A e, the row f A, or the column A e."""
-    maps = list(sys.a_basis)
-    if f is not None:
-        pf = sys.t_block_projector(f)
-        maps = [pf.mul(a) for a in maps]
-    if e is not None:
-        pe = sys.s_block_projector(e)
-        maps = [a.mul(pe) for a in maps]
-    return maps
-
-
 def n_strong(
     sys: BilinearSystem,
     side: str,
@@ -717,7 +712,7 @@ def n_strong(
     budget = budget or default_budget()
     block = _side_block(sys, side, t_block, s_block)
     f, e = (block, s_block) if side == "left" else (t_block, block)
-    return _strong_parts(sys, [_block_maps(sys, f, e)], side, block, N, budget)
+    return _strong_parts(sys, [sys.block_maps(f, e)], side, block, N, budget)
 
 
 def union_split(
@@ -754,12 +749,6 @@ def union_split(
 # union-coverage law for module lattices
 # ---------------------------------------------------------------------------
 
-def _all_mult_subspaces(field: Field, t: int):
-    from .exactla import all_subspaces
-
-    return list(all_subspaces(field, t))
-
-
 def no_union_cover(field: Field, block: BlockSpec, N: int, budget: Budget | None = None) -> bool:
     """Verify, on the module (k^n)^t over Matr_n(F_q), that no family of at
     most N proper submodules covers the module, and that no family of at
@@ -772,7 +761,7 @@ def no_union_cover(field: Field, block: BlockSpec, N: int, budget: Budget | None
     budget = budget or default_budget()
     n, t = block.n, block.mult
     q = field.q
-    subs = _all_mult_subspaces(field, t)
+    subs = list(all_subspaces(field, t))
     proper = [s for s in subs if s.dim < t]
     nonzero = [s for s in subs if s.dim > 0]
     max_reach = min(n, t)
@@ -845,9 +834,6 @@ class SystemReport:
     hypotheses_met: dict
     field_size: int
 
-    def all_hypotheses(self) -> bool:
-        return all(self.hypotheses_met.values())
-
     def to_json(self) -> dict:
         return {
             "budget": self.budget.to_json(),
@@ -867,33 +853,19 @@ def system_graph(sys: BilinearSystem) -> tuple[SocleGraph, int]:
     """Block graph of the system plus the bimodule length of A."""
     left_vertices = tuple(f for f, b in enumerate(sys.t_blocks) if b.mult > 0)
     right_vertices = tuple(e for e, b in enumerate(sys.s_blocks) if b.mult > 0)
-    edges = []
-    lengths = []
-    for f in left_vertices:
-        for e in right_vertices:
-            corner = sys.corner_span(f, e)
-            if corner.dim:
-                pair = sys.t_blocks[f].n * sys.s_blocks[e].n
-                if corner.dim % pair:
-                    raise TheoremViolation("corner dimension not divisible by block sizes")
-                edges.append((f, e))
-                lengths.append(corner.dim // pair)
-    chi = len(left_vertices) + len(right_vertices) - len(edges)
-    graph = SocleGraph(left_vertices, right_vertices, tuple(edges), tuple(lengths), chi)
+    # a nonzero W_fe has t_f, s_e > 0, so its corner joins two vertices
+    corners = sys.corner_spaces()
+    lengths = tuple(len(basis) for basis in corners.values())
+    chi = len(left_vertices) + len(right_vertices) - len(corners)
+    graph = SocleGraph(left_vertices, right_vertices, tuple(corners), lengths, chi)
     return graph, sum(lengths)
 
 
 def strength_budget(sys: BilinearSystem) -> StrengthBudget:
     q = sys.field.q
-    edge_count_f = {}
-    edge_count_e = {}
-    for f in range(len(sys.t_blocks)):
-        for e in range(len(sys.s_blocks)):
-            if sys.corner_span(f, e).dim:
-                edge_count_f[f] = edge_count_f.get(f, 0) + 1
-                edge_count_e[e] = edge_count_e.get(e, 0) + 1
-    d_T = max(edge_count_f.values(), default=0)
-    d_S = max(edge_count_e.values(), default=0)
+    edges = sys.corner_spaces()
+    d_T = max(Counter(f for f, _ in edges).values(), default=0)
+    d_S = max(Counter(e for _, e in edges).values(), default=0)
     l_S = max((b.mult for b in sys.s_blocks), default=0)
     l_T = max((b.mult for b in sys.t_blocks), default=0)
     cardD_ok = q >= d_T * l_S and q >= d_S * l_T
@@ -961,7 +933,7 @@ def relative_n_strong(
     """
     budget = budget or default_budget()
     f = _side_block(sys, "left", t_block, s_block)
-    maps = _block_maps(sys, f, s_block)
+    maps = sys.block_maps(f, s_block)
     w_system = BilinearSystem(sys.field, sys.s_blocks, sys.t_blocks, tuple(maps), _skip_verify=True)
     if y_prime.dim == 0:
         raise PreconditionError("relative strength needs a nonzero submodule")
@@ -973,8 +945,6 @@ def relative_n_strong(
         return [w_system.c_vector(f, m, i) for m in mult_sub.basis_rows for i in range(sys.t_blocks[f].n)]
 
     def subspaces_of_dim(space: Subspace, d: int):
-        from .exactla import enum_subspaces
-
         nonlocal examined
         if d > space.dim:
             return

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -30,6 +31,7 @@ from soclelab.strongness import (
     small_conditions,
     strength_budget,
     system_graph,
+    tensor_maps,
     union_split,
     _corner_orbits,
     _corners_have_maximal_kernel,
@@ -85,6 +87,10 @@ def test_balance_verification_rejects_non_bimodule():
     with pytest.raises(InputError, match="sub-bimodule"):
         BilinearSystem(GF2, (BlockSpec(1, 1), BlockSpec(1, 1)),
                        (BlockSpec(1, 1), BlockSpec(1, 1)), gens)
+    # one n = 2 block on each side: the projectors are the identity, so only
+    # the matrix units see that span(E_11) is not closed
+    with pytest.raises(InputError, match="sub-bimodule"):
+        BilinearSystem(GF2, (BlockSpec(2, 1),), (BlockSpec(2, 1),), (Mat.unit(GF2, 2, 2, 0, 0),))
 
 
 # -- small conditions --------------------------------------------------------------
@@ -116,19 +122,50 @@ def test_small_conditions_vacuous_on_missing_block_pairs():
     sys_obj = BilinearSystem(GF2, (BlockSpec(1, 1), BlockSpec(1, 1)), (BlockSpec(1, 1),), gens)
     sc = small_conditions(sys_obj)
     assert sc.matrix_blocks and sc.swap_both and sc.swap_either
-    assert sys_obj.corner_span(0, 1).dim == 0  # the empty pair
+    assert (0, 1) not in sys_obj.corner_spaces()  # the empty pair
+    assert all(m.is_zero() for m in sys_obj.block_maps(0, 1))
 
 
 # -- the swap conditions by corners, against full-size maps built by matrix units --
+
+def _sides(sys_obj):
+    return ((sys_obj.t_blocks, sys_obj._c_offsets, sys_obj.dim_c),
+            (sys_obj.s_blocks, sys_obj._b_offsets, sys_obj.dim_b))
+
+
+def all_units(sys_obj):
+    """Oracle: every matrix unit E_ij of every T-block acting on C and of
+    every S-block acting on B, as full-size block-diagonal matrices."""
+    out = []
+    for blocks, offsets, dim in _sides(sys_obj):
+        units = []
+        for block, off in zip(blocks, offsets):
+            for i in range(block.n):
+                for j in range(block.n):
+                    entries = [0] * (dim * dim)
+                    for c in range(block.mult):
+                        entries[(off + c * block.n + i) * dim + off + c * block.n + j] = 1
+                    units.append(Mat._of(sys_obj.field, dim, dim, tuple(entries)))
+        out.append(units)
+    return out
+
+
+def all_projectors(sys_obj):
+    """Oracle: the full-size diagonal projector onto each T-block of C and
+    onto each S-block of B."""
+    return [
+        [Mat._of(sys_obj.field, dim, dim, tuple(int(r == c and off <= r < off + block.module_dim())
+                                                for r in range(dim) for c in range(dim)))
+         for block, off in zip(blocks, offsets)]
+        for blocks, offsets, dim in _sides(sys_obj)
+    ]
+
 
 def unit_orbit(sys_obj, a):
     """Oracle: T a S spanned by every E_ij a E_kl, each a product of full-size
     matrices with the matrix units of the blocks."""
     span = RowBasis(sys_obj.field, sys_obj.dim_b * sys_obj.dim_c)
-    units_t = [sys_obj.t_unit_mat(f, i, j) for f, bf in enumerate(sys_obj.t_blocks)
-               for i in range(bf.n) for j in range(bf.n)]
-    units_s = [sys_obj.s_unit_mat(e, k, l) for e, be in enumerate(sys_obj.s_blocks)
-               for k in range(be.n) for l in range(be.n)]
+    units_t, units_s = all_units(sys_obj)
     for ut in units_t:
         ua = ut.mul(a)
         for us in units_s:
@@ -217,7 +254,7 @@ def test_corner_orbits_span_the_unit_orbit():
         field = sys_obj.field
         for vec in itertools.islice(_iter_span_elements(field, list(sys_obj.a_span().basis_rows)), 40):
             a = Mat._of(field, sys_obj.dim_c, sys_obj.dim_b, tuple(vec))
-            corners = _corner_orbits(sys_obj, a)
+            corners = _corner_orbits(sys_obj, (a,))
             rebuilt = [
                 corner_tensor(sys_obj, f, e, x, i, l).flatten()
                 for (f, e), basis in corners.items()
@@ -241,7 +278,7 @@ def test_corner_swap_predicates_agree_with_full_size_checks():
         field = sys_obj.field
         for vec in _iter_span_elements(field, list(sys_obj.a_span().basis_rows)):
             a = Mat._of(field, sys_obj.dim_c, sys_obj.dim_b, tuple(vec))
-            corners = _corner_orbits(sys_obj, a)
+            corners = _corner_orbits(sys_obj, (a,))
             orbit = unit_orbit(sys_obj, a)
             has_kernel = _corners_have_maximal_kernel(sys_obj, corners)
             has_image = _corners_have_simple_image(sys_obj, corners)
@@ -279,17 +316,17 @@ def test_corner_swap_predicates_pinned():
     # Hom(k^2, k^2) over F_2 with n = 1: T a S is just span(a).  The identity
     # kills no hyperplane and its image is no line; a rank-one map does both.
     sys_obj = full_hom_system(GF2, 2, 2)
-    identity = _corner_orbits(sys_obj, Mat.identity(GF2, 2))
+    identity = _corner_orbits(sys_obj, (Mat.identity(GF2, 2),))
     assert identity == {(0, 0): ((1, 0, 0, 1),)}
     assert not _corners_have_maximal_kernel(sys_obj, identity)
     assert not _corners_have_simple_image(sys_obj, identity)
-    rank_one = _corner_orbits(sys_obj, Mat.unit(GF2, 2, 2, 0, 1))
+    rank_one = _corner_orbits(sys_obj, (Mat.unit(GF2, 2, 2, 0, 1),))
     assert _corners_have_maximal_kernel(sys_obj, rank_one)
     assert _corners_have_simple_image(sys_obj, rank_one)
     # s_e = 1: the only maximal submodule of B is zero, which every nonzero
     # element kills, so the kernel side holds on any nonzero corner
     column_sys = full_hom_system(GF2, 1, 2)
-    column = _corner_orbits(column_sys, Mat.from_rows(GF2, [[1], [1]]))
+    column = _corner_orbits(column_sys, (Mat.from_rows(GF2, [[1], [1]]),))
     assert column == {(0, 0): ((1, 1),)}
     assert _corners_have_maximal_kernel(column_sys, column)
 
@@ -298,6 +335,94 @@ def test_small_conditions_budget():
     big = full_hom_system(GF3, 3, 3)
     with pytest.raises(BudgetExceeded):
         small_conditions(big, Budget(max_enumeration=5))
+
+
+# -- the balance check, block maps and the graph, against the full-size oracles --
+
+FIELDS = tuple(field_make(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)))
+
+
+@functools.lru_cache(maxsize=None)
+def random_systems():
+    """Seeded corpus systems, 48 per field over F_2, F_3, F_4, F_5, F_7, F_9."""
+    return tuple(random_split_system(field, random.Random(seed)) for field in FIELDS for seed in range(48))
+
+
+def closed_under_units(sys_obj, gens):
+    """Oracle: span(gens) contains every E_ij a and every a E_kl, products of
+    full-size matrices with the matrix units of the blocks."""
+    span = RowBasis(sys_obj.field, sys_obj.dim_b * sys_obj.dim_c)
+    for a in gens:
+        span.add(a.flatten())
+    units_t, units_s = all_units(sys_obj)
+    return all(span.contains(u.mul(a).flatten()) for a in gens for u in units_t) and all(
+        span.contains(a.mul(u).flatten()) for a in gens for u in units_s)
+
+
+def passes_balance_check(sys_obj, gens):
+    try:
+        BilinearSystem(sys_obj.field, sys_obj.s_blocks, sys_obj.t_blocks, tuple(gens))
+    except InputError:
+        return False
+    return True
+
+
+def test_balance_check_by_dimension_matches_the_matrix_units():
+    # each corpus system, the same without its first generator, and the same
+    # with a random matrix added
+    rng = random.Random(7)
+    checked = unbalanced = 0
+    for sys_obj in random_systems():
+        field, gens = sys_obj.field, list(sys_obj.a_basis)
+        extra = Mat._of(field, sys_obj.dim_c, sys_obj.dim_b,
+                        tuple(rng.randrange(field.q) for _ in range(sys_obj.dim_c * sys_obj.dim_b)))
+        for variant in (gens, gens[1:], gens + [extra]):
+            closed = closed_under_units(sys_obj, variant)
+            assert passes_balance_check(sys_obj, variant) == closed, (sys_obj.to_json(), len(variant))
+            checked += 1
+            unbalanced += not closed
+    assert checked == 3 * len(random_systems())
+    assert 0 < unbalanced < checked, (unbalanced, checked)
+
+
+def test_block_maps_and_graph_match_projector_products():
+    for sys_obj in random_systems():
+        # the corpus builds its systems unverified; the balance check accepts every one
+        assert passes_balance_check(sys_obj, sys_obj.a_basis), sys_obj.to_json()
+        gens = sys_obj.a_basis
+        projectors_t, projectors_s = all_projectors(sys_obj)
+        assert sys_obj.block_maps() == list(gens)
+        for f, pf in enumerate(projectors_t):
+            assert sys_obj.block_maps(f, None) == [pf.mul(a) for a in gens]
+        for e, pe in enumerate(projectors_s):
+            assert sys_obj.block_maps(None, e) == [a.mul(pe) for a in gens]
+        edges, lengths = [], []
+        for f, pf in enumerate(projectors_t):
+            for e, pe in enumerate(projectors_s):
+                corner = [pf.mul(a).mul(pe) for a in gens]
+                assert sys_obj.block_maps(f, e) == corner
+                dim = Subspace.from_vectors(sys_obj.field, sys_obj.dim_b * sys_obj.dim_c,
+                                            [m.flatten() for m in corner]).dim
+                pair = sys_obj.t_blocks[f].n * sys_obj.s_blocks[e].n
+                assert dim % pair == 0
+                if dim:
+                    edges.append((f, e))
+                    lengths.append(dim // pair)
+        graph, lt_a = system_graph(sys_obj)
+        assert (graph.edges, graph.edge_lengths, lt_a) == (tuple(edges), tuple(lengths), sum(lengths))
+        degrees = strength_budget(sys_obj)
+        assert degrees.d_T == max(sum(1 for f2, _ in edges if f2 == f) for f, _ in edges)
+        assert degrees.d_S == max(sum(1 for _, e2 in edges if e2 == e) for _, e in edges)
+
+
+def test_tensor_maps_write_the_corner_layout():
+    for sys_obj in random_systems()[::6] + (TWO_BY_TWO,):
+        for (f, e), basis in sys_obj.corner_spaces().items():
+            expected = [corner_tensor(sys_obj, f, e, u, i, l).flatten()
+                        for u in basis for i in range(sys_obj.t_blocks[f].n) for l in range(sys_obj.s_blocks[e].n)]
+            assert [m.flatten() for m in tensor_maps(sys_obj, f, e, basis)] == expected
+            # reading the corner back gives U again
+            assert _corner_orbits(sys_obj, tensor_maps(sys_obj, f, e, basis)) == {(f, e): basis}
 
 
 # -- strength ------------------------------------------------------------------------
@@ -361,7 +486,7 @@ def brute_right_strong_all_nonzero_families(sys_obj, e, N):
     field = sys_obj.field
     s = sys_obj.s_blocks[e].mult
     nonzero = [y for y in all_subspaces(field, s) if y.dim > 0]
-    pe = sys_obj.s_block_projector(e)
+    pe = all_projectors(sys_obj)[1][e]
     span = Subspace.from_vectors(field, sys_obj.dim_b * sys_obj.dim_c, [a.mul(pe).flatten() for a in sys_obj.a_basis])
     elements = list(_iter_span_elements(field, list(span.basis_rows))) if span.dim else []
     size = int(N)
@@ -431,7 +556,7 @@ def test_budget_guard_on_families():
 # -- the union law ----------------------------------------------------------------------
 
 def test_union_split_line_cover():
-    parts = [LINE_COVER_2.corner_maps(0, e) for e in range(3)]
+    parts = [LINE_COVER_2.block_maps(0, e) for e in range(3)]
     idx, rep = union_split(LINE_COVER_2, parts, "left", 2, t_block=0)
     assert idx is not None
     assert rep.strong  # the found part is 2/3-strong (empty families + simple image)
