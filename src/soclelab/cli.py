@@ -36,7 +36,7 @@ from .errors import (
     SocleLabError,
     TheoremViolation,
 )
-from .gf import field_make
+from .gf import field_of_order
 
 VERDICT_EXIT = {
     "pass": EXIT_PASS,
@@ -117,7 +117,7 @@ def _cmd_cover_check(args, reporter: Reporter, budget: Budget) -> int:
 def _cmd_cover_search(args, reporter: Reporter, budget: Budget) -> int:
     from .tensorcover import search_minimal
 
-    field = _field_from({"q": args.q})
+    field = field_of_order(args.q)
     result = search_minimal(args.m, args.n, field, budget, threads=args.threads)
     verdict = "pass" if result.complete else "budget"
     reporter.emit("cover search-minimal", verdict, result.to_json())
@@ -293,7 +293,12 @@ def _cmd_system_strong(args, reporter: Reporter, budget: Budget) -> int:
 
 
 def _cmd_gallery_list(args, reporter: Reporter, budget: Budget) -> int:
-    details = {name: spec["description"] for name, spec in GALLERY.items()}
+    from .gallery import GALLERY, gallery_params
+
+    details = {}
+    for name, (description, build) in GALLERY.items():
+        names = " ".join(gallery_params(build))
+        details[name] = f"{description} (params {names})" if names else description
     reporter.emit("gallery list", "pass", details)
     reporter.table(sorted(details.items()), ["name", "description"])
     return EXIT_PASS
@@ -302,11 +307,10 @@ def _cmd_gallery_list(args, reporter: Reporter, budget: Budget) -> int:
 _FLAGS = {"0": False, "1": True, "false": False, "true": True}
 
 
-def _gallery_params(name: str, pairs) -> dict:
+def _gallery_params(name: str, allowed: dict, pairs) -> dict:
     """The key=value parameters of a gallery item, each checked against the
-    item's parameter names: `scalar` takes 0, 1, false or true, every other
-    parameter an integer."""
-    allowed = GALLERY[name]["params"]
+    item's parameters and defaults: one with a bool default takes 0, 1,
+    false or true, every other one an integer.  A key may be given once."""
     out = {}
     for pair in pairs:
         if "=" not in pair:
@@ -315,9 +319,11 @@ def _gallery_params(name: str, pairs) -> dict:
         if key not in allowed:
             takes = ", ".join(allowed) if allowed else "no parameters"
             raise InputError(f"gallery item {name!r} has no parameter {key!r} (it takes {takes})")
-        if key == "scalar":
+        if key in out:
+            raise InputError(f"gallery parameter {key} is given more than once")
+        if isinstance(allowed[key], bool):
             if value not in _FLAGS:
-                raise InputError(f"scalar must be 0, 1, false or true, got {value!r}")
+                raise InputError(f"{key} must be 0, 1, false or true, got {value!r}")
             out[key] = _FLAGS[value]
         elif re.fullmatch(r"-?[0-9]+", value):
             out[key] = int(value)
@@ -327,10 +333,12 @@ def _gallery_params(name: str, pairs) -> dict:
 
 
 def _cmd_gallery_make(args, reporter: Reporter, budget: Budget) -> int:
+    from .gallery import GALLERY, gallery_make, gallery_params
+
     if args.name not in GALLERY:
         raise InputError(f"unknown gallery item {args.name!r}; run `gallery list`")
-    params = _gallery_params(args.name, args.params)
-    obj_json = GALLERY[args.name]["factory"](params, budget)
+    _description, build = GALLERY[args.name]
+    obj_json = gallery_make(build, _gallery_params(args.name, gallery_params(build), args.params), budget)
     if args.out:
         Path(args.out).write_text(json.dumps(obj_json, indent=2, sort_keys=True))
         reporter.emit("gallery make", "pass", {"name": args.name, "written": args.out})
@@ -363,124 +371,6 @@ def _cmd_reproduce(args, reporter: Reporter, budget: Budget) -> int:
     if not ok:
         return EXIT_VIOLATION
     return _aggregate_exit(verdicts)
-
-
-# ---------------------------------------------------------------------------
-# gallery registry for the CLI
-# ---------------------------------------------------------------------------
-
-def _field_from(params: dict):
-    q = params.get("q", 2)
-    table = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
-    if q not in table:
-        raise InputError(f"unsupported field size {q}")
-    return field_make(*table[q])
-
-
-def _make_cross_json(params, budget):
-    from .gallery import make_cross
-
-    return make_cross(params.get("m", 2), params.get("n", 2), _field_from(params)).to_json()
-
-
-def _make_corner_json(params, budget):
-    from .gallery import make_corner_family
-
-    return make_corner_family(
-        params.get("m", 3), params.get("n", 3), params.get("t", 2), _field_from(params)
-    ).to_json()
-
-
-def _make_triangular_json(params, budget):
-    from .gallery import make_triangular
-
-    return make_triangular(params.get("n", 3), _field_from(params), params.get("scalar", False)).to_json()
-
-
-def _make_matrix_json(params, budget):
-    from .gallery import make_matrix_algebra
-
-    return make_matrix_algebra(params.get("n", 2), _field_from(params)).to_json()
-
-
-def _make_square_zero_json(params, budget):
-    from .gallery import make_square_zero_extension
-
-    return make_square_zero_extension(_field_from(params), params.get("g", 2)).to_json()
-
-
-def _make_twisted_json(params, budget):
-    from .gallery import make_twisted_truncated
-
-    return make_twisted_truncated(params.get("p", 2), params.get("d", 2), params.get("n", 2), budget).to_json()
-
-
-def _make_line_cover_json(params, budget):
-    from .gallery import make_line_cover_system
-
-    return make_line_cover_system(_field_from(params), params.get("d", 2), budget).to_json()
-
-
-def _make_row_diagonal_json(params, budget):
-    from .gallery import make_row_diagonal_pair
-
-    ring, module = make_row_diagonal_pair()
-    return {"algebra": ring.to_json(), "module": module.to_json(inline_algebra=True)}
-
-
-def _make_number_field_json(params, budget):
-    from .gallery import make_number_field_example
-
-    make_number_field_example()
-
-
-GALLERY = {
-    "cross": {
-        "description": "row + column support space; dim m+n-1, both coverage conditions (params m n q)",
-        "factory": _make_cross_json,
-        "params": ("m", "n", "q"),
-    },
-    "corner": {
-        "description": "first t rows and columns with equal leading diagonal (params m n t q)",
-        "factory": _make_corner_json,
-        "params": ("m", "n", "t", "q"),
-    },
-    "triangular": {
-        "description": "upper triangular n x n matrices, optionally scalar diagonal (params n q scalar)",
-        "factory": _make_triangular_json,
-        "params": ("n", "q", "scalar"),
-    },
-    "matrix-algebra": {
-        "description": "full n x n matrix algebra (params n q)",
-        "factory": _make_matrix_json,
-        "params": ("n", "q"),
-    },
-    "square-zero-extension": {
-        "description": "local algebra k + V with V V = 0, dim V = g (params q g)",
-        "factory": _make_square_zero_json,
-        "params": ("q", "g"),
-    },
-    "twisted-truncated": {
-        "description": "truncated twisted polynomial ring over F_{p^d} (params p d n)",
-        "factory": _make_twisted_json,
-        "params": ("p", "d", "n"),
-    },
-    "line-cover-system": {
-        "description": "one block per line of k^d acting onto that line; fails the length inequality (params q d)",
-        "factory": _make_line_cover_json,
-        "params": ("q", "d"),
-    },
-    "row-diagonal-module": {
-        "description": "the 6-dim F_2 ring (first row + diagonal) with its 5-dim faithful minimal module",
-        "factory": _make_row_diagonal_json,
-        "params": (),
-    },
-    "number-field-example": {
-        "description": "characteristic-zero example: documented out-of-scope stub",
-        "factory": _make_number_field_json,
-        "params": (),
-    },
-}
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +485,6 @@ def main(argv=None) -> int:
     except TheoremViolation as exc:
         reporter.emit(args.command, "violation", {"error": str(exc)})
         return EXIT_VIOLATION
-    except InputError as exc:
-        reporter.emit(args.command, "input-error", {"error": str(exc)})
-        return EXIT_INPUT
     except SocleLabError as exc:
         reporter.emit(args.command, "input-error", {"error": str(exc)})
         return EXIT_INPUT

@@ -18,13 +18,9 @@ EXIT_VIOLATION = 4
 class SocleLabError(Exception):
     """Base class for all errors raised by this package."""
 
-    exit_code = EXIT_INPUT
-
 
 class InputError(SocleLabError):
     """Malformed or inconsistent input (bad JSON, failed validation)."""
-
-    exit_code = EXIT_INPUT
 
 
 class PreconditionError(InputError):
@@ -42,8 +38,6 @@ class OutOfScopeError(InputError):
 class BudgetExceeded(SocleLabError):
     """An enumeration exceeded its configured cap; result is absent, not empty."""
 
-    exit_code = EXIT_BUDGET
-
     def __init__(self, what: str, needed: int, cap: int):
         super().__init__(f"budget exceeded in {what}: needs {needed}, cap {cap}")
         self.what = what
@@ -53,5 +47,3 @@ class BudgetExceeded(SocleLabError):
 
 class TheoremViolation(SocleLabError):
     """A proved statement failed on a verified instance: an implementation bug."""
-
-    exit_code = EXIT_VIOLATION

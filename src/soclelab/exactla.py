@@ -577,21 +577,6 @@ class Subspace:
         return Subspace.from_vectors(field, int(data["ambient_dim"]), basis.row_list())
 
 
-def subspace_ops(a: Subspace, b: Subspace, op: str):
-    """Dispatch helper mirroring the sum/intersect/contains/equals contract."""
-    if op == "sum":
-        return a.sum(b)
-    if op == "intersect":
-        return a.intersect(b)
-    if op == "contains":
-        a._check_compatible(b)
-        return a.contains(b)
-    if op == "equals":
-        a._check_compatible(b)
-        return a == b
-    raise InputError(f"unknown subspace op {op!r}")
-
-
 def kernel(m: Mat) -> Subspace:
     """Right null space {v : m v = 0}, canonical, from one elimination.
 

@@ -10,11 +10,14 @@ raising TheoremViolation when a promise fails.
 
 from __future__ import annotations
 
+import inspect
+from typing import Callable
+
 from .algebra import Algebra, algebra_make, socle_is_central
 from .budget import Budget, default_budget
 from .errors import InputError, OutOfScopeError, TheoremViolation
 from .exactla import Mat, Subspace, enum_coeff_points, mat_of_columns, mat_of_rows
-from .gf import Field, field_make
+from .gf import Field, field_make, field_of_order
 from .modrep import ModuleRep, quotient_action
 from .strongness import BilinearSystem, BlockSpec
 from .tensorcover import TensorSubspace, check_cond_b, check_cond_c, rank_one
@@ -355,3 +358,50 @@ def iter_gallery_algebras(max_ring: int | None = None):
         if max_ring is not None and alg.field.q ** alg.dim > max_ring:
             continue
         yield name, alg
+
+
+# ---------------------------------------------------------------------------
+# the `gallery make` registry
+# ---------------------------------------------------------------------------
+
+def gallery_params(build: Callable) -> dict:
+    """A gallery item's parameters and their defaults, in order: the
+    positional parameters of its build callable.  A keyword-only `budget`
+    is not one; `gallery_make` passes it the run's budget."""
+    return {p.name: p.default for p in inspect.signature(build).parameters.values()
+            if p.kind is p.POSITIONAL_OR_KEYWORD}
+
+
+def gallery_make(build: Callable, params: dict, budget: Budget) -> dict:
+    """The JSON object build returns for params."""
+    if "budget" in inspect.signature(build).parameters:
+        params = {**params, "budget": budget}
+    return build(**params)
+
+
+def _row_diagonal_json() -> dict:
+    ring, module = make_row_diagonal_pair()
+    return {"algebra": ring.to_json(), "module": module.to_json(inline_algebra=True)}
+
+
+# name -> (description, build); build returns the item's JSON object
+GALLERY = {
+    "cross": ("row + column support space; dim m+n-1, both coverage conditions",
+              lambda m=2, n=2, q=2: make_cross(m, n, field_of_order(q)).to_json()),
+    "corner": ("first t rows and columns with equal leading diagonal",
+               lambda m=3, n=3, t=2, q=2: make_corner_family(m, n, t, field_of_order(q)).to_json()),
+    "triangular": ("upper triangular n x n matrices, optionally scalar diagonal",
+                   lambda n=3, q=2, scalar=False: make_triangular(n, field_of_order(q), scalar).to_json()),
+    "matrix-algebra": ("full n x n matrix algebra",
+                       lambda n=2, q=2: make_matrix_algebra(n, field_of_order(q)).to_json()),
+    "square-zero-extension": ("local algebra k + V with V V = 0, dim V = g",
+                              lambda q=2, g=2: make_square_zero_extension(field_of_order(q), g).to_json()),
+    "twisted-truncated": ("truncated twisted polynomial ring over F_{p^d}",
+                          lambda p=2, d=2, n=2, *, budget: make_twisted_truncated(p, d, n, budget).to_json()),
+    "line-cover-system": ("one block per line of k^d acting onto that line; fails the length inequality",
+                          lambda q=2, d=2, *, budget: make_line_cover_system(field_of_order(q), d, budget).to_json()),
+    "row-diagonal-module": ("the 6-dim F_2 ring (first row + diagonal) with its 5-dim faithful minimal module",
+                            _row_diagonal_json),
+    "number-field-example": ("characteristic-zero example: documented out-of-scope stub",
+                             make_number_field_example),
+}

@@ -261,5 +261,15 @@ def _field_make(p: int, e: int, modulus, max_q: int) -> Field:
     return Field(p, e, mod)
 
 
+_ORDERS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+
+
+def field_of_order(q: int) -> Field:
+    """F_q with its default modulus, for a prime power q up to DEFAULT_MAX_Q."""
+    if q not in _ORDERS:
+        raise InputError(f"unsupported field size {q}")
+    return field_make(*_ORDERS[q])
+
+
 GF2 = field_make(2)
 GF3 = field_make(3)

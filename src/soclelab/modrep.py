@@ -759,6 +759,33 @@ def module_report(m: ModuleRep, budget: Budget | None = None) -> ModuleReport:
 # shrinking constructions
 # ---------------------------------------------------------------------------
 
+def _annihilator_chain(m: ModuleRep, soc_r: Subspace, n_bound: int, start: Subspace, pieces: list,
+                       combine, acted, what: str) -> Subspace:
+    """Greedy chain from start: combine it with the first unused piece that
+    strictly lowers the dimension of the annihilator inside soc(R), until
+    that dimension is 0.  acted gives what soc(R)'s basis does to a
+    candidate (`_images_on` a submodule, `_residuals_mod` a kernel); the
+    chain may take at most n_bound steps."""
+    soc_actions = [m.act_mat(r) for r in soc_r.basis_rows]
+    remaining = list(pieces)
+    cur, ann_dim, steps = start, soc_r.dim, 0
+    while ann_dim > 0:
+        for idx, piece in enumerate(remaining):
+            cand = combine(cur, piece)
+            images = acted(soc_actions, cand)
+            new_dim = _soc_annihilator_dim(m.field, images, len(images[0]))
+            if new_dim < ann_dim:
+                cur, ann_dim = cand, new_dim
+                del remaining[idx]
+                break
+        else:
+            raise TheoremViolation(f"no {what} shrinks the socle annihilator of a faithful module")
+        steps += 1
+        if steps > n_bound:
+            raise TheoremViolation("annihilator chain exceeded the bimodule length of the socle")
+    return cur
+
+
 def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
     """Faithful submodule M' with top length at most the bimodule length of
     soc(R), built from cyclic pieces with simple tops accumulated while the
@@ -782,7 +809,6 @@ def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
     for x, l_top in summands:
         n_sub = submodule_closure(m, [x])
         while True:
-            shrunk = False
             rep = restrict_action(m, n_sub)
             for _f2, _h, w_local in maximal_submodules(rep, budget):
                 w_m = Subspace.from_vectors(
@@ -792,38 +818,16 @@ def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
                 w_top = Subspace.from_vectors(m.field, qd.dim, [qd.project(v) for v in w_m.basis_rows])
                 if w_top == l_top:
                     n_sub = w_m
-                    shrunk = True
                     break
-            if not shrunk:
-                break
-        top_len = sum(semisimple_lengths(quotient_action(
-            restrict_action(m, n_sub), radical_image(restrict_action(m, n_sub), budget)).rep, budget).values())
+            else:
+                break  # no maximal submodule keeps the top: rep is n_sub's action
+        top_len = sum(semisimple_lengths(quotient_action(rep, radical_image(rep, budget)).rep, budget).values())
         if top_len != 1:
             raise TheoremViolation("cyclic piece failed to have simple top")
         pieces.append(n_sub)
 
-    soc_actions = [m.act_mat(r) for r in soc_r.basis_rows]
-    chosen = Subspace.zero(m.field, m.dim)
-    ann_dim = soc_r.dim
-    used = [False] * len(pieces)
-    steps = 0
-    while ann_dim > 0:
-        progressed = False
-        for idx, piece in enumerate(pieces):
-            if used[idx]:
-                continue
-            cand = chosen.sum(piece)
-            new_dim = _soc_annihilator_dim(m.field, _images_on(soc_actions, cand), cand.dim * m.dim)
-            if new_dim < ann_dim:
-                chosen, ann_dim = cand, new_dim
-                used[idx] = True
-                progressed = True
-                steps += 1
-                break
-        if not progressed:
-            raise TheoremViolation("no cyclic piece shrinks the socle annihilator of a faithful module")
-        if steps > n_bound:
-            raise TheoremViolation("annihilator chain exceeded the bimodule length of the socle")
+    chosen = _annihilator_chain(m, soc_r, n_bound, Subspace.zero(m.field, m.dim), pieces,
+                                Subspace.sum, _images_on, "cyclic piece")
     result = restrict_action(m, chosen)
     ok, _ = faithful(result)
     if not ok:
@@ -889,28 +893,8 @@ def shrink_quotient(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
             raise TheoremViolation("co-piece failed to have simple socle")
         kernels.append(n_j)
 
-    soc_actions = [m.act_mat(r) for r in soc_r.basis_rows]
-    k_cur = Subspace.full(m.field, m.dim)
-    ann_dim = soc_r.dim
-    used = [False] * len(kernels)
-    steps = 0
-    while ann_dim > 0:
-        progressed = False
-        for idx, n_j in enumerate(kernels):
-            if used[idx]:
-                continue
-            cand = k_cur.intersect(n_j)
-            new_dim = _soc_annihilator_dim(m.field, _residuals_mod(soc_actions, cand), m.dim * m.dim)
-            if new_dim < ann_dim:
-                k_cur, ann_dim = cand, new_dim
-                used[idx] = True
-                progressed = True
-                steps += 1
-                break
-        if not progressed:
-            raise TheoremViolation("no co-piece shrinks the socle annihilator of a faithful module")
-        if steps > n_bound:
-            raise TheoremViolation("annihilator chain exceeded the bimodule length of the socle")
+    k_cur = _annihilator_chain(m, soc_r, n_bound, Subspace.full(m.field, m.dim), kernels,
+                               Subspace.intersect, _residuals_mod, "co-piece")
     result = quotient_action(m, k_cur).rep
     ok, _ = faithful(result)
     if not ok:

@@ -46,7 +46,6 @@ from .exactla import (
     enum_subspaces,
     kernel,
     mat_of_rows,
-    mat_vec,
     num_projective_points,
     row_rank,
     vec_combo,

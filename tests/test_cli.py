@@ -210,6 +210,7 @@ def test_gallery_triangular_scalar_flag(tmp_path, capsys):
     (["n=x", "q=3"], "must be an integer"),
     (["n=3", "q=2.5"], "must be an integer"),
     (["n=3", "bogus=1"], "no parameter 'bogus'"),
+    (["n=1", "q=2", "n=2"], "parameter n is given more than once"),
 ])
 def test_gallery_bad_parameter_is_an_input_error(capsys, params, message):
     code, out = run(capsys, "gallery", "make", "triangular", *params)
@@ -217,6 +218,27 @@ def test_gallery_bad_parameter_is_an_input_error(capsys, params, message):
     record = json.loads(out.strip().splitlines()[-1])
     assert record["verdict"] == "input-error"
     assert message in record["details"]["error"]
+
+
+def test_gallery_lists_nine_items_that_build_at_their_defaults(capsys):
+    code, out = run(capsys, "gallery", "list")
+    assert code == 0
+    listing = json.loads(out)["details"]
+    assert sorted(listing) == sorted([
+        "cross", "corner", "triangular", "matrix-algebra", "square-zero-extension", "twisted-truncated",
+        "line-cover-system", "row-diagonal-module", "number-field-example",
+    ])
+    # the parameter names come from the build signature; the keyword-only budget is not one
+    assert listing["corner"].endswith("(params m n t q)")
+    assert listing["line-cover-system"].endswith("(params q d)")
+    assert "params" not in listing["row-diagonal-module"]
+    for name in listing:
+        code, _ = run(capsys, "gallery", "make", name)
+        assert code == (2 if name == "number-field-example" else 0), name
+    # and the run's budget reaches the builders that take one
+    code, out = run(capsys, "--budget", "3", "gallery", "make", "line-cover-system", "q=3", "d=2")
+    assert code == 3
+    assert "line-cover components" in json.loads(out)["details"]["error"]
 
 
 def test_gallery_unknown_parameter_is_not_ignored(capsys):

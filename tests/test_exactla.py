@@ -23,7 +23,6 @@ from soclelab.exactla import (
     row_rank,
     rref_rows,
     solve,
-    subspace_ops,
     vec_combo,
 )
 from soclelab.gf import field_make
@@ -159,15 +158,17 @@ def test_solve(rng):
 def test_subspace_ops_examples():
     a = Subspace.from_vectors(GF2, 2, [(1, 0)])
     b = Subspace.from_vectors(GF2, 2, [(0, 1)])
-    assert subspace_ops(a, b, "sum") == Subspace.full(GF2, 2)
+    assert a.sum(b) == Subspace.full(GF2, 2)
     plane = Subspace.from_vectors(GF2, 2, [(1, 0), (0, 1)])
     line = Subspace.from_vectors(GF2, 2, [(1, 1)])
-    assert subspace_ops(plane, line, "intersect") == line
-    assert subspace_ops(plane, line, "contains") is True
-    assert subspace_ops(line, plane, "contains") is False
-    assert subspace_ops(line, line, "equals") is True
-    with pytest.raises(InputError):
-        subspace_ops(a, Subspace.full(GF2, 3), "sum")
+    assert plane.intersect(line) == line
+    assert plane.contains(line) is True
+    assert line.contains(plane) is False
+    assert line == Subspace.from_vectors(GF2, 2, [(1, 1), (0, 0)])
+    other = Subspace.full(GF2, 3)
+    for op in (a.sum, a.intersect, a.contains):
+        with pytest.raises(InputError, match="ambient mismatch"):
+            op(other)
 
 
 @given(st.data())

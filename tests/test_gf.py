@@ -4,7 +4,7 @@ import pickle
 import pytest
 
 from soclelab.errors import InputError
-from soclelab.gf import Field, field_make, is_prime, _poly_is_irreducible, _poly_mul_mod
+from soclelab.gf import Field, field_make, field_of_order, is_prime, _poly_is_irreducible, _poly_mul_mod
 
 ALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -133,3 +133,11 @@ def test_pickle_round_trip(p, e):
     assert again == f and hash(again) == hash(f) and repr(again) == repr(f)
     for name in ("add", "sub", "neg", "mul", "inv"):
         assert getattr(again.tables, name) == getattr(f.tables, name)
+
+
+def test_field_of_order_covers_every_supported_q():
+    for p, e in ALL_Q:
+        assert field_of_order(p**e) == field_make(p, e)
+    for q in (-1, 0, 1, 6, 10, 16):
+        with pytest.raises(InputError, match=f"unsupported field size {q}"):
+            field_of_order(q)
