@@ -377,6 +377,16 @@ def _cmd_reproduce(args, reporter: Reporter, budget: Budget) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _add_strong_arguments(parser: argparse.ArgumentParser):
+    """The arguments of `system strong`, shared by its `strong` alias."""
+    parser.add_argument("file")
+    parser.add_argument("--side", choices=("left", "right"), required=True)
+    parser.add_argument("--N", required=True, help="positive rational, e.g. 2 or 2/3")
+    parser.add_argument("--block", default=None, help="f,e to pick one corner; f alone for a block row")
+    parser.add_argument("--relative", action="store_true",
+                        help="experimental, left side only: recursive relative strength against the full codomain")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="soclelab",
@@ -418,20 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     system_sub = system.add_subparsers(dest="subcommand", required=True)
     sc = system_sub.add_parser("check", help="full length-inequality report")
     sc.add_argument("file")
-    ss = system_sub.add_parser("strong", help="N-strength of a map set")
-    ss.add_argument("file")
-    ss.add_argument("--side", choices=("left", "right"), required=True)
-    ss.add_argument("--N", required=True, help="positive rational, e.g. 2 or 2/3")
-    ss.add_argument("--block", default=None, help="f,e to pick one corner; f alone for a block row")
-    ss.add_argument("--relative", action="store_true",
-                    help="experimental, left side only: recursive relative strength against the full codomain")
-
-    strong = sub.add_parser("strong", help="alias for `system strong`")
-    strong.add_argument("file")
-    strong.add_argument("--side", choices=("left", "right"), required=True)
-    strong.add_argument("--N", required=True)
-    strong.add_argument("--block", default=None)
-    strong.add_argument("--relative", action="store_true")
+    _add_strong_arguments(system_sub.add_parser("strong", help="N-strength of a map set"))
+    _add_strong_arguments(sub.add_parser("strong", help="alias for `system strong`"))
 
     gallery = sub.add_parser("gallery", help="certified example constructors")
     gallery_sub = gallery.add_subparsers(dest="subcommand", required=True)
@@ -469,6 +467,10 @@ def main(argv=None) -> int:
     handler = dispatch.get(key)
     if handler is None:
         parser.error(f"unknown command {key}")
+    # an error record names the command as the handler's success record does
+    command = "system strong" if key == ("strong", None) else " ".join(part for part in key if part)
+    if key == ("reproduce", None):
+        command = f"reproduce {args.target}"
     try:
         if args.threads < 1:
             raise InputError(f"--threads must be at least 1, got {args.threads}")
@@ -480,13 +482,13 @@ def main(argv=None) -> int:
             budget = default_budget()
         return handler(args, reporter, budget)
     except BudgetExceeded as exc:
-        reporter.emit(args.command, "budget", {"error": str(exc)})
+        reporter.emit(command, "budget", {"error": str(exc)})
         return EXIT_BUDGET
     except TheoremViolation as exc:
-        reporter.emit(args.command, "violation", {"error": str(exc)})
+        reporter.emit(command, "violation", {"error": str(exc)})
         return EXIT_VIOLATION
     except SocleLabError as exc:
-        reporter.emit(args.command, "input-error", {"error": str(exc)})
+        reporter.emit(command, "input-error", {"error": str(exc)})
         return EXIT_INPUT
 
 

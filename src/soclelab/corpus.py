@@ -24,6 +24,7 @@ from .exactla import (
     Subspace,
     enum_subspaces,
     mat_vec,
+    vec_combo,
 )
 from .gf import Field
 from .modrep import ModuleRep, faithful
@@ -54,22 +55,36 @@ def _invertible_matrices(field: Field, r: int) -> list[Mat]:
     return [g for g in mats if g.rank() == r]
 
 
+def _kernels_by_image(field: Field, n: int, r: int) -> dict[Subspace, list[Mat]]:
+    """The projection P of every (n - r)-dimensional K, filed under each
+    r-dimensional W inside K, in the enumeration order of the K.  The W
+    inside K are the combinations of K's basis by the r-dimensional
+    subspaces of F^(n-r)."""
+    filed: dict[Subspace, list[Mat]] = {}
+    coord_subs = list(enum_subspaces(field, n - r, r))
+    for k_sub in enum_subspaces(field, n, n - r):
+        proj = _projection(k_sub)
+        k_rows = list(k_sub.basis_rows)
+        for coords in coord_subs:
+            w_sub = Subspace.from_vectors(field, n, [vec_combo(field, k_rows, c) for c in coords.basis_rows])
+            filed.setdefault(w_sub, []).append(proj)
+    return filed
+
+
 def square_zero_matrices(field: Field, n: int) -> list[Mat]:
     """Every n x n matrix X with X X = 0, by rank stratification: choose the
     image W, a kernel K containing it, and an isomorphism onto W.  The
-    isomorphisms and the candidate kernels are listed once per rank, and
-    the frames B^T G (B a basis of W) once per image, so each matrix is
+    isomorphisms and the kernels filed by image are listed once per rank,
+    and the frames B^T G (B a basis of W) once per image, so each matrix is
     one product (B^T G) P, the same as B^T (G P)."""
     out = [Mat.zero(field, n, n)]
     for r in range(1, n // 2 + 1):
         isos = _invertible_matrices(field, r)
-        kernels = [(k_sub, _projection(k_sub)) for k_sub in enum_subspaces(field, n, n - r)]
+        kernels_of = _kernels_by_image(field, n, r)
         for w_sub in enum_subspaces(field, n, r):
             basis_t = w_sub.basis_mat().transpose()
             frames = [basis_t.mul(g) for g in isos]
-            for k_sub, proj in kernels:
-                if not k_sub.contains(w_sub):
-                    continue
+            for proj in kernels_of[w_sub]:
                 out.extend(frame.mul(proj) for frame in frames)
     return out
 

@@ -351,17 +351,22 @@ class Mat:
         add, mul = field.tables.add, field.tables.mul
         n, k, m = self.rows, self.cols, other.cols
         a, b = self.entries, other.entries
-        out = [0] * (n * m)
+        brows = [b[t * m: (t + 1) * m] for t in range(k)]
+        zero = (0,) * m
+        out = []
+        # row i of the product is the combination of B's rows by A's row i,
+        # built as in `vec_combo`: a first coefficient 1 takes its row as it is
         for i in range(n):
-            arow = a[i * k: (i + 1) * k]
-            orow = out[i * m: (i + 1) * m]
-            for t in range(k):
-                f = arow[t]
-                if f:
-                    mf = mul[f]
-                    brow = b[t * m: (t + 1) * m]
+            orow = None
+            for f, brow in zip(a[i * k: (i + 1) * k], brows):
+                if not f:
+                    continue
+                mf = mul[f]
+                if orow is None:
+                    orow = brow if f == 1 else [mf[y] for y in brow]
+                else:
                     orow = [add[x][mf[y]] for x, y in zip(orow, brow)]
-            out[i * m: (i + 1) * m] = orow
+            out.extend(zero if orow is None else orow)
         return Mat._of(field, n, m, tuple(out))
 
     def apply(self, vec) -> Vec:

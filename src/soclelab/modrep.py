@@ -24,7 +24,10 @@ through the maps M/JM -> soc(M), and each test is one rank test of soc2's
 basis on M/JM.  When R/J is F itself (one block of size one), the block's
 E_00 is 1 modulo J and acts on M/JM and soc(M) as the identity: the
 multiplicity spaces are those spaces themselves, and a maximal submodule's
-W/JM is its hyperplane, with no image or kernel taken.
+W/JM is its hyperplane, with no image or kernel taken.  `minimal_faithful`
+decides the submodule side when called; the quotient side and both
+witnesses are computed on first read, so a budget stop in the socle-point
+scan surfaces at that read (see `MinimalityReport`).
 
 The shrinking constructions follow the recursive proofs: pick cyclic pieces
 with simple top (descending through maximal submodules), or co-pieces with
@@ -36,6 +39,7 @@ bound it is supposed to satisfy; a failure raises TheoremViolation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -90,13 +94,15 @@ class ModuleRep:
         with rho(a y) = rho(a) rho(y) for all y are a subspace holding 1, and
         if a and b are among them, so is ab, since by associativity
         rho(ab y) = rho(a) rho(b y) = rho(a) rho(b) rho(y) = rho(ab) rho(y).
-        A unital subalgebra that holds the generators is all of A.  When a
-        generator pair fails, every basis pair is scanned in order, so the
-        error names the first failing pair (i, j)."""
+        A unital subalgebra that holds the generators is all of A.  A basis
+        element b_j = 1 is skipped: rho(g) rho(1) = rho(g) once rho(1) = I.
+        When a generator pair fails, every basis pair is scanned in order, so
+        the error names the first failing pair (i, j)."""
         alg = self.algebra
         if self.act_mat(alg.one) != Mat.identity(self.field, self.dim):
             raise InputError("identity element does not act as the identity")
-        if all(self._relation_holds(g, j) for g in alg.generators() for j in range(alg.dim)):
+        others = [j for j in range(alg.dim) if alg.basis_coords(j) != alg.one]
+        if all(self._relation_holds(g, j) for g in alg.generators() for j in others):
             return
         for i in range(alg.dim):
             for j in range(alg.dim):
@@ -486,12 +492,30 @@ def simple_socle_submodules(m: ModuleRep, budget: Budget | None = None):
             yield part.f, u, Subspace.from_vectors(m.field, m.dim, part.summand(u))
 
 
-@dataclass
 class MinimalityReport:
-    no_faithful_max_submodule: bool
-    no_faithful_simple_quotient: bool
-    submodule_witness: Subspace | None
-    quotient_witness: Subspace | None
+    """Both minimality properties of a faithful module.  The submodule side
+    is decided when the report is made; the quotient side (the socle-point
+    scan) runs on the first read of `no_faithful_simple_quotient` or
+    `quotient_witness`, or of `minimal` once the submodule side has found
+    no faithful maximal submodule.  `submodule_witness` is built on its
+    first read.  Each result is kept once computed."""
+
+    def __init__(self, no_faithful_max_submodule: bool, build_submodule_witness, scan_quotients):
+        self.no_faithful_max_submodule = no_faithful_max_submodule
+        self._build_submodule_witness = build_submodule_witness
+        self._scan_quotients = scan_quotients
+
+    @functools.cached_property
+    def submodule_witness(self) -> Subspace | None:
+        return self._build_submodule_witness()
+
+    @functools.cached_property
+    def quotient_witness(self) -> Subspace | None:
+        return self._scan_quotients()
+
+    @property
+    def no_faithful_simple_quotient(self) -> bool:
+        return self.quotient_witness is None
 
     @property
     def minimal(self) -> bool:
@@ -504,6 +528,12 @@ def minimal_faithful(m: ModuleRep, budget: Budget | None = None) -> MinimalityRe
     Faithfulness is upward monotone, so no proper faithful submodule exists
     iff no maximal one is faithful, and dually a faithful proper quotient
     exists iff M/L is faithful for some simple L in the socle.
+
+    The maximal-submodule scan runs in this call, so its budget stop
+    surfaces here.  The socle-point scan runs on the first read that needs
+    it (see `MinimalityReport`), under the same budget, so a stop of the
+    "simple-socle point enumeration" surfaces at that read.  Both witnesses
+    are built on first read.
 
     Both tests read only the two-sided socle soc2 = soc(R).  ann(W) and
     ann(M/L) are two-sided ideals, and a nonzero two-sided ideal I meets
@@ -527,17 +557,19 @@ def minimal_faithful(m: ModuleRep, budget: Budget | None = None) -> MinimalityRe
         mat_of_columns(field, m.dim, [act.col(k) for k in qd.free_positions])
         for act in (m.act_mat(r) for r in soc_r.basis_rows)
     ]
-    sub_flag, sub_wit = True, None
-    for _f, _h, w_top in _maximal_tops(qd, budget):
-        if _soc_annihilator_dim(field, _images_on(soc_tops, w_top), w_top.dim * m.dim) == 0:
-            sub_flag, sub_wit = False, _preimage(jm, qd, w_top)
-            break
-    quot_flag, quot_wit = True, None
-    for _f, _u, l_sub in simple_socle_submodules(m, budget):
-        if _soc_annihilator_dim(field, _residuals_mod(soc_tops, l_sub), qd.dim * m.dim) == 0:
-            quot_flag, quot_wit = False, l_sub
-            break
-    return MinimalityReport(sub_flag, quot_flag, sub_wit, quot_wit)
+    faithful_top = next((w_top for _f, _h, w_top in _maximal_tops(qd, budget)
+                         if _soc_annihilator_dim(field, _images_on(soc_tops, w_top), w_top.dim * m.dim) == 0),
+                        None)
+
+    def submodule_witness():
+        return None if faithful_top is None else _preimage(jm, qd, faithful_top)
+
+    def scan_quotients():
+        return next((l_sub for _f, _u, l_sub in simple_socle_submodules(m, budget)
+                     if _soc_annihilator_dim(field, _residuals_mod(soc_tops, l_sub), qd.dim * m.dim) == 0),
+                    None)
+
+    return MinimalityReport(faithful_top is None, submodule_witness, scan_quotients)
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,24 @@ def test_gallery_unknown_name(capsys):
     assert code == 2
 
 
+def test_error_records_name_the_subcommand(tmp_path, capsys):
+    # an error record carries the command name of the handler's success record;
+    # the `strong` alias reports as `system strong`
+    path = write_gallery(tmp_path, capsys, "line-cover-system", "q=3", "d=2")
+    cases = [
+        (["gallery", "make", "nonexistent"], "gallery make"),
+        (["system", "strong", str(path), "--side", "left", "--N", "abc"], "system strong"),
+        (["strong", str(path), "--side", "left", "--N", "abc"], "system strong"),
+        (["module", "check", str(tmp_path / "missing.json")], "module check"),
+        (["reproduce", "paper-99"], "reproduce paper-99"),
+    ]
+    for argv, command in cases:
+        code, out = run(capsys, *argv)
+        assert code == 2
+        record = json.loads(out.strip().splitlines()[-1])
+        assert (record["command"], record["verdict"]) == (command, "input-error")
+
+
 def test_gallery_triangular_scalar_flag(tmp_path, capsys):
     dims = {}
     for value in ("0", "false", "1", "true"):

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from soclelab.corpus import (
+    _invertible_matrices,
+    _projection,
     faithful_corpus,
     generator_module,
     iter_generator_modules,
@@ -14,7 +16,7 @@ from soclelab.corpus import (
     random_verified_system,
     square_zero_matrices,
 )
-from soclelab.exactla import Mat
+from soclelab.exactla import Mat, enum_subspaces
 from soclelab.gf import field_make
 from soclelab.gallery import make_square_zero_extension, make_triangular, make_twisted_truncated
 from soclelab.modrep import faithful, regular_module
@@ -57,6 +59,30 @@ def test_square_zero_matrices_equal_the_brute_force_set(q, n):
         if Mat(field, n, n, entries).mul(Mat(field, n, n, entries)).is_zero()
     }
     assert set(pool) == brute
+
+
+def square_zero_by_containment_scan(field, n: int) -> list[Mat]:
+    """The pool as built by testing every kernel K against every image W
+    with `K.contains(W)`: for each rank, W in enumeration order, then the K
+    that contain it in enumeration order, then the isomorphisms."""
+    out = [Mat.zero(field, n, n)]
+    for r in range(1, n // 2 + 1):
+        isos = _invertible_matrices(field, r)
+        kernels = [(k_sub, _projection(k_sub)) for k_sub in enum_subspaces(field, n, n - r)]
+        for w_sub in enum_subspaces(field, n, r):
+            basis_t = w_sub.basis_mat().transpose()
+            frames = [basis_t.mul(g) for g in isos]
+            for k_sub, proj in kernels:
+                if k_sub.contains(w_sub):
+                    out.extend(frame.mul(proj) for frame in frames)
+    return out
+
+
+@pytest.mark.parametrize("field,n", [(field_make(q), n) for q in (2, 3) for n in range(5)]
+                         + [(field_make(2, 2), n) for n in range(4)], ids=repr)
+def test_square_zero_pool_by_kernel_lookup_matches_the_containment_scan(field, n):
+    assert [m.entries for m in square_zero_matrices(field, n)] \
+        == [m.entries for m in square_zero_by_containment_scan(field, n)]
 
 
 def test_random_square_zero(rng):

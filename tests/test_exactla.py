@@ -431,6 +431,22 @@ def test_mat_mul_and_apply_match_naive(field, rng):
             assert a.apply(vec) == _naive_mul(a, column)
 
 
+@pytest.mark.parametrize("field", [GF2, GF3, GF4, field_make(3, 2)], ids=repr)
+def test_mat_mul_row_combinations_match_the_triple_loop(field, rng):
+    # every shape with sides 0-3, zero-sized ones included, each with entries
+    # drawn from {0, 1} (so rows start with a unit coefficient or are zero)
+    # and from the whole field
+    for n, k, m in itertools.product(range(4), repeat=3):
+        for values in ((0, 1), tuple(range(field.q))):
+            a = Mat.from_rows(field, [[rng.choice(values) for _ in range(k)] for _ in range(n)]) \
+                if n else Mat.zero(field, 0, k)
+            b = Mat.from_rows(field, [[rng.randrange(field.q) for _ in range(m)] for _ in range(k)]) \
+                if k else Mat.zero(field, 0, m)
+            product = a.mul(b)
+            assert (product.rows, product.cols) == (n, m)
+            assert product.entries == _naive_mul(a, b)
+
+
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_row_basis_and_reduce_match_generic_rref(field, rng):
     for trial in range(30):

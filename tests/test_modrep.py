@@ -872,3 +872,87 @@ def test_minimality_builds_the_top_module_only_for_non_identity_blocks(monkeypat
     qd = quotient_action(two_block, radical_image(two_block))
     assert qd.rep.action == quotient_by_unit_vectors(two_block, radical_image(two_block))
     assert qd.rep is qd.rep
+
+
+# -- the identity check settles the pairs with b_j = 1 -------------------------------
+
+def test_identity_check_rejects_an_idempotent_one_that_keeps_every_relation():
+    # rho(1) = E_11 and rho(x) = 0 satisfy every structure-constant pair of
+    # F_2[x]/(x^2), so only the identity check rejects them
+    action = (Mat.from_rows(GF2, [[1, 0], [0, 0]]), Mat.zero(GF2, 2, 2))
+    assert first_failing_pair(KX2, action) is None
+    with pytest.raises(InputError, match="identity element does not act as the identity"):
+        module_make(KX2, action)
+
+
+def test_relation_check_skips_the_basis_element_one(monkeypatch):
+    checked = []
+    real = ModuleRep._relation_holds
+
+    def counting(self, i, j):
+        checked.append((i, j))
+        return real(self, i, j)
+
+    monkeypatch.setattr(ModuleRep, "_relation_holds", counting)
+    for alg in CRITERION_8_ALGEBRAS + [make_triangular(2, GF2), make_matrix_algebra(2, GF3)]:
+        others = [j for j in range(alg.dim) if alg.basis_coords(j) != alg.one]
+        checked.clear()
+        module_make(alg, alg.left_mats)
+        assert checked == [(g, j) for g in alg.generators() for j in others]
+
+
+# -- the quotient side of minimality, on first read ------------------------------------
+
+def counted(monkeypatch, name: str) -> list:
+    """Replace modrep.<name> by a wrapper that records each call's arguments."""
+    calls = []
+    real = getattr(modrep, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modrep, name, wrapper)
+    return calls
+
+
+def kxy_twice() -> ModuleRep:
+    # one copy of the regular module is faithful and lies in a maximal
+    # submodule; the top has 3 hyperplanes, the socle 15 points
+    reg = regular_module(KXY)
+    return reg.direct_sum(reg)
+
+
+def test_minimal_runs_no_socle_scan_when_a_maximal_submodule_is_faithful(monkeypatch):
+    m = kxy_twice()
+    calls = {name: counted(monkeypatch, name)
+             for name in ("socle_subspace", "simple_socle_submodules", "_residuals_mod", "_preimage")}
+    report = minimal_faithful(m)
+    assert not report.no_faithful_max_submodule
+    assert not report.minimal
+    assert all(seen == [] for seen in calls.values())
+    # the quotient side is scanned once, on its first read, and kept
+    flag = report.no_faithful_simple_quotient
+    assert report.no_faithful_simple_quotient == flag
+    assert report.quotient_witness is report.quotient_witness
+    assert (len(calls["socle_subspace"]), len(calls["simple_socle_submodules"])) == (1, 1)
+    assert calls["_preimage"] == []
+    # the submodule witness is built once, on its first read
+    witness = report.submodule_witness
+    assert report.submodule_witness is witness and len(calls["_preimage"]) == 1
+    assert faithful(restrict_action(m, witness))[0] and witness.dim < m.dim
+    assert (False, flag, witness, report.quotient_witness) == minimal_faithful_by_annihilators(m)
+
+
+def test_socle_point_budget_stop_surfaces_at_the_read():
+    m = kxy_twice()
+    with pytest.raises(BudgetExceeded, match="maximal-submodule hyperplane enumeration"):
+        minimal_faithful(m, Budget(max_enumeration=2))
+    report = minimal_faithful(m, Budget(max_enumeration=3))
+    assert not report.minimal
+    for _ in range(2):  # a stopped scan keeps no result: each read stops again
+        with pytest.raises(BudgetExceeded, match="simple-socle point enumeration") as exc:
+            report.no_faithful_simple_quotient
+        assert (exc.value.needed, exc.value.cap) == (15, 3)
+    assert minimal_faithful(m, Budget(max_enumeration=15)).no_faithful_simple_quotient \
+        == minimal_faithful(m).no_faithful_simple_quotient
