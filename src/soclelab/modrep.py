@@ -791,6 +791,15 @@ def module_report(m: ModuleRep, budget: Budget | None = None) -> ModuleReport:
 # shrinking constructions
 # ---------------------------------------------------------------------------
 
+def shrink_bound(m: ModuleRep, budget: Budget) -> tuple[Subspace, int]:
+    """soc(R) and its bimodule length, the bound every shrink meets, for a
+    module that must be faithful."""
+    if not faithful(m)[0]:
+        raise PreconditionError("shrinking needs a faithful module")
+    soc_r = socles(m.algebra, budget).twosided
+    return soc_r, bimodule_length(m.algebra, soc_r, budget)
+
+
 def _annihilator_chain(m: ModuleRep, soc_r: Subspace, n_bound: int, start: Subspace, pieces: list,
                        combine, acted, what: str) -> Subspace:
     """Greedy chain from start: combine it with the first unused piece that
@@ -823,12 +832,7 @@ def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
     soc(R), built from cyclic pieces with simple tops accumulated while the
     annihilator inside soc(R) strictly drops."""
     budget = budget or default_budget()
-    alg = m.algebra
-    ok, _ = faithful(m)
-    if not ok:
-        raise PreconditionError("shrinking needs a faithful module")
-    soc_r = socles(alg, budget).twosided
-    n_bound = bimodule_length(alg, soc_r, budget)
+    soc_r, n_bound = shrink_bound(m, budget)
     qd = quotient_action(m, radical_image(m, budget))
     # one (generator lift, top of its simple summand) per simple summand of M/JM
     summands = [
@@ -876,12 +880,7 @@ def shrink_quotient(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
     point scan that grows a co-piece is charged to the budget, as a running
     total of its point count, before it runs."""
     budget = budget or default_budget()
-    alg = m.algebra
-    ok, _ = faithful(m)
-    if not ok:
-        raise PreconditionError("shrinking needs a faithful module")
-    soc_r = socles(alg, budget).twosided
-    n_bound = bimodule_length(alg, soc_r, budget)
+    soc_r, n_bound = shrink_bound(m, budget)
     # the simple summands of soc(M), one per basis vector of each block's multiplicity space
     summands = [
         Subspace.from_vectors(m.field, m.dim, part.summand(u))
@@ -944,8 +943,7 @@ def shrink_subfactor(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
     budget = budget or default_budget()
     first = shrink_submodule(m, budget)
     second = shrink_quotient(first, budget)
-    soc_r = socles(m.algebra, budget).twosided
-    n_bound = bimodule_length(m.algebra, soc_r, budget)
+    _, n_bound = shrink_bound(m, budget)
     ts = top_socle(second, budget)
     if ts.top_length > n_bound or ts.socle_length > n_bound:
         raise TheoremViolation("subfactor violates a shrink bound")

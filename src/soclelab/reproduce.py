@@ -43,6 +43,7 @@ from .modrep import (
     graph_socle_check,
     local_socle_check,
     minimal_faithful,
+    shrink_bound,
     shrink_quotient,
     shrink_submodule,
     shrink_subfactor,
@@ -316,8 +317,7 @@ def battery_shrink_bounds(seed: int, min_count: int = 200, budget: Budget | None
     corpus = faithful_corpus(rng, min_count=min_count)
     sub_viol = quot_viol = factor_viol = 0
     for name, mod in corpus:
-        soc_r = socles(mod.algebra, budget).twosided
-        n_bound = bimodule_length(mod.algebra, soc_r, budget)
+        _, n_bound = shrink_bound(mod, budget)
         try:
             m1 = shrink_submodule(mod, budget)
             ok1, _ = faithful(m1)

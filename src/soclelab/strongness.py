@@ -22,7 +22,9 @@ corner multiplicity spaces W_fe of a set of maps (`_corner_orbits`), their
 inverse U (x) Matr_{n_f x n_e}(k) (`tensor_maps`), the compressions to a
 corner, row or column (`BilinearSystem.block_maps`) and the multiplicity
 vectors of an image or kernel.  The balance check, the block graph and the
-degrees are read off the W_fe of the generators, kept once per system.
+degrees are read off the W_fe of the generators, kept once per system.  The
+orbit-swap conditions depend on an element a only through T a S, so each
+point of A is decided once per distinct T a S, keyed by its RREF corners.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .exactla import (
     mat_of_rows,
     num_projective_points,
     row_rank,
+    rref_rows,
     vec_combo,
 )
 from .gf import Field
@@ -158,19 +161,16 @@ class BilinearSystem:
     # -- multiplicity-space helpers -------------------------------------------------
     def b_vector(self, e: int, copy_vec, row: int) -> tuple[int, ...]:
         """B-vector with multiplicity pattern copy_vec at row coordinate `row`."""
-        block = self.s_blocks[e]
-        off = self._b_offsets[e]
-        out = [0] * self.dim_b
-        for j, c in enumerate(copy_vec):
-            out[off + j * block.n + row] = c
-        return tuple(out)
+        return self._slot_vector(self.dim_b, self._b_offsets[e], self.s_blocks[e].n, copy_vec, row)
 
     def c_vector(self, f: int, copy_vec, row: int) -> tuple[int, ...]:
-        block = self.t_blocks[f]
-        off = self._c_offsets[f]
-        out = [0] * self.dim_c
+        return self._slot_vector(self.dim_c, self._c_offsets[f], self.t_blocks[f].n, copy_vec, row)
+
+    @staticmethod
+    def _slot_vector(dim: int, off: int, n: int, copy_vec, row: int) -> tuple[int, ...]:
+        out = [0] * dim
         for j, c in enumerate(copy_vec):
-            out[off + j * block.n + row] = c
+            out[off + j * n + row] = c
         return tuple(out)
 
     def _image_mult_vectors(self, a: Mat, f: int) -> list:
@@ -206,11 +206,7 @@ class BilinearSystem:
 
     def kernel_mult_space(self, a: Mat, e: int) -> Subspace:
         """Multiplicity space of the largest submodule of eB inside ker(a)."""
-        mult = self.s_blocks[e].mult
-        mat_rows = self._kernel_mult_rows(a, e)
-        if not mat_rows:
-            return Subspace.full(self.field, mult)
-        return kernel(mat_of_rows(self.field, mult, mat_rows))
+        return kernel(mat_of_rows(self.field, self.s_blocks[e].mult, self._kernel_mult_rows(a, e)))
 
     # -- submodule enumeration ---------------------------------------------------------
     def maximal_b_submodules(self):
@@ -300,7 +296,7 @@ def _annihilating_combo(sys: BilinearSystem, vectors) -> tuple | None:
         images = [a.apply(v) for a in sys.a_basis]
         for coord in range(sys.dim_c):
             rows.append([images[t][coord] for t in range(d)])
-    combos = kernel(mat_of_rows(field, d, rows)) if rows else Subspace.full(field, d)
+    combos = kernel(mat_of_rows(field, d, rows))
     return combos.basis_rows[0] if combos.dim else None
 
 
@@ -316,7 +312,7 @@ def _image_in_submodule_combo(sys: BilinearSystem, target_basis: list) -> tuple 
         residuals = [target.reduce(a.col(col)) for a in sys.a_basis]
         for coord in range(sys.dim_c):
             rows.append([residuals[t][coord] for t in range(d)])
-    combos = kernel(mat_of_rows(field, d, rows)) if rows else Subspace.full(field, d)
+    combos = kernel(mat_of_rows(field, d, rows))
     return combos.basis_rows[0] if combos.dim else None
 
 
@@ -377,28 +373,6 @@ def _iter_span_elements(field: Field, basis_rows, include_zero=False):
         yield vec_combo(field, list(basis_rows), coeffs)
 
 
-def _image_is_inside_simple(sys: BilinearSystem, a: Mat) -> bool:
-    """True when the submodule generated by a's image is simple: its
-    multiplicity spaces have dimensions summing to 1 over the blocks."""
-    total = 0
-    for f, block in enumerate(sys.t_blocks):
-        total += row_rank(sys._image_mult_vectors(a, f), block.mult, sys.field)
-        if total > 1:
-            return False
-    return total == 1
-
-
-def _kernel_contains_maximal(sys: BilinearSystem, a: Mat) -> bool:
-    """True when ker(a) contains a maximal submodule of B: the colengths
-    mult - dim `kernel_mult_space`, the ranks of its solves, sum to 1."""
-    total = 0
-    for e, block in enumerate(sys.s_blocks):
-        total += row_rank(sys._kernel_mult_rows(a, e), block.mult, sys.field)
-        if total > 1:
-            return False
-    return total == 1
-
-
 def _corner_orbits(sys: BilinearSystem, maps) -> dict[tuple[int, int], tuple]:
     """RREF bases of the nonzero multiplicity spaces W_fe of the
     sub-bimodule sum_a T a S over the given maps, keyed by corner (f, e).
@@ -428,7 +402,7 @@ def _corner_orbits(sys: BilinearSystem, maps) -> dict[tuple[int, int], tuple]:
                         if any(block):
                             blocks.append(block)
             if blocks:
-                corners[f, e] = Subspace.from_vectors(sys.field, bf.mult * be.mult, blocks).basis_rows
+                corners[f, e] = tuple(tuple(r) for r in rref_rows(blocks, bf.mult * be.mult, sys.field)[0])
     return corners
 
 
@@ -448,12 +422,6 @@ def tensor_maps(sys: BilinearSystem, f: int, e: int, u_rows) -> list[Mat]:
                         entries[(c_off + c * bf.n + a) * sys.dim_b + b_off + c2 * be.n + b] = u[c * be.mult + c2]
                 mats.append(Mat._of(sys.field, sys.dim_c, sys.dim_b, tuple(entries)))
     return mats
-
-
-def _has_nonzero_solution(field: Field, images: list, width: int) -> bool:
-    """Whether some nonzero combination of independent basis elements has
-    zero image, given each element's image as a vector of length width."""
-    return row_rank(images, width, field) < len(images)
 
 
 def _corners_have_maximal_kernel(sys: BilinearSystem, corners: dict) -> bool:
@@ -482,7 +450,8 @@ def _corners_have_maximal_kernel(sys: BilinearSystem, corners: dict) -> bool:
                     ))
                     for x in basis
                 ]
-                if _has_nonzero_solution(field, images, t * len(hyper)):
+                # the basis is independent: a rank drop is a nonzero X with zero image
+                if row_rank(images, t * len(hyper), field) < len(images):
                     return True
     return False
 
@@ -522,29 +491,66 @@ def _corners_have_simple_image(sys: BilinearSystem, corners: dict) -> bool:
                     )
                     for x in basis
                 ]
-                if _has_nonzero_solution(field, images, (t - 1) * s):
+                if row_rank(images, (t - 1) * s, field) < len(images):
                     return True
     return False
 
 
-def _swap_failures(sys: BilinearSystem, a: Mat, forward: bool = True, backward: bool = True) -> tuple[bool, bool]:
-    """Which swap directions fail at the element a.
+def _corner_hypotheses(sys: BilinearSystem, corners: dict) -> tuple[bool, bool]:
+    """(simple image, maximal kernel) at an element a, read off the corners
+    of T a S = (+)_{(f,e)} W_fe (x) Matr_{n_f x n_e}(k) (`_corner_orbits` of a).
+
+    Simple image: the submodule generated by a's image is T a(B), and
+    T a(B) = (T a S)(B) because S holds 1 and S B = B.  X (x) E_il maps
+    m (x) v to X m (x) E_il v, so block f of (T a S)(B) has multiplicity
+    space sum_e colspan W_fe, and the submodule is simple exactly when
+    sum_f dim(sum_e colspan W_fe) = 1.
+
+    Maximal kernel: the largest submodule of B inside ker(a) is
+    {b : a S b = 0}, the intersection of ker w over w in T a S (T holds 1,
+    and a s b = 0 gives t a s b = 0).  X (x) E_il kills the block-e part
+    sum_l m_l (x) e_l exactly when X m_l = 0, so that intersection has
+    block-e multiplicity space the common null space of the W_fe over f, of
+    codimension dim(sum_f rowspan W_fe).  For a != 0 it contains a maximal
+    submodule exactly when sum_e dim(sum_f rowspan W_fe) = 1."""
+    columns = [[] for _ in sys.t_blocks]
+    rows = [[] for _ in sys.s_blocks]
+    for (f, e), basis in corners.items():
+        s = sys.s_blocks[e].mult
+        for x in basis:
+            columns[f].extend(x[c::s] for c in range(s))
+            rows[e].extend(x[r:r + s] for r in range(0, len(x), s))
+    return tuple(
+        sum(row_rank(vectors, block.mult, sys.field) for vectors, block in zip(spans, blocks) if vectors) == 1
+        for spans, blocks in ((columns, sys.t_blocks), (rows, sys.s_blocks))
+    )
+
+
+def _swap_failures(sys: BilinearSystem, corners: dict, forward: bool = True, backward: bool = True) -> tuple[bool, bool]:
+    """Which swap directions fail at an element a, given the corners of T a S.
 
     Forward fails when a's image generates a simple submodule but no nonzero
     element of T a S kills a maximal submodule of B; backward fails when
     ker(a) contains a maximal submodule but no nonzero element of T a S maps
     B into a simple submodule of C.  A direction passed as False is not
-    evaluated and reported as not failing.  T a S is built, by corners, only
-    when one of the hypotheses holds."""
-    simple_image = forward and _image_is_inside_simple(sys, a)
-    maximal_kernel = backward and _kernel_contains_maximal(sys, a)
-    if not (simple_image or maximal_kernel):
-        return False, False
-    corners = _corner_orbits(sys, (a,))
+    evaluated and reported as not failing."""
+    simple_image, maximal_kernel = _corner_hypotheses(sys, corners)
     return (
-        simple_image and not _corners_have_maximal_kernel(sys, corners),
-        maximal_kernel and not _corners_have_simple_image(sys, corners),
+        forward and simple_image and not _corners_have_maximal_kernel(sys, corners),
+        backward and maximal_kernel and not _corners_have_simple_image(sys, corners),
     )
+
+
+def _decided(sys: BilinearSystem, memo: dict, vec, forward: bool = True, backward: bool = True) -> tuple[bool, bool]:
+    """`_swap_failures` at the element with flattened entries vec, computed
+    once per distinct T a S: memo is keyed by the corner bases, canonical
+    because each is in RREF.  One memo serves one loop, whose direction
+    flags only fall, so a kept pair is right in every direction still asked."""
+    corners = _corner_orbits(sys, (Mat._of(sys.field, sys.dim_c, sys.dim_b, tuple(vec)),))
+    key = tuple(sorted(corners.items()))
+    if key not in memo:
+        memo[key] = _swap_failures(sys, corners, forward, backward)
+    return memo[key]
 
 
 def small_conditions(sys: BilinearSystem, budget: Budget | None = None) -> SmallConditions:
@@ -557,10 +563,13 @@ def small_conditions(sys: BilinearSystem, budget: Budget | None = None) -> Small
 
     T a S is taken corner by corner: it is the direct sum over (f, e) of
     W_fe (x) Matr_{n_f x n_e}(k), with W_fe spanned by the t_f x s_e
-    multiplicity blocks of a (`_corner_orbits`).  Every maximal submodule of
-    B and every simple submodule of C is still enumerated and decided by an
-    exact solve, on the corners instead of on full-size maps, so the method
-    stays "literal".
+    multiplicity blocks of a (`_corner_orbits`).  Every point of A is still
+    enumerated, and every maximal submodule of B and simple submodule of C
+    decided by an exact solve, on the corners instead of on full-size maps,
+    so the method stays "literal".  Both hypotheses and both conclusions
+    depend on a only through T a S (`_corner_hypotheses`), so each point
+    reads its corners and is decided once per distinct T a S.  That is
+    exact, not a sample: equal corner bases mean equal T a S.
 
     matrix_blocks is true by construction (only split systems are
     representable).  The implication chain matrix_blocks => swap_both =>
@@ -571,11 +580,9 @@ def small_conditions(sys: BilinearSystem, budget: Budget | None = None) -> Small
     span = sys.a_span()
     count = num_projective_points(span.dim, sys.field.q) if span.dim else 0
     budget.guard("small-conditions enumeration", count)
-    swap_both = True
-    for vec in _iter_span_elements(sys.field, list(span.basis_rows)):
-        if any(_swap_failures(sys, Mat._of(sys.field, sys.dim_c, sys.dim_b, tuple(vec)))):
-            swap_both = False
-            break
+    memo: dict = {}
+    points = _iter_span_elements(sys.field, list(span.basis_rows))
+    swap_both = not any(any(_decided(sys, memo, vec)) for vec in points)
     swap_either = swap_both or _swap_either_literal(sys, budget)
     if not swap_either:
         raise TheoremViolation("split system fails the either-direction swap condition")
@@ -586,11 +593,11 @@ def _swap_either_literal(sys: BilinearSystem, budget: Budget) -> bool:
     for f, e in sys.corner_spaces():
         corner = Subspace.from_vectors(sys.field, sys.dim_b * sys.dim_c, [m.flatten() for m in sys.block_maps(f, e)])
         budget.guard("either-swap corner enumeration", num_projective_points(corner.dim, sys.field.q))
-        forward = True   # simple image -> orbit has maximal kernel
-        backward = True  # maximal kernel -> orbit has simple image
+        # forward: simple image -> orbit has maximal kernel; backward: maximal kernel -> orbit has simple image
+        forward = backward = True
+        memo: dict = {}
         for vec in _iter_span_elements(sys.field, list(corner.basis_rows)):
-            a = Mat._of(sys.field, sys.dim_c, sys.dim_b, tuple(vec))
-            forward_fails, backward_fails = _swap_failures(sys, a, forward, backward)
+            forward_fails, backward_fails = _decided(sys, memo, vec, forward, backward)
             forward = forward and not forward_fails
             backward = backward and not backward_fails
             if not forward and not backward:
@@ -769,24 +776,15 @@ def no_union_cover(field: Field, block: BlockSpec, N: int, budget: Budget | None
     total = sum(math.comb(len(proper), k) for k in range(1, N + 1))
     budget.guard("union-cover family enumeration", total)
 
-    covered_assertion = True
-    for k in range(1, N + 1):
-        for family in itertools.combinations(proper, k):
-            if all(any(m.contains(w) for m in family) for w in reachable):
-                covered_assertion = False
-                break
-        if not covered_assertion:
-            break
-
-    blocking_assertion = True
-    for k in range(1, N + 1):
-        for family in itertools.combinations(nonzero, k):
-            if all(any(h.contains(y) for y in family) for h in hyperplanes):
-                blocking_assertion = False
-                break
-        if not blocking_assertion:
-            break
-
+    # no family covers the reachable submodules; none meets every hyperplane
+    covered_assertion = not any(
+        all(any(m.contains(w) for m in family) for w in reachable)
+        for k in range(1, N + 1) for family in itertools.combinations(proper, k)
+    )
+    blocking_assertion = not any(
+        all(any(h.contains(y) for y in family) for h in hyperplanes)
+        for k in range(1, N + 1) for family in itertools.combinations(nonzero, k)
+    )
     holds = covered_assertion and blocking_assertion
     if not holds and N <= q:
         raise TheoremViolation(

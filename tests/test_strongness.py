@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from soclelab import strongness
 from soclelab.budget import Budget
-from soclelab.errors import BudgetExceeded, InputError, PreconditionError
+from soclelab.errors import BudgetExceeded, InputError, PreconditionError, TheoremViolation
 from soclelab.corpus import random_split_system
 from soclelab.exactla import (
     Mat,
@@ -16,6 +17,7 @@ from soclelab.exactla import (
     kernel,
     mat_of_rows,
     num_projective_points,
+    row_rank,
     vec_combo,
 )
 from soclelab.gf import field_make
@@ -33,13 +35,13 @@ from soclelab.strongness import (
     system_graph,
     tensor_maps,
     union_split,
+    _corner_hypotheses,
     _corner_orbits,
     _corners_have_maximal_kernel,
     _corners_have_simple_image,
+    _decided,
     _image_in_submodule_combo,
-    _image_is_inside_simple,
     _iter_span_elements,
-    _kernel_contains_maximal,
 )
 from soclelab.tensorcover import to_bilinear
 
@@ -195,6 +197,43 @@ def orbit_has_simple_image(sys_obj, orbit):
                for _, _, vectors in sys_obj.simple_c_submodules())
 
 
+def _image_is_inside_simple(sys_obj, a):
+    """Oracle: the submodule generated by a's image is simple, by the ranks of
+    a's own image multiplicity vectors, summed over the blocks."""
+    total = 0
+    for f, block in enumerate(sys_obj.t_blocks):
+        total += row_rank(sys_obj._image_mult_vectors(a, f), block.mult, sys_obj.field)
+        if total > 1:
+            return False
+    return total == 1
+
+
+def _kernel_contains_maximal(sys_obj, a):
+    """Oracle: ker(a) contains a maximal submodule of B, by the colengths of
+    a's own kernel multiplicity spaces (the ranks of their solves)."""
+    total = 0
+    for e, block in enumerate(sys_obj.s_blocks):
+        total += row_rank(sys_obj._kernel_mult_rows(a, e), block.mult, sys_obj.field)
+        if total > 1:
+            return False
+    return total == 1
+
+
+def per_element_swap_failures(sys_obj, a, forward=True, backward=True):
+    """Oracle: the swap failures at a, with both hypotheses read off a itself
+    and T a S built only when one holds.  The corner tests are looked up on
+    the module, so a test that patches them patches the oracle too."""
+    simple_image = forward and _image_is_inside_simple(sys_obj, a)
+    maximal_kernel = backward and _kernel_contains_maximal(sys_obj, a)
+    if not (simple_image or maximal_kernel):
+        return False, False
+    corners = _corner_orbits(sys_obj, (a,))
+    return (
+        simple_image and not strongness._corners_have_maximal_kernel(sys_obj, corners),
+        maximal_kernel and not strongness._corners_have_simple_image(sys_obj, corners),
+    )
+
+
 def corner_tensor(sys_obj, f, e, x, i, l):
     """The full-size map X (x) E_il on the corner (f, e): slot (f, c, i) <- (e, c', l)
     carries X[c, c'], for X a flattened t_f x s_e matrix."""
@@ -306,6 +345,9 @@ def test_swap_hypotheses_by_rank_match_the_multiplicity_spaces():
             by_spaces = [d for d in image_dims if d] == [1]
             assert _image_is_inside_simple(sys_obj, a) == by_spaces, (sys_obj.to_json(), vec)
             assert _kernel_contains_maximal(sys_obj, a) == (sum(colengths) == 1), (sys_obj.to_json(), vec)
+            # the same pair read off the corners of T a S
+            corners = _corner_orbits(sys_obj, (a,))
+            assert _corner_hypotheses(sys_obj, corners) == (by_spaces, sum(colengths) == 1), (sys_obj.to_json(), vec)
             simple += by_spaces
             maximal += sum(colengths) == 1
             checked += 1
@@ -335,6 +377,103 @@ def test_small_conditions_budget():
     big = full_hom_system(GF3, 3, 3)
     with pytest.raises(BudgetExceeded):
         small_conditions(big, Budget(max_enumeration=5))
+
+
+def test_corner_hypotheses_pinned():
+    # Hom(k^2, k^2) over F_2: the identity has neither a simple image nor a
+    # kernel holding a maximal submodule, a rank-one map has both, and the
+    # zero map (no corners) has neither: its kernel is all of B
+    sys_obj = full_hom_system(GF2, 2, 2)
+    assert _corner_hypotheses(sys_obj, _corner_orbits(sys_obj, (Mat.identity(GF2, 2),))) == (False, False)
+    assert _corner_hypotheses(sys_obj, _corner_orbits(sys_obj, (Mat.unit(GF2, 2, 2, 0, 1),))) == (True, True)
+    assert _corner_hypotheses(sys_obj, {}) == (False, False)
+    # Hom(k^2, k^3) over F_3: a rank-two map has neither, a rank-one map both
+    wide = full_hom_system(GF3, 2, 3)
+    rank_two = Mat.from_rows(GF3, [[1, 0], [0, 1], [0, 0]])
+    assert _corner_hypotheses(wide, _corner_orbits(wide, (rank_two,))) == (False, False)
+    assert _corner_hypotheses(wide, _corner_orbits(wide, (Mat.unit(GF3, 3, 2, 2, 0),))) == (True, True)
+
+
+def _no_corner_solution(sys_obj, corners):
+    return False
+
+
+@pytest.mark.parametrize("patched", [False, True])
+def test_memoised_swap_decision_matches_the_per_element_oracle(monkeypatch, patched):
+    # unpatched, split systems never fail a swap direction, so every decision
+    # is (False, False); with both corner tests patched to False a decision
+    # is the pair of hypotheses, so the memo carries nontrivial values
+    if patched:
+        monkeypatch.setattr(strongness, "_corners_have_maximal_kernel", _no_corner_solution)
+        monkeypatch.setattr(strongness, "_corners_have_simple_image", _no_corner_solution)
+    points = failing = 0
+    for sys_obj in corner_check_systems():
+        field = sys_obj.field
+        memos = {flags: {} for flags in itertools.product((True, False), repeat=2)}
+        for vec in _iter_span_elements(field, list(sys_obj.a_span().basis_rows)):
+            a = Mat._of(field, sys_obj.dim_c, sys_obj.dim_b, tuple(vec))
+            for flags, memo in memos.items():
+                assert _decided(sys_obj, memo, vec, *flags) == per_element_swap_failures(sys_obj, a, *flags), (
+                    sys_obj.to_json(), vec, flags)
+            points += 1
+            failing += any(per_element_swap_failures(sys_obj, a))
+    assert points > 1500
+    assert (failing > 0) == patched
+
+
+def test_small_conditions_decides_each_distinct_orbit_once(monkeypatch):
+    calls = []
+    real = strongness._swap_failures
+
+    def counting(sys_obj, corners, *flags):
+        calls.append(tuple(sorted(corners.items())))
+        return real(sys_obj, corners, *flags)
+
+    monkeypatch.setattr(strongness, "_swap_failures", counting)
+    points = decisions = 0
+    for sys_obj in corner_check_systems():
+        del calls[:]
+        assert small_conditions(sys_obj).swap_both
+        field, span = sys_obj.field, sys_obj.a_span()
+        # one decision per distinct T a S among the points
+        keys = set()
+        for vec in _iter_span_elements(field, list(span.basis_rows)):
+            a = Mat._of(field, sys_obj.dim_c, sys_obj.dim_b, tuple(vec))
+            keys.add(tuple(sorted(_corner_orbits(sys_obj, (a,)).items())))
+        assert len(calls) == len(set(calls)) and set(calls) == keys
+        points += num_projective_points(span.dim, field.q)
+        decisions += len(calls)
+    assert decisions < points
+
+
+def test_small_conditions_failure_path_goes_through_the_either_memo(monkeypatch):
+    # TWO_BY_TWO: W_01 and W_10 are spanned by one vector of k^2, so each
+    # element of those corners has a simple image and a kernel holding a
+    # maximal submodule, and a failing corner test shows there; the 15
+    # points of the corner (0, 0) share one T a S
+    points, decisions = [], []
+    real_decided, real_failures = strongness._decided, strongness._swap_failures
+
+    def counting_decided(sys_obj, memo, vec, *flags):
+        points.append(vec)
+        return real_decided(sys_obj, memo, vec, *flags)
+
+    def counting_failures(sys_obj, corners, *flags):
+        decisions.append(corners)
+        return real_failures(sys_obj, corners, *flags)
+
+    monkeypatch.setattr(strongness, "_corners_have_maximal_kernel", _no_corner_solution)
+    sc = small_conditions(TWO_BY_TWO)
+    assert (sc.swap_both, sc.swap_either, sc.method) == (False, True, "literal")
+    monkeypatch.setattr(strongness, "_decided", counting_decided)
+    monkeypatch.setattr(strongness, "_swap_failures", counting_failures)
+    assert strongness._swap_either_literal(TWO_BY_TWO, Budget())
+    # every point of every corner space is enumerated, and decided once per T a S
+    assert len(points) == 15 + 3 + 3 and len(set(points)) == len(points)
+    assert len(decisions) == 3
+    monkeypatch.setattr(strongness, "_corners_have_simple_image", _no_corner_solution)
+    with pytest.raises(TheoremViolation, match="either-direction"):
+        small_conditions(TWO_BY_TWO)
 
 
 # -- the balance check, block maps and the graph, against the full-size oracles --
