@@ -91,7 +91,6 @@ class Algebra:
         self.matrix_basis = matrix_basis
         self.certificate = certificate
         self._radical_cache: Subspace | None = None
-        self._local_cache: bool | None = None
         self._socles_cache: SocleTriple | None = None
         self._generators_cache: tuple[int, ...] | None = None
         self.left_mats = tuple(
@@ -290,15 +289,6 @@ class Algebra:
         if self._radical_cache is None:
             self._radical_cache = radical_bruteforce(self, budget)
         return self._radical_cache
-
-    def is_local(self, budget: Budget | None = None) -> bool:
-        if self.certificate is not None and self.certificate.local:
-            return True
-        if self.certificate is not None and self.certificate.split:
-            return len(self.certificate.blocks) == 1 and self.certificate.blocks[0].n == 1
-        if self._local_cache is None:
-            self._local_cache = self._residue_is_division(self.radical(budget))
-        return self._local_cache
 
     def blocks(self) -> tuple[Block, ...]:
         if self.certificate is None or not self.certificate.split:

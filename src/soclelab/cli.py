@@ -118,7 +118,7 @@ def _cmd_cover_search(args, reporter: Reporter, budget: Budget) -> int:
     from .tensorcover import search_minimal
 
     field = field_of_order(args.q)
-    result = search_minimal(args.m, args.n, field, budget, threads=args.threads)
+    result = search_minimal(args.m, args.n, field, budget)
     verdict = "pass" if result.complete else "budget"
     reporter.emit("cover search-minimal", verdict, result.to_json())
     reporter.table(
@@ -392,10 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="soclelab",
         description="Exact-arithmetic verification toolkit over small finite fields.",
     )
-    parser.add_argument("--seed", type=int, default=20260808, help="seed for randomized batteries")
     parser.add_argument("--budget", type=int, default=None, help="enumeration cap override")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker count (at least 1) for `cover search-minimal`; other commands take only 1")
     parser.add_argument("--pretty", action="store_true", help="render a human table after the JSON lines")
     parser.add_argument("--timing", action="store_true", help="attach wall-clock timing to reports")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -441,6 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("reproduce", help="run a verification battery")
     rep.add_argument("target", help="paper-2 | paper-4 | paper-5.1 | paper-6 | all")
+    rep.add_argument("--seed", type=int, default=20260808, help="seed for the randomized batteries")
     rep.add_argument("--out", default=None, help="bundle path (default soclelab-reproduce-<target>.json)")
 
     return parser
@@ -472,10 +470,6 @@ def main(argv=None) -> int:
     if key == ("reproduce", None):
         command = f"reproduce {args.target}"
     try:
-        if args.threads < 1:
-            raise InputError(f"--threads must be at least 1, got {args.threads}")
-        if args.threads > 1 and key != ("cover", "search-minimal"):
-            raise InputError("--threads applies only to `cover search-minimal`")
         if args.budget is not None:
             budget = Budget(max_enumeration=args.budget, max_ring=min(args.budget, 2**16))
         else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .errors import InputError
 from .gf import Field
@@ -101,9 +101,9 @@ def _rref_gf2(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[
     return [_unpack_gf2(w, ncols) for w in packed[: len(pivots)]], pivots
 
 
-def rref_rows(rows, ncols: int, field: Field, force_generic: bool = False) -> tuple[list[list[int]], list[int]]:
+def rref_rows(rows, ncols: int, field: Field) -> tuple[list[list[int]], list[int]]:
     """RREF of a list of row vectors; returns (nonzero rows, pivot columns)."""
-    if field.is_gf2 and not force_generic:
+    if field.is_gf2:
         return _rref_gf2([list(r) for r in rows], ncols)
     reduced, pivots = _rref_generic(rows, ncols, field)
     return reduced[: len(pivots)], pivots
@@ -392,12 +392,6 @@ class Mat:
         return self.entries
 
     # reduction ----------------------------------------------------------------
-    def rref(self, force_generic: bool = False) -> tuple["Mat", int]:
-        """Reduced row echelon form (zero rows dropped to the bottom) and rank."""
-        reduced, pivots = rref_rows(self.row_list(), self.cols, self.field, force_generic)
-        rank = len(pivots)
-        return mat_of_rows(self.field, self.cols, reduced + [[0] * self.cols] * (self.rows - rank)), rank
-
     def rank(self) -> int:
         return row_rank(self.row_list(), self.cols, self.field)
 
@@ -628,16 +622,6 @@ def solve(m: Mat, target) -> Vec | None:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def gaussian_binomial(n: int, k: int, q: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
-
-
 def num_projective_points(dim: int, q: int) -> int:
     return (q**dim - 1) // (q - 1)
 
@@ -652,16 +636,6 @@ def enum_coeff_points(field: Field, dim: int):
         tail_len = dim - lead - 1
         for tail in itertools.product(field.elements(), repeat=tail_len):
             yield (0,) * lead + (1,) + tail
-
-
-def enum_points(s: Subspace):
-    """Projective-point representatives of a subspace, in its ambient space."""
-    if s.dim == 0:
-        raise InputError("zero subspace has no projective points")
-    field = s.field
-    basis = list(s.basis_rows)
-    for coeffs in enum_coeff_points(field, s.dim):
-        yield vec_combo(field, basis, coeffs)
 
 
 def enum_hyperplanes(s: Subspace):
@@ -699,36 +673,27 @@ def enum_hyperplanes(s: Subspace):
 
 
 def enum_subspaces(field: Field, n: int, dim: int):
-    """All dim-dimensional subspaces of F_q^n by direct RREF enumeration."""
+    """All dim-dimensional subspaces of F_q^n by direct RREF enumeration:
+    pivot columns in `combinations` order, then the free entries in
+    `product` order."""
     for pivots in itertools.combinations(range(n), dim):
-        yield from enum_pivot_subspaces(field, n, pivots)
-
-
-def enum_pivot_subspaces(field: Field, n: int, pivots: tuple[int, ...]):
-    """All subspaces of F_q^n whose RREF has the given pivot columns."""
-    dim = len(pivots)
-    pivot_set = set(pivots)
-    free_positions = [
-        (i, j)
-        for i in range(dim)
-        for j in range(pivots[i] + 1, n)
-        if j not in pivot_set
-    ]
-    for values in itertools.product(field.elements(), repeat=len(free_positions)):
-        rows = [[0] * n for _ in range(dim)]
-        for i, p in enumerate(pivots):
-            rows[i][p] = 1
-        for (i, j), v in zip(free_positions, values):
-            rows[i][j] = v
-        yield Subspace(field, n, tuple(tuple(r) for r in rows), tuple(pivots))
+        pivot_set = set(pivots)
+        free_positions = [
+            (i, j)
+            for i in range(dim)
+            for j in range(pivots[i] + 1, n)
+            if j not in pivot_set
+        ]
+        for values in itertools.product(field.elements(), repeat=len(free_positions)):
+            rows = [[0] * n for _ in range(dim)]
+            for i, p in enumerate(pivots):
+                rows[i][p] = 1
+            for (i, j), v in zip(free_positions, values):
+                rows[i][j] = v
+            yield Subspace(field, n, tuple(tuple(r) for r in rows), pivots)
 
 
 def all_subspaces(field: Field, n: int, dims=None):
     """Every subspace of F_q^n (optionally restricted to given dimensions)."""
     for d in dims if dims is not None else range(n + 1):
         yield from enum_subspaces(field, n, d)
-
-
-def enum_vectors(field: Field, dim: int):
-    """All of F_q^dim in code order (including zero)."""
-    return itertools.product(field.elements(), repeat=dim)

@@ -149,12 +149,6 @@ class ModuleRep:
         return ModuleRep(algebra, dim, tuple(Mat.from_json(mj, algebra.field) for mj in action))
 
 
-def module_make(algebra: Algebra, action) -> ModuleRep:
-    action = tuple(action)
-    dim = action[0].rows if action else 0
-    return ModuleRep(algebra, dim, action)
-
-
 def regular_module(algebra: Algebra) -> ModuleRep:
     """The algebra acting on itself by left multiplication."""
     return ModuleRep(algebra, algebra.dim, algebra.left_mats, _skip_verify=True)

@@ -272,9 +272,6 @@ class PredicateReport:
     cond_b_failing: tuple | None = None
     cond_c_failing: tuple | None = None
 
-    def all_hold(self) -> bool:
-        return self.nondegenerate and self.cond_b and self.cond_c
-
     def to_json(self) -> dict:
         return {
             "nondegenerate": self.nondegenerate,

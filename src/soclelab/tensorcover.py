@@ -19,8 +19,6 @@ certifies every space it reports with `check_bound`.
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .budget import Budget, default_budget
@@ -30,9 +28,7 @@ from .exactla import (
     Subspace,
     enum_coeff_points,
     enum_hyperplanes,
-    enum_pivot_subspaces,
     enum_subspaces,
-    gaussian_binomial,
     kernel,
     mat_of_columns,
     mat_of_rows,
@@ -77,9 +73,6 @@ class TensorSubspace:
     @staticmethod
     def full(field: Field, m: int, n: int) -> "TensorSubspace":
         return TensorSubspace.from_flat(field, m, n, Subspace.full(field, m * n))
-
-    def contains_matrix(self, mat: Mat) -> bool:
-        return self.flat().contains_vector(mat.flatten())
 
     def transpose(self) -> "TensorSubspace":
         return TensorSubspace(self.field, self.n, self.m, tuple(mat.transpose() for mat in self.basis))
@@ -301,27 +294,12 @@ def _scan_dimension(field: Field, m: int, n: int, dim: int, cap: int) -> tuple[l
     return found, examined, True
 
 
-def _scan_pivot_shard(args) -> tuple[list[tuple], int]:
-    """Worker for parallel search: the first `share` subspaces of one pivot
-    pattern of one dimension, in enumeration order."""
-    field_json, m, n, pivots, share = args
-    field = Field.from_json(field_json)
-    found = []
-    examined = 0
-    for flat in itertools.islice(enum_pivot_subspaces(field, m * n, pivots), share):
-        examined += 1
-        if _both_conditions_flat(flat, m, n):
-            found.append(flat.basis_rows)
-    return found, examined
-
-
 def search_minimal(
     m: int,
     n: int,
     field: Field,
     budget: Budget | None = None,
     threads: int = 1,
-    parallel_threshold: int = 512,
 ) -> SearchResult:
     """Exhaustively enumerate subspaces of the m*n matrices, in increasing
     dimension, and return every one that satisfies both coverage conditions
@@ -336,27 +314,26 @@ def search_minimal(
     minimal satisfier is certified by `check_bound` before it is reported.
     The budget caps the number of subspaces examined; on exhaustion the partial
     result is flagged incomplete.
+
+    The search is sequential.  `threads` accepts only 1: the benchmark's
+    coverage-search workload (`perfbench/workloads.py`) still passes
+    `threads=1`, and the parameter goes once it no longer does.  Any other
+    value is an input error, not a request that is silently ignored.
     """
+    if threads != 1:
+        raise InputError(f"search_minimal runs sequentially; threads must be 1, got {threads!r}")
     budget = budget or default_budget()
-    mn = m * n
     cap = budget.max_enumeration
     examined = 0
     minimal: list[TensorSubspace] = []
     complete = True
     below: set[Subspace] = set()  # every satisfier of dimension dim - 1
-    for dim in range(0, mn + 1):
-        remaining = cap - examined
-        if remaining <= 0:
+    for dim in range(0, m * n + 1):
+        if examined >= cap:
             complete = False
             break
-        count_here = gaussian_binomial(mn, dim, field.q)
-        if threads > 1 and count_here > parallel_threshold:
-            satisfiers, scanned, done = _scan_dimension_parallel(field, m, n, dim, remaining, threads)
-        else:
-            satisfiers, scanned, done = _scan_dimension(field, m, n, dim, remaining)
+        satisfiers, scanned, complete = _scan_dimension(field, m, n, dim, cap - examined)
         examined += scanned
-        if not done:
-            complete = False
         for flat in satisfiers:
             if dim == 0 or not any(h in below for h in enum_hyperplanes(flat)):
                 ts = TensorSubspace.from_flat(field, m, n, flat)
@@ -370,55 +347,3 @@ def search_minimal(
         below = set(satisfiers)
     minimal.sort(key=lambda t: t.sort_key())
     return SearchResult(minimal, complete, examined)
-
-
-def _scan_dimension_parallel(field: Field, m: int, n: int, dim: int, cap: int, threads: int):
-    """The parallel form of `_scan_dimension`: one shard per pivot pattern.
-
-    The cap is split over the shards in enumeration order (a pattern with
-    f free positions holds q^f subspaces), so the shards together scan
-    exactly the prefix that the sequential scan examines."""
-    mn = m * n
-    shards = []
-    total = 0
-    for pivots in itertools.combinations(range(mn), dim):
-        # free positions of row i: the columns after its pivot, less the later pivots
-        size = field.q ** sum(mn - 1 - p - (dim - 1 - i) for i, p in enumerate(pivots))
-        share = min(size, cap - total)
-        total += size
-        if share > 0:
-            shards.append((field.to_json(), m, n, pivots, share))
-    found: list[Subspace] = []
-    examined = 0
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for rows_list, scanned in pool.map(_scan_pivot_shard, shards):
-            examined += scanned
-            for rows in rows_list:
-                found.append(Subspace.from_vectors(field, mn, rows))
-    found.sort(key=lambda s: s.sort_key())
-    return found, examined, total <= cap
-
-
-# ---------------------------------------------------------------------------
-# conversion to the bilinear-system view
-# ---------------------------------------------------------------------------
-
-def to_bilinear(a: TensorSubspace):
-    """Reinterpret A as a system of linear maps F_q^m -> F_q^n over trivial
-    block structure (S = T = F_q acting by scalars).
-
-    Each basis matrix t becomes the map b |-> t^T b, so that a rank-one
-    element b (x) c acts with kernel the hyperplane orthogonal to b and image
-    spanned by c.  Under this dualization row coverage of A becomes the
-    maximal-submodule annihilation condition of the system and column
-    coverage becomes the simple-image condition (a tested invariant).
-    """
-    from .strongness import BilinearSystem, BlockSpec
-
-    maps = tuple(mat.transpose() for mat in a.basis)
-    return BilinearSystem(
-        field=a.field,
-        s_blocks=(BlockSpec(1, a.m),),
-        t_blocks=(BlockSpec(1, a.n),),
-        a_basis=maps,
-    )

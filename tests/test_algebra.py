@@ -23,7 +23,7 @@ from soclelab.algebra import (
     socles,
 )
 from soclelab.budget import Budget
-from soclelab.errors import BudgetExceeded, InputError, NotSplitError, TheoremViolation
+from soclelab.errors import BudgetExceeded, InputError, NotSplitError
 from soclelab.exactla import Mat, RowBasis, Subspace, mat_vec
 from soclelab.gf import field_make
 from soclelab.gallery import (
@@ -444,10 +444,14 @@ def test_socle_centrality():
 
 
 def test_locality():
-    assert make_twisted_truncated(2, 2, 3).is_local()
-    assert make_triangular(3, GF2, True).is_local()
-    assert not make_triangular(2, GF2, False).is_local()
-    assert not make_matrix_algebra(2, GF2).is_local()
+    # read off the certificates: a local algebra has a division residue ring,
+    # and a split one is local exactly when it has the one block n = 1
+    for alg, local in ((make_twisted_truncated(2, 2, 3), True), (make_triangular(3, GF2, True), True),
+                       (make_triangular(2, GF2, False), False), (make_matrix_algebra(2, GF2), False)):
+        cert = alg.certificate
+        assert cert.local is local
+        if cert.split:
+            assert ([b.n for b in cert.blocks] == [1]) is local
 
 
 # -- serialization -------------------------------------------------------------------------------

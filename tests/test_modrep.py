@@ -10,7 +10,6 @@ from soclelab.errors import BudgetExceeded, InputError, NotSplitError, Precondit
 from soclelab.exactla import (
     Mat,
     Subspace,
-    enum_vectors,
     image,
     kernel,
     mat_of_columns,
@@ -37,7 +36,6 @@ from soclelab.modrep import (
     local_socle_check,
     maximal_submodules,
     minimal_faithful,
-    module_make,
     module_report,
     quotient_action,
     radical_image,
@@ -52,6 +50,8 @@ from soclelab.modrep import (
     system_from_module,
     top_socle,
 )
+
+from helpers import random_invertible
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -90,7 +90,7 @@ def test_rejects_relation_violation():
         Mat.zero(GF2, 2, 2),
     )
     with pytest.raises(InputError, match="identity|basis pair"):
-        module_make(tri, bad)
+        ModuleRep(tri, 2, bad)
 
 
 def pair_error(i: int, j: int) -> str:
@@ -103,7 +103,7 @@ def test_relation_error_names_a_failing_generator_pair():
     assert KX2.generators() == (1,)
     action = (Mat.identity(GF2, 2), Mat.from_rows(GF2, [[0, 1], [0, 1]]))
     with pytest.raises(InputError, match=pair_error(1, 1)):
-        module_make(KX2, action)
+        ModuleRep(KX2, 2, action)
 
 
 def test_relation_error_names_the_first_failing_pair_not_the_generator_pair():
@@ -122,17 +122,17 @@ def test_relation_error_names_the_first_failing_pair_not_the_generator_pair():
     assert all(unchecked._relation_holds(1, j) for j in range(4))
     assert [j for j in range(4) if not unchecked._relation_holds(3, j)][0] == 1
     with pytest.raises(InputError, match=pair_error(2, 1)):
-        module_make(alg, action)
+        ModuleRep(alg, 2, action)
 
 
 def test_rejects_identity_violation():
     with pytest.raises(InputError, match="identity"):
-        module_make(KX2, (Mat.zero(GF2, 2, 2), Mat.zero(GF2, 2, 2)))
+        ModuleRep(KX2, 2, (Mat.zero(GF2, 2, 2), Mat.zero(GF2, 2, 2)))
 
 
 def test_simple_module_over_triangular_not_faithful():
     tri = make_triangular(2, GF2, False)  # basis e11, e22, e12
-    simple = module_make(tri, (
+    simple = ModuleRep(tri, 1, (
         Mat.identity(GF2, 1),  # e11 acts as 1
         Mat.zero(GF2, 1, 1),   # e22 acts as 0
         Mat.zero(GF2, 1, 1),   # e12 acts as 0
@@ -153,7 +153,7 @@ def test_regular_top_socle_local():
 
 def test_column_module_over_matrix_algebra():
     alg = make_matrix_algebra(2, GF2)
-    cols = module_make(alg, tuple(alg.matrix_basis))
+    cols = ModuleRep(alg, 2, tuple(alg.matrix_basis))
     ok, _ = faithful(cols)
     assert ok
     ts = top_socle(cols)
@@ -187,7 +187,7 @@ def test_socle_equals_sum_of_simple_submodules():
 
 
 def column_module(alg):
-    return module_make(alg, tuple(alg.matrix_basis))
+    return ModuleRep(alg, alg.matrix_basis[0].rows, tuple(alg.matrix_basis))
 
 
 def test_matrix_block_of_size_two_minimality():
@@ -247,7 +247,7 @@ def test_regular_kxy_is_minimal_with_three_simples():
 
 def test_minimality_needs_faithful():
     tri = make_triangular(2, GF2, False)
-    simple = module_make(tri, (Mat.identity(GF2, 1), Mat.zero(GF2, 1, 1), Mat.zero(GF2, 1, 1)))
+    simple = ModuleRep(tri, 1, (Mat.identity(GF2, 1), Mat.zero(GF2, 1, 1), Mat.zero(GF2, 1, 1)))
     with pytest.raises(PreconditionError):
         minimal_faithful(simple)
 
@@ -258,7 +258,7 @@ def test_faithful_submodule_implies_faithful_maximal_one():
                 regular_module(KXY)):
         all_subs = set()
         for count in range(1, 3):
-            for vecs in itertools.combinations(list(enum_vectors(mod.field, mod.dim))[1:], count):
+            for vecs in itertools.combinations(list(itertools.product(mod.field.elements(), repeat=mod.dim))[1:], count):
                 all_subs.add(submodule_closure(mod, list(vecs)))
         proper_faithful = [
             s for s in all_subs
@@ -406,7 +406,7 @@ def test_shrink_subfactor_kxy_regular():
 
 def test_shrink_needs_faithful():
     tri = make_triangular(2, GF2, False)
-    simple = module_make(tri, (Mat.identity(GF2, 1), Mat.zero(GF2, 1, 1), Mat.zero(GF2, 1, 1)))
+    simple = ModuleRep(tri, 1, (Mat.identity(GF2, 1), Mat.zero(GF2, 1, 1), Mat.zero(GF2, 1, 1)))
     with pytest.raises(PreconditionError):
         shrink_submodule(simple)
 
@@ -661,6 +661,38 @@ def test_minimal_faithful_by_rank_matches_the_annihilators():
     assert not_identity == 8
 
 
+def battery_answers(m: ModuleRep) -> tuple:
+    """What the local-bound battery reads off a module: faithfulness and the
+    annihilator, both sides of minimality, and the local report."""
+    ok, ann = faithful(m)
+    if not ok:
+        return ok, ann
+    report = minimal_faithful(m)
+    sides = (report.no_faithful_max_submodule, report.no_faithful_simple_quotient)
+    if not all(sides):
+        return ok, ann, sides
+    return ok, ann, sides, local_socle_check(m).to_json()
+
+
+def test_battery_answers_are_invariant_under_conjugation(rng):
+    # g rho g^-1 is an isomorphic module, so every answer must agree; this is
+    # the premise of scanning one representative per conjugacy class
+    seen = {2: 0, 3: 0, 4: 0}
+    moved = 0
+    for alg in CRITERION_8_ALGEBRAS:
+        for dim in (2, 3):
+            for m in iter_generator_modules(alg, dim):
+                g, g_inv = random_invertible(m.field, dim, rng)
+                conjugate = ModuleRep(alg, dim, tuple(g.mul(a).mul(g_inv) for a in m.action))
+                answers = battery_answers(m)
+                assert battery_answers(conjugate) == answers
+                seen[len(answers)] += 1
+                moved += conjugate.action != m.action
+    # non-faithful, faithful but not minimal, and minimal modules all occur,
+    # over F_2 and F_3, and most conjugates differ from the module
+    assert min(seen.values()) > 10 and moved > sum(seen.values()) // 2
+
+
 def block_parts_by_images(rep: ModuleRep, sub: Subspace | None) -> list:
     """(mult, summands) per block from E_00's action: its image, or its
     values on sub's basis, and the vectors E_i0 u."""
@@ -802,11 +834,11 @@ def test_generator_relation_check_agrees_with_the_full_scan(rng):
             assert mat_vec(action, alg.one) == Mat.identity(alg.field, alg.dim)
             want = first_failing_pair(alg, action)
             if want is None:
-                module_make(alg, action)
+                ModuleRep(alg, alg.dim, action)
                 valid += 1
                 continue
             with pytest.raises(InputError, match=pair_error(*want)):
-                module_make(alg, action)
+                ModuleRep(alg, alg.dim, action)
             invalid += 1
             # the generator pass alone would have named another pair
             unchecked = ModuleRep(alg, alg.dim, action, _skip_verify=True)
@@ -882,7 +914,7 @@ def test_identity_check_rejects_an_idempotent_one_that_keeps_every_relation():
     action = (Mat.from_rows(GF2, [[1, 0], [0, 0]]), Mat.zero(GF2, 2, 2))
     assert first_failing_pair(KX2, action) is None
     with pytest.raises(InputError, match="identity element does not act as the identity"):
-        module_make(KX2, action)
+        ModuleRep(KX2, 2, action)
 
 
 def test_relation_check_skips_the_basis_element_one(monkeypatch):
@@ -897,7 +929,7 @@ def test_relation_check_skips_the_basis_element_one(monkeypatch):
     for alg in CRITERION_8_ALGEBRAS + [make_triangular(2, GF2), make_matrix_algebra(2, GF3)]:
         others = [j for j in range(alg.dim) if alg.basis_coords(j) != alg.one]
         checked.clear()
-        module_make(alg, alg.left_mats)
+        ModuleRep(alg, alg.dim, alg.left_mats)
         assert checked == [(g, j) for g in alg.generators() for j in others]
 
 

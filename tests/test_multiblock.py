@@ -10,14 +10,14 @@ import pytest
 
 from soclelab.algebra import algebra_make, bimodule_length, radical_bruteforce, socle_graph, socles
 from soclelab.errors import InputError
-from soclelab.exactla import Mat, Subspace
+from soclelab.exactla import Mat
 from soclelab.gf import field_make
 from soclelab.gallery import make_triangular
 from soclelab.modrep import (
+    ModuleRep,
     faithful,
     graph_socle_check,
     minimal_faithful,
-    module_make,
     shrink_submodule,
     system_from_module,
     top_socle,
@@ -48,7 +48,7 @@ def product_algebra():
 
 def column_module(alg):
     """The defining 3-dimensional module k^2 + k."""
-    return module_make(alg, tuple(alg.matrix_basis))
+    return ModuleRep(alg, 3, tuple(alg.matrix_basis))
 
 
 def test_matrix_algebra_one_sided_versus_bimodule_length():
@@ -97,7 +97,7 @@ def test_product_module_system_blocks():
     assert [b.n for b in system.s_blocks] == [2, 1]
     assert [b.mult for b in system.s_blocks] == [1, 1]
     preds = predicates(system)
-    assert preds.all_hold()
+    assert preds.nondegenerate and preds.cond_b and preds.cond_c
     rep = prop41_check(system)
     assert rep.holds and rep.lt_a == 2
     sc = small_conditions(system)

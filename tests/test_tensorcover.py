@@ -4,7 +4,7 @@ import pytest
 
 from soclelab.budget import Budget
 from soclelab.errors import BudgetExceeded, InputError, PreconditionError, TheoremViolation
-from soclelab.exactla import Subspace, all_subspaces, enum_coeff_points, enum_subspaces, num_projective_points
+from soclelab.exactla import Subspace, all_subspaces, enum_coeff_points, num_projective_points
 from soclelab.gf import field_make
 from soclelab.strongness import predicates
 from soclelab.tensorcover import (
@@ -16,10 +16,11 @@ from soclelab.tensorcover import (
     check_minimal,
     rank_one,
     search_minimal,
-    to_bilinear,
 )
 from soclelab.gallery import make_corner_family, make_cross
 from soclelab import tensorcover
+
+from helpers import to_bilinear
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -74,7 +75,7 @@ def test_witnesses_verify_membership():
     ts = make_cross(2, 3, GF3)
     side = check_cond_b(ts)
     for b, c in side.witnesses:
-        assert ts.contains_matrix(rank_one(GF3, b, c))
+        assert ts.flat().contains_vector(rank_one(GF3, b, c).flatten())
     assert len(side.witnesses) == (3**2 - 1) // 2
 
 
@@ -218,10 +219,9 @@ def test_search_minimal_agrees_with_check_minimal(m, n, q):
         if check_cond_b(ts).holds and check_cond_c(ts).holds and check_minimal(ts)[0]:
             expected.append(ts.sort_key())
     assert expected
-    for kwargs in ({"threads": 1}, {"threads": 2, "parallel_threshold": 4}):
-        result = search_minimal(m, n, field, **kwargs)
-        assert result.complete
-        assert sorted(t.sort_key() for t in result.minimal) == sorted(expected)
+    result = search_minimal(m, n, field)
+    assert result.complete
+    assert sorted(t.sort_key() for t in result.minimal) == sorted(expected)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -330,25 +330,22 @@ def test_json_round_trip():
     assert again.m == ts.m and again.n == ts.n
 
 
-def test_parallel_search_matches_sequential():
-    seq = search_minimal(2, 2, GF2)
-    # force the worker-pool path with a tiny shard threshold
-    par = search_minimal(2, 2, GF2, threads=2, parallel_threshold=4)
-    assert par.complete == seq.complete
-    assert [t.sort_key() for t in par.minimal] == [t.sort_key() for t in seq.minimal]
-
-
 @pytest.mark.parametrize("cap", [5, 38, 700, 2400])
-def test_parallel_search_stops_at_the_cap(cap):
+def test_search_stops_at_the_cap(cap):
     # 2x3 over F_2 has 1, 63, 651, 1395, 651, ... subspaces by dimension; the
     # pivot patterns of dimension 1 hold 32, 16, 8, ... of them.  The caps stop
     # inside the first and the second pattern of dimension 1, and inside
     # dimensions 2 and 4
-    budget = Budget(max_enumeration=cap)
-    seq = search_minimal(2, 3, GF2, budget=budget)
-    par = search_minimal(2, 3, GF2, budget=budget, threads=2, parallel_threshold=4)
-    assert seq.examined == par.examined == cap
-    assert not seq.complete and not par.complete
-    assert [t.sort_key() for t in par.minimal] == [t.sort_key() for t in seq.minimal]
+    result = search_minimal(2, 3, GF2, budget=Budget(max_enumeration=cap))
+    assert result.examined == cap
+    assert not result.complete
     if cap == 2400:
-        assert len(seq.minimal) == 10  # a prefix of dimension 4 holds minimal spaces
+        assert len(result.minimal) == 10  # a prefix of dimension 4 holds minimal spaces
+
+
+def test_search_is_sequential_only():
+    # `threads` is kept for callers that pass 1; any other value is refused
+    assert search_minimal(2, 2, GF2, threads=1).complete
+    for threads in (2, 0):
+        with pytest.raises(InputError, match="threads must be 1"):
+            search_minimal(2, 2, GF2, threads=threads)
