@@ -27,7 +27,19 @@ from dataclasses import dataclass
 
 from .budget import Budget, default_budget
 from .errors import InputError, NotSplitError, PreconditionError, TheoremViolation
-from .exactla import Mat, RowBasis, SpanTracker, Subspace, kernel, mat_of_rows, mat_vec, vec_add
+from .exactla import (
+    Mat,
+    RowBasis,
+    SpanTracker,
+    Subspace,
+    _echelon,
+    kernel,
+    mat_of_rows,
+    mat_vec,
+    rref_rows,
+    vec_add,
+    vec_combo,
+)
 from .gf import Field
 
 Coords = tuple
@@ -445,38 +457,13 @@ def _action_flats(r: Algebra) -> tuple[list[tuple[int, ...]], int]:
     return [L.entries for L in r.left_mats], r.dim
 
 
-def _full_rank_flat(flat: list[int], n: int, field: Field) -> bool:
-    """Early-exit full-rank test on a flat row-major n*n matrix."""
-    sub, mul = field.tables.sub, field.tables.mul
-    rows = [flat[i * n: (i + 1) * n] for i in range(n)]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return False
-        rows[c], rows[piv] = rows[piv], rows[c]
-        prow = rows[c]
-        head = prow[c]
-        if head != 1:
-            mf = mul[field.inv(head)]
-            rows[c] = prow = [mf[x] for x in prow]
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            if f:
-                mf = mul[f]
-                rows[i] = [sub[x][mf[y]] for x, y in zip(rows[i], prow)]
-    return True
-
-
 def _odometer_flags(base, flats, n: int, field: Field) -> bytearray:
     """flags[code] = 1 when base + sum_i digit_i * flats[i] has full rank, for
     every code of len(flats) base-q digits (digit i the coefficient of flats[i]).
 
     An odometer walks the codes, keeping the matrix incrementally (one scaled
-    matrix per digit change), and runs an early-exit rank test on each.
+    matrix per digit change), and tests each for full rank with a column
+    sweep that stops at the first column without a pivot.
     """
     q = field.q
     add, mul = field.tables.add, field.tables.mul
@@ -486,9 +473,11 @@ def _odometer_flags(base, flats, n: int, field: Field) -> bytearray:
     flags = bytearray(size)
     digits = [0] * k
     acc = [base] * (k + 1)  # acc[j] = base + contribution of digits j..k-1
+    starts = range(0, n * n, n)
     code = 0
     while True:
-        flags[code] = _full_rank_flat(acc[0], n, field)
+        flat = acc[0]
+        flags[code] = _echelon([flat[s: s + n] for s in starts], n, field, stop_at_gap=True) is not None
         code += 1
         if code >= size:
             break
@@ -544,7 +533,7 @@ def _unit_flags(r: Algebra) -> bytearray:
     flats, n = _action_flats(r)
     inv, mul = field.tables.inv, field.tables.mul
     unit = bytearray(q**d)
-    unit[0] = _full_rank_flat([0] * (n * n), n, field)  # the zero element
+    unit[0] = _echelon([[0] * n for _ in range(n)], n, field, stop_at_gap=True) is not None  # the zero element
     for k in range(d):
         width = q**k  # the codes of top digit k and leading digit c are c * width + lower
         lead = _odometer_flags(flats[k], flats[:k], n, field)
@@ -624,17 +613,13 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
 
     unit = _unit_flags(r)
     qr = _quasi_regular_flags(r, unit)
-    add, mul = field.tables.add, field.tables.mul
+    mul = field.tables.mul
 
     jbasis = RowBasis(field, d)
 
     def ideal_inside_qr(x: Coords) -> bool:
         # basis of Rx
-        images = [r.mul_coords(r.basis_coords(i), x) for i in range(d)]
-        span = RowBasis(field, d)
-        for v in images:
-            span.add(v)
-        rows = span.snapshot()
+        rows = rref_rows([r.mul_coords(r.basis_coords(i), x) for i in range(d)], d, field)[0]
         # single-coordinate multiples first: cheap witnesses live here
         for row in rows:
             for c in field.nonzero():
@@ -642,12 +627,7 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
                 if qr[_encode_coords([mc[t] for t in row], q)] == 0:
                     return False
         for combo in itertools.product(field.elements(), repeat=len(rows)):
-            y = [0] * d
-            for c, row in zip(combo, rows):
-                if c:
-                    mc = mul[c]
-                    y = [add[a][mc[b]] for a, b in zip(y, row)]
-            if qr[_encode_coords(y, q)] == 0:
+            if qr[_encode_coords(vec_combo(field, rows, combo), q)] == 0:
                 return False
         return True
 

@@ -5,10 +5,15 @@ form of any spanning set, so equality, deduplication and deterministic
 search results come for free.  The cost is re-echelonization on each
 operation, which is fine at desk scale (dimensions in the tens).
 
-Two row-reduction paths live behind the same interface: a generic one that
-works over any F_q through the field tables, and a GF(2) path that packs
-rows into machine integers and eliminates with XOR.  RREF is unique, so
-both produce identical output; tests cross-check them.
+All elimination goes through one core.  `_echelon` is a forward column
+sweep over the field tables, with an optional stop at the first column
+without a pivot (the radical oracle's full-rank test), and `_reduce`
+subtracts pivot rows from one vector.  `rref_rows` is the sweep plus a
+back-substitution by `_reduce`, `row_rank` the sweep's pivot count, and
+`RowBasis`, `SpanTracker` and `Subspace.reduce` reduce through `_reduce`.
+Over F_2, `rref_rows` instead packs rows into machine integers and
+eliminates with XOR.  RREF is unique, so both paths give identical output;
+tests cross-check them against a Gauss-Jordan oracle.
 
 Matrix validation runs only on external input: `Mat(...)`, `Mat.from_rows`
 and `Mat.from_json` check shape and entry range.  Every matrix the package
@@ -29,38 +34,63 @@ Vec = tuple  # tuple of element codes
 
 
 # ---------------------------------------------------------------------------
-# low-level row reduction
+# elimination core
 # ---------------------------------------------------------------------------
 
-def _rref_generic(rows: list[list[int]], ncols: int, field: Field) -> tuple[list[list[int]], list[int]]:
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
+def _echelon(rows: list, ncols: int, field: Field, stop_at_gap: bool = False) -> list[int] | None:
+    """One forward column sweep: brings `rows` to row echelon form with a
+    leading 1 in each pivot row, and returns the pivot columns.
+
+    `rows` is a list the sweep reorders and rebinds in place; the row
+    objects themselves are never written, so they may be tuples.  Afterwards
+    rows[:len(pivots)] are the pivot rows, each zero left of its pivot and
+    with zeros below every pivot, and the rest are zero.  Rows above a pivot
+    are left alone: `rref_rows` back-substitutes, and a rank needs no more.
+    With stop_at_gap the sweep returns None at the first column that gets no
+    pivot, which is the early exit of a full-rank test."""
     sub, mul = field.tables.sub, field.tables.mul
+    nrows = len(rows)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        piv = None
         for i in range(r, nrows):
             if rows[i][c]:
-                piv = i
                 break
-        if piv is None:
+        else:
+            if stop_at_gap:
+                return None
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        head = rows[r][c]
+        prow = rows[i]
+        rows[i] = rows[r]
+        head = prow[c]
         if head != 1:
             mf = mul[field.inv(head)]
-            rows[r] = [mf[x] for x in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                mf = mul[rows[i][c]]
+            prow = [mf[x] for x in prow]
+        rows[r] = prow
+        for i in range(r + 1, nrows):
+            f = rows[i][c]
+            if f:
+                mf = mul[f]
                 rows[i] = [sub[x][mf[y]] for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows[: len(pivots)] + [row for row in rows[len(pivots):] if any(row)], pivots
+    if stop_at_gap and r < ncols:
+        return None
+    return pivots
+
+
+def _reduce(v, pivot_rows, sub, mul):
+    """v minus v[c] times row, for each (c, row) of pivot_rows in turn; each
+    row has a 1 at its pivot c.  Returns v itself when nothing is taken off,
+    and a new list otherwise."""
+    for c, row in pivot_rows:
+        f = v[c]
+        if f:
+            mf = mul[f]
+            v = [sub[x][mf[y]] for x, y in zip(v, row)]
+    return v
 
 
 def _pack_gf2(row) -> int:
@@ -75,7 +105,7 @@ def _unpack_gf2(word: int, ncols: int) -> list[int]:
     return [(word >> j) & 1 for j in range(ncols)]
 
 
-def _rref_gf2(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+def _rref_gf2(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
     packed = [_pack_gf2(r) for r in rows]
     nrows = len(packed)
     pivots: list[int] = []
@@ -102,17 +132,29 @@ def _rref_gf2(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[
 
 
 def rref_rows(rows, ncols: int, field: Field) -> tuple[list[list[int]], list[int]]:
-    """RREF of a list of row vectors; returns (nonzero rows, pivot columns)."""
+    """RREF of a list of row vectors; returns (nonzero rows, pivot columns).
+
+    Over F_2 the rows are bit-packed and eliminated with XOR.  Otherwise the
+    column sweep gives the echelon rows, and each is then reduced, bottom
+    up, by the pivot rows below it.  Those are already reduced, so each is
+    zero at the others' pivots and the order they are taken in is free."""
     if field.is_gf2:
-        return _rref_gf2([list(r) for r in rows], ncols)
-    reduced, pivots = _rref_generic(rows, ncols, field)
-    return reduced[: len(pivots)], pivots
+        return _rref_gf2(rows, ncols)
+    rows = [list(r) for r in rows]
+    pivots = _echelon(rows, ncols, field)
+    del rows[len(pivots):]
+    sub, mul = field.tables.sub, field.tables.mul
+    below: list[tuple[int, list[int]]] = []
+    for i in range(len(pivots) - 1, -1, -1):
+        rows[i] = _reduce(rows[i], below, sub, mul)
+        below.append((pivots[i], rows[i]))
+    return rows, pivots
 
 
 def row_rank(rows, ncols: int, field: Field) -> int:
     """Dimension of the span of the given row vectors: the pivot count of
-    their RREF, for callers that read only a dimension."""
-    return len(rref_rows(rows, ncols, field)[1])
+    one column sweep, with no back-substitution."""
+    return len(_echelon(list(rows), ncols, field))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +165,9 @@ class RowBasis:
     """Mutable accumulator for a row space, kept in reduced echelon form.
 
     add() returns True when the vector enlarged the space.  snapshot() emits
-    the canonical RREF rows sorted by pivot column.
+    the canonical RREF rows sorted by pivot column.  Pivots are taken only
+    among the first ncols coordinates; a row may carry further coordinates,
+    which ride along with every row operation (see SpanTracker).
     """
 
     def __init__(self, field: Field, ncols: int):
@@ -136,35 +180,21 @@ class RowBasis:
         return len(self._by_pivot)
 
     def reduce(self, vec) -> list[int]:
-        sub, mul = self.field.tables.sub, self.field.tables.mul
-        v = list(vec)
-        for c, row in self._by_pivot.items():
-            f = v[c]
-            if f:
-                mf = mul[f]
-                v = [sub[x][mf[y]] for x, y in zip(v, row)]
-        return v
+        tables = self.field.tables
+        return _reduce(list(vec), self._by_pivot.items(), tables.sub, tables.mul)
 
     def add(self, vec) -> bool:
-        v = self.reduce(vec)
-        pivot = next((c for c, x in enumerate(v) if x), None)
-        if pivot is None:
+        rows = [self.reduce(vec)]
+        pivots = _echelon(rows, self.ncols, self.field)  # the leading coordinate, scaled to 1
+        if not pivots:
             return False
+        pivot, v = pivots[0], rows[0]
         sub, mul = self.field.tables.sub, self.field.tables.mul
-        head = v[pivot]
-        if head != 1:
-            mf = mul[self.field.inv(head)]
-            v = [mf[x] for x in v]
-        for c, row in self._by_pivot.items():
-            f = row[pivot]
-            if f:
-                mf = mul[f]
-                self._by_pivot[c] = [sub[x][mf[y]] for x, y in zip(row, v)]
-        self._by_pivot[pivot] = v
+        by_pivot = self._by_pivot
+        for c, row in by_pivot.items():
+            by_pivot[c] = _reduce(row, ((pivot, v),), sub, mul)
+        by_pivot[pivot] = v
         return True
-
-    def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
 
     def snapshot(self) -> list[tuple[int, ...]]:
         return [tuple(self._by_pivot[c]) for c in sorted(self._by_pivot)]
@@ -173,9 +203,11 @@ class RowBasis:
 class SpanTracker:
     """Row space that can express members as combinations of the vectors added.
 
-    Rows are kept reduced together with the coefficient record of how each
-    reduced row was built from the inputs; express() then recovers, for any
-    member of the span, coefficients over the original input vectors.
+    One RowBasis holds rows (vector | coefficient record), with pivots in
+    the vector part only: input i enters with the unit record e_i, so each
+    reduced row carries how it was built from the inputs.  express() reduces
+    (vector | 0); a member of the span leaves (0 | -c), c its coefficients
+    over the original input vectors.
     """
 
     def __init__(self, field: Field, ncols: int, n_inputs: int):
@@ -183,58 +215,27 @@ class SpanTracker:
         self.ncols = ncols
         self.n_inputs = n_inputs
         self._added = 0
-        self._rows: dict[int, tuple[list[int], list[int]]] = {}  # pivot -> (row, combo)
+        self._basis = RowBasis(field, ncols)
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
-
-    def _reduce(self, vec, combo):
-        sub, mul = self.field.tables.sub, self.field.tables.mul
-        v, w = list(vec), list(combo)
-        for c, (row, rcombo) in self._rows.items():
-            f = v[c]
-            if f:
-                mf = mul[f]
-                v = [sub[x][mf[y]] for x, y in zip(v, row)]
-                w = [sub[x][mf[y]] for x, y in zip(w, rcombo)]
-        return v, w
+        return self._basis.rank
 
     def add(self, vec) -> bool:
         if self._added >= self.n_inputs:
             raise InputError("SpanTracker capacity exceeded")
-        combo = [0] * self.n_inputs
-        combo[self._added] = 1
+        record = [0] * self.n_inputs
+        record[self._added] = 1
         self._added += 1
-        v, w = self._reduce(vec, combo)
-        pivot = next((c for c, x in enumerate(v) if x), None)
-        if pivot is None:
-            return False
-        sub, mul = self.field.tables.sub, self.field.tables.mul
-        head = v[pivot]
-        if head != 1:
-            mf = mul[self.field.inv(head)]
-            v = [mf[x] for x in v]
-            w = [mf[x] for x in w]
-        for c, (row, rcombo) in self._rows.items():
-            f = row[pivot]
-            if f:
-                mf = mul[f]
-                self._rows[c] = (
-                    [sub[x][mf[y]] for x, y in zip(row, v)],
-                    [sub[x][mf[y]] for x, y in zip(rcombo, w)],
-                )
-        self._rows[pivot] = (v, w)
-        return True
+        return self._basis.add(list(vec) + record)
 
     def express(self, vec):
         """Coefficients over the added vectors, or None when not in the span."""
-        zero_combo = [0] * self.n_inputs
-        v, w = self._reduce(vec, zero_combo)
-        if any(v):
+        v = self._basis.reduce(list(vec) + [0] * self.n_inputs)
+        if any(v[: self.ncols]):
             return None
         neg = self.field.tables.neg
-        return tuple([neg[x] for x in w])
+        return tuple([neg[x] for x in v[self.ncols:]])
 
 
 # ---------------------------------------------------------------------------
@@ -519,14 +520,8 @@ class Subspace:
         return mat_of_rows(self.field, self.ambient_dim, self.basis_rows)
 
     def reduce(self, vec) -> Vec:
-        sub, mul = self.field.tables.sub, self.field.tables.mul
-        v = list(vec)
-        for prow, c in zip(self.basis_rows, self.pivots):
-            f = v[c]
-            if f:
-                mf = mul[f]
-                v = [sub[x][mf[y]] for x, y in zip(v, prow)]
-        return tuple(v)
+        tables = self.field.tables
+        return tuple(_reduce(vec, zip(self.pivots, self.basis_rows), tables.sub, tables.mul))
 
     def contains_vector(self, vec) -> bool:
         return not any(self.reduce(vec))

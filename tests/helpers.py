@@ -30,6 +30,36 @@ def enum_points(s: Subspace):
         yield vec_combo(field, basis, coeffs)
 
 
+def rref_gauss_jordan(rows, ncols: int, field) -> tuple[list[list[int]], list[int]]:
+    """RREF by Gauss-Jordan elimination through the field tables: each pivot
+    column is cleared in every other row at once.  The oracle for the column
+    sweep with back-substitution and for the packed F_2 path."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    sub, mul = field.tables.sub, field.tables.mul
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        head = rows[r][c]
+        if head != 1:
+            mf = mul[field.inv(head)]
+            rows[r] = [mf[x] for x in rows[r]]
+        prow = rows[r]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                mf = mul[rows[i][c]]
+                rows[i] = [sub[x][mf[y]] for x, y in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows[: len(pivots)], pivots
+
+
 def inverse(g: Mat) -> Mat | None:
     """g^-1, or None when g is singular: [g | I] always has rank n, and g is
     invertible exactly when the pivots of its RREF are the first n columns,

@@ -9,7 +9,6 @@ from soclelab.algebra import (
     _action_flats,
     _decode_coords,
     _encode_coords,
-    _full_rank_flat,
     _permute_digits,
     _quasi_regular_flags,
     _unit_flags,
@@ -24,7 +23,7 @@ from soclelab.algebra import (
 )
 from soclelab.budget import Budget
 from soclelab.errors import BudgetExceeded, InputError, NotSplitError
-from soclelab.exactla import Mat, RowBasis, Subspace, mat_vec
+from soclelab.exactla import Mat, RowBasis, Subspace, mat_vec, row_rank
 from soclelab.gf import field_make
 from soclelab.gallery import (
     criterion8_algebras,
@@ -203,7 +202,8 @@ def test_radical_of_a_corner_matrix_basis():
 
 def unit_flags_per_element(alg):
     """unit[code] with one rank test per element: an odometer over every
-    coordinate vector, keeping the representing matrix incrementally."""
+    coordinate vector, keeping the representing matrix incrementally, and a
+    full sweep (no early exit) for the rank."""
     field = alg.field
     q, d = field.q, alg.dim
     flats, n = _action_flats(alg)
@@ -221,7 +221,7 @@ def unit_flags_per_element(alg):
             acc[k] = [field.add(a, b) for a, b in zip(acc[k + 1], scaled[k][digits[k]])]
             for j in range(k - 1, -1, -1):
                 acc[j] = acc[j + 1]
-        unit[code] = _full_rank_flat(acc[0], n, field)
+        unit[code] = row_rank([acc[0][i * n: (i + 1) * n] for i in range(n)], n, field) == n
     return bytes(unit)
 
 

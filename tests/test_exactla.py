@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from soclelab import exactla
-from soclelab.algebra import _full_rank_flat
 from soclelab.errors import InputError
 from soclelab.exactla import (
     Mat,
@@ -24,9 +23,9 @@ from soclelab.exactla import (
     solve,
     vec_combo,
 )
-from soclelab.gf import field_make
+from soclelab.gf import Field, field_make
 
-from helpers import enum_points, gaussian_binomial
+from helpers import enum_points, gaussian_binomial, rref_gauss_jordan
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -60,12 +59,40 @@ def test_rref_is_canonical_and_idempotent(rng):
             assert rref_rows(red, 5, field) == (red, pivots)
 
 
+def _shaped_rows(field, nrows, ncols, rng):
+    """Random rows, about a third of them zero, with some columns all zero."""
+    dead = {j for j in range(ncols) if rng.random() < 0.25}
+    rows = [[0 if j in dead else rng.randrange(field.q) for j in range(ncols)] for _ in range(nrows)]
+    for row in rows:
+        if rng.random() < 0.3:
+            row[:] = [0] * ncols
+    return rows
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_rref_and_row_rank_match_gauss_jordan(field, rng):
+    # wide (3 x 8), tall (8 x 3), square, no rows, no columns, all zero, and
+    # random shapes; rows given as lists and as tuples, which stay unchanged
+    shapes = [(3, 8), (8, 3), (5, 5), (0, 4), (4, 0), (1, 1)] + [
+        (rng.randint(0, 7), rng.randint(0, 7)) for _ in range(40)]
+    for nrows, ncols in shapes:
+        for _ in range(5):
+            rows = _shaped_rows(field, nrows, ncols, rng)
+            want = rref_gauss_jordan(rows, ncols, field)
+            for given in (rows, [tuple(r) for r in rows]):
+                before = [list(r) for r in given]
+                assert rref_rows(given, ncols, field) == want
+                assert row_rank(given, ncols, field) == len(want[1])
+                assert [list(r) for r in given] == before
+    assert rref_rows([[0] * 3] * 4, 3, field) == ([], []) and row_rank([[0] * 3] * 4, 3, field) == 0
+
+
 def test_gf2_packed_path_matches_generic(rng):
     # the packed fast path must produce byte-identical canonical output
     for _ in range(300):
         m = random_mat(GF2, rng.randrange(1, 6), rng.randrange(1, 7), rng)
         fast = rref_rows(m.row_list(), m.cols, GF2)
-        slow = exactla._rref_generic(m.row_list(), m.cols, GF2)
+        slow = rref_gauss_jordan(m.row_list(), m.cols, GF2)
         assert fast == slow
 
 
@@ -330,7 +357,7 @@ def test_row_basis_incremental(rng):
         assert rb.rank == sub.dim
         assert tuple(rb.snapshot()) == sub.basis_rows
         for v in vectors:
-            assert rb.contains(v)
+            assert not any(rb.reduce(v))
 
 
 def test_span_tracker_expresses_members(rng):
@@ -345,6 +372,40 @@ def test_span_tracker_expresses_members(rng):
         assert combo is not None
         assert vec_combo(GF3, list(vectors), combo) == member
     assert SpanTracker(GF2, 2, 1).express((1, 0)) is None
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_span_tracker_round_trips(field, rng):
+    # inputs with repeats and combinations of earlier ones: add() reports
+    # exactly the vectors that enlarge the span, every member (each input
+    # included) is expressed over the inputs, and a non-member is not
+    for _ in range(40):
+        ncols, n_inputs = rng.randint(1, 5), rng.randint(1, 6)
+        vectors = []
+        for _ in range(n_inputs):
+            if vectors and rng.random() < 0.4:
+                vectors.append(vec_combo(field, vectors, [rng.randrange(field.q) for _ in vectors]))
+            else:
+                vectors.append(tuple(rng.randrange(field.q) for _ in range(ncols)))
+        tracker = SpanTracker(field, ncols, n_inputs)
+        for i, v in enumerate(vectors):
+            grows = Subspace.from_vectors(field, ncols, vectors[: i + 1]).dim > tracker.rank
+            assert tracker.add(v) is grows
+        span = Subspace.from_vectors(field, ncols, vectors)
+        assert tracker.rank == span.dim
+        for member in vectors + [vec_combo(field, vectors, [rng.randrange(field.q) for _ in vectors])]:
+            combo = tracker.express(member)
+            assert len(combo) == n_inputs and vec_combo(field, vectors, combo) == member
+        outside = tuple(rng.randrange(field.q) for _ in range(ncols))
+        assert (tracker.express(outside) is None) is (not span.contains_vector(outside))
+
+
+def test_span_tracker_capacity_exceeded():
+    tracker = SpanTracker(GF3, 2, 2)
+    assert tracker.add((1, 0)) and not tracker.add((2, 0))
+    with pytest.raises(InputError, match="SpanTracker capacity exceeded"):
+        tracker.add((0, 1))
+    assert tracker.rank == 1 and tracker.express((2, 0)) == (2, 0)
 
 
 # -- matrices over extension fields ----------------------------------------------------
@@ -397,13 +458,31 @@ def _random_rows(field, nrows, ncols, rng, dependent: bool):
     return rows
 
 
+def full_rank_flat(flat, n: int, field) -> bool:
+    """The radical oracle's full-rank test on a flat row-major n*n matrix."""
+    return exactla._echelon([flat[i * n: (i + 1) * n] for i in range(n)], n, field, stop_at_gap=True) is not None
+
+
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_full_rank_flat_matches_rank(field, rng):
     for trial in range(60):
         n = rng.randrange(1, 6)
         m = Mat.from_rows(field, _random_rows(field, n, n, rng, dependent=trial % 3 == 0))
-        assert _full_rank_flat(list(m.entries), n, field) == (m.rank() == n)
-        assert _full_rank_flat(m.entries, n, field) == (m.rank() == n)
+        full = len(rref_gauss_jordan(m.row_list(), n, field)[1]) == n
+        assert full_rank_flat(list(m.entries), n, field) == full
+        assert full_rank_flat(m.entries, n, field) == full
+
+
+def test_full_rank_test_stops_at_the_first_column_without_a_pivot(monkeypatch):
+    # column 0 of [[0, 2], [0, 2]] has no pivot over F_3: the early exit
+    # returns there, before the pivot 2 of column 1 is normalised by 2^-1
+    calls = []
+    inv = Field.inv
+    monkeypatch.setattr(Field, "inv", lambda self, a: calls.append(a) or inv(self, a))
+    assert exactla._echelon([[0, 2], [0, 2]], 2, GF3, stop_at_gap=True) is None
+    assert calls == []
+    assert exactla._echelon([[0, 2], [0, 2]], 2, GF3) == [1]
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
@@ -444,7 +523,7 @@ def test_row_basis_and_reduce_match_generic_rref(field, rng):
     for trial in range(30):
         ncols = rng.randrange(1, 6)
         rows = _random_rows(field, rng.randrange(1, 5), ncols, rng, dependent=trial % 2 == 0)
-        reduced, pivots = exactla._rref_generic(rows, ncols, field)
+        reduced, pivots = rref_gauss_jordan(rows, ncols, field)
         rb = RowBasis(field, ncols)
         for r in rows:
             rb.add(r)
@@ -456,8 +535,8 @@ def test_row_basis_and_reduce_match_generic_rref(field, rng):
             expected = _naive_reduce(field, reduced, pivots, vec)
             assert s.reduce(vec) == expected
             assert tuple(rb.reduce(vec)) == expected
-            member = len(exactla._rref_generic(rows + [list(vec)], ncols, field)[1]) == len(pivots)
-            assert s.contains_vector(vec) == rb.contains(vec) == member
+            member = len(rref_gauss_jordan(rows + [list(vec)], ncols, field)[1]) == len(pivots)
+            assert s.contains_vector(vec) == (not any(rb.reduce(vec))) == member
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)

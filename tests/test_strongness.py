@@ -493,8 +493,8 @@ def closed_under_units(sys_obj, gens):
     for a in gens:
         span.add(a.flatten())
     units_t, units_s = all_units(sys_obj)
-    return all(span.contains(u.mul(a).flatten()) for a in gens for u in units_t) and all(
-        span.contains(a.mul(u).flatten()) for a in gens for u in units_s)
+    return all(not any(span.reduce(u.mul(a).flatten())) for a in gens for u in units_t) and all(
+        not any(span.reduce(a.mul(u).flatten())) for a in gens for u in units_s)
 
 
 def passes_balance_check(sys_obj, gens):
