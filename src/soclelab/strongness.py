@@ -22,9 +22,14 @@ corner multiplicity spaces W_fe of a set of maps (`_corner_orbits`), their
 inverse U (x) Matr_{n_f x n_e}(k) (`tensor_maps`), the compressions to a
 corner, row or column (`BilinearSystem.block_maps`) and the multiplicity
 vectors of an image or kernel.  The balance check, the block graph and the
-degrees are read off the W_fe of the generators, kept once per system.  The
-orbit-swap conditions depend on an element a only through T a S, so each
-point of A is decided once per distinct T a S, keyed by its RREF corners.
+degrees are read off the W_fe of the generators, kept once per system.
+
+The coverage conditions, the orbit-swap conditions and the base case of
+relative strength ask one question of a sub-bimodule: does some nonzero
+element kill a given maximal submodule of B, or map B into a given simple
+submodule of C?  It is decided per member on the W_fe (`_kills_maximal`,
+`_maps_into_simple`): A's own for the first and last, those of T a S for
+the swap conditions, which are decided once per distinct T a S.
 """
 
 from __future__ import annotations
@@ -159,20 +164,6 @@ class BilinearSystem:
         return range(offsets[index], offsets[index] + blocks[index].module_dim())
 
     # -- multiplicity-space helpers -------------------------------------------------
-    def b_vector(self, e: int, copy_vec, row: int) -> tuple[int, ...]:
-        """B-vector with multiplicity pattern copy_vec at row coordinate `row`."""
-        return self._slot_vector(self.dim_b, self._b_offsets[e], self.s_blocks[e].n, copy_vec, row)
-
-    def c_vector(self, f: int, copy_vec, row: int) -> tuple[int, ...]:
-        return self._slot_vector(self.dim_c, self._c_offsets[f], self.t_blocks[f].n, copy_vec, row)
-
-    @staticmethod
-    def _slot_vector(dim: int, off: int, n: int, copy_vec, row: int) -> tuple[int, ...]:
-        out = [0] * dim
-        for j, c in enumerate(copy_vec):
-            out[off + j * n + row] = c
-        return tuple(out)
-
     def _image_mult_vectors(self, a: Mat, f: int) -> list:
         """The nonzero copy vectors (a[(f, j, i), col])_j over every row i of
         block f and every column col of a; they span `image_mult_space`."""
@@ -208,38 +199,6 @@ class BilinearSystem:
         """Multiplicity space of the largest submodule of eB inside ker(a)."""
         return kernel(mat_of_rows(self.field, self.s_blocks[e].mult, self._kernel_mult_rows(a, e)))
 
-    # -- submodule enumeration ---------------------------------------------------------
-    def maximal_b_submodules(self):
-        """Yield (e, hyperplane mult-subspace, basis vectors in B) for every
-        maximal submodule of B, blockwise."""
-        for e, block in enumerate(self.s_blocks):
-            if block.mult == 0:
-                continue
-            for hyper in enum_hyperplanes(Subspace.full(self.field, block.mult)):
-                vectors = []
-                for e2, block2 in enumerate(self.s_blocks):
-                    if e2 == e:
-                        continue
-                    off = self._b_offsets[e2]
-                    for t in range(block2.module_dim()):
-                        v = [0] * self.dim_b
-                        v[off + t] = 1
-                        vectors.append(tuple(v))
-                for h in hyper.basis_rows:
-                    for i in range(block.n):
-                        vectors.append(self.b_vector(e, h, i))
-                yield e, hyper, vectors
-
-    def simple_c_submodules(self):
-        """Yield (f, point mult-vector, basis vectors in C) for every simple
-        submodule of C, blockwise."""
-        for f, block in enumerate(self.t_blocks):
-            if block.mult == 0:
-                continue
-            for mu in enum_coeff_points(self.field, block.mult):
-                vectors = [self.c_vector(f, mu, i) for i in range(block.n)]
-                yield f, mu, vectors
-
     # -- serialization --------------------------------------------------------------------
     def to_json(self) -> dict:
         return {
@@ -267,8 +226,6 @@ class PredicateReport:
     nondegenerate: bool
     cond_b: bool
     cond_c: bool
-    cond_b_witnesses: list
-    cond_c_witnesses: list
     cond_b_failing: tuple | None = None
     cond_c_failing: tuple | None = None
 
@@ -282,63 +239,24 @@ class PredicateReport:
         }
 
 
-def _annihilating_combo(sys: BilinearSystem, vectors) -> tuple | None:
-    """Nonzero combo of the generators killing every given B-vector, or None."""
-    field = sys.field
-    d = len(sys.a_basis)
-    if d == 0:
-        return None
-    rows = []
-    for v in vectors:
-        images = [a.apply(v) for a in sys.a_basis]
-        for coord in range(sys.dim_c):
-            rows.append([images[t][coord] for t in range(d)])
-    combos = kernel(mat_of_rows(field, d, rows))
-    return combos.basis_rows[0] if combos.dim else None
-
-
-def _image_in_submodule_combo(sys: BilinearSystem, target_basis: list) -> tuple | None:
-    """Nonzero combo of generators whose image lies in span(target_basis)."""
-    field = sys.field
-    d = len(sys.a_basis)
-    if d == 0:
-        return None
-    target = Subspace.from_vectors(field, sys.dim_c, target_basis)
-    rows = []
-    for col in range(sys.dim_b):
-        residuals = [target.reduce(a.col(col)) for a in sys.a_basis]
-        for coord in range(sys.dim_c):
-            rows.append([residuals[t][coord] for t in range(d)])
-    combos = kernel(mat_of_rows(field, d, rows))
-    return combos.basis_rows[0] if combos.dim else None
-
-
 def predicates(sys: BilinearSystem) -> PredicateReport:
     """Nondegeneracy plus the two coverage conditions of the system.
 
     Nondegeneracy is the independence of the generating maps.  The first
     coverage condition asks, for every maximal submodule of B, for a nonzero
     element of A annihilating it; the second, for every simple submodule of
-    C, for a nonzero element of A mapping B into it.
+    C, for a nonzero element of A mapping B into it.  Both are decided on
+    A's W_fe (`_kills_maximal`, `_maps_into_simple`); the first member that
+    fails is reported.
     """
     # vacuously true for empty A; false exactly when the generators are dependent
     nondeg = sys.a_span().dim == len(sys.a_basis)
-    cond_b, cond_c = True, True
-    b_wit, c_wit = [], []
-    b_fail = c_fail = None
-    for e, hyper, vectors in sys.maximal_b_submodules():
-        combo = _annihilating_combo(sys, vectors)
-        if combo is None:
-            cond_b, b_fail = False, (e, hyper.basis_rows)
-            break
-        b_wit.append((e, hyper.basis_rows, combo))
-    for f, mu, vectors in sys.simple_c_submodules():
-        combo = _image_in_submodule_combo(sys, vectors)
-        if combo is None:
-            cond_c, c_fail = False, (f, mu)
-            break
-        c_wit.append((f, mu, combo))
-    return PredicateReport(nondeg, cond_b, cond_c, b_wit, c_wit, b_fail, c_fail)
+    corners = sys.corner_spaces()
+    b_fail = next(
+        ((e, hyper) for e, hyper in _maximal_members(sys) if not _kills_maximal(sys, corners, e, hyper)), None
+    )
+    c_fail = next(((f, mu) for f, mu in _simple_members(sys) if not _maps_into_simple(sys, corners, f, mu)), None)
+    return PredicateReport(nondeg, b_fail is None, c_fail is None, b_fail, c_fail)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +279,7 @@ class SmallConditions:
         }
 
 
-def _iter_span_elements(field: Field, basis_rows, include_zero=False):
-    if include_zero:
-        yield (0,) * (len(basis_rows[0]) if basis_rows else 0)
+def _iter_span_elements(field: Field, basis_rows):
     if not basis_rows:
         return
     for coeffs in enum_coeff_points(field, len(basis_rows)):
@@ -421,36 +337,23 @@ def tensor_maps(sys: BilinearSystem, f: int, e: int, u_rows) -> list[Mat]:
     return mats
 
 
-def _corners_have_maximal_kernel(sys: BilinearSystem, corners: dict) -> bool:
-    """Whether some nonzero w in T a S kills a maximal submodule of B.
-
-    The maximal submodules are H (x) k^{n_e} (+) (the other S-blocks), for H a
-    hyperplane of k^{s_e}.  w kills the other S-blocks exactly when its
-    components outside column block e vanish, and its (f, e) component
-    sum X_il (x) E_il kills H (x) k^{n_e} exactly when every multiplicity
-    block X_il kills H.  So the answer is yes exactly when, for some e and H,
-    some W_fe holds a nonzero X with X|_H = 0: one solve of W_fe -> Hom(H, k^{t_f})
-    per corner and hyperplane, in `enum_hyperplanes` order.  When s_e = 1,
-    H = 0 and any nonzero W_fe qualifies."""
-    field = sys.field
+def _maximal_members(sys: BilinearSystem):
+    """Yield (e, H) for every maximal submodule H (x) k^{n_e} (+) (the other
+    S-blocks) of B: H runs over the hyperplanes of k^{s_e} in
+    `enum_hyperplanes` order, given by basis rows."""
     for e, be in enumerate(sys.s_blocks):
-        s = be.mult
-        if s == 0:
-            continue
-        column = [(sys.t_blocks[f].mult, basis) for (f, e2), basis in corners.items() if e2 == e]
-        for hyper in _hyperplane_bases(field, s):
-            for t, basis in column:
-                # X restricted to H: X h for every basis vector h of H, concatenated
-                images = [
-                    tuple(itertools.chain.from_iterable(
-                        vec_combo(field, [x[c::s] for c in range(s)], h) for h in hyper
-                    ))
-                    for x in basis
-                ]
-                # the basis is independent: a rank drop is a nonzero X with zero image
-                if row_rank(images, t * len(hyper), field) < len(images):
-                    return True
-    return False
+        if be.mult:
+            for hyper in _hyperplane_bases(sys.field, be.mult):
+                yield e, hyper
+
+
+def _simple_members(sys: BilinearSystem):
+    """Yield (f, mu) for every simple submodule span(mu) (x) k^{n_f} of C:
+    mu runs over the points of P(k^{t_f}) in `enum_coeff_points` order."""
+    for f, bf in enumerate(sys.t_blocks):
+        if bf.mult:
+            for mu in enum_coeff_points(sys.field, bf.mult):
+                yield f, mu
 
 
 @functools.lru_cache(maxsize=None)
@@ -459,37 +362,57 @@ def _hyperplane_bases(field: Field, dim: int) -> tuple[tuple, ...]:
     return tuple(hyper.basis_rows for hyper in enum_hyperplanes(Subspace.full(field, dim)))
 
 
-def _corners_have_simple_image(sys: BilinearSystem, corners: dict) -> bool:
-    """Whether some nonzero w in T a S maps B into a simple submodule of C.
+def _kills_maximal(sys: BilinearSystem, corners: dict, e: int, hyper) -> bool:
+    """Whether some nonzero element of the sub-bimodule with the given corner
+    bases kills the maximal submodule H (x) k^{n_e} (+) (the other S-blocks).
 
-    The simple submodules are span(mu) (x) k^{n_f}, for mu a point of
-    P(k^{t_f}).  Dually to the kernel side, w maps into one exactly when its
+    An element kills the other S-blocks exactly when its components outside
+    column block e vanish, and its (f, e) component sum X_il (x) E_il kills
+    H (x) k^{n_e} exactly when every multiplicity block X_il kills H.  So
+    the answer is yes exactly when some W_fe in column e holds a nonzero X
+    with X|_H = 0: one solve of W_fe -> Hom(H, k^{t_f}) per corner.  When
+    s_e = 1, H = 0 and any nonzero W_fe qualifies."""
+    field = sys.field
+    s = sys.s_blocks[e].mult
+    for (f, e2), basis in corners.items():
+        if e2 != e:
+            continue
+        # X restricted to H: X h for every basis vector h of H, concatenated
+        images = [
+            tuple(itertools.chain.from_iterable(vec_combo(field, [x[c::s] for c in range(s)], h) for h in hyper))
+            for x in basis
+        ]
+        # the basis is independent: a rank drop is a nonzero X with zero image
+        if row_rank(images, sys.t_blocks[f].mult * len(hyper), field) < len(images):
+            return True
+    return False
+
+
+def _maps_into_simple(sys: BilinearSystem, corners: dict, f: int, mu) -> bool:
+    """Whether some nonzero element of the sub-bimodule with the given corner
+    bases maps B into the simple submodule span(mu) (x) k^{n_f} of C.
+
+    Dually to `_kills_maximal`, an element maps into it exactly when its
     components outside row block f vanish and every multiplicity block of
     its (f, e) components has its columns in span(mu).  So the answer is yes
-    exactly when, for some f and mu, some W_fe holds a nonzero X with columns
-    in span(mu): X - mu (x) (row p of X) = 0, where mu has its leading 1 at p.
+    exactly when some W_fe in row f holds a nonzero X with columns in
+    span(mu): X - mu (x) (row p of X) = 0, where mu has its leading 1 at p.
     When t_f = 1 the only point is mu = (1) and any nonzero W_fe qualifies."""
     field = sys.field
     sub, mul = field.tables.sub, field.tables.mul
-    for f, bf in enumerate(sys.t_blocks):
-        t = bf.mult
-        if t == 0:
+    t = sys.t_blocks[f].mult
+    p = mu.index(1)
+    for (f2, e), basis in corners.items():
+        if f2 != f:
             continue
-        row = [(sys.s_blocks[e].mult, basis) for (f2, e), basis in corners.items() if f2 == f]
-        for mu in enum_coeff_points(field, t):
-            p = mu.index(1)
-            for s, basis in row:
-                # the columns of X reduced modulo span(mu); row p reduces to zero
-                images = [
-                    tuple(
-                        sub[x[r * s + c]][mul[mu[r]][x[p * s + c]]]
-                        for r in range(t) if r != p
-                        for c in range(s)
-                    )
-                    for x in basis
-                ]
-                if row_rank(images, (t - 1) * s, field) < len(images):
-                    return True
+        s = sys.s_blocks[e].mult
+        # the columns of X reduced modulo span(mu); row p reduces to zero
+        images = [
+            tuple(sub[x[r * s + c]][mul[mu[r]][x[p * s + c]]] for r in range(t) if r != p for c in range(s))
+            for x in basis
+        ]
+        if row_rank(images, (t - 1) * s, field) < len(images):
+            return True
     return False
 
 
@@ -523,31 +446,18 @@ def _corner_hypotheses(sys: BilinearSystem, corners: dict) -> tuple[bool, bool]:
     )
 
 
-def _swap_failures(sys: BilinearSystem, corners: dict, forward: bool = True, backward: bool = True) -> tuple[bool, bool]:
+def _swap_failures(sys: BilinearSystem, corners: dict) -> tuple[bool, bool]:
     """Which swap directions fail at an element a, given the corners of T a S.
 
     Forward fails when a's image generates a simple submodule but no nonzero
     element of T a S kills a maximal submodule of B; backward fails when
     ker(a) contains a maximal submodule but no nonzero element of T a S maps
-    B into a simple submodule of C.  A direction passed as False is not
-    evaluated and reported as not failing."""
+    B into a simple submodule of C."""
     simple_image, maximal_kernel = _corner_hypotheses(sys, corners)
     return (
-        forward and simple_image and not _corners_have_maximal_kernel(sys, corners),
-        backward and maximal_kernel and not _corners_have_simple_image(sys, corners),
+        simple_image and not any(_kills_maximal(sys, corners, e, hyper) for e, hyper in _maximal_members(sys)),
+        maximal_kernel and not any(_maps_into_simple(sys, corners, f, mu) for f, mu in _simple_members(sys)),
     )
-
-
-def _decided(sys: BilinearSystem, memo: dict, vec, forward: bool = True, backward: bool = True) -> tuple[bool, bool]:
-    """`_swap_failures` at the element with flattened entries vec, computed
-    once per distinct T a S: memo is keyed by the corner bases, canonical
-    because each is in RREF.  One memo serves one loop, whose direction
-    flags only fall, so a kept pair is right in every direction still asked."""
-    corners = _corner_orbits(sys, (Mat._of(sys.field, sys.dim_c, sys.dim_b, tuple(vec)),))
-    key = tuple(sorted(corners.items()))
-    if key not in memo:
-        memo[key] = _swap_failures(sys, corners, forward, backward)
-    return memo[key]
 
 
 def small_conditions(sys: BilinearSystem, budget: Budget | None = None) -> SmallConditions:
@@ -558,48 +468,36 @@ def small_conditions(sys: BilinearSystem, budget: Budget | None = None) -> Small
     maximal submodule of B; when ker(a) contains a maximal submodule, some
     nonzero element of T a S must map B into a simple submodule of C.
 
-    T a S is taken corner by corner: it is the direct sum over (f, e) of
-    W_fe (x) Matr_{n_f x n_e}(k), with W_fe spanned by the t_f x s_e
-    multiplicity blocks of a (`_corner_orbits`).  Every point of A is still
-    enumerated, and every maximal submodule of B and simple submodule of C
-    decided by an exact solve, on the corners instead of on full-size maps,
-    so the method stays "literal".  Both hypotheses and both conclusions
-    depend on a only through T a S (`_corner_hypotheses`), so each point
-    reads its corners and is decided once per distinct T a S.  That is
-    exact, not a sample: equal corner bases mean equal T a S.
+    Every point of A is enumerated and its T a S read corner by corner
+    (`_corner_orbits`); every maximal submodule of B and simple submodule of
+    C is decided on those corners by an exact solve, so the method stays
+    "literal".  Both hypotheses and both conclusions depend on a only
+    through T a S, so each distinct T a S is decided once: exact, since
+    equal RREF corner bases mean equal T a S.
 
     matrix_blocks is true by construction (only split systems are
-    representable).  The implication chain matrix_blocks => swap_both =>
-    swap_either is proved in general, so a literal failure on a constructed
-    system is an implementation bug and raises TheoremViolation.
+    representable), and the chain matrix_blocks => swap_both => swap_either
+    is proved, so a failure in either direction is an implementation bug:
+    it raises TheoremViolation, and a returned report has every field true.
     """
     budget = budget or default_budget()
     span = sys.a_span()
     count = num_projective_points(span.dim, sys.field.q) if span.dim else 0
     budget.guard("small-conditions enumeration", count)
-    memo: dict = {}
-    points = _iter_span_elements(sys.field, list(span.basis_rows))
-    swap_both = not any(any(_decided(sys, memo, vec)) for vec in points)
-    swap_either = swap_both or _swap_either_literal(sys, budget)
-    if not swap_either:
-        raise TheoremViolation("split system fails the either-direction swap condition")
-    return SmallConditions(True, swap_both, swap_either, "literal")
-
-
-def _swap_either_literal(sys: BilinearSystem, budget: Budget) -> bool:
-    for f, e in sys.corner_spaces():
-        corner = Subspace.from_vectors(sys.field, sys.dim_b * sys.dim_c, [m.flatten() for m in sys.block_maps(f, e)])
-        budget.guard("either-swap corner enumeration", num_projective_points(corner.dim, sys.field.q))
-        # forward: simple image -> orbit has maximal kernel; backward: maximal kernel -> orbit has simple image
-        forward = backward = True
-        memo: dict = {}
-        for vec in _iter_span_elements(sys.field, list(corner.basis_rows)):
-            forward_fails, backward_fails = _decided(sys, memo, vec, forward, backward)
-            forward = forward and not forward_fails
-            backward = backward and not backward_fails
-            if not forward and not backward:
-                return False
-    return True
+    decided: set = set()
+    for vec in _iter_span_elements(sys.field, list(span.basis_rows)):
+        corners = _corner_orbits(sys, (Mat._of(sys.field, sys.dim_c, sys.dim_b, tuple(vec)),))
+        # keyed by the corner bases, canonical because each is in RREF
+        key = tuple(sorted(corners.items()))
+        if key in decided:
+            continue
+        decided.add(key)
+        forward, backward = _swap_failures(sys, corners)
+        if forward or backward:
+            raise TheoremViolation(
+                f"split system fails the {'forward' if forward else 'backward'} swap condition at {list(vec)}"
+            )
+    return SmallConditions(True, True, True, "literal")
 
 
 # ---------------------------------------------------------------------------
@@ -920,23 +818,21 @@ def relative_n_strong(
     """Recursive relative variant of left N-strength (experimental).
 
     y_prime is a submodule of the codomain block given by its multiplicity
-    subspace.  Length 1: some nonzero element of W maps into it.  Length
-    r+1: for every length-(r-1) submodule below it, more than N length-r
-    intermediates are relatively strong.  Memoized on canonical forms.
-    Every subspace the recursion enumerates is charged to the budget.
+    subspace.  W is the row f A, or the corner f A e when s_block is given.
+    Length 1: some nonzero element of W maps into it (`_maps_into_simple`
+    on A's W_fe in row f, or at (f, e) alone).  Length r+1: for every
+    length-(r-1) submodule below it, more than N length-r intermediates are
+    relatively strong.  Memoized on canonical forms.  Every subspace the
+    recursion enumerates is charged to the budget.
     """
     budget = budget or default_budget()
     f = _side_block(sys, "left", t_block, s_block)
-    maps = sys.block_maps(f, s_block)
-    w_system = BilinearSystem(sys.field, sys.s_blocks, sys.t_blocks, tuple(maps), _skip_verify=True)
+    corners = {fe: basis for fe, basis in sys.corner_spaces().items() if s_block is None or fe[1] == s_block}
     if y_prime.dim == 0:
         raise PreconditionError("relative strength needs a nonzero submodule")
     memo: dict = {}
     field = sys.field
     examined = 0
-
-    def submodule_vectors(mult_sub: Subspace) -> list:
-        return [w_system.c_vector(f, m, i) for m in mult_sub.basis_rows for i in range(sys.t_blocks[f].n)]
 
     def subspaces_of_dim(space: Subspace, d: int):
         nonlocal examined
@@ -954,7 +850,8 @@ def relative_n_strong(
             return memo[key]
         r = sub.dim
         if r == 1:
-            result = _image_in_submodule_combo(w_system, submodule_vectors(sub)) is not None
+            # a 1-dimensional RREF basis row is the point with its leading 1
+            result = _maps_into_simple(sys, corners, f, sub.basis_rows[0])
         else:
             result = True
             for below in subspaces_of_dim(sub, r - 2):

@@ -4,7 +4,16 @@ only the tests need, built on the package's public API."""
 import itertools
 
 from soclelab.errors import InputError
-from soclelab.exactla import Mat, Subspace, enum_coeff_points, mat_of_rows, rref_rows, vec_combo
+from soclelab.exactla import (
+    Mat,
+    Subspace,
+    enum_coeff_points,
+    enum_hyperplanes,
+    kernel,
+    mat_of_rows,
+    rref_rows,
+    vec_combo,
+)
 from soclelab.strongness import BilinearSystem, BlockSpec
 from soclelab.tensorcover import TensorSubspace
 
@@ -107,3 +116,90 @@ def to_bilinear(a: TensorSubspace) -> BilinearSystem:
         t_blocks=(BlockSpec(1, a.n),),
         a_basis=maps,
     )
+
+
+# -- the full-size coverage solves: the oracle for the corner tests of strongness --
+
+def _slot_vector(dim: int, off: int, n: int, copy_vec, row: int) -> tuple[int, ...]:
+    """The vector with multiplicity pattern copy_vec at row coordinate `row`
+    of the block at offset off (slot off + copy*n + row)."""
+    out = [0] * dim
+    for j, c in enumerate(copy_vec):
+        out[off + j * n + row] = c
+    return tuple(out)
+
+
+def maximal_b_submodules(sys: BilinearSystem):
+    """Yield (e, hyperplane basis rows, spanning vectors in B) for every
+    maximal submodule H (x) k^{n_e} (+) (the other S-blocks) of B, in
+    `enum_hyperplanes` order."""
+    for e, block in enumerate(sys.s_blocks):
+        if block.mult == 0:
+            continue
+        others = [
+            tuple(int(i == sys._b_offsets[e2] + t) for i in range(sys.dim_b))
+            for e2, block2 in enumerate(sys.s_blocks) if e2 != e
+            for t in range(block2.module_dim())
+        ]
+        for hyper in enum_hyperplanes(Subspace.full(sys.field, block.mult)):
+            vectors = others + [
+                _slot_vector(sys.dim_b, sys._b_offsets[e], block.n, h, i) for h in hyper.basis_rows for i in range(block.n)
+            ]
+            yield e, hyper.basis_rows, vectors
+
+
+def simple_c_submodules(sys: BilinearSystem):
+    """Yield (f, point mu, spanning vectors in C) for every simple submodule
+    span(mu) (x) k^{n_f} of C, in `enum_coeff_points` order."""
+    for f, block in enumerate(sys.t_blocks):
+        if block.mult == 0:
+            continue
+        for mu in enum_coeff_points(sys.field, block.mult):
+            yield f, mu, [_slot_vector(sys.dim_c, sys._c_offsets[f], block.n, mu, i) for i in range(block.n)]
+
+
+def span_basis(sys: BilinearSystem, maps) -> list[Mat]:
+    """A basis of span(maps), as full-size maps B -> C.  The solves below
+    run over it, so a nonzero coefficient vector is a nonzero element."""
+    span = Subspace.from_vectors(sys.field, sys.dim_b * sys.dim_c, [m.flatten() for m in maps])
+    return [Mat(sys.field, sys.dim_c, sys.dim_b, row) for row in span.basis_rows]
+
+
+def _nonzero_solution(field, basis, rows) -> tuple | None:
+    """A nonzero coefficient vector over basis solving the given rows, or None."""
+    if not basis:
+        return None
+    combos = kernel(mat_of_rows(field, len(basis), rows))
+    return combos.basis_rows[0] if combos.dim else None
+
+
+def annihilating_combo(sys: BilinearSystem, basis: list[Mat], vectors) -> tuple | None:
+    """Coefficients over the independent maps `basis` of a nonzero element
+    killing every given B-vector, or None."""
+    rows = []
+    for v in vectors:
+        images = [a.apply(v) for a in basis]
+        rows.extend([image[coord] for image in images] for coord in range(sys.dim_c))
+    return _nonzero_solution(sys.field, basis, rows)
+
+
+def image_in_submodule_combo(sys: BilinearSystem, basis: list[Mat], target_vectors) -> tuple | None:
+    """Coefficients over the independent maps `basis` of a nonzero element
+    whose image lies in span(target_vectors), or None."""
+    target = Subspace.from_vectors(sys.field, sys.dim_c, target_vectors)
+    rows = []
+    for col in range(sys.dim_b):
+        residuals = [target.reduce(a.col(col)) for a in basis]
+        rows.extend([residual[coord] for residual in residuals] for coord in range(sys.dim_c))
+    return _nonzero_solution(sys.field, basis, rows)
+
+
+def coverage_by_full_size_solves(sys: BilinearSystem) -> tuple:
+    """(cond_b, cond_c, first failing (e, H), first failing (f, mu)) of the
+    system, each member decided by a full-size solve over a basis of span(A)."""
+    basis = span_basis(sys, sys.a_basis)
+    b_fail = next(((e, hyper) for e, hyper, vectors in maximal_b_submodules(sys)
+                   if annihilating_combo(sys, basis, vectors) is None), None)
+    c_fail = next(((f, mu) for f, mu, vectors in simple_c_submodules(sys)
+                   if image_in_submodule_combo(sys, basis, vectors) is None), None)
+    return b_fail is None, c_fail is None, b_fail, c_fail

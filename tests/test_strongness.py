@@ -13,8 +13,6 @@ from soclelab.exactla import (
     RowBasis,
     Subspace,
     all_subspaces,
-    kernel,
-    mat_of_rows,
     num_projective_points,
     row_rank,
 )
@@ -35,14 +33,22 @@ from soclelab.strongness import (
     union_split,
     _corner_hypotheses,
     _corner_orbits,
-    _corners_have_maximal_kernel,
-    _corners_have_simple_image,
-    _decided,
-    _image_in_submodule_combo,
     _iter_span_elements,
+    _kills_maximal,
+    _maps_into_simple,
+    _maximal_members,
+    _simple_members,
+    _swap_failures,
 )
 
-from helpers import to_bilinear
+from helpers import (
+    annihilating_combo,
+    coverage_by_full_size_solves,
+    image_in_submodule_combo,
+    maximal_b_submodules,
+    simple_c_submodules,
+    to_bilinear,
+)
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -174,28 +180,6 @@ def unit_orbit(sys_obj, a):
     return [Mat._of(sys_obj.field, sys_obj.dim_c, sys_obj.dim_b, w) for w in span.snapshot()]
 
 
-def orbit_has_maximal_kernel(sys_obj, orbit):
-    """Oracle: some nonzero combination of the orbit kills a maximal submodule
-    of B, solved on full-size maps for every maximal submodule."""
-    for _, _, vectors in sys_obj.maximal_b_submodules():
-        rows = []
-        for v in vectors:
-            images = [w.apply(v) for w in orbit]
-            for coord in range(sys_obj.dim_c):
-                rows.append([image[coord] for image in images])
-        if not rows or kernel(mat_of_rows(sys_obj.field, len(orbit), rows)).dim > 0:
-            return True
-    return False
-
-
-def orbit_has_simple_image(sys_obj, orbit):
-    """Oracle: some nonzero combination of the orbit maps B into a simple
-    submodule of C, solved on full-size maps for every simple submodule."""
-    like = BilinearSystem(sys_obj.field, sys_obj.s_blocks, sys_obj.t_blocks, tuple(orbit), _skip_verify=True)
-    return any(_image_in_submodule_combo(like, vectors) is not None
-               for _, _, vectors in sys_obj.simple_c_submodules())
-
-
 def _image_is_inside_simple(sys_obj, a):
     """Oracle: the submodule generated by a's image is simple, by the ranks of
     a's own image multiplicity vectors, summed over the blocks."""
@@ -218,18 +202,21 @@ def _kernel_contains_maximal(sys_obj, a):
     return total == 1
 
 
-def per_element_swap_failures(sys_obj, a, forward=True, backward=True):
-    """Oracle: the swap failures at a, with both hypotheses read off a itself
-    and T a S built only when one holds.  The corner tests are looked up on
-    the module, so a test that patches them patches the oracle too."""
-    simple_image = forward and _image_is_inside_simple(sys_obj, a)
-    maximal_kernel = backward and _kernel_contains_maximal(sys_obj, a)
+def per_element_swap_failures(sys_obj, a):
+    """Oracle: the swap failures at a, with both hypotheses read off a itself,
+    T a S built only when one holds, and the members listed by the full-size
+    enumerations.  The per-member tests are looked up on the module, so a
+    test that patches them patches the oracle too."""
+    simple_image = _image_is_inside_simple(sys_obj, a)
+    maximal_kernel = _kernel_contains_maximal(sys_obj, a)
     if not (simple_image or maximal_kernel):
         return False, False
     corners = _corner_orbits(sys_obj, (a,))
     return (
-        simple_image and not strongness._corners_have_maximal_kernel(sys_obj, corners),
-        maximal_kernel and not strongness._corners_have_simple_image(sys_obj, corners),
+        simple_image and not any(strongness._kills_maximal(sys_obj, corners, e, hyper)
+                                 for e, hyper, _ in maximal_b_submodules(sys_obj)),
+        maximal_kernel and not any(strongness._maps_into_simple(sys_obj, corners, f, mu)
+                                   for f, mu, _ in simple_c_submodules(sys_obj)),
     )
 
 
@@ -306,27 +293,40 @@ def test_corner_orbits_span_the_unit_orbit():
             assert Subspace.from_vectors(field, ambient, rebuilt) == Subspace.from_vectors(field, ambient, oracle)
 
 
-def test_corner_swap_predicates_agree_with_full_size_checks():
+def test_per_member_corner_tests_match_full_size_solves():
+    # at every point a, each maximal submodule of B and each simple submodule
+    # of C is decided on the corners of T a S and by a full-size solve over a
+    # basis of T a S, built from the matrix units
     systems = corner_check_systems()
     assert any(b.n > 1 for sys_obj in systems for b in sys_obj.s_blocks)
     assert any(b.n > 1 for sys_obj in systems for b in sys_obj.t_blocks)
     assert {sys_obj.field.q for sys_obj in systems} == {2, 3, 4, 5, 7, 9}
-    checked = false_kernel = false_image = 0
+    checked = kills = maps = false_kills = false_maps = 0
     for sys_obj in systems:
         field = sys_obj.field
+        maximal, simple = list(maximal_b_submodules(sys_obj)), list(simple_c_submodules(sys_obj))
+        # the members come in the order of the full-size enumerations
+        assert list(_maximal_members(sys_obj)) == [(e, hyper) for e, hyper, _ in maximal]
+        assert list(_simple_members(sys_obj)) == [(f, mu) for f, mu, _ in simple]
         for vec in _iter_span_elements(field, list(sys_obj.a_span().basis_rows)):
             a = Mat._of(field, sys_obj.dim_c, sys_obj.dim_b, tuple(vec))
             corners = _corner_orbits(sys_obj, (a,))
             orbit = unit_orbit(sys_obj, a)
-            has_kernel = _corners_have_maximal_kernel(sys_obj, corners)
-            has_image = _corners_have_simple_image(sys_obj, corners)
-            assert has_kernel == orbit_has_maximal_kernel(sys_obj, orbit), (sys_obj.to_json(), vec)
-            assert has_image == orbit_has_simple_image(sys_obj, orbit), (sys_obj.to_json(), vec)
+            for e, hyper, vectors in maximal:
+                by_corners = _kills_maximal(sys_obj, corners, e, hyper)
+                assert by_corners == (annihilating_combo(sys_obj, orbit, vectors) is not None), (
+                    sys_obj.to_json(), vec, e, hyper)
+                kills += by_corners
+                false_kills += not by_corners
+            for f, mu, vectors in simple:
+                by_corners = _maps_into_simple(sys_obj, corners, f, mu)
+                assert by_corners == (image_in_submodule_combo(sys_obj, orbit, vectors) is not None), (
+                    sys_obj.to_json(), vec, f, mu)
+                maps += by_corners
+                false_maps += not by_corners
             checked += 1
-            false_kernel += not has_kernel
-            false_image += not has_image
     assert checked > 1500
-    assert false_kernel and false_image
+    assert kills and maps and false_kills and false_maps
 
 
 def test_swap_hypotheses_by_rank_match_the_multiplicity_spaces():
@@ -353,23 +353,37 @@ def test_swap_hypotheses_by_rank_match_the_multiplicity_spaces():
     assert 0 < simple < checked and 0 < maximal < checked
 
 
-def test_corner_swap_predicates_pinned():
+def test_per_member_corner_tests_pinned():
     # Hom(k^2, k^2) over F_2 with n = 1: T a S is just span(a).  The identity
-    # kills no hyperplane and its image is no line; a rank-one map does both.
+    # kills no hyperplane and its image is no line.  E_01 kills exactly the
+    # line of e_0 and maps into exactly that line; E_10 maps into the line of
+    # e_1, whose leading 1 is not in the first coordinate.
     sys_obj = full_hom_system(GF2, 2, 2)
+    hyperplanes, points = ((0, 1), (1, 1), (1, 0)), ((1, 0), (1, 1), (0, 1))
     identity = _corner_orbits(sys_obj, (Mat.identity(GF2, 2),))
     assert identity == {(0, 0): ((1, 0, 0, 1),)}
-    assert not _corners_have_maximal_kernel(sys_obj, identity)
-    assert not _corners_have_simple_image(sys_obj, identity)
+    assert list(_maximal_members(sys_obj)) == [(0, (h,)) for h in hyperplanes]
+    assert list(_simple_members(sys_obj)) == [(0, mu) for mu in points]
+    assert not any(_kills_maximal(sys_obj, identity, 0, (h,)) for h in hyperplanes)
+    assert not any(_maps_into_simple(sys_obj, identity, 0, mu) for mu in points)
     rank_one = _corner_orbits(sys_obj, (Mat.unit(GF2, 2, 2, 0, 1),))
-    assert _corners_have_maximal_kernel(sys_obj, rank_one)
-    assert _corners_have_simple_image(sys_obj, rank_one)
+    assert [_kills_maximal(sys_obj, rank_one, 0, (h,)) for h in hyperplanes] == [False, False, True]
+    assert [_maps_into_simple(sys_obj, rank_one, 0, mu) for mu in points] == [True, False, False]
+    lower = _corner_orbits(sys_obj, (Mat.unit(GF2, 2, 2, 1, 0),))
+    assert [_maps_into_simple(sys_obj, lower, 0, mu) for mu in points] == [False, False, True]
     # s_e = 1: the only maximal submodule of B is zero, which every nonzero
     # element kills, so the kernel side holds on any nonzero corner
     column_sys = full_hom_system(GF2, 1, 2)
     column = _corner_orbits(column_sys, (Mat.from_rows(GF2, [[1], [1]]),))
     assert column == {(0, 0): ((1, 1),)}
-    assert _corners_have_maximal_kernel(column_sys, column)
+    assert list(_maximal_members(column_sys)) == [(0, ())]
+    assert _kills_maximal(column_sys, column, 0, ())
+    # a member of another block sees none of these corners
+    two_blocks = BilinearSystem(GF2, (BlockSpec(1, 1), BlockSpec(1, 1)), (BlockSpec(1, 1),),
+                                (Mat.from_rows(GF2, [[1, 0]]),))
+    corners = two_blocks.corner_spaces()
+    assert corners == {(0, 0): ((1,),)}
+    assert [_kills_maximal(two_blocks, corners, e, ()) for e in (0, 1)] == [True, False]
 
 
 def test_small_conditions_budget():
@@ -393,30 +407,37 @@ def test_corner_hypotheses_pinned():
     assert _corner_hypotheses(wide, _corner_orbits(wide, (Mat.unit(GF3, 3, 2, 2, 0),))) == (True, True)
 
 
-def _no_corner_solution(sys_obj, corners):
+def _no_corner_solution(sys_obj, corners, index, member):
     return False
 
 
 @pytest.mark.parametrize("patched", [False, True])
 def test_memoised_swap_decision_matches_the_per_element_oracle(monkeypatch, patched):
-    # unpatched, split systems never fail a swap direction, so every decision
-    # is (False, False); with both corner tests patched to False a decision
-    # is the pair of hypotheses, so the memo carries nontrivial values
+    # one memo per system, keyed by the sorted corners of T a S, holds the
+    # decision at the first point with that key; every later point with the
+    # same key must agree with the oracle read off the point itself.
+    # Unpatched, split systems never fail a swap direction, so every decision
+    # is (False, False); with both per-member tests patched to False a
+    # decision is the pair of hypotheses, so the memo carries nontrivial values
     if patched:
-        monkeypatch.setattr(strongness, "_corners_have_maximal_kernel", _no_corner_solution)
-        monkeypatch.setattr(strongness, "_corners_have_simple_image", _no_corner_solution)
-    points = failing = 0
+        monkeypatch.setattr(strongness, "_kills_maximal", _no_corner_solution)
+        monkeypatch.setattr(strongness, "_maps_into_simple", _no_corner_solution)
+    points = failing = reused = 0
     for sys_obj in corner_check_systems():
         field = sys_obj.field
-        memos = {flags: {} for flags in itertools.product((True, False), repeat=2)}
+        memo = {}
         for vec in _iter_span_elements(field, list(sys_obj.a_span().basis_rows)):
             a = Mat._of(field, sys_obj.dim_c, sys_obj.dim_b, tuple(vec))
-            for flags, memo in memos.items():
-                assert _decided(sys_obj, memo, vec, *flags) == per_element_swap_failures(sys_obj, a, *flags), (
-                    sys_obj.to_json(), vec, flags)
+            corners = _corner_orbits(sys_obj, (a,))
+            key = tuple(sorted(corners.items()))
+            reused += key in memo
+            if key not in memo:
+                memo[key] = _swap_failures(sys_obj, corners)
+            expected = per_element_swap_failures(sys_obj, a)
+            assert memo[key] == expected, (sys_obj.to_json(), vec)
             points += 1
-            failing += any(per_element_swap_failures(sys_obj, a))
-    assert points > 1500
+            failing += any(expected)
+    assert points > 1500 and reused
     assert (failing > 0) == patched
 
 
@@ -424,9 +445,9 @@ def test_small_conditions_decides_each_distinct_orbit_once(monkeypatch):
     calls = []
     real = strongness._swap_failures
 
-    def counting(sys_obj, corners, *flags):
+    def counting(sys_obj, corners):
         calls.append(tuple(sorted(corners.items())))
-        return real(sys_obj, corners, *flags)
+        return real(sys_obj, corners)
 
     monkeypatch.setattr(strongness, "_swap_failures", counting)
     points = decisions = 0
@@ -445,33 +466,15 @@ def test_small_conditions_decides_each_distinct_orbit_once(monkeypatch):
     assert decisions < points
 
 
-def test_small_conditions_failure_path_goes_through_the_either_memo(monkeypatch):
+@pytest.mark.parametrize("patched, direction", [("_kills_maximal", "forward"), ("_maps_into_simple", "backward")])
+def test_a_swap_failure_in_either_direction_raises(monkeypatch, patched, direction):
     # TWO_BY_TWO: W_01 and W_10 are spanned by one vector of k^2, so each
     # element of those corners has a simple image and a kernel holding a
-    # maximal submodule, and a failing corner test shows there; the 15
-    # points of the corner (0, 0) share one T a S
-    points, decisions = [], []
-    real_decided, real_failures = strongness._decided, strongness._swap_failures
-
-    def counting_decided(sys_obj, memo, vec, *flags):
-        points.append(vec)
-        return real_decided(sys_obj, memo, vec, *flags)
-
-    def counting_failures(sys_obj, corners, *flags):
-        decisions.append(corners)
-        return real_failures(sys_obj, corners, *flags)
-
-    monkeypatch.setattr(strongness, "_corners_have_maximal_kernel", _no_corner_solution)
-    sc = small_conditions(TWO_BY_TWO)
-    assert (sc.swap_both, sc.swap_either, sc.method) == (False, True, "literal")
-    monkeypatch.setattr(strongness, "_decided", counting_decided)
-    monkeypatch.setattr(strongness, "_swap_failures", counting_failures)
-    assert strongness._swap_either_literal(TWO_BY_TWO, Budget())
-    # every point of every corner space is enumerated, and decided once per T a S
-    assert len(points) == 15 + 3 + 3 and len(set(points)) == len(points)
-    assert len(decisions) == 3
-    monkeypatch.setattr(strongness, "_corners_have_simple_image", _no_corner_solution)
-    with pytest.raises(TheoremViolation, match="either-direction"):
+    # maximal submodule; with one per-member test patched to False, that
+    # direction fails there, and a failure in one direction is a violation
+    assert small_conditions(TWO_BY_TWO).swap_both
+    monkeypatch.setattr(strongness, patched, _no_corner_solution)
+    with pytest.raises(TheoremViolation, match=f"fails the {direction} swap condition"):
         small_conditions(TWO_BY_TWO)
 
 
@@ -561,6 +564,33 @@ def test_tensor_maps_write_the_corner_layout():
             assert [m.flatten() for m in tensor_maps(sys_obj, f, e, basis)] == expected
             # reading the corner back gives U again
             assert _corner_orbits(sys_obj, tensor_maps(sys_obj, f, e, basis)) == {(f, e): basis}
+
+
+# -- the coverage conditions, against full-size solves -----------------------------------
+
+def test_coverage_predicates_match_full_size_solves():
+    false_b = false_c = 0
+    for sys_obj in random_systems():
+        preds = predicates(sys_obj)
+        got = (preds.cond_b, preds.cond_c, preds.cond_b_failing, preds.cond_c_failing)
+        assert got == coverage_by_full_size_solves(sys_obj), sys_obj.to_json()
+        false_b += not preds.cond_b
+        false_c += not preds.cond_c
+    assert false_b and false_c, (false_b, false_c)
+
+
+def test_coverage_counts_elements_not_coefficient_vectors():
+    # S = one block with multiplicity 2, T = k: span(E_00) kills the line of
+    # e_1 only.  The hyperplanes come in the order (0, 1), (1, 1), (1, 0), so
+    # the first one not killed is spanned by (1, 1).  Listing E_00 twice adds
+    # a combination that is the zero map and must not count as an element.
+    once = BilinearSystem(GF2, (BlockSpec(1, 2),), (BlockSpec(1, 1),), (Mat.unit(GF2, 1, 2, 0, 0),))
+    twice = BilinearSystem(GF2, once.s_blocks, once.t_blocks, once.a_basis * 2)
+    for sys_obj in (once, twice):
+        preds = predicates(sys_obj)
+        assert (preds.cond_b, preds.cond_b_failing) == (False, (0, ((1, 1),)))
+        assert preds.cond_c
+    assert predicates(once).nondegenerate and not predicates(twice).nondegenerate
 
 
 # -- strength ------------------------------------------------------------------------
@@ -770,10 +800,57 @@ def test_system_graph_structure():
 def test_relative_base_case():
     line = Subspace.from_vectors(GF2, 2, [(1, 0)])
     assert relative_n_strong(LINE_COVER_2, 1, line, t_block=0)
-    # a span missing that line is not relatively strong against it
+    # A = span(E_10) misses that line: the only line that receives a map is
+    # the line of e_1, so A is not relatively 1-strong against all of k^2
     weak = BilinearSystem(GF2, (BlockSpec(1, 1),), (BlockSpec(1, 2),),
                           (Mat.unit(GF2, 2, 1, 1, 0),))
-    assert not relative_n_strong(weak, 1, line, t_block=0)
+    assert [relative_n_strong(weak, 1, Subspace.from_vectors(GF2, 2, [mu]), t_block=0)
+            for mu in ((1, 0), (0, 1), (1, 1))] == [False, True, False]
+    assert not relative_n_strong(weak, 1, Subspace.full(GF2, 2), t_block=0)
+
+
+def relative_base_by_brute_force(sys_obj, f, e, mu):
+    """Oracle: some nonzero element of span(f A e) (f A when e is None),
+    enumerated point by point over a basis of the span, maps every column
+    into span(mu) (x) k^{n_f}."""
+    field = sys_obj.field
+    span = Subspace.from_vectors(field, sys_obj.dim_b * sys_obj.dim_c, [m.flatten() for m in sys_obj.block_maps(f, e)])
+    target_vectors = next(vectors for g, point, vectors in simple_c_submodules(sys_obj) if (g, point) == (f, mu))
+    target = Subspace.from_vectors(field, sys_obj.dim_c, target_vectors)
+    for vec in _iter_span_elements(field, list(span.basis_rows)):
+        a = Mat(field, sys_obj.dim_c, sys_obj.dim_b, vec)
+        if all(not any(target.reduce(a.col(c))) for c in range(sys_obj.dim_b)):
+            return True
+    return False
+
+
+def test_relative_base_case_matches_brute_force():
+    systems = [sys_obj for sys_obj in random_systems() if sys_obj.field.q <= 3 and sys_obj.a_span().dim <= 8]
+    systems += [make_line_cover_system(GF3, 2), TWO_BY_TWO]
+    checked = strong = 0
+    for sys_obj in systems:
+        field = sys_obj.field
+        for f, mu in _simple_members(sys_obj):
+            line = Subspace.from_vectors(field, sys_obj.t_blocks[f].mult, [mu])
+            for e in (None, *range(len(sys_obj.s_blocks))):
+                got = relative_n_strong(sys_obj, 1, line, t_block=f, s_block=e)
+                assert got == relative_base_by_brute_force(sys_obj, f, e, mu), (sys_obj.to_json(), f, e, mu)
+                checked += 1
+                strong += got
+    assert 0 < strong < checked and checked > 300, (strong, checked)
+
+
+def test_relative_corner_with_one_line_is_not_strong():
+    # the corner 0 A 2 of line-cover-system q=3 d=2 is one line, W_02 = span(mu)
+    # for one point mu: only that line of k^2 receives a map, and 1-strength
+    # against all of k^2 needs two of them.  The other generators compress to
+    # zero on this corner and must not count as nonzero elements.
+    lc3 = make_line_cover_system(GF3, 2)
+    assert len(lc3.corner_spaces()[0, 2]) == 1
+    assert sum(relative_n_strong(lc3, 1, Subspace.from_vectors(GF3, 2, [mu]), t_block=0, s_block=2)
+               for mu in ((1, 0), (0, 1), (1, 1), (1, 2))) == 1
+    assert not relative_n_strong(lc3, 1, Subspace.full(GF3, 2), t_block=0, s_block=2)
+    assert relative_n_strong(lc3, 1, Subspace.full(GF3, 2), t_block=0)
 
 
 def test_relative_strength_charges_its_enumeration():
