@@ -36,6 +36,7 @@ from .exactla import (
     kernel,
     mat_of_rows,
     mat_vec,
+    row_rank,
     rref_rows,
     vec_add,
     vec_combo,
@@ -706,48 +707,48 @@ def _socles(r: Algebra, budget: Budget | None) -> SocleTriple:
 # bimodule lengths and the socle graph
 # ---------------------------------------------------------------------------
 
-def _corner_space(r: Algebra, f: Coords, ideal: Subspace, e: Coords) -> Subspace:
-    vectors = [r.mul_coords(r.mul_coords(f, v), e) for v in ideal.basis_rows]
-    return Subspace.from_vectors(r.field, r.dim, vectors)
-
-
-def _check_killed_by_radical(r: Algebra, ideal: Subspace, J: Subspace):
+def _corner_lengths(r: Algebra, ideal: Subspace, budget: Budget | None) -> dict[tuple[int, int], int]:
+    """The nonzero corners of a J-killed two-sided ideal X over the split
+    semisimple quotient: {(f, e): dim(f X e) / (n_f n_e)}, in (f, e) order,
+    where f and e are block idempotents.  X must be killed by J on both
+    sides; a corner dimension that the block sizes do not divide means a
+    corrupt certificate."""
+    blocks = r.blocks()
+    J = r.radical(budget)
     zero = (0,) * r.dim
     for v in ideal.basis_rows:
         for j in J.basis_rows:
             if r.mul_coords(j, v) != zero or r.mul_coords(v, j) != zero:
                 raise PreconditionError("ideal is not killed by the radical on both sides")
+    idempotents = [r.block_idempotent(i) for i in range(len(blocks))]
+    lengths = {}
+    for fi, f in enumerate(idempotents):
+        fx = [r.mul_coords(f, v) for v in ideal.basis_rows]
+        for ei, e in enumerate(idempotents):
+            dim = row_rank([r.mul_coords(x, e) for x in fx], r.dim, r.field)
+            if dim == 0:
+                continue
+            n_pair = blocks[fi].n * blocks[ei].n
+            if dim % n_pair:
+                raise TheoremViolation(f"corner dimension {dim} not divisible by {n_pair}: certificate corrupt")
+            lengths[(fi, ei)] = dim // n_pair
+    return lengths
 
 
 def bimodule_length(r: Algebra, ideal: Subspace, budget: Budget | None = None) -> int:
     """Length of a J-killed two-sided ideal as a bimodule over the split
     semisimple quotient: sum over block pairs of dim(f X e) / (n_f n_e)."""
-    blocks = r.blocks()
-    J = r.radical(budget)
-    _check_killed_by_radical(r, ideal, J)
-    total = 0
-    for fi, bf in enumerate(blocks):
-        f = r.block_idempotent(fi)
-        for ei, be in enumerate(blocks):
-            e = r.block_idempotent(ei)
-            corner = _corner_space(r, f, ideal, e)
-            if corner.dim == 0:
-                continue
-            n_pair = bf.n * be.n
-            if corner.dim % n_pair:
-                raise TheoremViolation(
-                    f"corner dimension {corner.dim} not divisible by {n_pair}: certificate corrupt"
-                )
-            total += corner.dim // n_pair
-    return total
+    return sum(_corner_lengths(r, ideal, budget).values())
 
 
 @dataclass(frozen=True)
 class SocleGraph:
     """Bipartite graph on quotient blocks with edges where f soc(R) e != 0.
 
-    chi is vertices minus edges; edge_lengths are bimodule lengths of the
-    corner spaces, parallel to edges.
+    The vertices are the edge endpoints: a left vertex f has f soc(R) != 0,
+    a right vertex e has soc(R) e != 0.  chi is vertices minus edges;
+    edge_lengths are bimodule lengths of the corner spaces, parallel to
+    edges.
     """
 
     left_vertices: tuple[int, ...]
@@ -781,32 +782,19 @@ class SocleGraph:
 
 
 def socle_graph(r: Algebra, budget: Budget | None = None) -> SocleGraph:
-    """Build the socle graph from block idempotents acting on soc(R)."""
-    blocks = r.blocks()
-    soc = socles(r, budget).twosided
-    J = r.radical(budget)
-    _check_killed_by_radical(r, soc, J)
-    idempotents = [r.block_idempotent(i) for i in range(len(blocks))]
-    left_vertices = []
-    right_vertices = []
-    for i, f in enumerate(idempotents):
-        if Subspace.from_vectors(r.field, r.dim, [r.mul_coords(f, v) for v in soc.basis_rows]).dim:
-            left_vertices.append(i)
-        if Subspace.from_vectors(r.field, r.dim, [r.mul_coords(v, f) for v in soc.basis_rows]).dim:
-            right_vertices.append(i)
-    edges = []
-    lengths = []
-    for fi in left_vertices:
-        for ei in right_vertices:
-            corner = _corner_space(r, idempotents[fi], soc, idempotents[ei])
-            if corner.dim:
-                n_pair = blocks[fi].n * blocks[ei].n
-                if corner.dim % n_pair:
-                    raise TheoremViolation("corner dimension not divisible by block sizes")
-                edges.append((fi, ei))
-                lengths.append(corner.dim // n_pair)
-    chi = len(left_vertices) + len(right_vertices) - len(edges)
-    return SocleGraph(tuple(left_vertices), tuple(right_vertices), tuple(edges), tuple(lengths), chi)
+    """The socle graph, read off one pass over the corners f soc(R) e.
+
+    Its vertices are exactly the edge endpoints.  soc(R) J = 0 and the block
+    idempotents sum to 1 modulo J, so x = sum_e x e for x in soc(R), and
+    f soc(R) is the direct sum of its corners f soc(R) e: it is nonzero iff
+    some corner in row f is.  Likewise J soc(R) = 0 makes soc(R) f the sum
+    of the corners e soc(R) f."""
+    r.blocks()  # NotSplitError before any radical work
+    lengths = _corner_lengths(r, socles(r, budget).twosided, budget)
+    edges = tuple(lengths)
+    left = tuple(sorted({f for f, _ in edges}))
+    right = tuple(sorted({e for _, e in edges}))
+    return SocleGraph(left, right, edges, tuple(lengths.values()), len(left) + len(right) - len(edges))
 
 
 def socle_is_central(r: Algebra, budget: Budget | None = None) -> bool:

@@ -131,7 +131,6 @@ def _cmd_cover_search(args, reporter: Reporter, budget: Budget) -> int:
 def _cmd_algebra_analyze(args, reporter: Reporter, budget: Budget) -> int:
     from .algebra import (
         Algebra,
-        bimodule_length,
         improved_bound,
         radical_bruteforce,
         socle_graph,
@@ -156,7 +155,7 @@ def _cmd_algebra_analyze(args, reporter: Reporter, budget: Budget) -> int:
     details["socle_central"] = socle_is_central(alg, budget)
     try:
         graph = socle_graph(alg, budget)
-        soc_len = bimodule_length(alg, st.twosided, budget)
+        soc_len = graph.socle_bimodule_length
         details["blocks"] = [{"n": b.n} for b in alg.blocks()]
         details["socle_graph"] = graph.to_json()
         details["socle_bimodule_length"] = soc_len
@@ -270,7 +269,7 @@ def _positive_rational(text: str) -> Fraction:
 
 def _cmd_system_strong(args, reporter: Reporter, budget: Budget) -> int:
     from .exactla import Subspace
-    from .strongness import BilinearSystem, n_strong, relative_n_strong
+    from .strongness import BilinearSystem, _side_block, n_strong, relative_n_strong
 
     sys_obj = BilinearSystem.from_json(_load_json(args.file))
     n_value = _positive_rational(args.N)
@@ -278,8 +277,7 @@ def _cmd_system_strong(args, reporter: Reporter, budget: Budget) -> int:
     if args.relative:
         if args.side != "left":
             raise InputError("--relative is only implemented for --side left")
-        t_idx = f if f is not None else 0
-        mult = sys_obj.t_blocks[t_idx].mult
+        mult = sys_obj.t_blocks[_side_block(sys_obj, "left", f, e)].mult
         target = Subspace.full(sys_obj.field, mult)
         strong = relative_n_strong(sys_obj, n_value, target, t_block=f, s_block=e, budget=budget)
         details = {"relative": True, "side": args.side, "N": str(n_value), "strong": strong}

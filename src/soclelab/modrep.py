@@ -13,7 +13,10 @@ holds the generators.
 The submodule lattice is driven blockwise through a split certificate:
 maximal submodules of M are preimages of hyperplanes of the block
 multiplicity spaces of M/JM, and simple submodules of soc(M) come from
-projective points of the multiplicity spaces of the socle.  Faithfulness is
+projective points of the multiplicity spaces of the socle.  The same
+decomposition gives every length: `semisimple_length` of a top M/JM or a
+socle is the sum of its blocks' multiplicity dimensions, and `top_socle`,
+the shrink checks and both bounds read lengths through it.  Faithfulness is
 upward monotone, so minimality checks only need maximal submodules and
 simple quotient kernels.
 
@@ -59,6 +62,7 @@ from .exactla import (
     mat_vec,
     num_projective_points,
     row_rank,
+    solve,
     vec_combo,
 )
 from .strongness import BilinearSystem, BlockSpec, prop41_check
@@ -316,53 +320,6 @@ def socle_subspace(m: ModuleRep, budget: Budget | None = None) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# blockwise lengths over the split quotient
-# ---------------------------------------------------------------------------
-
-def semisimple_lengths(rep: ModuleRep, budget: Budget | None = None) -> dict[int, int]:
-    """Per-block lengths of a module killed by the radical.
-
-    Computed as rank of the block idempotent's action divided by the block's
-    matrix size; integrality failures signal a corrupt certificate."""
-    alg = rep.algebra
-    blocks = alg.blocks()
-    J = alg.radical(budget)
-    for j in J.basis_rows:
-        if not rep.act_mat(j).is_zero():
-            raise PreconditionError("module is not killed by the radical")
-    lengths = {}
-    total_rank = 0
-    for f, block in enumerate(blocks):
-        rank = rep.act_mat(alg.block_idempotent(f)).rank()
-        if rank % block.n:
-            raise TheoremViolation("block rank not divisible by block size: certificate corrupt")
-        total_rank += rank
-        lengths[f] = rank // block.n
-    if total_rank != rep.dim:
-        raise TheoremViolation("block projections do not decompose the module")
-    return lengths
-
-
-@dataclass
-class TopSocle:
-    top_length: int
-    socle_length: int
-    jm: Subspace
-    soc: Subspace
-
-
-def top_socle(m: ModuleRep, budget: Budget | None = None) -> TopSocle:
-    """Lengths of M/JM and soc(M) over the split semisimple quotient."""
-    jm = radical_image(m, budget)
-    soc = socle_subspace(m, budget)
-    top_rep = quotient_action(m, jm).rep
-    soc_rep = restrict_action(m, soc)
-    top_len = sum(semisimple_lengths(top_rep, budget).values())
-    soc_len = sum(semisimple_lengths(soc_rep, budget).values())
-    return TopSocle(top_len, soc_len, jm, soc)
-
-
-# ---------------------------------------------------------------------------
 # submodule lattice, blockwise
 # ---------------------------------------------------------------------------
 
@@ -415,6 +372,33 @@ def block_decomposition(rep: ModuleRep | QuotientData, sub: Subspace | None = No
     blocks."""
     for f, block in enumerate(rep.algebra.blocks()):
         yield BlockPart(rep, f, block, sub)
+
+
+def semisimple_length(rep: ModuleRep | QuotientData, sub: Subspace | None = None) -> int:
+    """Length of W = sub (the whole module when sub is None), which must be
+    killed by J: the sum over blocks of dim E_f,00 W.  Each block's part
+    e_f W is n_f copies of its multiplicity space, so the parts must fill
+    W; if they do not, the certificate is corrupt."""
+    parts = list(block_decomposition(rep, sub))
+    if sum(part.n * part.mult.dim for part in parts) != (rep.dim if sub is None else sub.dim):
+        raise TheoremViolation("block projections do not decompose the module")
+    return sum(part.mult.dim for part in parts)
+
+
+@dataclass
+class TopSocle:
+    top_length: int
+    socle_length: int
+    jm: Subspace
+    soc: Subspace
+
+
+def top_socle(m: ModuleRep, budget: Budget | None = None) -> TopSocle:
+    """Lengths of M/JM and soc(M) over the split semisimple quotient."""
+    jm = radical_image(m, budget)
+    soc = socle_subspace(m, budget)
+    top_len = semisimple_length(quotient_action(m, jm))
+    return TopSocle(top_len, semisimple_length(m, soc), jm, soc)
 
 
 def _maximal_tops(qd: QuotientData, budget: Budget):
@@ -594,10 +578,39 @@ class ModuleReport:
         }
 
 
-def _require_split_local(alg: Algebra):
-    blocks = alg.blocks()
-    if len(blocks) != 1 or blocks[0].n != 1:
-        raise PreconditionError("operation requires a local algebra (single block of size one)")
+def _minimal_lengths(m: ModuleRep, budget: Budget) -> TopSocle:
+    """The preconditions both bounds share, faithful and then both
+    minimality properties, and the lengths they compare."""
+    if not faithful(m)[0]:
+        raise PreconditionError("module is not faithful")
+    if not minimal_faithful(m, budget).minimal:
+        raise PreconditionError("module is not minimal (a proper faithful submodule or quotient exists)")
+    return top_socle(m, budget)
+
+
+def _minimal_report(ts: TopSocle, inequality: dict, notes: tuple[str, ...] = ()) -> ModuleReport:
+    return ModuleReport(
+        faithful=True,
+        annihilator_dim=0,
+        top_length=ts.top_length,
+        socle_length=ts.socle_length,
+        no_faithful_max_submodule=True,
+        no_faithful_simple_quotient=True,
+        inequality=inequality,
+        notes=notes,
+    )
+
+
+def _local_inequality(m: ModuleRep, ts: TopSocle, budget: Budget) -> dict:
+    """top_length + socle_length <= dim soc(R) + 1 for a minimal faithful
+    module over a split local algebra with central socle; a failure is a
+    TheoremViolation."""
+    soc_dim = socles(m.algebra, budget).twosided.dim
+    lhs = ts.top_length + ts.socle_length
+    rhs = soc_dim + 1
+    if lhs > rhs:
+        raise TheoremViolation(f"local socle bound failed: {ts.top_length}+{ts.socle_length} > {soc_dim}+1")
+    return {"kind": "local", "lhs": lhs, "rhs": rhs, "holds": True, "socle_dim": soc_dim}
 
 
 def local_socle_check(m: ModuleRep, budget: Budget | None = None) -> ModuleReport:
@@ -608,39 +621,13 @@ def local_socle_check(m: ModuleRep, budget: Budget | None = None) -> ModuleRepor
     The statement carries no field-size hypothesis, so a verified instance
     violating it is an implementation bug (TheoremViolation)."""
     budget = budget or default_budget()
-    alg = m.algebra
-    _require_split_local(alg)
-    if not socle_is_central(alg, budget):
+    blocks = m.algebra.blocks()
+    if len(blocks) != 1 or blocks[0].n != 1:
+        raise PreconditionError("operation requires a local algebra (single block of size one)")
+    if not socle_is_central(m.algebra, budget):
         raise PreconditionError("socle of the algebra is not central")
-    ok, ann = faithful(m)
-    if not ok:
-        raise PreconditionError("module is not faithful")
-    minimality = minimal_faithful(m, budget)
-    if not minimality.minimal:
-        raise PreconditionError("module is not minimal (a proper faithful submodule or quotient exists)")
-    ts = top_socle(m, budget)
-    soc_r = socles(alg, budget).twosided
-    lhs = ts.top_length + ts.socle_length
-    rhs = soc_r.dim + 1
-    if lhs > rhs:
-        raise TheoremViolation(
-            f"local socle bound failed: {ts.top_length}+{ts.socle_length} > {soc_r.dim}+1"
-        )
-    return ModuleReport(
-        faithful=True,
-        annihilator_dim=0,
-        top_length=ts.top_length,
-        socle_length=ts.socle_length,
-        no_faithful_max_submodule=True,
-        no_faithful_simple_quotient=True,
-        inequality={
-            "kind": "local",
-            "lhs": lhs,
-            "rhs": rhs,
-            "holds": True,
-            "socle_dim": soc_r.dim,
-        },
-    )
+    ts = _minimal_lengths(m, budget)
+    return _minimal_report(ts, _local_inequality(m, ts, budget))
 
 
 def system_from_module(m: ModuleRep, budget: Budget | None = None) -> BilinearSystem:
@@ -673,23 +660,40 @@ def system_from_module(m: ModuleRep, budget: Budget | None = None) -> BilinearSy
     a_mats = []
     for a in soc_r.basis_rows:
         act = m.act_mat(a)
-        cols = []
-        for col_vec in b_columns:
-            w = act.apply(qd.lift(col_vec))
-            w_soc = soc_m.coordinates_of(w)
-            y = _solve_columns(c_basis_mat, w_soc)
-            cols.append(y)
+        cols = [solve(c_basis_mat, soc_m.coordinates_of(act.apply(qd.lift(b)))) for b in b_columns]
+        if None in cols:
+            raise TheoremViolation("socle image left the adapted socle basis span")
         a_mats.append(mat_of_columns(m.field, len(c_columns), cols))
     return BilinearSystem(m.field, s_blocks, t_blocks, tuple(a_mats))
 
 
-def _solve_columns(basis_mat: Mat, target) -> tuple:
-    from .exactla import solve
-
-    sol = solve(basis_mat, target)
-    if sol is None:
-        raise TheoremViolation("socle image left the adapted socle basis span")
-    return sol
+def _graph_inequality(m: ModuleRep, ts: TopSocle, budget: Budget) -> tuple[dict, tuple[str, ...]]:
+    """top_length + socle_length <= lt(soc R) + chi(G) for a minimal
+    faithful module, with the induced system's hypotheses and, when it
+    fails, a note naming the unmet ones."""
+    graph = socle_graph(m.algebra, budget)
+    soc_len = graph.socle_bimodule_length
+    lhs = ts.top_length + ts.socle_length
+    rhs = soc_len + graph.chi
+    sys_report = prop41_check(system_from_module(m, budget), budget)
+    notes = ()
+    if lhs > rhs:
+        failed = [k for k, v in sys_report.hypotheses_met.items() if not v]
+        notes = (
+            "inequality fails over F_%d; unmet hypotheses: %s (the proved statement assumes an infinite field)"
+            % (m.field.q, ", ".join(failed) if failed else "none"),
+        )
+    inequality = {
+        "kind": "socle_graph",
+        "lhs": lhs,
+        "rhs": rhs,
+        "holds": lhs <= rhs,
+        "socle_bimodule_length": soc_len,
+        "chi": graph.chi,
+        "hypotheses_met": sys_report.hypotheses_met,
+        "system": sys_report.to_json(),
+    }
+    return inequality, notes
 
 
 def graph_socle_check(m: ModuleRep, budget: Budget | None = None) -> ModuleReport:
@@ -701,80 +705,38 @@ def graph_socle_check(m: ModuleRep, budget: Budget | None = None) -> ModuleRepor
     so holds = False is a legitimate outcome; the attached system report
     records which hypotheses were actually met."""
     budget = budget or default_budget()
-    alg = m.algebra
-    alg.blocks()  # raises NotSplitError when absent
-    ok, ann = faithful(m)
-    if not ok:
-        raise PreconditionError("module is not faithful")
-    minimality = minimal_faithful(m, budget)
-    if not minimality.minimal:
-        raise PreconditionError("module is not minimal (a proper faithful submodule or quotient exists)")
-    ts = top_socle(m, budget)
-    soc_r = socles(alg, budget).twosided
-    graph = socle_graph(alg, budget)
-    soc_len = bimodule_length(alg, soc_r, budget)
-    lhs = ts.top_length + ts.socle_length
-    rhs = soc_len + graph.chi
-    system = system_from_module(m, budget)
-    sys_report = prop41_check(system, budget)
-    notes = []
-    if not (lhs <= rhs):
-        failed = [k for k, v in sys_report.hypotheses_met.items() if not v]
-        notes.append(
-            "inequality fails over F_%d; unmet hypotheses: %s (the proved statement assumes an infinite field)"
-            % (m.field.q, ", ".join(failed) if failed else "none")
-        )
-    return ModuleReport(
-        faithful=True,
-        annihilator_dim=0,
-        top_length=ts.top_length,
-        socle_length=ts.socle_length,
-        no_faithful_max_submodule=True,
-        no_faithful_simple_quotient=True,
-        inequality={
-            "kind": "socle_graph",
-            "lhs": lhs,
-            "rhs": rhs,
-            "holds": lhs <= rhs,
-            "socle_bimodule_length": soc_len,
-            "chi": graph.chi,
-            "hypotheses_met": sys_report.hypotheses_met,
-            "system": sys_report.to_json(),
-        },
-        notes=tuple(notes),
-    )
+    m.algebra.blocks()  # raises NotSplitError when absent
+    ts = _minimal_lengths(m, budget)
+    return _minimal_report(ts, *_graph_inequality(m, ts, budget))
 
 
 def module_report(m: ModuleRep, budget: Budget | None = None) -> ModuleReport:
     """Best-effort report for the CLI: fills whatever applies, never raises
-    for unmet preconditions (they become notes)."""
+    for unmet preconditions (they become notes).  The lengths, faithfulness
+    and minimality are each computed once and shared with the bound."""
     budget = budget or default_budget()
     ok, ann = faithful(m)
     report = ModuleReport(faithful=ok, annihilator_dim=ann.dim)
     notes = []
     try:
-        m.algebra.blocks()
-        split = True
+        blocks = m.algebra.blocks()
     except NotSplitError:
-        split = False
+        blocks = None
         notes.append("algebra is not split-certified: lengths and minimality unavailable")
-    if split:
+    if blocks is not None:
         ts = top_socle(m, budget)
         report.top_length, report.socle_length = ts.top_length, ts.socle_length
         if ok:
             minimality = minimal_faithful(m, budget)
             report.no_faithful_max_submodule = minimality.no_faithful_max_submodule
             report.no_faithful_simple_quotient = minimality.no_faithful_simple_quotient
-            if minimality.minimal:
-                blocks = m.algebra.blocks()
-                if len(blocks) == 1 and blocks[0].n == 1 and socle_is_central(m.algebra, budget):
-                    inner = local_socle_check(m, budget)
-                else:
-                    inner = graph_socle_check(m, budget)
-                report.inequality = inner.inequality
-                notes.extend(inner.notes)
-            else:
+            if not minimality.minimal:
                 notes.append("module is not minimal: no inequality asserted")
+            elif len(blocks) == 1 and blocks[0].n == 1 and socle_is_central(m.algebra, budget):
+                report.inequality = _local_inequality(m, ts, budget)
+            else:
+                report.inequality, graph_notes = _graph_inequality(m, ts, budget)
+                notes.extend(graph_notes)
         else:
             notes.append("module is not faithful: minimality and bounds not applicable")
     report.notes = tuple(notes)
@@ -851,8 +813,7 @@ def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
                     break
             else:
                 break  # no maximal submodule keeps the top: rep is n_sub's action
-        top_len = sum(semisimple_lengths(quotient_action(rep, radical_image(rep, budget)).rep, budget).values())
-        if top_len != 1:
+        if semisimple_length(quotient_action(rep, radical_image(rep, budget))) != 1:
             raise TheoremViolation("cyclic piece failed to have simple top")
         pieces.append(n_sub)
 
@@ -911,10 +872,8 @@ def shrink_quotient(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
             m.field, m.dim,
             list(k_j.basis_rows) + [qd.lift(v) for v in n_bar.basis_rows],
         )
-        factor = quotient_action(m, n_j)
-        soc_len = sum(semisimple_lengths(
-            restrict_action(factor.rep, socle_subspace(factor.rep, budget)), budget).values())
-        if soc_len != 1:
+        factor = quotient_action(m, n_j).rep
+        if semisimple_length(factor, socle_subspace(factor, budget)) != 1:
             raise TheoremViolation("co-piece failed to have simple socle")
         kernels.append(n_j)
 
@@ -924,9 +883,7 @@ def shrink_quotient(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
     ok, _ = faithful(result)
     if not ok:
         raise TheoremViolation("shrunk quotient lost faithfulness")
-    soc_len = sum(semisimple_lengths(
-        restrict_action(result, socle_subspace(result, budget)), budget).values())
-    if soc_len > n_bound:
+    if semisimple_length(result, socle_subspace(result, budget)) > n_bound:
         raise TheoremViolation("shrunk quotient exceeds the socle-length bound")
     return result
 

@@ -43,13 +43,12 @@ from .modrep import (
     graph_socle_check,
     local_socle_check,
     minimal_faithful,
+    semisimple_length,
     shrink_bound,
     shrink_quotient,
     shrink_submodule,
     shrink_subfactor,
     socle_subspace,
-    restrict_action,
-    semisimple_lengths,
     top_socle,
 )
 from .strongness import BlockSpec, n_strong, no_union_cover, prop41_check, union_split
@@ -166,8 +165,7 @@ def battery_counterexample_values(budget: Budget | None = None) -> list[dict]:
     minimality = minimal_faithful(module, budget)
     ts = top_socle(module, budget)
     graph = socle_graph(ring, budget)
-    soc_r = socles(ring, budget).twosided
-    soc_len = bimodule_length(ring, soc_r, budget)
+    soc_len = graph.socle_bimodule_length
     rep_m = graph_socle_check(module, budget)
     ineq = rep_m.inequality
     ok = (
@@ -328,9 +326,7 @@ def battery_shrink_bounds(seed: int, min_count: int = 200, budget: Budget | None
         try:
             m2 = shrink_quotient(mod, budget)
             ok2, _ = faithful(m2)
-            soc_len = sum(semisimple_lengths(
-                restrict_action(m2, socle_subspace(m2, budget)), budget).values())
-            if not ok2 or soc_len > n_bound:
+            if not ok2 or semisimple_length(m2, socle_subspace(m2, budget)) > n_bound:
                 quot_viol += 1
         except TheoremViolation:
             quot_viol += 1

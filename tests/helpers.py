@@ -3,7 +3,8 @@ only the tests need, built on the package's public API."""
 
 import itertools
 
-from soclelab.errors import InputError
+from soclelab.algebra import socles
+from soclelab.errors import InputError, PreconditionError, TheoremViolation
 from soclelab.exactla import (
     Mat,
     Subspace,
@@ -14,6 +15,7 @@ from soclelab.exactla import (
     rref_rows,
     vec_combo,
 )
+from soclelab.modrep import quotient_action, radical_image, restrict_action, socle_subspace
 from soclelab.strongness import BilinearSystem, BlockSpec
 from soclelab.tensorcover import TensorSubspace
 
@@ -203,3 +205,88 @@ def coverage_by_full_size_solves(sys: BilinearSystem) -> tuple:
     c_fail = next(((f, mu) for f, mu, vectors in simple_c_submodules(sys)
                    if image_in_submodule_combo(sys, basis, vectors) is None), None)
     return b_fail is None, c_fail is None, b_fail, c_fail
+
+
+# -- lengths by idempotent ranks and corner spans: the oracles for the block
+# multiplicities of `semisimple_length` and the one corner pass of the socle graph --
+
+def semisimple_lengths(rep, budget=None) -> dict[int, int]:
+    """Per-block lengths of a module killed by the radical, each the rank
+    of the block idempotent's action divided by the block's matrix size."""
+    alg = rep.algebra
+    blocks = alg.blocks()
+    for j in alg.radical(budget).basis_rows:
+        if not rep.act_mat(j).is_zero():
+            raise PreconditionError("module is not killed by the radical")
+    lengths = {}
+    for f, block in enumerate(blocks):
+        rank = rep.act_mat(alg.block_idempotent(f)).rank()
+        if rank % block.n:
+            raise TheoremViolation("block rank not divisible by block size: certificate corrupt")
+        lengths[f] = rank // block.n
+    if sum(lengths[f] * block.n for f, block in enumerate(blocks)) != rep.dim:
+        raise TheoremViolation("block projections do not decompose the module")
+    return lengths
+
+
+def top_socle_lengths(m, budget=None) -> tuple[int, int]:
+    """(length of M/JM, length of soc(M)), each through a module built for it:
+    the quotient module M/JM and the restricted module soc(M)."""
+    top = quotient_action(m, radical_image(m, budget)).rep
+    soc = restrict_action(m, socle_subspace(m, budget))
+    return sum(semisimple_lengths(top, budget).values()), sum(semisimple_lengths(soc, budget).values())
+
+
+def _corner_space(r, f, ideal, e) -> Subspace:
+    vectors = [r.mul_coords(r.mul_coords(f, v), e) for v in ideal.basis_rows]
+    return Subspace.from_vectors(r.field, r.dim, vectors)
+
+
+def _check_killed_by_radical(r, ideal, budget):
+    zero = (0,) * r.dim
+    for v in ideal.basis_rows:
+        for j in r.radical(budget).basis_rows:
+            if r.mul_coords(j, v) != zero or r.mul_coords(v, j) != zero:
+                raise PreconditionError("ideal is not killed by the radical on both sides")
+
+
+def bimodule_length_by_corner_spans(r, ideal, budget=None) -> int:
+    """Sum over all block pairs of dim(f X e) / (n_f n_e), one corner span each."""
+    blocks = r.blocks()
+    _check_killed_by_radical(r, ideal, budget)
+    total = 0
+    for fi, bf in enumerate(blocks):
+        for ei, be in enumerate(blocks):
+            corner = _corner_space(r, r.block_idempotent(fi), ideal, r.block_idempotent(ei))
+            if corner.dim % (bf.n * be.n):
+                raise TheoremViolation("corner dimension not divisible by block sizes")
+            total += corner.dim // (bf.n * be.n)
+    return total
+
+
+def socle_graph_by_vertex_spans(r, budget=None) -> tuple:
+    """(left vertices, right vertices, edges, edge lengths, chi) of the socle
+    graph: a left vertex f has f soc(R) != 0 and a right vertex e has
+    soc(R) e != 0, each found by its own span, and the edges are the nonzero
+    corners between them."""
+    blocks = r.blocks()
+    soc = socles(r, budget).twosided
+    _check_killed_by_radical(r, soc, budget)
+    idem = [r.block_idempotent(i) for i in range(len(blocks))]
+
+    def nonzero(vectors) -> bool:
+        return Subspace.from_vectors(r.field, r.dim, vectors).dim > 0
+
+    left = tuple(i for i, f in enumerate(idem) if nonzero([r.mul_coords(f, v) for v in soc.basis_rows]))
+    right = tuple(i for i, f in enumerate(idem) if nonzero([r.mul_coords(v, f) for v in soc.basis_rows]))
+    edges, lengths = [], []
+    for fi in left:
+        for ei in right:
+            corner = _corner_space(r, idem[fi], soc, idem[ei])
+            if corner.dim:
+                n_pair = blocks[fi].n * blocks[ei].n
+                if corner.dim % n_pair:
+                    raise TheoremViolation("corner dimension not divisible by block sizes")
+                edges.append((fi, ei))
+                lengths.append(corner.dim // n_pair)
+    return left, right, tuple(edges), tuple(lengths), len(left) + len(right) - len(edges)

@@ -35,6 +35,8 @@ from soclelab.gallery import (
     make_twisted_truncated,
 )
 
+from helpers import bimodule_length_by_corner_spans, socle_graph_by_vertex_spans
+
 GF2 = field_make(2)
 GF3 = field_make(3)
 
@@ -410,6 +412,33 @@ def test_socle_killed_by_radical_on_every_gallery_algebra():
             for j in J.basis_rows:
                 assert alg.mul_coords(j, v) == zero, name
                 assert alg.mul_coords(v, j) == zero, name
+
+
+def test_one_corner_pass_matches_the_vertex_and_corner_spans_on_the_gallery():
+    # socle_graph takes its vertices from its edges; the oracle spans f soc(R)
+    # and soc(R) f per block and then every corner between the vertices
+    split = 0
+    for name, alg in iter_gallery_algebras():
+        if alg.certificate is None or not alg.certificate.split:
+            continue
+        split += 1
+        soc = socles(alg).twosided
+        g = socle_graph(alg)
+        assert (g.left_vertices, g.right_vertices, g.edges, g.edge_lengths, g.chi) \
+            == socle_graph_by_vertex_spans(alg), name
+        assert bimodule_length(alg, soc) == g.socle_bimodule_length == bimodule_length_by_corner_spans(alg, soc), name
+    assert split >= 20
+
+
+def test_socle_graph_refuses_a_non_split_algebra_before_radical_work(monkeypatch):
+    alg = make_twisted_truncated(2, 2, 2)
+
+    def no_radical(self, budget=None):
+        raise AssertionError("radical computed before the split check")
+
+    monkeypatch.setattr(Algebra, "radical", no_radical)
+    with pytest.raises(NotSplitError):
+        socle_graph(alg)
 
 
 def test_socle_dimension_decomposes_over_edges():

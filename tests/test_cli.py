@@ -5,6 +5,8 @@ import pytest
 from soclelab.cli import main
 from soclelab.errors import InputError
 from soclelab.gallery import make_row_diagonal_pair
+from soclelab.gf import field_make
+from soclelab.strongness import BilinearSystem, BlockSpec, tensor_maps
 
 
 def run(capsys, *argv):
@@ -138,6 +140,21 @@ def test_system_check_and_strong(tmp_path, capsys):
     code6, _ = run(capsys, "system", "strong", str(path), "--side", "left", "--N", "1",
                    "--block", "0", "--relative")
     assert code6 == 0
+
+
+def test_relative_strength_picks_the_one_nonzero_codomain_block(tmp_path, capsys):
+    # codomain blocks of multiplicity 0 and 2: without --block the relative
+    # target is block 1, the only nonzero one, as with --block 1
+    field = field_make(2)
+    skel = BilinearSystem(field, (BlockSpec(1, 1),), (BlockSpec(1, 0), BlockSpec(1, 2)), (), _skip_verify=True)
+    sys_obj = BilinearSystem(field, skel.s_blocks, skel.t_blocks, tuple(tensor_maps(skel, 1, 0, [(1, 0), (0, 1)])))
+    path = tmp_path / "t02.json"
+    path.write_text(json.dumps(sys_obj.to_json()))
+    base = ("system", "strong", str(path), "--side", "left", "--N", "1")
+    code, out = run(capsys, *base, "--relative")
+    code_block, out_block = run(capsys, *base, "--block", "1", "--relative")
+    assert (code, code_block) == (0, 0)
+    assert out == out_block
 
 
 def test_system_entry_out_of_field_range_is_an_input_error(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from soclelab.algebra import algebra_make, bimodule_length, socle_graph, socles
 from soclelab.budget import Budget
 from soclelab.corpus import iter_generator_modules
-from soclelab.errors import BudgetExceeded, InputError, NotSplitError, PreconditionError
+from soclelab.errors import BudgetExceeded, InputError, NotSplitError, PreconditionError, TheoremViolation
 from soclelab.exactla import (
     Mat,
     Subspace,
@@ -41,6 +41,7 @@ from soclelab.modrep import (
     radical_image,
     regular_module,
     restrict_action,
+    semisimple_length,
     shrink_quotient,
     shrink_subfactor,
     shrink_submodule,
@@ -51,7 +52,7 @@ from soclelab.modrep import (
     top_socle,
 )
 
-from helpers import random_invertible
+from helpers import random_invertible, top_socle_lengths
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -149,6 +150,43 @@ def test_regular_top_socle_local():
     assert ts.top_length == 1 and ts.socle_length == 1
     ts3 = top_socle(regular_module(KXY))
     assert ts3.top_length == 1 and ts3.socle_length == 2
+
+
+def split_gallery_algebras():
+    for name, alg in iter_gallery_algebras():
+        if alg.certificate is not None and alg.certificate.split:
+            yield name, alg
+
+
+def test_block_multiplicities_match_idempotent_ranks_on_the_gallery():
+    # top_socle reads each length as the sum of the block multiplicities; the
+    # oracle builds M/JM and soc(M) as modules and ranks the block idempotents
+    for name, alg in split_gallery_algebras():
+        reg = regular_module(alg)
+        for m in (reg, reg.direct_sum(reg)):
+            ts = top_socle(m)
+            assert (ts.top_length, ts.socle_length) == top_socle_lengths(m), (name, m.dim)
+
+
+@pytest.mark.parametrize("module", [regular_module(KXY), make_row_diagonal_pair()[1]], ids=["local", "row-diagonal"])
+def test_semisimple_length_rejects_parts_that_miss_a_vector(monkeypatch, module):
+    real = modrep.block_decomposition
+
+    def lossy(rep, sub=None):
+        dropped = False
+        for part in real(rep, sub):
+            if part.mult.dim and not dropped:
+                part.mult = Subspace.from_vectors(rep.field, rep.dim, part.mult.basis_rows[1:])
+                dropped = True
+            yield part
+
+    soc = socle_subspace(module)
+    assert semisimple_length(module, soc) == top_socle(module).socle_length
+    monkeypatch.setattr(modrep, "block_decomposition", lossy)
+    with pytest.raises(TheoremViolation, match="do not decompose"):
+        semisimple_length(module, soc)
+    with pytest.raises(TheoremViolation, match="do not decompose"):
+        top_socle(module)
 
 
 def test_column_module_over_matrix_algebra():

@@ -8,21 +8,27 @@ semisimple case where the graph bound holds with equality.
 
 import pytest
 
+from soclelab import modrep
 from soclelab.algebra import algebra_make, bimodule_length, radical_bruteforce, socle_graph, socles
 from soclelab.errors import InputError
 from soclelab.exactla import Mat
 from soclelab.gf import field_make
-from soclelab.gallery import make_triangular
+from soclelab.gallery import make_row_diagonal_pair, make_square_zero_extension, make_triangular
 from soclelab.modrep import (
     ModuleRep,
     faithful,
     graph_socle_check,
+    local_socle_check,
     minimal_faithful,
+    module_report,
+    regular_module,
     shrink_submodule,
     system_from_module,
     top_socle,
 )
 from soclelab.strongness import n_strong, predicates, prop41_check, small_conditions
+
+from helpers import semisimple_lengths
 
 GF2 = field_make(2)
 
@@ -55,7 +61,6 @@ def test_matrix_algebra_one_sided_versus_bimodule_length():
     # the full matrix algebra is its own socle: length n on one side, 1 as a
     # bimodule
     from soclelab.gallery import make_matrix_algebra
-    from soclelab.modrep import regular_module, semisimple_lengths
 
     for n in (1, 2):
         alg = make_matrix_algebra(n, GF2)
@@ -134,11 +139,35 @@ def test_bad_local_certificate_rejected():
 
 
 def test_module_report_on_uncertified_algebra():
-    from soclelab.modrep import module_report, regular_module
-
     mult = [[(1, 0), (0, 1)], [(0, 1), (0, 0)]]
     bare = algebra_make(GF2, dim=2, mult=mult, one=(1, 0))  # no certificate
     rep = module_report(regular_module(bare))
     assert rep.faithful
     assert rep.top_length is None
     assert any("not split-certified" in note for note in rep.notes)
+
+
+@pytest.mark.parametrize("build, direct", [
+    (lambda: make_row_diagonal_pair()[1], graph_socle_check),
+    (lambda: regular_module(make_square_zero_extension(GF2, 2)), local_socle_check),
+    (lambda: column_module(product_algebra()), graph_socle_check),
+], ids=["row-diagonal", "szr", "product"])
+def test_module_report_decides_minimality_and_lengths_once(monkeypatch, build, direct):
+    # the report shares its lengths and minimality with the bound, so on a
+    # minimal module each runs once, and its inequality is the direct check's
+    mod = build()
+    expected = direct(mod)
+    calls = {"faithful": 0, "minimal_faithful": 0, "top_socle": 0}
+    for name in calls:
+        real = getattr(modrep, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(modrep, name, counted)
+    report = module_report(build())
+    assert calls == {"faithful": 2, "minimal_faithful": 1, "top_socle": 1}
+    assert report.inequality == expected.inequality
+    assert report.notes == expected.notes
+    assert (report.top_length, report.socle_length) == (expected.top_length, expected.socle_length)
