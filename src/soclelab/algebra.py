@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 
 from .budget import Budget, default_budget
-from .errors import InputError, NotSplitError, PreconditionError, TheoremViolation
+from .errors import InputError, NotSplitError, PreconditionError, TheoremViolation, decoding, json_int
 from .exactla import (
     Mat,
     RowBasis,
@@ -34,6 +34,7 @@ from .exactla import (
     Subspace,
     _echelon,
     kernel,
+    mat_of_columns,
     mat_of_rows,
     mat_vec,
     row_rank,
@@ -243,56 +244,23 @@ class Algebra:
         if not J.contains_vector(diff):
             raise InputError("bad certificate: block idempotents do not sum to the identity modulo J")
 
-    # -- residue-field machinery -------------------------------------------------
-    def quotient_by(self, ideal: Subspace):
-        """Quotient algebra data: (dim, mult, one, project, lift)."""
-        pivots = set(ideal.pivots)
-        free = [k for k in range(self.dim) if k not in pivots]
-        dim_res = len(free)
-
-        def project(coords: Coords) -> Coords:
-            red = ideal.reduce(coords)
-            return tuple(red[k] for k in free)
-
-        def lift(res: Coords) -> Coords:
-            out = [0] * self.dim
-            for k, v in zip(free, res):
-                out[k] = v
-            return tuple(out)
-
-        mult_res = tuple(
-            tuple(project(self.mul_coords(lift(self._res_basis(dim_res, i)), lift(self._res_basis(dim_res, j))))
-                  for j in range(dim_res))
-            for i in range(dim_res)
-        )
-        return dim_res, mult_res, project(self.one), project, lift
-
-    @staticmethod
-    def _res_basis(dim_res: int, i: int) -> Coords:
-        return tuple(1 if k == i else 0 for k in range(dim_res))
-
+    # -- residue ring ------------------------------------------------------------
     def _residue_is_division(self, J: Subspace) -> bool:
-        dim_res, mult_res, one_res, project, lift = self.quotient_by(J)
-        if dim_res == 0:
+        """Whether R/J is a division ring: R/J is nonzero and every nonzero
+        residue acts invertibly on it by left multiplication.  R/J has the
+        basis of J's free positions; column j of L_i, the left
+        multiplication of b_i, is b_i b_j mod J read at those positions."""
+        pivots = set(J.pivots)
+        free = [k for k in range(self.dim) if k not in pivots]
+        if not free:
             return False
-        field = self.field
-        add, mul = field.add, field.mul
-        for coords in itertools.product(field.elements(), repeat=dim_res):
-            if not any(coords):
-                continue
-            # left multiplication matrix in the quotient
-            rows = [[0] * dim_res for _ in range(dim_res)]
-            for j in range(dim_res):
-                col = [0] * dim_res
-                for i, xi in enumerate(coords):
-                    if xi:
-                        cij = mult_res[i][j]
-                        col = [add(a, mul(xi, b)) for a, b in zip(col, cij)]
-                for k in range(dim_res):
-                    rows[k][j] = col[k]
-            if mat_of_rows(field, dim_res, rows).rank() != dim_res:
-                return False
-        return True
+        n = len(free)
+        residue_mats = [
+            mat_of_columns(self.field, n, [[J.reduce(self.mult[i][j])[k] for k in free] for j in free])
+            for i in free
+        ]
+        return all(mat_vec(residue_mats, x).rank() == n
+                   for x in itertools.product(self.field.elements(), repeat=n) if any(x))
 
     # -- radical access ------------------------------------------------------------
     def radical(self, budget: Budget | None = None) -> Subspace:
@@ -314,8 +282,7 @@ class Algebra:
     # -- serialization ----------------------------------------------------------------
     def to_json(self) -> dict:
         def enc_coords(coords):
-            e = self.field.e
-            return [c if e == 1 else list(self.field.coeffs(c)) for c in coords]
+            return [self.field.element_to_json(c) for c in coords]
 
         out: dict = {
             "field": self.field.to_json(),
@@ -341,34 +308,35 @@ class Algebra:
 
     @staticmethod
     def from_json(data: dict) -> "Algebra":
-        field = Field.from_json(data["field"])
+        with decoding("algebra", data):
+            field = Field.from_json(data["field"])
 
-        def dec_coords(raw, width):
-            coords = [field.from_coeffs(x) if isinstance(x, list) else int(x) % field.q for x in raw]
-            if len(coords) != width:
-                raise InputError("coordinate vector has wrong length")
-            return tuple(coords)
+            def dec_coords(raw, width):
+                coords = [field.element_from_json(x, "coordinate") for x in raw]
+                if len(coords) != width:
+                    raise InputError("coordinate vector has wrong length")
+                return tuple(coords)
 
-        dim = int(data["dim"])
-        matrix_basis = None
-        if "matrix_basis" in data:
-            matrix_basis = [Mat.from_json(mj, field) for mj in data["matrix_basis"]]
-        mult = None
-        if "mult" in data:
-            mult = [[dec_coords(data["mult"][i][j], dim) for j in range(dim)] for i in range(dim)]
-        one = dec_coords(data["one"], dim) if "one" in data else None
-        cert_spec = None
-        if data.get("certificate"):
-            raw = data["certificate"]
-            cert_spec = {
-                "radical_basis": [dec_coords(v, dim) for v in raw.get("radical_basis", [])],
-                "split": bool(raw.get("split", False)),
-                "local": bool(raw.get("local", False)),
-                "blocks": [
-                    {"n": int(b["n"]), "matrix_units": [dec_coords(u, dim) for u in b["matrix_units"]]}
-                    for b in raw.get("blocks", [])
-                ],
-            }
+            dim = json_int(data, "dim")
+            matrix_basis = None
+            if "matrix_basis" in data:
+                matrix_basis = [Mat.from_json(mj, field) for mj in data["matrix_basis"]]
+            mult = None
+            if "mult" in data:
+                mult = [[dec_coords(data["mult"][i][j], dim) for j in range(dim)] for i in range(dim)]
+            one = dec_coords(data["one"], dim) if "one" in data else None
+            cert_spec = None
+            if data.get("certificate"):
+                raw = data["certificate"]
+                cert_spec = {
+                    "radical_basis": [dec_coords(v, dim) for v in raw.get("radical_basis", [])],
+                    "split": bool(raw.get("split", False)),
+                    "local": bool(raw.get("local", False)),
+                    "blocks": [
+                        {"n": json_int(b, "n"), "matrix_units": [dec_coords(u, dim) for u in b["matrix_units"]]}
+                        for b in raw.get("blocks", [])
+                    ],
+                }
         return algebra_make(field, dim=dim, mult=mult, matrix_basis=matrix_basis, one=one, certificate=cert_spec)
 
 

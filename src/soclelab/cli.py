@@ -181,6 +181,8 @@ def _resolve_module(args) -> "object":
             data.setdefault("algebra", outer["algebra"])
     algebra = None
     if "algebra_ref" in data:
+        if not isinstance(data["algebra_ref"], str):
+            raise InputError(f"algebra_ref must be a path string, got {data['algebra_ref']!r}")
         ref = Path(args.file).parent / data["algebra_ref"]
         algebra = Algebra.from_json(_load_json(str(ref)))
     return ModuleRep.from_json(data, algebra)

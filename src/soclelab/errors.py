@@ -8,6 +8,8 @@ TheoremViolation is by definition a bug, never a mathematical outcome.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 EXIT_PASS = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
@@ -47,3 +49,26 @@ class BudgetExceeded(SocleLabError):
 
 class TheoremViolation(SocleLabError):
     """A proved statement failed on a verified instance: an implementation bug."""
+
+
+@contextmanager
+def decoding(what: str, data):
+    """Decode `what` from the JSON object data in this block: a missing key
+    or a bad value becomes an InputError naming it.  Only decoding belongs
+    here, so a TheoremViolation from a constructor still propagates."""
+    if not isinstance(data, dict):
+        raise InputError(f"bad {what} JSON: must be an object, got {type(data).__name__}")
+    try:
+        yield
+    except KeyError as exc:
+        raise InputError(f"bad {what} JSON: needs the key {exc}") from None
+    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise InputError(f"bad {what} JSON: {exc}") from None
+
+
+def json_int(data: dict, key: str) -> int:
+    """data[key], which must be an integer (for use inside `decoding`)."""
+    value = data[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value

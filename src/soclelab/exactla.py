@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InputError
+from .errors import InputError, decoding, json_int
 from .gf import Field
 
 Vec = tuple  # tuple of element codes
@@ -398,9 +398,7 @@ class Mat:
 
     # JSON ----------------------------------------------------------------------
     def to_json(self) -> dict:
-        e = self.field.e
-        def enc(x):
-            return x if e == 1 else list(self.field.coeffs(x))
+        enc = self.field.element_to_json
         return {
             "field": self.field.to_json(),
             "rows": self.rows,
@@ -410,19 +408,11 @@ class Mat:
 
     @staticmethod
     def from_json(data: dict, field: Field | None = None) -> "Mat":
-        if field is None:
-            field = Field.from_json(data.get("field", {}))
-        def dec(x):
-            if isinstance(x, list):
-                if len(x) > field.e:
-                    raise InputError("matrix entry out of field range")
-                return field.from_coeffs(x)
-            return int(x)
-        try:
-            rows = [[dec(x) for x in row] for row in data["entries"]]
-            shape = int(data["rows"]), int(data["cols"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad matrix JSON: {exc}")
+        with decoding("matrix", data):
+            if field is None:
+                field = Field.from_json(data.get("field", {}))
+            rows = [[field.element_from_json(x, "matrix entry") for x in row] for row in data["entries"]]
+            shape = json_int(data, "rows"), json_int(data, "cols")
         mat = Mat.from_rows(field, rows) if rows else Mat.zero(field, 0, shape[1])
         if (mat.rows, mat.cols) != shape:
             raise InputError("matrix JSON shape disagrees with entries")
@@ -566,9 +556,11 @@ class Subspace:
 
     @staticmethod
     def from_json(data: dict) -> "Subspace":
-        field = Field.from_json(data["field"])
-        basis = Mat.from_json(data["basis"], field)
-        return Subspace.from_vectors(field, int(data["ambient_dim"]), basis.row_list())
+        with decoding("subspace", data):
+            field = Field.from_json(data["field"])
+            rows = Mat.from_json(data["basis"], field).row_list()
+            ambient_dim = json_int(data, "ambient_dim")
+        return Subspace.from_vectors(field, ambient_dim, rows)
 
 
 def kernel(m: Mat) -> Subspace:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from .errors import InputError
+from .errors import InputError, decoding, json_int
 
 DEFAULT_MAX_Q = 9
 
@@ -188,10 +188,24 @@ class Field:
 
     @staticmethod
     def from_json(data: dict) -> "Field":
-        if not isinstance(data, dict) or "p" not in data or "e" not in data:
-            raise InputError("field spec must be a dict with p and e")
-        modulus = data.get("modulus") or []
-        return field_make(int(data["p"]), int(data["e"]), list(modulus) + [1] if modulus else None)
+        with decoding("field", data):
+            p, e = json_int(data, "p"), json_int(data, "e")
+            modulus = [int(c) for c in data.get("modulus") or []]
+        return field_make(p, e, modulus + [1] if modulus else None)
+
+    def element_to_json(self, a: int):
+        """An element as JSON: its code over F_p, else its coefficient list."""
+        return a if self.e == 1 else list(self.coeffs(a))
+
+    def element_from_json(self, raw, what: str = "field element") -> int:
+        """A code in 0..q-1, or a list of at most e coefficients in 0..p-1;
+        nothing is reduced, and anything else is an InputError naming what."""
+        if type(raw) is int and 0 <= raw < self.q:
+            return raw
+        if isinstance(raw, list) and len(raw) <= self.e and all(type(c) is int and 0 <= c < self.p for c in raw):
+            return _encode(raw, self.p)
+        raise InputError(f"{what} out of field range: {raw!r} is neither a code in 0..{self.q - 1} "
+                         f"nor at most {self.e} coefficients in 0..{self.p - 1}")
 
     def __repr__(self):
         return f"F{self.q}" if self.e == 1 else f"F{self.q}(p={self.p},e={self.e})"

@@ -20,6 +20,10 @@ the shrink checks and both bounds read lengths through it.  Faithfulness is
 upward monotone, so minimality checks only need maximal submodules and
 simple quotient kernels.
 
+A ModuleRep keeps JM, its top M/JM (`top`, the QuotientData of JM), soc(M)
+and its annihilator once computed, and a budget stop keeps nothing: every
+bound, both minimality tests, the induced system and the shrinks read them.
+
 Both minimality tests read only how the two-sided socle soc2 = soc(R) acts.
 Annihilators of submodules and quotients are two-sided ideals, and every
 nonzero two-sided ideal meets soc2.  An element of soc2 kills JM, so it acts
@@ -77,6 +81,8 @@ class ModuleRep:
         self.action = tuple(action)
         self._radical_image_cache: Subspace | None = None
         self._annihilator_cache: Subspace | None = None
+        self._top_cache: QuotientData | None = None
+        self._socle_cache: Subspace | None = None
         if len(self.action) != algebra.dim:
             raise InputError("need one action matrix per algebra basis element")
         for mat in self.action:
@@ -310,13 +316,22 @@ def radical_image(m: ModuleRep, budget: Budget | None = None) -> Subspace:
     return m._radical_image_cache
 
 
+def top(m: ModuleRep, budget: Budget | None = None) -> QuotientData:
+    """M/JM as the QuotientData of JM, computed once per module and then kept;
+    a non-split algebra raises NotSplitError before any radical work."""
+    m.algebra.blocks()
+    if m._top_cache is None:
+        m._top_cache = quotient_action(m, radical_image(m, budget))
+    return m._top_cache
+
+
 def socle_subspace(m: ModuleRep, budget: Budget | None = None) -> Subspace:
-    """{v : J v = 0}; equals the sum of the simple submodules since J is nilpotent."""
-    J = m.algebra.radical(budget)
-    if J.dim == 0:
-        return Subspace.full(m.field, m.dim)
-    rows = [row for j in J.basis_rows for row in m.act_mat(j).row_list()]
-    return kernel(mat_of_rows(m.field, m.dim, rows))
+    """{v : J v = 0} (all of M when J = 0); equals the sum of the simple
+    submodules since J is nilpotent.  Computed once per module and then kept."""
+    if m._socle_cache is None:
+        rows = [row for j in m.algebra.radical(budget).basis_rows for row in m.act_mat(j).row_list()]
+        m._socle_cache = kernel(mat_of_rows(m.field, m.dim, rows))
+    return m._socle_cache
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +382,8 @@ class BlockPart:
 def block_decomposition(rep: ModuleRep | QuotientData, sub: Subspace | None = None):
     """Yield one BlockPart per block of the split quotient, for W = sub, or
     for the whole module when sub is None.  W must be killed by J: every
-    caller passes a top, a socle or a socle module.  Blocks are built
-    lazily, so a caller that stops early does no work for the later
-    blocks."""
+    caller passes a top or a socle.  Blocks are built lazily, so a caller
+    that stops early does no work for the later blocks."""
     for f, block in enumerate(rep.algebra.blocks()):
         yield BlockPart(rep, f, block, sub)
 
@@ -389,16 +403,12 @@ def semisimple_length(rep: ModuleRep | QuotientData, sub: Subspace | None = None
 class TopSocle:
     top_length: int
     socle_length: int
-    jm: Subspace
-    soc: Subspace
 
 
 def top_socle(m: ModuleRep, budget: Budget | None = None) -> TopSocle:
-    """Lengths of M/JM and soc(M) over the split semisimple quotient."""
-    jm = radical_image(m, budget)
-    soc = socle_subspace(m, budget)
-    top_len = semisimple_length(quotient_action(m, jm))
-    return TopSocle(top_len, semisimple_length(m, soc), jm, soc)
+    """Lengths of M/JM and soc(M) over the split semisimple quotient, read
+    from the kept top and socle."""
+    return TopSocle(semisimple_length(top(m, budget)), semisimple_length(m, socle_subspace(m, budget)))
 
 
 def _maximal_tops(qd: QuotientData, budget: Budget):
@@ -430,26 +440,19 @@ def _maximal_tops(qd: QuotientData, budget: Budget):
             yield part.f, hyper, kernel(mat_of_columns(qd.field, part.n * qd.dim, columns))
 
 
-def _preimage(jm: Subspace, qd: QuotientData, w_top: Subspace) -> Subspace:
-    """The submodule W of M with W/JM = w_top."""
-    vectors = list(jm.basis_rows) + [qd.lift(y) for y in w_top.basis_rows]
-    return Subspace.from_vectors(jm.field, jm.ambient_dim, vectors)
-
-
-def _top(m: ModuleRep, budget: Budget | None):
-    """(budget, JM, M/JM): what the maximal-submodule walk starts from."""
-    budget = budget or default_budget()
-    m.algebra.blocks()  # NotSplitError before any radical work
-    jm = radical_image(m, budget)
-    return budget, jm, quotient_action(m, jm)
+def _preimage(qd: QuotientData, w: Subspace) -> Subspace:
+    """The subspace W of M with W/sub = w, where qd is M/sub."""
+    vectors = list(qd.sub.basis_rows) + [qd.lift(y) for y in w.basis_rows]
+    return Subspace.from_vectors(qd.field, qd.sub.ambient_dim, vectors)
 
 
 def maximal_submodules(m: ModuleRep, budget: Budget | None = None):
     """Yield every maximal submodule of M as (f, H, subspace of M); see
     `_maximal_tops`."""
-    budget, jm, qd = _top(m, budget)
+    budget = budget or default_budget()
+    qd = top(m, budget)
     for f, hyper, w_top in _maximal_tops(qd, budget):
-        yield f, hyper, _preimage(jm, qd, w_top)
+        yield f, hyper, _preimage(qd, w_top)
 
 
 def simple_socle_submodules(m: ModuleRep, budget: Budget | None = None):
@@ -527,7 +530,8 @@ def minimal_faithful(m: ModuleRep, budget: Budget | None = None) -> MinimalityRe
     ok, _ = faithful(m)
     if not ok:
         raise PreconditionError("minimality is only defined for faithful modules")
-    budget, jm, qd = _top(m, budget)
+    budget = budget or default_budget()
+    qd = top(m, budget)
     field = m.field
     soc_r = socles(m.algebra, budget).twosided
     # soc2's actions restricted to the top: dim M x dim M/JM
@@ -540,7 +544,7 @@ def minimal_faithful(m: ModuleRep, budget: Budget | None = None) -> MinimalityRe
                         None)
 
     def submodule_witness():
-        return None if faithful_top is None else _preimage(jm, qd, faithful_top)
+        return None if faithful_top is None else _preimage(qd, faithful_top)
 
     def scan_quotients():
         return next((l_sub for _f, _u, l_sub in simple_socle_submodules(m, budget)
@@ -632,35 +636,31 @@ def local_socle_check(m: ModuleRep, budget: Budget | None = None) -> ModuleRepor
 
 def system_from_module(m: ModuleRep, budget: Budget | None = None) -> BilinearSystem:
     """The induced system: soc(R) acting from M/JM into soc(M), written in
-    block-standard coordinates via adapted bases on both sides."""
-    alg = m.algebra
-    alg.blocks()  # NotSplitError before any radical work
-    soc_r = socles(alg, budget).twosided
-    jm = radical_image(m, budget)
-    qd = quotient_action(m, jm)
+    block-standard coordinates via adapted bases on both sides.  The top is
+    read through its kept QuotientData, and soc(M) blockwise in M's own
+    coordinates, so the socle gets no module of its own."""
+    qd = top(m, budget)  # NotSplitError before any radical work
+    soc_r = socles(m.algebra, budget).twosided
     soc_m = socle_subspace(m, budget)
-    soc_rep = restrict_action(m, soc_m)
 
-    def adapted(rep: ModuleRep) -> tuple[tuple[BlockSpec, ...], list[tuple]]:
-        specs = []
-        columns = []
-        for part in block_decomposition(rep):
+    def adapted(rep: ModuleRep | QuotientData, sub: Subspace | None, dim: int):
+        specs, columns = [], []
+        for part in block_decomposition(rep, sub):
             specs.append(BlockSpec(part.n, part.mult.dim))
             for u in part.mult.basis_rows:
                 columns.extend(part.summand(u))
-        stacked = Subspace.from_vectors(rep.field, rep.dim, columns)
-        if stacked.dim != rep.dim or len(columns) != rep.dim:
+        if len(columns) != dim or Subspace.from_vectors(rep.field, rep.dim, columns).dim != dim:
             raise TheoremViolation("adapted block basis failed to decompose the module")
         return tuple(specs), columns
 
-    s_blocks, b_columns = adapted(qd.rep)
-    t_blocks, c_columns = adapted(soc_rep)
+    s_blocks, b_columns = adapted(qd, None, qd.dim)
+    t_blocks, c_columns = adapted(m, soc_m, soc_m.dim)
     # change of basis: standard layout -> module coordinates
-    c_basis_mat = mat_of_columns(m.field, soc_rep.dim, c_columns)  # soc_rep coords x dim_c
+    c_basis_mat = mat_of_columns(m.field, m.dim, c_columns)  # dim M x dim_c
     a_mats = []
     for a in soc_r.basis_rows:
         act = m.act_mat(a)
-        cols = [solve(c_basis_mat, soc_m.coordinates_of(act.apply(qd.lift(b)))) for b in b_columns]
+        cols = [solve(c_basis_mat, act.apply(qd.lift(b))) for b in b_columns]
         if None in cols:
             raise TheoremViolation("socle image left the adapted socle basis span")
         a_mats.append(mat_of_columns(m.field, len(c_columns), cols))
@@ -789,7 +789,7 @@ def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
     annihilator inside soc(R) strictly drops."""
     budget = budget or default_budget()
     soc_r, n_bound = shrink_bound(m, budget)
-    qd = quotient_action(m, radical_image(m, budget))
+    qd = top(m, budget)
     # one (generator lift, top of its simple summand) per simple summand of M/JM
     summands = [
         (qd.lift(u), Subspace.from_vectors(m.field, qd.dim, part.summand(u)))
@@ -813,7 +813,7 @@ def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
                     break
             else:
                 break  # no maximal submodule keeps the top: rep is n_sub's action
-        if semisimple_length(quotient_action(rep, radical_image(rep, budget))) != 1:
+        if semisimple_length(top(rep, budget)) != 1:
             raise TheoremViolation("cyclic piece failed to have simple top")
         pieces.append(n_sub)
 
@@ -846,11 +846,8 @@ def shrink_quotient(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
     kernels = []
     charged = 0
     for j, l_sub in enumerate(summands):
-        k_vectors = []
-        for j2, l2 in enumerate(summands):
-            if j2 != j:
-                k_vectors.extend(l2.basis_rows)
-        k_j = Subspace.from_vectors(m.field, m.dim, k_vectors)
+        others = [v for j2, l2 in enumerate(summands) if j2 != j for v in l2.basis_rows]
+        k_j = Subspace.from_vectors(m.field, m.dim, others)
         qd = quotient_action(m, k_j)
         l_bar = Subspace.from_vectors(m.field, qd.dim, [qd.project(v) for v in l_sub.basis_rows])
         n_bar = Subspace.zero(m.field, qd.dim)
@@ -868,10 +865,7 @@ def shrink_quotient(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
                     n_bar = cand
                     grown = True
                     break
-        n_j = Subspace.from_vectors(
-            m.field, m.dim,
-            list(k_j.basis_rows) + [qd.lift(v) for v in n_bar.basis_rows],
-        )
+        n_j = _preimage(qd, n_bar)
         factor = quotient_action(m, n_j).rep
         if semisimple_length(factor, socle_subspace(factor, budget)) != 1:
             raise TheoremViolation("co-piece failed to have simple socle")

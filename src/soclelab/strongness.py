@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .algebra import SocleGraph
 from .budget import Budget, default_budget
-from .errors import BudgetExceeded, InputError, PreconditionError, TheoremViolation
+from .errors import BudgetExceeded, InputError, PreconditionError, TheoremViolation, decoding, json_int
 from .exactla import (
     Mat,
     Subspace,
@@ -210,10 +210,11 @@ class BilinearSystem:
 
     @staticmethod
     def from_json(data: dict) -> "BilinearSystem":
-        field = Field.from_json(data["field"])
-        s_blocks = tuple(BlockSpec(int(b["n"]), int(b["mult"])) for b in data["s_blocks"])
-        t_blocks = tuple(BlockSpec(int(b["n"]), int(b["mult"])) for b in data["t_blocks"])
-        a_basis = tuple(Mat.from_json(mj, field) for mj in data["a_basis"])
+        with decoding("system", data):
+            field = Field.from_json(data["field"])
+            s_blocks = tuple(BlockSpec(json_int(b, "n"), json_int(b, "mult")) for b in data["s_blocks"])
+            t_blocks = tuple(BlockSpec(json_int(b, "n"), json_int(b, "mult")) for b in data["t_blocks"])
+            a_basis = tuple(Mat.from_json(mj, field) for mj in data["a_basis"])
         return BilinearSystem(field, s_blocks, t_blocks, a_basis)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import Budget, default_budget
-from .errors import InputError, PreconditionError, TheoremViolation
+from .errors import InputError, PreconditionError, TheoremViolation, decoding, json_int
 from .exactla import (
     Mat,
     Subspace,
@@ -90,9 +90,11 @@ class TensorSubspace:
 
     @staticmethod
     def from_json(data: dict) -> "TensorSubspace":
-        field = Field.from_json(data["field"])
-        basis = tuple(Mat.from_json(mj, field) for mj in data["basis"])
-        return TensorSubspace(field, int(data["m"]), int(data["n"]), basis)
+        with decoding("tensor subspace", data):
+            field = Field.from_json(data["field"])
+            basis = tuple(Mat.from_json(mj, field) for mj in data["basis"])
+            m, n = json_int(data, "m"), json_int(data, "n")
+        return TensorSubspace(field, m, n, basis)
 
 
 def rank_one(field: Field, b, c) -> Mat:

@@ -11,11 +11,13 @@ from soclelab.exactla import (
     enum_coeff_points,
     enum_hyperplanes,
     kernel,
+    mat_of_columns,
     mat_of_rows,
     rref_rows,
+    solve,
     vec_combo,
 )
-from soclelab.modrep import quotient_action, radical_image, restrict_action, socle_subspace
+from soclelab.modrep import block_decomposition, quotient_action, radical_image, restrict_action, socle_subspace
 from soclelab.strongness import BilinearSystem, BlockSpec
 from soclelab.tensorcover import TensorSubspace
 
@@ -290,3 +292,74 @@ def socle_graph_by_vertex_spans(r, budget=None) -> tuple:
                 edges.append((fi, ei))
                 lengths.append(corner.dim // n_pair)
     return left, right, tuple(edges), tuple(lengths), len(left) + len(right) - len(edges)
+
+
+# -- the induced system through built modules: the oracle for `system_from_module`,
+# which reads the kept top and soc(M) in M's own coordinates --
+
+def system_from_module_by_restriction(m, budget=None) -> BilinearSystem:
+    """The induced system with adapted bases taken in two modules built for
+    it: the quotient module M/JM and soc(M) restricted to its own canonical
+    basis, whose coordinates the socle images are mapped into."""
+    soc_r = socles(m.algebra, budget).twosided
+    qd = quotient_action(m, radical_image(m, budget))
+    soc_m = socle_subspace(m, budget)
+    soc_rep = restrict_action(m, soc_m)
+
+    def adapted(rep):
+        specs, columns = [], []
+        for part in block_decomposition(rep):
+            specs.append(BlockSpec(part.n, part.mult.dim))
+            for u in part.mult.basis_rows:
+                columns.extend(part.summand(u))
+        assert len(columns) == rep.dim == Subspace.from_vectors(rep.field, rep.dim, columns).dim
+        return tuple(specs), columns
+
+    s_blocks, b_columns = adapted(qd.rep)
+    t_blocks, c_columns = adapted(soc_rep)
+    c_basis_mat = mat_of_columns(m.field, soc_rep.dim, c_columns)
+    a_mats = []
+    for a in soc_r.basis_rows:
+        act = m.act_mat(a)
+        cols = [solve(c_basis_mat, soc_m.coordinates_of(act.apply(qd.lift(b)))) for b in b_columns]
+        assert None not in cols
+        a_mats.append(mat_of_columns(m.field, len(c_columns), cols))
+    return BilinearSystem(m.field, s_blocks, t_blocks, tuple(a_mats))
+
+
+# -- the residue ring through its structure constants: the oracle for
+# `Algebra._residue_is_division`, which reads left multiplications mod J --
+
+def residue_is_division_by_quotient(alg, J) -> bool:
+    """Whether alg/J is a division ring, from the quotient's own structure
+    constants: each nonzero residue's left multiplication matrix is
+    assembled entry by entry and rank-tested."""
+    pivots = set(J.pivots)
+    free = [k for k in range(alg.dim) if k not in pivots]
+    dim_res = len(free)
+    if dim_res == 0:
+        return False
+
+    def project(coords):
+        red = J.reduce(coords)
+        return tuple(red[k] for k in free)
+
+    def lift(i):
+        return tuple(1 if k == free[i] else 0 for k in range(alg.dim))
+
+    field = alg.field
+    mult_res = [[project(alg.mul_coords(lift(i), lift(j))) for j in range(dim_res)] for i in range(dim_res)]
+    for coords in itertools.product(field.elements(), repeat=dim_res):
+        if not any(coords):
+            continue
+        rows = [[0] * dim_res for _ in range(dim_res)]
+        for j in range(dim_res):
+            col = [0] * dim_res
+            for i, xi in enumerate(coords):
+                if xi:
+                    col = [field.add(a, field.mul(xi, b)) for a, b in zip(col, mult_res[i][j])]
+            for k in range(dim_res):
+                rows[k][j] = col[k]
+        if mat_of_rows(field, dim_res, rows).rank() != dim_res:
+            return False
+    return True

@@ -35,7 +35,7 @@ from soclelab.gallery import (
     make_twisted_truncated,
 )
 
-from helpers import bimodule_length_by_corner_spans, socle_graph_by_vertex_spans
+from helpers import bimodule_length_by_corner_spans, residue_is_division_by_quotient, socle_graph_by_vertex_spans
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -89,6 +89,41 @@ def test_rejects_bad_certificates():
         algebra_make(GF2, dim=2, mult=base.mult, one=base.one,
                      certificate={"radical_basis": [(0, 1)], "split": True,
                                   "blocks": [{"n": 2, "matrix_units": [(1, 0)] * 4}]})
+
+
+def test_rejects_a_local_certificate_whose_residue_ring_is_not_division():
+    base = truncated_poly(GF2)
+    tri = make_triangular(2, GF2, False)
+    # F_2[x]/(x^2) modulo zero (x is a zero divisor), and the upper triangular
+    # 2x2 matrices modulo their radical (F_2 x F_2)
+    for alg, radical_basis in ((base, []), (tri, [(0, 0, 1)])):
+        with pytest.raises(InputError, match="quotient by claimed radical is not a division ring"):
+            algebra_make(GF2, dim=alg.dim, mult=alg.mult, one=alg.one,
+                         certificate={"radical_basis": radical_basis, "split": False, "local": True})
+    # modulo its radical F_2[x]/(x^2) is F_2, a field
+    local = algebra_make(GF2, dim=2, mult=base.mult, one=base.one,
+                         certificate={"radical_basis": [(0, 1)], "split": False, "local": True})
+    assert local.certificate.local
+
+
+def test_residue_division_test_matches_the_quotient_structure_constants():
+    # the left multiplications mod J against the quotient's structure
+    # constants, on the radical, zero and seeded random subspaces of the gallery
+    rng = random.Random(150)
+    verdicts = []
+    for _name, alg in iter_gallery_algebras():
+        field, d = alg.field, alg.dim
+        J = alg.radical()
+        subs = [J, Subspace.zero(field, d)]
+        for k in (1, 2, 3):
+            vectors = [tuple(rng.randrange(field.q) for _ in range(d)) for _ in range(k)]
+            subs += [Subspace.from_vectors(field, d, list(J.basis_rows) + vectors[:1]),
+                     Subspace.from_vectors(field, d, vectors)]
+        for sub in subs:
+            if field.q ** (d - sub.dim) <= 729:
+                verdicts.append(alg._residue_is_division(sub))
+                assert verdicts[-1] == residue_is_division_by_quotient(alg, sub), (_name, sub.basis_rows)
+    assert len(verdicts) >= 150 and True in verdicts and False in verdicts
 
 
 # -- the radical oracle ------------------------------------------------------------
@@ -491,6 +526,18 @@ def test_algebra_json_round_trip():
         data = alg.to_json()
         again = Algebra.from_json(data)
         assert again.to_json() == data
+
+
+def test_algebra_json_rejects_elements_out_of_field_range():
+    # Algebra and Mat decode through one codec, which reduces nothing
+    for alg, edit in ((make_triangular(2, GF2), lambda d: d.update(one=[5] + d["one"][1:])),
+                      (make_matrix_algebra(1, field_make(2, 2)), lambda d: d["mult"][0][0].__setitem__(0, [3])),
+                      (make_matrix_algebra(1, field_make(2, 2)),
+                       lambda d: d["matrix_basis"][0]["entries"][0].__setitem__(0, [3]))):
+        data = alg.to_json()
+        edit(data)
+        with pytest.raises(InputError, match="out of field range"):
+            Algebra.from_json(data)
 
 
 # -- generators ----------------------------------------------------------------------------------

@@ -324,6 +324,58 @@ def test_malformed_module_json_is_an_input_error(tmp_path, capsys, edit, message
         assert message in record["details"]["error"]
 
 
+def _without(data, key):
+    data.pop(key)
+    return data
+
+
+def _with_int_field(data, key, value):
+    target = data["s_blocks"][0] if "s_blocks" in data else data
+    target[key] = value
+    return data
+
+
+@pytest.mark.parametrize("command, source, edit, message", [
+    (["system", "check"], None, lambda d: {}, "bad system JSON: needs the key 'field'"),
+    (["system", "strong", "--side", "left", "--N", "1"], None, lambda d: {}, "bad system JSON: needs the key 'field'"),
+    (["algebra", "analyze"], None, lambda d: {}, "bad algebra JSON: needs the key 'field'"),
+    (["cover", "check"], None, lambda d: {}, "bad tensor subspace JSON: needs the key 'field'"),
+    (["module", "check"], "module", lambda d: {**d, "algebra": {}}, "bad algebra JSON: needs the key 'field'"),
+    (["module", "check"], "module", lambda d: {**d, "algebra_ref": "empty.json"},
+     "bad algebra JSON: needs the key 'field'"),
+    (["module", "check"], "module", lambda d: {**d, "algebra_ref": 5}, "algebra_ref must be a path string, got 5"),
+    (["system", "check"], None, lambda d: [], "bad system JSON: must be an object, got list"),
+    (["algebra", "analyze"], ("triangular", "n=2", "q=2"), lambda d: _without(d, "dim"), "needs the key 'dim'"),
+    (["system", "check"], ("line-cover-system", "q=2", "d=2"), lambda d: _without(d, "s_blocks"),
+     "needs the key 's_blocks'"),
+    (["cover", "check"], ("cross", "m=2", "n=2", "q=2"), lambda d: _without(d, "basis"), "needs the key 'basis'"),
+    (["cover", "check"], ("cross", "m=2", "n=2", "q=2"), lambda d: _with_int_field(d, "n", "x"),
+     "n must be an integer, got 'x'"),
+    (["system", "check"], ("line-cover-system", "q=2", "d=2"), lambda d: _with_int_field(d, "n", "x"),
+     "n must be an integer, got 'x'"),
+    (["algebra", "analyze"], ("triangular", "n=2", "q=2"), lambda d: {**d, "one": [5] + d["one"][1:]},
+     "coordinate out of field range: 5"),
+], ids=["system-check", "system-strong", "algebra-analyze", "cover-check", "module-inline-algebra",
+        "module-algebra-ref", "module-algebra-ref-type", "list", "missing-dim", "missing-s-blocks", "missing-basis", "tensor-n", "block-n",
+        "coordinate-range"])
+def test_malformed_input_json_is_an_input_error(tmp_path, capsys, command, source, edit, message):
+    # a decoding failure exits 2 as input-error, never 1 with a traceback
+    (tmp_path / "empty.json").write_text("{}")
+    if source == "module":
+        data = make_row_diagonal_pair()[1].to_json(inline_algebra=False)
+    elif source is None:
+        data = {}
+    else:
+        data = json.loads(write_gallery(tmp_path, capsys, *source).read_text())
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(edit(data)))
+    code, out = run(capsys, *command[:2], str(path), *command[2:])
+    assert code == 2
+    record = json.loads(out.strip().splitlines()[-1])
+    assert record["verdict"] == "input-error"
+    assert message in record["details"]["error"]
+
+
 def test_gallery_round_trips(tmp_path, capsys):
     # every gallery object must survive serialize -> parse -> serialize
     from soclelab.algebra import Algebra

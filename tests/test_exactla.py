@@ -569,6 +569,14 @@ def test_mat_rejects_entries_out_of_range(field):
     assert Mat.from_json(good, field) == Mat.from_rows(field, [[0, 1], [field.q - 1, 0]])
 
 
+def test_mat_json_shape_must_be_integers():
+    # a float or string shape was truncated or parsed; now it is an input error
+    good = Mat.from_rows(GF2, [[0, 1]]).to_json()
+    for key, bad in (("rows", 1.7), ("rows", "1"), ("cols", 2.0), ("cols", True)):
+        with pytest.raises(InputError, match=f"bad matrix JSON: {key} must be an integer"):
+            Mat.from_json({**good, key: bad}, GF2)
+
+
 # -- unchecked internal construction against the checked boundary ------------------------
 
 def recheck(m: Mat) -> None:

@@ -16,7 +16,7 @@ from soclelab.gallery import (
     make_twisted_truncated,
     make_number_field_example,
 )
-from soclelab.modrep import faithful, graph_socle_check, minimal_faithful, top_socle
+from soclelab.modrep import faithful, graph_socle_check, minimal_faithful, radical_image, top_socle
 from soclelab.strongness import predicates, prop41_check, small_conditions
 from soclelab.tensorcover import check_cond_b, check_cond_c, check_minimal
 
@@ -126,7 +126,7 @@ def test_row_diagonal_expected_values_rederived():
     ts = top_socle(module)
     assert ts.top_length == exp["top_length"]
     assert ts.socle_length == exp["socle_length"]
-    assert ts.jm.dim == exp["jm_dim"]
+    assert radical_image(module).dim == exp["jm_dim"]
     ineq = graph_socle_check(module).inequality
     assert (ineq["lhs"], ineq["rhs"], ineq["holds"]) == (exp["lhs"], exp["rhs"], exp["holds"])
 

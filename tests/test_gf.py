@@ -101,6 +101,19 @@ def test_json_round_trip():
         assert again == f
 
 
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_element_json_codec_reduces_nothing(p, e):
+    field = field_make(p, e)
+    for a in field.elements():
+        assert field.element_from_json(field.element_to_json(a)) == a
+        assert field.element_from_json(a) == a  # a code is read over every field
+    assert field.element_to_json(field.q - 1) == (field.q - 1 if e == 1 else [p - 1] * e)
+    assert field.element_from_json([1]) == 1 and field.element_from_json([]) == 0
+    for bad in (-1, field.q, True, 1.0, "1", None, [0] * e + [1], [p], [-1], [0.0]):
+        with pytest.raises(InputError, match="matrix entry out of field range"):
+            field.element_from_json(bad, "matrix entry")
+
+
 def test_gf2_flag():
     assert field_make(2).is_gf2
     assert not field_make(2, 2).is_gf2

@@ -13,6 +13,7 @@ from soclelab.exactla import (
     image,
     kernel,
     mat_of_columns,
+    mat_of_rows,
     mat_vec,
     num_projective_points,
 )
@@ -49,10 +50,11 @@ from soclelab.modrep import (
     socle_subspace,
     submodule_closure,
     system_from_module,
+    top,
     top_socle,
 )
 
-from helpers import random_invertible, top_socle_lengths
+from helpers import random_invertible, system_from_module_by_restriction, top_socle_lengths
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -71,6 +73,80 @@ def test_radical_image_is_kept_but_not_after_a_budget_stop():
     jm = radical_image(m)
     assert jm == Subspace.from_vectors(GF2, 2, [(0, 1)])
     assert radical_image(m) is jm
+
+
+def test_socle_is_kept_but_not_after_a_budget_stop():
+    # the same uncertified ring: soc(M) needs the radical oracle too
+    alg = algebra_make(GF2, dim=2, mult=[[(1, 0), (0, 1)], [(0, 1), (0, 0)]], one=(1, 0))
+    m = regular_module(alg)
+    with pytest.raises(BudgetExceeded):
+        socle_subspace(m, Budget(max_ring=1))
+    soc = socle_subspace(m)
+    assert soc == Subspace.from_vectors(GF2, 2, [(0, 1)])
+    assert socle_subspace(m) is soc
+
+
+def test_top_is_kept_but_not_after_a_budget_stop(monkeypatch):
+    # a certified radical never runs out of budget, so the stop is patched in
+    m = make_row_diagonal_pair()[1]
+    real = m.algebra.radical
+
+    def stopped(budget=None):
+        raise BudgetExceeded("radical", 2, 1)
+
+    monkeypatch.setattr(m.algebra, "radical", stopped)
+    with pytest.raises(BudgetExceeded):
+        top(m)
+    monkeypatch.setattr(m.algebra, "radical", real)
+    qd = top(m)
+    assert qd.sub == radical_image(m) and qd.dim == m.dim - qd.sub.dim
+    assert top(m) is qd
+
+
+def test_top_refuses_a_non_split_algebra_before_radical_work():
+    alg = algebra_make(GF2, dim=2, mult=[[(1, 0), (0, 1)], [(0, 1), (0, 0)]], one=(1, 0))
+    with pytest.raises(NotSplitError):
+        top(regular_module(alg), Budget(max_ring=1))
+
+
+def test_graph_socle_check_builds_the_top_and_the_socle_once(monkeypatch):
+    # every reader takes M/JM and soc(M) from the module: one quotient of JM,
+    # one socle kernel, and the top's quotient module the only module built
+    module = make_row_diagonal_pair()[1]
+    expected = graph_socle_check(make_row_diagonal_pair()[1])
+    jm = radical_image(make_row_diagonal_pair()[1])
+    socle_rows = [row for j in module.algebra.radical().basis_rows for row in module.act_mat(j).row_list()]
+    socle_mat = mat_of_rows(module.field, module.dim, socle_rows)
+    calls = {"ModuleRep": 0, "quotients of JM": 0, "socle kernels": 0, "restrict_action": 0}
+
+    def counting(name, real, counts=lambda *args: True):
+        def counted(*args, **kwargs):
+            calls[name] += counts(*args)
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(ModuleRep, "__init__", counting("ModuleRep", ModuleRep.__init__))
+    monkeypatch.setattr(modrep, "quotient_action",
+                        counting("quotients of JM", modrep.quotient_action, lambda m, sub: sub == jm))
+    monkeypatch.setattr(modrep, "kernel", counting("socle kernels", modrep.kernel, lambda mat: mat == socle_mat))
+    monkeypatch.setattr(modrep, "restrict_action", counting("restrict_action", modrep.restrict_action))
+    report = graph_socle_check(module)
+    assert calls == {"ModuleRep": 1, "quotients of JM": 1, "socle kernels": 1, "restrict_action": 0}
+    assert report == expected
+
+
+def test_system_from_module_matches_the_restricted_socle_oracle():
+    # soc(M) read blockwise in M's coordinates gives the system that the
+    # restricted socle module gives, on the split gallery's regular modules
+    # (the n = 2 blocks of matrix-algebra among them), their squares and the
+    # row-diagonal module
+    modules = [make_row_diagonal_pair()[1]]
+    for _name, alg in split_gallery_algebras():
+        reg = regular_module(alg)
+        modules += [reg, reg.direct_sum(reg)]
+    assert any(block.n == 2 for m in modules for block in m.algebra.blocks())
+    for m in modules:
+        assert system_from_module(m).to_json() == system_from_module_by_restriction(m).to_json()
 
 
 # -- construction ----------------------------------------------------------------
@@ -204,8 +280,9 @@ def test_row_diagonal_module_values():
     assert ok
     ts = top_socle(module)
     assert (ts.top_length, ts.socle_length) == (3, 2)
-    assert ts.jm.dim == 2 and ts.soc.dim == 2
-    assert ts.jm == ts.soc
+    jm, soc = radical_image(module), socle_subspace(module)
+    assert jm.dim == 2 and soc.dim == 2
+    assert jm == soc
 
 
 def test_socle_equals_sum_of_simple_submodules():
