@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 
 from .budget import Budget, default_budget
-from .errors import InputError, NotSplitError, PreconditionError, TheoremViolation, decoding, json_int
+from .errors import InputError, NotSplitError, PreconditionError, TheoremViolation, decoding, json_bool, json_int
 from .exactla import (
     Mat,
     RowBasis,
@@ -96,7 +96,6 @@ class Algebra:
         one: Coords,
         matrix_basis: tuple[Mat, ...] | None = None,
         certificate: CertifiedStructure | None = None,
-        _skip_verify: bool = False,
     ):
         self.field = field
         self.dim = dim
@@ -115,8 +114,7 @@ class Algebra:
             Mat(field, dim, dim, tuple(mult[j][i][k] for k in range(dim) for j in range(dim)))
             for i in range(dim)
         )
-        if not _skip_verify:
-            self._verify_structure()
+        self._verify_structure()
         if certificate is not None:
             self._verify_certificate(certificate)
 
@@ -330,13 +328,12 @@ class Algebra:
                 raw = data["certificate"]
                 cert_spec = {
                     "radical_basis": [dec_coords(v, dim) for v in raw.get("radical_basis", [])],
-                    "split": bool(raw.get("split", False)),
-                    "local": bool(raw.get("local", False)),
                     "blocks": [
                         {"n": json_int(b, "n"), "matrix_units": [dec_coords(u, dim) for u in b["matrix_units"]]}
                         for b in raw.get("blocks", [])
                     ],
                 }
+                cert_spec.update((flag, json_bool(raw, flag)) for flag in ("split", "local") if flag in raw)
         return algebra_make(field, dim=dim, mult=mult, matrix_basis=matrix_basis, one=one, certificate=cert_spec)
 
 
@@ -401,7 +398,13 @@ def algebra_make(
             Block(int(b["n"]), tuple(tuple(u) for u in b["matrix_units"]))
             for b in certificate.get("blocks", [])
         )
-        local = bool(certificate.get("local", False)) or (split and len(blocks) == 1 and blocks[0].n == 1)
+        if split:
+            local = len(blocks) == 1 and blocks[0].n == 1  # R/J is a division ring exactly then
+            if certificate.get("local", local) != local:
+                raise InputError(f"bad certificate: split blocks of sizes {[b.n for b in blocks]} claim "
+                                 f"local = {certificate['local']}, but only one block with n = 1 is local")
+        else:
+            local = bool(certificate.get("local", False))
         cert_obj = CertifiedStructure(radical, split, blocks if split else (), local)
 
     return Algebra(field, dim, mult, tuple(one), matrix_basis, cert_obj)

@@ -66,9 +66,19 @@ def decoding(what: str, data):
         raise InputError(f"bad {what} JSON: {exc}") from None
 
 
-def json_int(data: dict, key: str) -> int:
-    """data[key], which must be an integer (for use inside `decoding`)."""
+def json_int(data: dict | list, key: str | int) -> int:
+    """data[key], which must be an integer (for use inside `decoding`); data
+    may be a list, and key an index into it."""
+    return _json_typed(data, key, int, "an integer")
+
+
+def json_bool(data: dict, key: str) -> bool:
+    """data[key], which must be true or false (for use inside `decoding`)."""
+    return _json_typed(data, key, bool, "true or false")
+
+
+def _json_typed(data, key, kind: type, named: str):
     value = data[key]
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if type(value) is not kind:
+        raise ValueError(f"{'entry ' if type(key) is int else ''}{key} must be {named}, got {value!r}")
     return value

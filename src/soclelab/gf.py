@@ -190,7 +190,8 @@ class Field:
     def from_json(data: dict) -> "Field":
         with decoding("field", data):
             p, e = json_int(data, "p"), json_int(data, "e")
-            modulus = [int(c) for c in data.get("modulus") or []]
+            coeffs = data.get("modulus") or []
+            modulus = [json_int(coeffs, k) for k in range(len(coeffs))]
         return field_make(p, e, modulus + [1] if modulus else None)
 
     def element_to_json(self, a: int):

@@ -36,12 +36,12 @@ decides the submodule side when called; the quotient side and both
 witnesses are computed on first read, so a budget stop in the socle-point
 scan surfaces at that read (see `MinimalityReport`).
 
-The shrinking constructions follow the recursive proofs: pick cyclic pieces
-with simple top (descending through maximal submodules), or co-pieces with
-simple essential socle (growing a complement above the kernel of the socle
-projection), then accumulate greedily while the annihilator inside the
-two-sided socle strictly drops.  Every output is re-verified against the
-bound it is supposed to satisfy; a failure raises TheoremViolation.
+The shrinks descend along `minimal_faithful`'s witnesses: `shrink_submodule`
+steps to a faithful maximal submodule, and `shrink_quotient` to a faithful
+M/L with L simple, until there is none.  Faithfulness is upward monotone, so
+the result has no faithful proper submodule (or quotient), and the theorem
+bounds its top (or socle) length by the bimodule length of soc(R).  Every
+output is re-verified against that bound; a failure raises TheoremViolation.
 """
 
 from __future__ import annotations
@@ -747,139 +747,44 @@ def module_report(m: ModuleRep, budget: Budget | None = None) -> ModuleReport:
 # shrinking constructions
 # ---------------------------------------------------------------------------
 
-def shrink_bound(m: ModuleRep, budget: Budget) -> tuple[Subspace, int]:
-    """soc(R) and its bimodule length, the bound every shrink meets, for a
+def shrink_bound(m: ModuleRep, budget: Budget) -> int:
+    """The bimodule length of soc(R), the bound every shrink meets, for a
     module that must be faithful."""
     if not faithful(m)[0]:
         raise PreconditionError("shrinking needs a faithful module")
-    soc_r = socles(m.algebra, budget).twosided
-    return soc_r, bimodule_length(m.algebra, soc_r, budget)
-
-
-def _annihilator_chain(m: ModuleRep, soc_r: Subspace, n_bound: int, start: Subspace, pieces: list,
-                       combine, acted, what: str) -> Subspace:
-    """Greedy chain from start: combine it with the first unused piece that
-    strictly lowers the dimension of the annihilator inside soc(R), until
-    that dimension is 0.  acted gives what soc(R)'s basis does to a
-    candidate (`_images_on` a submodule, `_residuals_mod` a kernel); the
-    chain may take at most n_bound steps."""
-    soc_actions = [m.act_mat(r) for r in soc_r.basis_rows]
-    remaining = list(pieces)
-    cur, ann_dim, steps = start, soc_r.dim, 0
-    while ann_dim > 0:
-        for idx, piece in enumerate(remaining):
-            cand = combine(cur, piece)
-            images = acted(soc_actions, cand)
-            new_dim = _soc_annihilator_dim(m.field, images, len(images[0]))
-            if new_dim < ann_dim:
-                cur, ann_dim = cand, new_dim
-                del remaining[idx]
-                break
-        else:
-            raise TheoremViolation(f"no {what} shrinks the socle annihilator of a faithful module")
-        steps += 1
-        if steps > n_bound:
-            raise TheoremViolation("annihilator chain exceeded the bimodule length of the socle")
-    return cur
+    return bimodule_length(m.algebra, socles(m.algebra, budget).twosided, budget)
 
 
 def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
-    """Faithful submodule M' with top length at most the bimodule length of
-    soc(R), built from cyclic pieces with simple tops accumulated while the
-    annihilator inside soc(R) strictly drops."""
+    """Faithful submodule with no faithful proper submodule, so with top length
+    at most the bimodule length of soc(R): step to `minimal_faithful`'s
+    submodule witness, a faithful maximal submodule, until there is none (at
+    most dim M steps, each charged by `minimal_faithful`'s own guards)."""
     budget = budget or default_budget()
-    soc_r, n_bound = shrink_bound(m, budget)
-    qd = top(m, budget)
-    # one (generator lift, top of its simple summand) per simple summand of M/JM
-    summands = [
-        (qd.lift(u), Subspace.from_vectors(m.field, qd.dim, part.summand(u)))
-        for part in block_decomposition(qd)
-        for u in part.mult.basis_rows
-    ]
-
-    pieces = []
-    for x, l_top in summands:
-        n_sub = submodule_closure(m, [x])
-        while True:
-            rep = restrict_action(m, n_sub)
-            for _f2, _h, w_local in maximal_submodules(rep, budget):
-                w_m = Subspace.from_vectors(
-                    m.field, m.dim,
-                    [vec_combo(m.field, list(n_sub.basis_rows), c) for c in w_local.basis_rows],
-                )
-                w_top = Subspace.from_vectors(m.field, qd.dim, [qd.project(v) for v in w_m.basis_rows])
-                if w_top == l_top:
-                    n_sub = w_m
-                    break
-            else:
-                break  # no maximal submodule keeps the top: rep is n_sub's action
-        if semisimple_length(top(rep, budget)) != 1:
-            raise TheoremViolation("cyclic piece failed to have simple top")
-        pieces.append(n_sub)
-
-    chosen = _annihilator_chain(m, soc_r, n_bound, Subspace.zero(m.field, m.dim), pieces,
-                                Subspace.sum, _images_on, "cyclic piece")
-    result = restrict_action(m, chosen)
-    ok, _ = faithful(result)
-    if not ok:
+    n_bound = shrink_bound(m, budget)
+    while (w := minimal_faithful(m, budget).submodule_witness) is not None:
+        m = restrict_action(m, w)
+    if not faithful(m)[0]:
         raise TheoremViolation("shrunk submodule lost faithfulness")
-    ts = top_socle(result, budget)
-    if ts.top_length > n_bound:
+    if semisimple_length(top(m, budget)) > n_bound:
         raise TheoremViolation("shrunk submodule exceeds the top-length bound")
-    return result
+    return m
 
 
 def shrink_quotient(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
-    """Faithful quotient M'' with socle length at most the bimodule length of
-    soc(R), via co-pieces with simple essential socle.  Each pass of the
-    point scan that grows a co-piece is charged to the budget, as a running
-    total of its point count, before it runs."""
+    """Faithful quotient with no faithful proper quotient, so with socle length
+    at most the bimodule length of soc(R): step to M/L for `minimal_faithful`'s
+    quotient witness L, a simple submodule, until there is none (at most dim M
+    steps, each charged by `minimal_faithful`'s own guards)."""
     budget = budget or default_budget()
-    soc_r, n_bound = shrink_bound(m, budget)
-    # the simple summands of soc(M), one per basis vector of each block's multiplicity space
-    summands = [
-        Subspace.from_vectors(m.field, m.dim, part.summand(u))
-        for part in block_decomposition(m, socle_subspace(m, budget))
-        for u in part.mult.basis_rows
-    ]
-
-    kernels = []
-    charged = 0
-    for j, l_sub in enumerate(summands):
-        others = [v for j2, l2 in enumerate(summands) if j2 != j for v in l2.basis_rows]
-        k_j = Subspace.from_vectors(m.field, m.dim, others)
-        qd = quotient_action(m, k_j)
-        l_bar = Subspace.from_vectors(m.field, qd.dim, [qd.project(v) for v in l_sub.basis_rows])
-        n_bar = Subspace.zero(m.field, qd.dim)
-        grown = True
-        while grown:
-            grown = False
-            charged += num_projective_points(qd.dim, m.field.q)
-            budget.guard("shrink-quotient point enumeration", charged)
-            for coeffs in enum_coeff_points(m.field, qd.dim):
-                if n_bar.contains_vector(coeffs):
-                    continue
-                cyc = submodule_closure(qd.rep, [coeffs])
-                cand = n_bar.sum(cyc)
-                if cand.intersect(l_bar).dim == 0:
-                    n_bar = cand
-                    grown = True
-                    break
-        n_j = _preimage(qd, n_bar)
-        factor = quotient_action(m, n_j).rep
-        if semisimple_length(factor, socle_subspace(factor, budget)) != 1:
-            raise TheoremViolation("co-piece failed to have simple socle")
-        kernels.append(n_j)
-
-    k_cur = _annihilator_chain(m, soc_r, n_bound, Subspace.full(m.field, m.dim), kernels,
-                               Subspace.intersect, _residuals_mod, "co-piece")
-    result = quotient_action(m, k_cur).rep
-    ok, _ = faithful(result)
-    if not ok:
+    n_bound = shrink_bound(m, budget)
+    while (l_sub := minimal_faithful(m, budget).quotient_witness) is not None:
+        m = quotient_action(m, l_sub).rep
+    if not faithful(m)[0]:
         raise TheoremViolation("shrunk quotient lost faithfulness")
-    if semisimple_length(result, socle_subspace(result, budget)) > n_bound:
+    if semisimple_length(m, socle_subspace(m, budget)) > n_bound:
         raise TheoremViolation("shrunk quotient exceeds the socle-length bound")
-    return result
+    return m
 
 
 def shrink_subfactor(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
@@ -888,7 +793,7 @@ def shrink_subfactor(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
     budget = budget or default_budget()
     first = shrink_submodule(m, budget)
     second = shrink_quotient(first, budget)
-    _, n_bound = shrink_bound(m, budget)
+    n_bound = shrink_bound(m, budget)
     ts = top_socle(second, budget)
     if ts.top_length > n_bound or ts.socle_length > n_bound:
         raise TheoremViolation("subfactor violates a shrink bound")

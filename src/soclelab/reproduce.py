@@ -315,7 +315,7 @@ def battery_shrink_bounds(seed: int, min_count: int = 200, budget: Budget | None
     corpus = faithful_corpus(rng, min_count=min_count)
     sub_viol = quot_viol = factor_viol = 0
     for name, mod in corpus:
-        _, n_bound = shrink_bound(mod, budget)
+        n_bound = shrink_bound(mod, budget)
         try:
             m1 = shrink_submodule(mod, budget)
             ok1, _ = faithful(m1)

@@ -540,6 +540,42 @@ def test_algebra_json_rejects_elements_out_of_field_range():
             Algebra.from_json(data)
 
 
+def test_certificate_flags_must_be_json_booleans():
+    # a string is not a flag: "no" and "false" would both be true as Python values
+    data = make_triangular(2, GF2).to_json()
+    data["certificate"].update(split="no", local="false")
+    with pytest.raises(InputError, match="split must be true or false, got 'no'"):
+        Algebra.from_json(data)
+    data["certificate"]["split"] = True
+    with pytest.raises(InputError, match="local must be true or false, got 'false'"):
+        Algebra.from_json(data)
+
+
+@pytest.mark.parametrize("scalar", [False, True], ids=["two-blocks", "one-block"])
+def test_split_certificate_local_claim_must_match_its_blocks(scalar):
+    # a split certificate is local exactly when it is one block with n = 1, so
+    # a claim either way is checked against the blocks, never written back
+    alg = make_triangular(2, GF2, scalar)
+    data = alg.to_json()
+    assert data["certificate"]["local"] is scalar
+    data["certificate"]["local"] = not scalar
+    with pytest.raises(InputError, match="only one block with n = 1 is local"):
+        Algebra.from_json(data)
+    del data["certificate"]["local"]  # the claim is optional, and then derived
+    assert Algebra.from_json(data).to_json() == alg.to_json()
+
+
+def test_split_gallery_algebras_write_local_as_one_block_of_size_one():
+    written = set()
+    for name, alg in iter_gallery_algebras():
+        cert = alg.to_json().get("certificate")
+        if cert is not None and cert["split"]:
+            blocks = cert["blocks"]
+            assert cert["local"] is (len(blocks) == 1 and blocks[0]["n"] == 1), name
+            written.add(cert["local"])
+    assert written == {True, False}
+
+
 # -- generators ----------------------------------------------------------------------------------
 
 def unital_closure_by_products(alg: Algebra, indices) -> Subspace:

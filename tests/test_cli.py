@@ -355,9 +355,16 @@ def _with_int_field(data, key, value):
      "n must be an integer, got 'x'"),
     (["algebra", "analyze"], ("triangular", "n=2", "q=2"), lambda d: {**d, "one": [5] + d["one"][1:]},
      "coordinate out of field range: 5"),
+    (["algebra", "analyze"], ("triangular", "n=2", "q=2"),
+     lambda d: {**d, "certificate": {**d["certificate"], "split": "no", "local": "false"}},
+     "split must be true or false, got 'no'"),
+    (["algebra", "analyze"], ("triangular", "n=2", "q=2"),
+     lambda d: {**d, "certificate": {**d["certificate"], "local": True}}, "only one block with n = 1 is local"),
+    (["algebra", "analyze"], ("matrix-algebra", "n=1", "q=4"),
+     lambda d: {**d, "field": {**d["field"], "modulus": [1.9, "1"]}}, "entry 0 must be an integer, got 1.9"),
 ], ids=["system-check", "system-strong", "algebra-analyze", "cover-check", "module-inline-algebra",
         "module-algebra-ref", "module-algebra-ref-type", "list", "missing-dim", "missing-s-blocks", "missing-basis", "tensor-n", "block-n",
-        "coordinate-range"])
+        "coordinate-range", "certificate-flag", "split-local-claim", "modulus-coefficient"])
 def test_malformed_input_json_is_an_input_error(tmp_path, capsys, command, source, edit, message):
     # a decoding failure exits 2 as input-error, never 1 with a traceback
     (tmp_path / "empty.json").write_text("{}")

@@ -114,6 +114,16 @@ def test_element_json_codec_reduces_nothing(p, e):
             field.element_from_json(bad, "matrix entry")
 
 
+def test_field_json_modulus_coefficients_must_be_integers():
+    # int(c) would read [1.9, "1"] as [1, 1], that is F_4
+    for modulus, message in (([1.9, "1"], "entry 0 must be an integer, got 1.9"),
+                             ([1, "1"], "entry 1 must be an integer, got '1'"),
+                             ([True, 1], "entry 0 must be an integer, got True")):
+        with pytest.raises(InputError, match=message):
+            Field.from_json({"p": 2, "e": 2, "modulus": modulus})
+    assert Field.from_json({"p": 2, "e": 2, "modulus": [1, 1]}) == field_make(2, 2)
+
+
 def test_gf2_flag():
     assert field_make(2).is_gf2
     assert not field_make(2, 2).is_gf2

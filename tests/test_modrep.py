@@ -15,7 +15,6 @@ from soclelab.exactla import (
     mat_of_columns,
     mat_of_rows,
     mat_vec,
-    num_projective_points,
 )
 from soclelab.gf import field_make
 from soclelab import modrep
@@ -711,23 +710,43 @@ def test_simple_socle_scan_charges_the_budget():
     assert len(list(simple_socle_submodules(top, Budget(max_enumeration=total)))) == total
 
 
-def test_shrink_quotient_point_scan_charges_the_budget(monkeypatch):
+def guard_counts(run) -> dict[str, list[int]]:
+    """Per guard site, the counts that run(budget) charged, in order."""
+    seen: dict[str, list[int]] = {}
+
+    class Recording(Budget):
+        def guard(self, what, needed):
+            seen.setdefault(what, []).append(needed)
+            super().guard(what, needed)
+
+    run(Recording())
+    return seen
+
+
+def assert_each_shrink_step_charges(shrink, site: str):
+    """On the row-diagonal module twice, which is not minimal on either side,
+    the shrink takes several steps and charges site on each (minimal_faithful's
+    own guard); a cap one below the largest charge stops it there, and a cap
+    equal to it gives the unbudgeted output."""
     _ring, module = make_row_diagonal_pair()
-    scans = []
-    real = modrep.enum_coeff_points
-
-    def counting(field, dim):
-        scans.append(dim)
-        return real(field, dim)
-
-    monkeypatch.setattr(modrep, "enum_coeff_points", counting)
-    shrunk = shrink_quotient(module)
-    assert len(scans) > 1  # the charge is a running total over several passes
-    total = sum(num_projective_points(dim, module.field.q) for dim in scans)
-    with pytest.raises(BudgetExceeded, match="shrink-quotient point enumeration") as exc:
-        shrink_quotient(module, Budget(max_enumeration=total - 1))
+    twice = module.direct_sum(module)
+    shrunk = shrink(twice)
+    assert shrunk.dim < twice.dim
+    counts = guard_counts(lambda budget: shrink(twice, budget))
+    assert len(counts[site]) > 1
+    total = max(counts[site])
+    with pytest.raises(BudgetExceeded, match=site) as exc:
+        shrink(twice, Budget(max_enumeration=total - 1))
     assert (exc.value.needed, exc.value.cap) == (total, total - 1)
-    assert shrink_quotient(module, Budget(max_enumeration=total)).action == shrunk.action
+    assert shrink(twice, Budget(max_enumeration=total)).action == shrunk.action
+
+
+def test_shrink_quotient_point_scan_charges_the_budget():
+    assert_each_shrink_step_charges(shrink_quotient, "simple-socle point enumeration")
+
+
+def test_shrink_submodule_hyperplane_scan_charges_the_budget():
+    assert_each_shrink_step_charges(shrink_submodule, "maximal-submodule hyperplane enumeration")
 
 
 # -- dimension-only questions by rank, against the annihilator subspaces ----------
@@ -872,6 +891,31 @@ def shrink_test_modules() -> list[ModuleRep]:
         reg = regular_module(alg)
         modules.extend([reg, reg.direct_sum(reg)])
     return modules
+
+
+def test_shrinks_end_with_no_faithful_step_left():
+    # each shrink stops when minimal_faithful finds no witness on its side,
+    # and the annihilator subspaces confirm it; the modules include the
+    # row-diagonal ring's regular module, whose quotient shrink must drop
+    # below its 6 dimensions
+    shrunk_sub = shrunk_quot = 0
+    for m in shrink_test_modules():
+        sub, quot = shrink_submodule(m), shrink_quotient(m)
+        assert minimal_faithful_by_annihilators(sub)[0]
+        assert minimal_faithful_by_annihilators(quot)[1]
+        shrunk_sub += sub.dim < m.dim
+        shrunk_quot += quot.dim < m.dim
+    assert shrunk_sub and shrunk_quot
+
+
+@pytest.mark.parametrize("shrink, message", [(shrink_submodule, "top-length"), (shrink_quotient, "socle-length")])
+def test_shrinks_reverify_the_bound(monkeypatch, shrink, message):
+    # the descent's result is checked against the theorem's bound: a patched
+    # bound of 0 cannot be met, and the shrink reports a violation
+    _ring, module = make_row_diagonal_pair()
+    monkeypatch.setattr(modrep, "shrink_bound", lambda m, budget: 0)
+    with pytest.raises(TheoremViolation, match=f"exceeds the {message} bound"):
+        shrink(module)
 
 
 def test_shrink_annihilator_dims_by_rank_match_the_intersections(rng):
