@@ -24,17 +24,12 @@ A ModuleRep keeps JM, its top M/JM (`top`, the QuotientData of JM), soc(M)
 and its annihilator once computed, and a budget stop keeps nothing: every
 bound, both minimality tests, the induced system and the shrinks read them.
 
-Both minimality tests read only how the two-sided socle soc2 = soc(R) acts.
-Annihilators of submodules and quotients are two-sided ideals, and every
-nonzero two-sided ideal meets soc2.  An element of soc2 kills JM, so it acts
-through the maps M/JM -> soc(M), and each test is one rank test of soc2's
-basis on M/JM.  When R/J is F itself (one block of size one), the block's
-E_00 is 1 modulo J and acts on M/JM and soc(M) as the identity: the
-multiplicity spaces are those spaces themselves, and a maximal submodule's
-W/JM is its hyperplane, with no image or kernel taken.  `minimal_faithful`
-decides the submodule side when called; the quotient side and both
-witnesses are computed on first read, so a budget stop in the socle-point
-scan surfaces at that read (see `MinimalityReport`).
+Both minimality tests read only how the two-sided socle soc2 = soc(R) acts:
+every nonzero two-sided ideal, an annihilator among them, meets soc2, and
+soc2 kills JM, so it acts through maps M/JM -> soc(M).  `minimal_faithful`
+checks faithfulness and returns a `MinimalityReport`, which decides each
+side on its first read by the `_kills` and `_lands_in` rank tests that
+`strongness` runs on a system's corners.
 
 The shrinks descend along `minimal_faithful`'s witnesses: `shrink_submodule`
 steps to a faithful maximal submodule, and `shrink_quotient` to a faithful
@@ -69,7 +64,7 @@ from .exactla import (
     solve,
     vec_combo,
 )
-from .strongness import BilinearSystem, BlockSpec, prop41_check
+from .strongness import BilinearSystem, BlockSpec, _kills, _lands_in, prop41_check
 
 
 class ModuleRep:
@@ -188,27 +183,6 @@ def _annihilator(m: ModuleRep) -> Subspace:
 def faithful(m: ModuleRep) -> tuple[bool, Subspace]:
     ann = annihilator(m)
     return ann.dim == 0, ann
-
-
-def _images_on(mats, w: Subspace) -> list:
-    """Per matrix, the images of w's basis under it, concatenated."""
-    return [tuple(itertools.chain.from_iterable(mat.apply(v) for v in w.basis_rows)) for mat in mats]
-
-
-def _residuals_mod(mats, k_sub: Subspace) -> list:
-    """Per matrix, its columns reduced modulo k_sub, concatenated."""
-    return [
-        tuple(itertools.chain.from_iterable(k_sub.reduce(mat.col(k)) for k in range(mat.cols)))
-        for mat in mats
-    ]
-
-
-def _soc_annihilator_dim(field, soc_images: list, width: int) -> int:
-    """dim(soc(R) ∩ annihilator), given what each basis element of soc(R)
-    does (its action on a subspace, or its residuals modulo one), as vectors
-    of length width: the basis is independent, so the intersection has the
-    basis size less the rank of those vectors."""
-    return len(soc_images) - row_rank(soc_images, width, field)
 
 
 # ---------------------------------------------------------------------------
@@ -474,25 +448,53 @@ def simple_socle_submodules(m: ModuleRep, budget: Budget | None = None):
 
 
 class MinimalityReport:
-    """Both minimality properties of a faithful module.  The submodule side
-    is decided when the report is made; the quotient side (the socle-point
-    scan) runs on the first read of `no_faithful_simple_quotient` or
-    `quotient_witness`, or of `minimal` once the submodule side has found
-    no faithful maximal submodule.  `submodule_witness` is built on its
-    first read.  Each result is kept once computed."""
+    """Both minimality properties of a faithful module.  The report takes
+    M/JM and soc2's maps on it when made, and decides each side on its first
+    read and keeps it; a budget stop keeps nothing, so it surfaces at the
+    read that ran the scan, and again at the next.  `minimal` reads the
+    submodule side first.  A boolean read builds no submodule: W itself is
+    built only for `submodule_witness`.
 
-    def __init__(self, no_faithful_max_submodule: bool, build_submodule_witness, scan_quotients):
-        self.no_faithful_max_submodule = no_faithful_max_submodule
-        self._build_submodule_witness = build_submodule_witness
-        self._scan_quotients = scan_quotients
+    Both tests read only the two-sided socle soc2 = soc(R).  ann(W) and
+    ann(M/L) are two-sided ideals, and a nonzero two-sided ideal I meets
+    soc2: if J^k I != 0 = J^(k+1) I, then J^k I lies in I and is killed by J
+    on the left; repeat on the right.  So W (or M/L) is faithful iff no
+    nonzero element of soc2 kills it.  An element t of soc2 has tJ = 0, so it
+    kills JM, and it acts through its columns at the free positions of JM,
+    that is, on M/JM; M is faithful, so these maps are independent.  W is
+    faithful iff no nonzero combination of them kills W/JM (`_kills`), and
+    M/L is faithful iff none has all its columns in L (`_lands_in`).  W/JM
+    comes from the top alone (it is the hyperplane itself when R/J is F; see
+    `BlockPart`)."""
+
+    def __init__(self, m: ModuleRep, budget: Budget):
+        self.module, self._budget, self._top = m, budget, top(m, budget)
+        # soc2's maps M/JM -> M, row-major dim M x dim M/JM
+        acts = (m.act_mat(r) for r in socles(m.algebra, budget).twosided.basis_rows)
+        self._soc_maps = [mat_of_columns(m.field, m.dim, [a.col(k) for k in self._top.free_positions]).entries
+                          for a in acts]
+
+    @functools.cached_property
+    def _faithful_top(self) -> Subspace | None:
+        """W/JM for the first faithful maximal submodule W, or None."""
+        qd = self._top
+        return next((w_top for _f, _h, w_top in _maximal_tops(qd, self._budget)
+                     if not _kills(qd.field, self._soc_maps, qd.dim, w_top.basis_rows)), None)
+
+    @property
+    def no_faithful_max_submodule(self) -> bool:
+        return self._faithful_top is None
 
     @functools.cached_property
     def submodule_witness(self) -> Subspace | None:
-        return self._build_submodule_witness()
+        return None if self._faithful_top is None else _preimage(self._top, self._faithful_top)
 
     @functools.cached_property
     def quotient_witness(self) -> Subspace | None:
-        return self._scan_quotients()
+        """The first simple L in soc(M) with M/L faithful, or None."""
+        qd = self._top
+        return next((l_sub for _f, _u, l_sub in simple_socle_submodules(self.module, self._budget)
+                     if not _lands_in(qd.field, self._soc_maps, qd.dim, l_sub.basis_rows)), None)
 
     @property
     def no_faithful_simple_quotient(self) -> bool:
@@ -504,54 +506,15 @@ class MinimalityReport:
 
 
 def minimal_faithful(m: ModuleRep, budget: Budget | None = None) -> MinimalityReport:
-    """Check both minimality properties of a faithful module.
+    """Both minimality properties of a faithful module, each decided on its
+    first read (see `MinimalityReport`) under the given budget.
 
     Faithfulness is upward monotone, so no proper faithful submodule exists
     iff no maximal one is faithful, and dually a faithful proper quotient
-    exists iff M/L is faithful for some simple L in the socle.
-
-    The maximal-submodule scan runs in this call, so its budget stop
-    surfaces here.  The socle-point scan runs on the first read that needs
-    it (see `MinimalityReport`), under the same budget, so a stop of the
-    "simple-socle point enumeration" surfaces at that read.  Both witnesses
-    are built on first read.
-
-    Both tests read only the two-sided socle soc2 = soc(R).  ann(W) and
-    ann(M/L) are two-sided ideals, and a nonzero two-sided ideal I meets
-    soc2: if J^k I != 0 = J^(k+1) I, then J^k I lies in I and is killed by J
-    on the left; repeat on the right.  So W (or M/L) is faithful iff no
-    nonzero element of soc2 kills it, a rank test on soc2's basis.  An
-    element t of soc2 has tJ = 0, so it kills JM, and it acts through its
-    columns at the free positions of JM, that is, on M/JM.  W is faithful
-    iff those maps, applied to a basis of W/JM, have rank dim soc2; M/L is
-    faithful iff those columns, reduced modulo L, do.  W/JM comes from the
-    top alone (it is the hyperplane itself when R/J is F; see
-    `BlockPart`), and W itself is built only for the witness."""
-    ok, _ = faithful(m)
-    if not ok:
+    exists iff M/L is faithful for some simple L in the socle."""
+    if not faithful(m)[0]:
         raise PreconditionError("minimality is only defined for faithful modules")
-    budget = budget or default_budget()
-    qd = top(m, budget)
-    field = m.field
-    soc_r = socles(m.algebra, budget).twosided
-    # soc2's actions restricted to the top: dim M x dim M/JM
-    soc_tops = [
-        mat_of_columns(field, m.dim, [act.col(k) for k in qd.free_positions])
-        for act in (m.act_mat(r) for r in soc_r.basis_rows)
-    ]
-    faithful_top = next((w_top for _f, _h, w_top in _maximal_tops(qd, budget)
-                         if _soc_annihilator_dim(field, _images_on(soc_tops, w_top), w_top.dim * m.dim) == 0),
-                        None)
-
-    def submodule_witness():
-        return None if faithful_top is None else _preimage(qd, faithful_top)
-
-    def scan_quotients():
-        return next((l_sub for _f, _u, l_sub in simple_socle_submodules(m, budget)
-                     if _soc_annihilator_dim(field, _residuals_mod(soc_tops, l_sub), qd.dim * m.dim) == 0),
-                    None)
-
-    return MinimalityReport(faithful_top is None, submodule_witness, scan_quotients)
+    return MinimalityReport(m, budget or default_budget())
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ relative strength ask one question of a sub-bimodule: does some nonzero
 element kill a given maximal submodule of B, or map B into a given simple
 submodule of C?  It is decided per member on the W_fe (`_kills_maximal`,
 `_maps_into_simple`): A's own for the first and last, those of T a S for
-the swap conditions, which are decided once per distinct T a S.
+the swap conditions, which are decided once per distinct T a S.  Each is one
+rank test per corner, `_kills` or `_lands_in`; `modrep` decides a module's
+two minimality properties with the same two tests on soc(R)'s maps.
 """
 
 from __future__ import annotations
@@ -363,6 +365,45 @@ def _hyperplane_bases(field: Field, dim: int) -> tuple[tuple, ...]:
     return tuple(hyper.basis_rows for hyper in enum_hyperplanes(Subspace.full(field, dim)))
 
 
+def _kills(field: Field, maps, s: int, vectors) -> bool:
+    """Whether some nonzero combination of the independent row-major t x s
+    matrices `maps` is zero on every given vector of k^s.  X v is the
+    combination of X's columns weighted by v, linear in X, so the answer is a
+    rank drop of the stacked images (with no vectors, any map qualifies)."""
+    if not vectors:
+        return bool(maps)
+    images = []
+    for x in maps:
+        columns = [x[c::s] for c in range(s)]
+        images.append(tuple(itertools.chain.from_iterable(vec_combo(field, columns, v) for v in vectors)))
+    return row_rank(images, len(images[0]), field) < len(images)
+
+
+def _lands_in(field: Field, maps, s: int, pivot_rows) -> bool:
+    """Whether some nonzero combination of the independent row-major t x s
+    matrices `maps` has every column in the span of the given RREF rows of
+    k^t.  A column v reduces to v less v[p] rho over the rows rho with their
+    leading 1 at p: read by rows of X, row r loses rho[r] times row p, and
+    row p vanishes, so it is left out.  That is linear in X, so the answer is
+    a rank drop of the reduced maps."""
+    sub, mul = field.tables.sub, field.tables.mul
+    leads = [rho.index(1) for rho in pivot_rows]
+    images = []
+    for x in maps:
+        image = []
+        for r in range(len(x) // s):
+            if r in leads:
+                continue
+            v = x[r * s:(r + 1) * s]
+            for p, rho in zip(leads, pivot_rows):
+                if rho[r]:
+                    mc = mul[rho[r]]
+                    v = [sub[a][mc[b]] for a, b in zip(v, x[p * s:(p + 1) * s])]
+            image.extend(v)
+        images.append(image)
+    return row_rank(images, len(images[0]) if images else 0, field) < len(images)
+
+
 def _kills_maximal(sys: BilinearSystem, corners: dict, e: int, hyper) -> bool:
     """Whether some nonzero element of the sub-bimodule with the given corner
     bases kills the maximal submodule H (x) k^{n_e} (+) (the other S-blocks).
@@ -371,22 +412,10 @@ def _kills_maximal(sys: BilinearSystem, corners: dict, e: int, hyper) -> bool:
     column block e vanish, and its (f, e) component sum X_il (x) E_il kills
     H (x) k^{n_e} exactly when every multiplicity block X_il kills H.  So
     the answer is yes exactly when some W_fe in column e holds a nonzero X
-    with X|_H = 0: one solve of W_fe -> Hom(H, k^{t_f}) per corner.  When
+    with X|_H = 0: one `_kills` of W_fe on H's basis per corner.  When
     s_e = 1, H = 0 and any nonzero W_fe qualifies."""
-    field = sys.field
     s = sys.s_blocks[e].mult
-    for (f, e2), basis in corners.items():
-        if e2 != e:
-            continue
-        # X restricted to H: X h for every basis vector h of H, concatenated
-        images = [
-            tuple(itertools.chain.from_iterable(vec_combo(field, [x[c::s] for c in range(s)], h) for h in hyper))
-            for x in basis
-        ]
-        # the basis is independent: a rank drop is a nonzero X with zero image
-        if row_rank(images, sys.t_blocks[f].mult * len(hyper), field) < len(images):
-            return True
-    return False
+    return any(_kills(sys.field, basis, s, hyper) for (_f, e2), basis in corners.items() if e2 == e)
 
 
 def _maps_into_simple(sys: BilinearSystem, corners: dict, f: int, mu) -> bool:
@@ -397,24 +426,11 @@ def _maps_into_simple(sys: BilinearSystem, corners: dict, f: int, mu) -> bool:
     components outside row block f vanish and every multiplicity block of
     its (f, e) components has its columns in span(mu).  So the answer is yes
     exactly when some W_fe in row f holds a nonzero X with columns in
-    span(mu): X - mu (x) (row p of X) = 0, where mu has its leading 1 at p.
-    When t_f = 1 the only point is mu = (1) and any nonzero W_fe qualifies."""
-    field = sys.field
-    sub, mul = field.tables.sub, field.tables.mul
-    t = sys.t_blocks[f].mult
-    p = mu.index(1)
-    for (f2, e), basis in corners.items():
-        if f2 != f:
-            continue
-        s = sys.s_blocks[e].mult
-        # the columns of X reduced modulo span(mu); row p reduces to zero
-        images = [
-            tuple(sub[x[r * s + c]][mul[mu[r]][x[p * s + c]]] for r in range(t) if r != p for c in range(s))
-            for x in basis
-        ]
-        if row_rank(images, (t - 1) * s, field) < len(images):
-            return True
-    return False
+    span(mu): one `_lands_in` of W_fe modulo mu, a point with its leading 1,
+    per corner.  When t_f = 1 the only point is mu = (1) and any nonzero W_fe
+    qualifies."""
+    return any(_lands_in(sys.field, basis, sys.s_blocks[e].mult, (mu,))
+               for (f2, e), basis in corners.items() if f2 == f)
 
 
 def _corner_hypotheses(sys: BilinearSystem, corners: dict) -> tuple[bool, bool]:

@@ -13,6 +13,7 @@ from soclelab.exactla import (
     kernel,
     mat_of_columns,
     mat_of_rows,
+    row_rank,
     rref_rows,
     solve,
     vec_combo,
@@ -207,6 +208,30 @@ def coverage_by_full_size_solves(sys: BilinearSystem) -> tuple:
     c_fail = next(((f, mu) for f, mu, vectors in simple_c_submodules(sys)
                    if image_in_submodule_combo(sys, basis, vectors) is None), None)
     return b_fail is None, c_fail is None, b_fail, c_fail
+
+
+# -- module minimality by soc(R)'s images and residuals: the oracle for the
+# shared `_kills` / `_lands_in` rank tests --
+
+def images_on(mats, w: Subspace) -> list:
+    """Per matrix, the images of w's basis under it, concatenated."""
+    return [tuple(itertools.chain.from_iterable(mat.apply(v) for v in w.basis_rows)) for mat in mats]
+
+
+def residuals_mod(mats, k_sub: Subspace) -> list:
+    """Per matrix, its columns reduced modulo k_sub, concatenated."""
+    return [
+        tuple(itertools.chain.from_iterable(k_sub.reduce(mat.col(k)) for k in range(mat.cols)))
+        for mat in mats
+    ]
+
+
+def soc_annihilator_dim(field, soc_images: list, width: int) -> int:
+    """dim(soc(R) ∩ annihilator), given what each basis element of soc(R)
+    does (its action on a subspace, or its residuals modulo one), as vectors
+    of length width: the basis is independent, so the intersection has the
+    basis size less the rank of those vectors."""
+    return len(soc_images) - row_rank(soc_images, width, field)
 
 
 # -- lengths by idempotent ranks and corner spans: the oracles for the block

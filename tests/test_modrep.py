@@ -1,11 +1,12 @@
 import itertools
+import random
 import re
 
 import pytest
 
 from soclelab.algebra import algebra_make, bimodule_length, socle_graph, socles
 from soclelab.budget import Budget
-from soclelab.corpus import iter_generator_modules
+from soclelab.corpus import iter_generator_modules, random_generator_module
 from soclelab.errors import BudgetExceeded, InputError, NotSplitError, PreconditionError, TheoremViolation
 from soclelab.exactla import (
     Mat,
@@ -52,8 +53,16 @@ from soclelab.modrep import (
     top,
     top_socle,
 )
+from soclelab.strongness import predicates
 
-from helpers import random_invertible, system_from_module_by_restriction, top_socle_lengths
+from helpers import (
+    images_on,
+    random_invertible,
+    residuals_mod,
+    soc_annihilator_dim,
+    system_from_module_by_restriction,
+    top_socle_lengths,
+)
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -585,13 +594,13 @@ def annihilator_of_subspace(m: ModuleRep, w: Subspace) -> Subspace:
     if w.dim == 0:
         return Subspace.full(m.field, m.algebra.dim)
     # column i stacks the images of w's basis under basis element i
-    return kernel(mat_of_columns(m.field, w.dim * m.dim, modrep._images_on(m.action, w)))
+    return kernel(mat_of_columns(m.field, w.dim * m.dim, images_on(m.action, w)))
 
 
 def annihilator_of_quotient(m: ModuleRep, k_sub: Subspace) -> Subspace:
     """{r : r M is contained in k_sub}, in algebra coordinates."""
     # column i stacks the residuals mod k_sub of basis element i's columns
-    return kernel(mat_of_columns(m.field, m.dim * m.dim, modrep._residuals_mod(m.action, k_sub)))
+    return kernel(mat_of_columns(m.field, m.dim * m.dim, residuals_mod(m.action, k_sub)))
 
 
 def annihilator_of_quotient_by_unit_vectors(m: ModuleRep, sub: Subspace) -> Subspace:
@@ -749,6 +758,21 @@ def test_shrink_submodule_hyperplane_scan_charges_the_budget():
     assert_each_shrink_step_charges(shrink_submodule, "maximal-submodule hyperplane enumeration")
 
 
+def test_shrink_quotient_runs_no_hyperplane_scan():
+    # the quotient descent reads only the quotient witness, so the top's
+    # 7 hyperplanes are never enumerated: a cap of 3 does not stop it
+    def module():
+        return random_generator_module(make_square_zero_extension(GF2, 2), 4, random.Random(68))
+
+    shrunk = shrink_quotient(module())
+    assert (module().dim, shrunk.dim) == (4, 3)
+    assert shrink_quotient(module(), Budget(max_enumeration=3)).action == shrunk.action
+    counts = guard_counts(lambda budget: shrink_quotient(module(), budget))
+    assert "simple-socle point enumeration" in counts
+    assert "maximal-submodule hyperplane enumeration" not in counts
+    assert len(list(maximal_submodules(module()))) == 7
+
+
 # -- dimension-only questions by rank, against the annihilator subspaces ----------
 
 CRITERION_8_ALGEBRAS = [alg for _name, alg in criterion8_algebras()]
@@ -825,6 +849,63 @@ def test_battery_answers_are_invariant_under_conjugation(rng):
     # non-faithful, faithful but not minimal, and minimal modules all occur,
     # over F_2 and F_3, and most conjugates differ from the module
     assert min(seen.values()) > 10 and moved > sum(seen.values()) // 2
+
+
+def induced_system_modules() -> list[ModuleRep]:
+    """The faithful modules of criterion 8 at dims 1-3, the regular modules of
+    the split gallery algebras with at most 3^8 elements and their squares,
+    and the row-diagonal module."""
+    modules = [m for alg in CRITERION_8_ALGEBRAS for dim in (1, 2, 3) for m in iter_generator_modules(alg, dim)]
+    for _name, alg in iter_gallery_algebras(max_ring=3**8):
+        if alg.certificate is not None and alg.certificate.split:
+            reg = regular_module(alg)
+            modules += [reg, reg.direct_sum(reg)]
+    modules.append(make_row_diagonal_pair()[1])
+    return [m for m in modules if faithful(m)[0]]
+
+
+def is_local(alg) -> bool:
+    blocks = alg.blocks()
+    return len(blocks) == 1 and blocks[0].n == 1
+
+
+def test_minimality_is_the_coverage_of_the_induced_system():
+    # no faithful maximal submodule is the first coverage condition of the
+    # system soc(R) induces from M/JM to soc(M), and no faithful simple-socle
+    # quotient the second; each side is compared on its own
+    modules = induced_system_modules()
+    sides = []
+    for m in modules:
+        report, preds = minimal_faithful(m), predicates(system_from_module(m))
+        sides.append((report.no_faithful_max_submodule, report.no_faithful_simple_quotient))
+        assert sides[-1] == (preds.cond_b, preds.cond_c)
+    assert len(modules) == 389 and sum(not is_local(m.algebra) for m in modules) == 17
+    assert {side for pair in sides for side in pair} == {True, False}
+    assert len(set(sides)) > 2
+
+
+def test_minimality_and_witnesses_are_invariant_under_conjugation(rng):
+    # g rho g^-1 is an isomorphic module: both sides keep their answers, and
+    # a witness of the conjugate is a faithful maximal submodule, or a simple
+    # L with M/L faithful, of the conjugate
+    sz = regular_module(make_square_zero_extension(GF2, 2))
+    modules = [m for m in induced_system_modules() if not is_local(m.algebra)] + [sz, sz.direct_sum(sz)]
+    witnesses = 0
+    for m in modules:
+        g, g_inv = random_invertible(m.field, m.dim, rng)
+        conjugate = ModuleRep(m.algebra, m.dim, tuple(g.mul(a).mul(g_inv) for a in m.action))
+        report, moved = minimal_faithful(m), minimal_faithful(conjugate)
+        assert (moved.no_faithful_max_submodule, moved.no_faithful_simple_quotient) \
+            == (report.no_faithful_max_submodule, report.no_faithful_simple_quotient)
+        if moved.submodule_witness is not None:
+            assert moved.submodule_witness.dim < m.dim
+            assert faithful(restrict_action(conjugate, moved.submodule_witness))[0]
+            witnesses += 1
+        if moved.quotient_witness is not None:
+            assert moved.quotient_witness.dim > 0
+            assert faithful(quotient_action(conjugate, moved.quotient_witness).rep)[0]
+            witnesses += 1
+    assert len(modules) == 19 and witnesses > 4
 
 
 def block_parts_by_images(rep: ModuleRep, sub: Subspace | None) -> list:
@@ -920,21 +1001,25 @@ def test_shrinks_reverify_the_bound(monkeypatch, shrink, message):
 
 def test_shrink_annihilator_dims_by_rank_match_the_intersections(rng):
     # dim(soc(R) ∩ ann) = dim soc(R) - rank of soc(R)'s basis acting, for
-    # any subspace, invariant (zero and full included) or not
+    # any subspace, invariant (zero and full included) or not; the shared
+    # rank tests on soc(R)'s row-major actions say whether it is nonzero
     checked = dropped = 0
     for m in shrink_test_modules():
         soc_r = socles(m.algebra).twosided
         soc_actions = [m.act_mat(r) for r in soc_r.basis_rows]
+        maps = [act.entries for act in soc_actions]
         subs = invariant_subspaces(m)
         for _ in range(12):
             k = rng.randint(1, m.dim)
             subs.append(Subspace.from_vectors(m.field, m.dim, [[rng.randrange(m.field.q) for _ in range(m.dim)]
                                                                for _ in range(k)]))
         for w in subs:
-            on_sub = modrep._soc_annihilator_dim(m.field, modrep._images_on(soc_actions, w), w.dim * m.dim)
+            on_sub = soc_annihilator_dim(m.field, images_on(soc_actions, w), w.dim * m.dim)
             assert on_sub == soc_r.intersect(annihilator_of_subspace(m, w)).dim
-            on_quot = modrep._soc_annihilator_dim(m.field, modrep._residuals_mod(soc_actions, w), m.dim * m.dim)
+            assert modrep._kills(m.field, maps, m.dim, w.basis_rows) == (on_sub > 0)
+            on_quot = soc_annihilator_dim(m.field, residuals_mod(soc_actions, w), m.dim * m.dim)
             assert on_quot == soc_r.intersect(annihilator_of_quotient(m, w)).dim
+            assert modrep._lands_in(m.field, maps, m.dim, w.basis_rows) == (on_quot > 0)
             checked += 1
             dropped += 0 < on_sub < soc_r.dim
     assert checked > 100 and dropped
@@ -1054,10 +1139,11 @@ def test_minimality_builds_the_top_module_only_for_non_identity_blocks(monkeypat
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(ModuleRep, "__init__", counting)
+    # the submodule side is decided on its first read
     for m in local:
-        minimal_faithful(m)
+        minimal_faithful(m).no_faithful_max_submodule
     assert built == []
-    minimal_faithful(two_block)
+    minimal_faithful(two_block).no_faithful_max_submodule
     assert len(built) == 1
     # the quotient built on first read is the unit-vector reference, and is kept
     qd = quotient_action(two_block, radical_image(two_block))
@@ -1117,7 +1203,7 @@ def kxy_twice() -> ModuleRep:
 def test_minimal_runs_no_socle_scan_when_a_maximal_submodule_is_faithful(monkeypatch):
     m = kxy_twice()
     calls = {name: counted(monkeypatch, name)
-             for name in ("socle_subspace", "simple_socle_submodules", "_residuals_mod", "_preimage")}
+             for name in ("socle_subspace", "simple_socle_submodules", "_lands_in", "_preimage")}
     report = minimal_faithful(m)
     assert not report.no_faithful_max_submodule
     assert not report.minimal
@@ -1137,8 +1223,9 @@ def test_minimal_runs_no_socle_scan_when_a_maximal_submodule_is_faithful(monkeyp
 
 def test_socle_point_budget_stop_surfaces_at_the_read():
     m = kxy_twice()
+    # each side's scan runs on its first read, so its stop surfaces there
     with pytest.raises(BudgetExceeded, match="maximal-submodule hyperplane enumeration"):
-        minimal_faithful(m, Budget(max_enumeration=2))
+        minimal_faithful(m, Budget(max_enumeration=2)).no_faithful_max_submodule
     report = minimal_faithful(m, Budget(max_enumeration=3))
     assert not report.minimal
     for _ in range(2):  # a stopped scan keeps no result: each read stops again
