@@ -209,6 +209,10 @@ class Algebra:
 
     def _verify_split_blocks(self, cert: CertifiedStructure):
         J = cert.radical
+        for f, block in enumerate(cert.blocks):
+            if block.n < 1 or len(block.matrix_units) != block.n * block.n:
+                raise InputError(f"bad certificate: block {f} has n = {block.n} and {len(block.matrix_units)} "
+                                 f"matrix units, needs n >= 1 and n^2 units")
         total = sum(b.n * b.n for b in cert.blocks)
         if total != self.dim - J.dim:
             raise InputError("bad certificate: block sizes do not fill the semisimple quotient")

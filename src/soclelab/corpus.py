@@ -338,8 +338,8 @@ def random_verified_system(
 ) -> tuple[BilinearSystem, SystemReport] | None:
     """A random split system whose hypotheses all verify: nondegeneracy, both
     coverage conditions, and the cardinality condition; the swap condition
-    holds by the proved implication from the split block structure (its
-    literal enumeration is exercised separately on small fixed systems)."""
+    holds by the proved implication from the split block structure (under
+    the cap of 1 its tuple scan runs only when there is one corner tuple)."""
     check_budget = Budget(max_enumeration=1, max_ring=2**16)
     for _ in range(max_tries):
         sys = random_split_system(field, rng)

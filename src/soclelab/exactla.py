@@ -613,6 +613,17 @@ def num_projective_points(dim: int, q: int) -> int:
     return (q**dim - 1) // (q - 1)
 
 
+def num_subspaces(dim: int, q: int, max_dim: int | None = None) -> int:
+    """The number of subspaces of F_q^dim of dimension at most max_dim (all
+    when None): the Gaussian binomials [dim, d]_q summed over d, each from
+    the last by [dim, d + 1] = [dim, d] (q^(dim-d) - 1) / (q^(d+1) - 1)."""
+    total = term = 1
+    for d in range(dim if max_dim is None else min(dim, max_dim)):
+        term = term * (q ** (dim - d) - 1) // (q ** (d + 1) - 1)
+        total += term
+    return total
+
+
 def enum_coeff_points(field: Field, dim: int):
     """Canonical representatives of the 1-dim subspaces of F_q^dim.
 

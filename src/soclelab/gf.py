@@ -192,6 +192,8 @@ class Field:
             p, e = json_int(data, "p"), json_int(data, "e")
             coeffs = data.get("modulus") or []
             modulus = [json_int(coeffs, k) for k in range(len(coeffs))]
+            if any(not 0 <= c < p for c in modulus):
+                raise InputError(f"modulus coefficients must lie in 0..{p - 1}, got {modulus}")
         return field_make(p, e, modulus + [1] if modulus else None)
 
     def element_to_json(self, a: int):

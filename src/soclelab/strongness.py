@@ -29,13 +29,15 @@ relative strength ask one question of a sub-bimodule: does some nonzero
 element kill a given maximal submodule of B, or map B into a given simple
 submodule of C?  It is decided per member on the W_fe (`_kills_maximal`,
 `_maps_into_simple`): A's own for the first and last, those of T a S for
-the swap conditions, which are decided once per distinct T a S.  Each is one
-rank test per corner, `_kills` or `_lands_in`; `modrep` decides a module's
-two minimality properties with the same two tests on soc(R)'s maps.
+the swap conditions, which run over the tuples of corner subspaces that a
+T a S can take, each decided once.  Each is one rank test per corner,
+`_kills` or `_lands_in`; `modrep` decides a module's two minimality
+properties with the same two tests on soc(R)'s maps.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -56,6 +58,7 @@ from .exactla import (
     kernel,
     mat_of_rows,
     num_projective_points,
+    num_subspaces,
     row_rank,
     rref_rows,
     vec_combo,
@@ -69,6 +72,10 @@ class BlockSpec:
 
     n: int
     mult: int
+
+    def __post_init__(self):
+        if self.n < 1 or self.mult < 0:
+            raise InputError(f"block needs n >= 1 and mult >= 0, got n = {self.n}, mult = {self.mult}")
 
     def module_dim(self) -> int:
         return self.n * self.mult
@@ -266,22 +273,6 @@ def predicates(sys: BilinearSystem) -> PredicateReport:
 # small conditions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SmallConditions:
-    matrix_blocks: bool  # split by construction: recorded, not computed
-    swap_both: bool
-    swap_either: bool
-    method: str  # "literal" or budget note
-
-    def to_json(self) -> dict:
-        return {
-            "matrix_blocks": self.matrix_blocks,
-            "swap_both": self.swap_both,
-            "swap_either": self.swap_either,
-            "method": self.method,
-        }
-
-
 def _iter_span_elements(field: Field, basis_rows):
     if not basis_rows:
         return
@@ -477,44 +468,51 @@ def _swap_failures(sys: BilinearSystem, corners: dict) -> tuple[bool, bool]:
     )
 
 
-def small_conditions(sys: BilinearSystem, budget: Budget | None = None) -> SmallConditions:
-    """Literal enumeration of the two orbit-swap conditions.
+def small_conditions(sys: BilinearSystem, budget: Budget | None = None) -> None:
+    """The two orbit-swap conditions, decided once per tuple of corner subspaces.
 
     For every nonzero element a of A: when a's image generates a simple
     submodule, some nonzero element of the sub-bimodule T a S must kill a
     maximal submodule of B; when ker(a) contains a maximal submodule, some
     nonzero element of T a S must map B into a simple submodule of C.
 
-    Every point of A is enumerated and its T a S read corner by corner
-    (`_corner_orbits`); every maximal submodule of B and simple submodule of
-    C is decided on those corners by an exact solve, so the method stays
-    "literal".  Both hypotheses and both conclusions depend on a only
-    through T a S, so each distinct T a S is decided once: exact, since
-    equal RREF corner bases mean equal T a S.
+    Both hypotheses and both conclusions depend on a only through
+    T a S = (+)_{(f,e)} U_fe (x) Matr_{n_f x n_e}(k), where U_fe is spanned by
+    the n_f * n_e multiplicity blocks of a's (f, e) component
+    (`_corner_orbits`), and `_swap_failures` decides them from the U_fe.
+    span(A) is balanced, so it is (+) W_fe (x) Matr_{n_f x n_e}(k) with W_fe
+    the corner spaces of A: the components of a range independently, each
+    over every n_f * n_e-tuple of vectors of W_fe.  So the tuples (U_fe) that
+    occur are exactly those with U_fe a subspace of W_fe of dimension at most
+    n_f * n_e, not all zero.  Each is decided once, in `itertools.product`
+    order over the corners, with U_fe built from W_fe's RREF rows by an RREF
+    coordinate basis, which gives U_fe in RREF.  The tuples are counted by
+    Gaussian binomials and charged to the budget before any is built.
 
-    matrix_blocks is true by construction (only split systems are
-    representable), and the chain matrix_blocks => swap_both => swap_either
-    is proved, so a failure in either direction is an implementation bug:
-    it raises TheoremViolation, and a returned report has every field true.
+    The chain matrix blocks => swap both => swap either is proved for split
+    systems, the only representable ones, so a failure in either direction
+    is an implementation bug: it raises TheoremViolation naming the tuple.
     """
     budget = budget or default_budget()
-    span = sys.a_span()
-    count = num_projective_points(span.dim, sys.field.q) if span.dim else 0
-    budget.guard("small-conditions enumeration", count)
-    decided: set = set()
-    for vec in _iter_span_elements(sys.field, list(span.basis_rows)):
-        corners = _corner_orbits(sys, (Mat._of(sys.field, sys.dim_c, sys.dim_b, tuple(vec)),))
-        # keyed by the corner bases, canonical because each is in RREF
-        key = tuple(sorted(corners.items()))
-        if key in decided:
-            continue
-        decided.add(key)
-        forward, backward = _swap_failures(sys, corners)
+    field = sys.field
+    corners = sys.corner_spaces()
+    reach = [sys.t_blocks[f].n * sys.s_blocks[e].n for f, e in corners]
+    count = math.prod(num_subspaces(len(basis), field.q, m) for basis, m in zip(corners.values(), reach))
+    budget.guard("small-conditions enumeration", count - 1)
+    choices = [
+        [(fe, tuple(vec_combo(field, basis, c) for c in coords.basis_rows))
+         for coords in all_subspaces(field, len(basis), range(m + 1))]
+        for (fe, basis), m in zip(corners.items(), reach)
+    ]
+    # the first tuple is all zero: a = 0
+    for pick in itertools.islice(itertools.product(*choices), 1, None):
+        subspaces = {fe: rows for fe, rows in pick if rows}
+        forward, backward = _swap_failures(sys, subspaces)
         if forward or backward:
             raise TheoremViolation(
-                f"split system fails the {'forward' if forward else 'backward'} swap condition at {list(vec)}"
+                f"split system fails the {'forward' if forward else 'backward'} swap condition "
+                f"at the corner subspaces {subspaces}"
             )
-    return SmallConditions(True, True, True, "literal")
 
 
 # ---------------------------------------------------------------------------
@@ -798,18 +796,15 @@ def prop41_check(sys: BilinearSystem, budget: Budget | None = None) -> SystemRep
     lhs = lt_b + lt_c
     rhs = lt_a + graph.chi
     holds = lhs <= rhs
-    try:
-        small = small_conditions(sys, budget)
-        swap_either = small.swap_either
-    except BudgetExceeded:
-        # literal enumeration over budget: implied for split systems by the
-        # proved implication chain from the matrix-block condition
-        swap_either = True
+    # a swap failure raises; over budget, the swap condition is implied for
+    # split systems by the proved implication chain from the matrix-block condition
+    with contextlib.suppress(BudgetExceeded):
+        small_conditions(sys, budget)
     hypotheses = {
         "nondeg": preds.nondegenerate,
         "cond_b": preds.cond_b,
         "cond_c": preds.cond_c,
-        "small_either": swap_either,
+        "small_either": True,
         "cardD": sbudget.cardD_ok,
     }
     report = SystemReport(sbudget, graph, lt_b, lt_c, lt_a, lhs, rhs, holds, hypotheses, sys.field.q)

@@ -565,6 +565,25 @@ def test_split_certificate_local_claim_must_match_its_blocks(scalar):
     assert Algebra.from_json(data).to_json() == alg.to_json()
 
 
+def test_split_certificate_rejects_an_empty_block():
+    # a block of size 0 fills nothing of R/J, so the size count alone accepts it
+    data = make_triangular(2, GF2).to_json()
+    data["certificate"]["blocks"].append({"n": 0, "matrix_units": []})
+    with pytest.raises(InputError, match="block 2 has n = 0 and 0 matrix units"):
+        Algebra.from_json(data)
+
+
+def test_split_certificate_rejects_a_block_with_the_wrong_unit_count():
+    # both matrix units in the first n = 1 block, none in the second: the
+    # sizes fill R/J, but the second block has no unit E_00 to check
+    data = make_triangular(2, GF2).to_json()
+    first, second = data["certificate"]["blocks"]
+    first["matrix_units"] += second["matrix_units"]
+    second["matrix_units"] = []
+    with pytest.raises(InputError, match="block 0 has n = 1 and 2 matrix units, needs n >= 1 and n\\^2 units"):
+        Algebra.from_json(data)
+
+
 def test_split_gallery_algebras_write_local_as_one_block_of_size_one():
     written = set()
     for name, alg in iter_gallery_algebras():

@@ -335,6 +335,25 @@ def _with_int_field(data, key, value):
     return data
 
 
+def _bare_system(s_block, t_block):
+    """A system with one block on each side and no generators: with a T-block
+    of size -1 it passed the inequality, and with an S-block of size 0 it
+    failed it, before the block sizes were checked."""
+    return {"field": {"p": 2, "e": 1, "modulus": []}, "s_blocks": [s_block], "t_blocks": [t_block], "a_basis": []}
+
+
+def _with_empty_block(data):
+    data["certificate"]["blocks"].append({"n": 0, "matrix_units": []})
+    return data
+
+
+def _with_units_in_one_block(data):
+    first, second = data["certificate"]["blocks"]
+    first["matrix_units"] += second["matrix_units"]
+    second["matrix_units"] = []
+    return data
+
+
 @pytest.mark.parametrize("command, source, edit, message", [
     (["system", "check"], None, lambda d: {}, "bad system JSON: needs the key 'field'"),
     (["system", "strong", "--side", "left", "--N", "1"], None, lambda d: {}, "bad system JSON: needs the key 'field'"),
@@ -362,9 +381,19 @@ def _with_int_field(data, key, value):
      lambda d: {**d, "certificate": {**d["certificate"], "local": True}}, "only one block with n = 1 is local"),
     (["algebra", "analyze"], ("matrix-algebra", "n=1", "q=4"),
      lambda d: {**d, "field": {**d["field"], "modulus": [1.9, "1"]}}, "entry 0 must be an integer, got 1.9"),
+    (["system", "check"], None, lambda d: _bare_system({"n": 1, "mult": 1}, {"n": -1, "mult": -1}),
+     "block needs n >= 1 and mult >= 0, got n = -1, mult = -1"),
+    (["system", "check"], None, lambda d: _bare_system({"n": 0, "mult": 2}, {"n": 1, "mult": 1}),
+     "block needs n >= 1 and mult >= 0, got n = 0, mult = 2"),
+    (["algebra", "analyze"], ("triangular", "n=2", "q=2"), _with_empty_block, "block 2 has n = 0 and 0 matrix units"),
+    (["algebra", "analyze"], ("triangular", "n=2", "q=2"), _with_units_in_one_block,
+     "block 0 has n = 1 and 2 matrix units"),
+    (["algebra", "analyze"], ("square-zero-extension", "q=4", "g=2"),
+     lambda d: {**d, "field": {**d["field"], "modulus": [3, 3]}}, "modulus coefficients must lie in 0..1"),
 ], ids=["system-check", "system-strong", "algebra-analyze", "cover-check", "module-inline-algebra",
         "module-algebra-ref", "module-algebra-ref-type", "list", "missing-dim", "missing-s-blocks", "missing-basis", "tensor-n", "block-n",
-        "coordinate-range", "certificate-flag", "split-local-claim", "modulus-coefficient"])
+        "coordinate-range", "certificate-flag", "split-local-claim", "modulus-coefficient", "t-block-size",
+        "s-block-size", "certificate-empty-block", "certificate-unit-count", "modulus-range"])
 def test_malformed_input_json_is_an_input_error(tmp_path, capsys, command, source, edit, message):
     # a decoding failure exits 2 as input-error, never 1 with a traceback
     (tmp_path / "empty.json").write_text("{}")

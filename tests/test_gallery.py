@@ -136,8 +136,7 @@ def test_line_cover_systems_expected_table():
         sys_obj = make_line_cover_system(field_make(q), d)
         preds = predicates(sys_obj)
         assert preds.nondegenerate and preds.cond_b and preds.cond_c
-        sc = small_conditions(sys_obj)
-        assert sc.matrix_blocks and sc.swap_either
+        assert small_conditions(sys_obj) is None
         rep = prop41_check(sys_obj)
         assert (rep.lhs, rep.rhs) == (lhs, rhs)
         assert not rep.holds

@@ -124,6 +124,14 @@ def test_field_json_modulus_coefficients_must_be_integers():
     assert Field.from_json({"p": 2, "e": 2, "modulus": [1, 1]}) == field_make(2, 2)
 
 
+def test_field_json_modulus_coefficients_must_lie_in_the_prime_field():
+    # field_make reduces mod p, so [3, 3] and [-1, 1] would both read as x^2 + x + 1
+    for modulus in ([3, 3], [-1, 1], [1, 2]):
+        with pytest.raises(InputError, match=r"modulus coefficients must lie in 0\.\.1"):
+            Field.from_json({"p": 2, "e": 2, "modulus": modulus})
+    assert Field.from_json({"p": 3, "e": 2, "modulus": [2, 2]}) == field_make(3, 2, [2, 2, 1])
+
+
 def test_gf2_flag():
     assert field_make(2).is_gf2
     assert not field_make(2, 2).is_gf2

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -7,13 +8,14 @@ import pytest
 from soclelab import strongness
 from soclelab.budget import Budget
 from soclelab.errors import BudgetExceeded, InputError, PreconditionError, TheoremViolation
-from soclelab.corpus import random_split_system
+from soclelab.corpus import random_split_system, random_verified_system
 from soclelab.exactla import (
     Mat,
     RowBasis,
     Subspace,
     all_subspaces,
     num_projective_points,
+    num_subspaces,
     row_rank,
 )
 from soclelab.gf import field_make
@@ -100,11 +102,18 @@ def test_balance_verification_rejects_non_bimodule():
         BilinearSystem(GF2, (BlockSpec(2, 1),), (BlockSpec(2, 1),), (Mat.unit(GF2, 2, 2, 0, 0),))
 
 
+def test_block_sizes_are_checked():
+    # a block needs n >= 1; a multiplicity of 0 is an absent module block
+    for n, mult in ((0, 2), (-1, -1), (1, -1), (0, 0)):
+        with pytest.raises(InputError, match="block needs n >= 1 and mult >= 0"):
+            BlockSpec(n, mult)
+    assert BlockSpec(1, 0).module_dim() == 0
+
+
 # -- small conditions --------------------------------------------------------------
 
 def test_line_cover_small_conditions():
-    sc = small_conditions(LINE_COVER_2)
-    assert sc.matrix_blocks and sc.swap_both and sc.swap_either
+    assert small_conditions(LINE_COVER_2) is None
 
 
 def test_small_conditions_on_split_systems_never_break_the_chain():
@@ -115,11 +124,8 @@ def test_small_conditions_on_split_systems_never_break_the_chain():
         make_line_cover_system(GF3, 2),
     ]
     for sys_obj in systems:
-        sc = small_conditions(sys_obj)
-        # the proved implication chain: blocks => both => either
-        assert sc.matrix_blocks
-        assert sc.swap_both
-        assert sc.swap_either
+        # the proved implication chain blocks => both => either: a failure raises
+        assert small_conditions(sys_obj) is None
 
 
 def test_small_conditions_vacuous_on_missing_block_pairs():
@@ -127,8 +133,7 @@ def test_small_conditions_vacuous_on_missing_block_pairs():
     # and the block structure keeps the implication chain intact
     gens = (Mat.from_rows(GF2, [[1, 0]]),)
     sys_obj = BilinearSystem(GF2, (BlockSpec(1, 1), BlockSpec(1, 1)), (BlockSpec(1, 1),), gens)
-    sc = small_conditions(sys_obj)
-    assert sc.matrix_blocks and sc.swap_both and sc.swap_either
+    assert small_conditions(sys_obj) is None
     assert (0, 1) not in sys_obj.corner_spaces()  # the empty pair
     assert all(m.is_zero() for m in sys_obj.block_maps(0, 1))
 
@@ -441,29 +446,108 @@ def test_memoised_swap_decision_matches_the_per_element_oracle(monkeypatch, patc
     assert (failing > 0) == patched
 
 
-def test_small_conditions_decides_each_distinct_orbit_once(monkeypatch):
+def recording_swap_decisions(monkeypatch):
+    """The corner tuples that `_swap_failures` is called with, appended as
+    `small_conditions` decides them."""
     calls = []
     real = strongness._swap_failures
 
-    def counting(sys_obj, corners):
-        calls.append(tuple(sorted(corners.items())))
+    def recording(sys_obj, corners):
+        calls.append(dict(corners))
         return real(sys_obj, corners)
 
-    monkeypatch.setattr(strongness, "_swap_failures", counting)
+    monkeypatch.setattr(strongness, "_swap_failures", recording)
+    return calls
+
+
+# a seeded random split system over F_3 with an n = 2 codomain block, the rs3.json of the CI hash step
+RS3 = random_split_system(GF3, random.Random(21))
+
+
+@functools.lru_cache(maxsize=None)
+def criterion9_systems():
+    """The 500 systems of criterion 9 at its default seed, in the order of
+    `reproduce.battery_system_no_violation`."""
+    rng = random.Random(20260808)
+    fields = [field_make(2, 2), field_make(5), field_make(7), field_make(3, 2)]
+    systems, idx = [], 0
+    while len(systems) < 500:
+        result = random_verified_system(fields[idx % len(fields)], rng)
+        idx += 1
+        if result is not None:
+            systems.append(result[0])
+    return tuple(systems)
+
+
+def test_small_conditions_decides_each_distinct_orbit_once(monkeypatch):
+    # the tuples decided are exactly the distinct corner tuples of T a S over
+    # the points of A, read point by point, each decided once
+    small = [sys_obj for sys_obj in criterion9_systems()
+             if num_projective_points(sys_obj.a_span().dim, sys_obj.field.q) <= 400]
+    assert len(small) == 220
+    calls = recording_swap_decisions(monkeypatch)
     points = decisions = 0
-    for sys_obj in corner_check_systems():
+    for sys_obj in corner_check_systems() + [RS3] + small:
         del calls[:]
-        assert small_conditions(sys_obj).swap_both
+        assert small_conditions(sys_obj) is None
         field, span = sys_obj.field, sys_obj.a_span()
-        # one decision per distinct T a S among the points
         keys = set()
         for vec in _iter_span_elements(field, list(span.basis_rows)):
             a = Mat._of(field, sys_obj.dim_c, sys_obj.dim_b, tuple(vec))
             keys.add(tuple(sorted(_corner_orbits(sys_obj, (a,)).items())))
-        assert len(calls) == len(set(calls)) and set(calls) == keys
+        decided = [tuple(sorted(corners.items())) for corners in calls]
+        assert len(decided) == len(set(decided)) and set(decided) == keys, sys_obj.to_json()
         points += num_projective_points(span.dim, field.q)
         decisions += len(calls)
     assert decisions < points
+
+
+def tuple_count(sys_obj):
+    """The number of nonzero tuples of corner subspaces U_fe of W_fe with
+    dim U_fe <= n_f * n_e."""
+    return math.prod(num_subspaces(len(basis), sys_obj.field.q, sys_obj.t_blocks[f].n * sys_obj.s_blocks[e].n)
+                     for (f, e), basis in sys_obj.corner_spaces().items()) - 1
+
+
+def test_tuple_weights_partition_the_points(monkeypatch):
+    # a tuple (U_fe) is taken by prod s(U_fe) / (q - 1) points of A, where
+    # s(U) = prod_{i < dim U} (q^m - q^i) counts the m-tuples of vectors of U
+    # that span it, m = n_f * n_e; over the decided tuples these sum to P(A).
+    # Also on criterion 9's systems with more points than the default cap
+    # and at most 1,000 tuples, whose point scan would not fit
+    over_cap = [sys_obj for sys_obj in criterion9_systems()
+                if num_projective_points(sys_obj.a_span().dim, sys_obj.field.q) > Budget().max_enumeration
+                and tuple_count(sys_obj) <= 1000]
+    assert len(over_cap) == 50
+    calls = recording_swap_decisions(monkeypatch)
+    for sys_obj in corner_check_systems() + [RS3] + over_cap:
+        del calls[:]
+        assert small_conditions(sys_obj) is None
+        q = sys_obj.field.q
+        total = 0
+        for corners in calls:
+            weight = 1
+            for (f, e), basis in corners.items():
+                m = sys_obj.t_blocks[f].n * sys_obj.s_blocks[e].n
+                weight *= math.prod(q**m - q**i for i in range(len(basis)))
+            assert weight % (q - 1) == 0
+            total += weight // (q - 1)
+        assert total == num_projective_points(sys_obj.a_span().dim, q), sys_obj.to_json()
+        assert len(calls) == tuple_count(sys_obj)  # the count charged is the work done
+
+
+def test_small_conditions_charges_tuples_not_points(monkeypatch):
+    # TWO_BY_TWO has 255 points of P(A), but each of its three corners W_fe is
+    # one line, so 2^3 - 1 nonzero tuples; the count is charged before any is built
+    assert num_projective_points(TWO_BY_TWO.a_span().dim, 2) == 255
+    calls = recording_swap_decisions(monkeypatch)
+    assert small_conditions(TWO_BY_TWO, Budget(max_enumeration=7)) is None
+    assert len(calls) == 7
+    del calls[:]
+    with pytest.raises(BudgetExceeded, match="small-conditions enumeration") as exc:
+        small_conditions(TWO_BY_TWO, Budget(max_enumeration=6))
+    assert (exc.value.needed, exc.value.cap) == (7, 6)
+    assert calls == []
 
 
 @pytest.mark.parametrize("patched, direction", [("_kills_maximal", "forward"), ("_maps_into_simple", "backward")])
@@ -472,7 +556,7 @@ def test_a_swap_failure_in_either_direction_raises(monkeypatch, patched, directi
     # element of those corners has a simple image and a kernel holding a
     # maximal submodule; with one per-member test patched to False, that
     # direction fails there, and a failure in one direction is a violation
-    assert small_conditions(TWO_BY_TWO).swap_both
+    assert small_conditions(TWO_BY_TWO) is None
     monkeypatch.setattr(strongness, patched, _no_corner_solution)
     with pytest.raises(TheoremViolation, match=f"fails the {direction} swap condition"):
         small_conditions(TWO_BY_TWO)
