@@ -613,12 +613,12 @@ def num_projective_points(dim: int, q: int) -> int:
     return (q**dim - 1) // (q - 1)
 
 
-def num_subspaces(dim: int, q: int, max_dim: int | None = None) -> int:
-    """The number of subspaces of F_q^dim of dimension at most max_dim (all
-    when None): the Gaussian binomials [dim, d]_q summed over d, each from
-    the last by [dim, d + 1] = [dim, d] (q^(dim-d) - 1) / (q^(d+1) - 1)."""
+def num_subspaces(dim: int, q: int, max_dim: int) -> int:
+    """The number of subspaces of F_q^dim of dimension at most max_dim: the
+    Gaussian binomials [dim, d]_q summed over d, each from the last by
+    [dim, d + 1] = [dim, d] (q^(dim-d) - 1) / (q^(d+1) - 1)."""
     total = term = 1
-    for d in range(dim if max_dim is None else min(dim, max_dim)):
+    for d in range(min(dim, max_dim)):
         term = term * (q ** (dim - d) - 1) // (q ** (d + 1) - 1)
         total += term
     return total

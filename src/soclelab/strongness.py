@@ -289,28 +289,28 @@ def _corner_orbits(sys: BilinearSystem, maps) -> dict[tuple[int, int], tuple]:
     times a times a matrix unit E_kl of S-block e is A^{fe}_{jk} (x) E_il, so
     T a S = (+)_{(f,e)} W_fe (x) Matr_{n_f x n_e}(k), where W_fe is the span
     of the n_f * n_e blocks A^{fe}_{jk}; over several maps the W_fe add up.
-    The blocks are read off the maps' entries by index selection; each basis
-    row is a t_f x s_e matrix, row-major."""
-    corners = {}
-    for f, bf in enumerate(sys.t_blocks):
-        c_off = sys._c_offsets[f]
-        for e, be in enumerate(sys.s_blocks):
-            b_off = sys._b_offsets[e]
-            blocks = []
-            for a in maps:
-                entries, width = a.entries, a.cols
-                for j in range(bf.n):
-                    for k in range(be.n):
-                        block = tuple(
-                            entries[(c_off + c * bf.n + j) * width + b_off + c2 * be.n + k]
-                            for c in range(bf.mult)
-                            for c2 in range(be.mult)
-                        )
-                        if any(block):
-                            blocks.append(block)
-            if blocks:
-                corners[f, e] = tuple(tuple(r) for r in rref_rows(blocks, bf.mult * be.mult, sys.field)[0])
-    return corners
+    Each nonzero entry of a map goes to its block through the tables of
+    (block, copy, row) per slot of C and of B; each basis row is a t_f x s_e
+    matrix, row-major."""
+    rows, cols = (
+        [(x, c, i) for x, b in enumerate(side) for c in range(b.mult) for i in range(b.n)]
+        for side in (sys.t_blocks, sys.s_blocks)
+    )
+    width, blocks = sys.dim_b, {}  # (f, e) -> {(map, j, k): A^{fe}_{jk} of that map}
+    for index, a in enumerate(maps):
+        entries = a.entries
+        for at in itertools.compress(range(len(entries)), entries):
+            (f, c, j), (e, c2, k) = rows[at // width], cols[at % width]
+            s_mult = sys.s_blocks[e].mult
+            corner = blocks.setdefault((f, e), {})
+            if (index, j, k) not in corner:
+                corner[index, j, k] = [0] * (sys.t_blocks[f].mult * s_mult)
+            corner[index, j, k][c * s_mult + c2] = entries[at]
+    return {
+        (f, e): tuple(map(tuple, rref_rows(
+            list(corner.values()), sys.t_blocks[f].mult * sys.s_blocks[e].mult, sys.field)[0]))
+        for (f, e), corner in sorted(blocks.items())
+    }
 
 
 def tensor_maps(sys: BilinearSystem, f: int, e: int, u_rows) -> list[Mat]:

@@ -323,10 +323,10 @@ def test_subspace_counts_match_gaussian_binomials():
     # every enumerated subspace is already canonical and distinct
     seen = set(s.basis_rows for s in all_subspaces(GF3, 3))
     assert len(seen) == sum(gaussian_binomial(3, k, 3) for k in range(4))
-    # the counter, with and without a dimension cap, against the enumeration
+    # the counter, uncapped (max_dim = n) and capped, against the enumeration
     for field, top_n in ((GF2, 5), (GF3, 3)):
         for n in range(top_n + 1):
-            assert num_subspaces(n, field.q) == sum(1 for _ in all_subspaces(field, n))
+            assert num_subspaces(n, field.q, n) == sum(1 for _ in all_subspaces(field, n))
             for max_dim in range(n + 2):
                 assert num_subspaces(n, field.q, max_dim) == sum(1 for _ in all_subspaces(field, n, range(max_dim + 1)))
 

@@ -48,6 +48,7 @@ from helpers import (
     coverage_by_full_size_solves,
     image_in_submodule_combo,
     maximal_b_submodules,
+    rref_gauss_jordan,
     simple_c_submodules,
     to_bilinear,
 )
@@ -298,6 +299,47 @@ def test_corner_orbits_span_the_unit_orbit():
             assert Subspace.from_vectors(field, ambient, rebuilt) == Subspace.from_vectors(field, ambient, oracle)
 
 
+def corner_blocks_by_index(sys_obj, maps):
+    """The corner read by index selection: every A^{fe}_{jk} of every map,
+    entry by entry at offset + copy * n + row, zero blocks dropped."""
+    corners = {}
+    for f, bf in enumerate(sys_obj.t_blocks):
+        for e, be in enumerate(sys_obj.s_blocks):
+            c_off, b_off = sys_obj._c_offsets[f], sys_obj._b_offsets[e]
+            blocks = [
+                block
+                for a in maps
+                for j in range(bf.n)
+                for k in range(be.n)
+                if any(block := [
+                    a.entries[(c_off + c * bf.n + j) * a.cols + b_off + c2 * be.n + k]
+                    for c in range(bf.mult)
+                    for c2 in range(be.mult)
+                ])
+            ]
+            if blocks:
+                corners[f, e] = tuple(map(tuple, rref_gauss_jordan(blocks, bf.mult * be.mult, sys_obj.field)[0]))
+    return corners
+
+
+def test_corner_read_matches_index_selection():
+    # several maps at once, sparse and dense, not closed under the block
+    # actions: the corners and their order match the entry-by-entry read
+    rng = random.Random(7)
+    fields = [field_make(2), field_make(3), field_make(2, 2), field_make(5), field_make(3, 2)]
+    for i in range(300):
+        sys_obj = random_split_system(fields[i % len(fields)], rng)
+        field, density = sys_obj.field, rng.choice((0.1, 0.5, 1.0))
+        maps = [sys_obj.a_basis] + [
+            [Mat._of(field, sys_obj.dim_c, sys_obj.dim_b, tuple(
+                rng.randrange(1, field.q) if rng.random() < density else 0 for _ in range(sys_obj.dim_c * sys_obj.dim_b)))
+             for _ in range(count)]
+            for count in (0, 1, 3)
+        ]
+        for group in maps:
+            assert list(_corner_orbits(sys_obj, group).items()) == list(corner_blocks_by_index(sys_obj, group).items())
+
+
 def test_per_member_corner_tests_match_full_size_solves():
     # at every point a, each maximal submodule of B and each simple submodule
     # of C is decided on the corners of T a S and by a full-size solve over a
@@ -418,12 +460,12 @@ def _no_corner_solution(sys_obj, corners, index, member):
 
 @pytest.mark.parametrize("patched", [False, True])
 def test_memoised_swap_decision_matches_the_per_element_oracle(monkeypatch, patched):
-    # one memo per system, keyed by the sorted corners of T a S, holds the
-    # decision at the first point with that key; every later point with the
-    # same key must agree with the oracle read off the point itself.
-    # Unpatched, split systems never fail a swap direction, so every decision
-    # is (False, False); with both per-member tests patched to False a
-    # decision is the pair of hypotheses, so the memo carries nontrivial values
+    # `_swap_failures` on a point's corner tuple (the corners of T a S) must
+    # match the per-element oracle read off the point itself, at every point,
+    # and points must share tuples.  Unpatched, split systems never fail a
+    # swap direction, so every decision is (False, False); with both
+    # per-member tests patched to False a decision is the pair of hypotheses,
+    # so the decisions compared are nontrivial
     if patched:
         monkeypatch.setattr(strongness, "_kills_maximal", _no_corner_solution)
         monkeypatch.setattr(strongness, "_maps_into_simple", _no_corner_solution)
