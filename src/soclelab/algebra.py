@@ -16,7 +16,8 @@ the verified radical span, up to scalars, by walking the principal left
 ideal Rx with early exit.  Unit testing goes through the matrix basis when
 it represents 1 as the identity matrix (invertibility in the matrix ring
 then equals invertibility in the subalgebra), else through the regular
-representation.
+representation.  Over F_2 and F_3 those matrices are walked and rank-tested
+packed whole into bit words (`exactla._full_rank_kernels`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .exactla import (
     RowBasis,
     SpanTracker,
     Subspace,
-    _echelon,
+    _full_rank_kernels,
     kernel,
     mat_of_columns,
     mat_of_rows,
@@ -437,23 +438,25 @@ def _odometer_flags(base, flats, n: int, field: Field) -> bytearray:
     """flags[code] = 1 when base + sum_i digit_i * flats[i] has full rank, for
     every code of len(flats) base-q digits (digit i the coefficient of flats[i]).
 
-    An odometer walks the codes, keeping the matrix incrementally (one scaled
-    matrix per digit change), and tests each for full rank with a column
-    sweep that stops at the first column without a pivot.
+    An odometer walks the codes, keeping the matrix incrementally (one add of
+    a scaled matrix per digit change), and tests each for full rank with a
+    column sweep that stops at the first column without a pivot.  The matrices
+    are held packed as `_full_rank_kernels` gives them for the field: over F_2
+    one word, where a step is one XOR; over F_3 two bit-planes, where a step
+    is one bitsliced add; otherwise lists of field codes.
     """
     q = field.q
-    add, mul = field.tables.add, field.tables.mul
+    pack, add, full_rank = _full_rank_kernels(field, n)
+    mul = field.tables.mul
     k = len(flats)
-    scaled = [[None] + [[mul[v][x] for x in flat] for v in range(1, q)] for flat in flats]
+    scaled = [[None] + [pack([mul[v][x] for x in flat]) for v in range(1, q)] for flat in flats]
     size = q**k
     flags = bytearray(size)
     digits = [0] * k
-    acc = [base] * (k + 1)  # acc[j] = base + contribution of digits j..k-1
-    starts = range(0, n * n, n)
+    acc = [pack(base)] * (k + 1)  # acc[j] = base + contribution of digits j..k-1
     code = 0
     while True:
-        flat = acc[0]
-        flags[code] = _echelon([flat[s: s + n] for s in starts], n, field, stop_at_gap=True) is not None
+        flags[code] = full_rank(acc[0])
         code += 1
         if code >= size:
             break
@@ -462,7 +465,7 @@ def _odometer_flags(base, flats, n: int, field: Field) -> bytearray:
             digits[j] = 0
             j += 1
         digits[j] += 1
-        acc[j] = [add[a][b] for a, b in zip(acc[j + 1], scaled[j][digits[j]])]
+        acc[j] = add(acc[j + 1], scaled[j][digits[j]])
         for i in range(j - 1, -1, -1):
             acc[i] = acc[j]
     return flags
@@ -501,15 +504,16 @@ def _unit_flags(r: Algebra) -> bytearray:
     unit(cx) = unit(x) for every scalar c != 0, so the rank test runs once
     per scalar class: only on the elements whose most significant nonzero
     digit is 1.  For each top digit k an odometer walks the lower digits,
-    starting from the matrix of basis element k.  The segment of leading
-    digit c >= 2 is that segment permuted by the digit map x -> c^-1 x.
+    starting from the matrix of basis element k, on packed words over F_2
+    and F_3 (see _odometer_flags).  The segment of leading digit c >= 2 is
+    that segment permuted by the digit map x -> c^-1 x.
     """
     field = r.field
     q, d = field.q, r.dim
     flats, n = _action_flats(r)
     inv, mul = field.tables.inv, field.tables.mul
     unit = bytearray(q**d)
-    unit[0] = _echelon([[0] * n for _ in range(n)], n, field, stop_at_gap=True) is not None  # the zero element
+    unit[0] = n == 0  # the zero element is a unit only in the zero ring
     for k in range(d):
         width = q**k  # the codes of top digit k and leading digit c are c * width + lower
         lead = _odometer_flags(flats[k], flats[:k], n, field)

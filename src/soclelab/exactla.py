@@ -6,14 +6,21 @@ search results come for free.  The cost is re-echelonization on each
 operation, which is fine at desk scale (dimensions in the tens).
 
 All elimination goes through one core.  `_echelon` is a forward column
-sweep over the field tables, with an optional stop at the first column
-without a pivot (the radical oracle's full-rank test), and `_reduce`
-subtracts pivot rows from one vector.  `rref_rows` is the sweep plus a
-back-substitution by `_reduce`, `row_rank` the sweep's pivot count, and
-`RowBasis`, `SpanTracker` and `Subspace.reduce` reduce through `_reduce`.
-Over F_2, `rref_rows` instead packs rows into machine integers and
-eliminates with XOR.  RREF is unique, so both paths give identical output;
-tests cross-check them against a Gauss-Jordan oracle.
+sweep over the field tables, and `_reduce` subtracts pivot rows from one
+vector.  `rref_rows` is the sweep plus a back-substitution by `_reduce`,
+`row_rank` the sweep's pivot count, and `RowBasis`, `SpanTracker` and
+`Subspace.reduce` reduce through `_reduce`.  Over F_2, `rref_rows` instead
+packs rows into machine integers and eliminates with XOR.  RREF is unique,
+so both paths give identical output; tests cross-check them against a
+Gauss-Jordan oracle.
+
+The radical oracle's full-rank test (`_full_rank_kernels`) packs a whole
+n*n matrix into Python ints over F_2 (one word, as M4RI packs rows:
+Albrecht, Bard & Hart, ACM TOMS 37, 2010) and F_3 (two bit-planes, as in
+Boothby & Bradshaw's bitslicing, arXiv:0901.1413), and eliminates column by
+column with a few word operations.  Every other field takes `_echelon` with
+stop_at_gap, the early exit at the first column without a pivot; the tests
+keep that sweep as the oracle for the packed kernels.
 
 Matrix validation runs only on external input: `Mat(...)`, `Mat.from_rows`
 and `Mat.from_json` check shape and entry range.  Every matrix the package
@@ -47,7 +54,9 @@ def _echelon(rows: list, ncols: int, field: Field, stop_at_gap: bool = False) ->
     with zeros below every pivot, and the rest are zero.  Rows above a pivot
     are left alone: `rref_rows` back-substitutes, and a rank needs no more.
     With stop_at_gap the sweep returns None at the first column that gets no
-    pivot, which is the early exit of a full-rank test."""
+    pivot, which is the early exit of a full-rank test.  The radical oracle
+    takes it for q other than 2 and 3 (see `_full_rank_kernels`), and the
+    tests keep it as the oracle for the packed kernels of F_2 and F_3."""
     sub, mul = field.tables.sub, field.tables.mul
     nrows = len(rows)
     pivots: list[int] = []
@@ -129,6 +138,92 @@ def _rref_gf2(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
         if r == nrows:
             break
     return [_unpack_gf2(w, ncols) for w in packed[: len(pivots)]], pivots
+
+
+# Whole-matrix words: entry t of a flat row-major n*n matrix is bit t, so row
+# i holds bits n*i .. n*i+n-1.  Bit n*i of a row-set word stands for row i,
+# and rows * pivot_row copies pivot_row into each of those rows' slots at once
+# (pivot_row < 2^n, so the copies never carry into each other).
+
+def _pack_gf3(flat) -> tuple[int, int]:
+    """The bit-planes (ones, twos) of a vector over F_3: bit t of `ones` is set
+    where entry t is 1, and of `twos` where it is 2 = -1."""
+    return _pack_gf2([x == 1 for x in flat]), _pack_gf2([x == 2 for x in flat])
+
+
+def _add_gf3(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """Bitsliced sum of two F_3 vectors held as (ones, twos) planes."""
+    a1, a2 = a
+    b1, b2 = b
+    t = (a1 | b2) ^ (a2 | b1)
+    return (a2 | b2) ^ t, (a1 | b1) ^ t
+
+
+def _full_rank_gf2(word: int, n: int) -> bool:
+    """Whether the n*n matrix over F_2 packed in `word` is invertible.
+
+    One elimination step per column, on the whole word: the lowest row with
+    a 1 in column c is the pivot, and one XOR adds it to every row with a 1
+    there, itself included.  So a row that served as a pivot is zero from
+    then on and never serves again.  Returns False at the first column
+    without a pivot.
+    """
+    ends = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit n*i of every row i
+    mask = (1 << n) - 1
+    for c in range(n):
+        rows = (word >> c) & ends
+        if not rows:
+            return False
+        low = rows & -rows
+        word ^= rows * ((word >> (low.bit_length() - 1)) & mask)
+    return True
+
+
+def _full_rank_gf3(ones: int, twos: int, n: int) -> bool:
+    """Whether the n*n matrix over F_3 with bit-planes (ones, twos) is
+    invertible.
+
+    `_full_rank_gf2`'s column steps: the pivot row, scaled to a leading 1
+    (its planes swapped when it leads with -1), is subtracted from every row
+    with a 1 in column c and added to every one with a -1, itself included,
+    in one bitsliced add.  That add is `_add_gf3`'s, inlined: a call per
+    column makes the test 15-30 % slower at n >= 6.
+    """
+    ends = ((1 << n * n) - 1) // ((1 << n) - 1)
+    mask = (1 << n) - 1
+    for c in range(n):
+        plus = (ones >> c) & ends
+        minus = (twos >> c) & ends
+        rows = plus | minus
+        if not rows:
+            return False
+        shift = (rows & -rows).bit_length() - 1
+        p1, p2 = (ones >> shift) & mask, (twos >> shift) & mask
+        if (minus >> shift) & 1:
+            p1, p2 = p2, p1
+        t1, t2 = plus * p2 | minus * p1, plus * p1 | minus * p2
+        t = (ones | t2) ^ (twos | t1)
+        ones, twos = (twos | t2) ^ t, (ones | t1) ^ t
+    return True
+
+
+def _full_rank_kernels(field: Field, n: int):
+    """(pack, add, full_rank) for flat row-major n*n matrices over `field`:
+    pack turns a flat into the form the other two take, add sums two packed
+    matrices, and full_rank tests one for invertibility.  Over F_2 a matrix
+    is one word and over F_3 a pair of bit-planes; otherwise it stays a list
+    of field codes, tested by `_echelon` with stop_at_gap."""
+    if field.is_gf2:
+        return _pack_gf2, int.__xor__, lambda word: _full_rank_gf2(word, n)
+    if field.q == 3:
+        return _pack_gf3, _add_gf3, lambda planes: _full_rank_gf3(*planes, n)
+    add = field.tables.add
+    starts = range(0, n * n, n)
+
+    def full_rank(flat) -> bool:
+        return _echelon([flat[s: s + n] for s in starts], n, field, stop_at_gap=True) is not None
+
+    return list, lambda a, b: [add[x][y] for x, y in zip(a, b)], full_rank
 
 
 def rref_rows(rows, ncols: int, field: Field) -> tuple[list[list[int]], list[int]]:

@@ -9,6 +9,7 @@ from soclelab.algebra import (
     _action_flats,
     _decode_coords,
     _encode_coords,
+    _odometer_flags,
     _permute_digits,
     _quasi_regular_flags,
     _unit_flags,
@@ -23,7 +24,7 @@ from soclelab.algebra import (
 )
 from soclelab.budget import Budget
 from soclelab.errors import BudgetExceeded, InputError, NotSplitError
-from soclelab.exactla import Mat, RowBasis, Subspace, mat_vec, row_rank
+from soclelab.exactla import Mat, RowBasis, Subspace, _echelon, mat_vec, row_rank
 from soclelab.gf import field_make
 from soclelab.gallery import (
     criterion8_algebras,
@@ -264,12 +265,17 @@ def unit_flags_per_element(alg):
 
 def unit_flag_algebras():
     """Algebras over every field q <= 9, with and without a matrix basis,
-    of dimension 1 and up, some whose basis element 0 is not 1."""
+    of dimension 0 and up, some whose basis element 0 is not 1.  The gallery
+    items include regular representations with n = 6 over F_3
+    (twisted-truncated-p3-d2-n2) and n = 8 over F_2; twisted-truncated-p2-d2-n4
+    adds n = 10, whose packed matrices are words wider than 64 bits."""
     yield from iter_gallery_algebras(max_ring=3**6)
+    yield "twisted-truncated-p2-d2-n4", make_twisted_truncated(2, 2, 4)
     yield "corner-truncated-poly", corner_truncated_poly()
     for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
         field = field_make(p, e)
         q = field.q
+        yield f"zero-ring-q{q}", algebra_make(field, dim=0, mult=[], one=())
         yield f"field-q{q}", algebra_make(field, dim=1, mult=[[(1,)]], one=(1,))
         # k[x]/(x^2) on the basis (x, 1)
         yield f"x-first-q{q}", algebra_make(field, dim=2, mult=[[(0, 0), (1, 0)], [(1, 0), (0, 1)]], one=(0, 1))
@@ -283,6 +289,48 @@ def unit_flag_algebras():
 def test_unit_flags_match_the_per_element_scan():
     for name, alg in unit_flag_algebras():
         assert _unit_flags(alg) == unit_flags_per_element(alg), name
+
+
+def odometer_flags_by_echelon(base, flats, n, field):
+    """_odometer_flags with each matrix built from scratch and tested by the
+    list sweep `_echelon` with stop_at_gap, the path of every q other than 2
+    and 3."""
+    q, k = field.q, len(flats)
+    flags = bytearray(q**k)
+    for code, top_first in enumerate(itertools.product(range(q), repeat=k)):
+        flat = list(base)
+        for digit, m in zip(reversed(top_first), flats):
+            flat = [field.add(x, field.mul(digit, y)) for x, y in zip(flat, m)]
+        flags[code] = _echelon([flat[s: s + n] for s in range(0, n * n, n)], n, field, stop_at_gap=True) is not None
+    return bytes(flags)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_odometer_flags_match_the_list_sweep_on_random_matrices(p, e):
+    # over F_2 and F_3 the odometer runs on packed words; n up to 11 makes
+    # words wider than 64 bits.  Low-rank flats make both outcomes common
+    field = field_make(p, e)
+    q = field.q
+    rng = random.Random(f"odometer/{q}")
+    seen = set()
+    for trial in range(40):
+        n = rng.randrange(1, 12)
+        k = rng.randrange(0, 4 if q <= 3 else 3)
+
+        def rand_flat():
+            if trial % 2:
+                return [rng.randrange(q) for _ in range(n * n)]
+            u, v = [rng.randrange(q) for _ in range(n)], [rng.randrange(q) for _ in range(n)]
+            return [field.mul(x, y) for x in u for y in v]  # rank at most 1
+
+        base = rand_flat()
+        if trial % 4 == 3:
+            base = [int(i % (n + 1) == 0) for i in range(n * n)]  # the identity
+        flats = [rand_flat() for _ in range(k)]
+        flags = _odometer_flags(base, flats, n, field)
+        assert bytes(flags) == odometer_flags_by_echelon(base, flats, n, field), (n, k, trial)
+        seen.update(flags)
+    assert seen == {0, 1}
 
 
 def test_quasi_regular_flags_read_the_unit_flag_of_one_minus_x():

@@ -492,6 +492,57 @@ def test_full_rank_test_stops_at_the_first_column_without_a_pivot(monkeypatch):
     assert calls == [2]
 
 
+def full_rank_word(flat, n: int, field) -> bool:
+    """The packed full-rank kernel of F_2 or F_3 on a flat row-major n*n matrix."""
+    if field.q == 2:
+        return exactla._full_rank_gf2(exactla._pack_gf2(flat), n)
+    return exactla._full_rank_gf3(*exactla._pack_gf3(flat), n)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=repr)
+def test_packed_full_rank_kernels_match_rank(field, rng):
+    # n up to 11: from n = 9 the matrix spans more than 64 bits
+    for trial in range(400):
+        n = 1 + trial % 11
+        m = Mat.from_rows(field, _random_rows(field, n, n, rng, dependent=trial % 3 == 0))
+        full = len(rref_gauss_jordan(m.row_list(), n, field)[1]) == n
+        assert full_rank_word(m.entries, n, field) == full, m.row_list()
+    # an upper unitriangular matrix, invertible at every n
+    for n in range(1, 12):
+        flat = [int(i <= j) for i in range(n) for j in range(n)]
+        assert full_rank_word(flat, n, field)
+
+
+@pytest.mark.parametrize(
+    "field,rows,full",
+    [
+        # every pivot is -1: each must be scaled to 1 (the planes swapped)
+        # before it clears the rows below
+        (GF3, [[2, 1, 0], [1, 2, 1], [0, 1, 2]], True),
+        (GF3, [[2, 1], [1, 2]], False),
+        # a pivot led by -1 over rows led by 1 and by -1, and the reverse
+        (GF3, [[2, 1, 0], [1, 0, 1], [2, 2, 2]], True),
+        (GF3, [[1, 0, 2], [2, 1, 0], [1, 1, 1]], False),
+        # full up to the last column, which gets no pivot
+        (GF3, [[1, 0, 1], [0, 1, 2], [1, 1, 0]], False),
+        (GF3, [[1, 0, 0], [0, 2, 0], [0, 0, 0]], False),
+        (GF2, [[1, 0, 1], [0, 1, 1], [1, 1, 0]], False),
+        (GF2, [[1, 0, 1], [0, 1, 1], [1, 1, 1]], True),
+    ],
+)
+def test_packed_full_rank_pinned(field, rows, full):
+    n = len(rows)
+    assert (len(rref_gauss_jordan(rows, n, field)[1]) == n) == full
+    assert full_rank_word([x for r in rows for x in r], n, field) == full
+
+
+def test_packed_f3_add_matches_the_field_tables():
+    values = list(itertools.product(range(3), repeat=2))
+    a, b = [x for x, _ in values], [y for _, y in values]
+    total = exactla._add_gf3(exactla._pack_gf3(a), exactla._pack_gf3(b))
+    assert total == exactla._pack_gf3([GF3.add(x, y) for x, y in values])
+
+
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_mat_mul_and_apply_match_naive(field, rng):
     for _ in range(30):
