@@ -23,7 +23,7 @@ from .algebra import (
 from .budget import Budget, default_budget
 from .corpus import faithful_corpus, iter_generator_modules, random_verified_system
 from .errors import SocleLabError, TheoremViolation
-from .exactla import all_subspaces
+from .exactla import all_subspaces, num_subspaces
 from .gallery import (
     LINE_COVER_EXPECTED,
     ROW_DIAGONAL_EXPECTED,
@@ -66,26 +66,22 @@ def _negative_item(name: str, ok: bool, **details) -> dict:
 
 # -- criterion 1 -------------------------------------------------------------
 
-def battery_coverage_bound() -> list[dict]:
+def battery_coverage_bound(budget: Budget | None = None) -> list[dict]:
+    budget = budget or default_budget()
     cases = [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)]
     items = []
     for m, n, q in cases:
+        budget.guard("coverage-bound subspace enumeration", num_subspaces(m * n, q, m * n))
         field = field_make(q)
-        total = satisfying = 0
-        min_dim = None
-        violators = 0
+        total, dims = 0, []  # dims: of the satisfying subspaces
         for flat in all_subspaces(field, m * n):
             total += 1
             if _both_conditions_flat(flat, m, n):
-                satisfying += 1
-                if min_dim is None or flat.dim < min_dim:
-                    min_dim = flat.dim
-                if flat.dim < m + n - 1:
-                    violators += 1
+                dims.append(flat.dim)
         items.append(_item(
             f"coverage-bound-exhaustive-m{m}-n{n}-q{q}",
-            violators == 0 and satisfying > 0,
-            total=total, satisfying=satisfying, min_dim=min_dim, bound=m + n - 1,
+            dims and min(dims) >= m + n - 1,
+            total=total, satisfying=len(dims), min_dim=min(dims, default=None), bound=m + n - 1,
         ))
     return items
 
@@ -435,7 +431,7 @@ def run_target(target: str, seed: int = 20260808, budget: Budget | None = None) 
     budget = budget or default_budget()
     batteries = {
         "paper-2": lambda: (
-            battery_coverage_bound()
+            battery_coverage_bound(budget)
             + battery_cross_tightness()
             + battery_corner_minimality()
             + battery_socle_forms(budget)

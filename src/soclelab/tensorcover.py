@@ -7,6 +7,13 @@ factor of a nonzero rank-one element of A, and dually for column factors.
 When both hold, dim(A) >= m + n - 1; a verified instance violating that
 bound is reported as a theorem violation (a bug), never as a result.
 
+Both conditions are read from one table per space, `_unit_residuals`: the
+residual modulo A of each unit vector, at the free coordinates of A's RREF
+(it is zero at the pivots).  Reduction is linear, so b (x) e_j has residual
+sum_i b_i res[i n + j] and e_i (x) c has sum_j c_j res[i n + j].  A vector
+lies in A exactly when its residual is zero, so the table is exact: the
+partners {c : b (x) c in A} are the kernel of b's residual columns.
+
 Both conditions quantify over projective points rather than all nonzero
 vectors: rank-one membership is scalar-homogeneous, so nothing is lost and
 the work drops by a factor of (q - 1).  Minimality is decided on hyperplanes
@@ -35,6 +42,7 @@ from .exactla import (
     mat_vec,
     num_projective_points,
     row_rank,
+    vec_combo,
 )
 from .gf import Field
 
@@ -107,47 +115,41 @@ def rank_one(field: Field, b, c) -> Mat:
 # the coverage conditions
 # ---------------------------------------------------------------------------
 
-def _residuals(flat: Subspace, b, n: int) -> list:
-    """The residuals modulo the flat space of b (x) e_j, j = 0 .. n - 1."""
-    residuals = []
-    for j in range(n):
-        v = [0] * (len(b) * n)
-        for i, bi in enumerate(b):
-            if bi:
-                v[i * n + j] = bi
-        residuals.append(flat.reduce(v))
-    return residuals
+def _unit_residuals(flat: Subspace) -> list:
+    """The residual of each unit vector e_k modulo the flat space, at its free
+    coordinates: e_k off the pivots, and e_k minus its pivot row at a pivot."""
+    neg = flat.field.tables.neg
+    free = [k for k in range(flat.ambient_dim) if k not in flat.pivots]
+    res = [tuple(int(k == f) for f in free) for k in range(flat.ambient_dim)]
+    for p, row in zip(flat.pivots, flat.basis_rows):
+        res[p] = tuple([neg[row[f]] for f in free])
+    return res
 
 
-def _partner_space(flat: Subspace, b, n: int):
-    """Basis of {c : b (x) c lies in the flat space}, given a row factor b."""
-    # c must combine the residual columns to zero
-    return kernel(mat_of_columns(flat.field, len(b) * n, _residuals(flat, b, n)))
+def _side(field: Field, res: list, m: int, n: int, rows: bool):
+    """(point, residuals) for each projective point of one side: those of
+    b (x) e_j for the row point b, or of e_i (x) c for the column point c."""
+    groups, k = ([res[j::n] for j in range(n)], m) if rows else ([res[i * n:i * n + n] for i in range(m)], n)
+    for p in enum_coeff_points(field, k):
+        yield p, [vec_combo(field, g, p) for g in groups]
 
 
-def _covers_rows_flat(flat: Subspace, m: int, n: int) -> bool:
-    # b is uncovered exactly when the partner space is zero: when the n
-    # residuals are independent
-    field = flat.field
-    for b in enum_coeff_points(field, m):
-        if row_rank(_residuals(flat, b, n), m * n, field) == n:
-            return False
-    return True
-
-
-def _transpose_flat(flat: Subspace, m: int, n: int) -> Subspace:
-    # position (j, i) of the transposed n x m matrix reads entry (i, j)
-    perm = [i * n + j for j in range(n) for i in range(m)]
-    rows = [tuple(row[k] for k in perm) for row in flat.basis_rows]
-    return Subspace.from_vectors(flat.field, m * n, rows)
-
-
-def _covers_cols_flat(flat: Subspace, m: int, n: int) -> bool:
-    return _covers_rows_flat(_transpose_flat(flat, m, n), n, m)
+def _partners(flat: Subspace, res: list, m: int, n: int, rows: bool):
+    """(point, partner space) for each projective point of one side; the
+    partner of a row point b is {c : b (x) c in A}, and dually."""
+    field, width = flat.field, m * n - flat.dim
+    for p, residuals in _side(field, res, m, n, rows):
+        yield p, kernel(mat_of_columns(field, width, residuals))
 
 
 def _both_conditions_flat(flat: Subspace, m: int, n: int) -> bool:
-    return _covers_rows_flat(flat, m, n) and _covers_cols_flat(flat, m, n)
+    # b is uncovered when its residuals are independent, never when they outnumber the free coordinates
+    field, width = flat.field, m * n - flat.dim
+    res = _unit_residuals(flat)
+    for rows, count in ((True, n), (False, m)):
+        if count <= width and any(row_rank(r, width, field) == count for _, r in _side(field, res, m, n, rows)):
+            return False
+    return True
 
 
 @dataclass
@@ -164,28 +166,28 @@ class CoverageSide:
         }
 
 
-def check_cond_b(a: TensorSubspace) -> CoverageSide:
-    """Row coverage: every projective point of F_q^m is a row factor in A.
-
-    Witnesses are re-verified by membership before being reported.
-    """
-    flat = a.flat()
+def _coverage(flat: Subspace, m: int, n: int, rows: bool, res: list | None = None) -> CoverageSide:
+    """One coverage condition, witnessed: the first basis vector of each
+    point's partner space is re-checked by membership before it is reported."""
     witnesses = []
-    for b in enum_coeff_points(a.field, a.m):
-        partner = _partner_space(flat, b, a.n)
+    for p, partner in _partners(flat, res or _unit_residuals(flat), m, n, rows):
         if partner.dim == 0:
-            return CoverageSide(False, witnesses, b)
-        c = partner.basis_rows[0]
-        if not flat.contains_vector(rank_one(a.field, b, c).flatten()):
+            return CoverageSide(False, witnesses, p)
+        b, c = (p, partner.basis_rows[0]) if rows else (partner.basis_rows[0], p)
+        if not flat.contains_vector(rank_one(flat.field, b, c).flatten()):
             raise TheoremViolation("coverage witness failed membership re-check")
         witnesses.append((b, c))
     return CoverageSide(True, witnesses, None)
 
 
+def check_cond_b(a: TensorSubspace) -> CoverageSide:
+    """Row coverage: every projective point of F_q^m is a row factor in A."""
+    return _coverage(a.flat(), a.m, a.n, rows=True)
+
+
 def check_cond_c(a: TensorSubspace) -> CoverageSide:
-    """Column coverage, computed as row coverage of the transposed space."""
-    side = check_cond_b(a.transpose())
-    return CoverageSide(side.holds, [(b, c) for (c, b) in side.witnesses], side.failing)
+    """Column coverage: every projective point of F_q^n is a column factor in A."""
+    return _coverage(a.flat(), a.m, a.n, rows=False)
 
 
 @dataclass
@@ -227,8 +229,10 @@ def check_bound(
     A verified instance where both conditions hold but the bound fails is an
     implementation bug by definition and raises TheoremViolation.
     """
-    cond_b = check_cond_b(a)
-    cond_c = check_cond_c(a)
+    flat = a.flat()
+    res = _unit_residuals(flat)
+    cond_b = _coverage(flat, a.m, a.n, rows=True, res=res)
+    cond_c = _coverage(flat, a.m, a.n, rows=False, res=res)
     bound_holds = a.dim >= a.m + a.n - 1
     report = CoverageReport(a.m, a.n, a.dim, cond_b, cond_c, bound_holds)
     if report.both_hold and not bound_holds:
@@ -337,7 +341,7 @@ def search_minimal(
         satisfiers, scanned, complete = _scan_dimension(field, m, n, dim, cap - examined)
         examined += scanned
         for flat in satisfiers:
-            if dim == 0 or not any(h in below for h in enum_hyperplanes(flat)):
+            if not below or not any(h in below for h in enum_hyperplanes(flat)):
                 ts = TensorSubspace.from_flat(field, m, n, flat)
                 # certify what is reported: witnesses re-checked by membership,
                 # and a space below the bound raises TheoremViolation

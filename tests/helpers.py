@@ -123,6 +123,44 @@ def to_bilinear(a: TensorSubspace) -> BilinearSystem:
     )
 
 
+# -- per-point coverage: the oracle for tensorcover's residual table --
+
+def coverage_residuals(flat: Subspace, b, n: int) -> list:
+    """The residuals modulo the flat space of b (x) e_j, j = 0 .. n - 1, each
+    reduced from scratch as a vector of length m * n."""
+    residuals = []
+    for j in range(n):
+        v = [0] * (len(b) * n)
+        for i, bi in enumerate(b):
+            if bi:
+                v[i * n + j] = bi
+        residuals.append(flat.reduce(v))
+    return residuals
+
+
+def coverage_partner_space(flat: Subspace, b, n: int) -> Subspace:
+    """{c : b (x) c lies in the flat space}, given a row factor b: the c that
+    combine the residual columns to zero."""
+    return kernel(mat_of_columns(flat.field, len(b) * n, coverage_residuals(flat, b, n)))
+
+
+def coverage_transpose_flat(flat: Subspace, m: int, n: int) -> Subspace:
+    """The same space of m x n matrices, transposed to n x m, in RREF."""
+    perm = [i * n + j for j in range(n) for i in range(m)]
+    return Subspace.from_vectors(flat.field, m * n, [tuple(row[k] for k in perm) for row in flat.basis_rows])
+
+
+def coverage_sides(flat: Subspace, m: int, n: int) -> tuple[list, list]:
+    """Per-point partner spaces, built point by point: [(b, {c : b (x) c in A})]
+    over the row points, and [(c, {b : b (x) c in A})] over the column
+    points, the latter as row partners of the transposed space."""
+    field = flat.field
+    flat_t = coverage_transpose_flat(flat, m, n)
+    rows = [(b, coverage_partner_space(flat, b, n)) for b in enum_coeff_points(field, m)]
+    cols = [(c, coverage_partner_space(flat_t, c, m)) for c in enum_coeff_points(field, n)]
+    return rows, cols
+
+
 # -- the full-size coverage solves: the oracle for the corner tests of strongness --
 
 def _slot_vector(dim: int, off: int, n: int, copy_vec, row: int) -> tuple[int, ...]:

@@ -7,6 +7,10 @@ whole battery also backs the CLI reproduce targets.
 
 import time
 
+import pytest
+
+from soclelab.budget import Budget
+from soclelab.errors import BudgetExceeded
 from soclelab.reproduce import (
     battery_corner_minimality,
     battery_counterexample_values,
@@ -46,6 +50,15 @@ def test_criterion_01_exhaustive_coverage_bound():
     for item in items:
         assert item["details"]["min_dim"] == item["details"]["bound"]
     report("criterion 1 (exhaustive dimension bound)", items, elapsed, limit=60.0)
+
+
+def test_coverage_bound_battery_is_charged_to_the_budget():
+    # each case is guarded before its scan: 2x2 over F_2 (67 subspaces) fits a
+    # cap of 100, and 2x3 over F_2 (2,825) stops the battery
+    with pytest.raises(BudgetExceeded) as info:
+        battery_coverage_bound(Budget(max_enumeration=100))
+    assert info.value.what == "coverage-bound subspace enumeration"
+    assert info.value.needed == 2825
 
 
 def test_criterion_02_cross_tightness():

@@ -20,7 +20,11 @@ from soclelab.tensorcover import (
 from soclelab.gallery import make_corner_family, make_cross
 from soclelab import tensorcover
 
-from helpers import to_bilinear
+from helpers import (
+    coverage_sides,
+    random_invertible,
+    to_bilinear,
+)
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -97,23 +101,77 @@ def test_solver_agrees_with_brute_force_oracle(rng):
         assert check_cond_c(ts).holds == cols_ok
 
 
+ORACLE_CASES = [
+    (2, 2, GF2), (2, 2, GF3), (2, 3, GF2), (3, 2, GF2), (1, 3, GF3), (3, 1, GF2), (2, 2, field_make(2, 2)),
+    (1, 2, field_make(5)), (2, 2, field_make(5)),
+]
+
+
+def oracle_side(partners, columns: bool) -> CoverageSide:
+    # the witnessed condition read off the oracle's partner spaces; a column
+    # witness is reported as (row factor, column point)
+    witnesses = []
+    for point, partner in partners:
+        if partner.dim == 0:
+            return CoverageSide(False, witnesses, point)
+        other = partner.basis_rows[0]
+        witnesses.append((other, point) if columns else (point, other))
+    return CoverageSide(True, witnesses, None)
+
+
+def check_against_the_oracle(flat: Subspace, m: int, n: int) -> list:
+    # the one residual table gives the partner spaces, verdicts and witnesses
+    # of both sides that reducing each point's tensors from scratch gives,
+    # the column side through the transposed space; returns the partner dims
+    rows, cols = coverage_sides(flat, m, n)
+    res = tensorcover._unit_residuals(flat)
+    assert list(tensorcover._partners(flat, res, m, n, rows=True)) == rows
+    assert list(tensorcover._partners(flat, res, m, n, rows=False)) == cols
+    both = all(partner.dim for _, partner in rows + cols)
+    assert tensorcover._both_conditions_flat(flat, m, n) == both
+    ts = TensorSubspace.from_flat(flat.field, m, n, flat)
+    assert check_cond_b(ts) == oracle_side(rows, columns=False)
+    assert check_cond_c(ts) == oracle_side(cols, columns=True)
+    return [partner.dim for _, partner in rows + cols]
+
+
 def test_rank_coverage_matches_the_partner_spaces(rng):
-    # a point is uncovered exactly when its partner space is zero, and the
-    # rank form reads that off without building the partner space
-    fields = [GF2, GF3, field_make(2, 2), field_make(5)]
-    uncovered = covered = 0
-    for field in fields:
-        for m, n in ((1, 2), (2, 2), (2, 3), (3, 2)):
+    # every subspace of the oracle cases, then random ones of the shapes and
+    # fields the cases leave out
+    for m, n, field in ORACLE_CASES:
+        partner_dims = [d for flat in all_subspaces(field, m * n) for d in check_against_the_oracle(flat, m, n)]
+        assert 0 in partner_dims and any(partner_dims), (m, n, field.q)
+    for field in (GF2, GF3, field_make(2, 2), field_make(5)):
+        for m, n in ((1, 2), (2, 3), (3, 2)):
             for _ in range(8):
                 dim = rng.randint(0, m * n)
-                flat = Subspace.from_vectors(
-                    field, m * n, [[rng.randrange(field.q) for _ in range(m * n)] for _ in range(dim)]
-                )
-                partner_dims = [tensorcover._partner_space(flat, b, n).dim for b in enum_coeff_points(field, m)]
-                assert tensorcover._covers_rows_flat(flat, m, n) == all(partner_dims)
-                uncovered += partner_dims.count(0)
-                covered += len(partner_dims) - partner_dims.count(0)
-    assert uncovered and covered
+                vectors = [[rng.randrange(field.q) for _ in range(m * n)] for _ in range(dim)]
+                check_against_the_oracle(Subspace.from_vectors(field, m * n, vectors), m, n)
+
+
+def test_coverage_is_invariant_under_changes_of_basis(rng):
+    # P A Q, for P in GL_m and Q in GL_n, carries b (x) c to (P b) (x) (Q^T c),
+    # so it keeps both conditions; transposing A swaps them
+    fields = [GF2, GF3, field_make(2, 2), field_make(5)]
+    seen = set()
+    for _ in range(120):
+        field = rng.choice(fields)
+        m, n = rng.choice(((1, 2), (2, 1), (2, 2), (2, 3), (3, 2)))
+        vectors = [[rng.randrange(field.q) for _ in range(m * n)] for _ in range(rng.randint(1, m * n))]
+        ts = TensorSubspace.from_flat(field, m, n, Subspace.from_vectors(field, m * n, vectors))
+        p, _ = random_invertible(field, m, rng)
+        q, _ = random_invertible(field, n, rng)
+        moved = TensorSubspace(field, m, n, tuple(p.mul(t).mul(q) for t in ts.basis))
+        verdicts = (check_cond_b(ts).holds, check_cond_c(ts).holds)
+        both = tensorcover._both_conditions_flat(ts.flat(), m, n)
+        assert both == all(verdicts)
+        assert (check_cond_b(moved).holds, check_cond_c(moved).holds) == verdicts
+        assert tensorcover._both_conditions_flat(moved.flat(), m, n) == both
+        transposed = ts.transpose()
+        assert (check_cond_b(transposed).holds, check_cond_c(transposed).holds) == verdicts[::-1]
+        assert tensorcover._both_conditions_flat(transposed.flat(), n, m) == both
+        seen.add(verdicts)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_transpose_duality(rng):
@@ -250,8 +308,7 @@ def test_search_minimal_certifies_what_it_reports(monkeypatch):
     with pytest.raises(TheoremViolation, match="witnessed coverage check"):
         search_minimal(2, 2, GF2)
     holding = CoverageSide(True, [], None)
-    monkeypatch.setattr(tensorcover, "check_cond_b", lambda ts: holding)
-    monkeypatch.setattr(tensorcover, "check_cond_c", lambda ts: holding)
+    monkeypatch.setattr(tensorcover, "_coverage", lambda flat, m, n, rows, res=None: holding)
     with pytest.raises(TheoremViolation, match="dim 1 < 2\\+2-1"):
         search_minimal(2, 2, GF2)
 
