@@ -24,13 +24,15 @@ corner, row or column (`BilinearSystem.block_maps`) and the multiplicity
 vectors of an image or kernel.  The balance check, the block graph and the
 degrees are read off the W_fe of the generators, kept once per system.
 
-The coverage conditions, the orbit-swap conditions and the base case of
-relative strength ask one question of a sub-bimodule: does some nonzero
-element kill a given maximal submodule of B, or map B into a given simple
-submodule of C?  It is decided per member on the W_fe (`_kills_maximal`,
-`_maps_into_simple`): A's own for the first and last, those of T a S for
-the swap conditions, which run over the tuples of corner subspaces that a
-T a S can take, each decided once.  Each is one rank test per corner,
+The coverage conditions, the orbit-swap conditions, N-strength and the
+base case of relative strength ask one question of a sub-bimodule: does
+some nonzero element kill a given maximal submodule of B, or map B into a
+given simple submodule of C?  It is decided per member on the W_fe
+(`_kills_maximal`, `_maps_into_simple`): A's own for coverage and relative
+strength, each part's for strength, those of T a S for the swap conditions,
+which run over the tuples of corner subspaces that a T a S can take, each
+decided once.  For strength that is exact because a nonzero block X of
+W_fe is itself the element X (x) E_00.  Each is one rank test per corner,
 `_kills` or `_lands_in`; `modrep` decides a module's two minimality
 properties with the same two tests on soc(R)'s maps.
 """
@@ -41,6 +43,7 @@ import contextlib
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,10 +136,7 @@ class BilinearSystem:
         corner blocks (`corner_spaces`), and it contains span(A) (take
         t = 1, s = 1).  So span(A) is closed under the block actions exactly
         when the two have the same dimension, sum n_f * n_e * dim W_fe."""
-        closure = sum(
-            self.t_blocks[f].n * self.s_blocks[e].n * len(basis) for (f, e), basis in self.corner_spaces().items()
-        )
-        if self.a_span().dim != closure:
+        if self.a_span().dim != _bimodule_dim(self, self.corner_spaces()):
             raise InputError("generators are not closed under the block actions (not a sub-bimodule)")
 
     def a_span(self) -> Subspace:
@@ -273,13 +273,6 @@ def predicates(sys: BilinearSystem) -> PredicateReport:
 # small conditions
 # ---------------------------------------------------------------------------
 
-def _iter_span_elements(field: Field, basis_rows):
-    if not basis_rows:
-        return
-    for coeffs in enum_coeff_points(field, len(basis_rows)):
-        yield vec_combo(field, list(basis_rows), coeffs)
-
-
 def _corner_orbits(sys: BilinearSystem, maps) -> dict[tuple[int, int], tuple]:
     """RREF bases of the nonzero multiplicity spaces W_fe of the
     sub-bimodule sum_a T a S over the given maps, keyed by corner (f, e).
@@ -313,6 +306,11 @@ def _corner_orbits(sys: BilinearSystem, maps) -> dict[tuple[int, int], tuple]:
     }
 
 
+def _bimodule_dim(sys: BilinearSystem, corners: dict) -> int:
+    """dim (+) W_fe (x) Matr_{n_f x n_e}(k), given the W_fe's bases."""
+    return sum(sys.t_blocks[f].n * sys.s_blocks[e].n * len(basis) for (f, e), basis in corners.items())
+
+
 def tensor_maps(sys: BilinearSystem, f: int, e: int, u_rows) -> list[Mat]:
     """Basis of U (x) Matr_{n_f x n_e}(k) as full-size maps B -> C, for U
     spanned by the independent t_f x s_e matrices u_rows (row-major): the
@@ -336,24 +334,32 @@ def _maximal_members(sys: BilinearSystem):
     S-blocks) of B: H runs over the hyperplanes of k^{s_e} in
     `enum_hyperplanes` order, given by basis rows."""
     for e, be in enumerate(sys.s_blocks):
-        if be.mult:
-            for hyper in _hyperplane_bases(sys.field, be.mult):
-                yield e, hyper
+        for hyper in _hyperplane_bases(sys.field, be.mult):
+            yield e, hyper
 
 
 def _simple_members(sys: BilinearSystem):
     """Yield (f, mu) for every simple submodule span(mu) (x) k^{n_f} of C:
     mu runs over the points of P(k^{t_f}) in `enum_coeff_points` order."""
     for f, bf in enumerate(sys.t_blocks):
-        if bf.mult:
-            for mu in enum_coeff_points(sys.field, bf.mult):
-                yield f, mu
+        for mu in enum_coeff_points(sys.field, bf.mult):
+            yield f, mu
 
 
 @functools.lru_cache(maxsize=None)
 def _hyperplane_bases(field: Field, dim: int) -> tuple[tuple, ...]:
-    """Basis rows of every hyperplane of k^dim, in `enum_hyperplanes` order."""
-    return tuple(hyper.basis_rows for hyper in enum_hyperplanes(Subspace.full(field, dim)))
+    """Basis rows of every hyperplane of k^dim, in `enum_hyperplanes` order
+    (none when dim = 0)."""
+    return tuple(hyper.basis_rows for hyper in enum_hyperplanes(Subspace.full(field, dim))) if dim else ()
+
+
+@functools.lru_cache(maxsize=None)
+def _off_sets(field: Field, dim: int) -> tuple[int, ...]:
+    """Bit j of entry i is set when point j of P(k^dim) lies off hyperplane i,
+    and equally point i off hyperplane j: hyperplane i (`enum_hyperplanes`)
+    is the kernel of point i (`enum_coeff_points`), so both say u_i . u_j != 0."""
+    points = list(enum_coeff_points(field, dim))
+    return tuple(sum(1 << j for j, v in enumerate(points) if vec_combo(field, [(x,) for x in v], u)[0]) for u in points)
 
 
 def _kills(field: Field, maps, s: int, vectors) -> bool:
@@ -536,10 +542,11 @@ class StrongReport:
 
 
 def _strong_parts(
-    sys: BilinearSystem, parts: list[list[Mat]], side: str, block: int, N, budget: Budget
+    sys: BilinearSystem, part_corners: list[dict], side: str, block: int, N, budget: Budget
 ) -> StrongReport:
-    """Left or right N-strength of the union of the parts, on codomain block
-    f = block (left) or domain block e = block (right).
+    """Left or right N-strength of the union of the parts, each a
+    sub-bimodule given by its corner bases, on codomain block f = block
+    (left) or domain block e = block (right).
 
     Left: for every family of at most floor(N) hyperplanes of k^t, some
     element's image generates a simple submodule (multiplicity dimension 1)
@@ -552,44 +559,30 @@ def _strong_parts(
     misses every member.  Families of simple submodules suffice: shrinking a
     member to a simple submodule inside it hardens the not-contained
     requirement.
+
+    No element is walked: a point p is some element's image multiplicity
+    space exactly when a part passes `_maps_into_simple` at p, and a
+    hyperplane H some element's kernel multiplicity space exactly when a part
+    passes `_kills_maximal` at H (one block X (x) E_00 suffices, see the
+    module docstring).  A family fails when no qualifying point (left) or
+    hyperplane (right) lies off every member (`_off_sets`).  The charge stays
+    families times the parts' elements up to scalars, though none is walked.
     """
-    field = sys.field
-    if side == "left":
-        t = sys.t_blocks[block].mult
-        members = list(enum_hyperplanes(Subspace.full(field, t))) if t else []
-        mult_space, want = sys.image_mult_space, 1
-        avoids, as_json = (lambda mult, hyper: not hyper.contains(mult)), (lambda hyper: list(hyper.basis_rows))
-    else:
-        s = sys.s_blocks[block].mult
-        members = list(enum_coeff_points(field, s))
-        mult_space, want = sys.kernel_mult_space, s - 1
-        avoids, as_json = (lambda mult, point: not mult.contains_vector(point)), list
+    field, left = sys.field, side == "left"
+    dim = (sys.t_blocks if left else sys.s_blocks)[block].mult
+    points, hyperplanes = tuple(enum_coeff_points(field, dim)), _hyperplane_bases(field, dim)
+    members, duals, test = (hyperplanes, points, _maps_into_simple) if left else (points, hyperplanes, _kills_maximal)
     max_k = min(int(math.floor(N)), len(members))
-    part_spans = [Subspace.from_vectors(field, sys.dim_b * sys.dim_c, [m.flatten() for m in part]) for part in parts]
     total_families = sum(math.comb(len(members), k) for k in range(0, max_k + 1))
-    n_elements = sum(num_projective_points(sp.dim, field.q) if sp.dim else 0 for sp in part_spans)
+    n_elements = sum(num_projective_points(_bimodule_dim(sys, corners), field.q) for corners in part_corners)
     budget.guard(f"{side}-strong family enumeration", total_families * max(n_elements, 1))
 
-    # each element's multiplicity space is solved once, on first need, in enumeration order
-    elements = (
-        Mat._of(field, sys.dim_c, sys.dim_b, tuple(vec))
-        for span in part_spans if span.dim
-        for vec in _iter_span_elements(field, list(span.basis_rows))
-    )
-    qualifying: list[Subspace] = []
-
-    def candidates():
-        yield from qualifying
-        for a in elements:
-            mult = mult_space(a, block)
-            if mult.dim == want:
-                qualifying.append(mult)
-                yield mult
-
+    qualifying = sum(1 << i for i, x in enumerate(duals) if any(test(sys, c, block, x) for c in part_corners))
+    off = _off_sets(field, dim)
     for k in range(0, max_k + 1):
-        for family in itertools.combinations(members, k):
-            if not any(all(avoids(mult, member) for member in family) for mult in candidates()):
-                return StrongReport(False, side, N, [as_json(member) for member in family])
+        for family in itertools.combinations(range(len(members)), k):
+            if not functools.reduce(operator.and_, (off[m] for m in family), qualifying):
+                return StrongReport(False, side, N, [list(members[m]) for m in family])
     return StrongReport(True, side, N, None)
 
 
@@ -628,7 +621,8 @@ def n_strong(
     budget = budget or default_budget()
     block = _side_block(sys, side, t_block, s_block)
     f, e = (block, s_block) if side == "left" else (t_block, block)
-    return _strong_parts(sys, [sys.block_maps(f, e)], side, block, N, budget)
+    corners = {fe: w for fe, w in sys.corner_spaces().items() if f in (None, fe[0]) and e in (None, fe[1])}
+    return _strong_parts(sys, [corners], side, block, N, budget)
 
 
 def union_split(
@@ -645,20 +639,24 @@ def union_split(
 
     Returns (index, report) on success, (None, counterexample report) when
     the union itself is not N-strong.  A strong union with no strong part
-    contradicts a proved statement and raises TheoremViolation.
+    contradicts a proved statement and raises TheoremViolation.  A part that
+    does not span the sub-bimodule of its corners raises PreconditionError.
     """
     budget = budget or default_budget()
     block = _side_block(sys, side, t_block, s_block)
-    union_report = _strong_parts(sys, parts, side, block, N, budget)
+    part_corners = [_corner_orbits(sys, part) for part in parts]
+    for idx, (part, corners) in enumerate(zip(parts, part_corners)):
+        if row_rank([a.flatten() for a in part], sys.dim_b * sys.dim_c, sys.field) != _bimodule_dim(sys, corners):
+            raise PreconditionError(f"part {idx} does not span a sub-bimodule")
+    union_report = _strong_parts(sys, part_corners, side, block, N, budget)
     if not union_report.strong:
         return None, union_report
-    d = len(parts)
-    target = Fraction(N) / d
-    for idx, part in enumerate(parts):
-        rep = _strong_parts(sys, [part], side, block, target, budget)
+    target = Fraction(N) / len(parts)
+    for idx, corners in enumerate(part_corners):
+        rep = _strong_parts(sys, [corners], side, block, target, budget)
         if rep.strong:
             return idx, rep
-    raise TheoremViolation(f"union is {N}-strong but no part of {d} is {target}-strong")
+    raise TheoremViolation(f"union is {N}-strong but no part of {len(parts)} is {target}-strong")
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ def check_minimal(a: TensorSubspace, budget: Budget | None = None) -> tuple[bool
     is charged to the budget before it starts.
     """
     budget = budget or default_budget()
-    if not (check_cond_b(a).holds and check_cond_c(a).holds):
+    if not _both_conditions_flat(a.flat(), a.m, a.n):
         raise PreconditionError("minimality is only defined for spaces satisfying both coverage conditions")
     field = a.field
     d = a.dim

@@ -2,9 +2,12 @@
 only the tests need, built on the package's public API."""
 
 import itertools
+import math
+from fractions import Fraction
 
 from soclelab.algebra import socles
-from soclelab.errors import InputError, PreconditionError, TheoremViolation
+from soclelab.budget import default_budget
+from soclelab.errors import PreconditionError, TheoremViolation
 from soclelab.exactla import (
     Mat,
     Subspace,
@@ -13,13 +16,14 @@ from soclelab.exactla import (
     kernel,
     mat_of_columns,
     mat_of_rows,
+    num_projective_points,
     row_rank,
     rref_rows,
     solve,
     vec_combo,
 )
 from soclelab.modrep import block_decomposition, quotient_action, radical_image, restrict_action, socle_subspace
-from soclelab.strongness import BilinearSystem, BlockSpec
+from soclelab.strongness import BilinearSystem, BlockSpec, StrongReport, _side_block
 from soclelab.tensorcover import TensorSubspace
 
 
@@ -35,9 +39,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 def enum_points(s: Subspace):
-    """Projective-point representatives of a subspace, in its ambient space."""
-    if s.dim == 0:
-        raise InputError("zero subspace has no projective points")
+    """Projective-point representatives of a subspace, in its ambient space
+    (none for the zero subspace)."""
     field = s.field
     basis = list(s.basis_rows)
     for coeffs in enum_coeff_points(field, s.dim):
@@ -426,3 +429,68 @@ def residue_is_division_by_quotient(alg, J) -> bool:
         if mat_of_rows(field, dim_res, rows).rank() != dim_res:
             return False
     return True
+
+
+# -- N-strength by walking the elements: the oracle for the member tests of
+# `strongness._strong_parts` --
+
+def strong_parts_by_elements(sys: BilinearSystem, parts, side: str, block: int, N, budget) -> StrongReport:
+    """Left or right N-strength of the union of the spans of the parts (lists
+    of maps), element by element: every element's image (left) or kernel
+    (right) multiplicity space is solved once, on first need, in enumeration
+    order, and a family fails when no solved space of dimension 1 (left) or
+    s - 1 (right) avoids every member.  Charged to the budget as
+    `_strong_parts` charges it."""
+    field = sys.field
+    if side == "left":
+        t = sys.t_blocks[block].mult
+        members = list(enum_hyperplanes(Subspace.full(field, t))) if t else []
+        mult_space, want = sys.image_mult_space, 1
+        avoids, as_json = (lambda mult, hyper: not hyper.contains(mult)), (lambda hyper: list(hyper.basis_rows))
+    else:
+        s = sys.s_blocks[block].mult
+        members = list(enum_coeff_points(field, s))
+        mult_space, want = sys.kernel_mult_space, s - 1
+        avoids, as_json = (lambda mult, point: not mult.contains_vector(point)), list
+    max_k = min(int(math.floor(N)), len(members))
+    part_spans = [Subspace.from_vectors(field, sys.dim_b * sys.dim_c, [m.flatten() for m in part]) for part in parts]
+    total_families = sum(math.comb(len(members), k) for k in range(0, max_k + 1))
+    n_elements = sum(num_projective_points(sp.dim, field.q) if sp.dim else 0 for sp in part_spans)
+    budget.guard(f"{side}-strong family enumeration", total_families * max(n_elements, 1))
+
+    elements = (
+        Mat._of(field, sys.dim_c, sys.dim_b, tuple(vec))
+        for span in part_spans
+        for vec in enum_points(span)
+    )
+    qualifying: list[Subspace] = []
+
+    def candidates():
+        yield from qualifying
+        for a in elements:
+            mult = mult_space(a, block)
+            if mult.dim == want:
+                qualifying.append(mult)
+                yield mult
+
+    for k in range(0, max_k + 1):
+        for family in itertools.combinations(members, k):
+            if not any(all(avoids(mult, member) for member in family) for mult in candidates()):
+                return StrongReport(False, side, N, [as_json(member) for member in family])
+    return StrongReport(True, side, N, None)
+
+
+def union_split_by_elements(sys: BilinearSystem, parts, side: str, N, t_block=None, s_block=None, budget=None):
+    """`strongness.union_split` with every strength decided by
+    `strong_parts_by_elements`."""
+    budget = budget or default_budget()
+    block = _side_block(sys, side, t_block, s_block)
+    union_report = strong_parts_by_elements(sys, parts, side, block, N, budget)
+    if not union_report.strong:
+        return None, union_report
+    target = Fraction(N) / len(parts)
+    for idx, part in enumerate(parts):
+        rep = strong_parts_by_elements(sys, [part], side, block, target, budget)
+        if rep.strong:
+            return idx, rep
+    raise TheoremViolation(f"union is {N}-strong but no part of {len(parts)} is {target}-strong")

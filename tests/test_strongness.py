@@ -35,7 +35,6 @@ from soclelab.strongness import (
     union_split,
     _corner_hypotheses,
     _corner_orbits,
-    _iter_span_elements,
     _kills_maximal,
     _maps_into_simple,
     _maximal_members,
@@ -46,11 +45,14 @@ from soclelab.strongness import (
 from helpers import (
     annihilating_combo,
     coverage_by_full_size_solves,
+    enum_points,
     image_in_submodule_combo,
     maximal_b_submodules,
     rref_gauss_jordan,
     simple_c_submodules,
+    strong_parts_by_elements,
     to_bilinear,
+    union_split_by_elements,
 )
 
 GF2 = field_make(2)
@@ -283,7 +285,7 @@ def corner_check_systems():
 def test_corner_orbits_span_the_unit_orbit():
     for sys_obj in corner_check_systems()[:12]:
         field = sys_obj.field
-        for vec in itertools.islice(_iter_span_elements(field, list(sys_obj.a_span().basis_rows)), 40):
+        for vec in itertools.islice(enum_points(sys_obj.a_span()), 40):
             a = Mat._of(field, sys_obj.dim_c, sys_obj.dim_b, tuple(vec))
             corners = _corner_orbits(sys_obj, (a,))
             rebuilt = [
@@ -355,7 +357,7 @@ def test_per_member_corner_tests_match_full_size_solves():
         # the members come in the order of the full-size enumerations
         assert list(_maximal_members(sys_obj)) == [(e, hyper) for e, hyper, _ in maximal]
         assert list(_simple_members(sys_obj)) == [(f, mu) for f, mu, _ in simple]
-        for vec in _iter_span_elements(field, list(sys_obj.a_span().basis_rows)):
+        for vec in enum_points(sys_obj.a_span()):
             a = Mat._of(field, sys_obj.dim_c, sys_obj.dim_b, tuple(vec))
             corners = _corner_orbits(sys_obj, (a,))
             orbit = unit_orbit(sys_obj, a)
@@ -383,7 +385,7 @@ def test_swap_hypotheses_by_rank_match_the_multiplicity_spaces():
     simple = maximal = checked = 0
     for sys_obj in corner_check_systems():
         field = sys_obj.field
-        for vec in _iter_span_elements(field, list(sys_obj.a_span().basis_rows)):
+        for vec in enum_points(sys_obj.a_span()):
             a = Mat._of(field, sys_obj.dim_c, sys_obj.dim_b, tuple(vec))
             image_dims = [sys_obj.image_mult_space(a, f).dim for f in range(len(sys_obj.t_blocks))]
             colengths = [b.mult - sys_obj.kernel_mult_space(a, e).dim
@@ -473,7 +475,7 @@ def test_memoised_swap_decision_matches_the_per_element_oracle(monkeypatch, patc
     for sys_obj in corner_check_systems():
         field = sys_obj.field
         memo = {}
-        for vec in _iter_span_elements(field, list(sys_obj.a_span().basis_rows)):
+        for vec in enum_points(sys_obj.a_span()):
             a = Mat._of(field, sys_obj.dim_c, sys_obj.dim_b, tuple(vec))
             corners = _corner_orbits(sys_obj, (a,))
             key = tuple(sorted(corners.items()))
@@ -534,7 +536,7 @@ def test_small_conditions_decides_each_distinct_orbit_once(monkeypatch):
         assert small_conditions(sys_obj) is None
         field, span = sys_obj.field, sys_obj.a_span()
         keys = set()
-        for vec in _iter_span_elements(field, list(span.basis_rows)):
+        for vec in enum_points(span):
             a = Mat._of(field, sys_obj.dim_c, sys_obj.dim_b, tuple(vec))
             keys.add(tuple(sorted(_corner_orbits(sys_obj, (a,)).items())))
         decided = [tuple(sorted(corners.items())) for corners in calls]
@@ -756,7 +758,7 @@ def brute_left_strong_all_proper_families(sys_obj, f, N):
     t = sys_obj.t_blocks[f].mult
     proper = [s for s in all_subspaces(field, t) if s.dim < t]
     span = sys_obj.a_span()
-    elements = list(_iter_span_elements(field, list(span.basis_rows))) if span.dim else []
+    elements = list(enum_points(span))
     size = int(N)
     for k in range(0, min(size, len(proper)) + 1):
         for family in itertools.combinations(proper, k):
@@ -782,7 +784,7 @@ def brute_right_strong_all_nonzero_families(sys_obj, e, N):
     nonzero = [y for y in all_subspaces(field, s) if y.dim > 0]
     pe = all_projectors(sys_obj)[1][e]
     span = Subspace.from_vectors(field, sys_obj.dim_b * sys_obj.dim_c, [a.mul(pe).flatten() for a in sys_obj.a_basis])
-    elements = list(_iter_span_elements(field, list(span.basis_rows))) if span.dim else []
+    elements = list(enum_points(span))
     size = int(N)
     for k in range(0, min(size, len(nonzero)) + 1):
         for family in itertools.combinations(nonzero, k):
@@ -845,6 +847,85 @@ def test_budget_guard_on_families():
     sys_obj = full_hom_system(GF3, 3, 3)
     with pytest.raises(BudgetExceeded):
         n_strong(sys_obj, "left", 13, budget=Budget(max_enumeration=50))
+
+
+def strength_systems():
+    """Seeded corpus systems over F_2, F_3, F_4, F_5 and F_7 with dim A <= 8
+    and at most 400 elements up to scalars, so the element walk stays short."""
+    systems = []
+    for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1)):
+        field = field_make(p, e)
+        for seed in range(18):
+            sys_obj = random_split_system(field, random.Random(f"strength/{p}^{e}/{seed}"))
+            dim = sys_obj.a_span().dim
+            if dim <= 8 and num_projective_points(dim, field.q) <= 400:
+                systems.append(sys_obj)
+    return systems
+
+
+def strength_maps(sys_obj):
+    """(side, t_block, s_block) for every row and every corner on the left,
+    and every column and every corner on the right."""
+    for f in range(len(sys_obj.t_blocks)):
+        yield "left", f, None
+        yield from (("left", f, e) for e in range(len(sys_obj.s_blocks)))
+    for e in range(len(sys_obj.s_blocks)):
+        yield "right", None, e
+        yield from (("right", f, e) for f in range(len(sys_obj.t_blocks)))
+
+
+def raised(call):
+    """(what, needed) of the BudgetExceeded that call raises."""
+    with pytest.raises(BudgetExceeded) as exc:
+        call()
+    return exc.value.what, exc.value.needed
+
+
+def test_member_tests_match_the_element_walk():
+    # n_strong on every row, column and corner and union_split over the
+    # corners of every row and column, both sides, N = 1, 2, 3: the same
+    # report, witness family included, and the same budget charge at cap 0
+    zero = Budget(max_enumeration=0)
+    calls = not_strong = 0
+    for sys_obj in strength_systems():
+        for side, f, e in strength_maps(sys_obj):
+            block = f if side == "left" else e
+            maps = sys_obj.block_maps(f, e)
+            for N in (1, 2, 3):
+                got = n_strong(sys_obj, side, N, t_block=f, s_block=e)
+                want = strong_parts_by_elements(sys_obj, [maps], side, block, N, Budget())
+                assert got.to_json() == want.to_json(), (sys_obj.to_json(), side, f, e, N)
+                calls += 1
+                not_strong += not got.strong
+            assert raised(lambda: n_strong(sys_obj, side, 3, t_block=f, s_block=e, budget=zero)) == raised(
+                lambda: strong_parts_by_elements(sys_obj, [maps], side, block, 3, zero))
+        for side, blocks in (("left", sys_obj.t_blocks), ("right", sys_obj.s_blocks)):
+            for block in range(len(blocks)):
+                f, e = (block, None) if side == "left" else (None, block)
+                other = len(sys_obj.s_blocks if side == "left" else sys_obj.t_blocks)
+                parts = [sys_obj.block_maps(f, i) if side == "left" else sys_obj.block_maps(i, e) for i in range(other)]
+                for N in (1, 2, 3):
+                    idx, rep = union_split(sys_obj, parts, side, N, t_block=f, s_block=e)
+                    want_idx, want_rep = union_split_by_elements(sys_obj, parts, side, N, t_block=f, s_block=e)
+                    assert (idx, rep.to_json()) == (want_idx, want_rep.to_json()), (sys_obj.to_json(), side, block, N)
+                    calls += 1
+                assert raised(lambda: union_split(sys_obj, parts, side, 2, f, e, zero)) == raised(
+                    lambda: union_split_by_elements(sys_obj, parts, side, 2, f, e, zero))
+    assert calls >= 1500 and not_strong >= 150, (calls, not_strong)
+
+
+def test_union_split_rejects_a_part_that_is_not_a_sub_bimodule():
+    # full corner of a T-block (n = 2, mult = 2) and an S-block (n = 2, mult = 1);
+    # the one map with A_00 = (1, 0)^T and A_11 = (0, 1)^T has a 2-dimensional
+    # image multiplicity space, but T a S also holds A_00 (x) E_00, whose is 1-dimensional
+    sys_obj = tensor_system(GF2, (BlockSpec(2, 1),), (BlockSpec(2, 2),), {(0, 0): [(1, 0), (0, 1)]})
+    part = [corner_tensor(sys_obj, 0, 0, (1, 0), 0, 0).add(corner_tensor(sys_obj, 0, 0, (0, 1), 1, 1))]
+    assert sys_obj.image_mult_space(part[0], 0).dim == 2
+    with pytest.raises(PreconditionError, match="part 0 does not span a sub-bimodule"):
+        union_split(sys_obj, [part], "left", 1, t_block=0)
+    # the whole of A is a sub-bimodule, so the same call runs on it
+    idx, rep = union_split(sys_obj, [list(sys_obj.a_basis)], "left", 1, t_block=0)
+    assert idx == 0 and rep.strong
 
 
 # -- the union law ----------------------------------------------------------------------
@@ -943,7 +1024,7 @@ def relative_base_by_brute_force(sys_obj, f, e, mu):
     span = Subspace.from_vectors(field, sys_obj.dim_b * sys_obj.dim_c, [m.flatten() for m in sys_obj.block_maps(f, e)])
     target_vectors = next(vectors for g, point, vectors in simple_c_submodules(sys_obj) if (g, point) == (f, mu))
     target = Subspace.from_vectors(field, sys_obj.dim_c, target_vectors)
-    for vec in _iter_span_elements(field, list(span.basis_rows)):
+    for vec in enum_points(span):
         a = Mat(field, sys_obj.dim_c, sys_obj.dim_b, vec)
         if all(not any(target.reduce(a.col(c))) for c in range(sys_obj.dim_b)):
             return True
