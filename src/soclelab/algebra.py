@@ -17,7 +17,8 @@ ideal Rx with early exit.  Unit testing goes through the matrix basis when
 it represents 1 as the identity matrix (invertibility in the matrix ring
 then equals invertibility in the subalgebra), else through the regular
 representation.  Over F_2 and F_3 those matrices are walked and rank-tested
-packed whole into bit words (`exactla._full_rank_kernels`).
+packed whole into bit words (`exactla._full_rank_kernels`), and the coset
+representatives are reduced as packed keys (`exactla._coset_kernels`).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .exactla import (
     RowBasis,
     SpanTracker,
     Subspace,
+    _coset_kernels,
     _full_rank_kernels,
     kernel,
     mat_of_columns,
@@ -530,14 +532,6 @@ def _quasi_regular_flags(r: Algebra, unit: bytearray) -> bytearray:
     return _permute_digits(unit, r.field.q, [sub[o] for o in r.one])
 
 
-def _decode_coords(code: int, q: int, d: int) -> Coords:
-    out = []
-    for _ in range(d):
-        out.append(code % q)
-        code //= q
-    return tuple(out)
-
-
 def _encode_coords(coords, q: int) -> int:
     code = 0
     for c in reversed(coords):
@@ -583,6 +577,9 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
     representative(x), and a radical y has the radical c^-1 y in its class,
     which is a non-unit, quasi-regular and visited.  The unit flags are
     likewise computed once per scalar class (see _unit_flags).
+    Representatives are held as keys (see exactla._coset_kernels): over F_2
+    the code is its own key, over F_3 its pair of bit-planes, otherwise its
+    coordinate tuple.  Only the distinct ones tested are decoded.
     The result is re-verified as a nilpotent two-sided ideal.
     """
     budget = budget or default_budget()
@@ -611,28 +608,23 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
                 return False
         return True
 
-    inv = field.tables.inv
-    zero = (0,) * d
-
-    def representative(x) -> Coords:
-        # x reduced by the verified span, then scaled to a leading 1
-        v = jbasis.reduce(x)
-        head = next((c for c in v if c), 1)
-        if head != 1:
-            mf = mul[inv[head]]
-            v = [mf[c] for c in v]
-        return tuple(v)
-
-    rejected: set[Coords] = set()
+    # the representative of x: x reduced by the verified span and scaled to
+    # a leading 1, held as a key (see _coset_kernels)
+    key_of_code, reduce, coords_of_key, pack_row = _coset_kernels(field, d)
+    zero = key_of_code(0)
+    packed_rows: list = []
+    rejected: set = set()
     for code in itertools.chain.from_iterable(range(q**k, 2 * q**k) for k in range(d)):
         if unit[code] or not qr[code]:
             continue
-        rep = representative(_decode_coords(code, q, d))
+        rep = reduce(key_of_code(code), packed_rows)
         if rep == zero or rep in rejected:
             continue
-        if ideal_inside_qr(rep):
-            jbasis.add(rep)
-            rejected = {representative(v) for v in rejected}
+        x = coords_of_key(rep)
+        if ideal_inside_qr(x):
+            jbasis.add(x)
+            packed_rows = [pack_row(row) for row in jbasis.snapshot()]
+            rejected = {reduce(key, packed_rows) for key in rejected}
             if zero in rejected:
                 raise TheoremViolation("radical oracle rejected a member of the verified span")
         else:

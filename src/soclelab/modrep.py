@@ -50,7 +50,6 @@ from .budget import Budget, default_budget
 from .errors import InputError, NotSplitError, PreconditionError, TheoremViolation
 from .exactla import (
     Mat,
-    RowBasis,
     Subspace,
     enum_coeff_points,
     enum_hyperplanes,
@@ -186,33 +185,13 @@ def faithful(m: ModuleRep) -> tuple[bool, Subspace]:
 
 
 # ---------------------------------------------------------------------------
-# submodules, quotients, closures
+# submodules and quotients
 # ---------------------------------------------------------------------------
 
 def _generator_actions(m: ModuleRep) -> list[Mat]:
     """The actions of the algebra's generators: a subspace they keep is kept
     by every element (see the module docstring)."""
     return [m.action[g] for g in m.algebra.generators()]
-
-
-def submodule_closure(m: ModuleRep, vectors) -> Subspace:
-    """Smallest action-invariant subspace containing the given vectors,
-    closed under the generators' actions."""
-    gens = _generator_actions(m)
-    basis = RowBasis(m.field, m.dim)
-    frontier = []
-    for v in vectors:
-        if basis.add(v):
-            frontier.append(tuple(v))
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for mat in gens:
-                w = mat.apply(v)
-                if basis.add(w):
-                    nxt.append(w)
-        frontier = nxt
-    return Subspace.from_vectors(m.field, m.dim, basis.snapshot())
 
 
 def _check_invariant(m: ModuleRep, sub: Subspace):

@@ -10,6 +10,7 @@ from soclelab.budget import default_budget
 from soclelab.errors import PreconditionError, TheoremViolation
 from soclelab.exactla import (
     Mat,
+    RowBasis,
     Subspace,
     enum_coeff_points,
     enum_hyperplanes,
@@ -22,7 +23,7 @@ from soclelab.exactla import (
     solve,
     vec_combo,
 )
-from soclelab.modrep import block_decomposition, quotient_action, radical_image, restrict_action, socle_subspace
+from soclelab.modrep import ModuleRep, block_decomposition, quotient_action, radical_image, restrict_action, socle_subspace
 from soclelab.strongness import BilinearSystem, BlockSpec, StrongReport, _side_block
 from soclelab.tensorcover import TensorSubspace
 
@@ -249,6 +250,26 @@ def coverage_by_full_size_solves(sys: BilinearSystem) -> tuple:
     c_fail = next(((f, mu) for f, mu, vectors in simple_c_submodules(sys)
                    if image_in_submodule_combo(sys, basis, vectors) is None), None)
     return b_fail is None, c_fail is None, b_fail, c_fail
+
+
+def submodule_closure(m: ModuleRep, vectors) -> Subspace:
+    """Smallest action-invariant subspace containing the given vectors,
+    closed under the actions of the algebra's generators."""
+    gens = [m.action[g] for g in m.algebra.generators()]
+    basis = RowBasis(m.field, m.dim)
+    frontier = []
+    for v in vectors:
+        if basis.add(v):
+            frontier.append(tuple(v))
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for mat in gens:
+                w = mat.apply(v)
+                if basis.add(w):
+                    nxt.append(w)
+        frontier = nxt
+    return Subspace.from_vectors(m.field, m.dim, basis.snapshot())
 
 
 # -- module minimality by soc(R)'s images and residuals: the oracle for the

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
+from soclelab import algebra, exactla
 from soclelab.algebra import (
     Algebra,
     SocleGraph,
     _action_flats,
-    _decode_coords,
     _encode_coords,
     _odometer_flags,
     _permute_digits,
@@ -24,7 +24,7 @@ from soclelab.algebra import (
 )
 from soclelab.budget import Budget
 from soclelab.errors import BudgetExceeded, InputError, NotSplitError
-from soclelab.exactla import Mat, RowBasis, Subspace, _echelon, mat_vec, row_rank
+from soclelab.exactla import Mat, RowBasis, Subspace, _decode_coords, _echelon, mat_vec, row_rank
 from soclelab.gf import field_make
 from soclelab.gallery import (
     criterion8_algebras,
@@ -219,6 +219,20 @@ def test_radical_oracle_matches_definition_on_random_triangular(p, e, n, max_dim
     for _ in range(6):
         alg = random_triangular_subalgebra(field, n, max_dim, rng)
         assert radical_bruteforce(alg) == radical_by_definition(alg)
+
+
+def test_packed_coset_kernels_give_the_generic_radical(monkeypatch):
+    # every F_2 and F_3 gallery algebra with at most 3^8 elements, and seeded
+    # random triangular subalgebras, through the packed coset kernels and then
+    # through the generic ones those fields would otherwise take
+    algebras = [alg for _name, alg in iter_gallery_algebras(max_ring=3**8) if alg.field.q in (2, 3)]
+    for field, n, max_dim in ((GF2, 4, 7), (GF3, 3, 5)):
+        rng = random.Random(f"packed-coset-kernels/{field.q}")
+        algebras += [random_triangular_subalgebra(field, n, max_dim, rng) for _ in range(4)]
+    packed = [radical_bruteforce(alg) for alg in algebras]
+    monkeypatch.setattr(algebra, "_coset_kernels", exactla._generic_coset_kernels)
+    assert [radical_bruteforce(alg) for alg in algebras] == packed
+    assert any(rad.dim >= 6 for rad in packed)
 
 
 def corner_truncated_poly():

@@ -48,7 +48,6 @@ from soclelab.modrep import (
     shrink_submodule,
     simple_socle_submodules,
     socle_subspace,
-    submodule_closure,
     system_from_module,
     top,
     top_socle,
@@ -60,6 +59,7 @@ from helpers import (
     random_invertible,
     residuals_mod,
     soc_annihilator_dim,
+    submodule_closure,
     system_from_module_by_restriction,
     top_socle_lengths,
 )
