@@ -109,6 +109,10 @@ class Algebra:
         self._radical_cache: Subspace | None = None
         self._socles_cache: SocleTriple | None = None
         self._generators_cache: tuple[int, ...] | None = None
+        # b_i's coordinate vector -> i, so that a module reads b_i's action as it is
+        self.basis_index = {self.basis_coords(i): i for i in range(dim)}
+        # the j with b_j != 1, which the relation check pairs with each generator
+        self.non_identity_basis = tuple(j for j in range(dim) if self.basis_coords(j) != self.one)
         self.left_mats = tuple(
             Mat(field, dim, dim, tuple(mult[i][j][k] for k in range(dim) for j in range(dim)))
             for i in range(dim)
@@ -595,8 +599,8 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
     jbasis = RowBasis(field, d)
 
     def ideal_inside_qr(x: Coords) -> bool:
-        # basis of Rx
-        rows = rref_rows([r.mul_coords(r.basis_coords(i), x) for i in range(d)], d, field)[0]
+        # basis of Rx: row i is b_i x, the combination of the b_i b_j by the x_j
+        rows = rref_rows([vec_combo(field, r.mult[i], x) for i in range(d)], d, field)[0]
         # single-coordinate multiples first: cheap witnesses live here
         for row in rows:
             for c in field.nonzero():

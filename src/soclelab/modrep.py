@@ -3,8 +3,10 @@
 A ModuleRep stores one dim x dim matrix per algebra basis element; the
 defining relations (bilinearity against the structure constants, identity
 acting as identity) are checked at construction, and a rejection names the
-first failing basis pair.  Relations and invariance are checked on the
-algebra's generators only (`Algebra.generators`): for a linear map
+first failing basis pair.  A basis element's action is read, not combined
+(`Algebra.basis_index`), and a relation whose target is 0 is a zero test of
+the product.  Relations and invariance are checked on the algebra's
+generators only (`Algebra.generators`): for a linear map
 rho: A -> End(M) with rho(1) = I, the elements a with rho(a y) = rho(a) rho(y)
 for all y form a unital subalgebra, and so do the elements a with
 rho(a) W inside W for a fixed subspace W.  Each is therefore all of A once it
@@ -12,13 +14,14 @@ holds the generators.
 
 The submodule lattice is driven blockwise through a split certificate:
 maximal submodules of M are preimages of hyperplanes of the block
-multiplicity spaces of M/JM, and simple submodules of soc(M) come from
-projective points of the multiplicity spaces of the socle.  The same
-decomposition gives every length: `semisimple_length` of a top M/JM or a
-socle is the sum of its blocks' multiplicity dimensions, and `top_socle`,
-the shrink checks and both bounds read lengths through it.  Faithfulness is
-upward monotone, so minimality checks only need maximal submodules and
-simple quotient kernels.
+multiplicity spaces of M/JM (for a top that is one identity block, from
+one tuple per field and dim M/JM, built once and shared), and simple
+submodules of soc(M) come from projective points of the multiplicity spaces
+of the socle.  The same decomposition gives every length:
+`semisimple_length` of a top M/JM or a socle is the sum of its blocks'
+multiplicity dimensions, and `top_socle`, the shrink checks and both bounds
+read lengths through it.  Faithfulness is upward monotone, so minimality
+checks only need maximal submodules and simple quotient kernels.
 
 A ModuleRep keeps JM, its top M/JM (`top`, the QuotientData of JM), soc(M)
 and its annihilator once computed, and a budget stop keeps nothing: every
@@ -63,6 +66,7 @@ from .exactla import (
     solve,
     vec_combo,
 )
+from .gf import Field
 from .strongness import BilinearSystem, BlockSpec, _kills, _lands_in, prop41_check
 
 
@@ -90,7 +94,8 @@ class ModuleRep:
         return self.algebra.field
 
     def act_mat(self, coords) -> Mat:
-        return mat_vec(self.action, coords)
+        i = self.algebra.basis_index.get(coords) if isinstance(coords, tuple) else None
+        return mat_vec(self.action, coords) if i is None else self.action[i]
 
     def _verify(self):
         """rho(1) = I, and rho(g) rho(b_j) = rho(g b_j) for every generator g
@@ -105,8 +110,7 @@ class ModuleRep:
         alg = self.algebra
         if self.act_mat(alg.one) != Mat.identity(self.field, self.dim):
             raise InputError("identity element does not act as the identity")
-        others = [j for j in range(alg.dim) if alg.basis_coords(j) != alg.one]
-        if all(self._relation_holds(g, j) for g in alg.generators() for j in others):
+        if all(self._relation_holds(g, j) for g in alg.generators() for j in alg.non_identity_basis):
             return
         for i in range(alg.dim):
             for j in range(alg.dim):
@@ -115,7 +119,8 @@ class ModuleRep:
         raise TheoremViolation("a generator pair failed but no basis pair does")
 
     def _relation_holds(self, i: int, j: int) -> bool:
-        return self.action[i].mul(self.action[j]) == self.act_mat(self.algebra.mult[i][j])
+        product, target = self.action[i].mul(self.action[j]), self.algebra.mult[i][j]
+        return product == self.act_mat(target) if any(target) else product.is_zero()
 
     def direct_sum(self, other: "ModuleRep") -> "ModuleRep":
         if other.algebra is not self.algebra and other.algebra.to_json() != self.algebra.to_json():
@@ -311,7 +316,7 @@ class BlockPart:
         self._block = block
         self._units: dict[tuple[int, int], Mat] = {}
         if self.identity:
-            self.mult = Subspace.full(rep.field, rep.dim) if sub is None else sub
+            self.mult = _full_space(rep.field, rep.dim) if sub is None else sub
         elif sub is None:
             self.mult = image(self.unit(0, 0))
         else:
@@ -330,6 +335,20 @@ class BlockPart:
         if self.identity:
             return [tuple(u)]
         return [self.unit(i, 0).apply(u) for i in range(self.n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _full_space(field: Field, t: int) -> Subspace:
+    return Subspace.full(field, t)
+
+
+@functools.lru_cache(maxsize=None)
+def _full_hyperplanes(field: Field, t: int) -> tuple[Subspace, ...]:
+    return tuple(enum_hyperplanes(_full_space(field, t)))
+
+
+# a top with more hyperplanes enumerates them afresh: no process keeps so long a list
+_SHARED_HYPERPLANES = 1024
 
 
 def block_decomposition(rep: ModuleRep | QuotientData, sub: Subspace | None = None):
@@ -377,10 +396,12 @@ def _maximal_tops(qd: QuotientData, budget: Budget):
     for part in block_decomposition(qd):
         if part.mult.dim == 0:
             continue
-        charged += num_projective_points(part.mult.dim, qd.field.q)
+        charged += (count := num_projective_points(part.mult.dim, qd.field.q))
         budget.guard("maximal-submodule hyperplane enumeration", charged)
         if part.identity:
-            for hyper in enum_hyperplanes(part.mult):
+            # mult is all of M/JM (see BlockPart), so its hyperplanes are shared
+            shared = count <= _SHARED_HYPERPLANES
+            for hyper in _full_hyperplanes(qd.field, qd.dim) if shared else enum_hyperplanes(part.mult):
                 yield part.f, hyper, hyper
             continue
         extractors = [part.unit(0, i) for i in range(part.n)]

@@ -272,6 +272,25 @@ def submodule_closure(m: ModuleRep, vectors) -> Subspace:
     return Subspace.from_vectors(m.field, m.dim, basis.snapshot())
 
 
+def maximal_tops_enumerated(qd):
+    """(f, H, W/JM) for every maximal submodule W of M, where qd is M/JM,
+    with each block's hyperplanes enumerated afresh from its multiplicity
+    space: the oracle for the shared hyperplane lists of
+    `modrep._maximal_tops`.  W/JM = {y : E_f,0i y in H for every i}, which
+    is H itself when the block acts as the identity."""
+    for part in block_decomposition(qd):
+        if part.mult.dim == 0:
+            continue
+        for hyper in enum_hyperplanes(part.mult):
+            if part.identity:
+                yield part.f, hyper, hyper
+                continue
+            # column j stacks, over i, the residual of E_f,0i's column j mod H
+            columns = [tuple(itertools.chain.from_iterable(hyper.reduce(part.unit(0, i).col(j)) for i in range(part.n)))
+                       for j in range(qd.dim)]
+            yield part.f, hyper, kernel(mat_of_columns(qd.field, part.n * qd.dim, columns))
+
+
 # -- module minimality by soc(R)'s images and residuals: the oracle for the
 # shared `_kills` / `_lands_in` rank tests --
 

@@ -235,6 +235,21 @@ def test_packed_coset_kernels_give_the_generic_radical(monkeypatch):
     assert any(rad.dim >= 6 for rad in packed)
 
 
+def test_left_ideal_rows_are_the_combinations_of_structure_constants():
+    # the radical oracle builds row i of a basis of Rx as b_i x, the
+    # combination of the b_i b_j by the x_j
+    rng = random.Random(28)
+    checked = 0
+    for name, alg in iter_gallery_algebras():
+        field = alg.field
+        for _ in range(4):
+            x = tuple(rng.randrange(field.q) for _ in range(alg.dim))
+            for i in range(alg.dim):
+                assert exactla.vec_combo(field, alg.mult[i], x) == alg.mul_coords(alg.basis_coords(i), x), name
+                checked += 1
+    assert checked > 500
+
+
 def corner_truncated_poly():
     """k[x]/(x^2) in a corner of M_3: 1 is diag(1, 1, 0), not the identity."""
     corner = Mat(GF2, 3, 3, (1, 0, 0, 0, 1, 0, 0, 0, 0))

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from soclelab.corpus import (
+    ModuleAssembler,
     _invertible_matrices,
     _projection,
     faithful_corpus,
@@ -16,10 +17,11 @@ from soclelab.corpus import (
     random_verified_system,
     square_zero_matrices,
 )
-from soclelab.exactla import Mat, enum_subspaces
+from soclelab.errors import InputError
+from soclelab.exactla import Mat, enum_subspaces, mat_vec
 from soclelab.gf import field_make
-from soclelab.gallery import make_square_zero_extension, make_triangular, make_twisted_truncated
-from soclelab.modrep import faithful, regular_module
+from soclelab.gallery import make_matrix_algebra, make_square_zero_extension, make_triangular, make_twisted_truncated
+from soclelab.modrep import ModuleRep, faithful, regular_module
 from soclelab.strongness import predicates
 
 from helpers import general_linear
@@ -137,6 +139,47 @@ def test_assembler_rejects_inconsistent_actions():
     x = Mat.unit(GF2, 2, 2, 0, 1)
     y = Mat.unit(GF2, 2, 2, 1, 0)  # xy != 0 violates the relations
     assert generator_module(kxy, [1, 2], [x, y]) is None
+
+
+def assembled_by_combination(assembler: ModuleAssembler, gen_mats) -> tuple:
+    """Each basis element's action as the combination of every word matrix
+    by its basis combo, the words built as products of generators."""
+    field, dim = assembler.algebra.field, gen_mats[0].rows
+    words = [Mat.identity(field, dim)]
+    for parent, g_pos in assembler.word_recipe:
+        words.append(words[parent].mul(gen_mats[g_pos]))
+    return tuple(mat_vec(words, combo) for combo in assembler.basis_combos)
+
+
+def check_assembled(assembler: ModuleAssembler, gen_mats) -> bool:
+    """assemble's module against the combination oracle; True when valid."""
+    actions = assembled_by_combination(assembler, gen_mats)
+    mod = assembler.assemble(list(gen_mats))
+    if mod is None:
+        with pytest.raises(InputError):
+            ModuleRep(assembler.algebra, gen_mats[0].rows, actions)
+        return False
+    assert mod.action == actions
+    return True
+
+
+def test_assembled_actions_match_the_word_combinations():
+    valid = 0
+    for alg in (make_twisted_truncated(2, 1, 1), make_square_zero_extension(GF2, 2), make_triangular(3, GF2, True)):
+        gens = radical_generator_indices(alg)
+        assembler = ModuleAssembler(alg, gens)
+        # every basis element of these algebras is itself a word
+        assert None not in assembler.basis_words
+        for dim in (1, 2, 3):
+            for combo in itertools.product(square_zero_matrices(GF2, dim), repeat=len(gens)):
+                valid += check_assembled(assembler, combo)
+    assert valid > 250
+    # 1 = E_00 + E_11 is the empty word, so E_00 and E_11 are combinations
+    mat2 = make_matrix_algebra(2, GF2)
+    assembler = ModuleAssembler(mat2, mat2.generators())
+    assert None in assembler.basis_words and any(w is not None for w in assembler.basis_words)
+    assert check_assembled(assembler, [mat2.matrix_basis[g] for g in mat2.generators()])
+    assert not check_assembled(assembler, [Mat.unit(GF2, 2, 2, 0, 1) for _ in mat2.generators()])
 
 
 def test_exhaustive_modules_complete_for_kx2():

@@ -6,11 +6,12 @@ import pytest
 
 from soclelab.algebra import algebra_make, bimodule_length, socle_graph, socles
 from soclelab.budget import Budget
-from soclelab.corpus import iter_generator_modules, random_generator_module
+from soclelab.corpus import generator_module, iter_generator_modules, random_generator_module
 from soclelab.errors import BudgetExceeded, InputError, NotSplitError, PreconditionError, TheoremViolation
 from soclelab.exactla import (
     Mat,
     Subspace,
+    enum_hyperplanes,
     image,
     kernel,
     mat_of_columns,
@@ -56,6 +57,7 @@ from soclelab.strongness import predicates
 
 from helpers import (
     images_on,
+    maximal_tops_enumerated,
     random_invertible,
     residuals_mod,
     soc_annihilator_dim,
@@ -208,6 +210,35 @@ def test_relation_error_names_the_first_failing_pair_not_the_generator_pair():
     assert [j for j in range(4) if not unchecked._relation_holds(3, j)][0] == 1
     with pytest.raises(InputError, match=pair_error(2, 1)):
         ModuleRep(alg, 2, action)
+
+
+def test_zero_relation_targets_still_reject():
+    # x^2 = 0 in F_3[x]/(x^2), so pair (1, 1) is a zero test, and X^2 != 0
+    x_mat = Mat.from_rows(GF3, [[0, 1], [0, 2]])
+    assert KX3.mult[1][1] == (0, 0) and not x_mat.mul(x_mat).is_zero()
+    assert generator_module(KX3, [1], [x_mat]) is None
+    with pytest.raises(InputError, match=pair_error(1, 1)):
+        ModuleRep(KX3, 2, (Mat.identity(GF3, 2), x_mat))
+    # xy = 0 in F_2[x,y]/(x,y)^2, but E_01 E_10 = E_00
+    x_mat, y_mat = Mat.unit(GF2, 2, 2, 0, 1), Mat.unit(GF2, 2, 2, 1, 0)
+    assert KXY.mult[1][2] == (0, 0, 0)
+    with pytest.raises(InputError, match=pair_error(1, 2)):
+        ModuleRep(KXY, 2, (Mat.identity(GF2, 2), x_mat, y_mat))
+
+
+def test_act_mat_reads_basis_elements_and_combines_every_other_element():
+    rng = random.Random(28)
+    modules = [regular_module(alg) for _name, alg in split_gallery_algebras()]
+    modules += [m for _name, alg in criterion8_algebras() for dim in (2, 3, 4)
+                if (m := random_generator_module(alg, dim, rng)) is not None]
+    assert len(modules) > 30
+    for m in modules:
+        alg, d = m.algebra, m.algebra.dim
+        units = [alg.basis_coords(i) for i in range(d)]
+        assert all(m.act_mat(e) is m.action[i] for i, e in enumerate(units))
+        coords = units + [(0,) * d, alg.one] + [tuple(rng.randrange(alg.field.q) for _ in range(d)) for _ in range(6)]
+        for c in coords + [list(c) for c in coords]:
+            assert m.act_mat(c) == mat_vec(m.action, c)
 
 
 def test_rejects_identity_violation():
@@ -1234,3 +1265,34 @@ def test_socle_point_budget_stop_surfaces_at_the_read():
         assert (exc.value.needed, exc.value.cap) == (15, 3)
     assert minimal_faithful(m, Budget(max_enumeration=15)).no_faithful_simple_quotient \
         == minimal_faithful(m).no_faithful_simple_quotient
+
+
+# -- one shared hyperplane list per full top ---------------------------------------------
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_shared_hyperplanes_are_the_enumeration_of_the_full_space(p, e):
+    field = field_make(p, e)
+    for t in range(1, 5 if field.q <= 3 else 4):
+        full = Subspace.full(field, t)
+        assert modrep._full_space(field, t) == full
+        assert list(modrep._full_hyperplanes(field, t)) == list(enum_hyperplanes(full))
+
+
+def test_maximal_tops_match_the_fresh_enumeration():
+    modules = [m for alg in CRITERION_8_ALGEBRAS for dim in (1, 2, 3) for m in iter_generator_modules(alg, dim)]
+    modules += [make_row_diagonal_pair()[1], *_two_block_modules()]
+    budget = Budget()
+    for m in modules:
+        qd = top(m)
+        assert list(modrep._maximal_tops(qd, budget)) == list(maximal_tops_enumerated(qd))
+    assert len(modules) > 500
+
+
+def test_a_top_past_the_shared_size_enumerates_afresh(monkeypatch):
+    # the zero action of F_2[x]/(x^2) on F_2^3: a full top with 7 hyperplanes
+    m = ModuleRep(KX2, 3, (Mat.identity(GF2, 3), Mat.zero(GF2, 3, 3)))
+    monkeypatch.setattr(modrep, "_SHARED_HYPERPLANES", 6)
+    before = modrep._full_hyperplanes.cache_info()
+    got = list(modrep._maximal_tops(top(m), Budget()))
+    assert modrep._full_hyperplanes.cache_info() == before
+    assert got == list(maximal_tops_enumerated(top(m))) and len(got) == 7
