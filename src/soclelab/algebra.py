@@ -109,8 +109,6 @@ class Algebra:
         self._radical_cache: Subspace | None = None
         self._socles_cache: SocleTriple | None = None
         self._generators_cache: tuple[int, ...] | None = None
-        # b_i's coordinate vector -> i, so that a module reads b_i's action as it is
-        self.basis_index = {self.basis_coords(i): i for i in range(dim)}
         # the j with b_j != 1, which the relation check pairs with each generator
         self.non_identity_basis = tuple(j for j in range(dim) if self.basis_coords(j) != self.one)
         self.left_mats = tuple(

@@ -165,9 +165,6 @@ class ModuleAssembler:
             if combo is None:
                 raise InputError("chosen elements do not generate the algebra")
             self.basis_combos.append(combo)
-        # a basis element that is itself a word takes that word's matrix as it is
-        self.basis_words = [combo.index(1) if combo.count(0) == d - 1 and 1 in combo else None
-                            for combo in self.basis_combos]
 
     def assemble(self, gen_mats) -> ModuleRep | None:
         field = self.algebra.field
@@ -177,8 +174,7 @@ class ModuleAssembler:
             # word 0 is the empty word, so its one-letter children are the generators
             gen = gen_mats[g_pos]
             word_mats.append(gen if parent == 0 else word_mats[parent].mul(gen))
-        actions = tuple(mat_vec(word_mats, combo) if w is None else word_mats[w]
-                        for w, combo in zip(self.basis_words, self.basis_combos))
+        actions = tuple(mat_vec(word_mats, combo) for combo in self.basis_combos)
         try:
             return ModuleRep(self.algebra, dim, actions)
         except InputError:

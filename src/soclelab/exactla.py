@@ -618,9 +618,12 @@ def _identity(field: Field, n: int) -> Mat:
 
 
 def mat_vec(mats: list[Mat], coords) -> Mat:
-    """Linear combination of matrices with the given coefficients."""
+    """Linear combination of matrices with the given coefficients.  A unit
+    vector e_i (a basis element's coordinates) returns mats[i] as it is."""
     if not mats:
         raise InputError("empty combination")
+    if coords.count(0) == len(coords) - 1 and 1 in coords:
+        return mats[coords.index(1)]
     first = mats[0]
     return Mat._of(first.field, first.rows, first.cols, vec_combo(first.field, [m.entries for m in mats], coords))
 

@@ -4,24 +4,24 @@ A ModuleRep stores one dim x dim matrix per algebra basis element; the
 defining relations (bilinearity against the structure constants, identity
 acting as identity) are checked at construction, and a rejection names the
 first failing basis pair.  A basis element's action is read, not combined
-(`Algebra.basis_index`), and a relation whose target is 0 is a zero test of
-the product.  Relations and invariance are checked on the algebra's
-generators only (`Algebra.generators`): for a linear map
-rho: A -> End(M) with rho(1) = I, the elements a with rho(a y) = rho(a) rho(y)
-for all y form a unital subalgebra, and so do the elements a with
-rho(a) W inside W for a fixed subspace W.  Each is therefore all of A once it
-holds the generators.
+(`mat_vec` returns a unit vector's matrix as it is), and a relation whose
+target is 0 is a zero test of the product.  Relations and invariance are
+checked on the algebra's generators only (`Algebra.generators`): for a
+linear map rho: A -> End(M) with rho(1) = I, the elements a with
+rho(a y) = rho(a) rho(y) for all y form a unital subalgebra, and so do the
+elements a with rho(a) W inside W for a fixed subspace W.  Each is therefore
+all of A once it holds the generators.
 
 The submodule lattice is driven blockwise through a split certificate:
 maximal submodules of M are preimages of hyperplanes of the block
-multiplicity spaces of M/JM (for a top that is one identity block, from
-one tuple per field and dim M/JM, built once and shared), and simple
-submodules of soc(M) come from projective points of the multiplicity spaces
-of the socle.  The same decomposition gives every length:
-`semisimple_length` of a top M/JM or a socle is the sum of its blocks'
-multiplicity dimensions, and `top_socle`, the shrink checks and both bounds
-read lengths through it.  Faithfulness is upward monotone, so minimality
-checks only need maximal submodules and simple quotient kernels.
+multiplicity spaces of M/JM (for a top that is one identity block, that
+space is F^t, t = dim M/JM, one Subspace per field and t, built once and
+shared), and simple submodules of soc(M) come from projective points of the
+multiplicity spaces of the socle.  The same decomposition gives every
+length: `semisimple_length` of a top M/JM or a socle is the sum of its
+blocks' multiplicity dimensions, and `top_socle`, the shrink checks and both
+bounds read lengths through it.  Faithfulness is upward monotone, so
+minimality checks only need maximal submodules and simple quotient kernels.
 
 A ModuleRep keeps JM, its top M/JM (`top`, the QuotientData of JM), soc(M)
 and its annihilator once computed, and a budget stop keeps nothing: every
@@ -94,8 +94,7 @@ class ModuleRep:
         return self.algebra.field
 
     def act_mat(self, coords) -> Mat:
-        i = self.algebra.basis_index.get(coords) if isinstance(coords, tuple) else None
-        return mat_vec(self.action, coords) if i is None else self.action[i]
+        return mat_vec(self.action, coords)
 
     def _verify(self):
         """rho(1) = I, and rho(g) rho(b_j) = rho(g b_j) for every generator g
@@ -342,15 +341,6 @@ def _full_space(field: Field, t: int) -> Subspace:
     return Subspace.full(field, t)
 
 
-@functools.lru_cache(maxsize=None)
-def _full_hyperplanes(field: Field, t: int) -> tuple[Subspace, ...]:
-    return tuple(enum_hyperplanes(_full_space(field, t)))
-
-
-# a top with more hyperplanes enumerates them afresh: no process keeps so long a list
-_SHARED_HYPERPLANES = 1024
-
-
 def block_decomposition(rep: ModuleRep | QuotientData, sub: Subspace | None = None):
     """Yield one BlockPart per block of the split quotient, for W = sub, or
     for the whole module when sub is None.  W must be killed by J: every
@@ -396,12 +386,10 @@ def _maximal_tops(qd: QuotientData, budget: Budget):
     for part in block_decomposition(qd):
         if part.mult.dim == 0:
             continue
-        charged += (count := num_projective_points(part.mult.dim, qd.field.q))
+        charged += num_projective_points(part.mult.dim, qd.field.q)
         budget.guard("maximal-submodule hyperplane enumeration", charged)
         if part.identity:
-            # mult is all of M/JM (see BlockPart), so its hyperplanes are shared
-            shared = count <= _SHARED_HYPERPLANES
-            for hyper in _full_hyperplanes(qd.field, qd.dim) if shared else enum_hyperplanes(part.mult):
+            for hyper in enum_hyperplanes(part.mult):
                 yield part.f, hyper, hyper
             continue
         extractors = [part.unit(0, i) for i in range(part.n)]

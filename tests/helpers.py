@@ -90,6 +90,14 @@ def inverse(g: Mat) -> Mat | None:
     return mat_of_rows(g.field, n, [row[n:] for row in reduced])
 
 
+def matrix_combination(mats, coords) -> Mat:
+    """sum_i c_i mats[i] by scaling and adding: the oracle for `mat_vec`."""
+    out = Mat.zero(mats[0].field, mats[0].rows, mats[0].cols)
+    for c, m in zip(coords, mats):
+        out = out.add(m.scale(c))
+    return out
+
+
 def general_linear(field, n: int):
     """Every pair (g, g^-1) with g in GL_n(F_q), g in entry order."""
     for entries in itertools.product(field.elements(), repeat=n * n):
@@ -270,25 +278,6 @@ def submodule_closure(m: ModuleRep, vectors) -> Subspace:
                     nxt.append(w)
         frontier = nxt
     return Subspace.from_vectors(m.field, m.dim, basis.snapshot())
-
-
-def maximal_tops_enumerated(qd):
-    """(f, H, W/JM) for every maximal submodule W of M, where qd is M/JM,
-    with each block's hyperplanes enumerated afresh from its multiplicity
-    space: the oracle for the shared hyperplane lists of
-    `modrep._maximal_tops`.  W/JM = {y : E_f,0i y in H for every i}, which
-    is H itself when the block acts as the identity."""
-    for part in block_decomposition(qd):
-        if part.mult.dim == 0:
-            continue
-        for hyper in enum_hyperplanes(part.mult):
-            if part.identity:
-                yield part.f, hyper, hyper
-                continue
-            # column j stacks, over i, the residual of E_f,0i's column j mod H
-            columns = [tuple(itertools.chain.from_iterable(hyper.reduce(part.unit(0, i).col(j)) for i in range(part.n)))
-                       for j in range(qd.dim)]
-            yield part.f, hyper, kernel(mat_of_columns(qd.field, part.n * qd.dim, columns))
 
 
 # -- module minimality by soc(R)'s images and residuals: the oracle for the

@@ -26,7 +26,7 @@ from soclelab.exactla import (
 )
 from soclelab.gf import Field, field_make
 
-from helpers import enum_points, gaussian_binomial, rref_gauss_jordan
+from helpers import enum_points, gaussian_binomial, matrix_combination, rref_gauss_jordan
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -700,6 +700,22 @@ def test_internal_matrices_pass_the_checked_constructor(field, rng):
     empty = Mat.zero(field, 0, 3)
     for out in (empty, empty.transpose(), empty.neg(), Mat.identity(field, 0)):
         recheck(out)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_mat_vec_returns_a_unit_vectors_matrix_and_combines_the_rest(field, rng):
+    for _ in range(20):
+        d, n = rng.randrange(1, 5), rng.randrange(1, 4)
+        mats = [random_mat(field, n, n, rng) for _ in range(d)]
+        units = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+        assert all(mat_vec(mats, e) is mats[i] and mat_vec(mats, list(e)) is mats[i] for i, e in enumerate(units))
+        # c e_i with c != 1, zero, and random coefficients are combined
+        coords = [tuple(c if j == i else 0 for j in range(d)) for i in range(d) for c in range(field.q)]
+        coords += [tuple(rng.randrange(field.q) for _ in range(d)) for _ in range(8)]
+        for c in coords + [list(c) for c in coords]:
+            got = mat_vec(mats, c)
+            assert got == matrix_combination(mats, c)
+            recheck(got)
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)

@@ -11,7 +11,6 @@ from soclelab.errors import BudgetExceeded, InputError, NotSplitError, Precondit
 from soclelab.exactla import (
     Mat,
     Subspace,
-    enum_hyperplanes,
     image,
     kernel,
     mat_of_columns,
@@ -57,7 +56,7 @@ from soclelab.strongness import predicates
 
 from helpers import (
     images_on,
-    maximal_tops_enumerated,
+    matrix_combination,
     random_invertible,
     residuals_mod,
     soc_annihilator_dim,
@@ -238,7 +237,7 @@ def test_act_mat_reads_basis_elements_and_combines_every_other_element():
         assert all(m.act_mat(e) is m.action[i] for i, e in enumerate(units))
         coords = units + [(0,) * d, alg.one] + [tuple(rng.randrange(alg.field.q) for _ in range(d)) for _ in range(6)]
         for c in coords + [list(c) for c in coords]:
-            assert m.act_mat(c) == mat_vec(m.action, c)
+            assert m.act_mat(c) == matrix_combination(m.action, c)
 
 
 def test_rejects_identity_violation():
@@ -1267,32 +1266,11 @@ def test_socle_point_budget_stop_surfaces_at_the_read():
         == minimal_faithful(m).no_faithful_simple_quotient
 
 
-# -- one shared hyperplane list per full top ---------------------------------------------
+# -- one shared full space per top dimension ---------------------------------------------
 
 @pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
-def test_shared_hyperplanes_are_the_enumeration_of_the_full_space(p, e):
+def test_shared_full_space_is_the_full_space(p, e):
     field = field_make(p, e)
-    for t in range(1, 5 if field.q <= 3 else 4):
-        full = Subspace.full(field, t)
-        assert modrep._full_space(field, t) == full
-        assert list(modrep._full_hyperplanes(field, t)) == list(enum_hyperplanes(full))
-
-
-def test_maximal_tops_match_the_fresh_enumeration():
-    modules = [m for alg in CRITERION_8_ALGEBRAS for dim in (1, 2, 3) for m in iter_generator_modules(alg, dim)]
-    modules += [make_row_diagonal_pair()[1], *_two_block_modules()]
-    budget = Budget()
-    for m in modules:
-        qd = top(m)
-        assert list(modrep._maximal_tops(qd, budget)) == list(maximal_tops_enumerated(qd))
-    assert len(modules) > 500
-
-
-def test_a_top_past_the_shared_size_enumerates_afresh(monkeypatch):
-    # the zero action of F_2[x]/(x^2) on F_2^3: a full top with 7 hyperplanes
-    m = ModuleRep(KX2, 3, (Mat.identity(GF2, 3), Mat.zero(GF2, 3, 3)))
-    monkeypatch.setattr(modrep, "_SHARED_HYPERPLANES", 6)
-    before = modrep._full_hyperplanes.cache_info()
-    got = list(modrep._maximal_tops(top(m), Budget()))
-    assert modrep._full_hyperplanes.cache_info() == before
-    assert got == list(maximal_tops_enumerated(top(m))) and len(got) == 7
+    for t in range(1, 5):
+        assert modrep._full_space(field, t) == Subspace.full(field, t)
+        assert modrep._full_space(field, t) is modrep._full_space(field, t)
