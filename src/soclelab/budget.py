@@ -29,6 +29,11 @@ class Budget:
             if getattr(self, name) < 0:
                 raise InputError(f"budget {name} must be non-negative, got {getattr(self, name)}")
 
+    @staticmethod
+    def of_cap(cap: int) -> "Budget":
+        """The budget for a `--budget` or SOCLELAB_BUDGET cap; ring scans stop at it or DEFAULT_RING_CAP."""
+        return Budget(max_enumeration=cap, max_ring=min(cap, DEFAULT_RING_CAP))
+
     def guard(self, what: str, needed: int) -> None:
         if needed > self.max_enumeration:
             raise BudgetExceeded(what, needed, self.max_enumeration)
@@ -46,4 +51,4 @@ def default_budget() -> Budget:
         cap = int(env)
     except ValueError:
         raise InputError(f"SOCLELAB_BUDGET must be an integer, got {env!r}") from None
-    return Budget(max_enumeration=cap, max_ring=min(cap, DEFAULT_RING_CAP))
+    return Budget.of_cap(cap)

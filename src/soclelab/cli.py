@@ -471,7 +471,7 @@ def main(argv=None) -> int:
         command = f"reproduce {args.target}"
     try:
         if args.budget is not None:
-            budget = Budget(max_enumeration=args.budget, max_ring=min(args.budget, 2**16))
+            budget = Budget.of_cap(args.budget)
         else:
             budget = default_budget()
         return handler(args, reporter, budget)

@@ -340,7 +340,7 @@ def random_verified_system(
     coverage conditions, and the cardinality condition; the swap condition
     holds by the proved implication from the split block structure (under
     the cap of 1 its tuple scan runs only when there is one corner tuple)."""
-    check_budget = Budget(max_enumeration=1, max_ring=2**16)
+    check_budget = Budget(max_enumeration=1)
     for _ in range(max_tries):
         sys = random_split_system(field, rng)
         report = prop41_check(sys, check_budget)

@@ -18,10 +18,10 @@ Both conditions quantify over projective points rather than all nonzero
 vectors: rank-one membership is scalar-homogeneous, so nothing is lost and
 the work drops by a factor of (q - 1).  Minimality is decided on hyperplanes
 only, which suffices because the conditions are upward monotone (tested).
-`check_minimal` tests each hyperplane of one space directly; the exhaustive
-`search_minimal` instead looks each hyperplane up among the satisfiers it
-found one dimension down, which it has already enumerated in full, and
-certifies every space it reports with `check_bound`.
+`check_bound` tests each hyperplane of one space, in `enum_hyperplanes`
+order; the exhaustive `search_minimal` instead looks each one up among the
+satisfiers it found one dimension down, which it has already enumerated in
+full, and certifies every space it reports with `check_bound`.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from .exactla import (
     enum_subspaces,
     kernel,
     mat_of_columns,
-    mat_of_rows,
-    mat_vec,
     num_projective_points,
     row_rank,
     vec_combo,
@@ -228,6 +226,12 @@ def check_bound(
 
     A verified instance where both conditions hold but the bound fails is an
     implementation bug by definition and raises TheoremViolation.
+
+    With `check_minimality`, a space satisfying both conditions is minimal
+    when none of its hyperplanes does; hyperplanes suffice because the
+    conditions are upward monotone.  The scan is charged to the budget before
+    it starts, and the first satisfying hyperplane of `enum_hyperplanes` is
+    reported in RREF, whatever basis A was given in.
     """
     flat = a.flat()
     res = _unit_residuals(flat)
@@ -240,33 +244,23 @@ def check_bound(
             f"coverage conditions hold but dim {a.dim} < {a.m}+{a.n}-1 for m={a.m}, n={a.n}, q={a.field.q}"
         )
     if check_minimality and report.both_hold:
-        report.minimal, report.violating_hyperplane = check_minimal(a, budget)
+        budget = budget or default_budget()
+        budget.guard("minimality hyperplane enumeration", num_projective_points(a.dim, a.field.q))
+        hit = next((h for h in enum_hyperplanes(flat) if _both_conditions_flat(h, a.m, a.n)), None)
+        report.minimal = hit is None
+        if hit is not None:
+            report.violating_hyperplane = TensorSubspace.from_flat(a.field, a.m, a.n, hit)
     return report
 
 
 def check_minimal(a: TensorSubspace, budget: Budget | None = None) -> tuple[bool, TensorSubspace | None]:
-    """True when no hyperplane of A satisfies both coverage conditions.
-
-    Hyperplanes suffice: the conditions are upward monotone (if a subspace
-    satisfies them, so does everything between it and A), so any satisfying
-    proper subspace extends to a satisfying hyperplane.  The hyperplane scan
-    is charged to the budget before it starts.
-    """
-    budget = budget or default_budget()
-    if not _both_conditions_flat(a.flat(), a.m, a.n):
+    """(minimal, first satisfying hyperplane or None), as `check_bound` with
+    `check_minimality` decides them; a space failing a coverage condition
+    has no minimality verdict and raises PreconditionError."""
+    report = check_bound(a, check_minimality=True, budget=budget)
+    if report.minimal is None:
         raise PreconditionError("minimality is only defined for spaces satisfying both coverage conditions")
-    field = a.field
-    d = a.dim
-    budget.guard("minimality hyperplane enumeration", num_projective_points(d, field.q))
-    basis = list(a.basis)
-    for phi in enum_coeff_points(field, d):
-        coeff_kernel = kernel(mat_of_rows(field, d, [phi]))
-        sub_basis = tuple(mat_vec(basis, coeffs) for coeffs in coeff_kernel.basis_rows)
-        candidate = TensorSubspace(field, a.m, a.n, sub_basis)
-        flat = candidate.flat()
-        if _both_conditions_flat(flat, a.m, a.n):
-            return False, candidate
-    return True, None
+    return report.minimal, report.violating_hyperplane
 
 
 # ---------------------------------------------------------------------------

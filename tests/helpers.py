@@ -17,6 +17,7 @@ from soclelab.exactla import (
     kernel,
     mat_of_columns,
     mat_of_rows,
+    mat_vec,
     num_projective_points,
     row_rank,
     rref_rows,
@@ -25,7 +26,7 @@ from soclelab.exactla import (
 )
 from soclelab.modrep import ModuleRep, block_decomposition, quotient_action, radical_image, restrict_action, socle_subspace
 from soclelab.strongness import BilinearSystem, BlockSpec, StrongReport, _side_block
-from soclelab.tensorcover import TensorSubspace
+from soclelab.tensorcover import TensorSubspace, _both_conditions_flat
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -171,6 +172,22 @@ def coverage_sides(flat: Subspace, m: int, n: int) -> tuple[list, list]:
     rows = [(b, coverage_partner_space(flat, b, n)) for b in enum_coeff_points(field, m)]
     cols = [(c, coverage_partner_space(flat_t, c, m)) for c in enum_coeff_points(field, n)]
     return rows, cols
+
+
+def minimal_by_hyperplane_kernels(a: TensorSubspace) -> tuple[bool, TensorSubspace | None]:
+    """Hyperplane minimality built one hyperplane at a time in A's own basis:
+    for each projective point phi of the coefficient space, the kernel of phi
+    combined with A's basis matrices.  The oracle for `check_minimal`, which
+    takes the closed-form hyperplanes of A's RREF instead.  A must satisfy
+    both coverage conditions."""
+    field, d = a.field, a.dim
+    basis = list(a.basis)
+    for phi in enum_coeff_points(field, d):
+        coeff_kernel = kernel(mat_of_rows(field, d, [phi]))
+        candidate = TensorSubspace(field, a.m, a.n, tuple(mat_vec(basis, c) for c in coeff_kernel.basis_rows))
+        if _both_conditions_flat(candidate.flat(), a.m, a.n):
+            return False, candidate
+    return True, None
 
 
 # -- the full-size coverage solves: the oracle for the corner tests of strongness --

@@ -491,6 +491,20 @@ def test_budget_env_var(monkeypatch):
             default_budget()
 
 
+@pytest.mark.parametrize("cap", [5, 100000])
+def test_budget_flag_and_env_var_build_the_same_budget(cap, capsys, monkeypatch):
+    from soclelab import cli
+    from soclelab.budget import Budget, DEFAULT_RING_CAP
+
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_gallery_list", lambda args, reporter, budget: seen.append(budget) or 0)
+    monkeypatch.delenv("SOCLELAB_BUDGET", raising=False)
+    assert main(["--budget", str(cap), "gallery", "list"]) == 0
+    monkeypatch.setenv("SOCLELAB_BUDGET", str(cap))
+    assert main(["gallery", "list"]) == 0
+    assert seen[0] == seen[1] == Budget(max_enumeration=cap, max_ring=min(cap, DEFAULT_RING_CAP))
+
+
 def test_malformed_budget_is_an_input_error(capsys, monkeypatch):
     argv = ("cover", "search-minimal", "--m", "2", "--n", "2", "--q", "2")
     cases = [({"SOCLELAB_BUDGET": "abc"}, ()), ({"SOCLELAB_BUDGET": "-5"}, ()), ({}, ("--budget", "-5"))]

@@ -4,7 +4,7 @@ import pytest
 
 from soclelab.budget import Budget
 from soclelab.errors import BudgetExceeded, InputError, PreconditionError, TheoremViolation
-from soclelab.exactla import Subspace, all_subspaces, enum_coeff_points, num_projective_points
+from soclelab.exactla import Mat, Subspace, all_subspaces, enum_coeff_points, mat_vec, num_projective_points
 from soclelab.gf import field_make
 from soclelab.strongness import predicates
 from soclelab.tensorcover import (
@@ -22,6 +22,7 @@ from soclelab import tensorcover
 
 from helpers import (
     coverage_sides,
+    minimal_by_hyperplane_kernels,
     random_invertible,
     to_bilinear,
 )
@@ -264,6 +265,61 @@ def test_minimality_scan_is_charged_to_the_budget():
     with pytest.raises(BudgetExceeded):
         check_bound(full, check_minimality=True, budget=Budget(max_enumeration=hyperplanes - 1))
     assert check_bound(full, check_minimality=True, budget=Budget(max_enumeration=hyperplanes)).minimal is False
+
+
+def test_check_minimal_matches_the_per_hyperplane_oracle():
+    # the closed-form hyperplanes of A's RREF give the verdict and the first
+    # satisfying hyperplane, basis included, that building each hyperplane
+    # from a kernel in A's own basis gives
+    not_minimal = 0
+    for m, n, field, satisfiers in ((2, 2, GF2, 16), (2, 2, GF3, 41), (2, 3, GF2, 85)):
+        seen = 0
+        for flat in all_subspaces(field, m * n):
+            if not tensorcover._both_conditions_flat(flat, m, n):
+                continue
+            ts = TensorSubspace.from_flat(field, m, n, flat)
+            expected = minimal_by_hyperplane_kernels(ts)
+            assert check_minimal(ts) == expected
+            seen += 1
+            not_minimal += not expected[0]
+        assert seen == satisfiers, (m, n, field.q)
+    assert not_minimal == 24
+
+
+def recombined(ts: TensorSubspace, g: Mat) -> TensorSubspace:
+    """A's basis recombined by the invertible matrix g: row i of g gives the
+    coordinates of basis matrix i."""
+    return TensorSubspace(ts.field, ts.m, ts.n, tuple(mat_vec(list(ts.basis), g.row(i)) for i in range(g.rows)))
+
+
+def test_minimality_report_does_not_depend_on_the_basis(rng):
+    # the report of A given in RREF, with its basis shuffled, and recombined
+    # by an invertible matrix: same verdicts, witnesses and hyperplane
+    full = TensorSubspace.full(GF3, 2, 2)
+    b = full.basis
+    cases = [
+        (make_corner_family(3, 3, 3, GF2), None),
+        (full, TensorSubspace(GF3, 2, 2, (b[0].add(b[1]), b[1], b[3], b[2].scale(2)))),
+    ]
+    for field, m, n in ((GF3, 2, 2), (GF2, 2, 3), (GF2, 3, 2)):
+        while True:
+            vectors = [[rng.randrange(field.q) for _ in range(m * n)] for _ in range(rng.randint(m + n - 1, m * n))]
+            flat = Subspace.from_vectors(field, m * n, vectors)
+            if tensorcover._both_conditions_flat(flat, m, n):
+                cases.append((TensorSubspace.from_flat(field, m, n, flat), None))
+                break
+    minimal = set()
+    for ts, given in cases:
+        rref = TensorSubspace.from_flat(ts.field, ts.m, ts.n, ts.flat())
+        expected = check_bound(rref, check_minimality=True).to_json()
+        shuffled = list(ts.basis)
+        rng.shuffle(shuffled)
+        others = [TensorSubspace(ts.field, ts.m, ts.n, tuple(shuffled)), recombined(ts, random_invertible(ts.field, ts.dim, rng)[0])]
+        for other in others + ([given] if given else []):
+            assert other.flat() == rref.flat()
+            assert check_bound(other, check_minimality=True).to_json() == expected
+        minimal.add(expected["minimal"])
+    assert minimal == {True, False}
 
 
 @pytest.mark.parametrize("m, n, q", [(2, 2, 2), (2, 2, 3), (1, 3, 2), (3, 2, 2), (2, 3, 2)])

@@ -1,0 +1,73 @@
+"""List every def or class in src/ that no other src/ code names.
+
+A definition counts as used when its name occurs as a name or an attribute
+anywhere in src/ outside its own body.  Matching is by bare name, so a name
+shared with a used definition hides an unused one; dunder methods, which the
+interpreter calls, are skipped.  Module-level and class-level definitions
+are scanned, each named as module.Qualname.
+
+Usage: python3 tools/unused_defs.py [SRC_DIR]   (default: src next to tools/)
+Exits 1 when it finds an unused definition that ALLOWED does not list, or an
+ALLOWED entry that is used again or gone; stdlib only.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+# definitions that only the tests and the benchmark's tracer call, with why they stay
+ALLOWED = {
+    "gf.Field._tables": "the benchmark tracer wraps it to count table lookups (gf.table_lookups); test_gf reads it",
+    "gf.Field.div": "the benchmark tracer wraps it among the scalar ops it counts (gf.scalar_ops)",
+    "modrep.maximal_submodules": "the benchmark tracer counts what it yields; the tests use it as an oracle",
+    "strongness.BilinearSystem.image_mult_space":
+        "the benchmark tracer counts it (strongness.mult_space.calls); the tests use it as the literal definition",
+    "strongness.BilinearSystem.kernel_mult_space":
+        "the benchmark tracer counts it (strongness.mult_space.calls); the tests use it as the literal definition",
+}
+
+
+def definitions(tree: ast.Module, module: str):
+    """(qualified name, node) for each module-level and class-level def or class."""
+    stack = [(module, tree.body)]
+    while stack:
+        prefix, body = stack.pop()
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield f"{prefix}.{node.name}", node
+                if isinstance(node, ast.ClassDef):
+                    stack.append((f"{prefix}.{node.name}", node.body))
+
+
+def unused(src: Path) -> list[str]:
+    defs, uses = [], {}  # uses: identifier -> [(path, line)] of each name or attribute read
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualname, node in definitions(tree, path.stem):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                defs.append((qualname, node.name, path, node.lineno, node.end_lineno))
+        for sub in ast.walk(tree):
+            name = sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute) else None
+            if name is not None:
+                uses.setdefault(name, []).append((path, sub.lineno))
+    return sorted(
+        qualname
+        for qualname, name, path, first, last in defs
+        if all(p == path and first <= line <= last for p, line in uses.get(name, ()))
+    )
+
+
+def main(argv: list[str]) -> int:
+    src = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
+    found = unused(src)
+    problems = [f"unused: {name}" for name in found if name not in ALLOWED]
+    problems += [f"allowed but used or gone: {name}" for name in ALLOWED if name not in found]
+    for line in problems:
+        print(line)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
