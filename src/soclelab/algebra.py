@@ -159,26 +159,35 @@ class Algebra:
             gens = list(range(self.dim))
             for i in range(self.dim):
                 rest = [g for g in gens if g != i]
-                if self._generated_dim(rest) == self.dim:
+                if self.words(rest)[1].rank == self.dim:
                     gens = rest
             self._generators_cache = tuple(gens)
         return self._generators_cache
 
-    def _generated_dim(self, indices) -> int:
-        """Dimension of the unital subalgebra the given basis elements
-        generate: the span of 1 and of every word in them, grown one right
-        factor at a time until no new word leaves the span."""
-        span = RowBasis(self.field, self.dim)
-        frontier = [self.one] if span.add(self.one) else []
-        while frontier:
+    def words(self, indices) -> tuple[list[tuple[int, int]], SpanTracker]:
+        """The words in the given basis elements that span the unital
+        subalgebra they generate, grown breadth first one right factor at a
+        time from 1 until no new word leaves the span (or the span is the
+        whole algebra).  Returns the recipe, one (parent word, position in
+        indices) per word after 1, and a SpanTracker over the word values,
+        1 first, in recipe order."""
+        tracker = SpanTracker(self.field, self.dim, self.dim)
+        tracker.add(self.one)
+        recipe: list[tuple[int, int]] = []
+        values = [self.one]
+        frontier = [0]
+        while frontier and tracker.rank < self.dim:
             nxt = []
-            for v in frontier:
-                for g in indices:
-                    w = self.mul_coords(v, self.basis_coords(g))
-                    if span.add(w):
-                        nxt.append(w)
+            for w_idx in frontier:
+                for g_pos, g in enumerate(indices):
+                    w = self.mul_coords(values[w_idx], self.basis_coords(g))
+                    if tracker.express(w) is None:
+                        tracker.add(w)
+                        values.append(w)
+                        recipe.append((w_idx, g_pos))
+                        nxt.append(len(values) - 1)
             frontier = nxt
-        return span.rank
+        return recipe, tracker
 
     # -- verification ----------------------------------------------------------
     def _verify_structure(self):

@@ -2,9 +2,9 @@
 
 Exhaustive side: all square-zero matrices of a given size are enumerated
 constructively (image inside kernel, stratified by rank), and modules over
-an algebra are assembled from candidate generator actions; the module
-constructor itself is the relation filter, so no valid module is missed
-and no invalid one survives.
+an algebra are assembled from candidate actions of the generators that
+`Algebra.generators()` picks; the module constructor itself is the
+relation filter, so no valid module is missed and no invalid one survives.
 
 Random side: the same constructions sampled with a seeded generator, plus
 random split bilinear systems whose hypotheses are verified before use.
@@ -20,14 +20,14 @@ from .budget import Budget
 from .errors import InputError, TheoremViolation
 from .exactla import (
     Mat,
-    SpanTracker,
     Subspace,
     enum_subspaces,
     mat_vec,
     vec_combo,
 )
+from .gallery import criterion8_algebras, make_row_diagonal_pair
 from .gf import Field
-from .modrep import ModuleRep, faithful
+from .modrep import ModuleRep, faithful, regular_module
 from .strongness import BilinearSystem, BlockSpec, SystemReport, prop41_check, tensor_maps
 
 
@@ -126,47 +126,32 @@ def _random_oversubspace(field: Field, inner: Subspace, dim: int, rng: random.Ra
 # ---------------------------------------------------------------------------
 
 class ModuleAssembler:
-    """Assemble modules from generator actions over a fixed algebra.
+    """Assemble modules over a fixed algebra from actions of its generators
+    (`Algebra.generators()`).
 
     The word structure (which products of generators to take, and how each
-    basis element combines them) is computed once; assembling a candidate is
-    then a handful of matrix products plus the constructor's relation check.
+    basis element combines them) and the pairs of distinct generators whose
+    product vanishes are computed once; assembling a candidate is then a
+    zero test per such pair, a handful of matrix products and the
+    constructor's relation check.
     """
 
-    def __init__(self, algebra: Algebra, gen_indices):
+    def __init__(self, algebra: Algebra):
         self.algebra = algebra
-        self.gen_indices = list(gen_indices)
-        field = algebra.field
-        d = algebra.dim
-        tracker = SpanTracker(field, d, d)
-        tracker.add(algebra.one)
-        # each word: (parent index into the word list, generator position)
-        self.word_recipe: list[tuple[int, int]] = []
-        values = [algebra.one]
-        frontier = [0]
-        while frontier and tracker.rank < d:
-            nxt = []
-            for w_idx in frontier:
-                for g_pos, g_idx in enumerate(self.gen_indices):
-                    new_val = algebra.mul_coords(values[w_idx], algebra.basis_coords(g_idx))
-                    if tracker.rank >= d:
-                        break
-                    if tracker.express(new_val) is None:
-                        tracker.add(new_val)
-                        values.append(new_val)
-                        self.word_recipe.append((w_idx, g_pos))
-                        nxt.append(len(values) - 1)
-            frontier = nxt
-        if tracker.rank < d:
-            raise InputError("chosen elements do not generate the algebra")
-        self.basis_combos = []
-        for t in range(d):
-            combo = tracker.express(algebra.basis_coords(t))
-            if combo is None:
-                raise InputError("chosen elements do not generate the algebra")
-            self.basis_combos.append(combo)
+        gens = algebra.generators()
+        # each word after 1: (parent index into the word list, generator position)
+        self.word_recipe, tracker = algebra.words(gens)
+        self.basis_combos = [tracker.express(algebra.basis_coords(t)) for t in range(algebra.dim)]
+        self.zero_pairs = [(a_pos, b_pos) for a_pos, ga in enumerate(gens) for b_pos, gb in enumerate(gens)
+                           if a_pos != b_pos and not any(algebra.mult[ga][gb])]
 
     def assemble(self, gen_mats) -> ModuleRep | None:
+        """The module with these generator actions, or None when they break
+        a relation; a pair that vanishes in the algebra but not as matrices
+        is rejected before any word is built."""
+        for a_pos, b_pos in self.zero_pairs:
+            if not gen_mats[a_pos].mul(gen_mats[b_pos]).is_zero():
+                return None
         field = self.algebra.field
         dim = gen_mats[0].rows if gen_mats else 0
         word_mats = [Mat.identity(field, dim)]
@@ -181,91 +166,33 @@ class ModuleAssembler:
             return None
 
 
-def generator_module(algebra: Algebra, gen_indices, gen_mats) -> ModuleRep | None:
-    """One-shot wrapper around ModuleAssembler."""
-    return ModuleAssembler(algebra, gen_indices).assemble(list(gen_mats))
-
-
-def radical_generator_indices(algebra: Algebra) -> list[int]:
-    """Basis indices that generate the radical modulo its square.
-
-    Assumes the algebra basis is adapted to the radical (each radical basis
-    vector is a coordinate vector), which is true of every gallery algebra."""
-    J = algebra.radical()
-    j_indices = []
-    for v in J.basis_rows:
-        nz = [k for k, x in enumerate(v) if x]
-        if len(nz) != 1:
-            raise InputError("algebra basis is not adapted to its radical")
-        j_indices.append(nz[0])
-    # J^2 as a subspace
-    squares = [algebra.mul_coords(a, b) for a in J.basis_rows for b in J.basis_rows]
-    j2 = Subspace.from_vectors(algebra.field, algebra.dim, squares)
-    gens = []
-    current = list(j2.basis_rows)
-    for idx in j_indices:
-        v = algebra.basis_coords(idx)
-        grown = Subspace.from_vectors(algebra.field, algebra.dim, current + [v])
-        if grown.dim > len(Subspace.from_vectors(algebra.field, algebra.dim, current).basis_rows):
-            gens.append(idx)
-            current.append(v)
-    return gens
-
-
 def iter_generator_modules(algebra: Algebra, dim: int):
     """All modules of the given dimension assembled from square-zero
-    candidate actions for the radical generators.
+    candidate actions for the generators of `Algebra.generators()`, in
+    `itertools.product` order over the pool.
 
-    Complete for algebras whose radical generators square to zero (checked):
-    any valid module's generator actions are themselves square-zero, so they
-    appear among the candidates.  A cheap pairwise-product prefilter cuts
-    the tuple space before the constructor's full relation check."""
-    gens = radical_generator_indices(algebra)
-    for g in gens:
-        sq = algebra.mul_coords(algebra.basis_coords(g), algebra.basis_coords(g))
-        if any(sq):
-            raise InputError("generator does not square to zero: candidate pool would be incomplete")
-    assembler = ModuleAssembler(algebra, gens)
-    pre = relation_prefilter(algebra)
+    Complete for algebras whose generators square to zero (checked): any
+    valid module's generator actions are themselves square-zero, so they
+    appear among the candidates."""
+    gens = algebra.generators()
+    if any(any(algebra.mult[g][g]) for g in gens):
+        raise InputError("generator does not square to zero: candidate pool would be incomplete")
+    assembler = ModuleAssembler(algebra)
     pool = square_zero_matrices(algebra.field, dim)
     for combo in itertools.product(pool, repeat=len(gens)):
-        if not pre(combo):
-            continue
-        mod = assembler.assemble(list(combo))
+        mod = assembler.assemble(combo)
         if mod is not None:
             yield mod
 
 
-def relation_prefilter(algebra: Algebra):
-    """Cheap necessary conditions on generator actions: cross products of
-    distinct generators that vanish in the algebra must vanish as matrices.
-    Squares are skipped (the candidate pools already square to zero)."""
-    gens = radical_generator_indices(algebra)
-    zero_pairs = []
-    for a_pos, ga in enumerate(gens):
-        for b_pos, gb in enumerate(gens):
-            if a_pos == b_pos:
-                continue
-            if not any(algebra.mult[ga][gb]):
-                zero_pairs.append((a_pos, b_pos))
-
-    def check(mats) -> bool:
-        for a_pos, b_pos in zero_pairs:
-            if not mats[a_pos].mul(mats[b_pos]).is_zero():
-                return False
-        return True
-
-    return check
-
-
-def random_generator_module(algebra: Algebra, dim: int, rng: random.Random, attempts: int = 400) -> ModuleRep | None:
-    gens = radical_generator_indices(algebra)
-    pre = relation_prefilter(algebra)
+def random_generator_module(
+    assembler: ModuleAssembler, dim: int, rng: random.Random, attempts: int = 400
+) -> ModuleRep | None:
+    """The first module assembled from random square-zero generator actions,
+    or None after the given number of attempts."""
+    field = assembler.algebra.field
     for _ in range(attempts):
-        mats = [random_square_zero(algebra.field, dim, rng) for _ in gens]
-        if not pre(mats):
-            continue
-        mod = generator_module(algebra, gens, mats)
+        mod = assembler.assemble([random_square_zero(field, dim, rng) for _ in assembler.algebra.generators()])
         if mod is not None:
             return mod
     return None
@@ -274,9 +201,6 @@ def random_generator_module(algebra: Algebra, dim: int, rng: random.Random, atte
 def faithful_corpus(rng: random.Random, min_count: int = 200) -> list[tuple[str, ModuleRep]]:
     """At least min_count faithful modules: gallery fixtures plus seeded
     random modules over the small local algebras."""
-    from .gallery import criterion8_algebras, make_row_diagonal_pair
-    from .modrep import regular_module
-
     out: list[tuple[str, ModuleRep]] = []
     algebras = criterion8_algebras()
     for name, alg in algebras:
@@ -287,12 +211,13 @@ def faithful_corpus(rng: random.Random, min_count: int = 200) -> list[tuple[str,
     out.append(("row-diagonal-module", module))
     out.append(("row-diagonal-regular", regular_module(ring)))
 
-    per_round = [(name, alg, dim) for name, alg in algebras for dim in (3, 4, 5)]
+    assemblers = [(name, ModuleAssembler(alg)) for name, alg in algebras]
+    per_round = [(name, assembler, dim) for name, assembler in assemblers for dim in (3, 4, 5)]
     round_no = 0
     while len(out) < min_count:
         round_no += 1
-        for name, alg, dim in per_round:
-            mod = random_generator_module(alg, dim, rng)
+        for name, assembler, dim in per_round:
+            mod = random_generator_module(assembler, dim, rng)
             if mod is None:
                 continue
             ok, _ = faithful(mod)

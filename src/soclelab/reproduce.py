@@ -23,7 +23,7 @@ from .algebra import (
 from .budget import Budget, default_budget
 from .corpus import faithful_corpus, iter_generator_modules, random_verified_system
 from .errors import SocleLabError, TheoremViolation
-from .exactla import all_subspaces, num_subspaces
+from .exactla import Mat, all_subspaces, num_subspaces
 from .gallery import (
     LINE_COVER_EXPECTED,
     ROW_DIAGONAL_EXPECTED,
@@ -51,7 +51,7 @@ from .modrep import (
     socle_subspace,
     top_socle,
 )
-from .strongness import BlockSpec, n_strong, no_union_cover, prop41_check, union_split
+from .strongness import BilinearSystem, BlockSpec, n_strong, no_union_cover, prop41_check, union_split
 from .tensorcover import check_bound, check_minimal, _both_conditions_flat
 
 
@@ -373,9 +373,6 @@ def battery_strength_laws(budget: Budget | None = None) -> list[dict]:
     # strong union has no strong part, so simply running it checks the law.
     # Splitting a full map space's basis in half gives unions that may or may
     # not be strong; both outcomes are lawful.
-    from .exactla import Mat
-    from .strongness import BilinearSystem
-
     for q in (2, 3):
         field = field_make(q)
         for s, t in ((1, 2), (2, 2), (1, 3)):
@@ -408,9 +405,6 @@ def battery_strength_laws(budget: Budget | None = None) -> list[dict]:
 
 def _two_block_full_system(field, s: int, t: int):
     """Two S-blocks, full hom corner from each into one T-block."""
-    from .exactla import Mat
-    from .strongness import BilinearSystem
-
     dim_b = 2 * s
     gens = []
     for off in (0, s):

@@ -6,7 +6,7 @@ import pytest
 
 from soclelab.algebra import algebra_make, bimodule_length, socle_graph, socles
 from soclelab.budget import Budget
-from soclelab.corpus import generator_module, iter_generator_modules, random_generator_module
+from soclelab.corpus import ModuleAssembler, iter_generator_modules, random_generator_module
 from soclelab.errors import BudgetExceeded, InputError, NotSplitError, PreconditionError, TheoremViolation
 from soclelab.exactla import (
     Mat,
@@ -215,7 +215,7 @@ def test_zero_relation_targets_still_reject():
     # x^2 = 0 in F_3[x]/(x^2), so pair (1, 1) is a zero test, and X^2 != 0
     x_mat = Mat.from_rows(GF3, [[0, 1], [0, 2]])
     assert KX3.mult[1][1] == (0, 0) and not x_mat.mul(x_mat).is_zero()
-    assert generator_module(KX3, [1], [x_mat]) is None
+    assert ModuleAssembler(KX3).assemble([x_mat]) is None
     with pytest.raises(InputError, match=pair_error(1, 1)):
         ModuleRep(KX3, 2, (Mat.identity(GF3, 2), x_mat))
     # xy = 0 in F_2[x,y]/(x,y)^2, but E_01 E_10 = E_00
@@ -229,7 +229,7 @@ def test_act_mat_reads_basis_elements_and_combines_every_other_element():
     rng = random.Random(28)
     modules = [regular_module(alg) for _name, alg in split_gallery_algebras()]
     modules += [m for _name, alg in criterion8_algebras() for dim in (2, 3, 4)
-                if (m := random_generator_module(alg, dim, rng)) is not None]
+                if (m := random_generator_module(ModuleAssembler(alg), dim, rng)) is not None]
     assert len(modules) > 30
     for m in modules:
         alg, d = m.algebra, m.algebra.dim
@@ -792,7 +792,7 @@ def test_shrink_quotient_runs_no_hyperplane_scan():
     # the quotient descent reads only the quotient witness, so the top's
     # 7 hyperplanes are never enumerated: a cap of 3 does not stop it
     def module():
-        return random_generator_module(make_square_zero_extension(GF2, 2), 4, random.Random(68))
+        return random_generator_module(ModuleAssembler(make_square_zero_extension(GF2, 2)), 4, random.Random(68))
 
     shrunk = shrink_quotient(module())
     assert (module().dim, shrunk.dim) == (4, 3)
