@@ -21,12 +21,13 @@ only, which suffices because the conditions are upward monotone (tested).
 `check_bound` tests each hyperplane of one space, in `enum_hyperplanes`
 order; the exhaustive `search_minimal` instead looks each one up among the
 satisfiers it found one dimension down, which it has already enumerated in
-full, and certifies every space it reports with `check_bound`.
+full.  Both certify by `_witnessed_report`, one kernel per residual matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .budget import Budget, default_budget
 from .errors import InputError, PreconditionError, TheoremViolation, decoding, json_int
@@ -113,14 +114,19 @@ def rank_one(field: Field, b, c) -> Mat:
 # the coverage conditions
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _unit_rows(width: int) -> tuple:
+    return tuple(tuple(int(k == f) for f in range(width)) for k in range(width))
+
+
 def _unit_residuals(flat: Subspace) -> list:
     """The residual of each unit vector e_k modulo the flat space, at its free
     coordinates: e_k off the pivots, and e_k minus its pivot row at a pivot."""
     neg = flat.field.tables.neg
     free = [k for k in range(flat.ambient_dim) if k not in flat.pivots]
-    res = [tuple(int(k == f) for f in free) for k in range(flat.ambient_dim)]
-    for p, row in zip(flat.pivots, flat.basis_rows):
-        res[p] = tuple([neg[row[f]] for f in free])
+    res = list(_unit_rows(len(free)))
+    for p, row in zip(flat.pivots, flat.basis_rows):  # ascending, so each lands at index p
+        res.insert(p, tuple([neg[row[f]] for f in free]))
     return res
 
 
@@ -132,12 +138,16 @@ def _side(field: Field, res: list, m: int, n: int, rows: bool):
         yield p, [vec_combo(field, g, p) for g in groups]
 
 
-def _partners(flat: Subspace, res: list, m: int, n: int, rows: bool):
+def _partners(flat: Subspace, res: list, m: int, n: int, rows: bool, kernels: dict):
     """(point, partner space) for each projective point of one side; the
-    partner of a row point b is {c : b (x) c in A}, and dually."""
+    partner of a row point b is {c : b (x) c in A}, and dually.  `kernels`
+    maps each residual matrix met so far (over flat's field) to its kernel."""
     field, width = flat.field, m * n - flat.dim
     for p, residuals in _side(field, res, m, n, rows):
-        yield p, kernel(mat_of_columns(field, width, residuals))
+        key = tuple(residuals)
+        if key not in kernels:
+            kernels[key] = kernel(mat_of_columns(field, width, residuals))
+        yield p, kernels[key]
 
 
 def _both_conditions_flat(flat: Subspace, m: int, n: int) -> bool:
@@ -164,11 +174,11 @@ class CoverageSide:
         }
 
 
-def _coverage(flat: Subspace, m: int, n: int, rows: bool, res: list | None = None) -> CoverageSide:
+def _coverage(flat: Subspace, m: int, n: int, rows: bool, res: list, kernels: dict) -> CoverageSide:
     """One coverage condition, witnessed: the first basis vector of each
     point's partner space is re-checked by membership before it is reported."""
     witnesses = []
-    for p, partner in _partners(flat, res or _unit_residuals(flat), m, n, rows):
+    for p, partner in _partners(flat, res, m, n, rows, kernels):
         if partner.dim == 0:
             return CoverageSide(False, witnesses, p)
         b, c = (p, partner.basis_rows[0]) if rows else (partner.basis_rows[0], p)
@@ -180,12 +190,12 @@ def _coverage(flat: Subspace, m: int, n: int, rows: bool, res: list | None = Non
 
 def check_cond_b(a: TensorSubspace) -> CoverageSide:
     """Row coverage: every projective point of F_q^m is a row factor in A."""
-    return _coverage(a.flat(), a.m, a.n, rows=True)
+    return _coverage(flat := a.flat(), a.m, a.n, True, _unit_residuals(flat), {})
 
 
 def check_cond_c(a: TensorSubspace) -> CoverageSide:
     """Column coverage: every projective point of F_q^n is a column factor in A."""
-    return _coverage(a.flat(), a.m, a.n, rows=False)
+    return _coverage(flat := a.flat(), a.m, a.n, False, _unit_residuals(flat), {})
 
 
 @dataclass
@@ -219,13 +229,25 @@ class CoverageReport:
         return out
 
 
+def _witnessed_report(flat: Subspace, m: int, n: int, kernels: dict) -> CoverageReport:
+    """Both witnessed coverage conditions of the flat space, from one residual
+    table, and dim >= m + n - 1; both holding below the bound raises
+    TheoremViolation, since it is an implementation bug by definition."""
+    res = _unit_residuals(flat)
+    cond_b, cond_c = (_coverage(flat, m, n, rows, res, kernels) for rows in (True, False))
+    report = CoverageReport(m, n, flat.dim, cond_b, cond_c, flat.dim >= m + n - 1)
+    if report.both_hold and not report.bound_holds:
+        raise TheoremViolation(
+            f"coverage conditions hold but dim {flat.dim} < {m}+{n}-1 for m={m}, n={n}, q={flat.field.q}"
+        )
+    return report
+
+
 def check_bound(
     a: TensorSubspace, check_minimality: bool = False, budget: Budget | None = None
 ) -> CoverageReport:
-    """Run both coverage conditions and compare dim(A) with m + n - 1.
-
-    A verified instance where both conditions hold but the bound fails is an
-    implementation bug by definition and raises TheoremViolation.
+    """Run both coverage conditions and compare dim(A) with m + n - 1, as
+    `_witnessed_report` does.
 
     With `check_minimality`, a space satisfying both conditions is minimal
     when none of its hyperplanes does; hyperplanes suffice because the
@@ -234,15 +256,7 @@ def check_bound(
     reported in RREF, whatever basis A was given in.
     """
     flat = a.flat()
-    res = _unit_residuals(flat)
-    cond_b = _coverage(flat, a.m, a.n, rows=True, res=res)
-    cond_c = _coverage(flat, a.m, a.n, rows=False, res=res)
-    bound_holds = a.dim >= a.m + a.n - 1
-    report = CoverageReport(a.m, a.n, a.dim, cond_b, cond_c, bound_holds)
-    if report.both_hold and not bound_holds:
-        raise TheoremViolation(
-            f"coverage conditions hold but dim {a.dim} < {a.m}+{a.n}-1 for m={a.m}, n={a.n}, q={a.field.q}"
-        )
+    report = _witnessed_report(flat, a.m, a.n, {})
     if check_minimality and report.both_hold:
         budget = budget or default_budget()
         budget.guard("minimality hyperplane enumeration", num_projective_points(a.dim, a.field.q))
@@ -311,7 +325,8 @@ def search_minimal(
     hyperplanes of a dimension-d satisfier have dimension d - 1, and
     dimension d is scanned only after the scan of d - 1 finished, so the
     canonical satisfiers of d - 1 kept in `below` are all of them.  Each
-    minimal satisfier is certified by `check_bound` before it is reported.
+    minimal satisfier is certified by `_witnessed_report` before it is
+    reported, with one partner-kernel dict for the whole call.
     The budget caps the number of subspaces examined; on exhaustion the partial
     result is flagged incomplete.
 
@@ -322,10 +337,13 @@ def search_minimal(
     """
     if threads != 1:
         raise InputError(f"search_minimal runs sequentially; threads must be 1, got {threads!r}")
+    if m < 1 or n < 1:
+        raise InputError("tensor factors must be nonzero")
     budget = budget or default_budget()
     cap = budget.max_enumeration
     examined = 0
-    minimal: list[TensorSubspace] = []
+    minimal: list[Subspace] = []
+    kernels: dict = {}
     complete = True
     below: set[Subspace] = set()  # every satisfier of dimension dim - 1
     for dim in range(0, m * n + 1):
@@ -336,14 +354,13 @@ def search_minimal(
         examined += scanned
         for flat in satisfiers:
             if not below or not any(h in below for h in enum_hyperplanes(flat)):
-                ts = TensorSubspace.from_flat(field, m, n, flat)
                 # certify what is reported: witnesses re-checked by membership,
                 # and a space below the bound raises TheoremViolation
-                if not check_bound(ts).both_hold:
+                if not _witnessed_report(flat, m, n, kernels).both_hold:
                     raise TheoremViolation("search satisfier failed the witnessed coverage check")
-                minimal.append(ts)
+                minimal.append(flat)
         if not complete:
             break
         below = set(satisfiers)
-    minimal.sort(key=lambda t: t.sort_key())
-    return SearchResult(minimal, complete, examined)
+    minimal.sort(key=Subspace.sort_key)
+    return SearchResult([TensorSubspace.from_flat(field, m, n, flat) for flat in minimal], complete, examined)

@@ -41,6 +41,15 @@ def test_cover_search_minimal(capsys):
     assert all(len(t["basis"]) == 3 for t in record["details"]["minimal"])
 
 
+@pytest.mark.parametrize("m, n", [("0", "2"), ("2", "0"), ("-1", "2")])
+def test_cover_search_minimal_rejects_empty_factors(capsys, m, n):
+    code, out = run(capsys, "cover", "search-minimal", "--m", m, "--n", n, "--q", "2")
+    assert code == 2
+    record = json.loads(out.strip().splitlines()[-1])
+    assert record["verdict"] == "input-error"
+    assert "tensor factors must be nonzero" in record["details"]["error"]
+
+
 def test_cover_search_budget_exit(capsys):
     code, out = run(capsys, "--budget", "5", "cover", "search-minimal", "--m", "2", "--n", "2", "--q", "2")
     assert code == 3

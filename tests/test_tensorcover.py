@@ -120,14 +120,15 @@ def oracle_side(partners, columns: bool) -> CoverageSide:
     return CoverageSide(True, witnesses, None)
 
 
-def check_against_the_oracle(flat: Subspace, m: int, n: int) -> list:
+def check_against_the_oracle(flat: Subspace, m: int, n: int, kernels: dict) -> list:
     # the one residual table gives the partner spaces, verdicts and witnesses
     # of both sides that reducing each point's tensors from scratch gives,
-    # the column side through the transposed space; returns the partner dims
+    # the column side through the transposed space; returns the partner dims.
+    # `kernels` is shared by every space of one case, as in search_minimal
     rows, cols = coverage_sides(flat, m, n)
     res = tensorcover._unit_residuals(flat)
-    assert list(tensorcover._partners(flat, res, m, n, rows=True)) == rows
-    assert list(tensorcover._partners(flat, res, m, n, rows=False)) == cols
+    assert list(tensorcover._partners(flat, res, m, n, True, kernels)) == rows
+    assert list(tensorcover._partners(flat, res, m, n, False, kernels)) == cols
     both = all(partner.dim for _, partner in rows + cols)
     assert tensorcover._both_conditions_flat(flat, m, n) == both
     ts = TensorSubspace.from_flat(flat.field, m, n, flat)
@@ -140,14 +141,16 @@ def test_rank_coverage_matches_the_partner_spaces(rng):
     # every subspace of the oracle cases, then random ones of the shapes and
     # fields the cases leave out
     for m, n, field in ORACLE_CASES:
-        partner_dims = [d for flat in all_subspaces(field, m * n) for d in check_against_the_oracle(flat, m, n)]
+        kernels = {}
+        partner_dims = [d for flat in all_subspaces(field, m * n) for d in check_against_the_oracle(flat, m, n, kernels)]
         assert 0 in partner_dims and any(partner_dims), (m, n, field.q)
     for field in (GF2, GF3, field_make(2, 2), field_make(5)):
         for m, n in ((1, 2), (2, 3), (3, 2)):
+            kernels = {}
             for _ in range(8):
                 dim = rng.randint(0, m * n)
                 vectors = [[rng.randrange(field.q) for _ in range(m * n)] for _ in range(dim)]
-                check_against_the_oracle(Subspace.from_vectors(field, m * n, vectors), m, n)
+                check_against_the_oracle(Subspace.from_vectors(field, m * n, vectors), m, n, kernels)
 
 
 def test_coverage_is_invariant_under_changes_of_basis(rng):
@@ -349,7 +352,7 @@ def test_search_minimal_lookup_finds_a_lone_satisfying_hyperplane(q, monkeypatch
     # That family is not a coverage family, so the certification of each
     # reported space is stubbed out too.
     field = field_make(q)
-    monkeypatch.setattr(tensorcover, "check_bound", lambda ts: SimpleNamespace(both_hold=True))
+    monkeypatch.setattr(tensorcover, "_witnessed_report", lambda flat, m, n, kernels: SimpleNamespace(both_hold=True))
     for gen in all_subspaces(field, 3, dims=(1, 2)):
         monkeypatch.setattr(tensorcover, "_both_conditions_flat", lambda flat, m, n, gen=gen: flat.contains(gen))
         result = search_minimal(1, 3, field)
@@ -364,9 +367,39 @@ def test_search_minimal_certifies_what_it_reports(monkeypatch):
     with pytest.raises(TheoremViolation, match="witnessed coverage check"):
         search_minimal(2, 2, GF2)
     holding = CoverageSide(True, [], None)
-    monkeypatch.setattr(tensorcover, "_coverage", lambda flat, m, n, rows, res=None: holding)
+    monkeypatch.setattr(tensorcover, "_coverage", lambda flat, m, n, rows, res, kernels: holding)
     with pytest.raises(TheoremViolation, match="dim 1 < 2\\+2-1"):
         search_minimal(2, 2, GF2)
+
+
+def test_search_minimal_computes_one_kernel_per_residual_matrix(monkeypatch):
+    # the partner dict of one search: each distinct residual matrix has its
+    # kernel computed once, while every point of every certified space is
+    # still re-checked by membership (8 row and 8 column points over F_7)
+    matrices, rechecks = [], []
+    real_kernel, real_contains = tensorcover.kernel, Subspace.contains_vector
+
+    def counted_kernel(mat):
+        matrices.append((mat.rows, mat.cols, mat.entries))
+        return real_kernel(mat)
+
+    def counted_contains(self, vec):
+        rechecks.append(vec)
+        return real_contains(self, vec)
+
+    monkeypatch.setattr(tensorcover, "kernel", counted_kernel)
+    monkeypatch.setattr(Subspace, "contains_vector", counted_contains)
+    result = search_minimal(2, 2, field_make(7))
+    assert len(result.minimal) == 400
+    assert len(matrices) == len(set(matrices)) == 49
+    assert len(rechecks) == 16 * 400
+
+
+def test_search_minimal_rejects_empty_factors():
+    # checked before any enumeration, as TensorSubspace checks its shape
+    for m, n in ((0, 2), (2, 0), (-1, 2), (0, 0)):
+        with pytest.raises(InputError, match="tensor factors must be nonzero"):
+            search_minimal(m, n, GF2)
 
 
 def test_search_minimal_2x2_f2():
