@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BudgetExceeded, InputError
 
@@ -44,7 +45,13 @@ class Budget:
 
 
 def default_budget() -> Budget:
-    env = os.environ.get("SOCLELAB_BUDGET")
+    return _budget_of_env(os.environ.get("SOCLELAB_BUDGET"))
+
+
+@lru_cache(maxsize=None)
+def _budget_of_env(env: str | None) -> Budget:
+    """Parsed once per distinct value; a malformed one raises on every call,
+    since `lru_cache` keeps no exceptions."""
     if env is None:
         return Budget()
     try:

@@ -5,6 +5,12 @@ constructively (image inside kernel, stratified by rank), and modules over
 an algebra are assembled from candidate actions of the generators that
 `Algebra.generators()` picks; the module constructor itself is the
 relation filter, so no valid module is missed and no invalid one survives.
+X^2 = 0 leaves Jordan blocks of size at most 2, so each rank class is one
+GL_n conjugation orbit.  Conjugating a whole tuple of actions by g gives an
+isomorphic module and permutes the pool, so (orbit-stabilizer) the tuples
+whose first action lies in a class are class-size many conjugate copies of
+those that start at its first member: a count of an isomorphism-invariant
+property may scan only those, each weighted by the class size.
 
 Random side: the same constructions sampled with a seeded generator, plus
 random split bilinear systems whose hypotheses are verified before use.
@@ -55,38 +61,46 @@ def _invertible_matrices(field: Field, r: int) -> list[Mat]:
     return [g for g in mats if g.rank() == r]
 
 
-def _kernels_by_image(field: Field, n: int, r: int) -> dict[Subspace, list[Mat]]:
-    """The projection P of every (n - r)-dimensional K, filed under each
-    r-dimensional W inside K, in the enumeration order of the K.  The W
-    inside K are the combinations of K's basis by the r-dimensional
-    subspaces of F^(n-r)."""
-    filed: dict[Subspace, list[Mat]] = {}
+def _combinations_by_image(field: Field, n: int, r: int, coeffs) -> dict[Subspace, list[dict]]:
+    """Each (n - r)-dimensional K's table c -> c P (P its projection), filed
+    under each r-dimensional W inside K (K's basis combined by the
+    r-dimensional subspaces of F^(n-r)), in the enumeration order of the K."""
+    filed: dict[Subspace, list[dict]] = {}
     coord_subs = list(enum_subspaces(field, n - r, r))
     for k_sub in enum_subspaces(field, n, n - r):
-        proj = _projection(k_sub)
+        proj_rows = _projection(k_sub).row_list()
+        combos = {c: vec_combo(field, proj_rows, c) for c in coeffs}
         k_rows = list(k_sub.basis_rows)
         for coords in coord_subs:
             w_sub = Subspace.from_vectors(field, n, [vec_combo(field, k_rows, c) for c in coords.basis_rows])
-            filed.setdefault(w_sub, []).append(proj)
+            filed.setdefault(w_sub, []).append(combos)
     return filed
 
 
-def square_zero_matrices(field: Field, n: int) -> list[Mat]:
-    """Every n x n matrix X with X X = 0, by rank stratification: choose the
-    image W, a kernel K containing it, and an isomorphism onto W.  The
-    isomorphisms and the kernels filed by image are listed once per rank,
-    and the frames B^T G (B a basis of W) once per image, so each matrix is
-    one product (B^T G) P, the same as B^T (G P)."""
-    out = [Mat.zero(field, n, n)]
+def square_zero_classes(field: Field, n: int) -> list[list[Mat]]:
+    """Every n x n matrix X with X X = 0, one conjugacy class per rank r.  A
+    rank-r X is B^T G P: B a basis of its image W, P the projection of a
+    kernel containing W, G invertible.  Row i of X combines P's rows by
+    (row i of B^T) G, so each X is n lookups in the tables c -> c P and
+    c -> c G, listed once per kernel and per G."""
+    classes = [[Mat.zero(field, n, n)]]
     for r in range(1, n // 2 + 1):
-        isos = _invertible_matrices(field, r)
-        kernels_of = _kernels_by_image(field, n, r)
+        coeffs = list(itertools.product(field.elements(), repeat=r))
+        maps = [{c: vec_combo(field, g.row_list(), c) for c in coeffs} for g in _invertible_matrices(field, r)]
+        combos_of = _combinations_by_image(field, n, r, coeffs)
+        members = []
         for w_sub in enum_subspaces(field, n, r):
-            basis_t = w_sub.basis_mat().transpose()
-            frames = [basis_t.mul(g) for g in isos]
-            for proj in kernels_of[w_sub]:
-                out.extend(frame.mul(proj) for frame in frames)
-    return out
+            columns = list(zip(*w_sub.basis_rows))  # the rows of B^T
+            for combos in combos_of[w_sub]:
+                for g_map in maps:
+                    members.append(Mat._of(field, n, n, tuple(itertools.chain(*[combos[g_map[c]] for c in columns]))))
+        classes.append(members)
+    return classes
+
+
+def square_zero_matrices(field: Field, n: int) -> list[Mat]:
+    """The rank classes of `square_zero_classes`, concatenated."""
+    return list(itertools.chain.from_iterable(square_zero_classes(field, n)))
 
 
 def random_square_zero(field: Field, n: int, rng: random.Random) -> Mat:
@@ -166,23 +180,38 @@ class ModuleAssembler:
             return None
 
 
-def iter_generator_modules(algebra: Algebra, dim: int):
-    """All modules of the given dimension assembled from square-zero
-    candidate actions for the generators of `Algebra.generators()`, in
-    `itertools.product` order over the pool.
-
-    Complete for algebras whose generators square to zero (checked): any
-    valid module's generator actions are themselves square-zero, so they
-    appear among the candidates."""
+def _generator_modules(algebra: Algebra, dim: int, per_class: bool):
+    """(weight, module) from square-zero generator actions, in
+    `itertools.product` order over the pool; with per_class the first
+    generator takes each rank class's first member, weighted by its size.
+    Complete for algebras whose generators square to zero (checked)."""
     gens = algebra.generators()
+    if not gens:
+        raise InputError("algebra has no generators: its only modules are scalar")
     if any(any(algebra.mult[g][g]) for g in gens):
         raise InputError("generator does not square to zero: candidate pool would be incomplete")
     assembler = ModuleAssembler(algebra)
-    pool = square_zero_matrices(algebra.field, dim)
-    for combo in itertools.product(pool, repeat=len(gens)):
-        mod = assembler.assemble(combo)
-        if mod is not None:
-            yield mod
+    classes = square_zero_classes(algebra.field, dim)
+    pool = list(itertools.chain.from_iterable(classes))
+    heads = [(len(members), members[0]) for members in classes] if per_class else zip(itertools.repeat(1), pool)
+    for weight, head in heads:
+        for tail in itertools.product(pool, repeat=len(gens) - 1):
+            mod = assembler.assemble((head, *tail))
+            if mod is not None:
+                yield weight, mod
+
+
+def iter_generator_modules(algebra: Algebra, dim: int):
+    """The modules of this dimension assembled from square-zero actions of
+    `Algebra.generators()`, one per candidate tuple."""
+    for _weight, mod in _generator_modules(algebra, dim, per_class=False):
+        yield mod
+
+
+def iter_weighted_generator_modules(algebra: Algebra, dim: int):
+    """(weight, module) pairs whose weighted count of any isomorphism-invariant
+    property is its count over `iter_generator_modules` (module docstring)."""
+    return _generator_modules(algebra, dim, per_class=True)
 
 
 def random_generator_module(

@@ -21,7 +21,7 @@ from .algebra import (
     socles,
 )
 from .budget import Budget, default_budget
-from .corpus import faithful_corpus, iter_generator_modules, random_verified_system
+from .corpus import faithful_corpus, iter_weighted_generator_modules, random_verified_system
 from .errors import SocleLabError, TheoremViolation
 from .exactla import Mat, all_subspaces, num_subspaces
 from .gallery import (
@@ -240,6 +240,8 @@ def battery_twisted_centrality(budget: Budget | None = None) -> list[dict]:
 # -- criterion 8 -------------------------------------------------------------
 
 def battery_local_bound_exhaustive(max_dim: int = 4, budget: Budget | None = None) -> list[dict]:
+    """Orbit-weighted counts (`iter_weighted_generator_modules`) of the modules
+    of dim <= max_dim over each algebra; scanned is the candidates covered."""
     budget = budget or default_budget()
     items = []
     for name, alg in criterion8_algebras():
@@ -249,19 +251,19 @@ def battery_local_bound_exhaustive(max_dim: int = 4, budget: Budget | None = Non
         minimal_count = 0
         violations = 0
         for dim in range(1, max_dim + 1):
-            for mod in iter_generator_modules(alg, dim):
-                scanned += 1
+            for weight, mod in iter_weighted_generator_modules(alg, dim):
+                scanned += weight
                 ok_f, _ = faithful(mod)
                 if not ok_f:
                     continue
-                faithful_count += 1
+                faithful_count += weight
                 if not minimal_faithful(mod, budget).minimal:
                     continue
-                minimal_count += 1
+                minimal_count += weight
                 try:
                     local_socle_check(mod, budget)
                 except TheoremViolation:
-                    violations += 1
+                    violations += weight
         items.append(_item(
             f"local-bound-exhaustive-{name}", violations == 0 and minimal_count > 0,
             scanned=scanned, faithful=faithful_count, minimal=minimal_count,

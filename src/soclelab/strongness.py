@@ -239,15 +239,6 @@ class PredicateReport:
     cond_b_failing: tuple | None = None
     cond_c_failing: tuple | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "nondegenerate": self.nondegenerate,
-            "cond_b": self.cond_b,
-            "cond_c": self.cond_c,
-            "cond_b_failing": list(self.cond_b_failing) if self.cond_b_failing else None,
-            "cond_c_failing": list(self.cond_c_failing) if self.cond_c_failing else None,
-        }
-
 
 def predicates(sys: BilinearSystem) -> PredicateReport:
     """Nondegeneracy plus the two coverage conditions of the system.

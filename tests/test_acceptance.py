@@ -6,11 +6,16 @@ whole battery also backs the CLI reproduce targets.
 """
 
 import time
+from collections import Counter
 
 import pytest
 
+from soclelab import reproduce
 from soclelab.budget import Budget
-from soclelab.errors import BudgetExceeded
+from soclelab.corpus import iter_generator_modules, iter_weighted_generator_modules
+from soclelab.errors import BudgetExceeded, TheoremViolation
+from soclelab.gallery import criterion8_algebras
+from soclelab.modrep import faithful, local_socle_check, minimal_faithful
 from soclelab.reproduce import (
     battery_corner_minimality,
     battery_counterexample_values,
@@ -127,6 +132,50 @@ def test_criterion_08_local_bound_exhaustive():
         assert item["details"]["violations"] == 0
         assert item["details"]["minimal"] > 0
     report("criterion 8 (local bound, exhaustive modules dim <= 4)", items, elapsed, limit=300.0)
+
+
+def local_bound_answers(pairs) -> Counter:
+    """Weighted counts of what criterion 8 reads off each (weight, module):
+    faithfulness, minimality, and the top and socle lengths of a minimal one."""
+    counts = Counter()
+    for weight, m in pairs:
+        ok = faithful(m)[0]
+        minimal = ok and minimal_faithful(m).minimal
+        report = local_socle_check(m) if minimal else None
+        counts[ok, minimal, report and (report.top_length, report.socle_length)] += weight
+    return counts
+
+
+def test_weighted_local_bound_counts_match_the_per_candidate_scan():
+    # the per-candidate stream is the oracle for the orbit-weighted one, per
+    # algebra and dimension; the battery's totals at dims 1-3 are its sums
+    totals = {}
+    for name, alg in criterion8_algebras():
+        totals[name] = Counter()
+        for dim in (1, 2, 3, 4) if name in ("kx2-q2", "scalar-tri2-q2") else (1, 2, 3):
+            oracle = local_bound_answers((1, m) for m in iter_generator_modules(alg, dim))
+            assert local_bound_answers(iter_weighted_generator_modules(alg, dim)) == oracle
+            if dim <= 3:
+                totals[name] += oracle
+    for item in battery_local_bound_exhaustive(max_dim=3):
+        counts = totals[item["name"].removeprefix("local-bound-exhaustive-")]
+        details = item["details"]
+        assert details["scanned"] == sum(counts.values())
+        assert details["faithful"] == sum(c for (ok, _, _), c in counts.items() if ok)
+        assert details["minimal"] == sum(c for (_, minimal, _), c in counts.items() if minimal)
+        assert details["violations"] == 0
+
+
+def test_local_bound_battery_counts_each_violation_by_its_weight(monkeypatch):
+    def violated(*_args):
+        raise TheoremViolation("forced")
+
+    monkeypatch.setattr(reproduce, "local_socle_check", violated)
+    items = battery_local_bound_exhaustive()
+    assert [item["details"]["minimal"] for item in items] == [3, 8, 84, 3, 84]
+    for item in items:
+        assert item["details"]["violations"] == item["details"]["minimal"]
+        assert item["verdict"] == "violation" and not item["ok"]
 
 
 def test_criterion_09_no_false_violation_on_random_systems():

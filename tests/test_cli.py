@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -478,6 +479,17 @@ def test_reproduce_deterministic_bundles(tmp_path, capsys, monkeypatch):
     assert json.loads((tmp_path / "a.json").read_text())["seed"] == 11
 
 
+def test_reproduce_all_bundle_is_pinned(tmp_path, capsys, monkeypatch):
+    # every battery at its defaults, byte for byte; the counterexample
+    # targets make the exit 1
+    monkeypatch.delenv("SOCLELAB_BUDGET", raising=False)
+    bundle = tmp_path / "all.json"
+    code, _ = run(capsys, "reproduce", "all", "--out", str(bundle))
+    assert code == 1
+    assert hashlib.sha256(bundle.read_bytes()).hexdigest() \
+        == "65345839d87e20b82f01695ba63c3d2d0c9967302553998b110566ac552d4e57"
+
+
 def test_seed_is_a_reproduce_option():
     # the seed is read only by `reproduce`, so no other command takes it
     with pytest.raises(SystemExit) as info:
@@ -498,6 +510,36 @@ def test_budget_env_var(monkeypatch):
         monkeypatch.setenv("SOCLELAB_BUDGET", bad)
         with pytest.raises(InputError):
             default_budget()
+
+
+def test_default_budget_follows_each_env_value(monkeypatch):
+    from soclelab.budget import default_budget
+
+    monkeypatch.setenv("SOCLELAB_BUDGET", "1234")
+    first = default_budget()
+    monkeypatch.setenv("SOCLELAB_BUDGET", "77")
+    second = default_budget()
+    assert (first.max_enumeration, second.max_enumeration) == (1234, 77)
+    monkeypatch.setenv("SOCLELAB_BUDGET", "1234")
+    assert default_budget() is first  # parsed once per distinct value
+
+
+def test_malformed_budget_env_raises_on_every_call(monkeypatch):
+    from soclelab.budget import default_budget
+
+    monkeypatch.setenv("SOCLELAB_BUDGET", "12x")
+    for _ in range(2):
+        with pytest.raises(InputError, match="SOCLELAB_BUDGET"):
+            default_budget()
+
+
+def test_unset_budget_env_is_the_default_budget(monkeypatch):
+    from soclelab.budget import Budget, default_budget
+
+    monkeypatch.setenv("SOCLELAB_BUDGET", "5")
+    default_budget()
+    monkeypatch.delenv("SOCLELAB_BUDGET")
+    assert default_budget() == Budget()
 
 
 @pytest.mark.parametrize("cap", [5, 100000])

@@ -10,10 +10,12 @@ from soclelab.corpus import (
     _projection,
     faithful_corpus,
     iter_generator_modules,
+    iter_weighted_generator_modules,
     random_generator_module,
     random_split_system,
     random_square_zero,
     random_verified_system,
+    square_zero_classes,
     square_zero_matrices,
 )
 from soclelab.errors import InputError
@@ -114,6 +116,26 @@ def test_square_zero_rank_classes_are_conjugation_orbits(q, n):
     assert sum(len(members) for members in classes.values()) == len(pool)
 
 
+def gl_order(q: int, n: int) -> int:
+    return math.prod(q**n - q**i for i in range(n))
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3) for n in range(5)] + [(q, n) for q in (4, 5) for n in range(4)])
+def test_square_zero_class_sizes_are_the_orbit_sizes(q, n):
+    # a rank-r square-zero matrix has Jordan type 2^r 1^(n-2r); its
+    # centralizer in GL_n has order q^((n-r)^2-(n-2r)^2) |GL_r| |GL_(n-2r)|,
+    # so its class has |GL_n| over that many members
+    field = field_make(2, 2) if q == 4 else field_make(q)
+    classes = square_zero_classes(field, n)
+    assert len(classes) == n // 2 + 1
+    for r, members in enumerate(classes):
+        centralizer = q ** ((n - r) ** 2 - (n - 2 * r) ** 2) * gl_order(q, r) * gl_order(q, n - 2 * r)
+        assert gl_order(q, n) % centralizer == 0
+        assert len(members) == gl_order(q, n) // centralizer
+        assert all(x.rank() == r for x in members)
+    assert sum(len(members) for members in classes) == len(square_zero_matrices(field, n))
+
+
 def test_random_square_zero(rng):
     for _ in range(50):
         m = random_square_zero(GF3, 4, rng)
@@ -207,6 +229,12 @@ def test_exhaustive_modules_need_square_zero_generators():
     assert tri.generators() == (1, 2)
     with pytest.raises(InputError, match="generator does not square to zero"):
         next(iter_generator_modules(tri, 2))
+    # the field itself has no generators, so no candidate tuple has a first action
+    field_alg = make_matrix_algebra(1, GF2)
+    assert field_alg.generators() == ()
+    for stream in (iter_generator_modules, iter_weighted_generator_modules):
+        with pytest.raises(InputError, match="no generators"):
+            next(stream(field_alg, 2))
 
 
 def test_random_generator_module(rng):

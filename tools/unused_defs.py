@@ -19,6 +19,9 @@ from pathlib import Path
 
 # definitions that only the tests and the benchmark's tracer call, with why they stay
 ALLOWED = {
+    "corpus.iter_generator_modules":
+        "the benchmark's module-scan stream and the tests' per-candidate oracle for the weighted battery",
+    "corpus.square_zero_matrices": "the flat pool that the tests compare with the containment scan and the brute-force set",
     "gf.Field._tables": "the benchmark tracer wraps it to count table lookups (gf.table_lookups); test_gf reads it",
     "gf.Field.div": "the benchmark tracer wraps it among the scalar ops it counts (gf.scalar_ops)",
     "modrep.maximal_submodules": "the benchmark tracer counts what it yields; the tests use it as an oracle",
