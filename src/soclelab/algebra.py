@@ -16,9 +16,16 @@ the verified radical span, up to scalars, by walking the principal left
 ideal Rx with early exit.  Unit testing goes through the matrix basis when
 it represents 1 as the identity matrix (invertibility in the matrix ring
 then equals invertibility in the subalgebra), else through the regular
-representation.  Over F_2 and F_3 those matrices are walked and rank-tested
-packed whole into bit words (`exactla._full_rank_kernels`), and the coset
-representatives are reduced as packed keys (`exactla._coset_kernels`).
+representation.  When every matrix of that representation is block upper
+(or lower) triangular at one cut of the indices, found from the matrices
+alone, an element's determinant is the product of its diagonal blocks'
+determinants; so the scan rank-tests the matrices with every entry outside
+those blocks set to zero.  A basis element whose masked matrix is zero is
+an idle digit: it changes no flag, and the flags are copied across it
+instead of walked.  Over F_2 and F_3 the matrices are walked and
+rank-tested packed whole into bit words (`exactla._full_rank_kernels`), and
+the coset representatives are reduced as packed keys
+(`exactla._coset_kernels`).
 """
 
 from __future__ import annotations
@@ -447,6 +454,49 @@ def _action_flats(r: Algebra) -> tuple[list[tuple[int, ...]], int]:
     return [L.entries for L in r.left_mats], r.dim
 
 
+def _diagonal_block_cuts(flats, n: int) -> tuple[int, ...]:
+    """The finest cut of 0..n-1 at which every flat n*n matrix in `flats` is
+    block upper triangular, or else block lower triangular: the starts of
+    the blocks after the first, () when neither side has a cut.  When both
+    have one, the side with more blocks wins, upper on a tie.
+
+    A nonzero entry (i, j) below the diagonal forbids an upper cut at every
+    c with j < c <= i, and one above the diagonal a lower cut at every c
+    with i < c <= j.  One pass over the union of the nonzero entries keeps,
+    per index t and side, the farthest index an entry at t reaches; c is a
+    cut when nothing before c reaches c.
+    """
+    # below[j]: the last row i >= j with (i, j) nonzero; above[i]: the last
+    # column j >= i with (i, j) nonzero
+    below, above = list(range(n)), list(range(n))
+    for pos, column in enumerate(zip(*flats)):
+        if any(column):
+            i, j = divmod(pos, n)
+            if i > j:
+                below[j] = max(below[j], i)
+            elif i < j:
+                above[i] = max(above[i], j)
+
+    def cuts(reach):
+        out, far = [], 0
+        for c in range(1, n):
+            far = max(far, reach[c - 1])
+            if far < c:
+                out.append(c)
+        return tuple(out)
+
+    upper, lower = cuts(below), cuts(above)
+    return upper if len(upper) >= len(lower) else lower
+
+
+def _mask_outside_blocks(flats, n: int, cuts) -> list:
+    """The flats with every entry outside the diagonal blocks of `cuts` set
+    to zero."""
+    block = [sum(c <= t for c in cuts) for t in range(n)]
+    keep = [block[i] == block[j] for i in range(n) for j in range(n)]
+    return [[x if kept else 0 for x, kept in zip(flat, keep)] for flat in flats]
+
+
 def _odometer_flags(base, flats, n: int, field: Field) -> bytearray:
     """flags[code] = 1 when base + sum_i digit_i * flats[i] has full rank, for
     every code of len(flats) base-q digits (digit i the coefficient of flats[i]).
@@ -457,31 +507,40 @@ def _odometer_flags(base, flats, n: int, field: Field) -> bytearray:
     are held packed as `_full_rank_kernels` gives them for the field: over F_2
     one word, where a step is one XOR; over F_3 two bit-planes, where a step
     is one bitsliced add; otherwise lists of field codes.
+
+    A digit whose matrix is zero (an idle digit) cannot change a flag, so the
+    odometer never turns it.  When the carry reaches an idle digit j, the q^j
+    codes below it have just been filled, and that slice is copied q - 1
+    times, for the digit values 1..q-1, instead of walked.
     """
     q = field.q
     pack, add, full_rank = _full_rank_kernels(field, n)
     mul = field.tables.mul
     k = len(flats)
-    scaled = [[None] + [pack([mul[v][x] for x in flat]) for v in range(1, q)] for flat in flats]
-    size = q**k
-    flags = bytearray(size)
+    # None marks an idle digit
+    scaled = [[None] + [pack([mul[v][x] for x in flat]) for v in range(1, q)] if any(flat) else None
+              for flat in flats]
+    flags = bytearray(q**k)
     digits = [0] * k
     acc = [pack(base)] * (k + 1)  # acc[j] = base + contribution of digits j..k-1
     code = 0
     while True:
         flags[code] = full_rank(acc[0])
         code += 1
-        if code >= size:
-            break
         j = 0
-        while digits[j] == q - 1:
+        while j < k and (scaled[j] is None or digits[j] == q - 1):
+            if scaled[j] is None:
+                width = q**j
+                flags[code: code + (q - 1) * width] = flags[code - width: code] * (q - 1)
+                code += (q - 1) * width
             digits[j] = 0
             j += 1
+        if j == k:
+            return flags
         digits[j] += 1
         acc[j] = add(acc[j + 1], scaled[j][digits[j]])
         for i in range(j - 1, -1, -1):
             acc[i] = acc[j]
-    return flags
 
 
 def _permute_digits(table: bytes, q: int, maps) -> bytearray:
@@ -514,21 +573,38 @@ def _permute_digits(table: bytes, q: int, maps) -> bytearray:
 def _unit_flags(r: Algebra) -> bytearray:
     """unit[code] = 1 when the element with that coordinate code is invertible.
 
+    The representation's matrices are first cut into diagonal blocks (see
+    _diagonal_block_cuts): every element's matrix is then block triangular,
+    its determinant is the product of its diagonal blocks' determinants, and
+    so it is invertible exactly when the matrix with every entry outside
+    those blocks set to zero is.  The scan rank-tests those masked matrices.
+    After masking, some basis matrices are zero (the strictly upper matrix
+    units of a triangular algebra, the x^i a with i >= 1 of a truncated
+    polynomial ring): their digits are idle and never change a flag.
+
     unit(cx) = unit(x) for every scalar c != 0, so the rank test runs once
     per scalar class: only on the elements whose most significant nonzero
     digit is 1.  For each top digit k an odometer walks the lower digits,
     starting from the matrix of basis element k, on packed words over F_2
-    and F_3 (see _odometer_flags).  The segment of leading digit c >= 2 is
-    that segment permuted by the digit map x -> c^-1 x.
+    and F_3, and copies the flags across idle digits (see _odometer_flags).
+    The segment of leading digit c >= 2 is that segment permuted by the
+    digit map x -> c^-1 x.  When digit k itself is idle, every segment of
+    top digit k is a copy of the codes below it.
     """
     field = r.field
     q, d = field.q, r.dim
     flats, n = _action_flats(r)
+    cuts = _diagonal_block_cuts(flats, n)
+    if cuts:
+        flats = _mask_outside_blocks(flats, n, cuts)
     inv, mul = field.tables.inv, field.tables.mul
     unit = bytearray(q**d)
     unit[0] = n == 0  # the zero element is a unit only in the zero ring
     for k in range(d):
         width = q**k  # the codes of top digit k and leading digit c are c * width + lower
+        if not any(flats[k]):
+            unit[width: q * width] = unit[:width] * (q - 1)
+            continue
         lead = _odometer_flags(flats[k], flats[:k], n, field)
         unit[width: 2 * width] = lead
         for c in range(2, q):

@@ -8,7 +8,9 @@ from soclelab.algebra import (
     Algebra,
     SocleGraph,
     _action_flats,
+    _diagonal_block_cuts,
     _encode_coords,
+    _mask_outside_blocks,
     _odometer_flags,
     _permute_digits,
     _quasi_regular_flags,
@@ -270,7 +272,8 @@ def test_radical_of_a_corner_matrix_basis():
 def unit_flags_per_element(alg):
     """unit[code] with one rank test per element: an odometer over every
     coordinate vector, keeping the representing matrix incrementally, and a
-    full sweep (no early exit) for the rank."""
+    full sweep (no early exit) for the rank.  It reads the whole matrices of
+    _action_flats, never masked to diagonal blocks, and copies no flag."""
     field = alg.field
     q, d = field.q, alg.dim
     flats, n = _action_flats(alg)
@@ -320,6 +323,33 @@ def test_unit_flags_match_the_per_element_scan():
         assert _unit_flags(alg) == unit_flags_per_element(alg), name
 
 
+def test_unit_scan_rank_tests_only_the_codes_of_active_digits(monkeypatch):
+    # one test per scalar class of the codes over the digits that stay
+    # nonzero after masking; idle digits are copied, never walked
+    counted = []
+
+    def counting_kernels(field, n):
+        pack, add, full_rank = exactla._full_rank_kernels(field, n)
+        return pack, add, lambda packed: counted.append(1) or full_rank(packed)
+
+    monkeypatch.setattr(algebra, "_full_rank_kernels", counting_kernels)
+    units = {(i, j): Mat.unit(GF3, 2, 2, i, j) for i in range(2) for j in range(2)}
+    cases = [
+        # no cut: every digit active, 1 + 3 + 9 + 27 tests, as without masking
+        (make_matrix_algebra(2, GF3), 40),
+        # the six strictly upper matrix units are idle
+        (make_triangular(4, GF3), 40),
+        # only the two degree-0 basis elements stay active
+        (make_twisted_truncated(3, 2, 3), 4),
+        # an idle digit below the active ones: E_00 over it, E_11 over it and E_00
+        (algebra_make(GF3, matrix_basis=[units[0, 1], units[0, 0], units[1, 1]]), 1 + 3),
+    ]
+    for alg, tests in cases:
+        counted.clear()
+        _unit_flags(alg)
+        assert len(counted) == tests
+
+
 def odometer_flags_by_echelon(base, flats, n, field):
     """_odometer_flags with each matrix built from scratch and tested by the
     list sweep `_echelon` with stop_at_gap, the path of every q other than 2
@@ -332,6 +362,60 @@ def odometer_flags_by_echelon(base, flats, n, field):
             flat = [field.add(x, field.mul(digit, y)) for x, y in zip(flat, m)]
         flags[code] = _echelon([flat[s: s + n] for s in range(0, n * n, n)], n, field, stop_at_gap=True) is not None
     return bytes(flags)
+
+
+def cuts_by_definition(flats, n, upper):
+    """Every c in 1..n-1 at which all the flats are block upper (or lower)
+    triangular: no nonzero entry crosses c on the wrong side of the
+    diagonal.  Each cut is allowed or not on its own, so these together are
+    the finest cut of that side."""
+    def crosses(i, j, c):
+        return j < c <= i if upper else i < c <= j
+    return tuple(c for c in range(1, n)
+                 if not any(flat[i * n + j] and crosses(i, j, c) for flat in flats
+                            for i in range(n) for j in range(n)))
+
+
+def test_diagonal_block_cuts_on_gallery_algebras():
+    # matrix basis with 1 as the identity: upper triangular, one block per index
+    flats, n = _action_flats(make_triangular(4, GF3))
+    assert (n, _diagonal_block_cuts(flats, n)) == (4, (1, 2, 3))
+    assert cuts_by_definition(flats, n, upper=True) == (1, 2, 3)
+    # regular representation: x^i a maps x^j b into degree i + j, block lower
+    # triangular by degree, one 2x2 block per degree
+    flats, n = _action_flats(make_twisted_truncated(3, 2, 3))
+    assert (n, _diagonal_block_cuts(flats, n)) == (8, (2, 4, 6))
+    assert (cuts_by_definition(flats, n, upper=False), cuts_by_definition(flats, n, upper=True)) == ((2, 4, 6), ())
+    # simple: no cut on either side
+    flats, n = _action_flats(make_matrix_algebra(2, GF3))
+    assert _diagonal_block_cuts(flats, n) == ()
+    # the zero ring: n = 0 and no flats
+    flats, n = _action_flats(algebra_make(GF2, dim=0, mult=[], one=()))
+    assert (flats, n, _diagonal_block_cuts(flats, n)) == ([], 0, ())
+    # every unit-flag algebra: the side with more cuts by the definition
+    for name, alg in unit_flag_algebras():
+        flats, n = _action_flats(alg)
+        upper, lower = cuts_by_definition(flats, n, True), cuts_by_definition(flats, n, False)
+        assert _diagonal_block_cuts(flats, n) == (upper if len(upper) >= len(lower) else lower), name
+
+
+def random_block_triangular_flats(rng, field, n, k, upper, sparse):
+    """A base and k flats, all block upper (or lower) triangular at a random
+    cut.  Some flats are nonzero only outside the diagonal blocks, so they
+    are zero once masked; sparse ones make singular matrices common."""
+    q = field.q
+    cut = rng.sample(range(1, n), rng.randrange(1, n))
+    block = [sum(c <= t for c in cut) for t in range(n)]
+
+    def rand_flat(inside):
+        def allowed(i, j):
+            if block[i] == block[j]:
+                return inside
+            return block[i] < block[j] if upper else block[i] > block[j]
+        return [rng.randrange(q) if allowed(i, j) and not (sparse and rng.randrange(3)) else 0
+                for i in range(n) for j in range(n)]
+
+    return rand_flat(True), [rand_flat(rng.randrange(3) > 0) for _ in range(k)], len(cut)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
@@ -360,6 +444,27 @@ def test_odometer_flags_match_the_list_sweep_on_random_matrices(p, e):
         assert bytes(flags) == odometer_flags_by_echelon(base, flats, n, field), (n, k, trial)
         seen.update(flags)
     assert seen == {0, 1}
+    # block triangular flats, masked outside the diagonal blocks as
+    # _unit_flags masks them: the masked odometer, with its idle digits,
+    # against the list sweep on the unmasked flats
+    rng = random.Random(f"masked-odometer/{q}")
+    seen, idle_digits = set(), 0
+    for trial in range(40):
+        n = rng.randrange(2, 9)
+        k = rng.randrange(1, 5 if q <= 3 else 4)
+        base, flats, cut_count = random_block_triangular_flats(rng, field, n, k, trial % 2 == 0, trial % 3 == 0)
+        every = [base] + flats
+        cuts = _diagonal_block_cuts(every, n)
+        upper, lower = cuts_by_definition(every, n, True), cuts_by_definition(every, n, False)
+        assert cuts == (upper if len(upper) >= len(lower) else lower)
+        assert len(cuts) >= cut_count
+        masked_base, *masked = _mask_outside_blocks(every, n, cuts)
+        idle_digits += sum(not any(flat) for flat in masked)
+        flags = _odometer_flags(masked_base, masked, n, field)
+        assert bytes(flags) == odometer_flags_by_echelon(base, flats, n, field), (n, k, trial)
+        seen.update(flags)
+    assert seen == {0, 1}
+    assert idle_digits > 0
 
 
 def test_quasi_regular_flags_read_the_unit_flag_of_one_minus_x():
