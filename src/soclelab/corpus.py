@@ -146,8 +146,8 @@ class ModuleAssembler:
     The word structure (which products of generators to take, and how each
     basis element combines them) and the pairs of distinct generators whose
     product vanishes are computed once; assembling a candidate is then a
-    zero test per such pair, a handful of matrix products and the
-    constructor's relation check.
+    zero test per such pair (`Mat.mul_is_zero`, no product built), a handful
+    of matrix products and the constructor's relation check.
     """
 
     def __init__(self, algebra: Algebra):
@@ -164,7 +164,7 @@ class ModuleAssembler:
         a relation; a pair that vanishes in the algebra but not as matrices
         is rejected before any word is built."""
         for a_pos, b_pos in self.zero_pairs:
-            if not gen_mats[a_pos].mul(gen_mats[b_pos]).is_zero():
+            if not gen_mats[a_pos].mul_is_zero(gen_mats[b_pos]):
                 return None
         field = self.algebra.field
         dim = gen_mats[0].rows if gen_mats else 0

@@ -20,7 +20,11 @@ Albrecht, Bard & Hart, ACM TOMS 37, 2010) and F_3 (two bit-planes, as in
 Boothby & Bradshaw's bitslicing, arXiv:0901.1413), and eliminates column by
 column with a few word operations.  Every other field takes `_echelon` with
 stop_at_gap, the early exit at the first column without a pivot; the tests
-keep that sweep as the oracle for the packed kernels.  Beside it,
+keep that sweep as the oracle for the packed kernels.  The F_3 bit-planes
+also serve `Mat.mul_is_zero`, the module relations' zero-product test: for
+each column t, the rows of A holding 1 (or -1) there take row t of B (or its
+negation) in one multiply by a row-set word.  Other fields and non-square
+shapes combine rows and stop at the first nonzero one.  Beside it,
 `_coset_kernels` reduces the oracle's coset representatives on packed keys:
 over F_2 the coordinate code itself, over F_3 a pair of bit-planes.  Every
 other field, and the tests' oracle, keeps coordinate tuples and `_reduce`.
@@ -148,10 +152,18 @@ def _rref_gf2(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
 # and rows * pivot_row copies pivot_row into each of those rows' slots at once
 # (pivot_row < 2^n, so the copies never carry into each other).
 
+# the codes 0, 1, 2 as the binary digit each contributes to one bit-plane
+_ONES_DIGITS = bytes.maketrans(b"\0\1\2", b"010")
+_TWOS_DIGITS = bytes.maketrans(b"\0\1\2", b"001")
+
+
 def _pack_gf3(flat) -> tuple[int, int]:
     """The bit-planes (ones, twos) of a vector over F_3: bit t of `ones` is set
-    where entry t is 1, and of `twos` where it is 2 = -1."""
-    return _pack_gf2([x == 1 for x in flat]), _pack_gf2([x == 2 for x in flat])
+    where entry t is 1, and of `twos` where it is 2 = -1.  The codes, last
+    first, become one bytes object, and each plane is read off it as a
+    binary numeral by one translate: no Python-level loop over the entries."""
+    codes = bytes(flat[::-1])
+    return int(codes.translate(_ONES_DIGITS) or b"0", 2), int(codes.translate(_TWOS_DIGITS) or b"0", 2)
 
 
 def _add_gf3(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -208,6 +220,25 @@ def _full_rank_gf3(ones: int, twos: int, n: int) -> bool:
         t = (ones | t2) ^ (twos | t1)
         ones, twos = (twos | t2) ^ t, (ones | t1) ^ t
     return True
+
+
+def _mul_is_zero_gf3(a: tuple[int, int], b: tuple[int, int], n: int) -> bool:
+    """Whether A B = 0 for n x n matrices over F_3 packed as whole-matrix
+    (ones, twos) bit-planes.  Row i of A B sums A[i, t] times row t of B, so
+    for each column t the rows of A holding 1 there (a row-set word) take row
+    t of B in one multiply, those holding -1 take its negation (its planes
+    swapped), and `_add_gf3` sums the terms into A B."""
+    ends = ((1 << n * n) - 1) // ((1 << n) - 1)
+    mask = (1 << n) - 1
+    a1, a2 = a
+    b1, b2 = b
+    prod = (0, 0)
+    for t in range(n):
+        plus, minus = (a1 >> t) & ends, (a2 >> t) & ends
+        if plus | minus:
+            r1, r2 = (b1 >> n * t) & mask, (b2 >> n * t) & mask
+            prod = _add_gf3(prod, (plus * r1 | minus * r2, plus * r2 | minus * r1))
+    return not (prod[0] | prod[1])
 
 
 def _full_rank_kernels(field: Field, n: int):
@@ -508,9 +539,6 @@ class Mat:
     def row_list(self) -> list[Vec]:
         return [self.row(i) for i in range(self.rows)]
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
     # arithmetic ----------------------------------------------------------------
     def _same_shape(self, other: "Mat"):
         if self.field != other.field:
@@ -536,21 +564,21 @@ class Mat:
         mc = self.field.tables.mul[c]
         return Mat._of(self.field, self.rows, self.cols, tuple([mc[a] for a in self.entries]))
 
-    def mul(self, other: "Mat") -> "Mat":
+    def _check_product(self, other: "Mat"):
         if self.field != other.field:
             raise InputError("mixed fields")
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        field = self.field
-        add, mul = field.tables.add, field.tables.mul
-        n, k, m = self.rows, self.cols, other.cols
+
+    def _product_rows(self, other: "Mat"):
+        """Yield the rows of self * other one by one, None for a zero row.  Row
+        i is the combination of B's rows by A's row i, built as in
+        `vec_combo`: a first coefficient 1 takes its row as it is."""
+        add, mul = self.field.tables.add, self.field.tables.mul
+        k, m = self.cols, other.cols
         a, b = self.entries, other.entries
         brows = [b[t * m: (t + 1) * m] for t in range(k)]
-        zero = (0,) * m
-        out = []
-        # row i of the product is the combination of B's rows by A's row i,
-        # built as in `vec_combo`: a first coefficient 1 takes its row as it is
-        for i in range(n):
+        for i in range(self.rows):
             orow = None
             for f, brow in zip(a[i * k: (i + 1) * k], brows):
                 if not f:
@@ -560,8 +588,28 @@ class Mat:
                     orow = brow if f == 1 else [mf[y] for y in brow]
                 else:
                     orow = [add[x][mf[y]] for x, y in zip(orow, brow)]
+            yield orow
+
+    def mul(self, other: "Mat") -> "Mat":
+        self._check_product(other)
+        zero = (0,) * other.cols
+        out = []
+        for orow in self._product_rows(other):
             out.extend(zero if orow is None else orow)
-        return Mat._of(field, n, m, tuple(out))
+        return Mat._of(self.field, self.rows, other.cols, tuple(out))
+
+    def mul_is_zero(self, other: "Mat") -> bool:
+        """Whether self * other is the zero matrix, without building it.
+        Square matrices over F_3 are tested on whole-matrix bit-planes
+        (`_mul_is_zero_gf3`; X X packs X once); every other field or shape
+        combines rows and stops at the first nonzero one.  The built product
+        is the tests' oracle."""
+        self._check_product(other)
+        n = self.rows
+        if n and n == self.cols == other.cols and self.field.q == 3:
+            a = _pack_gf3(self.entries)
+            return _mul_is_zero_gf3(a, a if other is self else _pack_gf3(other.entries), n)
+        return not any(orow is not None and any(orow) for orow in self._product_rows(other))
 
     def apply(self, vec) -> Vec:
         """Matrix times column vector: the combination of the columns at the
@@ -684,6 +732,13 @@ class Subspace:
         vectors = [tuple(v) for v in vectors]
         if any(len(v) != ambient_dim for v in vectors):
             raise InputError("vector length disagrees with ambient dimension")
+        return Subspace._span(field, ambient_dim, vectors)
+
+    @staticmethod
+    def _span(field: Field, ambient_dim: int, vectors) -> "Subspace":
+        """Unchecked `from_vectors`, as `Mat._of` is for matrices: the vectors
+        are code sequences the package computed itself, each of length
+        ambient_dim, reduced by one `rref_rows` call."""
         reduced, pivots = rref_rows(vectors, ambient_dim, field)
         return Subspace(field, ambient_dim, tuple(tuple(r) for r in reduced), tuple(pivots))
 

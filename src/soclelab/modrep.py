@@ -5,7 +5,8 @@ defining relations (bilinearity against the structure constants, identity
 acting as identity) are checked at construction, and a rejection names the
 first failing basis pair.  A basis element's action is read, not combined
 (`mat_vec` returns a unit vector's matrix as it is), and a relation whose
-target is 0 is a zero test of the product.  Relations and invariance are
+target is 0 is a zero test of the product that never builds it
+(`Mat.mul_is_zero`).  Relations and invariance are
 checked on the algebra's generators only (`Algebra.generators`): for a
 linear map rho: A -> End(M) with rho(1) = I, the elements a with
 rho(a y) = rho(a) rho(y) for all y form a unital subalgebra, and so do the
@@ -16,7 +17,8 @@ The submodule lattice is driven blockwise through a split certificate:
 maximal submodules of M are preimages of hyperplanes of the block
 multiplicity spaces of M/JM (for a top that is one identity block, that
 space is F^t, t = dim M/JM, one Subspace per field and t, built once and
-shared), and simple submodules of soc(M) come from projective points of the
+shared, and so are its hyperplanes while there are at most 1,024 of them),
+and simple submodules of soc(M) come from projective points of the
 multiplicity spaces of the socle.  The same decomposition gives every
 length: `semisimple_length` of a top M/JM or a socle is the sum of its
 blocks' multiplicity dimensions, and `top_socle`, the shrink checks and both
@@ -118,8 +120,10 @@ class ModuleRep:
         raise TheoremViolation("a generator pair failed but no basis pair does")
 
     def _relation_holds(self, i: int, j: int) -> bool:
-        product, target = self.action[i].mul(self.action[j]), self.algebra.mult[i][j]
-        return product == self.act_mat(target) if any(target) else product.is_zero()
+        """rho(b_i) rho(b_j) = rho(b_i b_j).  A zero target is a zero test of
+        the product (`Mat.mul_is_zero`), which never builds it."""
+        left, right, target = self.action[i], self.action[j], self.algebra.mult[i][j]
+        return left.mul(right) == self.act_mat(target) if any(target) else left.mul_is_zero(right)
 
     def direct_sum(self, other: "ModuleRep") -> "ModuleRep":
         if other.algebra is not self.algebra and other.algebra.to_json() != self.algebra.to_json():
@@ -265,19 +269,22 @@ def quotient_action(m: ModuleRep, sub: Subspace) -> QuotientData:
 
 def radical_image(m: ModuleRep, budget: Budget | None = None) -> Subspace:
     """JM: the span of the radical's action images, computed once per module
-    and then kept."""
+    and then kept.  The columns are the package's own action columns, so
+    they are reduced by one `rref_rows` call with no re-validation
+    (`Subspace._span`)."""
     if m._radical_image_cache is None:
         J = m.algebra.radical(budget)
         columns = [jmat.col(k) for jmat in (m.act_mat(j) for j in J.basis_rows) for k in range(m.dim)]
-        m._radical_image_cache = Subspace.from_vectors(m.field, m.dim, columns)
+        m._radical_image_cache = Subspace._span(m.field, m.dim, columns)
     return m._radical_image_cache
 
 
 def top(m: ModuleRep, budget: Budget | None = None) -> QuotientData:
     """M/JM as the QuotientData of JM, computed once per module and then kept;
-    a non-split algebra raises NotSplitError before any radical work."""
-    m.algebra.blocks()
+    a non-split algebra raises NotSplitError before any radical work.  The
+    cache is set only after `blocks()` has passed, so it is read first."""
     if m._top_cache is None:
+        m.algebra.blocks()
         m._top_cache = quotient_action(m, radical_image(m, budget))
     return m._top_cache
 
@@ -341,6 +348,21 @@ def _full_space(field: Field, t: int) -> Subspace:
     return Subspace.full(field, t)
 
 
+# the most hyperplanes of F^t that `_full_hyperplanes` keeps: a larger
+# identity top enumerates its hyperplanes afresh (the default budget allows a
+# million).  Measured with tracemalloc on CPython 3.11, a kept tuple costs
+# 0.80 MB at F_2^10 (1,023 hyperplanes), the largest kept over F_2, against
+# 1.81 MB at F_2^11, the first left out; so each shared tuple stays under 1 MB
+_SHARED_HYPERPLANES = 1024
+
+
+@functools.lru_cache(maxsize=None)
+def _full_hyperplanes(field: Field, t: int) -> tuple[Subspace, ...]:
+    """The hyperplanes of F^t in `enum_hyperplanes` order, enumerated once per
+    (field, t) and then shared, as `_full_space` is."""
+    return tuple(enum_hyperplanes(_full_space(field, t)))
+
+
 def block_decomposition(rep: ModuleRep | QuotientData, sub: Subspace | None = None):
     """Yield one BlockPart per block of the split quotient, for W = sub, or
     for the whole module when sub is None.  W must be killed by J: every
@@ -381,15 +403,19 @@ def _maximal_tops(qd: QuotientData, budget: Budget):
     hyperplanes H of the top: W/JM = {y : E_f,0i y in H for every i}, which
     is H itself when the block acts as the identity.  Each block's
     hyperplane count is charged to the budget, as a running total, before
-    that block is scanned."""
+    that block is scanned.  An identity block's multiplicity space is F^t
+    itself, so up to `_SHARED_HYPERPLANES` of its hyperplanes are read from
+    the shared `_full_hyperplanes`."""
     charged = 0
     for part in block_decomposition(qd):
         if part.mult.dim == 0:
             continue
-        charged += num_projective_points(part.mult.dim, qd.field.q)
+        count = num_projective_points(part.mult.dim, qd.field.q)
+        charged += count
         budget.guard("maximal-submodule hyperplane enumeration", charged)
         if part.identity:
-            for hyper in enum_hyperplanes(part.mult):
+            shared = count <= _SHARED_HYPERPLANES
+            for hyper in _full_hyperplanes(qd.field, part.mult.dim) if shared else enum_hyperplanes(part.mult):
                 yield part.f, hyper, hyper
             continue
         extractors = [part.unit(0, i) for i in range(part.n)]
@@ -450,17 +476,21 @@ class MinimalityReport:
     nonzero element of soc2 kills it.  An element t of soc2 has tJ = 0, so it
     kills JM, and it acts through its columns at the free positions of JM,
     that is, on M/JM; M is faithful, so these maps are independent.  W is
-    faithful iff no nonzero combination of them kills W/JM (`_kills`), and
-    M/L is faithful iff none has all its columns in L (`_lands_in`).  W/JM
-    comes from the top alone (it is the hyperplane itself when R/J is F; see
-    `BlockPart`)."""
+    faithful iff no nonzero combination of them kills W/JM (`_kills`; for a
+    one-dimensional soc2, a zero test of the one map's image), and M/L is
+    faithful iff none has all its columns in L (`_lands_in`).  The maps are
+    read once, as flat row-major tuples of each action's entries at the
+    top's free positions; no matrix is built.  W/JM comes from the top alone
+    (it is the hyperplane itself when R/J is F; see `BlockPart`)."""
 
     def __init__(self, m: ModuleRep, budget: Budget):
         self.module, self._budget, self._top = m, budget, top(m, budget)
-        # soc2's maps M/JM -> M, row-major dim M x dim M/JM
-        acts = (m.act_mat(r) for r in socles(m.algebra, budget).twosided.basis_rows)
-        self._soc_maps = [mat_of_columns(m.field, m.dim, [a.col(k) for k in self._top.free_positions]).entries
-                          for a in acts]
+        # soc2's maps M/JM -> M, row-major dim M x dim M/JM: each action's
+        # entries at the top's free positions, read as flat tuples
+        dim = m.dim
+        positions = [i * dim + k for i in range(dim) for k in self._top.free_positions]
+        self._soc_maps = [tuple([a.entries[p] for p in positions])
+                          for a in map(m.act_mat, socles(m.algebra, budget).twosided.basis_rows)]
 
     @functools.cached_property
     def _faithful_top(self) -> Subspace | None:

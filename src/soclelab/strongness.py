@@ -364,6 +364,8 @@ def _kills(field: Field, maps, s: int, vectors) -> bool:
     for x in maps:
         columns = [x[c::s] for c in range(s)]
         images.append(tuple(itertools.chain.from_iterable(vec_combo(field, columns, v) for v in vectors)))
+    if len(images) == 1:  # one row has rank 0 or 1: a zero test, no elimination
+        return not any(images[0])
     return row_rank(images, len(images[0]), field) < len(images)
 
 

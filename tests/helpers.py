@@ -330,7 +330,7 @@ def semisimple_lengths(rep, budget=None) -> dict[int, int]:
     alg = rep.algebra
     blocks = alg.blocks()
     for j in alg.radical(budget).basis_rows:
-        if not rep.act_mat(j).is_zero():
+        if any(rep.act_mat(j).entries):
             raise PreconditionError("module is not killed by the radical")
     lengths = {}
     for f, block in enumerate(blocks):

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from soclelab import tensorcover
 from soclelab.cli import main
-from soclelab.errors import InputError
+from soclelab.errors import InputError, TheoremViolation
 from soclelab.gallery import make_row_diagonal_pair
 from soclelab.gf import field_make
 from soclelab.strongness import BilinearSystem, BlockSpec, tensor_maps
@@ -588,3 +589,42 @@ def test_threads_is_an_unknown_argument(capsys, argv):
         main(["--threads", "2", *argv])
     assert info.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_violation_inside_a_command_is_verdict_violation(tmp_path, capsys, monkeypatch):
+    # a TheoremViolation raised inside a command becomes main's "violation"
+    # record and exit 4, named after the command
+    path = write_gallery(tmp_path, capsys, "cross", "m=2", "n=2", "q=2")
+
+    def violated(*args, **kwargs):
+        raise TheoremViolation("forced bound failure")
+
+    monkeypatch.setattr(tensorcover, "check_bound", violated)
+    code, out = run(capsys, "cover", "check", str(path))
+    assert code == 4
+    record = json.loads(out.strip().splitlines()[-1])
+    assert (record["command"], record["verdict"]) == ("cover check", "violation")
+    assert record["details"] == {"error": "forced bound failure"}
+
+
+@pytest.mark.parametrize("argv, header, rows_of", [
+    (("gallery", "list"), ["name", "description"], lambda details: len(details)),
+    (("cover", "search-minimal", "--m", "2", "--n", "2", "--q", "2"), ["dim", "subspace"],
+     lambda details: len(details["minimal"])),
+])
+def test_pretty_table_goes_to_stderr_and_leaves_stdout_alone(capsys, argv, header, rows_of):
+    code = main(list(argv))
+    plain = capsys.readouterr()
+    assert main(["--pretty", *argv]) == code
+    pretty = capsys.readouterr()
+    assert pretty.out == plain.out and plain.err == ""
+    # a header, a rule of dashes per column, then one line per row, each
+    # column padded to its widest cell and the columns two spaces apart
+    lines = pretty.err.splitlines()
+    assert lines[0].split() == header
+    rule = lines[1]
+    assert set(rule) == {"-", " "}
+    first = len(rule.split("  ")[0])
+    assert all(line[first:first + 2] == "  " for line in lines)
+    assert any(line[first - 1] != " " for line in [lines[0], *lines[2:]])
+    assert len(lines) == 2 + rows_of(json.loads(plain.out.strip().splitlines()[-1])["details"]) > 2

@@ -44,10 +44,10 @@ def test_square_zero_counts_and_property():
     assert len(pool) == 316
     assert len({m.entries for m in pool}) == 316
     for m in pool:
-        assert m.mul(m).is_zero()
+        assert not any(m.mul(m).entries)
     pool3 = square_zero_matrices(GF3, 3)
     for m in pool3:
-        assert m.mul(m).is_zero()
+        assert not any(m.mul(m).entries)
     # brute-force oracle over all 3x3 matrices over F_3
     import itertools
     from soclelab.exactla import Mat
@@ -55,7 +55,7 @@ def test_square_zero_counts_and_property():
     brute = sum(
         1
         for entries in itertools.product(range(3), repeat=9)
-        if Mat(GF3, 3, 3, entries).mul(Mat(GF3, 3, 3, entries)).is_zero()
+        if not any(Mat(GF3, 3, 3, entries).mul(Mat(GF3, 3, 3, entries)).entries)
     )
     assert len(pool3) == brute
 
@@ -143,7 +143,7 @@ def test_square_zero_class_sizes_are_the_orbit_sizes(q, n):
 def test_random_square_zero(rng):
     for _ in range(50):
         m = random_square_zero(GF3, 4, rng)
-        assert m.mul(m).is_zero()
+        assert not any(m.mul(m).entries)
 
 
 def test_assembler_reproduces_regular_module():

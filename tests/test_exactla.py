@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from soclelab import exactla
+from soclelab.corpus import square_zero_matrices
 from soclelab.errors import InputError
 from soclelab.exactla import (
     Mat,
@@ -617,6 +618,72 @@ def test_mat_mul_row_combinations_match_the_triple_loop(field, rng):
             product = a.mul(b)
             assert (product.rows, product.cols) == (n, m)
             assert product.entries == _naive_mul(a, b)
+
+
+def product_is_zero(a: Mat, b: Mat) -> bool:
+    """The oracle for `Mat.mul_is_zero`: build the product and look."""
+    return not any(a.mul(b).entries)
+
+
+def _sparse_mat(field, rows, cols, rng):
+    """A random matrix with about one entry in three nonzero, so that zero
+    products are common."""
+    return Mat.from_rows(field, [[rng.randrange(1, field.q) if rng.random() < 0.3 else 0 for _ in range(cols)]
+                                 for _ in range(rows)])
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_mul_is_zero_matches_the_product(field, rng):
+    # square n <= 5 (the packed path over F_3): dense, sparse and the
+    # same object on both sides
+    outcomes = set()
+    for n in range(1, 6):
+        for trial in range(40):
+            a, b = (_sparse_mat(field, n, n, rng) if trial % 2 else random_mat(field, n, n, rng) for _ in range(2))
+            assert a.mul_is_zero(b) == product_is_zero(a, b), (a.row_list(), b.row_list())
+            assert a.mul_is_zero(a) == product_is_zero(a, a), a.row_list()
+            outcomes.add(a.mul_is_zero(b))
+    assert outcomes == {True, False}
+    # square-zero pool members: X X = 0, and X Y for pairs drawn from the pool
+    for n in (2, 3, 4) if field.q <= 3 else (2, 3):
+        pool = square_zero_matrices(field, n)
+        sample = rng.sample(pool, min(30, len(pool)))
+        assert all(x.mul_is_zero(x) for x in sample)
+        for x, y in zip(sample, sample[1:]):
+            assert x.mul_is_zero(y) == product_is_zero(x, y)
+    # rectangular shapes (the generic path), zero-sized sides included; B's
+    # columns are a basis of ker A or random
+    for rows, k, cols in itertools.product(range(4), repeat=3):
+        if rows == k == cols and rows:
+            continue
+        a = _sparse_mat(field, rows, k, rng) if rows else Mat.zero(field, 0, k)
+        basis = kernel(a).basis_rows
+        b = Mat.from_rows(field, list(zip(*basis))) if basis else Mat.zero(field, k, 0)
+        assert a.mul_is_zero(b) and product_is_zero(a, b)
+        b = random_mat(field, k, cols, rng) if k else Mat.zero(field, 0, cols)
+        assert a.mul_is_zero(b) == product_is_zero(a, b)
+
+
+def test_mul_is_zero_on_empty_and_mismatched_matrices():
+    for field in (GF2, GF3, field_make(5)):
+        empty = Mat.zero(field, 0, 0)
+        assert empty.mul_is_zero(empty) and product_is_zero(empty, empty)
+        assert Mat.zero(field, 2, 0).mul_is_zero(Mat.zero(field, 0, 3))
+    # a mismatch raises as `mul` does, before any packing
+    one = Mat.identity(GF3, 2)
+    for other, message in ((Mat.identity(GF2, 2), "mixed fields"), (Mat.zero(GF3, 3, 3), "cannot multiply 2x2 by 3x3")):
+        for method in (one.mul, one.mul_is_zero):
+            with pytest.raises(InputError, match=message):
+                method(other)
+
+
+def test_packed_f3_planes_match_the_codes(rng):
+    # lengths 0 to 130: empty, within one 64-bit word, and beyond it
+    for length in range(131):
+        flat = [rng.randrange(3) for _ in range(length)]
+        ones = sum(1 << j for j, x in enumerate(flat) if x == 1)
+        twos = sum(1 << j for j, x in enumerate(flat) if x == 2)
+        assert exactla._pack_gf3(flat) == exactla._pack_gf3(tuple(flat)) == (ones, twos)
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)

@@ -11,6 +11,7 @@ from soclelab.errors import BudgetExceeded, InputError, NotSplitError, Precondit
 from soclelab.exactla import (
     Mat,
     Subspace,
+    enum_hyperplanes,
     image,
     kernel,
     mat_of_columns,
@@ -214,7 +215,7 @@ def test_relation_error_names_the_first_failing_pair_not_the_generator_pair():
 def test_zero_relation_targets_still_reject():
     # x^2 = 0 in F_3[x]/(x^2), so pair (1, 1) is a zero test, and X^2 != 0
     x_mat = Mat.from_rows(GF3, [[0, 1], [0, 2]])
-    assert KX3.mult[1][1] == (0, 0) and not x_mat.mul(x_mat).is_zero()
+    assert KX3.mult[1][1] == (0, 0) and any(x_mat.mul(x_mat).entries)
     assert ModuleAssembler(KX3).assemble([x_mat]) is None
     with pytest.raises(InputError, match=pair_error(1, 1)):
         ModuleRep(KX3, 2, (Mat.identity(GF3, 2), x_mat))
@@ -1274,3 +1275,30 @@ def test_shared_full_space_is_the_full_space(p, e):
     for t in range(1, 5):
         assert modrep._full_space(field, t) == Subspace.full(field, t)
         assert modrep._full_space(field, t) is modrep._full_space(field, t)
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_shared_hyperplanes_are_those_of_the_full_space(p, e):
+    field = field_make(p, e)
+    for t in range(1, 4):
+        shared = modrep._full_hyperplanes(field, t)
+        assert shared == tuple(enum_hyperplanes(Subspace.full(field, t)))
+        assert modrep._full_hyperplanes(field, t) is shared
+
+
+def test_identity_tops_share_hyperplanes_up_to_the_bound(monkeypatch):
+    # x acts as zero on F_2^t, so JM = 0 and the top is F^t, one identity
+    # block.  F_2^10 has 1,023 hyperplanes, within the bound of 1,024, and
+    # they come from the shared tuple; F_2^11 has 2,047 and is enumerated
+    # afresh.  Both give enum_hyperplanes' sequence
+    field = field_make(2)
+    alg = make_twisted_truncated(2, 1, 1)
+    shared_for = []
+    full_hyperplanes = modrep._full_hyperplanes
+    monkeypatch.setattr(modrep, "_full_hyperplanes", lambda f, t: shared_for.append(t) or full_hyperplanes(f, t))
+    for t in (10, 11):
+        m = ModuleRep(alg, t, (Mat.identity(field, t), Mat.zero(field, t, t)))
+        scanned = [(hyper, w_top) for _f, hyper, w_top in modrep._maximal_tops(top(m), Budget())]
+        assert [hyper for hyper, _ in scanned] == list(enum_hyperplanes(Subspace.full(field, t)))
+        assert all(w_top is hyper for hyper, w_top in scanned)
+    assert shared_for == [10]

@@ -14,6 +14,7 @@ from soclelab.exactla import (
     RowBasis,
     Subspace,
     all_subspaces,
+    kernel,
     num_projective_points,
     num_subspaces,
     row_rank,
@@ -138,7 +139,7 @@ def test_small_conditions_vacuous_on_missing_block_pairs():
     sys_obj = BilinearSystem(GF2, (BlockSpec(1, 1), BlockSpec(1, 1)), (BlockSpec(1, 1),), gens)
     assert small_conditions(sys_obj) is None
     assert (0, 1) not in sys_obj.corner_spaces()  # the empty pair
-    assert all(m.is_zero() for m in sys_obj.block_maps(0, 1))
+    assert not any(any(m.entries) for m in sys_obj.block_maps(0, 1))
 
 
 # -- the swap conditions by corners, against full-size maps built by matrix units --
@@ -609,6 +610,26 @@ def test_a_swap_failure_in_either_direction_raises(monkeypatch, patched, directi
 # -- the balance check, block maps and the graph, against the full-size oracles --
 
 FIELDS = tuple(field_make(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)))
+
+
+@pytest.mark.parametrize("field", FIELDS + (field_make(2, 3),), ids=repr)
+def test_one_map_kills_matches_the_rank_definition(field, rng):
+    # with one map X, `_kills` is a zero test of the image; the definition is
+    # a rank drop of the one stacked row (X v_1, ..., X v_k), by Gauss-Jordan.
+    # The vectors are a basis of ker X (X kills them) or random ones
+    outcomes = set()
+    for trial in range(80):
+        t, s = rng.randrange(1, 5), rng.randrange(1, 5)
+        x = Mat.from_rows(field, [[rng.randrange(field.q) if rng.random() < 0.5 else 0 for _ in range(s)]
+                                  for _ in range(t)])
+        ker = kernel(x).basis_rows
+        vectors = list(ker) if trial % 2 and ker else \
+            [tuple(rng.randrange(field.q) for _ in range(s)) for _ in range(rng.randrange(1, 3))]
+        stacked = [c for v in vectors for c in x.apply(v)]
+        by_rank = not rref_gauss_jordan([stacked], len(stacked), field)[1]
+        assert strongness._kills(field, [x.entries], s, vectors) == by_rank, (x.row_list(), vectors)
+        outcomes.add(by_rank)
+    assert outcomes == {True, False}
 
 
 @functools.lru_cache(maxsize=None)
