@@ -9,10 +9,11 @@ All elimination goes through one core.  `_echelon` is a forward column
 sweep over the field tables, and `_reduce` subtracts pivot rows from one
 vector.  `rref_rows` is the sweep plus a back-substitution by `_reduce`,
 `row_rank` the sweep's pivot count, and `RowBasis`, `SpanTracker` and
-`Subspace.reduce` reduce through `_reduce`.  Over F_2, `rref_rows` instead
-packs rows into machine integers and eliminates with XOR.  RREF is unique,
-so both paths give identical output; tests cross-check them against a
-Gauss-Jordan oracle.
+`Subspace.reduce` reduce through `_reduce`, over every field; tests
+cross-check them against a Gauss-Jordan oracle.  Every combination of rows
+by coefficients (`Mat.mul`, `Mat.apply`, `mat_vec`) is one `vec_combo`.
+`Subspace.full` and, up to a bound, `full_hyperplanes` are built once per
+field and dimension and then shared.
 
 The radical oracle's full-rank test (`_full_rank_kernels`) packs a whole
 n*n matrix into Python ints over F_2 (one word, as M4RI packs rows:
@@ -115,36 +116,6 @@ def _pack_gf2(row) -> int:
         if x:
             word |= 1 << j
     return word
-
-
-def _unpack_gf2(word: int, ncols: int) -> list[int]:
-    return [(word >> j) & 1 for j in range(ncols)]
-
-
-def _rref_gf2(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
-    packed = [_pack_gf2(r) for r in rows]
-    nrows = len(packed)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        bit = 1 << c
-        piv = None
-        for i in range(r, nrows):
-            if packed[i] & bit:
-                piv = i
-                break
-        if piv is None:
-            continue
-        packed[r], packed[piv] = packed[piv], packed[r]
-        prow = packed[r]
-        for i in range(nrows):
-            if i != r and packed[i] & bit:
-                packed[i] ^= prow
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return [_unpack_gf2(w, ncols) for w in packed[: len(pivots)]], pivots
 
 
 # Whole-matrix words: entry t of a flat row-major n*n matrix is bit t, so row
@@ -314,7 +285,7 @@ def _coset_kernels(field: Field, d: int):
             word = _pack_gf2(row)
             return word & -word, word
 
-        return int, reduce2, lambda key: tuple(_unpack_gf2(key, d)), pack_row2
+        return int, reduce2, lambda key: tuple([key >> j & 1 for j in range(d)]), pack_row2
     if field.q == 3:
         def key_of_code3(code: int) -> tuple[int, int]:
             ones = twos = 0
@@ -358,12 +329,9 @@ def _coset_kernels(field: Field, d: int):
 def rref_rows(rows, ncols: int, field: Field) -> tuple[list[list[int]], list[int]]:
     """RREF of a list of row vectors; returns (nonzero rows, pivot columns).
 
-    Over F_2 the rows are bit-packed and eliminated with XOR.  Otherwise the
-    column sweep gives the echelon rows, and each is then reduced, bottom
+    The column sweep gives the echelon rows, and each is then reduced, bottom
     up, by the pivot rows below it.  Those are already reduced, so each is
     zero at the others' pivots and the order they are taken in is free."""
-    if field.is_gf2:
-        return _rref_gf2(rows, ncols)
     rows = [list(r) for r in rows]
     pivots = _echelon(rows, ncols, field)
     del rows[len(pivots):]
@@ -571,32 +539,18 @@ class Mat:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
 
     def _product_rows(self, other: "Mat"):
-        """Yield the rows of self * other one by one, None for a zero row.  Row
-        i is the combination of B's rows by A's row i, built as in
-        `vec_combo`: a first coefficient 1 takes its row as it is."""
-        add, mul = self.field.tables.add, self.field.tables.mul
+        """The rows of self * other, one by one: row i is `vec_combo` of B's
+        rows by A's row i.  With no rows in B every product row is zero."""
         k, m = self.cols, other.cols
+        if not k:
+            return itertools.repeat((0,) * m, self.rows)
         a, b = self.entries, other.entries
         brows = [b[t * m: (t + 1) * m] for t in range(k)]
-        for i in range(self.rows):
-            orow = None
-            for f, brow in zip(a[i * k: (i + 1) * k], brows):
-                if not f:
-                    continue
-                mf = mul[f]
-                if orow is None:
-                    orow = brow if f == 1 else [mf[y] for y in brow]
-                else:
-                    orow = [add[x][mf[y]] for x, y in zip(orow, brow)]
-            yield orow
+        return (vec_combo(self.field, brows, a[i * k: (i + 1) * k]) for i in range(self.rows))
 
     def mul(self, other: "Mat") -> "Mat":
         self._check_product(other)
-        zero = (0,) * other.cols
-        out = []
-        for orow in self._product_rows(other):
-            out.extend(zero if orow is None else orow)
-        return Mat._of(self.field, self.rows, other.cols, tuple(out))
+        return Mat._of(self.field, self.rows, other.cols, tuple([x for row in self._product_rows(other) for x in row]))
 
     def mul_is_zero(self, other: "Mat") -> bool:
         """Whether self * other is the zero matrix, without building it.
@@ -609,22 +563,18 @@ class Mat:
         if n and n == self.cols == other.cols and self.field.q == 3:
             a = _pack_gf3(self.entries)
             return _mul_is_zero_gf3(a, a if other is self else _pack_gf3(other.entries), n)
-        return not any(orow is not None and any(orow) for orow in self._product_rows(other))
+        return not any(any(orow) for orow in self._product_rows(other))
 
     def apply(self, vec) -> Vec:
-        """Matrix times column vector: the combination of the columns at the
-        vector's nonzero coordinates."""
+        """Matrix times column vector: `vec_combo` of the columns by the
+        vector's coordinates."""
         cols = self.cols
         if len(vec) != cols:
             raise InputError("vector length mismatch")
-        add, mul = self.field.tables.add, self.field.tables.mul
+        if not cols:
+            return (0,) * self.rows
         entries = self.entries
-        out = [0] * self.rows
-        for j, v in enumerate(vec):
-            if v:
-                mv = mul[v]
-                out = [add[x][mv[y]] for x, y in zip(out, entries[j::cols])]
-        return tuple(out)
+        return vec_combo(self.field, [entries[j::cols] for j in range(cols)], vec)
 
     def transpose(self) -> "Mat":
         columns = (self.entries[j::self.cols] for j in range(self.cols))
@@ -747,7 +697,10 @@ class Subspace:
         return Subspace(field, ambient_dim, (), ())
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def full(field: Field, ambient_dim: int) -> "Subspace":
+        """F_q^n with the unit basis, built once per (field, n) and then
+        shared, as every Subspace is immutable."""
         rows = tuple(tuple(1 if i == j else 0 for j in range(ambient_dim)) for i in range(ambient_dim))
         return Subspace(field, ambient_dim, rows, tuple(range(ambient_dim)))
 
@@ -919,6 +872,29 @@ def enum_hyperplanes(s: Subspace):
             else:
                 rows.append(row)
         yield Subspace(field, s.ambient_dim, tuple(rows), pivots[:k] + pivots[k + 1:])
+
+
+# the most hyperplanes of F^t that `full_hyperplanes` keeps: a larger t
+# enumerates its hyperplanes afresh (the default budget allows a million).
+# Measured with tracemalloc on CPython 3.11, a kept tuple costs 0.80 MB at
+# F_2^10 (1,023 hyperplanes), the largest kept over F_2, against 1.81 MB at
+# F_2^11, the first left out; so each shared tuple stays under 1 MB
+_SHARED_HYPERPLANES = 1024
+
+
+def full_hyperplanes(field: Field, t: int):
+    """The hyperplanes of F^t in `enum_hyperplanes` order (none when t = 0).
+    Up to `_SHARED_HYPERPLANES` of them come as one tuple, enumerated once
+    per (field, t) and then shared, as `Subspace.full` is; more are
+    enumerated afresh, one at a time."""
+    if num_projective_points(t, field.q) > _SHARED_HYPERPLANES:
+        return enum_hyperplanes(Subspace.full(field, t))
+    return _shared_hyperplanes(field, t)
+
+
+@lru_cache(maxsize=None)
+def _shared_hyperplanes(field: Field, t: int) -> tuple[Subspace, ...]:
+    return tuple(enum_hyperplanes(Subspace.full(field, t))) if t else ()
 
 
 def enum_subspaces(field: Field, n: int, dim: int):

@@ -16,14 +16,14 @@ all of A once it holds the generators.
 The submodule lattice is driven blockwise through a split certificate:
 maximal submodules of M are preimages of hyperplanes of the block
 multiplicity spaces of M/JM (for a top that is one identity block, that
-space is F^t, t = dim M/JM, one Subspace per field and t, built once and
-shared, and so are its hyperplanes while there are at most 1,024 of them),
-and simple submodules of soc(M) come from projective points of the
-multiplicity spaces of the socle.  The same decomposition gives every
-length: `semisimple_length` of a top M/JM or a socle is the sum of its
-blocks' multiplicity dimensions, and `top_socle`, the shrink checks and both
-bounds read lengths through it.  Faithfulness is upward monotone, so
-minimality checks only need maximal submodules and simple quotient kernels.
+space is F^t, t = dim M/JM, the shared `Subspace.full`, and its hyperplanes
+are the shared `full_hyperplanes`), and simple submodules of soc(M) come
+from projective points of the multiplicity spaces of the socle.  The same
+decomposition gives every length: `semisimple_length` of a top M/JM or a
+socle is the sum of its blocks' multiplicity dimensions, and `top_socle`,
+the shrink checks and both bounds read lengths through it.  Faithfulness
+is upward monotone, so minimality checks only need maximal submodules and
+simple quotient kernels.
 
 A ModuleRep keeps JM, its top M/JM (`top`, the QuotientData of JM), soc(M)
 and its annihilator once computed, and a budget stop keeps nothing: every
@@ -58,6 +58,7 @@ from .exactla import (
     Subspace,
     enum_coeff_points,
     enum_hyperplanes,
+    full_hyperplanes,
     image,
     kernel,
     mat_of_columns,
@@ -68,7 +69,6 @@ from .exactla import (
     solve,
     vec_combo,
 )
-from .gf import Field
 from .strongness import BilinearSystem, BlockSpec, _kills, _lands_in, prop41_check
 
 
@@ -322,7 +322,7 @@ class BlockPart:
         self._block = block
         self._units: dict[tuple[int, int], Mat] = {}
         if self.identity:
-            self.mult = _full_space(rep.field, rep.dim) if sub is None else sub
+            self.mult = Subspace.full(rep.field, rep.dim) if sub is None else sub
         elif sub is None:
             self.mult = image(self.unit(0, 0))
         else:
@@ -341,26 +341,6 @@ class BlockPart:
         if self.identity:
             return [tuple(u)]
         return [self.unit(i, 0).apply(u) for i in range(self.n)]
-
-
-@functools.lru_cache(maxsize=None)
-def _full_space(field: Field, t: int) -> Subspace:
-    return Subspace.full(field, t)
-
-
-# the most hyperplanes of F^t that `_full_hyperplanes` keeps: a larger
-# identity top enumerates its hyperplanes afresh (the default budget allows a
-# million).  Measured with tracemalloc on CPython 3.11, a kept tuple costs
-# 0.80 MB at F_2^10 (1,023 hyperplanes), the largest kept over F_2, against
-# 1.81 MB at F_2^11, the first left out; so each shared tuple stays under 1 MB
-_SHARED_HYPERPLANES = 1024
-
-
-@functools.lru_cache(maxsize=None)
-def _full_hyperplanes(field: Field, t: int) -> tuple[Subspace, ...]:
-    """The hyperplanes of F^t in `enum_hyperplanes` order, enumerated once per
-    (field, t) and then shared, as `_full_space` is."""
-    return tuple(enum_hyperplanes(_full_space(field, t)))
 
 
 def block_decomposition(rep: ModuleRep | QuotientData, sub: Subspace | None = None):
@@ -404,8 +384,7 @@ def _maximal_tops(qd: QuotientData, budget: Budget):
     is H itself when the block acts as the identity.  Each block's
     hyperplane count is charged to the budget, as a running total, before
     that block is scanned.  An identity block's multiplicity space is F^t
-    itself, so up to `_SHARED_HYPERPLANES` of its hyperplanes are read from
-    the shared `_full_hyperplanes`."""
+    itself, so its hyperplanes are `full_hyperplanes`, shared up to a bound."""
     charged = 0
     for part in block_decomposition(qd):
         if part.mult.dim == 0:
@@ -414,8 +393,7 @@ def _maximal_tops(qd: QuotientData, budget: Budget):
         charged += count
         budget.guard("maximal-submodule hyperplane enumeration", charged)
         if part.identity:
-            shared = count <= _SHARED_HYPERPLANES
-            for hyper in _full_hyperplanes(qd.field, part.mult.dim) if shared else enum_hyperplanes(part.mult):
+            for hyper in full_hyperplanes(qd.field, part.mult.dim):
                 yield part.f, hyper, hyper
             continue
         extractors = [part.unit(0, i) for i in range(part.n)]

@@ -56,8 +56,8 @@ from .exactla import (
     Subspace,
     all_subspaces,
     enum_coeff_points,
-    enum_hyperplanes,
     enum_subspaces,
+    full_hyperplanes,
     kernel,
     mat_of_rows,
     num_projective_points,
@@ -325,8 +325,8 @@ def _maximal_members(sys: BilinearSystem):
     S-blocks) of B: H runs over the hyperplanes of k^{s_e} in
     `enum_hyperplanes` order, given by basis rows."""
     for e, be in enumerate(sys.s_blocks):
-        for hyper in _hyperplane_bases(sys.field, be.mult):
-            yield e, hyper
+        for hyper in full_hyperplanes(sys.field, be.mult):
+            yield e, hyper.basis_rows
 
 
 def _simple_members(sys: BilinearSystem):
@@ -335,13 +335,6 @@ def _simple_members(sys: BilinearSystem):
     for f, bf in enumerate(sys.t_blocks):
         for mu in enum_coeff_points(sys.field, bf.mult):
             yield f, mu
-
-
-@functools.lru_cache(maxsize=None)
-def _hyperplane_bases(field: Field, dim: int) -> tuple[tuple, ...]:
-    """Basis rows of every hyperplane of k^dim, in `enum_hyperplanes` order
-    (none when dim = 0)."""
-    return tuple(hyper.basis_rows for hyper in enum_hyperplanes(Subspace.full(field, dim))) if dim else ()
 
 
 @functools.lru_cache(maxsize=None)
@@ -559,17 +552,20 @@ def _strong_parts(
     passes `_kills_maximal` at H (one block X (x) E_00 suffices, see the
     module docstring).  A family fails when no qualifying point (left) or
     hyperplane (right) lies off every member (`_off_sets`).  The charge stays
-    families times the parts' elements up to scalars, though none is walked.
+    families times the parts' elements up to scalars, though none is walked,
+    and it is made before any member is enumerated.
     """
     field, left = sys.field, side == "left"
     dim = (sys.t_blocks if left else sys.s_blocks)[block].mult
-    points, hyperplanes = tuple(enum_coeff_points(field, dim)), _hyperplane_bases(field, dim)
-    members, duals, test = (hyperplanes, points, _maps_into_simple) if left else (points, hyperplanes, _kills_maximal)
-    max_k = min(int(math.floor(N)), len(members))
-    total_families = sum(math.comb(len(members), k) for k in range(0, max_k + 1))
+    n_members = num_projective_points(dim, field.q)  # as many hyperplanes as points
+    max_k = min(int(math.floor(N)), n_members)
+    total_families = sum(math.comb(n_members, k) for k in range(0, max_k + 1))
     n_elements = sum(num_projective_points(_bimodule_dim(sys, corners), field.q) for corners in part_corners)
     budget.guard(f"{side}-strong family enumeration", total_families * max(n_elements, 1))
 
+    points = tuple(enum_coeff_points(field, dim))
+    hyperplanes = [hyper.basis_rows for hyper in full_hyperplanes(field, dim)]
+    members, duals, test = (hyperplanes, points, _maps_into_simple) if left else (points, hyperplanes, _kills_maximal)
     qualifying = sum(1 << i for i, x in enumerate(duals) if any(test(sys, c, block, x) for c in part_corners))
     off = _off_sets(field, dim)
     for k in range(0, max_k + 1):

@@ -27,7 +27,6 @@ full.  Both certify by `_witnessed_report`, one kernel per residual matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .budget import Budget, default_budget
 from .errors import InputError, PreconditionError, TheoremViolation, decoding, json_int
@@ -114,17 +113,12 @@ def rank_one(field: Field, b, c) -> Mat:
 # the coverage conditions
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _unit_rows(width: int) -> tuple:
-    return tuple(tuple(int(k == f) for f in range(width)) for k in range(width))
-
-
 def _unit_residuals(flat: Subspace) -> list:
     """The residual of each unit vector e_k modulo the flat space, at its free
     coordinates: e_k off the pivots, and e_k minus its pivot row at a pivot."""
     neg = flat.field.tables.neg
     free = [k for k in range(flat.ambient_dim) if k not in flat.pivots]
-    res = list(_unit_rows(len(free)))
+    res = list(Subspace.full(flat.field, len(free)).basis_rows)
     for p, row in zip(flat.pivots, flat.basis_rows):  # ascending, so each lands at index p
         res.insert(p, tuple([neg[row[f]] for f in free]))
     return res

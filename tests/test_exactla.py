@@ -89,15 +89,6 @@ def test_rref_and_row_rank_match_gauss_jordan(field, rng):
     assert rref_rows([[0] * 3] * 4, 3, field) == ([], []) and row_rank([[0] * 3] * 4, 3, field) == 0
 
 
-def test_gf2_packed_path_matches_generic(rng):
-    # the packed fast path must produce byte-identical canonical output
-    for _ in range(300):
-        m = random_mat(GF2, rng.randrange(1, 6), rng.randrange(1, 7), rng)
-        fast = rref_rows(m.row_list(), m.cols, GF2)
-        slow = rref_gauss_jordan(m.row_list(), m.cols, GF2)
-        assert fast == slow
-
-
 # -- kernels and images ---------------------------------------------------------
 
 def test_kernel_examples():
@@ -608,7 +599,8 @@ def test_mat_mul_and_apply_match_naive(field, rng):
 def test_mat_mul_row_combinations_match_the_triple_loop(field, rng):
     # every shape with sides 0-3, zero-sized ones included, each with entries
     # drawn from {0, 1} (so rows start with a unit coefficient or are zero)
-    # and from the whole field
+    # and from the whole field.  Mat.apply runs on the same shapes: with no
+    # columns (k = 0) it combines no vectors, with no rows empty ones
     for n, k, m in itertools.product(range(4), repeat=3):
         for values in ((0, 1), tuple(range(field.q))):
             a = Mat.from_rows(field, [[rng.choice(values) for _ in range(k)] for _ in range(n)]) \
@@ -618,6 +610,9 @@ def test_mat_mul_row_combinations_match_the_triple_loop(field, rng):
             product = a.mul(b)
             assert (product.rows, product.cols) == (n, m)
             assert product.entries == _naive_mul(a, b)
+            vec = tuple(rng.randrange(field.q) for _ in range(k))
+            column = Mat.from_rows(field, [[x] for x in vec]) if k else Mat.zero(field, 0, 1)
+            assert a.apply(vec) == _naive_mul(a, column)
 
 
 def product_is_zero(a: Mat, b: Mat) -> bool:

@@ -19,7 +19,7 @@ from soclelab.exactla import (
     mat_vec,
 )
 from soclelab.gf import field_make
-from soclelab import modrep
+from soclelab import exactla, modrep
 from soclelab.gallery import (
     criterion8_algebras,
     iter_gallery_algebras,
@@ -1271,31 +1271,32 @@ def test_socle_point_budget_stop_surfaces_at_the_read():
 
 @pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
 def test_shared_full_space_is_the_full_space(p, e):
+    # an identity top's multiplicity space is the shared Subspace.full
     field = field_make(p, e)
     for t in range(1, 5):
-        assert modrep._full_space(field, t) == Subspace.full(field, t)
-        assert modrep._full_space(field, t) is modrep._full_space(field, t)
+        assert Subspace.full(field, t) == Subspace.from_vectors(field, t, Mat.identity(field, t).row_list())
+        assert Subspace.full(field, t) is Subspace.full(field, t)
 
 
 @pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
 def test_shared_hyperplanes_are_those_of_the_full_space(p, e):
     field = field_make(p, e)
     for t in range(1, 4):
-        shared = modrep._full_hyperplanes(field, t)
+        shared = exactla.full_hyperplanes(field, t)
         assert shared == tuple(enum_hyperplanes(Subspace.full(field, t)))
-        assert modrep._full_hyperplanes(field, t) is shared
+        assert exactla.full_hyperplanes(field, t) is shared
 
 
 def test_identity_tops_share_hyperplanes_up_to_the_bound(monkeypatch):
     # x acts as zero on F_2^t, so JM = 0 and the top is F^t, one identity
     # block.  F_2^10 has 1,023 hyperplanes, within the bound of 1,024, and
-    # they come from the shared tuple; F_2^11 has 2,047 and is enumerated
-    # afresh.  Both give enum_hyperplanes' sequence
+    # they come from exactla's shared tuple; F_2^11 has 2,047 and is
+    # enumerated afresh.  Both give enum_hyperplanes' sequence
     field = field_make(2)
     alg = make_twisted_truncated(2, 1, 1)
     shared_for = []
-    full_hyperplanes = modrep._full_hyperplanes
-    monkeypatch.setattr(modrep, "_full_hyperplanes", lambda f, t: shared_for.append(t) or full_hyperplanes(f, t))
+    shared_hyperplanes = exactla._shared_hyperplanes
+    monkeypatch.setattr(exactla, "_shared_hyperplanes", lambda f, t: shared_for.append(t) or shared_hyperplanes(f, t))
     for t in (10, 11):
         m = ModuleRep(alg, t, (Mat.identity(field, t), Mat.zero(field, t, t)))
         scanned = [(hyper, w_top) for _f, hyper, w_top in modrep._maximal_tops(top(m), Budget())]

@@ -935,6 +935,22 @@ def test_member_tests_match_the_element_walk():
     assert calls >= 1500 and not_strong >= 150, (calls, not_strong)
 
 
+def test_strength_charge_comes_before_any_member_is_enumerated(monkeypatch):
+    # at cap 0 the family charge stops n_strong, on either side, before it
+    # enumerates a point or a hyperplane of k^dim; with room, both run
+    calls = []
+    for name in ("enum_coeff_points", "full_hyperplanes"):
+        monkeypatch.setattr(strongness, name,
+                            lambda *args, name=name, enum=getattr(strongness, name): calls.append(name) or enum(*args))
+    sys_obj = make_line_cover_system(GF3, 2)
+    for side, s_block in (("left", None), ("right", 0)):
+        assert raised(lambda: n_strong(sys_obj, side, 3, s_block=s_block, budget=Budget(max_enumeration=0)))[0] \
+            == f"{side}-strong family enumeration"
+    assert calls == []
+    n_strong(sys_obj, "left", 3)
+    assert set(calls) == {"enum_coeff_points", "full_hyperplanes"}
+
+
 def test_union_split_rejects_a_part_that_is_not_a_sub_bimodule():
     # full corner of a T-block (n = 2, mult = 2) and an S-block (n = 2, mult = 1);
     # the one map with A_00 = (1, 0)^T and A_11 = (0, 1)^T has a 2-dimensional

@@ -1,14 +1,18 @@
-"""List every def or class in src/ that no other src/ code names.
+"""List every def or class in src/ that no other src/ code names, and every
+module-level import that nothing else in its own file reads.
 
 A definition counts as used when its name occurs as a name or an attribute
 anywhere in src/ outside its own body.  Matching is by bare name, so a name
 shared with a used definition hides an unused one; dunder methods, which the
 interpreter calls, are skipped.  Module-level and class-level definitions
-are scanned, each named as module.Qualname.
+are scanned, each named as module.Qualname.  An import counts as read when
+the name it binds occurs as a name anywhere else in its file, annotations
+included (a quoted annotation is a string and does not count); `from
+__future__` imports are skipped.  Each is named as module.name.
 
 Usage: python3 tools/unused_defs.py [SRC_DIR]   (default: src next to tools/)
-Exits 1 when it finds an unused definition that ALLOWED does not list, or an
-ALLOWED entry that is used again or gone; stdlib only.
+Exits 1 when it finds an unused import, an unused definition that ALLOWED
+does not list, or an ALLOWED entry that is used again or gone; stdlib only.
 """
 
 from __future__ import annotations
@@ -62,10 +66,27 @@ def unused(src: Path) -> list[str]:
     )
 
 
+def unused_imports(src: Path) -> list[str]:
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.stem}.{name}")
+    return sorted(found)
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
     found = unused(src)
-    problems = [f"unused: {name}" for name in found if name not in ALLOWED]
+    problems = [f"unused import: {name}" for name in unused_imports(src)]
+    problems += [f"unused: {name}" for name in found if name not in ALLOWED]
     problems += [f"allowed but used or gone: {name}" for name in ALLOWED if name not in found]
     for line in problems:
         print(line)
