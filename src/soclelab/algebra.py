@@ -1,7 +1,8 @@
 """Finite-dimensional associative F_q-algebras with identity.
 
-An Algebra carries verified structure constants (associativity and the
-identity law are checked on all basis triples at construction) and an
+An Algebra carries verified structure constants (the identity law, and
+associativity on all basis triples as L_{b_i b_j} = L_{b_i} L_{b_j}, are
+checked at construction) and an
 optional certificate: the radical as an explicit nilpotent two-sided ideal,
 plus either matrix-unit bases exhibiting the semisimple quotient as a
 product of full matrix algebras over F_q ("split"), or a verified division
@@ -198,19 +199,25 @@ class Algebra:
 
     # -- verification ----------------------------------------------------------
     def _verify_structure(self):
+        """The identity law on each basis element, then associativity on each
+        basis triple (i, j, k) in order; a failure names the first.  Column k
+        of L_x is x b_k (of R_x, b_k x), so the identity law says column i of
+        L_1 and R_1 is e_i, and the triples (i, j, *) say L_{b_i b_j} = L_{b_i}
+        L_{b_j}, whose columns k are (b_i b_j) b_k and b_i (b_j b_k)."""
         d = self.dim
+        if not d:
+            return
+        left_one, right_one = self.left_mult_mat(self.one).entries, self.right_mult_mat(self.one).entries
         for i in range(d):
             bi = self.basis_coords(i)
-            if self.mul_coords(self.one, bi) != bi or self.mul_coords(bi, self.one) != bi:
+            if left_one[i::d] != bi or right_one[i::d] != bi:
                 raise InputError(f"identity law fails on basis element {i}")
-        for i in range(d):
-            for j in range(d):
-                ij = self.mult[i][j]
-                for k in range(d):
-                    lhs = self.mul_coords(ij, self.basis_coords(k))
-                    rhs = self.mul_coords(self.basis_coords(i), self.mult[j][k])
-                    if lhs != rhs:
-                        raise InputError(f"associativity fails on basis triple ({i}, {j}, {k})")
+        for i, li in enumerate(self.left_mats):
+            for j, lj in enumerate(self.left_mats):
+                lhs, rhs = mat_vec(self.left_mats, self.mult[i][j]).entries, li.mul(lj).entries
+                if lhs != rhs:
+                    k = next(k for k in range(d) if lhs[k::d] != rhs[k::d])
+                    raise InputError(f"associativity fails on basis triple ({i}, {j}, {k})")
 
     def _verify_certificate(self, cert: CertifiedStructure):
         J = cert.radical
@@ -414,6 +421,8 @@ def algebra_make(
         one = tuple(one)
         if len(mult) != dim or any(len(row) != dim for row in mult):
             raise InputError("structure constant table has wrong shape")
+        if len(one) != dim or any(len(c) != dim for row in mult for c in row):
+            raise InputError("coordinate vector has wrong length")
 
     cert_obj = None
     if certificate is not None:

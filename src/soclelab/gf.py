@@ -256,10 +256,15 @@ def field_make(p: int, e: int = 1, modulus=None, max_q: int = DEFAULT_MAX_Q) -> 
 
 @lru_cache(maxsize=None)
 def _field_make(p: int, e: int, modulus, max_q: int) -> Field:
+    # the bound comes before is_prime(p) and p**e, which never end for a huge p or e
+    if p > max_q:
+        raise InputError(f"characteristic {p} exceeds the configured field bound {max_q}")
     if not is_prime(p):
         raise InputError(f"characteristic {p} is not prime")
     if e < 1:
         raise InputError(f"extension degree must be >= 1, got {e}")
+    if e > max_q:  # then p^e >= 2^e > max_q
+        raise InputError(f"q = {p}^{e} exceeds the configured field bound {max_q}")
     q = p**e
     if q > max_q:
         raise InputError(f"q = {q} exceeds the configured field bound {max_q}")

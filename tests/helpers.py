@@ -477,6 +477,36 @@ def residue_is_division_by_quotient(alg, J) -> bool:
     return True
 
 
+# -- the structure check by basis triples: the oracle for
+# `Algebra._verify_structure`, which compares L_{b_i b_j} with
+# L_{b_i} L_{b_j} column by column --
+
+def structure_defect(field, dim: int, mult, one) -> str | None:
+    """The message the construction-time structure check gives for these
+    structure constants, or None when they pass: the identity law on each
+    basis element, then associativity on each basis triple (i, j, k) in
+    order, as (b_i b_j) b_k = b_i (b_j b_k) with every product expanded
+    through the structure constants by the Field methods."""
+    def mul(x, y):
+        out = [0] * dim
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                c = field.mul(xi, yj)
+                if c:
+                    for k, ck in enumerate(mult[i][j]):
+                        out[k] = field.add(out[k], field.mul(c, ck))
+        return tuple(out)
+
+    basis = [tuple(1 if k == i else 0 for k in range(dim)) for i in range(dim)]
+    for i, bi in enumerate(basis):
+        if mul(one, bi) != bi or mul(bi, one) != bi:
+            return f"identity law fails on basis element {i}"
+    for i, j, k in itertools.product(range(dim), repeat=3):
+        if mul(mult[i][j], basis[k]) != mul(basis[i], mult[j][k]):
+            return f"associativity fails on basis triple ({i}, {j}, {k})"
+    return None
+
+
 # -- N-strength by walking the elements: the oracle for the member tests of
 # `strongness._strong_parts` --
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -38,7 +39,12 @@ from soclelab.gallery import (
     make_twisted_truncated,
 )
 
-from helpers import bimodule_length_by_corner_spans, residue_is_division_by_quotient, socle_graph_by_vertex_spans
+from helpers import (
+    bimodule_length_by_corner_spans,
+    residue_is_division_by_quotient,
+    socle_graph_by_vertex_spans,
+    structure_defect,
+)
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -60,14 +66,79 @@ def test_matrix_algebra_construction():
 
 
 def test_rejects_broken_structure_constants():
-    # matrix-unit constants with e12 * e21 redirected to e22: breaks
-    # associativity on (e12, e21, e11) and is rejected with that triple
+    # matrix-unit constants with e12 * e21 redirected to e22 (basis order
+    # e11, e12, e21, e22 -> indices 0, 1, 2, 3).  The first triple to fail
+    # is (e11, e12, e21): (e11 e12) e21 = e12 e21 is now e22, while
+    # e11 (e12 e21) = e11 e22 = 0
     good = make_matrix_algebra(2, GF2)
     mult = [list(row) for row in good.mult]
-    # basis order: e11, e12, e21, e22 -> indices 0, 1, 2, 3
     mult[1][2] = (0, 0, 0, 1)
-    with pytest.raises(InputError, match="associativity.*\\("):
+    with pytest.raises(InputError, match=r"^associativity fails on basis triple \(0, 1, 2\)$"):
         algebra_make(GF2, dim=4, mult=mult, one=good.one)
+
+
+def _structure_cases():
+    """Gallery algebras whose structure check the perturbation test runs:
+    over F_2, F_3 and F_4 (whose codes 2 and 3 are not prime-field
+    residues), dims 3 to 6."""
+    gf4 = field_make(2, 2)
+    yield make_matrix_algebra(2, GF2)
+    yield make_triangular(3, GF2)
+    yield make_row_diagonal_pair()[0]
+    yield make_twisted_truncated(2, 2, 2)
+    yield make_matrix_algebra(2, GF3)
+    yield make_triangular(3, GF3, True)
+    yield make_twisted_truncated(3, 1, 3)
+    yield make_square_zero_extension(GF3, 2)
+    yield make_matrix_algebra(2, gf4)
+    yield make_triangular(3, gf4)
+    yield make_square_zero_extension(gf4, 2)
+
+
+def test_structure_check_matches_the_triple_scan_on_perturbed_algebras(rng):
+    # one structure constant or one coordinate of 1 changed at random: the
+    # construction fails with the triple scan's message, or passes when the
+    # scan finds no failure
+    seen = []
+    for alg in _structure_cases():
+        field, d = alg.field, alg.dim
+        assert structure_defect(field, d, alg.mult, alg.one) is None
+        for _ in range(24):
+            mult = [list(row) for row in alg.mult]
+            one = list(alg.one)
+            if rng.random() < 0.2:
+                target, pos = one, rng.randrange(d)
+            else:
+                i, j = rng.randrange(d), rng.randrange(d)
+                target = mult[i][j] = list(mult[i][j])
+                pos = rng.randrange(d)
+            target[pos] = rng.choice([c for c in field.elements() if c != target[pos]])
+            expected = structure_defect(field, d, mult, one)
+            seen.append(expected)
+            if expected is None:
+                assert algebra_make(field, dim=d, mult=mult, one=one).dim == d
+            else:
+                with pytest.raises(InputError) as err:
+                    algebra_make(field, dim=d, mult=mult, one=one)
+                assert str(err.value) == expected
+    triples = [re.fullmatch(r"associativity fails on basis triple \((\d+), (\d+), (\d+)\)", m) for m in seen if m]
+    assert any(t and int(t[1]) > 0 and int(t[3]) > 0 for t in triples)
+    assert any(m and m.startswith("identity law") for m in seen)
+    assert None in seen
+
+
+def test_rejects_coordinate_vectors_of_the_wrong_length():
+    # one over-long structure constant, or an over-long 1, with a nonzero
+    # extra coordinate: the check never reads that coordinate, so the
+    # constructor refuses the shape before it
+    good = make_matrix_algebra(2, GF2)
+    mult = [list(row) for row in good.mult]
+    mult[1][2] = (1, 0, 0, 0, 1)
+    with pytest.raises(InputError, match=r"^coordinate vector has wrong length$"):
+        algebra_make(GF2, dim=4, mult=mult, one=good.one)
+    for one in (good.one + (1,), good.one[:3]):
+        with pytest.raises(InputError, match=r"^coordinate vector has wrong length$"):
+            algebra_make(GF2, dim=4, mult=good.mult, one=one)
 
 
 def test_rejects_non_closed_matrix_basis():

@@ -3,6 +3,7 @@ import pickle
 
 import pytest
 
+from soclelab import gf
 from soclelab.errors import InputError
 from soclelab.gf import Field, field_make, field_of_order, is_prime, _poly_is_irreducible, _poly_mul_mod
 
@@ -81,6 +82,25 @@ def test_construction_errors():
     f3 = field_make(3)
     with pytest.raises(InputError):
         f3.inv(0)
+
+
+def test_bound_is_checked_before_primality_and_the_power(monkeypatch):
+    # a huge p must not reach trial division, nor a huge e the power p**e
+    def no_trial_division(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(gf, "is_prime", no_trial_division)
+    with pytest.raises(InputError, match=r"^characteristic 2305843009213693951 exceeds the configured field bound 9$"):
+        field_make(2**61 - 1)
+    monkeypatch.undo()
+    for e in (2**20, 2**70):
+        with pytest.raises(InputError, match=rf"^q = 2\^{e} exceeds the configured field bound 9$"):
+            field_make(2, e)
+    # below both new checks the messages are the ones they always were
+    with pytest.raises(InputError, match=r"^characteristic 4 is not prime$"):
+        field_make(4, 2**70)
+    with pytest.raises(InputError, match=r"^q = 512 exceeds the configured field bound 9$"):
+        field_make(2, 9)
 
 
 def test_bound_is_configurable():
