@@ -13,8 +13,10 @@ The radical certificate has an independent oracle: an exhaustive scan of the
 whole ring by quasi-regularity (x is radical iff 1 - rx is invertible for
 every r).  The scan rank-tests one element per scalar class for unit flags
 (unit(cx) = unit(x) for c != 0), then decides membership once per coset of
-the verified radical span, up to scalars, by walking the principal left
-ideal Rx with early exit.  Unit testing goes through the matrix basis when
+the verified radical span, up to scalars: it visits only the code of each
+coset that the span already reduces, from a byte mask that narrows by one
+digit per verified member, and walks the principal left ideal Rx by an
+odometer, with early exit.  Unit testing goes through the matrix basis when
 it represents 1 as the identity matrix (invertibility in the matrix ring
 then equals invertibility in the subalgebra), else through the regular
 representation.  When every matrix of that representation is block upper
@@ -25,7 +27,7 @@ those blocks set to zero.  A basis element whose masked matrix is zero is
 an idle digit: it changes no flag, and the flags are copied across it
 instead of walked.  Over F_2 and F_3 the matrices are walked and
 rank-tested packed whole into bit words (`exactla._full_rank_kernels`), and
-the coset representatives are reduced as packed keys
+the rejected coset representatives are reduced as packed keys
 (`exactla._coset_kernels`).
 """
 
@@ -660,22 +662,27 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
 
     Membership is decided exactly: x is radical iff every element of the
     principal left ideal Rx is quasi-regular (1 - y invertible for all
-    y in Rx).  Units can never be radical and are skipped outright.  Every
-    other quasi-regular element is reduced by the span V of the verified
-    members and scaled to a leading 1; this representative stands for its
-    whole coset x + V up to nonzero scalars, since x is radical iff x - v is
-    (v in V) and R(cx) = Rx (c != 0).  Zero means x is in V; each other
-    representative is tested once, and a rejected one stays rejected while
-    V grows (if one falls into V the oracle has contradicted itself).
+    y in Rx).  Units can never be radical and are skipped outright.  The
+    members verified so far span V, and x is radical iff x - v is (v in V)
+    and R(cx) = Rx (c != 0); likewise x is a unit iff x - v is, and 1 - x
+    iff 1 - x + v is, so both flags are constant on each coset x + V.  So
+    one code stands for each coset up to scalars: the one with zero digits
+    at V's pivot columns (already reduced by V) and most significant
+    nonzero digit 1.  The codes to visit are held as a byte mask over all
+    q^d codes, built once from the flags (top digit 1, non-unit,
+    quasi-regular) and walked by bytes.find, so a skipped code costs no
+    Python step.  V is kept in RREF, so each verified member adds one pivot
+    p, its leading coordinate, and the mask is narrowed by one AND with the
+    pattern "digit p is 0".  Each representative is tested once, and a
+    rejected one stays rejected while V grows (if one falls into V the
+    oracle has contradicted itself).  The test walks every combination of
+    an RREF basis of Rx by an odometer, one scaled basis row added per
+    step, after the single-row multiples, where cheap witnesses live.
 
-    Only the codes whose most significant nonzero digit is 1 are visited,
-    one per scalar class.  That loses nothing: representative(cx) equals
-    representative(x), and a radical y has the radical c^-1 y in its class,
-    which is a non-unit, quasi-regular and visited.  The unit flags are
-    likewise computed once per scalar class (see _unit_flags).
-    Representatives are held as keys (see exactla._coset_kernels): over F_2
-    the code is its own key, over F_3 its pair of bit-planes, otherwise its
-    coordinate tuple.  Only the distinct ones tested are decoded.
+    The unit flags are computed once per scalar class (see _unit_flags).
+    Rejected representatives are held as keys (see exactla._coset_kernels):
+    over F_2 the code is its own key, over F_3 its pair of bit-planes,
+    otherwise its coordinate tuple, each scaled to a leading 1.
     The result is re-verified as a nilpotent two-sided ideal.
     """
     budget = budget or default_budget()
@@ -686,45 +693,67 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
 
     unit = _unit_flags(r)
     qr = _quasi_regular_flags(r, unit)
-    mul = field.tables.mul
+    add, mul = field.tables.add, field.tables.mul
 
     jbasis = RowBasis(field, d)
 
     def ideal_inside_qr(x: Coords) -> bool:
         # basis of Rx: row i is b_i x, the combination of the b_i b_j by the x_j
         rows = rref_rows([vec_combo(field, r.mult[i], x) for i in range(d)], d, field)[0]
+        scaled = [[[mul[c][t] for t in row] for c in range(q)] for row in rows]
         # single-coordinate multiples first: cheap witnesses live here
-        for row in rows:
-            for c in field.nonzero():
-                mc = mul[c]
-                if qr[_encode_coords([mc[t] for t in row], q)] == 0:
+        for multiples in scaled:
+            for m in multiples[1:]:
+                if qr[_encode_coords(m, q)] == 0:
                     return False
-        for combo in itertools.product(field.elements(), repeat=len(rows)):
-            if qr[_encode_coords(vec_combo(field, rows, combo), q)] == 0:
+        # then every combination, by an odometer: acc[j] is the combination
+        # of rows j.. by the digits, and a step adds one scaled row
+        k = len(rows)
+        digits = [0] * k
+        acc = [[0] * d] * (k + 1)
+        while True:
+            j = 0
+            while j < k and digits[j] == q - 1:
+                digits[j] = 0
+                j += 1
+            if j == k:
+                return True
+            digits[j] += 1
+            acc[j] = [add[a][b] for a, b in zip(acc[j + 1], scaled[j][digits[j]])]
+            for i in range(j):
+                acc[i] = acc[j]
+            if qr[_encode_coords(acc[j], q)] == 0:
                 return False
-        return True
 
-    # the representative of x: x reduced by the verified span and scaled to
-    # a leading 1, held as a key (see _coset_kernels)
+    # the codes still to visit: top digit 1, non-unit, quasi-regular, and
+    # zero at every pivot of the verified span V, so each is its own
+    # reduction by V; both flags are constant on the cosets of V
+    candidates = (int.from_bytes(qr, "little") & ~int.from_bytes(unit, "little")).to_bytes(size, "little")
+    todo = bytearray(size)
+    for k in range(d):
+        todo[q**k: 2 * q**k] = candidates[q**k: 2 * q**k]
     key_of_code, reduce, coords_of_key, pack_row = _coset_kernels(field, d)
     zero = key_of_code(0)
-    packed_rows: list = []
     rejected: set = set()
-    for code in itertools.chain.from_iterable(range(q**k, 2 * q**k) for k in range(d)):
-        if unit[code] or not qr[code]:
-            continue
-        rep = reduce(key_of_code(code), packed_rows)
-        if rep == zero or rep in rejected:
-            continue
-        x = coords_of_key(rep)
-        if ideal_inside_qr(x):
-            jbasis.add(x)
-            packed_rows = [pack_row(row) for row in jbasis.snapshot()]
-            rejected = {reduce(key, packed_rows) for key in rejected}
-            if zero in rejected:
-                raise TheoremViolation("radical oracle rejected a member of the verified span")
-        else:
-            rejected.add(rep)
+    code = todo.find(1)
+    while code >= 0:
+        rep = reduce(key_of_code(code), ())  # scaled to its key's leading 1
+        if rep not in rejected:
+            x = coords_of_key(rep)
+            if ideal_inside_qr(x):
+                jbasis.add(x)
+                # x is reduced, so its leading coordinate p is V's new pivot:
+                # drop every code whose digit p is nonzero
+                width = q ** next(p for p, c in enumerate(x) if c)
+                digit_zero = (b"\1" * width + bytes((q - 1) * width)) * (size // (q * width))
+                todo = (int.from_bytes(todo, "little") & int.from_bytes(digit_zero, "little")).to_bytes(size, "little")
+                packed_rows = [pack_row(row) for row in jbasis.snapshot()]
+                rejected = {reduce(key, packed_rows) for key in rejected}
+                if zero in rejected:
+                    raise TheoremViolation("radical oracle rejected a member of the verified span")
+            else:
+                rejected.add(rep)
+        code = todo.find(1, code + 1)
 
     radical = Subspace.from_vectors(field, d, jbasis.snapshot())
 

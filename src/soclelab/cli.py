@@ -7,6 +7,8 @@ Exit codes separate "the math said no" from "the program broke":
   2  input error
   3  enumeration budget exhausted
   4  theorem violation: a proved statement failed on an instance (a bug)
+  5  internal error: any other exception (a bug), reported as one record
+     naming the exception type, with its traceback on stderr
 
 Reports are JSON lines on stdout; --pretty renders a human table after
 them.  Output is byte-identical for identical inputs and seeds; wall-clock
@@ -21,6 +23,7 @@ import json
 import re
 import sys
 import time
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +31,7 @@ from .budget import Budget, default_budget
 from .errors import (
     EXIT_BUDGET,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_NEGATIVE,
     EXIT_PASS,
     EXIT_VIOLATION,
@@ -44,6 +48,7 @@ VERDICT_EXIT = {
     "input-error": EXIT_INPUT,
     "budget": EXIT_BUDGET,
     "violation": EXIT_VIOLATION,
+    "internal-error": EXIT_INTERNAL,
 }
 # precedence when aggregating many items into one exit code
 _SEVERITY = ("violation", "input-error", "budget", "counterexample", "pass")
@@ -484,6 +489,10 @@ def main(argv=None) -> int:
     except SocleLabError as exc:
         reporter.emit(command, "input-error", {"error": str(exc)})
         return EXIT_INPUT
+    except Exception as exc:
+        traceback.print_exc()  # to stderr, so stdout keeps its one record
+        reporter.emit(command, "internal-error", {"error": str(exc), "exception": type(exc).__name__})
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_VIOLATION = 4
+EXIT_INTERNAL = 5
 
 
 class SocleLabError(Exception):

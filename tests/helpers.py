@@ -5,11 +5,12 @@ import itertools
 import math
 from fractions import Fraction
 
-from soclelab.algebra import socles
+from soclelab.algebra import _encode_coords, _quasi_regular_flags, _unit_flags, socles
 from soclelab.budget import default_budget
 from soclelab.errors import PreconditionError, TheoremViolation
 from soclelab.exactla import (
     Mat,
+    _coset_kernels,
     RowBasis,
     Subspace,
     enum_coeff_points,
@@ -475,6 +476,48 @@ def residue_is_division_by_quotient(alg, J) -> bool:
         if mat_of_rows(field, dim_res, rows).rank() != dim_res:
             return False
     return True
+
+
+# -- the radical oracle's membership scan code by code: the oracle for the
+# coset visit and the Rx odometer of `algebra.radical_bruteforce` --
+
+def radical_by_code_scan(r) -> Subspace:
+    """The span of the radical members `radical_bruteforce` finds, by its
+    older scan: every code whose most significant nonzero digit is 1, in
+    order, reduced by the verified span V to a coset representative; each
+    new non-unit, quasi-regular representative x is tested by walking every
+    combination of an RREF basis of Rx through itertools.product and
+    vec_combo.  A rejected representative is kept, reduced again as V grows."""
+    field = r.field
+    q, d = field.q, r.dim
+    unit = _unit_flags(r)
+    qr = _quasi_regular_flags(r, unit)
+
+    def ideal_inside_qr(x) -> bool:
+        rows = rref_rows([vec_combo(field, r.mult[i], x) for i in range(d)], d, field)[0]
+        return all(qr[_encode_coords(vec_combo(field, rows, combo), q)]
+                   for combo in itertools.product(field.elements(), repeat=len(rows)))
+
+    jbasis = RowBasis(field, d)
+    key_of_code, reduce, coords_of_key, pack_row = _coset_kernels(field, d)
+    zero = key_of_code(0)
+    packed_rows: list = []
+    rejected: set = set()
+    for code in itertools.chain.from_iterable(range(q**k, 2 * q**k) for k in range(d)):
+        if unit[code] or not qr[code]:
+            continue
+        rep = reduce(key_of_code(code), packed_rows)
+        if rep == zero or rep in rejected:
+            continue
+        x = coords_of_key(rep)
+        if ideal_inside_qr(x):
+            jbasis.add(x)
+            packed_rows = [pack_row(row) for row in jbasis.snapshot()]
+            rejected = {reduce(key, packed_rows) for key in rejected}
+            assert zero not in rejected
+        else:
+            rejected.add(rep)
+    return Subspace.from_vectors(field, d, jbasis.snapshot())
 
 
 # -- the structure check by basis triples: the oracle for

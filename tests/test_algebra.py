@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,8 @@ from soclelab.algebra import (
     socles,
 )
 from soclelab.budget import Budget
-from soclelab.errors import BudgetExceeded, InputError, NotSplitError
+from soclelab.cli import main
+from soclelab.errors import BudgetExceeded, InputError, NotSplitError, TheoremViolation
 from soclelab.exactla import Mat, RowBasis, Subspace, _decode_coords, _echelon, mat_vec, row_rank
 from soclelab.gf import field_make
 from soclelab.gallery import (
@@ -41,6 +44,7 @@ from soclelab.gallery import (
 
 from helpers import (
     bimodule_length_by_corner_spans,
+    radical_by_code_scan,
     residue_is_division_by_quotient,
     socle_graph_by_vertex_spans,
     structure_defect,
@@ -306,6 +310,164 @@ def test_packed_coset_kernels_give_the_generic_radical(monkeypatch):
     monkeypatch.setattr(algebra, "_coset_kernels", exactla._generic_coset_kernels)
     assert [radical_bruteforce(alg) for alg in algebras] == packed
     assert any(rad.dim >= 6 for rad in packed)
+
+
+def test_radical_oracle_matches_the_code_scan_on_certified_gallery_algebras():
+    checked = 0
+    for name, alg in iter_gallery_algebras(max_ring=3**8):
+        if alg.certificate is not None:
+            assert radical_bruteforce(alg) == radical_by_code_scan(alg), name
+            checked += 1
+    assert checked >= 30
+
+
+def test_radical_oracle_matches_the_code_scan_on_random_triangular(monkeypatch):
+    # the coset visit narrows its codes by one digit per pivot of the
+    # verified span V; random subalgebras have radical vectors that are not
+    # basis vectors, so V gains a pivot p below the top digit k of the
+    # vector added, part way through the codes of top digit k
+    added = []
+
+    class RecordingBasis(RowBasis):
+        def add(self, vec):
+            added.append(tuple(vec))
+            return super().add(vec)
+
+    monkeypatch.setattr(algebra, "RowBasis", RecordingBasis)
+    mid_range = 0
+    for p, e, n, max_dim in [(2, 1, 4, 7), (3, 1, 3, 5), (2, 2, 3, 4), (5, 1, 3, 4)]:
+        field = field_make(p, e)
+        rng = random.Random(f"radical-code-scan/{field.q}")
+        for _ in range(6):
+            alg = random_triangular_subalgebra(field, n, max_dim, rng)
+            added.clear()
+            assert radical_bruteforce(alg) == radical_by_code_scan(alg)
+            for x in added:
+                support = [i for i, c in enumerate(x) if c]
+                # the code of x scaled to top digit 1 is not the last of its range
+                mid_range += support[0] < support[-1] and any(c != field.q - 1 for c in x[:support[-1]])
+    assert mid_range >= 5
+
+
+def test_coset_visit_tests_each_radical_coset_once(monkeypatch):
+    # one Rx walk (one rref_rows call) per member the oracle tests: on these
+    # algebras every code visited is a new radical basis vector, since the
+    # mask drops each code that is nonzero at a pivot of V; a scan of every
+    # top-digit-1 code reduced by V makes 20 tests on triangular 4x4 over F_3
+    tests = []
+
+    def counting_rref_rows(*args):
+        tests.append(1)
+        return exactla.rref_rows(*args)
+
+    monkeypatch.setattr(algebra, "rref_rows", counting_rref_rows)
+    for alg in (make_triangular(4, GF3, False), make_twisted_truncated(3, 2, 3), make_twisted_truncated(2, 2, 4)):
+        tests.clear()
+        dim = radical_bruteforce(alg).dim
+        assert dim >= 6 and len(tests) == dim
+
+
+def test_each_member_accepted_read_the_flag_of_every_element_of_its_ideal(monkeypatch):
+    # the odometer over Rx: the test of a member that is accepted reads the
+    # quasi-regular flag of each nonzero element of Rx, and no other
+    lookups: list[set] = []
+    accepted = []
+
+    class RecordingFlags(bytearray):
+        def __getitem__(self, i):
+            lookups[-1].add(i)
+            return super().__getitem__(i)
+
+    class RecordingBasis(RowBasis):
+        def add(self, vec):
+            accepted.append((tuple(vec), len(lookups) - 1))
+            return super().add(vec)
+
+    def new_test(*args):
+        lookups.append(set())
+        return exactla.rref_rows(*args)
+
+    monkeypatch.setattr(algebra, "_quasi_regular_flags", lambda r, unit: RecordingFlags(_quasi_regular_flags(r, unit)))
+    monkeypatch.setattr(algebra, "RowBasis", RecordingBasis)
+    monkeypatch.setattr(algebra, "rref_rows", new_test)
+    # over F_2, F_3, F_4 and F_5, with ideals Rx of dimension up to 6
+    algebras = [make_twisted_truncated(2, 2, 3), make_triangular(3, GF3, False), make_twisted_truncated(3, 1, 3),
+                make_triangular(3, field_make(2, 2), False), make_twisted_truncated(5, 1, 3)]
+    checked = 0
+    for alg in algebras:
+        field = alg.field
+        lookups.clear()
+        accepted.clear()
+        radical_bruteforce(alg)
+        elements = list(itertools.product(field.elements(), repeat=alg.dim))
+        for x, test in accepted:
+            ideal = {_encode_coords(alg.mul_coords(r, x), field.q) for r in elements} - {0}
+            assert lookups[test] == ideal
+            checked += len(ideal) > field.q - 1
+    assert checked >= 10
+
+
+class FlagsReadingZeroFirst(bytearray):
+    """Quasi-regular flags that read 0 on their first `lies` lookups by
+    index, and the truth after."""
+    lies = 0
+
+    def __getitem__(self, i):
+        if isinstance(i, int) and self.lies:
+            self.lies -= 1
+            return 0
+        return super().__getitem__(i)
+
+
+def reject_first_tests(r, unit):
+    # each of the first five elements the oracle tests is rejected at its
+    # first lookup, radical or not
+    flags = FlagsReadingZeroFirst(_quasi_regular_flags(r, unit))
+    flags.lies = 5
+    return flags
+
+
+def unscaled_coset_kernels(field, d):
+    """The generic coset kernels with reduce left unscaled, so one coset
+    can be held under two keys."""
+    key_of_code, _reduce, coords_of_key, pack_row = exactla._generic_coset_kernels(field, d)
+    sub, mul = field.tables.sub, field.tables.mul
+    return key_of_code, lambda key, rows: tuple(exactla._reduce(key, rows, sub, mul)), coords_of_key, pack_row
+
+
+def all_quasi_regular(r, unit):
+    return bytearray(b"\1" * len(unit))
+
+
+# the two self-checks of the radical oracle, each forced through the library
+# and through `algebra analyze --oracle`.  With canonical keys a coset is
+# tested at most once, so no flags alone bring a rejected one into V: the
+# first case also holds one coset under two keys, and tests it again on true
+# flags after the lies run out
+VIOLATIONS = [
+    ({"_quasi_regular_flags": reject_first_tests, "_coset_kernels": unscaled_coset_kernels},
+     ["twisted-truncated", "p=3", "d=1", "n=3"], "radical oracle rejected a member of the verified span"),
+    # every non-unit accepted, the idempotent E_00 first
+    ({"_quasi_regular_flags": all_quasi_regular}, ["matrix-algebra", "n=2", "q=2"], "radical oracle produced a non-"),
+]
+
+
+@pytest.mark.parametrize("patches, gallery_args, message", VIOLATIONS)
+def test_radical_oracle_self_checks_raise_theorem_violation(tmp_path, capsys, monkeypatch, patches, gallery_args, message):
+    path = str(tmp_path / "alg.json")
+    assert main(["gallery", "make", *gallery_args, "-o", path]) == 0
+    alg = Algebra.from_json(json.loads(Path(path).read_text()))
+    radical_bruteforce(alg)  # true flags: no violation
+    for name, patched in patches.items():
+        monkeypatch.setattr(algebra, name, patched)
+    with pytest.raises(TheoremViolation, match=re.escape(message)):
+        radical_bruteforce(alg)
+    capsys.readouterr()
+    assert main(["algebra", "analyze", path, "--oracle"]) == 4
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(records) == 1
+    assert records[0]["verdict"] == "violation"
+    assert records[0]["details"]["error"].startswith(message)
 
 
 def test_left_ideal_rows_are_the_combinations_of_structure_constants():

@@ -607,6 +607,25 @@ def test_violation_inside_a_command_is_verdict_violation(tmp_path, capsys, monke
     assert record["details"] == {"error": "forced bound failure"}
 
 
+def test_any_other_exception_is_verdict_internal_error(tmp_path, capsys, monkeypatch):
+    # an exception outside the package's taxonomy becomes one "internal-error"
+    # record naming its type, and exit 5
+    path = write_gallery(tmp_path, capsys, "cross", "m=2", "n=2", "q=2")
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("forced division by zero")
+
+    monkeypatch.setattr(tensorcover, "check_bound", broken)
+    code = main(["cover", "check", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 5
+    assert "Traceback" in err and "ZeroDivisionError: forced division by zero" in err
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 1
+    assert (records[0]["command"], records[0]["verdict"]) == ("cover check", "internal-error")
+    assert records[0]["details"] == {"error": "forced division by zero", "exception": "ZeroDivisionError"}
+
+
 @pytest.mark.parametrize("argv, header, rows_of", [
     (("gallery", "list"), ["name", "description"], lambda details: len(details)),
     (("cover", "search-minimal", "--m", "2", "--n", "2", "--q", "2"), ["dim", "subspace"],

@@ -1,11 +1,14 @@
 import importlib.util
+import json
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "unused_defs.py"
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("unused_defs", TOOL)
+def load_tool(name: str = "unused_defs"):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -35,3 +38,35 @@ def test_unused_defs_reports_one_unused_import_and_one_unused_def(tmp_path):
     assert tool.unused(tmp_path) == ["core.orphan"]
     assert tool.main([str(tmp_path)]) == 1
 
+
+
+def test_ledger_folds_paired_records(tmp_path):
+    # three seeds of one workload in both trees, one seed only in the parent;
+    # the change wins wall_s in two pairs and ties item_p50_ms in all three
+    def write(tree, seed, wall, sha):
+        record = {"git_sha": sha, "source_sha256": sha * 2, "python": "3.11.7", "nproc": 2,
+                  "attempted": 104, "failed": 0,
+                  "metrics": {"wall_s": wall, "item_p50_ms": 0.5, "setup_s": 0.8, "peak_rss_mb": 25.0}}
+        (tree / ".perfbench").mkdir(parents=True, exist_ok=True)
+        (tree / ".perfbench" / f"record-radical-oracle-{seed}-trace0.json").write_text(json.dumps(record))
+
+    for seed, parent_wall, change_wall in [(1, 0.10, 0.07), (2, 0.12, 0.08), (3, 0.11, 0.13)]:
+        write(tmp_path / "parent", seed, parent_wall, "aaa")
+        write(tmp_path / "change", seed, change_wall, "bbb")
+    write(tmp_path / "parent", 4, 0.5, "aaa")
+    (tmp_path / "parent" / ".perfbench" / "record-radical-oracle-1-trace1.json").write_text("{}")
+    tool = load_tool("ledger")
+    assert tool.main([str(tmp_path / "parent"), str(tmp_path / "change"), "test", "-o", str(tmp_path)]) == 0
+    out = json.loads((tmp_path / "BENCH_test.json").read_text())
+    assert (out["label"], out["parent_sha"], out["change_sha"], out["python"], out["nproc"]) == \
+        ("test", "aaa", "bbb", "3.11.7", 2)
+    entry = out["workloads"]["radical-oracle"]
+    assert [pair["seed"] for pair in entry["pairs"]] == [1, 2, 3]
+    wall = entry["summary"]["wall_s"]
+    assert (wall["change_better_pairs"], wall["pairs"]) == (2, 3)
+    assert wall["parent"]["median"] == pytest.approx(0.11)
+    assert wall["change"]["median"] == pytest.approx(0.08)
+    # exclusive quartiles of 0.10, 0.11, 0.12
+    assert (wall["parent"]["q1"], wall["parent"]["q3"]) == pytest.approx((0.10, 0.12))
+    assert wall["parent"]["iqr"] == pytest.approx(0.02)
+    assert entry["summary"]["item_p50_ms"]["change_better_pairs"] == 0
