@@ -344,8 +344,10 @@ def test_radical_oracle_matches_the_code_scan_on_random_triangular(monkeypatch):
             assert radical_bruteforce(alg) == radical_by_code_scan(alg)
             for x in added:
                 support = [i for i, c in enumerate(x) if c]
-                # the code of x scaled to top digit 1 is not the last of its range
-                mid_range += support[0] < support[-1] and any(c != field.q - 1 for c in x[:support[-1]])
+                top = support[-1]
+                # x scaled to top digit 1 is not the last code of its range
+                lower = [field.mul(field.inv(x[top]), c) for c in x[:top]]
+                mid_range += support[0] < top and any(c != field.q - 1 for c in lower)
     assert mid_range >= 5
 
 
