@@ -15,20 +15,19 @@ every r).  The scan rank-tests one element per scalar class for unit flags
 (unit(cx) = unit(x) for c != 0), then decides membership once per coset of
 the verified radical span, up to scalars: it visits only the code of each
 coset that the span already reduces, from a byte mask that narrows by one
-digit per verified member, and walks the principal left ideal Rx by an
-odometer, with early exit.  Unit testing goes through the matrix basis when
-it represents 1 as the identity matrix (invertibility in the matrix ring
-then equals invertibility in the subalgebra), else through the regular
-representation.  When every matrix of that representation is block upper
-(or lower) triangular at one cut of the indices, found from the matrices
-alone, an element's determinant is the product of its diagonal blocks'
-determinants; so the scan rank-tests the matrices with every entry outside
-those blocks set to zero.  A basis element whose masked matrix is zero is
-an idle digit: it changes no flag, and the flags are copied across it
-instead of walked.  Over F_2 and F_3 the matrices are walked and
-rank-tested packed whole into bit words (`exactla._full_rank_kernels`), and
-the rejected coset representatives are reduced as packed keys
-(`exactla._coset_kernels`).
+digit, and loses the rejected cosets' codes, per verified member, and walks
+the principal left ideal Rx by an odometer, with early exit.  Unit testing
+goes through the matrix basis when it represents 1 as the identity matrix
+(invertibility in the matrix ring then equals invertibility in the
+subalgebra), else through the regular representation.  When every matrix of
+that representation is block upper (or lower) triangular at one cut of the
+indices, found from the matrices alone, an element's determinant is the
+product of its diagonal blocks' determinants; so the scan rank-tests the
+matrices with every entry outside those blocks set to zero.  A basis element
+whose masked matrix is zero is an idle digit: it changes no flag, and the
+flags are copied across it instead of walked.  Over F_2 and F_3 the matrices
+are walked and rank-tested packed whole into bit words
+(`exactla._full_rank_kernels`).
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .exactla import (
     RowBasis,
     SpanTracker,
     Subspace,
-    _coset_kernels,
     _full_rank_kernels,
     kernel,
     mat_of_columns,
@@ -637,6 +635,25 @@ def _encode_coords(coords, q: int) -> int:
     return code
 
 
+def _decode_coords(code: int, q: int, d: int) -> Coords:
+    """The d coordinates of a code: base-q digit i is coordinate i."""
+    out = []
+    for _ in range(d):
+        out.append(code % q)
+        code //= q
+    return tuple(out)
+
+
+def _coset_representative(basis: RowBasis, x) -> Coords:
+    """x reduced by the rows of basis and scaled to most significant nonzero
+    coordinate 1: the one code of its coset, up to scalars, that is zero at
+    the basis's pivots.  Zero stays zero."""
+    tables = basis.field.tables
+    v = basis.reduce(x)
+    mf = tables.mul[tables.inv[next((c for c in reversed(v) if c), 1)]]
+    return tuple([mf[c] for c in v])
+
+
 def _nilpotent_ideal_defect(r: Algebra, J: Subspace) -> str | None:
     """The first property of a nilpotent two-sided ideal that J lacks:
     "left" or "right" (ideal), "nilpotent", or None when it has them all."""
@@ -674,15 +691,13 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
     Python step.  V is kept in RREF, so each verified member adds one pivot
     p, its leading coordinate, and the mask is narrowed by one AND with the
     pattern "digit p is 0".  Each representative is tested once, and a
-    rejected one stays rejected while V grows (if one falls into V the
+    rejected one stays rejected while V grows: it is held as a coordinate
+    tuple in the mask's form, and after each verified member it is reduced
+    again and its code cleared from the mask (if one falls into V the
     oracle has contradicted itself).  The test walks every combination of
-    an RREF basis of Rx by an odometer, one scaled basis row added per
-    step, after the single-row multiples, where cheap witnesses live.
+    an RREF basis of Rx by an odometer, one scaled basis row added per step.
 
     The unit flags are computed once per scalar class (see _unit_flags).
-    Rejected representatives are held as keys (see exactla._coset_kernels):
-    over F_2 the code is its own key, over F_3 its pair of bit-planes,
-    otherwise its coordinate tuple, each scaled to a leading 1.
     The result is re-verified as a nilpotent two-sided ideal.
     """
     budget = budget or default_budget()
@@ -701,12 +716,7 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
         # basis of Rx: row i is b_i x, the combination of the b_i b_j by the x_j
         rows = rref_rows([vec_combo(field, r.mult[i], x) for i in range(d)], d, field)[0]
         scaled = [[[mul[c][t] for t in row] for c in range(q)] for row in rows]
-        # single-coordinate multiples first: cheap witnesses live here
-        for multiples in scaled:
-            for m in multiples[1:]:
-                if qr[_encode_coords(m, q)] == 0:
-                    return False
-        # then every combination, by an odometer: acc[j] is the combination
+        # every combination, by an odometer: acc[j] is the combination
         # of rows j.. by the digits, and a step adds one scaled row
         k = len(rows)
         digits = [0] * k
@@ -732,27 +742,26 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
     todo = bytearray(size)
     for k in range(d):
         todo[q**k: 2 * q**k] = candidates[q**k: 2 * q**k]
-    key_of_code, reduce, coords_of_key, pack_row = _coset_kernels(field, d)
-    zero = key_of_code(0)
+    zero = (0,) * d
     rejected: set = set()
     code = todo.find(1)
     while code >= 0:
-        rep = reduce(key_of_code(code), ())  # scaled to its key's leading 1
-        if rep not in rejected:
-            x = coords_of_key(rep)
-            if ideal_inside_qr(x):
-                jbasis.add(x)
-                # x is reduced, so its leading coordinate p is V's new pivot:
-                # drop every code whose digit p is nonzero
-                width = q ** next(p for p, c in enumerate(x) if c)
-                digit_zero = (b"\1" * width + bytes((q - 1) * width)) * (size // (q * width))
-                todo = (int.from_bytes(todo, "little") & int.from_bytes(digit_zero, "little")).to_bytes(size, "little")
-                packed_rows = [pack_row(row) for row in jbasis.snapshot()]
-                rejected = {reduce(key, packed_rows) for key in rejected}
-                if zero in rejected:
-                    raise TheoremViolation("radical oracle rejected a member of the verified span")
-            else:
-                rejected.add(rep)
+        x = _decode_coords(code, q, d)
+        if ideal_inside_qr(x):
+            jbasis.add(x)
+            # x is reduced, so its leading coordinate p is V's new pivot:
+            # drop every code whose digit p is nonzero, and the code of each
+            # rejected coset, reduced again by the grown V
+            width = q ** next(p for p, c in enumerate(x) if c)
+            keep = bytearray((b"\1" * width + bytes((q - 1) * width)) * (size // (q * width)))
+            rejected = {_coset_representative(jbasis, v) for v in rejected}
+            if zero in rejected:
+                raise TheoremViolation("radical oracle rejected a member of the verified span")
+            for v in rejected:
+                keep[_encode_coords(v, q)] = 0
+            todo = (int.from_bytes(todo, "little") & int.from_bytes(keep, "little")).to_bytes(size, "little")
+        else:
+            rejected.add(x)
         code = todo.find(1, code + 1)
 
     radical = Subspace.from_vectors(field, d, jbasis.snapshot())

@@ -25,10 +25,7 @@ keep that sweep as the oracle for the packed kernels.  The F_3 bit-planes
 also serve `Mat.mul_is_zero`, the module relations' zero-product test: for
 each column t, the rows of A holding 1 (or -1) there take row t of B (or its
 negation) in one multiply by a row-set word.  Other fields and non-square
-shapes combine rows and stop at the first nonzero one.  Beside it,
-`_coset_kernels` reduces the oracle's coset representatives on packed keys:
-over F_2 the coordinate code itself, over F_3 a pair of bit-planes.  Every
-other field, and the tests' oracle, keeps coordinate tuples and `_reduce`.
+shapes combine rows and stop at the first nonzero one.
 
 Matrix validation runs only on external input: `Mat(...)`, `Mat.from_rows`
 and `Mat.from_json` check shape and entry range.  Every matrix the package
@@ -229,101 +226,6 @@ def _full_rank_kernels(field: Field, n: int):
         return _echelon([flat[s: s + n] for s in starts], n, field, stop_at_gap=True) is not None
 
     return list, lambda a, b: [add[x][y] for x, y in zip(a, b)], full_rank
-
-
-def _decode_coords(code: int, q: int, d: int) -> Vec:
-    """The d coordinates of a code: base-q digit i is coordinate i."""
-    out = []
-    for _ in range(d):
-        out.append(code % q)
-        code //= q
-    return tuple(out)
-
-
-def _generic_coset_kernels(field: Field, d: int):
-    """`_coset_kernels` for any field: the key is the coordinate tuple,
-    reduced by `_reduce` and scaled by the inverse of its head."""
-    q = field.q
-    sub, mul, inv = field.tables.sub, field.tables.mul, field.tables.inv
-
-    def reduce(key: Vec, rows) -> Vec:
-        v = _reduce(key, rows, sub, mul)
-        head = next((c for c in v if c), 1)
-        if head != 1:
-            mf = mul[inv[head]]
-            v = [mf[c] for c in v]
-        return tuple(v)
-
-    def pack_row(row):
-        return next(c for c, x in enumerate(row) if x), row
-
-    return lambda code: _decode_coords(code, q, d), reduce, lambda key: key, pack_row
-
-
-def _coset_kernels(field: Field, d: int):
-    """(key_of_code, reduce, coords_of_key, pack_row) for the radical
-    oracle's coset representatives in F_q^d.
-
-    key_of_code turns a coordinate code (see `_decode_coords`) into a key, and
-    coords_of_key turns it back into coordinates.  pack_row turns a row of an
-    RREF basis into the form reduce takes, and reduce(key, packed_rows) is the
-    key of the vector reduced by those rows and scaled to a leading 1; both
-    steps are unique, so equal keys are equal representatives.  Over F_2 the
-    code is its own key (base-2 digit i is bit i), a step is one XOR and the
-    leading coefficient is always 1.  Over F_3 the key is the (ones, twos)
-    plane pair, and a step one bitsliced add of the row where the digit is
-    2 = -1 and of its negation where it is 1.  Every other field takes
-    `_generic_coset_kernels`, the tests' oracle for these two."""
-    if field.is_gf2:
-        def reduce2(key: int, rows) -> int:
-            for bit, row in rows:
-                if key & bit:
-                    key ^= row
-            return key
-
-        def pack_row2(row):
-            word = _pack_gf2(row)
-            return word & -word, word
-
-        return int, reduce2, lambda key: tuple([key >> j & 1 for j in range(d)]), pack_row2
-    if field.q == 3:
-        def key_of_code3(code: int) -> tuple[int, int]:
-            ones = twos = 0
-            bit = 1
-            while code:
-                digit = code % 3
-                code //= 3
-                if digit == 1:
-                    ones |= bit
-                elif digit:
-                    twos |= bit
-                bit <<= 1
-            return ones, twos
-
-        def reduce3(key: tuple[int, int], rows) -> tuple[int, int]:
-            # `_add_gf3` inlined, as in `_full_rank_gf3`: of (p2, p1) where
-            # the digit is 1 and of (p1, p2) where it is 2
-            ones, twos = key
-            for bit, p1, p2 in rows:
-                if ones & bit:
-                    t = (ones | p1) ^ (twos | p2)
-                    ones, twos = (twos | p1) ^ t, (ones | p2) ^ t
-                elif twos & bit:
-                    t = (ones | p2) ^ (twos | p1)
-                    ones, twos = (twos | p2) ^ t, (ones | p1) ^ t
-            either = ones | twos
-            return (twos, ones) if either & -either & twos else (ones, twos)
-
-        def coords_of_key3(key: tuple[int, int]) -> Vec:
-            ones, twos = key
-            return tuple((ones >> j & 1) | (twos >> j & 1) << 1 for j in range(d))
-
-        def pack_row3(row):
-            ones, twos = _pack_gf3(row)
-            return ones & -ones, ones, twos
-
-        return key_of_code3, reduce3, coords_of_key3, pack_row3
-    return _generic_coset_kernels(field, d)
 
 
 def rref_rows(rows, ncols: int, field: Field) -> tuple[list[list[int]], list[int]]:

@@ -10,7 +10,6 @@ from soclelab.budget import default_budget
 from soclelab.errors import PreconditionError, TheoremViolation
 from soclelab.exactla import (
     Mat,
-    _coset_kernels,
     RowBasis,
     Subspace,
     enum_coeff_points,
@@ -487,7 +486,9 @@ def radical_by_code_scan(r) -> Subspace:
     order, reduced by the verified span V to a coset representative; each
     new non-unit, quasi-regular representative x is tested by walking every
     combination of an RREF basis of Rx through itertools.product and
-    vec_combo.  A rejected representative is kept, reduced again as V grows."""
+    vec_combo.  A representative is a coordinate tuple reduced by V and
+    scaled to leading coordinate 1; a rejected one is kept, reduced again
+    as V grows."""
     field = r.field
     q, d = field.q, r.dim
     unit = _unit_flags(r)
@@ -498,22 +499,23 @@ def radical_by_code_scan(r) -> Subspace:
         return all(qr[_encode_coords(vec_combo(field, rows, combo), q)]
                    for combo in itertools.product(field.elements(), repeat=len(rows)))
 
+    def reduce(x) -> tuple:
+        v = jbasis.reduce(x)
+        head = next((c for c in v if c), 1)
+        return tuple(field.mul(field.inv(head), c) for c in v)
+
     jbasis = RowBasis(field, d)
-    key_of_code, reduce, coords_of_key, pack_row = _coset_kernels(field, d)
-    zero = key_of_code(0)
-    packed_rows: list = []
+    zero = (0,) * d
     rejected: set = set()
     for code in itertools.chain.from_iterable(range(q**k, 2 * q**k) for k in range(d)):
         if unit[code] or not qr[code]:
             continue
-        rep = reduce(key_of_code(code), packed_rows)
+        rep = reduce([code // q**i % q for i in range(d)])
         if rep == zero or rep in rejected:
             continue
-        x = coords_of_key(rep)
-        if ideal_inside_qr(x):
-            jbasis.add(x)
-            packed_rows = [pack_row(row) for row in jbasis.snapshot()]
-            rejected = {reduce(key, packed_rows) for key in rejected}
+        if ideal_inside_qr(rep):
+            jbasis.add(rep)
+            rejected = {reduce(v) for v in rejected}
             assert zero not in rejected
         else:
             rejected.add(rep)

@@ -11,6 +11,7 @@ from soclelab.algebra import (
     Algebra,
     SocleGraph,
     _action_flats,
+    _decode_coords,
     _diagonal_block_cuts,
     _encode_coords,
     _mask_outside_blocks,
@@ -30,7 +31,7 @@ from soclelab.algebra import (
 from soclelab.budget import Budget
 from soclelab.cli import main
 from soclelab.errors import BudgetExceeded, InputError, NotSplitError, TheoremViolation
-from soclelab.exactla import Mat, RowBasis, Subspace, _decode_coords, _echelon, mat_vec, row_rank
+from soclelab.exactla import Mat, RowBasis, Subspace, _echelon, mat_vec, row_rank
 from soclelab.gf import field_make
 from soclelab.gallery import (
     criterion8_algebras,
@@ -298,20 +299,6 @@ def test_radical_oracle_matches_definition_on_random_triangular(p, e, n, max_dim
         assert radical_bruteforce(alg) == radical_by_definition(alg)
 
 
-def test_packed_coset_kernels_give_the_generic_radical(monkeypatch):
-    # every F_2 and F_3 gallery algebra with at most 3^8 elements, and seeded
-    # random triangular subalgebras, through the packed coset kernels and then
-    # through the generic ones those fields would otherwise take
-    algebras = [alg for _name, alg in iter_gallery_algebras(max_ring=3**8) if alg.field.q in (2, 3)]
-    for field, n, max_dim in ((GF2, 4, 7), (GF3, 3, 5)):
-        rng = random.Random(f"packed-coset-kernels/{field.q}")
-        algebras += [random_triangular_subalgebra(field, n, max_dim, rng) for _ in range(4)]
-    packed = [radical_bruteforce(alg) for alg in algebras]
-    monkeypatch.setattr(algebra, "_coset_kernels", exactla._generic_coset_kernels)
-    assert [radical_bruteforce(alg) for alg in algebras] == packed
-    assert any(rad.dim >= 6 for rad in packed)
-
-
 def test_radical_oracle_matches_the_code_scan_on_certified_gallery_algebras():
     checked = 0
     for name, alg in iter_gallery_algebras(max_ring=3**8):
@@ -367,6 +354,16 @@ def test_coset_visit_tests_each_radical_coset_once(monkeypatch):
         tests.clear()
         dim = radical_bruteforce(alg).dim
         assert dim >= 6 and len(tests) == dim
+    # random subalgebras of dim 4 where a radical member takes a rejected
+    # coset to a code still to visit: that code is cleared, not tested
+    # again, so 7 tests and not 8 over F_3; over F_5 the rejected coset's
+    # code is cleared only once it is scaled to top digit 1 (8 tests, not 9)
+    for field, max_dim, draws, expected in ((GF3, 5, 10, (4, 1, 7)), (field_make(5), 4, 18, (4, 2, 8))):
+        rng = random.Random(f"radical-code-scan/{field.q}")
+        for _ in range(draws):
+            alg = random_triangular_subalgebra(field, 3, max_dim, rng)
+        tests.clear()
+        assert (alg.dim, radical_bruteforce(alg).dim, len(tests)) == expected
 
 
 def test_each_member_accepted_read_the_flag_of_every_element_of_its_ideal(monkeypatch):
@@ -429,12 +426,10 @@ def reject_first_tests(r, unit):
     return flags
 
 
-def unscaled_coset_kernels(field, d):
-    """The generic coset kernels with reduce left unscaled, so one coset
-    can be held under two keys."""
-    key_of_code, _reduce, coords_of_key, pack_row = exactla._generic_coset_kernels(field, d)
-    sub, mul = field.tables.sub, field.tables.mul
-    return key_of_code, lambda key, rows: tuple(exactla._reduce(key, rows, sub, mul)), coords_of_key, pack_row
+def unscaled_representative(basis, x):
+    """A rejected representative reduced again by V but left unscaled, so
+    the code cleared is not its coset's, and that coset is tested again."""
+    return tuple(basis.reduce(x))
 
 
 def all_quasi_regular(r, unit):
@@ -442,12 +437,12 @@ def all_quasi_regular(r, unit):
 
 
 # the two self-checks of the radical oracle, each forced through the library
-# and through `algebra analyze --oracle`.  With canonical keys a coset is
-# tested at most once, so no flags alone bring a rejected one into V: the
-# first case also holds one coset under two keys, and tests it again on true
-# flags after the lies run out
+# and through `algebra analyze --oracle`.  With canonical representatives a
+# coset is tested at most once, so no flags alone bring a rejected one into
+# V: the first case also clears the wrong code for a rejected coset, and
+# tests that coset again on true flags after the lies run out
 VIOLATIONS = [
-    ({"_quasi_regular_flags": reject_first_tests, "_coset_kernels": unscaled_coset_kernels},
+    ({"_quasi_regular_flags": reject_first_tests, "_coset_representative": unscaled_representative},
      ["twisted-truncated", "p=3", "d=1", "n=3"], "radical oracle rejected a member of the verified span"),
     # every non-unit accepted, the idempotent E_00 first
     ({"_quasi_regular_flags": all_quasi_regular}, ["matrix-algebra", "n=2", "q=2"], "radical oracle produced a non-"),

@@ -535,49 +535,6 @@ def test_packed_f3_add_matches_the_field_tables():
     assert total == exactla._pack_gf3([GF3.add(x, y) for x, y in values])
 
 
-def reduce_and_scale(basis: Subspace, vec) -> tuple:
-    """vec reduced by `_reduce` through the RREF rows of basis, then scaled by
-    the inverse of its head: the coset representative the packed kernels
-    must give."""
-    field = basis.field
-    tables = field.tables
-    v = exactla._reduce(list(vec), zip(basis.pivots, basis.basis_rows), tables.sub, tables.mul)
-    head = next((c for c in v if c), 1)
-    return tuple(field.mul(field.inv(head), c) for c in v)
-
-
-@pytest.mark.parametrize("field,max_d", [(GF2, 16), (GF3, 12), (GF4, 5), (field_make(5), 4)], ids=repr)
-def test_coset_kernels_match_reduce_and_scale(field, max_d, rng):
-    # the packed kernels over F_2 and F_3, the generic ones elsewhere; every
-    # code while q^d <= 3^6, else random codes and, at each position, one
-    # code whose lowest nonzero digit is q - 1 (over F_3 a key led by -1)
-    q = field.q
-    for d in range(1, max_d + 1):
-        key_of_code, reduce, coords_of_key, pack_row = exactla._coset_kernels(field, d)
-        for dim in range(min(d, 5) + 1):
-            basis = Subspace.from_vectors(field, d, [[rng.randrange(q) for _ in range(d)] for _ in range(dim)])
-            rows = [pack_row(row) for row in basis.basis_rows]
-            exhaustive = q**d <= 3**6
-            if exhaustive:
-                codes = range(q**d)
-            else:
-                codes = [q**d - 1] + [rng.randrange(q**d) for _ in range(20)]
-                codes += [(q - 1) * q**k + q ** (k + 1) * rng.randrange(q ** (d - k - 1)) for k in range(d)]
-            reps = set()
-            for code in codes:
-                x = exactla._decode_coords(code, q, d)
-                key = key_of_code(code)
-                assert coords_of_key(key) == x
-                rep = reduce(key, rows)
-                assert coords_of_key(rep) == reduce_and_scale(basis, x), (d, basis.basis_rows, x)
-                assert reduce(rep, rows) == rep
-                reps.add(rep)
-            if exhaustive:
-                # equal keys are equal representatives: one per projective
-                # point of the quotient by the basis, and zero
-                assert len(reps) == num_projective_points(d - basis.dim, q) + 1
-
-
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_mat_mul_and_apply_match_naive(field, rng):
     for _ in range(30):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -42,18 +43,24 @@ def test_unused_defs_reports_one_unused_import_and_one_unused_def(tmp_path):
 
 def test_ledger_folds_paired_records(tmp_path):
     # three seeds of one workload in both trees, one seed only in the parent;
-    # the change wins wall_s in two pairs and ties item_p50_ms in all three
-    def write(tree, seed, wall, sha):
+    # the change wins wall_s in two pairs and ties item_p50_ms in all three;
+    # the parent's record is written first in pair 1, the change's in pair 2,
+    # and both at the same time in pair 3
+    def write(tree, seed, wall, sha, mtime):
         record = {"git_sha": sha, "source_sha256": sha * 2, "python": "3.11.7", "nproc": 2,
                   "attempted": 104, "failed": 0,
                   "metrics": {"wall_s": wall, "item_p50_ms": 0.5, "setup_s": 0.8, "peak_rss_mb": 25.0}}
         (tree / ".perfbench").mkdir(parents=True, exist_ok=True)
-        (tree / ".perfbench" / f"record-radical-oracle-{seed}-trace0.json").write_text(json.dumps(record))
+        path = tree / ".perfbench" / f"record-radical-oracle-{seed}-trace0.json"
+        path.write_text(json.dumps(record))
+        os.utime(path, ns=(mtime, mtime))
 
-    for seed, parent_wall, change_wall in [(1, 0.10, 0.07), (2, 0.12, 0.08), (3, 0.11, 0.13)]:
-        write(tmp_path / "parent", seed, parent_wall, "aaa")
-        write(tmp_path / "change", seed, change_wall, "bbb")
-    write(tmp_path / "parent", 4, 0.5, "aaa")
+    for seed, parent_wall, change_wall, parent_mtime, change_mtime in [
+            (1, 0.10, 0.07, 10**18, 2 * 10**18), (2, 0.12, 0.08, 4 * 10**18, 3 * 10**18),
+            (3, 0.11, 0.13, 5 * 10**18, 5 * 10**18)]:
+        write(tmp_path / "parent", seed, parent_wall, "aaa", parent_mtime)
+        write(tmp_path / "change", seed, change_wall, "bbb", change_mtime)
+    write(tmp_path / "parent", 4, 0.5, "aaa", 10**18)
     (tmp_path / "parent" / ".perfbench" / "record-radical-oracle-1-trace1.json").write_text("{}")
     tool = load_tool("ledger")
     assert tool.main([str(tmp_path / "parent"), str(tmp_path / "change"), "test", "-o", str(tmp_path)]) == 0
@@ -62,6 +69,7 @@ def test_ledger_folds_paired_records(tmp_path):
         ("test", "aaa", "bbb", "3.11.7", 2)
     entry = out["workloads"]["radical-oracle"]
     assert [pair["seed"] for pair in entry["pairs"]] == [1, 2, 3]
+    assert [pair["first"] for pair in entry["pairs"]] == ["parent", "change", None]
     wall = entry["summary"]["wall_s"]
     assert (wall["change_better_pairs"], wall["pairs"]) == (2, 3)
     assert wall["parent"]["median"] == pytest.approx(0.11)

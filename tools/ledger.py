@@ -4,11 +4,12 @@ one ledger, BENCH_<label>.json.
 Each tree is a checkout on which `perfbench/run.py --trace 0` was run; its
 records are `.perfbench/record-<workload>-<seed>-trace0.json`.  A pair is a
 (workload, seed) recorded in both trees.  For each workload the ledger keeps
-every pair's four end-to-end metrics and, per metric and side, the median,
-the quartiles and the IQR (statistics.quantiles, n=4, exclusive method),
-and how many pairs the change won (ties count for neither side).  All four
-metrics are better lower.  The git sha, Python version and `nproc` come
-from the records.
+every pair's four end-to-end metrics and which side's record was written
+first (by file mtime, null when the two are equal), and, per metric and
+side, the median, the quartiles and the IQR (statistics.quantiles, n=4,
+exclusive method), and how many pairs the change won (ties count for
+neither side).  All four metrics are better lower.  The git sha, Python
+version and `nproc` come from the records.
 
 Usage: python3 tools/ledger.py PARENT_TREE CHANGE_TREE LABEL [-o OUT_DIR]
 Writes OUT_DIR/BENCH_<label>.json (default: the current directory) and
@@ -27,13 +28,14 @@ METRICS = ("wall_s", "item_p50_ms", "setup_s", "peak_rss_mb")
 RECORD = re.compile(r"record-(?P<workload>.+)-(?P<seed>\d+)-trace0\.json")
 
 
-def records(tree: Path) -> dict[tuple[str, int], dict]:
-    """{(workload, seed): record} for the trace-0 records of one tree."""
+def records(tree: Path) -> dict[tuple[str, int], tuple[dict, int]]:
+    """{(workload, seed): (record, mtime in ns)} for the trace-0 records of
+    one tree."""
     out = {}
     for path in sorted((tree / ".perfbench").glob("record-*-trace0.json")):
         match = RECORD.fullmatch(path.name)
         if match:
-            out[match["workload"], int(match["seed"])] = json.loads(path.read_text())
+            out[match["workload"], int(match["seed"])] = json.loads(path.read_text()), path.stat().st_mtime_ns
     return out
 
 
@@ -63,8 +65,10 @@ def ledger(parent_tree: Path, change_tree: Path, label: str) -> dict:
         raise SystemExit("no (workload, seed) recorded in both trees")
     workloads: dict = {}
     for key in keys:
+        (parent_rec, parent_mtime), (change_rec, change_mtime) = parent[key], change[key]
+        first = None if parent_mtime == change_mtime else "parent" if parent_mtime < change_mtime else "change"
         pairs = workloads.setdefault(key[0], {"pairs": []})["pairs"]
-        pairs.append({"seed": key[1], "parent": side(parent[key]), "change": side(change[key])})
+        pairs.append({"seed": key[1], "first": first, "parent": side(parent_rec), "change": side(change_rec)})
     for entry in workloads.values():
         pairs = entry["pairs"]
         entry["summary"] = {
@@ -77,7 +81,7 @@ def ledger(parent_tree: Path, change_tree: Path, label: str) -> dict:
             }
             for metric in METRICS
         }
-    parent_recs, change_recs = [parent[k] for k in keys], [change[k] for k in keys]
+    parent_recs, change_recs = [parent[k][0] for k in keys], [change[k][0] for k in keys]
     return {
         "label": label,
         "parent_sha": one_value(parent_recs, "git_sha"),
