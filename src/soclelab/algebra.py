@@ -656,17 +656,26 @@ def _coset_representative(basis: RowBasis, x) -> Coords:
 
 def _nilpotent_ideal_defect(r: Algebra, J: Subspace) -> str | None:
     """The first property of a nilpotent two-sided ideal that J lacks:
-    "left" or "right" (ideal), "nilpotent", or None when it has them all."""
+    "left" or "right" (ideal), "nilpotent", or None when it has them all.
+    Column i of R_v is b_i v and of L_v is v b_i, so each basis row v of J
+    gives all 2d products with the basis from its two multiplication
+    matrices, tested for each i in turn (b_i v, then v b_i); the power chain
+    takes x y as R_y x, the combination of R_y's columns by x."""
+    d = r.dim
+    right_columns = []
     for v in J.basis_rows:
-        for i in range(r.dim):
-            if not J.contains_vector(r.mul_coords(r.basis_coords(i), v)):
+        rv, lv = r.right_mult_mat(v).entries, r.left_mult_mat(v).entries
+        columns = [rv[i::d] for i in range(d)]
+        for i, column in enumerate(columns):
+            if not J.contains_vector(column):
                 return "left"
-            if not J.contains_vector(r.mul_coords(v, r.basis_coords(i))):
+            if not J.contains_vector(lv[i::d]):
                 return "right"
+        right_columns.append(columns)
     # in an ideal the powers descend; a nonzero power that stops descending never reaches 0
     power = J
     while power.dim:
-        products = [r.mul_coords(x, y) for x in power.basis_rows for y in J.basis_rows]
+        products = [vec_combo(r.field, columns, x) for x in power.basis_rows for columns in right_columns]
         nxt = Subspace.from_vectors(r.field, r.dim, products)
         if nxt.dim >= power.dim:
             return "nilpotent"
@@ -698,7 +707,8 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
     an RREF basis of Rx by an odometer, one scaled basis row added per step.
 
     The unit flags are computed once per scalar class (see _unit_flags).
-    The result is re-verified as a nilpotent two-sided ideal.
+    The result is re-verified as a nilpotent two-sided ideal, each product
+    with the basis read off a column of R_v or L_v.
     """
     budget = budget or default_budget()
     field = r.field
@@ -713,8 +723,9 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
     jbasis = RowBasis(field, d)
 
     def ideal_inside_qr(x: Coords) -> bool:
-        # basis of Rx: row i is b_i x, the combination of the b_i b_j by the x_j
-        rows = rref_rows([vec_combo(field, r.mult[i], x) for i in range(d)], d, field)[0]
+        # basis of Rx: row i is b_i x, column i of R_x
+        rx = r.right_mult_mat(x).entries
+        rows = rref_rows([rx[i::d] for i in range(d)], d, field)[0]
         scaled = [[[mul[c][t] for t in row] for c in range(q)] for row in rows]
         # every combination, by an odometer: acc[j] is the combination
         # of rows j.. by the digits, and a step adds one scaled row
@@ -903,14 +914,11 @@ def socle_graph(r: Algebra, budget: Budget | None = None) -> SocleGraph:
 
 
 def socle_is_central(r: Algebra, budget: Budget | None = None) -> bool:
-    """Whether every two-sided-socle element commutes with every element."""
+    """Whether every two-sided-socle element commutes with every element.
+    Column i of L_v is v b_i and of R_v is b_i v, so a socle row v is
+    central iff L_v = R_v."""
     soc = socles(r, budget).twosided
-    for v in soc.basis_rows:
-        for i in range(r.dim):
-            b = r.basis_coords(i)
-            if r.mul_coords(v, b) != r.mul_coords(b, v):
-                return False
-    return True
+    return all(r.left_mult_mat(v).entries == r.right_mult_mat(v).entries for v in soc.basis_rows)
 
 
 def improved_bound_value(chi: int, edge_lengths, socle_len: int) -> int:

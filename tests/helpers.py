@@ -522,6 +522,42 @@ def radical_by_code_scan(r) -> Subspace:
     return Subspace.from_vectors(field, d, jbasis.snapshot())
 
 
+# -- the ideal test and the centrality test by single products: the oracles
+# for `algebra._nilpotent_ideal_defect` and `algebra.socle_is_central`, which
+# read every b_i v and v b_i off the columns of R_v and L_v --
+
+def nilpotent_ideal_defect_by_products(r, J: Subspace) -> str | None:
+    """The first property of a nilpotent two-sided ideal that J lacks, with
+    each product b_i v, v b_i and x y formed by `mul_coords`: for each basis
+    row v of J and each i in turn, b_i v in J ("left"), then v b_i in J
+    ("right"); then the powers of J must fall to 0 ("nilpotent")."""
+    for v in J.basis_rows:
+        for i in range(r.dim):
+            if not J.contains_vector(r.mul_coords(r.basis_coords(i), v)):
+                return "left"
+            if not J.contains_vector(r.mul_coords(v, r.basis_coords(i))):
+                return "right"
+    power = J
+    while power.dim:
+        products = [r.mul_coords(x, y) for x in power.basis_rows for y in J.basis_rows]
+        nxt = Subspace.from_vectors(r.field, r.dim, products)
+        if nxt.dim >= power.dim:
+            return "nilpotent"
+        power = nxt
+    return None
+
+
+def socle_is_central_by_products(r, budget=None) -> bool:
+    """Whether v b_i = b_i v for every basis row v of the two-sided socle and
+    every basis element b_i, each product formed by `mul_coords`."""
+    for v in socles(r, budget).twosided.basis_rows:
+        for i in range(r.dim):
+            b = r.basis_coords(i)
+            if r.mul_coords(v, b) != r.mul_coords(b, v):
+                return False
+    return True
+
+
 # -- the structure check by basis triples: the oracle for
 # `Algebra._verify_structure`, which compares L_{b_i b_j} with
 # L_{b_i} L_{b_j} column by column --

@@ -15,6 +15,7 @@ from soclelab.algebra import (
     _diagonal_block_cuts,
     _encode_coords,
     _mask_outside_blocks,
+    _nilpotent_ideal_defect,
     _odometer_flags,
     _permute_digits,
     _quasi_regular_flags,
@@ -45,9 +46,11 @@ from soclelab.gallery import (
 
 from helpers import (
     bimodule_length_by_corner_spans,
+    nilpotent_ideal_defect_by_products,
     radical_by_code_scan,
     residue_is_division_by_quotient,
     socle_graph_by_vertex_spans,
+    socle_is_central_by_products,
     structure_defect,
 )
 
@@ -168,6 +171,20 @@ def test_rejects_bad_certificates():
         algebra_make(GF2, dim=2, mult=base.mult, one=base.one,
                      certificate={"radical_basis": [(0, 1)], "split": True,
                                   "blocks": [{"n": 2, "matrix_units": [(1, 0)] * 4}]})
+
+
+# in M_2(F_2), basis E00, E01, E10, E11: the matrices with zero second
+# column are a left ideal only, and those with zero second row a right ideal only
+M2_ONE_SIDED = {"right": [(1, 0, 0, 0), (0, 0, 1, 0)], "left": [(1, 0, 0, 0), (0, 1, 0, 0)]}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_rejects_a_one_sided_ideal_certificate_naming_the_missing_side(side):
+    m2 = make_matrix_algebra(2, GF2)
+    with pytest.raises(InputError) as excinfo:
+        algebra_make(GF2, dim=4, mult=m2.mult, one=m2.one,
+                     certificate={"radical_basis": M2_ONE_SIDED[side], "split": True, "blocks": []})
+    assert str(excinfo.value) == f"bad certificate: claimed radical is not a {side} ideal"
 
 
 def test_rejects_a_local_certificate_whose_residue_ring_is_not_division():
@@ -297,6 +314,43 @@ def test_radical_oracle_matches_definition_on_random_triangular(p, e, n, max_dim
     for _ in range(6):
         alg = random_triangular_subalgebra(field, n, max_dim, rng)
         assert radical_bruteforce(alg) == radical_by_definition(alg)
+
+
+def test_ideal_defect_matches_the_single_products_on_gallery_radicals():
+    checked = 0
+    for name, alg in iter_gallery_algebras():
+        if alg.certificate is not None:
+            J = alg.certificate.radical
+            assert _nilpotent_ideal_defect(alg, J) == nilpotent_ideal_defect_by_products(alg, J) is None, name
+            checked += 1
+    assert checked >= 30
+
+
+def test_ideal_defect_matches_the_single_products_on_random_triangular():
+    # the oracle's radical, and that radical with one random vector added,
+    # which mostly breaks one of the three properties
+    verdicts = set()
+    for p, e, n, max_dim in [(2, 1, 4, 7), (3, 1, 3, 5), (2, 2, 3, 4)]:
+        field = field_make(p, e)
+        rng = random.Random(f"ideal-defect/{field.q}")
+        for _ in range(4):
+            alg = random_triangular_subalgebra(field, n, max_dim, rng)
+            J = radical_bruteforce(alg)
+            extra = tuple(rng.randrange(field.q) for _ in range(alg.dim))
+            for sub in (J, Subspace.from_vectors(field, alg.dim, list(J.basis_rows) + [extra])):
+                verdict = _nilpotent_ideal_defect(alg, sub)
+                assert verdict == nilpotent_ideal_defect_by_products(alg, sub)
+                verdicts.add(verdict)
+    assert None in verdicts and len(verdicts) >= 2
+
+
+def test_ideal_defect_names_each_missing_property_on_m2():
+    m2 = make_matrix_algebra(2, GF2)
+    subs = {side: Subspace.from_vectors(GF2, 4, rows) for side, rows in M2_ONE_SIDED.items()}
+    subs["nilpotent"] = Subspace.full(GF2, 4)
+    subs[None] = Subspace.zero(GF2, 4)
+    for want, sub in subs.items():
+        assert _nilpotent_ideal_defect(m2, sub) == nilpotent_ideal_defect_by_products(m2, sub) == want
 
 
 def test_radical_oracle_matches_the_code_scan_on_certified_gallery_algebras():
@@ -917,6 +971,14 @@ def test_socle_centrality():
     assert not socle_is_central(make_triangular(3, GF2, False))  # corner not central
     assert socle_is_central(make_twisted_truncated(2, 2, 2))
     assert not socle_is_central(make_twisted_truncated(2, 2, 1))
+
+
+def test_socle_centrality_matches_the_single_products_on_the_gallery():
+    verdicts = []
+    for name, alg in iter_gallery_algebras():
+        verdicts.append(socle_is_central(alg))
+        assert verdicts[-1] == socle_is_central_by_products(alg), name
+    assert True in verdicts and False in verdicts
 
 
 def test_locality():

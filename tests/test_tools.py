@@ -62,6 +62,12 @@ def test_ledger_folds_paired_records(tmp_path):
         write(tmp_path / "change", seed, change_wall, "bbb", change_mtime)
     write(tmp_path / "parent", 4, 0.5, "aaa", 10**18)
     (tmp_path / "parent" / ".perfbench" / "record-radical-oracle-1-trace1.json").write_text("{}")
+    # traced records of seed 2 in both trees, one metric only in the change's;
+    # and of a workload with no trace-0 pair
+    for tree, ops, self_s, extra in [("parent", 220, 0.066, {}), ("change", 220, 0.050, {"trace.overhead_s": 0.1})]:
+        traced = {"metrics": {"gf.scalar_ops": ops, "algebra.radical_bruteforce.self_s": self_s, **extra}}
+        for name in ("radical-oracle-2", "module-scan-0"):
+            (tmp_path / tree / ".perfbench" / f"record-{name}-trace1.json").write_text(json.dumps(traced))
     tool = load_tool("ledger")
     assert tool.main([str(tmp_path / "parent"), str(tmp_path / "change"), "test", "-o", str(tmp_path)]) == 0
     out = json.loads((tmp_path / "BENCH_test.json").read_text())
@@ -78,3 +84,7 @@ def test_ledger_folds_paired_records(tmp_path):
     assert (wall["parent"]["q1"], wall["parent"]["q3"]) == pytest.approx((0.10, 0.12))
     assert wall["parent"]["iqr"] == pytest.approx(0.02)
     assert entry["summary"]["item_p50_ms"]["change_better_pairs"] == 0
+    assert entry["traced"] == [{"seed": 2, "layers": {
+        "gf.scalar_ops": {"parent": 220, "change": 220},
+        "algebra.radical_bruteforce.self_s": {"parent": 0.066, "change": 0.050}}}]
+    assert list(out["workloads"]) == ["radical-oracle"]

@@ -9,7 +9,10 @@ first (by file mtime, null when the two are equal), and, per metric and
 side, the median, the quartiles and the IQR (statistics.quantiles, n=4,
 exclusive method), and how many pairs the change won (ties count for
 neither side).  All four metrics are better lower.  The git sha, Python
-version and `nproc` come from the records.
+version and `nproc` come from the records.  Where both trees also hold a
+`--trace 1` record (`record-<workload>-<seed>-trace1.json`) of a workload
+with pairs, that workload's `traced` list gives, per such seed, every
+per-layer metric both records report: `layers: {metric: {parent, change}}`.
 
 Usage: python3 tools/ledger.py PARENT_TREE CHANGE_TREE LABEL [-o OUT_DIR]
 Writes OUT_DIR/BENCH_<label>.json (default: the current directory) and
@@ -25,14 +28,14 @@ import statistics
 from pathlib import Path
 
 METRICS = ("wall_s", "item_p50_ms", "setup_s", "peak_rss_mb")
-RECORD = re.compile(r"record-(?P<workload>.+)-(?P<seed>\d+)-trace0\.json")
+RECORD = re.compile(r"record-(?P<workload>.+)-(?P<seed>\d+)-trace[01]\.json")
 
 
-def records(tree: Path) -> dict[tuple[str, int], tuple[dict, int]]:
-    """{(workload, seed): (record, mtime in ns)} for the trace-0 records of
-    one tree."""
+def records(tree: Path, trace: int = 0) -> dict[tuple[str, int], tuple[dict, int]]:
+    """{(workload, seed): (record, mtime in ns)} for the records of one tree
+    run with the given --trace."""
     out = {}
-    for path in sorted((tree / ".perfbench").glob("record-*-trace0.json")):
+    for path in sorted((tree / ".perfbench").glob(f"record-*-trace{trace}.json")):
         match = RECORD.fullmatch(path.name)
         if match:
             out[match["workload"], int(match["seed"])] = json.loads(path.read_text()), path.stat().st_mtime_ns
@@ -69,6 +72,13 @@ def ledger(parent_tree: Path, change_tree: Path, label: str) -> dict:
         first = None if parent_mtime == change_mtime else "parent" if parent_mtime < change_mtime else "change"
         pairs = workloads.setdefault(key[0], {"pairs": []})["pairs"]
         pairs.append({"seed": key[1], "first": first, "parent": side(parent_rec), "change": side(change_rec)})
+    traced_parent, traced_change = records(parent_tree, 1), records(change_tree, 1)
+    for key in sorted(traced_parent.keys() & traced_change.keys()):
+        if key[0] in workloads:
+            parent_metrics, change_metrics = traced_parent[key][0]["metrics"], traced_change[key][0]["metrics"]
+            layers = {m: {"parent": parent_metrics[m], "change": change_metrics[m]}
+                      for m in parent_metrics if m in change_metrics}
+            workloads[key[0]].setdefault("traced", []).append({"seed": key[1], "layers": layers})
     for entry in workloads.values():
         pairs = entry["pairs"]
         entry["summary"] = {
