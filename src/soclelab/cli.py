@@ -4,7 +4,8 @@ Exit codes separate "the math said no" from "the program broke":
   0  checks passed
   1  legitimate mathematical negative (e.g. the inequality fails over a
      small field, which is the point of those examples)
-  2  input error
+  2  input error, an unreadable input file or an unwritable -o/--out path
+     among them
   3  enumeration budget exhausted
   4  theorem violation: a proved statement failed on an instance (a bug)
   5  internal error: any other exception (a bug), reported as one record
@@ -13,6 +14,10 @@ Exit codes separate "the math said no" from "the program broke":
 Reports are JSON lines on stdout; --pretty renders a human table after
 them.  Output is byte-identical for identical inputs and seeds; wall-clock
 timing is attached only when --timing is passed.
+
+Each command only computes its records; one runner, `main`, reads and
+hashes the input file once, emits the records under the command's name and
+exits by the most severe verdict.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
+from . import algebra, gallery, modrep, reproduce, strongness, tensorcover
 from .budget import Budget, default_budget
 from .errors import (
     EXIT_BUDGET,
@@ -37,9 +43,11 @@ from .errors import (
     EXIT_VIOLATION,
     BudgetExceeded,
     InputError,
+    NotSplitError,
     SocleLabError,
     TheoremViolation,
 )
+from .exactla import Subspace
 from .gf import field_of_order
 
 VERDICT_EXIT = {
@@ -54,17 +62,30 @@ VERDICT_EXIT = {
 _SEVERITY = ("violation", "input-error", "budget", "counterexample", "pass")
 
 
-def _sha256_file(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _load_json(path: str) -> dict:
+def _read_input(path: str) -> tuple[bytes, object]:
+    """The bytes of an input file and the JSON they hold as UTF-8 text, from
+    one read; a file that cannot be read or decoded is an input error."""
     try:
-        return json.loads(Path(path).read_text())
+        raw = Path(path).read_bytes()
+        text = raw.decode("utf-8")
     except FileNotFoundError:
-        raise InputError(f"no such file: {path}")
+        raise InputError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+    try:
+        return raw, json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}")
+        raise InputError(f"malformed JSON in {path}: {exc}") from None
+
+
+def _write_output(path: str, obj) -> None:
+    """Write obj as indented JSON; a path that cannot be written is an input error."""
+    try:
+        Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True))
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 class Reporter:
@@ -98,85 +119,54 @@ def _aggregate_exit(verdicts) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# commands: each takes (args, the input's JSON or None, budget) and returns its
+# records [(verdict, details), ...] and a --pretty table (rows, headers) or None
 # ---------------------------------------------------------------------------
 
-def _cmd_cover_check(args, reporter: Reporter, budget: Budget) -> int:
-    from .tensorcover import TensorSubspace, check_bound
-
-    data = _load_json(args.file)
-    ts = TensorSubspace.from_json(data)
+def _cmd_cover_check(args, data, budget: Budget):
+    ts = tensorcover.TensorSubspace.from_json(data)
     # check_bound raises TheoremViolation when the conditions hold yet the
     # bound fails, so a returned report is always a pass
-    report = check_bound(ts, check_minimality=args.minimal, budget=budget)
-    verdict = "pass"
-    reporter.emit("cover check", verdict, report.to_json(), {args.file: _sha256_file(args.file)})
-    reporter.table(
-        [["conditions", report.both_hold], ["dim", report.dim_A],
-         ["bound", report.m + report.n - 1], ["minimal", report.minimal]],
-        ["key", "value"],
-    )
-    return VERDICT_EXIT[verdict]
+    report = tensorcover.check_bound(ts, check_minimality=args.minimal, budget=budget)
+    rows = [["conditions", report.both_hold], ["dim", report.dim_A],
+            ["bound", report.m + report.n - 1], ["minimal", report.minimal]]
+    return [("pass", report.to_json())], (rows, ["key", "value"])
 
 
-def _cmd_cover_search(args, reporter: Reporter, budget: Budget) -> int:
-    from .tensorcover import search_minimal
-
+def _cmd_cover_search(args, data, budget: Budget):
     field = field_of_order(args.q)
-    result = search_minimal(args.m, args.n, field, budget)
+    result = tensorcover.search_minimal(args.m, args.n, field, budget)
     verdict = "pass" if result.complete else "budget"
-    reporter.emit("cover search-minimal", verdict, result.to_json())
-    reporter.table(
-        [[t.dim, json.dumps(t.to_json())[:60]] for t in result.minimal],
-        ["dim", "subspace"],
-    )
-    return VERDICT_EXIT[verdict]
+    rows = [[t.dim, json.dumps(t.to_json())[:60]] for t in result.minimal]
+    return [(verdict, result.to_json())], (rows, ["dim", "subspace"])
 
 
-def _cmd_algebra_analyze(args, reporter: Reporter, budget: Budget) -> int:
-    from .algebra import (
-        Algebra,
-        improved_bound,
-        radical_bruteforce,
-        socle_graph,
-        socle_is_central,
-        socles,
-    )
-    from .errors import NotSplitError
-
-    data = _load_json(args.file)
-    alg = Algebra.from_json(data)
+def _cmd_algebra_analyze(args, data, budget: Budget):
+    alg = algebra.Algebra.from_json(data)
     details: dict = {"dim": alg.dim, "field": alg.field.to_json()}
     radical = alg.radical(budget)
     details["radical_dim"] = radical.dim
     if args.oracle:
-        brute = radical_bruteforce(alg, budget)
+        brute = algebra.radical_bruteforce(alg, budget)
         details["radical_oracle_agrees"] = brute == radical
         if not details["radical_oracle_agrees"]:
-            reporter.emit("algebra analyze", "violation", details, {args.file: _sha256_file(args.file)})
-            return EXIT_VIOLATION
-    st = socles(alg, budget)
+            return [("violation", details)], None
+    st = algebra.socles(alg, budget)
     details["socle_dims"] = {"left": st.left.dim, "right": st.right.dim, "twosided": st.twosided.dim}
-    details["socle_central"] = socle_is_central(alg, budget)
+    details["socle_central"] = algebra.socle_is_central(alg, budget)
     try:
-        graph = socle_graph(alg, budget)
+        graph = algebra.socle_graph(alg, budget)
         soc_len = graph.socle_bimodule_length
         details["blocks"] = [{"n": b.n} for b in alg.blocks()]
         details["socle_graph"] = graph.to_json()
         details["socle_bimodule_length"] = soc_len
-        details["improved_bound_rhs"] = improved_bound(graph, soc_len)
+        details["improved_bound_rhs"] = algebra.improved_bound(graph, soc_len)
     except NotSplitError:
         details["blocks"] = "not split-certified"
-    reporter.emit("algebra analyze", "pass", details, {args.file: _sha256_file(args.file)})
-    reporter.table([[k, json.dumps(v)] for k, v in details.items()], ["key", "value"])
-    return EXIT_PASS
+    return [("pass", details)], ([[k, json.dumps(v)] for k, v in details.items()], ["key", "value"])
 
 
-def _resolve_module(args) -> "object":
-    from .algebra import Algebra
-    from .modrep import ModuleRep
-
-    data = _load_json(args.file)
+def _resolve_module(args, data) -> modrep.ModuleRep:
     if not isinstance(data, dict):
         raise InputError(f"{args.file} does not hold a JSON object")
     if isinstance(data.get("module"), dict):
@@ -184,37 +174,28 @@ def _resolve_module(args) -> "object":
         outer, data = data, dict(data["module"])
         if "algebra" in outer:
             data.setdefault("algebra", outer["algebra"])
-    algebra = None
+    ring = None
     if "algebra_ref" in data:
         if not isinstance(data["algebra_ref"], str):
             raise InputError(f"algebra_ref must be a path string, got {data['algebra_ref']!r}")
-        ref = Path(args.file).parent / data["algebra_ref"]
-        algebra = Algebra.from_json(_load_json(str(ref)))
-    return ModuleRep.from_json(data, algebra)
+        _raw, ref = _read_input(str(Path(args.file).parent / data["algebra_ref"]))
+        ring = algebra.Algebra.from_json(ref)
+    return modrep.ModuleRep.from_json(data, ring)
 
 
-def _cmd_module_check(args, reporter: Reporter, budget: Budget) -> int:
-    from .modrep import module_report
-
-    mod = _resolve_module(args)
-    report = module_report(mod, budget)
+def _cmd_module_check(args, data, budget: Budget):
+    report = modrep.module_report(_resolve_module(args, data), budget)
     ineq = report.inequality
-    if ineq is not None and not ineq["holds"]:
-        verdict = "counterexample"
-    else:
-        verdict = "pass"
-    reporter.emit("module check", verdict, report.to_json(), {args.file: _sha256_file(args.file)})
-    reporter.table([[k, json.dumps(v)] for k, v in report.to_json().items()], ["key", "value"])
-    return VERDICT_EXIT[verdict]
+    verdict = "counterexample" if ineq is not None and not ineq["holds"] else "pass"
+    details = report.to_json()
+    return [(verdict, details)], ([[k, json.dumps(v)] for k, v in details.items()], ["key", "value"])
 
 
-def _cmd_module_shrink(args, reporter: Reporter, budget: Budget) -> int:
-    from .modrep import shrink_quotient, shrink_subfactor, shrink_submodule, top_socle
-
-    mod = _resolve_module(args)
-    op = {"sub": shrink_submodule, "quot": shrink_quotient, "subfactor": shrink_subfactor}[args.mode]
-    shrunk = op(mod, budget)
-    ts = top_socle(shrunk, budget)
+def _cmd_module_shrink(args, data, budget: Budget):
+    mod = _resolve_module(args, data)
+    op = {"sub": modrep.shrink_submodule, "quot": modrep.shrink_quotient, "subfactor": modrep.shrink_subfactor}
+    shrunk = op[args.mode](mod, budget)
+    ts = modrep.top_socle(shrunk, budget)
     details = {
         "mode": args.mode,
         "input_dim": mod.dim,
@@ -223,23 +204,15 @@ def _cmd_module_shrink(args, reporter: Reporter, budget: Budget) -> int:
         "socle_length": ts.socle_length,
         "module": shrunk.to_json(),
     }
-    reporter.emit("module shrink", "pass", details, {args.file: _sha256_file(args.file)})
-    return EXIT_PASS
+    return [("pass", details)], None
 
 
-def _cmd_system_check(args, reporter: Reporter, budget: Budget) -> int:
-    from .strongness import BilinearSystem, prop41_check
-
-    sys_obj = BilinearSystem.from_json(_load_json(args.file))
-    report = prop41_check(sys_obj, budget)
+def _cmd_system_check(args, data, budget: Budget):
+    report = strongness.prop41_check(strongness.BilinearSystem.from_json(data), budget)
     verdict = "pass" if report.holds else "counterexample"
-    reporter.emit("system check", verdict, report.to_json(), {args.file: _sha256_file(args.file)})
-    reporter.table(
-        [["lhs", report.lhs], ["rhs", report.rhs], ["holds", report.holds],
-         ["hypotheses", json.dumps(report.hypotheses_met)]],
-        ["key", "value"],
-    )
-    return VERDICT_EXIT[verdict]
+    rows = [["lhs", report.lhs], ["rhs", report.rhs], ["holds", report.holds],
+            ["hypotheses", json.dumps(report.hypotheses_met)]]
+    return [(verdict, report.to_json())], (rows, ["key", "value"])
 
 
 def _parse_block(spec: str | None, sys_obj) -> tuple[int | None, int | None]:
@@ -274,39 +247,28 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
-def _cmd_system_strong(args, reporter: Reporter, budget: Budget) -> int:
-    from .exactla import Subspace
-    from .strongness import BilinearSystem, _side_block, n_strong, relative_n_strong
-
-    sys_obj = BilinearSystem.from_json(_load_json(args.file))
+def _cmd_system_strong(args, data, budget: Budget):
+    sys_obj = strongness.BilinearSystem.from_json(data)
     n_value = _positive_rational(args.N)
     f, e = _parse_block(args.block, sys_obj)
     if args.relative:
         if args.side != "left":
             raise InputError("--relative is only implemented for --side left")
-        mult = sys_obj.t_blocks[_side_block(sys_obj, "left", f, e)].mult
+        mult = sys_obj.t_blocks[strongness._side_block(sys_obj, "left", f, e)].mult
         target = Subspace.full(sys_obj.field, mult)
-        strong = relative_n_strong(sys_obj, n_value, target, t_block=f, s_block=e, budget=budget)
+        strong = strongness.relative_n_strong(sys_obj, n_value, target, t_block=f, s_block=e, budget=budget)
         details = {"relative": True, "side": args.side, "N": str(n_value), "strong": strong}
-        reporter.emit("system strong", "pass" if strong else "counterexample", details,
-                      {args.file: _sha256_file(args.file)})
-        return EXIT_PASS if strong else EXIT_NEGATIVE
-    report = n_strong(sys_obj, args.side, n_value, t_block=f, s_block=e, budget=budget)
-    verdict = "pass" if report.strong else "counterexample"
-    reporter.emit("system strong", verdict, report.to_json(), {args.file: _sha256_file(args.file)})
-    return VERDICT_EXIT[verdict]
+        return [("pass" if strong else "counterexample", details)], None
+    report = strongness.n_strong(sys_obj, args.side, n_value, t_block=f, s_block=e, budget=budget)
+    return [("pass" if report.strong else "counterexample", report.to_json())], None
 
 
-def _cmd_gallery_list(args, reporter: Reporter, budget: Budget) -> int:
-    from .gallery import GALLERY, gallery_params
-
+def _cmd_gallery_list(args, data, budget: Budget):
     details = {}
-    for name, (description, build) in GALLERY.items():
-        names = " ".join(gallery_params(build))
+    for name, (description, build) in gallery.GALLERY.items():
+        names = " ".join(gallery.gallery_params(build))
         details[name] = f"{description} (params {names})" if names else description
-    reporter.emit("gallery list", "pass", details)
-    reporter.table(sorted(details.items()), ["name", "description"])
-    return EXIT_PASS
+    return [("pass", details)], (sorted(details.items()), ["name", "description"])
 
 
 _FLAGS = {"0": False, "1": True, "false": False, "true": True}
@@ -337,49 +299,45 @@ def _gallery_params(name: str, allowed: dict, pairs) -> dict:
     return out
 
 
-def _cmd_gallery_make(args, reporter: Reporter, budget: Budget) -> int:
-    from .gallery import GALLERY, gallery_make, gallery_params
-
-    if args.name not in GALLERY:
+def _cmd_gallery_make(args, data, budget: Budget):
+    if args.name not in gallery.GALLERY:
         raise InputError(f"unknown gallery item {args.name!r}; run `gallery list`")
-    _description, build = GALLERY[args.name]
-    obj_json = gallery_make(build, _gallery_params(args.name, gallery_params(build), args.params), budget)
+    _description, build = gallery.GALLERY[args.name]
+    params = _gallery_params(args.name, gallery.gallery_params(build), args.params)
+    obj_json = gallery.gallery_make(build, params, budget)
     if args.out:
-        Path(args.out).write_text(json.dumps(obj_json, indent=2, sort_keys=True))
-        reporter.emit("gallery make", "pass", {"name": args.name, "written": args.out})
-    else:
-        reporter.emit("gallery make", "pass", {"name": args.name, "object": obj_json})
-    return EXIT_PASS
+        _write_output(args.out, obj_json)
+        return [("pass", {"name": args.name, "written": args.out})], None
+    return [("pass", {"name": args.name, "object": obj_json})], None
 
 
-def _cmd_reproduce(args, reporter: Reporter, budget: Budget) -> int:
-    from .reproduce import run_target
+def _cmd_reproduce(args, data, budget: Budget):
+    items = reproduce.run_target(args.target, seed=args.seed, budget=budget)
+    bundle = {"target": args.target, "seed": args.seed, "ok": all(item["ok"] for item in items), "items": items}
+    _write_output(args.out or f"soclelab-reproduce-{args.target}.json", bundle)
+    # an item that missed its expectation has the verdict "violation", so a
+    # bundle that is not ok exits 4
+    records = [(item["verdict"], {"name": item["name"], "ok": item["ok"], **item["details"]}) for item in items]
+    rows = [[item["name"], item["verdict"], "ok" if item["ok"] else "MISMATCH"] for item in items]
+    return records, (rows, ["battery", "verdict", "expectation"])
 
-    items = run_target(args.target, seed=args.seed, budget=budget)
-    verdicts = {item["verdict"] for item in items}
-    ok = all(item["ok"] for item in items)
-    bundle = {
-        "target": args.target,
-        "seed": args.seed,
-        "ok": ok,
-        "items": items,
-    }
-    out_path = args.out or f"soclelab-reproduce-{args.target}.json"
-    Path(out_path).write_text(json.dumps(bundle, indent=2, sort_keys=True))
-    for item in items:
-        reporter.emit(f"reproduce {args.target}", item["verdict"],
-                      {"name": item["name"], "ok": item["ok"], **item["details"]})
-    reporter.table(
-        [[item["name"], item["verdict"], "ok" if item["ok"] else "MISMATCH"] for item in items],
-        ["battery", "verdict", "expectation"],
-    )
-    if not ok:
-        return EXIT_VIOLATION
-    return _aggregate_exit(verdicts)
+
+COMMANDS = {
+    ("cover", "check"): _cmd_cover_check,
+    ("cover", "search-minimal"): _cmd_cover_search,
+    ("algebra", "analyze"): _cmd_algebra_analyze,
+    ("module", "check"): _cmd_module_check,
+    ("module", "shrink"): _cmd_module_shrink,
+    ("system", "check"): _cmd_system_check,
+    ("system", "strong"): _cmd_system_strong,
+    ("gallery", "list"): _cmd_gallery_list,
+    ("gallery", "make"): _cmd_gallery_make,
+    ("reproduce", None): _cmd_reproduce,
+}
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# argument parsing and the runner
 # ---------------------------------------------------------------------------
 
 def _add_strong_arguments(parser: argparse.ArgumentParser):
@@ -431,10 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     sc = system_sub.add_parser("check", help="full length-inequality report")
     sc.add_argument("file")
     _add_strong_arguments(system_sub.add_parser("strong", help="N-strength of a map set"))
-    _add_strong_arguments(sub.add_parser("strong", help="alias for `system strong`"))
+    alias = sub.add_parser("strong", help="alias for `system strong`")
+    alias.set_defaults(command="system", subcommand="strong")
+    _add_strong_arguments(alias)
 
-    gallery = sub.add_parser("gallery", help="certified example constructors")
-    gallery_sub = gallery.add_subparsers(dest="subcommand", required=True)
+    gal = sub.add_parser("gallery", help="certified example constructors")
+    gallery_sub = gal.add_subparsers(dest="subcommand", required=True)
     gallery_sub.add_parser("list", help="list the available constructions")
     gm = gallery_sub.add_parser("make", help="build one construction as JSON")
     gm.add_argument("name")
@@ -450,49 +410,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     reporter = Reporter(args)
-    dispatch = {
-        ("cover", "check"): _cmd_cover_check,
-        ("cover", "search-minimal"): _cmd_cover_search,
-        ("algebra", "analyze"): _cmd_algebra_analyze,
-        ("module", "check"): _cmd_module_check,
-        ("module", "shrink"): _cmd_module_shrink,
-        ("system", "check"): _cmd_system_check,
-        ("system", "strong"): _cmd_system_strong,
-        ("strong", None): _cmd_system_strong,
-        ("gallery", "list"): _cmd_gallery_list,
-        ("gallery", "make"): _cmd_gallery_make,
-        ("reproduce", None): _cmd_reproduce,
-    }
     key = (args.command, getattr(args, "subcommand", None))
-    handler = dispatch.get(key)
-    if handler is None:
-        parser.error(f"unknown command {key}")
-    # an error record names the command as the handler's success record does
-    command = "system strong" if key == ("strong", None) else " ".join(part for part in key if part)
-    if key == ("reproduce", None):
-        command = f"reproduce {args.target}"
+    # every record of a run, an error record too, carries this one name
+    command = " ".join(part for part in (*key, getattr(args, "target", None)) if part)
     try:
-        if args.budget is not None:
-            budget = Budget.of_cap(args.budget)
-        else:
-            budget = default_budget()
-        return handler(args, reporter, budget)
+        budget = Budget.of_cap(args.budget) if args.budget is not None else default_budget()
+        data, inputs = None, {}
+        if hasattr(args, "file"):
+            raw, data = _read_input(args.file)
+            inputs = {args.file: hashlib.sha256(raw).hexdigest()}
+        records, table = COMMANDS[key](args, data, budget)
+        for verdict, details in records:
+            reporter.emit(command, verdict, details, inputs)
+        if table is not None:
+            reporter.table(*table)
+        return _aggregate_exit({verdict for verdict, _details in records})
     except BudgetExceeded as exc:
-        reporter.emit(command, "budget", {"error": str(exc)})
-        return EXIT_BUDGET
+        verdict, details = "budget", {"error": str(exc)}
     except TheoremViolation as exc:
-        reporter.emit(command, "violation", {"error": str(exc)})
-        return EXIT_VIOLATION
+        verdict, details = "violation", {"error": str(exc)}
     except SocleLabError as exc:
-        reporter.emit(command, "input-error", {"error": str(exc)})
-        return EXIT_INPUT
+        verdict, details = "input-error", {"error": str(exc)}
     except Exception as exc:
         traceback.print_exc()  # to stderr, so stdout keeps its one record
-        reporter.emit(command, "internal-error", {"error": str(exc), "exception": type(exc).__name__})
-        return EXIT_INTERNAL
+        verdict, details = "internal-error", {"error": str(exc), "exception": type(exc).__name__}
+    reporter.emit(command, verdict, details)
+    return VERDICT_EXIT[verdict]
 
 
 if __name__ == "__main__":

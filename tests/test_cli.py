@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from soclelab import tensorcover
+from soclelab import algebra, reproduce, tensorcover
 from soclelab.cli import main
 from soclelab.errors import InputError, TheoremViolation
+from soclelab.exactla import Subspace
 from soclelab.gallery import make_row_diagonal_pair
 from soclelab.gf import field_make
 from soclelab.strongness import BilinearSystem, BlockSpec, tensor_maps
@@ -93,6 +94,57 @@ def test_algebra_analyze_malformed_input(tmp_path, capsys):
     assert code == 2
     record = json.loads(out.strip().splitlines()[-1])
     assert record["verdict"] == "input-error"
+
+
+def _unreadable_input(tmp_path, case):
+    """(argv, the path the error names, a piece of its message) for each kind
+    of input file that cannot be read as JSON text."""
+    if case == "directory":
+        return ["cover", "check", str(tmp_path)], str(tmp_path), "cannot read"
+    if case == "not-utf8":
+        path = tmp_path / "utf16.json"
+        path.write_bytes("{}".encode("utf-16"))  # starts \xff\xfe
+        return ["cover", "check", str(path)], str(path), "is not UTF-8 text"
+    if case == "utf8-bom":
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf{}")
+        return ["cover", "check", str(path)], str(path), "Unexpected UTF-8 BOM"
+    (tmp_path / "ring.json").mkdir()
+    data = make_row_diagonal_pair()[1].to_json(inline_algebra=False)
+    data["algebra_ref"] = "ring.json"
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(data))
+    return ["module", "check", str(path)], str(tmp_path / "ring.json"), "cannot read"
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8", "utf8-bom", "algebra-ref-directory"])
+def test_unreadable_input_is_an_input_error(tmp_path, capsys, case):
+    # one read of the file as UTF-8 text: an OS error or a decoding error is
+    # exit 2 with one record naming the path, not an internal error
+    argv, named, message = _unreadable_input(tmp_path, case)
+    code, out = run(capsys, *argv)
+    assert code == 2
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 1
+    assert (records[0]["command"], records[0]["verdict"], records[0]["inputs"]) \
+        == (" ".join(argv[:2]), "input-error", {})
+    assert named in records[0]["details"]["error"] and message in records[0]["details"]["error"]
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["gallery", "make", "cross", "-o"], "gallery make"),
+    (["reproduce", "paper-5.1", "--out"], "reproduce paper-5.1"),
+], ids=["gallery-make", "reproduce"])
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, monkeypatch, argv, command, target):
+    monkeypatch.chdir(tmp_path)
+    path = str(tmp_path) if target == "directory" else str(tmp_path / "missing" / "x.json")
+    code, out = run(capsys, *argv, path)
+    assert code == 2
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 1
+    assert (records[0]["command"], records[0]["verdict"]) == (command, "input-error")
+    assert f"cannot write {path}" in records[0]["details"]["error"]
 
 
 def test_module_check_counterexample_exit(tmp_path, capsys):
@@ -549,7 +601,8 @@ def test_budget_flag_and_env_var_build_the_same_budget(cap, capsys, monkeypatch)
     from soclelab.budget import Budget, DEFAULT_RING_CAP
 
     seen = []
-    monkeypatch.setattr(cli, "_cmd_gallery_list", lambda args, reporter, budget: seen.append(budget) or 0)
+    monkeypatch.setitem(cli.COMMANDS, ("gallery", "list"),
+                        lambda args, data, budget: seen.append(budget) or ([("pass", {})], None))
     monkeypatch.delenv("SOCLELAB_BUDGET", raising=False)
     assert main(["--budget", str(cap), "gallery", "list"]) == 0
     monkeypatch.setenv("SOCLELAB_BUDGET", str(cap))
@@ -605,6 +658,40 @@ def test_violation_inside_a_command_is_verdict_violation(tmp_path, capsys, monke
     record = json.loads(out.strip().splitlines()[-1])
     assert (record["command"], record["verdict"]) == ("cover check", "violation")
     assert record["details"] == {"error": "forced bound failure"}
+
+
+def test_radical_oracle_disagreement_is_verdict_violation(tmp_path, capsys, monkeypatch):
+    # an oracle radical other than the certified one is one "violation"
+    # record, with the input's sha256, and exit 4
+    ring, _module = make_row_diagonal_pair()
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(ring.to_json()))
+    monkeypatch.setattr(algebra, "radical_bruteforce", lambda alg, budget: Subspace.zero(alg.field, alg.dim))
+    code, out = run(capsys, "algebra", "analyze", str(path), "--oracle")
+    assert code == 4
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 1
+    assert (records[0]["command"], records[0]["verdict"]) == ("algebra analyze", "violation")
+    assert records[0]["details"]["radical_oracle_agrees"] is False
+    assert records[0]["inputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def test_reproduce_bundle_with_a_missed_expectation_exits_4(tmp_path, capsys, monkeypatch):
+    # a battery item that misses its expectation, positive or negative, has the
+    # verdict "violation", so the run exits 4 by its verdicts alone
+    def missed(target, seed, budget):
+        return [reproduce._item("met", True), reproduce._negative_item("missed", False, value=1)]
+
+    monkeypatch.setattr(reproduce, "run_target", missed)
+    bundle = tmp_path / "bundle.json"
+    code = main(["--pretty", "reproduce", "paper-2", "--out", str(bundle)])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert json.loads(bundle.read_text())["ok"] is False
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["details"]["name"], r["verdict"]) for r in records] == [("met", "pass"), ("missed", "violation")]
+    assert [line.split() for line in err.splitlines()[2:]] \
+        == [["met", "pass", "ok"], ["missed", "violation", "MISMATCH"]]
 
 
 def test_any_other_exception_is_verdict_internal_error(tmp_path, capsys, monkeypatch):
