@@ -36,7 +36,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .budget import Budget, default_budget
+from .budget import DEFAULT_BUDGET, Budget
 from .errors import InputError, NotSplitError, PreconditionError, TheoremViolation, decoding, json_bool, json_int
 from .exactla import (
     Mat,
@@ -293,7 +293,7 @@ class Algebra:
                    for x in itertools.product(self.field.elements(), repeat=n) if any(x))
 
     # -- radical access ------------------------------------------------------------
-    def radical(self, budget: Budget | None = None) -> Subspace:
+    def radical(self, budget: Budget = DEFAULT_BUDGET) -> Subspace:
         """The Jacobson radical: certified when available, else brute-forced."""
         if self.certificate is not None:
             return self.certificate.radical
@@ -683,7 +683,7 @@ def _nilpotent_ideal_defect(r: Algebra, J: Subspace) -> str | None:
     return None
 
 
-def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
+def radical_bruteforce(r: Algebra, budget: Budget = DEFAULT_BUDGET) -> Subspace:
     """Exhaustive quasi-regularity oracle for the Jacobson radical.
 
     Membership is decided exactly: x is radical iff every element of the
@@ -710,7 +710,6 @@ def radical_bruteforce(r: Algebra, budget: Budget | None = None) -> Subspace:
     The result is re-verified as a nilpotent two-sided ideal, each product
     with the basis read off a column of R_v or L_v.
     """
-    budget = budget or default_budget()
     field = r.field
     q, d = field.q, r.dim
     size = q**d
@@ -795,7 +794,7 @@ class SocleTriple:
     twosided: Subspace
 
 
-def socles(r: Algebra, budget: Budget | None = None) -> SocleTriple:
+def socles(r: Algebra, budget: Budget = DEFAULT_BUDGET) -> SocleTriple:
     """Left socle {x : Jx = 0}, right socle {x : xJ = 0}, and their
     intersection (the two-sided socle).  Valid because J is nilpotent.
     Computed once per algebra and then kept."""
@@ -804,7 +803,7 @@ def socles(r: Algebra, budget: Budget | None = None) -> SocleTriple:
     return r._socles_cache
 
 
-def _socles(r: Algebra, budget: Budget | None) -> SocleTriple:
+def _socles(r: Algebra, budget: Budget) -> SocleTriple:
     J = r.radical(budget)
     if J.dim == 0:
         full = Subspace.full(r.field, r.dim)
@@ -823,7 +822,7 @@ def _socles(r: Algebra, budget: Budget | None) -> SocleTriple:
 # bimodule lengths and the socle graph
 # ---------------------------------------------------------------------------
 
-def _corner_lengths(r: Algebra, ideal: Subspace, budget: Budget | None) -> dict[tuple[int, int], int]:
+def _corner_lengths(r: Algebra, ideal: Subspace, budget: Budget) -> dict[tuple[int, int], int]:
     """The nonzero corners of a J-killed two-sided ideal X over the split
     semisimple quotient: {(f, e): dim(f X e) / (n_f n_e)}, in (f, e) order,
     where f and e are block idempotents.  X must be killed by J on both
@@ -851,7 +850,7 @@ def _corner_lengths(r: Algebra, ideal: Subspace, budget: Budget | None) -> dict[
     return lengths
 
 
-def bimodule_length(r: Algebra, ideal: Subspace, budget: Budget | None = None) -> int:
+def bimodule_length(r: Algebra, ideal: Subspace, budget: Budget = DEFAULT_BUDGET) -> int:
     """Length of a J-killed two-sided ideal as a bimodule over the split
     semisimple quotient: sum over block pairs of dim(f X e) / (n_f n_e)."""
     return sum(_corner_lengths(r, ideal, budget).values())
@@ -897,7 +896,7 @@ class SocleGraph:
         }
 
 
-def socle_graph(r: Algebra, budget: Budget | None = None) -> SocleGraph:
+def socle_graph(r: Algebra, budget: Budget = DEFAULT_BUDGET) -> SocleGraph:
     """The socle graph, read off one pass over the corners f soc(R) e.
 
     Its vertices are exactly the edge endpoints.  soc(R) J = 0 and the block
@@ -913,7 +912,7 @@ def socle_graph(r: Algebra, budget: Budget | None = None) -> SocleGraph:
     return SocleGraph(left, right, edges, tuple(lengths.values()), len(left) + len(right) - len(edges))
 
 
-def socle_is_central(r: Algebra, budget: Budget | None = None) -> bool:
+def socle_is_central(r: Algebra, budget: Budget = DEFAULT_BUDGET) -> bool:
     """Whether every two-sided-socle element commutes with every element.
     Column i of L_v is v b_i and of R_v is b_i v, so a socle row v is
     central iff L_v = R_v."""

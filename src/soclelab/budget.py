@@ -3,8 +3,12 @@
 All quantifier checks here run over finite enumerations (projective points,
 subspaces, families of submodules, whole rings).  A Budget keeps those loops
 from silently exploding: callers get a distinct BudgetExceeded instead of a
-partial answer.  The environment variable SOCLELAB_BUDGET overrides the
-default enumeration cap; a value that is not a non-negative integer is an
+partial answer.
+
+Library calls take an explicit Budget and default to DEFAULT_BUDGET; none of
+them reads the environment.  Only the CLI calls `default_budget`, once per
+run, so the environment variable SOCLELAB_BUDGET sets the cap of a CLI run
+that gives no --budget; a value that is not a non-negative integer is an
 input error.
 """
 
@@ -42,6 +46,9 @@ class Budget:
     def guard_ring(self, what: str, needed: int) -> None:
         if needed > self.max_ring:
             raise BudgetExceeded(what, needed, self.max_ring)
+
+
+DEFAULT_BUDGET = Budget()
 
 
 def default_budget() -> Budget:

@@ -4,8 +4,8 @@ Exit codes separate "the math said no" from "the program broke":
   0  checks passed
   1  legitimate mathematical negative (e.g. the inequality fails over a
      small field, which is the point of those examples)
-  2  input error, an unreadable input file or an unwritable -o/--out path
-     among them
+  2  input error, an unreadable input file or an empty or unwritable
+     -o/--out path among them
   3  enumeration budget exhausted
   4  theorem violation: a proved statement failed on an instance (a bug)
   5  internal error: any other exception (a bug), reported as one record
@@ -15,9 +15,9 @@ Reports are JSON lines on stdout; --pretty renders a human table after
 them.  Output is byte-identical for identical inputs and seeds; wall-clock
 timing is attached only when --timing is passed.
 
-Each command only computes its records; one runner, `main`, reads and
-hashes the input file once, emits the records under the command's name and
-exits by the most severe verdict.
+Each command only computes its records; one runner, `main`, builds the
+run's one budget, hashes every input file as the command reads it, emits
+the records under the command's name and exits by the most severe verdict.
 """
 
 from __future__ import annotations
@@ -62,9 +62,10 @@ VERDICT_EXIT = {
 _SEVERITY = ("violation", "input-error", "budget", "counterexample", "pass")
 
 
-def _read_input(path: str) -> tuple[bytes, object]:
-    """The bytes of an input file and the JSON they hold as UTF-8 text, from
-    one read; a file that cannot be read or decoded is an input error."""
+def _read_input(path: str, inputs: dict) -> object:
+    """The JSON an input file holds as UTF-8 text, from one read of its
+    bytes, whose sha256 goes into inputs under path; a file that cannot be
+    read or decoded is an input error."""
     try:
         raw = Path(path).read_bytes()
         text = raw.decode("utf-8")
@@ -75,9 +76,13 @@ def _read_input(path: str) -> tuple[bytes, object]:
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from None
     try:
-        return raw, json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise InputError(f"JSON in {path} is nested too deeply") from None
+    inputs[path] = hashlib.sha256(raw).hexdigest()
+    return data
 
 
 def _write_output(path: str, obj) -> None:
@@ -119,12 +124,13 @@ def _aggregate_exit(verdicts) -> int:
 
 
 # ---------------------------------------------------------------------------
-# commands: each takes (args, the input's JSON or None, budget) and returns its
-# records [(verdict, details), ...] and a --pretty table (rows, headers) or None
+# commands: each takes (args, the run's inputs, budget), reads its input files
+# with _read_input(path, inputs) and returns its records
+# [(verdict, details), ...] and a --pretty table (rows, headers) or None
 # ---------------------------------------------------------------------------
 
-def _cmd_cover_check(args, data, budget: Budget):
-    ts = tensorcover.TensorSubspace.from_json(data)
+def _cmd_cover_check(args, inputs, budget: Budget):
+    ts = tensorcover.TensorSubspace.from_json(_read_input(args.file, inputs))
     # check_bound raises TheoremViolation when the conditions hold yet the
     # bound fails, so a returned report is always a pass
     report = tensorcover.check_bound(ts, check_minimality=args.minimal, budget=budget)
@@ -133,7 +139,7 @@ def _cmd_cover_check(args, data, budget: Budget):
     return [("pass", report.to_json())], (rows, ["key", "value"])
 
 
-def _cmd_cover_search(args, data, budget: Budget):
+def _cmd_cover_search(args, inputs, budget: Budget):
     field = field_of_order(args.q)
     result = tensorcover.search_minimal(args.m, args.n, field, budget)
     verdict = "pass" if result.complete else "budget"
@@ -141,8 +147,8 @@ def _cmd_cover_search(args, data, budget: Budget):
     return [(verdict, result.to_json())], (rows, ["dim", "subspace"])
 
 
-def _cmd_algebra_analyze(args, data, budget: Budget):
-    alg = algebra.Algebra.from_json(data)
+def _cmd_algebra_analyze(args, inputs, budget: Budget):
+    alg = algebra.Algebra.from_json(_read_input(args.file, inputs))
     details: dict = {"dim": alg.dim, "field": alg.field.to_json()}
     radical = alg.radical(budget)
     details["radical_dim"] = radical.dim
@@ -166,7 +172,8 @@ def _cmd_algebra_analyze(args, data, budget: Budget):
     return [("pass", details)], ([[k, json.dumps(v)] for k, v in details.items()], ["key", "value"])
 
 
-def _resolve_module(args, data) -> modrep.ModuleRep:
+def _resolve_module(args, inputs) -> modrep.ModuleRep:
+    data = _read_input(args.file, inputs)
     if not isinstance(data, dict):
         raise InputError(f"{args.file} does not hold a JSON object")
     if isinstance(data.get("module"), dict):
@@ -178,21 +185,20 @@ def _resolve_module(args, data) -> modrep.ModuleRep:
     if "algebra_ref" in data:
         if not isinstance(data["algebra_ref"], str):
             raise InputError(f"algebra_ref must be a path string, got {data['algebra_ref']!r}")
-        _raw, ref = _read_input(str(Path(args.file).parent / data["algebra_ref"]))
-        ring = algebra.Algebra.from_json(ref)
+        ring = algebra.Algebra.from_json(_read_input(str(Path(args.file).parent / data["algebra_ref"]), inputs))
     return modrep.ModuleRep.from_json(data, ring)
 
 
-def _cmd_module_check(args, data, budget: Budget):
-    report = modrep.module_report(_resolve_module(args, data), budget)
+def _cmd_module_check(args, inputs, budget: Budget):
+    report = modrep.module_report(_resolve_module(args, inputs), budget)
     ineq = report.inequality
     verdict = "counterexample" if ineq is not None and not ineq["holds"] else "pass"
     details = report.to_json()
     return [(verdict, details)], ([[k, json.dumps(v)] for k, v in details.items()], ["key", "value"])
 
 
-def _cmd_module_shrink(args, data, budget: Budget):
-    mod = _resolve_module(args, data)
+def _cmd_module_shrink(args, inputs, budget: Budget):
+    mod = _resolve_module(args, inputs)
     op = {"sub": modrep.shrink_submodule, "quot": modrep.shrink_quotient, "subfactor": modrep.shrink_subfactor}
     shrunk = op[args.mode](mod, budget)
     ts = modrep.top_socle(shrunk, budget)
@@ -207,8 +213,9 @@ def _cmd_module_shrink(args, data, budget: Budget):
     return [("pass", details)], None
 
 
-def _cmd_system_check(args, data, budget: Budget):
-    report = strongness.prop41_check(strongness.BilinearSystem.from_json(data), budget)
+def _cmd_system_check(args, inputs, budget: Budget):
+    sys_obj = strongness.BilinearSystem.from_json(_read_input(args.file, inputs))
+    report = strongness.prop41_check(sys_obj, budget)
     verdict = "pass" if report.holds else "counterexample"
     rows = [["lhs", report.lhs], ["rhs", report.rhs], ["holds", report.holds],
             ["hypotheses", json.dumps(report.hypotheses_met)]]
@@ -247,8 +254,8 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
-def _cmd_system_strong(args, data, budget: Budget):
-    sys_obj = strongness.BilinearSystem.from_json(data)
+def _cmd_system_strong(args, inputs, budget: Budget):
+    sys_obj = strongness.BilinearSystem.from_json(_read_input(args.file, inputs))
     n_value = _positive_rational(args.N)
     f, e = _parse_block(args.block, sys_obj)
     if args.relative:
@@ -263,7 +270,7 @@ def _cmd_system_strong(args, data, budget: Budget):
     return [("pass" if report.strong else "counterexample", report.to_json())], None
 
 
-def _cmd_gallery_list(args, data, budget: Budget):
+def _cmd_gallery_list(args, inputs, budget: Budget):
     details = {}
     for name, (description, build) in gallery.GALLERY.items():
         names = " ".join(gallery.gallery_params(build))
@@ -299,7 +306,7 @@ def _gallery_params(name: str, allowed: dict, pairs) -> dict:
     return out
 
 
-def _cmd_gallery_make(args, data, budget: Budget):
+def _cmd_gallery_make(args, inputs, budget: Budget):
     if args.name not in gallery.GALLERY:
         raise InputError(f"unknown gallery item {args.name!r}; run `gallery list`")
     _description, build = gallery.GALLERY[args.name]
@@ -311,7 +318,7 @@ def _cmd_gallery_make(args, data, budget: Budget):
     return [("pass", {"name": args.name, "object": obj_json})], None
 
 
-def _cmd_reproduce(args, data, budget: Budget):
+def _cmd_reproduce(args, inputs, budget: Budget):
     items = reproduce.run_target(args.target, seed=args.seed, budget=budget)
     bundle = {"target": args.target, "seed": args.seed, "ok": all(item["ok"] for item in items), "items": items}
     _write_output(args.out or f"soclelab-reproduce-{args.target}.json", bundle)
@@ -416,12 +423,12 @@ def main(argv=None) -> int:
     # every record of a run, an error record too, carries this one name
     command = " ".join(part for part in (*key, getattr(args, "target", None)) if part)
     try:
+        # the run's one budget: no library call reads SOCLELAB_BUDGET
         budget = Budget.of_cap(args.budget) if args.budget is not None else default_budget()
-        data, inputs = None, {}
-        if hasattr(args, "file"):
-            raw, data = _read_input(args.file)
-            inputs = {args.file: hashlib.sha256(raw).hexdigest()}
-        records, table = COMMANDS[key](args, data, budget)
+        if getattr(args, "out", None) == "":
+            raise InputError("--out needs a file path, got an empty string")
+        inputs: dict[str, str] = {}
+        records, table = COMMANDS[key](args, inputs, budget)
         for verdict, details in records:
             reporter.emit(command, verdict, details, inputs)
         if table is not None:

@@ -14,7 +14,7 @@ import inspect
 from typing import Callable
 
 from .algebra import Algebra, algebra_make, socle_is_central
-from .budget import Budget, default_budget
+from .budget import DEFAULT_BUDGET, Budget
 from .errors import InputError, OutOfScopeError, TheoremViolation
 from .exactla import Mat, Subspace, enum_coeff_points, mat_of_columns, mat_of_rows
 from .gf import Field, field_make, field_of_order
@@ -142,7 +142,7 @@ def make_square_zero_extension(field: Field, g: int) -> Algebra:
     return algebra_make(field, dim=dim, mult=tuple(mult), one=e(0), certificate=cert)
 
 
-def make_twisted_truncated(p: int, d: int, n: int, budget: Budget | None = None) -> Algebra:
+def make_twisted_truncated(p: int, d: int, n: int) -> Algebra:
     """Truncated twisted polynomial ring over the degree-d extension of F_p,
     with the extension's Frobenius as the twist, truncated at x^(n+1).
 
@@ -192,7 +192,7 @@ def make_twisted_truncated(p: int, d: int, n: int, budget: Budget | None = None)
     else:
         cert = {"radical_basis": radical, "split": False, "local": True}
     alg = algebra_make(base, dim=dim, mult=mult, one=one, certificate=cert)
-    central = socle_is_central(alg, budget)
+    central = socle_is_central(alg)  # certified: the radical is read, not scanned
     if central != (n % d == 0):
         raise TheoremViolation(
             f"twisted truncated ring p={p}, d={d}, n={n}: socle centrality {central} "
@@ -205,13 +205,12 @@ def make_twisted_truncated(p: int, d: int, n: int, budget: Budget | None = None)
 # the counterexample system and module
 # ---------------------------------------------------------------------------
 
-def make_line_cover_system(field: Field, d: int, budget: Budget | None = None) -> BilinearSystem:
+def make_line_cover_system(field: Field, d: int, budget: Budget = DEFAULT_BUDGET) -> BilinearSystem:
     """One S-block per line of k^d, each acting by a rank-one map onto its
     line: the small-field system whose length inequality fails.
 
     Component i maps the i-th coordinate of B onto the i-th projective
     point of C = k^d, in the package's deterministic point order."""
-    budget = budget or default_budget()
     if d < 2:
         raise InputError("need d >= 2")
     q = field.q
@@ -397,7 +396,7 @@ GALLERY = {
     "square-zero-extension": ("local algebra k + V with V V = 0, dim V = g",
                               lambda q=2, g=2: make_square_zero_extension(field_of_order(q), g).to_json()),
     "twisted-truncated": ("truncated twisted polynomial ring over F_{p^d}",
-                          lambda p=2, d=2, n=2, *, budget: make_twisted_truncated(p, d, n, budget).to_json()),
+                          lambda p=2, d=2, n=2: make_twisted_truncated(p, d, n).to_json()),
     "line-cover-system": ("one block per line of k^d acting onto that line; fails the length inequality",
                           lambda q=2, d=2, *, budget: make_line_cover_system(field_of_order(q), d, budget).to_json()),
     "row-diagonal-module": ("the 6-dim F_2 ring (first row + diagonal) with its 5-dim faithful minimal module",

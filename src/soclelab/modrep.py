@@ -51,7 +51,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import Algebra, Block, bimodule_length, socle_graph, socle_is_central, socles
-from .budget import Budget, default_budget
+from .budget import DEFAULT_BUDGET, Budget
 from .errors import InputError, NotSplitError, PreconditionError, TheoremViolation
 from .exactla import (
     Mat,
@@ -267,7 +267,7 @@ def quotient_action(m: ModuleRep, sub: Subspace) -> QuotientData:
     return QuotientData(m, sub)
 
 
-def radical_image(m: ModuleRep, budget: Budget | None = None) -> Subspace:
+def radical_image(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> Subspace:
     """JM: the span of the radical's action images, computed once per module
     and then kept.  The columns are the package's own action columns, so
     they are reduced by one `rref_rows` call with no re-validation
@@ -279,7 +279,7 @@ def radical_image(m: ModuleRep, budget: Budget | None = None) -> Subspace:
     return m._radical_image_cache
 
 
-def top(m: ModuleRep, budget: Budget | None = None) -> QuotientData:
+def top(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> QuotientData:
     """M/JM as the QuotientData of JM, computed once per module and then kept;
     a non-split algebra raises NotSplitError before any radical work.  The
     cache is set only after `blocks()` has passed, so it is read first."""
@@ -289,7 +289,7 @@ def top(m: ModuleRep, budget: Budget | None = None) -> QuotientData:
     return m._top_cache
 
 
-def socle_subspace(m: ModuleRep, budget: Budget | None = None) -> Subspace:
+def socle_subspace(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> Subspace:
     """{v : J v = 0} (all of M when J = 0); equals the sum of the simple
     submodules since J is nilpotent.  Computed once per module and then kept."""
     if m._socle_cache is None:
@@ -369,7 +369,7 @@ class TopSocle:
     socle_length: int
 
 
-def top_socle(m: ModuleRep, budget: Budget | None = None) -> TopSocle:
+def top_socle(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> TopSocle:
     """Lengths of M/JM and soc(M) over the split semisimple quotient, read
     from the kept top and socle."""
     return TopSocle(semisimple_length(top(m, budget)), semisimple_length(m, socle_subspace(m, budget)))
@@ -412,20 +412,18 @@ def _preimage(qd: QuotientData, w: Subspace) -> Subspace:
     return Subspace.from_vectors(qd.field, qd.sub.ambient_dim, vectors)
 
 
-def maximal_submodules(m: ModuleRep, budget: Budget | None = None):
+def maximal_submodules(m: ModuleRep, budget: Budget = DEFAULT_BUDGET):
     """Yield every maximal submodule of M as (f, H, subspace of M); see
     `_maximal_tops`."""
-    budget = budget or default_budget()
     qd = top(m, budget)
     for f, hyper, w_top in _maximal_tops(qd, budget):
         yield f, hyper, _preimage(qd, w_top)
 
 
-def simple_socle_submodules(m: ModuleRep, budget: Budget | None = None):
+def simple_socle_submodules(m: ModuleRep, budget: Budget = DEFAULT_BUDGET):
     """Yield every simple submodule of soc(M), blockwise, as (f, generator,
     subspace of M).  Each block's point count is charged to the budget, as
     a running total, before that block is scanned."""
-    budget = budget or default_budget()
     m.algebra.blocks()  # NotSplitError before any radical work
     soc = socle_subspace(m, budget)
     charged = 0
@@ -501,7 +499,7 @@ class MinimalityReport:
         return self.no_faithful_max_submodule and self.no_faithful_simple_quotient
 
 
-def minimal_faithful(m: ModuleRep, budget: Budget | None = None) -> MinimalityReport:
+def minimal_faithful(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> MinimalityReport:
     """Both minimality properties of a faithful module, each decided on its
     first read (see `MinimalityReport`) under the given budget.
 
@@ -510,7 +508,7 @@ def minimal_faithful(m: ModuleRep, budget: Budget | None = None) -> MinimalityRe
     exists iff M/L is faithful for some simple L in the socle."""
     if not faithful(m)[0]:
         raise PreconditionError("minimality is only defined for faithful modules")
-    return MinimalityReport(m, budget or default_budget())
+    return MinimalityReport(m, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -576,14 +574,13 @@ def _local_inequality(m: ModuleRep, ts: TopSocle, budget: Budget) -> dict:
     return {"kind": "local", "lhs": lhs, "rhs": rhs, "holds": True, "socle_dim": soc_dim}
 
 
-def local_socle_check(m: ModuleRep, budget: Budget | None = None) -> ModuleReport:
+def local_socle_check(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> ModuleReport:
     """The local bound: over a local algebra with central socle, a faithful
     module with both minimality properties satisfies
     top_length + socle_length <= dim soc(R) + 1.
 
     The statement carries no field-size hypothesis, so a verified instance
     violating it is an implementation bug (TheoremViolation)."""
-    budget = budget or default_budget()
     blocks = m.algebra.blocks()
     if len(blocks) != 1 or blocks[0].n != 1:
         raise PreconditionError("operation requires a local algebra (single block of size one)")
@@ -593,7 +590,7 @@ def local_socle_check(m: ModuleRep, budget: Budget | None = None) -> ModuleRepor
     return _minimal_report(ts, _local_inequality(m, ts, budget))
 
 
-def system_from_module(m: ModuleRep, budget: Budget | None = None) -> BilinearSystem:
+def system_from_module(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> BilinearSystem:
     """The induced system: soc(R) acting from M/JM into soc(M), written in
     block-standard coordinates via adapted bases on both sides.  The top is
     read through its kept QuotientData, and soc(M) blockwise in M's own
@@ -655,7 +652,7 @@ def _graph_inequality(m: ModuleRep, ts: TopSocle, budget: Budget) -> tuple[dict,
     return inequality, notes
 
 
-def graph_socle_check(m: ModuleRep, budget: Budget | None = None) -> ModuleReport:
+def graph_socle_check(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> ModuleReport:
     """The block-graph bound: for a faithful module with both minimality
     properties over a split-certified algebra,
     top_length + socle_length <= bimodule length of soc(R) + chi(G).
@@ -663,17 +660,15 @@ def graph_socle_check(m: ModuleRep, budget: Budget | None = None) -> ModuleRepor
     Over a finite field the proved statement's field-size hypothesis fails,
     so holds = False is a legitimate outcome; the attached system report
     records which hypotheses were actually met."""
-    budget = budget or default_budget()
     m.algebra.blocks()  # raises NotSplitError when absent
     ts = _minimal_lengths(m, budget)
     return _minimal_report(ts, *_graph_inequality(m, ts, budget))
 
 
-def module_report(m: ModuleRep, budget: Budget | None = None) -> ModuleReport:
+def module_report(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> ModuleReport:
     """Best-effort report for the CLI: fills whatever applies, never raises
     for unmet preconditions (they become notes).  The lengths, faithfulness
     and minimality are each computed once and shared with the bound."""
-    budget = budget or default_budget()
     ok, ann = faithful(m)
     report = ModuleReport(faithful=ok, annihilator_dim=ann.dim)
     notes = []
@@ -714,12 +709,11 @@ def shrink_bound(m: ModuleRep, budget: Budget) -> int:
     return bimodule_length(m.algebra, socles(m.algebra, budget).twosided, budget)
 
 
-def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
+def shrink_submodule(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> ModuleRep:
     """Faithful submodule with no faithful proper submodule, so with top length
     at most the bimodule length of soc(R): step to `minimal_faithful`'s
     submodule witness, a faithful maximal submodule, until there is none (at
     most dim M steps, each charged by `minimal_faithful`'s own guards)."""
-    budget = budget or default_budget()
     n_bound = shrink_bound(m, budget)
     while (w := minimal_faithful(m, budget).submodule_witness) is not None:
         m = restrict_action(m, w)
@@ -730,12 +724,11 @@ def shrink_submodule(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
     return m
 
 
-def shrink_quotient(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
+def shrink_quotient(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> ModuleRep:
     """Faithful quotient with no faithful proper quotient, so with socle length
     at most the bimodule length of soc(R): step to M/L for `minimal_faithful`'s
     quotient witness L, a simple submodule, until there is none (at most dim M
     steps, each charged by `minimal_faithful`'s own guards)."""
-    budget = budget or default_budget()
     n_bound = shrink_bound(m, budget)
     while (l_sub := minimal_faithful(m, budget).quotient_witness) is not None:
         m = quotient_action(m, l_sub).rep
@@ -746,10 +739,9 @@ def shrink_quotient(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
     return m
 
 
-def shrink_subfactor(m: ModuleRep, budget: Budget | None = None) -> ModuleRep:
+def shrink_subfactor(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> ModuleRep:
     """Faithful subfactor satisfying both shrink bounds: quotient-shrink the
     submodule-shrink.  Both bounds are re-verified on the result."""
-    budget = budget or default_budget()
     first = shrink_submodule(m, budget)
     second = shrink_quotient(first, budget)
     n_bound = shrink_bound(m, budget)

@@ -20,7 +20,7 @@ from .algebra import (
     socle_is_central,
     socles,
 )
-from .budget import Budget, default_budget
+from .budget import DEFAULT_BUDGET, Budget
 from .corpus import faithful_corpus, iter_weighted_generator_modules, random_verified_system
 from .errors import SocleLabError, TheoremViolation
 from .exactla import Mat, all_subspaces, num_subspaces
@@ -66,8 +66,7 @@ def _negative_item(name: str, ok: bool, **details) -> dict:
 
 # -- criterion 1 -------------------------------------------------------------
 
-def battery_coverage_bound(budget: Budget | None = None) -> list[dict]:
-    budget = budget or default_budget()
+def battery_coverage_bound(budget: Budget = DEFAULT_BUDGET) -> list[dict]:
     cases = [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)]
     items = []
     for m, n, q in cases:
@@ -103,16 +102,16 @@ def battery_cross_tightness() -> list[dict]:
 
 # -- criterion 3 -------------------------------------------------------------
 
-def battery_corner_minimality() -> list[dict]:
+def battery_corner_minimality(budget: Budget = DEFAULT_BUDGET) -> list[dict]:
     items = []
     f3 = field_make(3)
     ts = make_corner_family(3, 3, 2, f3)
-    is_min, witness = check_minimal(ts)
+    is_min, witness = check_minimal(ts, budget)
     items.append(_item("corner-3-3-2-q3-minimal", is_min, dim=ts.dim))
 
     f2 = field_make(2)
     ts2 = make_corner_family(3, 3, 3, f2)
-    is_min2, witness2 = check_minimal(ts2)
+    is_min2, witness2 = check_minimal(ts2, budget)
     witness_ok = False
     if witness2 is not None:
         wr = check_bound(witness2)
@@ -127,10 +126,9 @@ def battery_corner_minimality() -> list[dict]:
 
 # -- criterion 4 -------------------------------------------------------------
 
-def battery_counterexample_values(budget: Budget | None = None) -> list[dict]:
-    budget = budget or default_budget()
+def battery_counterexample_values(budget: Budget = DEFAULT_BUDGET) -> list[dict]:
     items = []
-    sys = make_line_cover_system(field_make(2), 2)
+    sys = make_line_cover_system(field_make(2), 2, budget)
     rep = prop41_check(sys, budget)
     expected_failures = {"cardD"}
     failed = {k for k, v in rep.hypotheses_met.items() if not v}
@@ -148,7 +146,7 @@ def battery_counterexample_values(budget: Budget | None = None) -> list[dict]:
     for (q, d), (lhs_exp, rhs_exp) in sorted(LINE_COVER_EXPECTED.items()):
         if (q, d) == (2, 2):
             continue
-        sys_qd = make_line_cover_system(field_make(q), d)
+        sys_qd = make_line_cover_system(field_make(q), d, budget)
         rep_qd = prop41_check(sys_qd, budget)
         ok_qd = rep_qd.lhs == lhs_exp and rep_qd.rhs == rhs_exp and not rep_qd.holds
         items.append(_negative_item(
@@ -183,8 +181,7 @@ def battery_counterexample_values(budget: Budget | None = None) -> list[dict]:
 
 # -- criterion 5 -------------------------------------------------------------
 
-def battery_socle_forms(budget: Budget | None = None) -> list[dict]:
-    budget = budget or default_budget()
+def battery_socle_forms(budget: Budget = DEFAULT_BUDGET) -> list[dict]:
     items = []
     for q in (2, 3):
         field = field_make(q)
@@ -207,8 +204,7 @@ def battery_socle_forms(budget: Budget | None = None) -> list[dict]:
 
 # -- criterion 6 -------------------------------------------------------------
 
-def battery_radical_agreement(budget: Budget | None = None) -> list[dict]:
-    budget = budget or default_budget()
+def battery_radical_agreement(budget: Budget = DEFAULT_BUDGET) -> list[dict]:
     items = []
     for name, alg in iter_gallery_algebras(max_ring=budget.max_ring):
         if alg.certificate is None:
@@ -221,13 +217,12 @@ def battery_radical_agreement(budget: Budget | None = None) -> list[dict]:
 
 # -- criterion 7 -------------------------------------------------------------
 
-def battery_twisted_centrality(budget: Budget | None = None) -> list[dict]:
-    budget = budget or default_budget()
+def battery_twisted_centrality(budget: Budget = DEFAULT_BUDGET) -> list[dict]:
     items = []
     for p in (2, 3):
         for d in (1, 2):
             for n in range(1, 5):
-                alg = make_twisted_truncated(p, d, n, budget)
+                alg = make_twisted_truncated(p, d, n)
                 central = socle_is_central(alg, budget)
                 ok = central == (n % d == 0)
                 items.append(_item(
@@ -239,10 +234,9 @@ def battery_twisted_centrality(budget: Budget | None = None) -> list[dict]:
 
 # -- criterion 8 -------------------------------------------------------------
 
-def battery_local_bound_exhaustive(max_dim: int = 4, budget: Budget | None = None) -> list[dict]:
+def battery_local_bound_exhaustive(max_dim: int = 4, budget: Budget = DEFAULT_BUDGET) -> list[dict]:
     """Orbit-weighted counts (`iter_weighted_generator_modules`) of the modules
     of dim <= max_dim over each algebra; scanned is the candidates covered."""
-    budget = budget or default_budget()
     items = []
     for name, alg in criterion8_algebras():
         soc_dim = socles(alg, budget).twosided.dim
@@ -307,8 +301,7 @@ def battery_system_no_violation(seed: int, count: int = 500) -> list[dict]:
 
 # -- criterion 10 ------------------------------------------------------------
 
-def battery_shrink_bounds(seed: int, min_count: int = 200, budget: Budget | None = None) -> list[dict]:
-    budget = budget or default_budget()
+def battery_shrink_bounds(seed: int, min_count: int = 200, budget: Budget = DEFAULT_BUDGET) -> list[dict]:
     rng = random.Random(seed)
     corpus = faithful_corpus(rng, min_count=min_count)
     sub_viol = quot_viol = factor_viol = 0
@@ -346,10 +339,9 @@ def battery_shrink_bounds(seed: int, min_count: int = 200, budget: Budget | None
 
 # -- criterion 11 ------------------------------------------------------------
 
-def battery_strength_laws(budget: Budget | None = None) -> list[dict]:
-    budget = budget or default_budget()
+def battery_strength_laws(budget: Budget = DEFAULT_BUDGET) -> list[dict]:
     items = []
-    sys = make_line_cover_system(field_make(2), 2)
+    sys = make_line_cover_system(field_make(2), 2, budget)
     rep2 = n_strong(sys, "left", 2, t_block=0, budget=budget)
     items.append(_item("line-cover-q2-left-2-strong", rep2.strong))
     any_block_1_strong = False
@@ -423,13 +415,12 @@ def _two_block_full_system(field, s: int, t: int):
 TARGETS = ("paper-2", "paper-4", "paper-5.1", "paper-6", "all")
 
 
-def run_target(target: str, seed: int = 20260808, budget: Budget | None = None) -> list[dict]:
-    budget = budget or default_budget()
+def run_target(target: str, seed: int = 20260808, budget: Budget = DEFAULT_BUDGET) -> list[dict]:
     batteries = {
         "paper-2": lambda: (
             battery_coverage_bound(budget)
             + battery_cross_tightness()
-            + battery_corner_minimality()
+            + battery_corner_minimality(budget)
             + battery_socle_forms(budget)
             + battery_radical_agreement(budget)
             + battery_twisted_centrality(budget)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import SocleGraph
-from .budget import Budget, default_budget
+from .budget import DEFAULT_BUDGET, Budget
 from .errors import BudgetExceeded, InputError, PreconditionError, TheoremViolation, decoding, json_int
 from .exactla import (
     Mat,
@@ -460,7 +460,7 @@ def _swap_failures(sys: BilinearSystem, corners: dict) -> tuple[bool, bool]:
     )
 
 
-def small_conditions(sys: BilinearSystem, budget: Budget | None = None) -> None:
+def small_conditions(sys: BilinearSystem, budget: Budget = DEFAULT_BUDGET) -> None:
     """The two orbit-swap conditions, decided once per tuple of corner subspaces.
 
     For every nonzero element a of A: when a's image generates a simple
@@ -485,7 +485,6 @@ def small_conditions(sys: BilinearSystem, budget: Budget | None = None) -> None:
     systems, the only representable ones, so a failure in either direction
     is an implementation bug: it raises TheoremViolation naming the tuple.
     """
-    budget = budget or default_budget()
     field = sys.field
     corners = sys.corner_spaces()
     reach = [sys.t_blocks[f].n * sys.s_blocks[e].n for f, e in corners]
@@ -599,7 +598,7 @@ def n_strong(
     N,
     t_block: int | None = None,
     s_block: int | None = None,
-    budget: Budget | None = None,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> StrongReport:
     """Left or right N-strength of a map set drawn from the system.
 
@@ -607,7 +606,6 @@ def n_strong(
     f A (all of A compressed to codomain block f) when only t_block is
     given on the left, and dually on the right.  Family sizes use floor(N).
     """
-    budget = budget or default_budget()
     block = _side_block(sys, side, t_block, s_block)
     f, e = (block, s_block) if side == "left" else (t_block, block)
     corners = {fe: w for fe, w in sys.corner_spaces().items() if f in (None, fe[0]) and e in (None, fe[1])}
@@ -621,7 +619,7 @@ def union_split(
     N,
     t_block: int | None = None,
     s_block: int | None = None,
-    budget: Budget | None = None,
+    budget: Budget = DEFAULT_BUDGET,
 ):
     """Instance check of the union law: when the union of the parts is
     N-strong, some single part must be N/d-strong; find and return its index.
@@ -631,7 +629,6 @@ def union_split(
     contradicts a proved statement and raises TheoremViolation.  A part that
     does not span the sub-bimodule of its corners raises PreconditionError.
     """
-    budget = budget or default_budget()
     block = _side_block(sys, side, t_block, s_block)
     part_corners = [_corner_orbits(sys, part) for part in parts]
     for idx, (part, corners) in enumerate(zip(parts, part_corners)):
@@ -652,7 +649,7 @@ def union_split(
 # union-coverage law for module lattices
 # ---------------------------------------------------------------------------
 
-def no_union_cover(field: Field, block: BlockSpec, N: int, budget: Budget | None = None) -> bool:
+def no_union_cover(field: Field, block: BlockSpec, N: int, budget: Budget = DEFAULT_BUDGET) -> bool:
     """Verify, on the module (k^n)^t over Matr_n(F_q), that no family of at
     most N proper submodules covers the module, and that no family of at
     most N nonzero submodules meets every maximal submodule.
@@ -661,7 +658,6 @@ def no_union_cover(field: Field, block: BlockSpec, N: int, budget: Budget | None
     (TheoremViolation); with N > q a cover may legitimately exist and the
     function just reports it.
     """
-    budget = budget or default_budget()
     n, t = block.n, block.mult
     q = field.q
     subs = list(all_subspaces(field, t))
@@ -766,7 +762,7 @@ def strength_budget(sys: BilinearSystem) -> StrengthBudget:
     return StrengthBudget(q, q, d_S, d_T, l_S, l_T, cardD_ok)
 
 
-def prop41_check(sys: BilinearSystem, budget: Budget | None = None) -> SystemReport:
+def prop41_check(sys: BilinearSystem, budget: Budget = DEFAULT_BUDGET) -> SystemReport:
     """Full instance check of the block-length inequality
     lt(B) + lt(C) <= lt(A) + chi(G), with every hypothesis evaluated so a
     failing inequality is attributable to a failing hypothesis.
@@ -774,7 +770,6 @@ def prop41_check(sys: BilinearSystem, budget: Budget | None = None) -> SystemRep
     All hypotheses verified true together with a failing inequality is an
     implementation bug (the statement is proved) and raises TheoremViolation.
     """
-    budget = budget or default_budget()
     preds = predicates(sys)
     graph, lt_a = system_graph(sys)
     sbudget = strength_budget(sys)
@@ -812,7 +807,7 @@ def relative_n_strong(
     y_prime: Subspace,
     t_block: int | None = None,
     s_block: int | None = None,
-    budget: Budget | None = None,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
     """Recursive relative variant of left N-strength (experimental).
 
@@ -824,7 +819,6 @@ def relative_n_strong(
     relatively strong.  Memoized on canonical forms.  Every subspace the
     recursion enumerates is charged to the budget.
     """
-    budget = budget or default_budget()
     f = _side_block(sys, "left", t_block, s_block)
     corners = {fe: basis for fe, basis in sys.corner_spaces().items() if s_block is None or fe[1] == s_block}
     if y_prime.dim == 0:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budget import Budget, default_budget
+from .budget import DEFAULT_BUDGET, Budget
 from .errors import InputError, PreconditionError, TheoremViolation, decoding, json_int
 from .exactla import (
     Mat,
@@ -238,7 +238,7 @@ def _witnessed_report(flat: Subspace, m: int, n: int, kernels: dict) -> Coverage
 
 
 def check_bound(
-    a: TensorSubspace, check_minimality: bool = False, budget: Budget | None = None
+    a: TensorSubspace, check_minimality: bool = False, budget: Budget = DEFAULT_BUDGET
 ) -> CoverageReport:
     """Run both coverage conditions and compare dim(A) with m + n - 1, as
     `_witnessed_report` does.
@@ -252,7 +252,6 @@ def check_bound(
     flat = a.flat()
     report = _witnessed_report(flat, a.m, a.n, {})
     if check_minimality and report.both_hold:
-        budget = budget or default_budget()
         budget.guard("minimality hyperplane enumeration", num_projective_points(a.dim, a.field.q))
         hit = next((h for h in enum_hyperplanes(flat) if _both_conditions_flat(h, a.m, a.n)), None)
         report.minimal = hit is None
@@ -261,7 +260,7 @@ def check_bound(
     return report
 
 
-def check_minimal(a: TensorSubspace, budget: Budget | None = None) -> tuple[bool, TensorSubspace | None]:
+def check_minimal(a: TensorSubspace, budget: Budget = DEFAULT_BUDGET) -> tuple[bool, TensorSubspace | None]:
     """(minimal, first satisfying hyperplane or None), as `check_bound` with
     `check_minimality` decides them; a space failing a coverage condition
     has no minimality verdict and raises PreconditionError."""
@@ -306,7 +305,7 @@ def search_minimal(
     m: int,
     n: int,
     field: Field,
-    budget: Budget | None = None,
+    budget: Budget = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> SearchResult:
     """Exhaustively enumerate subspaces of the m*n matrices, in increasing
@@ -333,7 +332,6 @@ def search_minimal(
         raise InputError(f"search_minimal runs sequentially; threads must be 1, got {threads!r}")
     if m < 1 or n < 1:
         raise InputError("tensor factors must be nonzero")
-    budget = budget or default_budget()
     cap = budget.max_enumeration
     examined = 0
     minimal: list[Subspace] = []

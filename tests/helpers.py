@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 from soclelab.algebra import _encode_coords, _quasi_regular_flags, _unit_flags, socles
-from soclelab.budget import default_budget
+from soclelab.budget import DEFAULT_BUDGET
 from soclelab.errors import PreconditionError, TheoremViolation
 from soclelab.exactla import (
     Mat,
@@ -324,7 +324,7 @@ def soc_annihilator_dim(field, soc_images: list, width: int) -> int:
 # -- lengths by idempotent ranks and corner spans: the oracles for the block
 # multiplicities of `semisimple_length` and the one corner pass of the socle graph --
 
-def semisimple_lengths(rep, budget=None) -> dict[int, int]:
+def semisimple_lengths(rep, budget=DEFAULT_BUDGET) -> dict[int, int]:
     """Per-block lengths of a module killed by the radical, each the rank
     of the block idempotent's action divided by the block's matrix size."""
     alg = rep.algebra
@@ -343,7 +343,7 @@ def semisimple_lengths(rep, budget=None) -> dict[int, int]:
     return lengths
 
 
-def top_socle_lengths(m, budget=None) -> tuple[int, int]:
+def top_socle_lengths(m, budget=DEFAULT_BUDGET) -> tuple[int, int]:
     """(length of M/JM, length of soc(M)), each through a module built for it:
     the quotient module M/JM and the restricted module soc(M)."""
     top = quotient_action(m, radical_image(m, budget)).rep
@@ -364,7 +364,7 @@ def _check_killed_by_radical(r, ideal, budget):
                 raise PreconditionError("ideal is not killed by the radical on both sides")
 
 
-def bimodule_length_by_corner_spans(r, ideal, budget=None) -> int:
+def bimodule_length_by_corner_spans(r, ideal, budget=DEFAULT_BUDGET) -> int:
     """Sum over all block pairs of dim(f X e) / (n_f n_e), one corner span each."""
     blocks = r.blocks()
     _check_killed_by_radical(r, ideal, budget)
@@ -378,7 +378,7 @@ def bimodule_length_by_corner_spans(r, ideal, budget=None) -> int:
     return total
 
 
-def socle_graph_by_vertex_spans(r, budget=None) -> tuple:
+def socle_graph_by_vertex_spans(r, budget=DEFAULT_BUDGET) -> tuple:
     """(left vertices, right vertices, edges, edge lengths, chi) of the socle
     graph: a left vertex f has f soc(R) != 0 and a right vertex e has
     soc(R) e != 0, each found by its own span, and the edges are the nonzero
@@ -409,7 +409,7 @@ def socle_graph_by_vertex_spans(r, budget=None) -> tuple:
 # -- the induced system through built modules: the oracle for `system_from_module`,
 # which reads the kept top and soc(M) in M's own coordinates --
 
-def system_from_module_by_restriction(m, budget=None) -> BilinearSystem:
+def system_from_module_by_restriction(m, budget=DEFAULT_BUDGET) -> BilinearSystem:
     """The induced system with adapted bases taken in two modules built for
     it: the quotient module M/JM and soc(M) restricted to its own canonical
     basis, whose coordinates the socle images are mapped into."""
@@ -547,7 +547,7 @@ def nilpotent_ideal_defect_by_products(r, J: Subspace) -> str | None:
     return None
 
 
-def socle_is_central_by_products(r, budget=None) -> bool:
+def socle_is_central_by_products(r, budget=DEFAULT_BUDGET) -> bool:
     """Whether v b_i = b_i v for every basis row v of the two-sided socle and
     every basis element b_i, each product formed by `mul_coords`."""
     for v in socles(r, budget).twosided.basis_rows:
@@ -637,10 +637,10 @@ def strong_parts_by_elements(sys: BilinearSystem, parts, side: str, block: int, 
     return StrongReport(True, side, N, None)
 
 
-def union_split_by_elements(sys: BilinearSystem, parts, side: str, N, t_block=None, s_block=None, budget=None):
+def union_split_by_elements(sys: BilinearSystem, parts, side: str, N, t_block=None, s_block=None,
+                            budget=DEFAULT_BUDGET):
     """`strongness.union_split` with every strength decided by
     `strong_parts_by_elements`."""
-    budget = budget or default_budget()
     block = _side_block(sys, side, t_block, s_block)
     union_report = strong_parts_by_elements(sys, parts, side, block, N, budget)
     if not union_report.strong:

@@ -147,6 +147,36 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys, monkeypatch, argv
     assert f"cannot write {path}" in records[0]["details"]["error"]
 
 
+@pytest.mark.parametrize("argv, command", [
+    (["gallery", "make", "cross", "-o"], "gallery make"),
+    (["reproduce", "paper-5.1", "--out"], "reproduce paper-5.1"),
+], ids=["gallery-make", "reproduce"])
+def test_empty_output_path_is_an_input_error(tmp_path, capsys, monkeypatch, argv, command):
+    # an empty path is not taken as no path: no object on stdout, no bundle
+    # under the default name, and no battery run
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(reproduce, "run_target", lambda *a, **k: pytest.fail("batteries ran"))
+    code, out = run(capsys, *argv, "")
+    assert code == 2
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 1
+    assert (records[0]["command"], records[0]["verdict"]) == (command, "input-error")
+    assert "--out" in records[0]["details"]["error"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out = run(capsys, "cover", "check", str(path))
+    assert code == 2
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 1
+    assert records[0]["verdict"] == "input-error"
+    assert "nested too deeply" in records[0]["details"]["error"]
+    assert str(path) in records[0]["details"]["error"]
+
+
 def test_module_check_counterexample_exit(tmp_path, capsys):
     _ring, module = make_row_diagonal_pair()
     path = tmp_path / "module.json"
@@ -166,8 +196,12 @@ def test_module_check_with_algebra_ref(tmp_path, capsys):
     data["algebra_ref"] = "ring.json"
     path = tmp_path / "module.json"
     path.write_text(json.dumps(data))
-    code, _out = run(capsys, "module", "check", str(path))
+    code, out = run(capsys, "module", "check", str(path))
     assert code == 1
+    # both files decide the result, so both are hashed; the ring under the
+    # path it was read from, next to the module file
+    sha = {p: hashlib.sha256(p.read_bytes()).hexdigest() for p in (path, tmp_path / "ring.json")}
+    assert json.loads(out)["inputs"] == {str(p): digest for p, digest in sha.items()}
 
 
 def test_module_shrink(tmp_path, capsys):
@@ -608,6 +642,41 @@ def test_budget_flag_and_env_var_build_the_same_budget(cap, capsys, monkeypatch)
     monkeypatch.setenv("SOCLELAB_BUDGET", str(cap))
     assert main(["gallery", "list"]) == 0
     assert seen[0] == seen[1] == Budget(max_enumeration=cap, max_ring=min(cap, DEFAULT_RING_CAP))
+
+
+def test_capped_reproduce_charges_the_line_cover_components(tmp_path, capsys, monkeypatch):
+    # line-cover-q2-d3 builds 7 components, so a cap of 5 stops the run,
+    # as `gallery make line-cover-system q=2 d=3` stops under the same cap
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SOCLELAB_BUDGET", raising=False)
+    code, out = run(capsys, "--budget", "5", "reproduce", "paper-5.1")
+    assert code == 3
+    record = json.loads(out.strip().splitlines()[-1])
+    assert record["verdict"] == "budget"
+    assert "line-cover components" in record["details"]["error"]
+    code, out = run(capsys, "--budget", "5", "gallery", "make", "line-cover-system", "q=2", "d=3")
+    assert code == 3
+    assert "line-cover components" in json.loads(out)["details"]["error"]
+
+
+def test_budget_flag_overrides_a_malformed_env_in_reproduce(tmp_path, capsys, monkeypatch):
+    # the run's one budget comes from the flag; no battery reads the env
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SOCLELAB_BUDGET", raising=False)
+    unset = run(capsys, "reproduce", "paper-5.1", "--out", "unset.json")
+    monkeypatch.setenv("SOCLELAB_BUDGET", "abc")
+    flagged = run(capsys, "--budget", "1000000", "reproduce", "paper-5.1", "--out", "flagged.json")
+    assert unset[0] == 1
+    assert flagged == unset
+    assert (tmp_path / "flagged.json").read_bytes() == (tmp_path / "unset.json").read_bytes()
+
+
+def test_library_calls_do_not_read_the_budget_env(monkeypatch):
+    # 7 components under an env cap of 3: only the CLI reads SOCLELAB_BUDGET
+    from soclelab.gallery import make_line_cover_system
+
+    monkeypatch.setenv("SOCLELAB_BUDGET", "3")
+    assert len(make_line_cover_system(field_make(2), 3).s_blocks) == 7
 
 
 def test_malformed_budget_is_an_input_error(capsys, monkeypatch):

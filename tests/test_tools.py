@@ -1,11 +1,14 @@
+import ast
 import importlib.util
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+SRC = Path(__file__).resolve().parent.parent / "src" / "soclelab"
 
 
 def load_tool(name: str = "unused_defs"):
@@ -88,3 +91,41 @@ def test_ledger_folds_paired_records(tmp_path):
         "gf.scalar_ops": {"parent": 220, "change": 220},
         "algebra.radical_bruteforce.self_s": {"parent": 0.066, "change": 0.050}}}]
     assert list(out["workloads"]) == ["radical-oracle"]
+
+
+def budget_policy_breaches(package: Path) -> list[str]:
+    """Each place in package's modules that reads the budget env outside the
+    CLI (`default_budget` named anywhere but budget.py and cli.py) or falls
+    back to another budget (`budget or ...`), as "module:line: what".  Only
+    a module whose text could hold either is parsed."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        if not re.search(r"default_budget|budget\W*\bor\b", text):
+            continue
+        for node in ast.walk(ast.parse(text, str(path))):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else \
+                [getattr(node, "id", None) or getattr(node, "attr", None)]
+            if "default_budget" in names and path.name not in ("budget.py", "cli.py"):
+                found.append((path.stem, node.lineno, "default_budget"))
+            if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+                first = node.values[0]
+                if (getattr(first, "id", None) or getattr(first, "attr", "")).endswith("budget"):
+                    found.append((path.stem, node.lineno, "budget or"))
+    return [f"{module}:{line}: {what}" for module, line, what in sorted(found)]
+
+
+def test_only_the_cli_chooses_the_budget(tmp_path):
+    # one budget per run: the CLI builds it from --budget or SOCLELAB_BUDGET,
+    # and every library call takes it, defaulting to DEFAULT_BUDGET
+    assert budget_policy_breaches(SRC) == []
+    (tmp_path / "budget.py").write_text("def default_budget():\n    return None\n")
+    (tmp_path / "lib.py").write_text(
+        "from .budget import default_budget\n"
+        "\n"
+        "def scan(self, budget=None):\n"
+        "    budget = budget or default_budget()\n"
+        "    return self.budget or budget\n"
+    )
+    assert budget_policy_breaches(tmp_path) == [
+        "lib:1: default_budget", "lib:4: budget or", "lib:4: default_budget", "lib:5: budget or"]
