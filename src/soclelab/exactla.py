@@ -7,13 +7,13 @@ operation, which is fine at desk scale (dimensions in the tens).
 
 All elimination goes through one core.  `_echelon` is a forward column
 sweep over the field tables, and `_reduce` subtracts pivot rows from one
-vector.  `rref_rows` is the sweep plus a back-substitution by `_reduce`,
-`row_rank` the sweep's pivot count, and `RowBasis`, `SpanTracker` and
-`Subspace.reduce` reduce through `_reduce`, over every field; tests
-cross-check them against a Gauss-Jordan oracle.  Every combination of rows
-by coefficients (`Mat.mul`, `Mat.apply`, `mat_vec`) is one `vec_combo`.
-`Subspace.full` and, up to a bound, `full_hyperplanes` are built once per
-field and dimension and then shared.
+vector.  `_rref` (and its list-returning wrapper `rref_rows`) is the sweep
+plus a back-substitution by `_reduce`, `row_rank` the sweep's pivot count,
+and `RowBasis`, `SpanTracker` and `Subspace.reduce` reduce through
+`_reduce`, over every field; tests cross-check them against a Gauss-Jordan
+oracle.  Every combination of rows by coefficients (`Mat.mul`, `Mat.apply`,
+`mat_vec`) is one `vec_combo`.  `Subspace.full` and, up to a bound,
+`full_hyperplanes` are built once per field and dimension and then shared.
 
 The radical oracle's full-rank test (`_full_rank_kernels`) packs a whole
 n*n matrix into Python ints over F_2 (one word, as M4RI packs rows:
@@ -57,7 +57,7 @@ def _echelon(rows: list, ncols: int, field: Field, stop_at_gap: bool = False) ->
     objects themselves are never written, so they may be tuples.  Afterwards
     rows[:len(pivots)] are the pivot rows, each zero left of its pivot and
     with zeros below every pivot, and the rest are zero.  Rows above a pivot
-    are left alone: `rref_rows` back-substitutes, and a rank needs no more.
+    are left alone: `_rref` back-substitutes, and a rank needs no more.
     With stop_at_gap the sweep returns None at the first column that gets no
     pivot, which is the early exit of a full-rank test.  The radical oracle
     takes it for q other than 2 and 3 (see `_full_rank_kernels`), and the
@@ -195,18 +195,21 @@ def _mul_is_zero_gf3(a: tuple[int, int], b: tuple[int, int], n: int) -> bool:
     (ones, twos) bit-planes.  Row i of A B sums A[i, t] times row t of B, so
     for each column t the rows of A holding 1 there (a row-set word) take row
     t of B in one multiply, those holding -1 take its negation (its planes
-    swapped), and `_add_gf3` sums the terms into A B."""
+    swapped), and a bitsliced add sums the terms into A B.  That add is
+    `_add_gf3`'s, inlined, as in `_full_rank_gf3`."""
     ends = ((1 << n * n) - 1) // ((1 << n) - 1)
     mask = (1 << n) - 1
     a1, a2 = a
     b1, b2 = b
-    prod = (0, 0)
+    p1 = p2 = 0
     for t in range(n):
         plus, minus = (a1 >> t) & ends, (a2 >> t) & ends
         if plus | minus:
             r1, r2 = (b1 >> n * t) & mask, (b2 >> n * t) & mask
-            prod = _add_gf3(prod, (plus * r1 | minus * r2, plus * r2 | minus * r1))
-    return not (prod[0] | prod[1])
+            t1, t2 = plus * r1 | minus * r2, plus * r2 | minus * r1
+            s = (p1 | t2) ^ (p2 | t1)
+            p1, p2 = (p2 | t2) ^ s, (p1 | t1) ^ s
+    return not (p1 | p2)
 
 
 def _full_rank_kernels(field: Field, n: int):
@@ -229,12 +232,17 @@ def _full_rank_kernels(field: Field, n: int):
 
 
 def rref_rows(rows, ncols: int, field: Field) -> tuple[list[list[int]], list[int]]:
-    """RREF of a list of row vectors; returns (nonzero rows, pivot columns).
+    """RREF of a list of row vectors; returns (nonzero rows as new lists, pivot columns)."""
+    reduced, pivots = _rref(list(rows), ncols, field)
+    return [list(r) for r in reduced], pivots
 
+
+def _rref(rows: list, ncols: int, field: Field) -> tuple[list, list[int]]:
+    """`rref_rows` on a list it reorders and cuts in place.  No row is copied
+    or written, so rows may be tuples; one left as it was comes back as is.
     The column sweep gives the echelon rows, and each is then reduced, bottom
     up, by the pivot rows below it.  Those are already reduced, so each is
     zero at the others' pivots and the order they are taken in is free."""
-    rows = [list(r) for r in rows]
     pivots = _echelon(rows, ncols, field)
     del rows[len(pivots):]
     sub, mul = field.tables.sub, field.tables.mul
@@ -590,9 +598,9 @@ class Subspace:
     def _span(field: Field, ambient_dim: int, vectors) -> "Subspace":
         """Unchecked `from_vectors`, as `Mat._of` is for matrices: the vectors
         are code sequences the package computed itself, each of length
-        ambient_dim, reduced by one `rref_rows` call."""
-        reduced, pivots = rref_rows(vectors, ambient_dim, field)
-        return Subspace(field, ambient_dim, tuple(tuple(r) for r in reduced), tuple(pivots))
+        ambient_dim, in a list `_rref` may reorder, reduced by that one call."""
+        reduced, pivots = _rref(vectors, ambient_dim, field)
+        return Subspace(field, ambient_dim, tuple(map(tuple, reduced)), tuple(pivots))
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":

@@ -337,7 +337,8 @@ def iter_gallery_algebras(max_ring: int | None = None):
     """The regression grid: every named algebra the gallery ships.
 
     With max_ring set, algebras whose full element count exceeds it are
-    skipped (used by the radical-oracle agreement battery)."""
+    skipped.  The radical-oracle agreement battery does not set it: a ring
+    over the run's cap stops that battery at the oracle's own guard."""
     items = []
     for q in (2, 3):
         field = field_make(q)

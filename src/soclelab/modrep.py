@@ -85,8 +85,8 @@ class ModuleRep:
         self._socle_cache: Subspace | None = None
         if len(self.action) != algebra.dim:
             raise InputError("need one action matrix per algebra basis element")
-        for mat in self.action:
-            if mat.field != algebra.field or (mat.rows, mat.cols) != (dim, dim):
+        for mat in self.action:  # `is` first: dataclass equality builds tuples
+            if mat.rows != dim or mat.cols != dim or (mat.field is not algebra.field and mat.field != algebra.field):
                 raise InputError("action matrix shape or field mismatch")
         if not _skip_verify:
             self._verify()
@@ -196,17 +196,14 @@ def faithful(m: ModuleRep) -> tuple[bool, Subspace]:
 # submodules and quotients
 # ---------------------------------------------------------------------------
 
-def _generator_actions(m: ModuleRep) -> list[Mat]:
-    """The actions of the algebra's generators: a subspace they keep is kept
-    by every element (see the module docstring)."""
-    return [m.action[g] for g in m.algebra.generators()]
-
-
 def _check_invariant(m: ModuleRep, sub: Subspace):
-    gens = _generator_actions(m)
-    for v in sub.basis_rows:
-        for mat in gens:
-            if not sub.contains_vector(mat.apply(v)):
+    """PreconditionError unless the algebra's generators keep sub, and then
+    every element does (see the module docstring).  Each generator's columns
+    are sliced once, and g v is their `vec_combo` by v, as `Mat.apply` takes it."""
+    for mat in (m.action[g] for g in m.algebra.generators()):
+        columns = [mat.col(j) for j in range(m.dim)]
+        for v in sub.basis_rows:
+            if not sub.contains_vector(vec_combo(m.field, columns, v)):
                 raise PreconditionError("subspace is not action-invariant")
 
 
@@ -228,10 +225,9 @@ class QuotientData:
     acts as the identity never builds it."""
 
     def __init__(self, m: ModuleRep, sub: Subspace):
-        pivots = set(sub.pivots)
         self.module = m
         self.sub = sub
-        self.free_positions = tuple(k for k in range(m.dim) if k not in pivots)
+        self.free_positions = _free_positions(m.dim, sub.pivots)
         self.algebra = m.algebra
         self.field = m.field
         self.dim = len(self.free_positions)
@@ -463,8 +459,7 @@ class MinimalityReport:
         self.module, self._budget, self._top = m, budget, top(m, budget)
         # soc2's maps M/JM -> M, row-major dim M x dim M/JM: each action's
         # entries at the top's free positions, read as flat tuples
-        dim = m.dim
-        positions = [i * dim + k for i in range(dim) for k in self._top.free_positions]
+        positions = _entry_positions(m.dim, self._top.free_positions)
         self._soc_maps = [tuple([a.entries[p] for p in positions])
                           for a in map(m.act_mat, socles(m.algebra, budget).twosided.basis_rows)]
 
@@ -497,6 +492,18 @@ class MinimalityReport:
     @property
     def minimal(self) -> bool:
         return self.no_faithful_max_submodule and self.no_faithful_simple_quotient
+
+
+# position tables, one per shape: the coordinates of F^dim off the pivots,
+# and the row-major entries of a dim x dim matrix in the given columns
+@functools.lru_cache(maxsize=None)
+def _free_positions(dim: int, pivots: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(k for k in range(dim) if k not in pivots)
+
+
+@functools.lru_cache(maxsize=None)
+def _entry_positions(dim: int, columns: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(i * dim + k for i in range(dim) for k in columns)
 
 
 def minimal_faithful(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> MinimalityReport:

@@ -147,6 +147,8 @@ def _partners(flat: Subspace, res: list, m: int, n: int, rows: bool, kernels: di
 def _both_conditions_flat(flat: Subspace, m: int, n: int) -> bool:
     # b is uncovered when its residuals are independent, never when they outnumber the free coordinates
     field, width = flat.field, m * n - flat.dim
+    if min(m, n) > width:  # neither side is tested, so no residual table is built
+        return True
     res = _unit_residuals(flat)
     for rows, count in ((True, n), (False, m)):
         if count <= width and any(row_rank(r, width, field) == count for _, r in _side(field, res, m, n, rows)):

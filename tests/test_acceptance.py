@@ -66,6 +66,16 @@ def test_coverage_bound_battery_is_charged_to_the_budget():
     assert info.value.needed == 2825
 
 
+def test_capped_reproduce_stops_at_the_radical_oracle():
+    # under a cap of 5000 the radical-agreement battery reaches
+    # triangular-4x4-q3, a ring of 3^10 elements, and the run stops at the
+    # oracle's guard rather than passing on the rings below the cap
+    with pytest.raises(BudgetExceeded) as info:
+        reproduce.run_target("paper-2", budget=Budget.of_cap(5000))
+    assert info.value.what == "radical oracle"
+    assert (info.value.needed, info.value.cap) == (3**10, 5000)
+
+
 def test_criterion_02_cross_tightness():
     t0 = time.monotonic()
     items = battery_cross_tightness()

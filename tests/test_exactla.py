@@ -89,6 +89,24 @@ def test_rref_and_row_rank_match_gauss_jordan(field, rng):
     assert rref_rows([[0] * 3] * 4, 3, field) == ([], []) and row_rank([[0] * 3] * 4, 3, field) == 0
 
 
+@pytest.mark.parametrize("field", [field_make(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (7, 1), (3, 2))], ids=repr)
+def test_rref_core_matches_the_list_wrapper_and_writes_no_row(field, rng):
+    # `_rref`, behind `Subspace._span`, reorders the list it gets but copies
+    # and writes no row: each input row, list or tuple, keeps its entries,
+    # and the rows and pivots are those of `rref_rows`
+    for _ in range(80):
+        nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+        rows = _shaped_rows(field, nrows, ncols, rng)
+        want = rref_rows([list(r) for r in rows], ncols, field)
+        for given in (rows, [tuple(r) for r in rows]):
+            before = [list(r) for r in given]
+            reduced, pivots = exactla._rref(list(given), ncols, field)
+            assert ([list(r) for r in reduced], pivots) == want
+            assert [list(r) for r in given] == before
+            span = Subspace._span(field, ncols, list(given))
+            assert (span.basis_rows, span.pivots) == (tuple(map(tuple, want[0])), tuple(want[1]))
+
+
 # -- kernels and images ---------------------------------------------------------
 
 def test_kernel_examples():

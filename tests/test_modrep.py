@@ -18,7 +18,7 @@ from soclelab.exactla import (
     mat_of_rows,
     mat_vec,
 )
-from soclelab.gf import field_make
+from soclelab.gf import Field, field_make
 from soclelab import exactla, modrep
 from soclelab.gallery import (
     criterion8_algebras,
@@ -1135,6 +1135,30 @@ def closure_under_every_basis_action(m: ModuleRep, vectors) -> Subspace:
 
 def invariant_under_every_basis_action(m: ModuleRep, sub: Subspace) -> bool:
     return all(sub.contains_vector(mat.apply(v)) for mat in m.action for v in sub.basis_rows)
+
+
+def test_position_tables_match_their_direct_reading():
+    # every pivot pattern of F^dim up to dim 5: the free coordinates are the
+    # complement of the pivots, and the entry positions read a dim x dim
+    # matrix, row by row, at those columns
+    for dim in range(6):
+        numbered = Mat._of(GF2, dim, dim, tuple(range(dim * dim)))  # entry (i, k) holds its own position
+        for r in range(dim + 1):
+            for pivots in itertools.combinations(range(dim), r):
+                free = modrep._free_positions(dim, pivots)
+                assert free == tuple(sorted(set(range(dim)) - set(pivots)))
+                assert modrep._entry_positions(dim, free) == tuple(numbered[i, k] for i in range(dim) for k in free)
+
+
+def test_action_matrices_must_match_the_algebra_field_and_the_dimension():
+    # an equal field that is another object passes; another field or shape fails
+    reg = regular_module(KX3)
+    twin = Field(GF3.p, GF3.e, GF3.modulus)
+    assert twin is not GF3 and twin == GF3
+    ModuleRep(KX3, 2, tuple(Mat._of(twin, 2, 2, mat.entries) for mat in reg.action))
+    for mats in ([Mat._of(GF2, 2, 2, (1, 0, 0, 1))] * 2, [Mat.zero(GF3, 3, 3)] * 2, [Mat.zero(GF3, 2, 3)] * 2):
+        with pytest.raises(InputError, match="shape or field mismatch"):
+            ModuleRep(KX3, 2, tuple(mats))
 
 
 def test_closure_and_invariance_on_generators_match_every_basis_action(rng):

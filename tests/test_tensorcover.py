@@ -120,6 +120,21 @@ def oracle_side(partners, columns: bool) -> CoverageSide:
     return CoverageSide(True, witnesses, None)
 
 
+def test_both_conditions_build_the_residual_table_only_for_a_tested_side(monkeypatch):
+    # over 2x2 a space of dim 3 or 4 leaves fewer than two free coordinates,
+    # so neither side is tested and the space satisfies both conditions
+    built = []
+    real = tensorcover._unit_residuals
+    monkeypatch.setattr(tensorcover, "_unit_residuals", lambda flat: built.append(flat.dim) or real(flat))
+    f7 = field_make(7)
+    for flat in all_subspaces(f7, 4, dims=(3, 4)):
+        assert tensorcover._both_conditions_flat(flat, 2, 2)
+    assert not built
+    for flat in all_subspaces(field_make(2), 4, dims=(1, 2)):
+        tensorcover._both_conditions_flat(flat, 2, 2)
+    assert set(built) == {1, 2}
+
+
 def check_against_the_oracle(flat: Subspace, m: int, n: int, kernels: dict) -> list:
     # the one residual table gives the partner spaces, verdicts and witnesses
     # of both sides that reducing each point's tensors from scratch gives,

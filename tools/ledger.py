@@ -14,6 +14,13 @@ version and `nproc` come from the records.  Where both trees also hold a
 with pairs, that workload's `traced` list gives, per such seed, every
 per-layer metric both records report: `layers: {metric: {parent, change}}`.
 
+The tool reads run records only, never a ledger.  Only the committed ledgers
+it wrote itself, those with a top-level `label`, are in its form.  The older
+ones were folded by hand: their top-level keys differ (`what`, `layers`,
+`command`, ...), and each side of a pair holds its metrics flat beside
+`correct`.  The tool neither reads nor converts them, so a comparison with
+them is made by hand.
+
 Usage: python3 tools/ledger.py PARENT_TREE CHANGE_TREE LABEL [-o OUT_DIR]
 Writes OUT_DIR/BENCH_<label>.json (default: the current directory) and
 prints its path; stdlib only.
