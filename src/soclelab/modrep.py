@@ -33,8 +33,9 @@ Both minimality tests read only how the two-sided socle soc2 = soc(R) acts:
 every nonzero two-sided ideal, an annihilator among them, meets soc2, and
 soc2 kills JM, so it acts through maps M/JM -> soc(M).  `minimal_faithful`
 checks faithfulness and returns a `MinimalityReport`, which decides each
-side on its first read by the `_kills` and `_lands_in` rank tests that
-`strongness` runs on a system's corners.
+side on its first read by `_kills`, the one rank-drop test that
+`strongness` runs on a system's corners: the quotient side asks it of
+soc2's transposed maps.
 
 The shrinks descend along `minimal_faithful`'s witnesses: `shrink_submodule`
 steps to a faithful maximal submodule, and `shrink_quotient` to a faithful
@@ -69,7 +70,7 @@ from .exactla import (
     solve,
     vec_combo,
 )
-from .strongness import BilinearSystem, BlockSpec, _kills, _lands_in, prop41_check
+from .strongness import BilinearSystem, BlockSpec, _kills, _transposed, prop41_check
 
 
 class ModuleRep:
@@ -450,10 +451,11 @@ class MinimalityReport:
     that is, on M/JM; M is faithful, so these maps are independent.  W is
     faithful iff no nonzero combination of them kills W/JM (`_kills`; for a
     one-dimensional soc2, a zero test of the one map's image), and M/L is
-    faithful iff none has all its columns in L (`_lands_in`).  The maps are
-    read once, as flat row-major tuples of each action's entries at the
-    top's free positions; no matrix is built.  W/JM comes from the top alone
-    (it is the hyperplane itself when R/J is F; see `BlockPart`)."""
+    faithful iff none has all its columns in L, that is, iff no nonzero
+    combination of their transposes kills L^perp (`_kills` again).  The
+    maps are read once, as flat row-major tuples of each action's entries
+    at the top's free positions; no matrix is built.  W/JM comes from the
+    top alone (it is the hyperplane itself when R/J is F; see `BlockPart`)."""
 
     def __init__(self, m: ModuleRep, budget: Budget):
         self.module, self._budget, self._top = m, budget, top(m, budget)
@@ -481,9 +483,9 @@ class MinimalityReport:
     @functools.cached_property
     def quotient_witness(self) -> Subspace | None:
         """The first simple L in soc(M) with M/L faithful, or None."""
-        qd = self._top
-        return next((l_sub for _f, _u, l_sub in simple_socle_submodules(self.module, self._budget)
-                     if not _lands_in(qd.field, self._soc_maps, qd.dim, l_sub.basis_rows)), None)
+        m, maps = self.module, [_transposed(x, self._top.dim) for x in self._soc_maps]
+        return next((l_sub for _f, _u, l_sub in simple_socle_submodules(m, self._budget)
+                     if not _kills(m.field, maps, m.dim, kernel(l_sub.basis_mat()).basis_rows)), None)
 
     @property
     def no_faithful_simple_quotient(self) -> bool:

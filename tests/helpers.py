@@ -5,7 +5,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from soclelab.algebra import _encode_coords, _quasi_regular_flags, _unit_flags, socles
+from soclelab.algebra import _encode_coords, _quasi_regular_flags, _unit_flags, algebra_make, socles
 from soclelab.budget import DEFAULT_BUDGET
 from soclelab.errors import PreconditionError, TheoremViolation
 from soclelab.exactla import (
@@ -298,7 +298,7 @@ def submodule_closure(m: ModuleRep, vectors) -> Subspace:
 
 
 # -- module minimality by soc(R)'s images and residuals: the oracle for the
-# shared `_kills` / `_lands_in` rank tests --
+# `_kills` rank test on soc(R)'s maps and on their transposes --
 
 def images_on(mats, w: Subspace) -> list:
     """Per matrix, the images of w's basis under it, concatenated."""
@@ -651,3 +651,79 @@ def union_split_by_elements(sys: BilinearSystem, parts, side: str, N, t_block=No
         if rep.strong:
             return idx, rep
     raise TheoremViolation(f"union is {N}-strong but no part of {len(parts)} is {target}-strong")
+
+
+# -- the C-side member tests by reduction modulo the target: the
+# direct-definition oracles for the questions `strongness` and `modrep` ask
+# as `_kills` on the transpose --
+
+def lands_in(field, maps, s: int, pivot_rows) -> bool:
+    """Whether some nonzero combination of the independent row-major t x s
+    matrices `maps` has every column in the span of the given RREF rows of
+    k^t.  A column v reduces to v less v[p] rho over the rows rho with their
+    leading 1 at p: read by rows of X, row r loses rho[r] times row p, and
+    row p vanishes, so it is left out.  That is linear in X, so the answer is
+    a rank drop of the reduced maps."""
+    sub, mul = field.tables.sub, field.tables.mul
+    leads = [rho.index(1) for rho in pivot_rows]
+    images = []
+    for x in maps:
+        image = []
+        for r in range(len(x) // s):
+            if r in leads:
+                continue
+            v = x[r * s:(r + 1) * s]
+            for p, rho in zip(leads, pivot_rows):
+                if rho[r]:
+                    mc = mul[rho[r]]
+                    v = [sub[a][mc[b]] for a, b in zip(v, x[p * s:(p + 1) * s])]
+            image.extend(v)
+        images.append(image)
+    return row_rank(images, len(images[0]) if images else 0, field) < len(images)
+
+
+def maps_into_simple(sys: BilinearSystem, corners: dict, f: int, mu) -> bool:
+    """Whether some nonzero element of the sub-bimodule with the given corner
+    bases maps B into the simple submodule span(mu) (x) k^{n_f} of C: some
+    W_fe in row f holds a nonzero X with its columns in span(mu), one
+    `lands_in` of W_fe modulo mu, a point with its leading 1, per corner."""
+    return any(lands_in(sys.field, basis, sys.s_blocks[e].mult, (mu,))
+               for (f2, e), basis in corners.items() if f2 == f)
+
+
+def simple_members(sys: BilinearSystem):
+    """Yield (f, mu) for every simple submodule span(mu) (x) k^{n_f} of C:
+    mu runs over the points of P(k^{t_f}) in `enum_coeff_points` order."""
+    for f, bf in enumerate(sys.t_blocks):
+        for mu in enum_coeff_points(sys.field, bf.mult):
+            yield f, mu
+
+
+# -- k-duality: the transposed system, the opposite algebra and the dual module --
+
+def transpose_system(sys: BilinearSystem) -> BilinearSystem:
+    """(T, S, A^T) through the verifying constructor: the balance check and
+    the corner spaces run afresh on the transposed full-size maps."""
+    return BilinearSystem(sys.field, sys.t_blocks, sys.s_blocks, tuple(a.transpose() for a in sys.a_basis))
+
+
+def opposite_algebra(alg):
+    """R^op: b_i * b_j = b_j b_i, with R's radical and, for a split
+    certificate, each block's matrix units E_ij taken as E_ji; verified
+    afresh by `algebra_make`."""
+    cert = alg.certificate
+    certificate = None if cert is None else {
+        "radical_basis": [list(v) for v in cert.radical.basis_rows],
+        "split": cert.split,
+        "local": cert.local,
+        "blocks": [{"n": b.n, "matrix_units": [b.unit(j, i) for i in range(b.n) for j in range(b.n)]}
+                   for b in cert.blocks],
+    }
+    mult = [[alg.mult[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
+    return algebra_make(alg.field, dim=alg.dim, mult=mult, one=alg.one, certificate=certificate)
+
+
+def dual_module(m: ModuleRep, opposite) -> ModuleRep:
+    """M* = Hom_k(M, k) over the opposite algebra: each action transposed,
+    verified afresh by the constructor."""
+    return ModuleRep(opposite, m.dim, tuple(a.transpose() for a in m.action))

@@ -57,6 +57,7 @@ from soclelab.strongness import predicates
 
 from helpers import (
     images_on,
+    lands_in,
     matrix_combination,
     random_invertible,
     residuals_mod,
@@ -1032,13 +1033,15 @@ def test_shrinks_reverify_the_bound(monkeypatch, shrink, message):
 
 def test_shrink_annihilator_dims_by_rank_match_the_intersections(rng):
     # dim(soc(R) ∩ ann) = dim soc(R) - rank of soc(R)'s basis acting, for
-    # any subspace, invariant (zero and full included) or not; the shared
-    # rank tests on soc(R)'s row-major actions say whether it is nonzero
+    # any subspace, invariant (zero and full included) or not; `_kills` on
+    # soc(R)'s row-major actions, and on their transposes at W's orthogonal
+    # complement, says whether it is nonzero, as does the reduction oracle
     checked = dropped = 0
     for m in shrink_test_modules():
         soc_r = socles(m.algebra).twosided
         soc_actions = [m.act_mat(r) for r in soc_r.basis_rows]
         maps = [act.entries for act in soc_actions]
+        maps_t = [modrep._transposed(x, m.dim) for x in maps]
         subs = invariant_subspaces(m)
         for _ in range(12):
             k = rng.randint(1, m.dim)
@@ -1050,7 +1053,8 @@ def test_shrink_annihilator_dims_by_rank_match_the_intersections(rng):
             assert modrep._kills(m.field, maps, m.dim, w.basis_rows) == (on_sub > 0)
             on_quot = soc_annihilator_dim(m.field, residuals_mod(soc_actions, w), m.dim * m.dim)
             assert on_quot == soc_r.intersect(annihilator_of_quotient(m, w)).dim
-            assert modrep._lands_in(m.field, maps, m.dim, w.basis_rows) == (on_quot > 0)
+            assert modrep._kills(m.field, maps_t, m.dim, kernel(w.basis_mat()).basis_rows) == (on_quot > 0)
+            assert lands_in(m.field, maps, m.dim, w.basis_rows) == (on_quot > 0)
             checked += 1
             dropped += 0 < on_sub < soc_r.dim
     assert checked > 100 and dropped
@@ -1258,7 +1262,7 @@ def kxy_twice() -> ModuleRep:
 def test_minimal_runs_no_socle_scan_when_a_maximal_submodule_is_faithful(monkeypatch):
     m = kxy_twice()
     calls = {name: counted(monkeypatch, name)
-             for name in ("socle_subspace", "simple_socle_submodules", "_lands_in", "_preimage")}
+             for name in ("socle_subspace", "simple_socle_submodules", "_transposed", "_preimage")}
     report = minimal_faithful(m)
     assert not report.no_faithful_max_submodule
     assert not report.minimal
@@ -1268,6 +1272,7 @@ def test_minimal_runs_no_socle_scan_when_a_maximal_submodule_is_faithful(monkeyp
     assert report.no_faithful_simple_quotient == flag
     assert report.quotient_witness is report.quotient_witness
     assert (len(calls["socle_subspace"]), len(calls["simple_socle_submodules"])) == (1, 1)
+    assert len(calls["_transposed"]) == socles(m.algebra).twosided.dim  # soc(R)'s maps, each transposed once
     assert calls["_preimage"] == []
     # the submodule witness is built once, on its first read
     witness = report.submodule_witness

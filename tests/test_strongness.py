@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 from soclelab import strongness
 from soclelab.budget import Budget
+from soclelab.cli import main
 from soclelab.errors import BudgetExceeded, InputError, PreconditionError, TheoremViolation
 from soclelab.corpus import random_split_system, random_verified_system
 from soclelab.exactla import (
@@ -14,6 +16,8 @@ from soclelab.exactla import (
     RowBasis,
     Subspace,
     all_subspaces,
+    enum_coeff_points,
+    full_hyperplanes,
     kernel,
     num_projective_points,
     num_subspaces,
@@ -37,20 +41,22 @@ from soclelab.strongness import (
     _corner_hypotheses,
     _corner_orbits,
     _kills_maximal,
-    _maps_into_simple,
     _maximal_members,
-    _simple_members,
     _swap_failures,
+    _transpose_corners,
 )
 
+import helpers
 from helpers import (
     annihilating_combo,
     coverage_by_full_size_solves,
     enum_points,
     image_in_submodule_combo,
+    maps_into_simple,
     maximal_b_submodules,
     rref_gauss_jordan,
     simple_c_submodules,
+    simple_members,
     strong_parts_by_elements,
     to_bilinear,
     union_split_by_elements,
@@ -214,8 +220,9 @@ def _kernel_contains_maximal(sys_obj, a):
 def per_element_swap_failures(sys_obj, a):
     """Oracle: the swap failures at a, with both hypotheses read off a itself,
     T a S built only when one holds, and the members listed by the full-size
-    enumerations.  The per-member tests are looked up on the module, so a
-    test that patches them patches the oracle too."""
+    enumerations.  The per-member tests, `_kills_maximal` on the system and
+    the `maps_into_simple` oracle, are looked up on their modules, so a test
+    that patches them patches the oracle too."""
     simple_image = _image_is_inside_simple(sys_obj, a)
     maximal_kernel = _kernel_contains_maximal(sys_obj, a)
     if not (simple_image or maximal_kernel):
@@ -224,7 +231,7 @@ def per_element_swap_failures(sys_obj, a):
     return (
         simple_image and not any(strongness._kills_maximal(sys_obj, corners, e, hyper)
                                  for e, hyper, _ in maximal_b_submodules(sys_obj)),
-        maximal_kernel and not any(strongness._maps_into_simple(sys_obj, corners, f, mu)
+        maximal_kernel and not any(helpers.maps_into_simple(sys_obj, corners, f, mu)
                                    for f, mu, _ in simple_c_submodules(sys_obj)),
     )
 
@@ -343,10 +350,21 @@ def test_corner_read_matches_index_selection():
             assert list(_corner_orbits(sys_obj, group).items()) == list(corner_blocks_by_index(sys_obj, group).items())
 
 
+def maps_into_simple_by_transpose(sys_obj, corners, f, mu) -> bool:
+    """The derived C-side member test: `_kills_maximal` on the transposed
+    corners, in the transpose, at the hyperplane whose index is mu's."""
+    dim = sys_obj.t_blocks[f].mult
+    i = list(enum_coeff_points(sys_obj.field, dim)).index(mu)
+    hyper = list(full_hyperplanes(sys_obj.field, dim))[i].basis_rows
+    return _kills_maximal(sys_obj.transpose(), _transpose_corners(sys_obj, corners), f, hyper)
+
+
 def test_per_member_corner_tests_match_full_size_solves():
     # at every point a, each maximal submodule of B and each simple submodule
     # of C is decided on the corners of T a S and by a full-size solve over a
-    # basis of T a S, built from the matrix units
+    # basis of T a S, built from the matrix units; a simple submodule of C is
+    # decided as a maximal one of the transpose's B, matched by index, and by
+    # the reduction oracle
     systems = corner_check_systems()
     assert any(b.n > 1 for sys_obj in systems for b in sys_obj.s_blocks)
     assert any(b.n > 1 for sys_obj in systems for b in sys_obj.t_blocks)
@@ -355,12 +373,20 @@ def test_per_member_corner_tests_match_full_size_solves():
     for sys_obj in systems:
         field = sys_obj.field
         maximal, simple = list(maximal_b_submodules(sys_obj)), list(simple_c_submodules(sys_obj))
-        # the members come in the order of the full-size enumerations
-        assert list(_maximal_members(sys_obj)) == [(e, hyper) for e, hyper, _ in maximal]
-        assert list(_simple_members(sys_obj)) == [(f, mu) for f, mu, _ in simple]
+        # the members come in the order of the full-size enumerations, the
+        # transpose's maximal ones with the indices of C's points
+        members = list(_maximal_members(sys_obj))
+        assert [(e, hyper) for e, _i, hyper in members] == [(e, hyper) for e, hyper, _ in maximal]
+        assert [i for _e, i, _h in members] == [i for b in sys_obj.s_blocks
+                                               for i in range(num_projective_points(b.mult, field.q))]
+        dual_members = list(_maximal_members(sys_obj.transpose()))
+        assert list(simple_members(sys_obj)) == [(f, mu) for f, mu, _ in simple]
+        assert [(f, i) for f, i, _h in dual_members] == [
+            (f, list(enum_coeff_points(field, sys_obj.t_blocks[f].mult)).index(mu)) for f, mu, _ in simple]
         for vec in enum_points(sys_obj.a_span()):
             a = Mat._of(field, sys_obj.dim_c, sys_obj.dim_b, tuple(vec))
             corners = _corner_orbits(sys_obj, (a,))
+            dual_corners = _transpose_corners(sys_obj, corners)
             orbit = unit_orbit(sys_obj, a)
             for e, hyper, vectors in maximal:
                 by_corners = _kills_maximal(sys_obj, corners, e, hyper)
@@ -368,10 +394,10 @@ def test_per_member_corner_tests_match_full_size_solves():
                     sys_obj.to_json(), vec, e, hyper)
                 kills += by_corners
                 false_kills += not by_corners
-            for f, mu, vectors in simple:
-                by_corners = _maps_into_simple(sys_obj, corners, f, mu)
-                assert by_corners == (image_in_submodule_combo(sys_obj, orbit, vectors) is not None), (
-                    sys_obj.to_json(), vec, f, mu)
+            for (f, mu, vectors), (_f, _i, hyper) in zip(simple, dual_members):
+                by_corners = _kills_maximal(sys_obj.transpose(), dual_corners, f, hyper)
+                assert by_corners == maps_into_simple(sys_obj, corners, f, mu) == (
+                    image_in_submodule_combo(sys_obj, orbit, vectors) is not None), (sys_obj.to_json(), vec, f, mu)
                 maps += by_corners
                 false_maps += not by_corners
             checked += 1
@@ -412,21 +438,25 @@ def test_per_member_corner_tests_pinned():
     hyperplanes, points = ((0, 1), (1, 1), (1, 0)), ((1, 0), (1, 1), (0, 1))
     identity = _corner_orbits(sys_obj, (Mat.identity(GF2, 2),))
     assert identity == {(0, 0): ((1, 0, 0, 1),)}
-    assert list(_maximal_members(sys_obj)) == [(0, (h,)) for h in hyperplanes]
-    assert list(_simple_members(sys_obj)) == [(0, mu) for mu in points]
+    assert list(_maximal_members(sys_obj)) == [(0, i, (h,)) for i, h in enumerate(hyperplanes)]
+    assert list(simple_members(sys_obj)) == [(0, mu) for mu in points]
+    # each C-side answer by the transpose and by the reduction oracle
+    into_simple = (maps_into_simple_by_transpose, maps_into_simple)
     assert not any(_kills_maximal(sys_obj, identity, 0, (h,)) for h in hyperplanes)
-    assert not any(_maps_into_simple(sys_obj, identity, 0, mu) for mu in points)
+    assert not any(test(sys_obj, identity, 0, mu) for test in into_simple for mu in points)
     rank_one = _corner_orbits(sys_obj, (Mat.unit(GF2, 2, 2, 0, 1),))
     assert [_kills_maximal(sys_obj, rank_one, 0, (h,)) for h in hyperplanes] == [False, False, True]
-    assert [_maps_into_simple(sys_obj, rank_one, 0, mu) for mu in points] == [True, False, False]
+    for test in into_simple:
+        assert [test(sys_obj, rank_one, 0, mu) for mu in points] == [True, False, False]
     lower = _corner_orbits(sys_obj, (Mat.unit(GF2, 2, 2, 1, 0),))
-    assert [_maps_into_simple(sys_obj, lower, 0, mu) for mu in points] == [False, False, True]
+    for test in into_simple:
+        assert [test(sys_obj, lower, 0, mu) for mu in points] == [False, False, True]
     # s_e = 1: the only maximal submodule of B is zero, which every nonzero
     # element kills, so the kernel side holds on any nonzero corner
     column_sys = full_hom_system(GF2, 1, 2)
     column = _corner_orbits(column_sys, (Mat.from_rows(GF2, [[1], [1]]),))
     assert column == {(0, 0): ((1, 1),)}
-    assert list(_maximal_members(column_sys)) == [(0, ())]
+    assert list(_maximal_members(column_sys)) == [(0, 0, ())]
     assert _kills_maximal(column_sys, column, 0, ())
     # a member of another block sees none of these corners
     two_blocks = BilinearSystem(GF2, (BlockSpec(1, 1), BlockSpec(1, 1)), (BlockSpec(1, 1),),
@@ -466,12 +496,13 @@ def test_memoised_swap_decision_matches_the_per_element_oracle(monkeypatch, patc
     # `_swap_failures` on a point's corner tuple (the corners of T a S) must
     # match the per-element oracle read off the point itself, at every point,
     # and points must share tuples.  Unpatched, split systems never fail a
-    # swap direction, so every decision is (False, False); with both
-    # per-member tests patched to False a decision is the pair of hypotheses,
-    # so the decisions compared are nontrivial
+    # swap direction, so every decision is (False, False); with the
+    # per-member tests patched to False (`_kills_maximal`, which both
+    # directions ask, and the oracle's `maps_into_simple`) a decision is the
+    # pair of hypotheses, so the decisions compared are nontrivial
     if patched:
         monkeypatch.setattr(strongness, "_kills_maximal", _no_corner_solution)
-        monkeypatch.setattr(strongness, "_maps_into_simple", _no_corner_solution)
+        monkeypatch.setattr(helpers, "maps_into_simple", _no_corner_solution)
     points = failing = reused = 0
     for sys_obj in corner_check_systems():
         field = sys_obj.field
@@ -599,10 +630,16 @@ def test_small_conditions_charges_tuples_not_points(monkeypatch):
 def test_a_swap_failure_in_either_direction_raises(monkeypatch, patched, direction):
     # TWO_BY_TWO: W_01 and W_10 are spanned by one vector of k^2, so each
     # element of those corners has a simple image and a kernel holding a
-    # maximal submodule; with one per-member test patched to False, that
-    # direction fails there, and a failure in one direction is a violation
+    # maximal submodule; with one direction's per-member test patched to
+    # False, that direction fails there, and a failure in one direction is a
+    # violation.  The backward test, `maps_into_simple` (the oracle in
+    # helpers), is asked as `_kills_maximal` on the transpose, so it is
+    # patched there
     assert small_conditions(TWO_BY_TWO) is None
-    monkeypatch.setattr(strongness, patched, _no_corner_solution)
+    target = TWO_BY_TWO if patched == "_kills_maximal" else TWO_BY_TWO.transpose()
+    real = strongness._kills_maximal
+    monkeypatch.setattr(strongness, "_kills_maximal",
+                        lambda sys_obj, *args: sys_obj is not target and real(sys_obj, *args))
     with pytest.raises(TheoremViolation, match=f"fails the {direction} swap condition"):
         small_conditions(TWO_BY_TWO)
 
@@ -937,7 +974,8 @@ def test_member_tests_match_the_element_walk():
 
 def test_strength_charge_comes_before_any_member_is_enumerated(monkeypatch):
     # at cap 0 the family charge stops n_strong, on either side, before it
-    # enumerates a point or a hyperplane of k^dim; with room, both run
+    # enumerates a point or a hyperplane of k^dim; with room, a run
+    # enumerates the hyperplanes, and a failing one lists points
     calls = []
     for name in ("enum_coeff_points", "full_hyperplanes"):
         monkeypatch.setattr(strongness, name,
@@ -947,7 +985,8 @@ def test_strength_charge_comes_before_any_member_is_enumerated(monkeypatch):
         assert raised(lambda: n_strong(sys_obj, side, 3, s_block=s_block, budget=Budget(max_enumeration=0)))[0] \
             == f"{side}-strong family enumeration"
     assert calls == []
-    n_strong(sys_obj, "left", 3)
+    assert n_strong(sys_obj, "left", 3).strong
+    assert not n_strong(full_hom_system(GF2, 2, 1), "right", 3, s_block=0).strong
     assert set(calls) == {"enum_coeff_points", "full_hyperplanes"}
 
 
@@ -994,7 +1033,27 @@ def test_union_split_not_strong_returns_counterexample():
     assert idx is None and not rep.strong
 
 
+def test_union_split_raises_when_no_part_is_strong(monkeypatch):
+    # the union law is proved: with the strength of the union forced (no
+    # failing family) and that of each single part forced to fail (the empty
+    # family), a strong union with no strong part is a violation
+    parts = [LINE_COVER_2.block_maps(0, e) for e in range(3)]
+    monkeypatch.setattr(strongness, "_strong_parts",
+                        lambda sys_obj, part_corners, *args: None if len(part_corners) > 1 else ())
+    with pytest.raises(TheoremViolation, match=r"union is 2-strong but no part of 3 is 2/3-strong"):
+        union_split(LINE_COVER_2, parts, "left", 2, t_block=0)
+
+
 # -- the covering law ---------------------------------------------------------------------
+
+def test_no_union_cover_raises_on_a_cover_within_the_lemma(monkeypatch):
+    # the covering lemma is proved for N <= q: with every containment forced
+    # true, the first family covers the module, and that is a violation; for
+    # N > q a cover is reported, not raised
+    monkeypatch.setattr(Subspace, "contains", lambda self, other: True)
+    with pytest.raises(TheoremViolation, match=r"covers \(k\^1\)\^2 over F_2: contradicts the covering lemma"):
+        no_union_cover(GF2, BlockSpec(1, 2), 2)
+    assert not no_union_cover(GF2, BlockSpec(1, 2), 3)
 
 def test_no_union_cover_values():
     assert no_union_cover(GF2, BlockSpec(1, 2), 2)
@@ -1022,6 +1081,24 @@ def test_prop41_cross_system_over_f3_holds():
     assert (rep.lhs, rep.rhs) == (4, 4)
     assert rep.holds
     assert all(rep.hypotheses_met.values())
+
+
+def test_prop41_raises_when_all_hypotheses_hold_but_the_inequality_fails(monkeypatch, tmp_path, capsys):
+    # the cross system over F_3 meets every hypothesis with lhs = rhs = 4;
+    # with lt(A) forced one lower, the proved inequality fails, a violation,
+    # and `system check` reports it as verdict "violation", exit 4
+    sys_obj = to_bilinear(make_cross(2, 2, GF3))
+    path = tmp_path / "cross3.json"
+    path.write_text(json.dumps(sys_obj.to_json()))
+    real = strongness.system_graph
+    monkeypatch.setattr(strongness, "system_graph", lambda s: (real(s)[0], real(s)[1] - 1))
+    with pytest.raises(TheoremViolation, match=r"all hypotheses hold over F_3 but 4 > 3"):
+        prop41_check(sys_obj)
+    capsys.readouterr()
+    assert main(["system", "check", str(path)]) == 4
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["command"], r["verdict"]) for r in records] == [("system check", "violation")]
+    assert records[0]["details"]["error"].startswith("all hypotheses hold over F_3 but 4 > 3")
 
 
 def test_prop41_line_cover_family():
@@ -1074,7 +1151,7 @@ def test_relative_base_case_matches_brute_force():
     checked = strong = 0
     for sys_obj in systems:
         field = sys_obj.field
-        for f, mu in _simple_members(sys_obj):
+        for f, mu in simple_members(sys_obj):
             line = Subspace.from_vectors(field, sys_obj.t_blocks[f].mult, [mu])
             for e in (None, *range(len(sys_obj.s_blocks))):
                 got = relative_n_strong(sys_obj, 1, line, t_block=f, s_block=e)
