@@ -487,8 +487,7 @@ class Mat:
         return vec_combo(self.field, [entries[j::cols] for j in range(cols)], vec)
 
     def transpose(self) -> "Mat":
-        columns = (self.entries[j::self.cols] for j in range(self.cols))
-        return Mat._of(self.field, self.cols, self.rows, tuple(itertools.chain.from_iterable(columns)))
+        return Mat._of(self.field, self.cols, self.rows, transposed(self.entries, self.cols))
 
     def flatten(self) -> Vec:
         return self.entries
@@ -551,6 +550,11 @@ def mat_of_columns(field: Field, nrows: int, columns) -> Mat:
 def vec_add(field: Field, a, b) -> Vec:
     add = field.tables.add
     return tuple([add[x][y] for x, y in zip(a, b)])
+
+
+def transposed(entries, cols: int) -> Vec:
+    """The entries of the transpose of a row-major matrix with `cols` columns, row-major."""
+    return tuple(itertools.chain.from_iterable(entries[j::cols] for j in range(cols)))
 
 
 def vec_combo(field: Field, vectors, coeffs) -> Vec:

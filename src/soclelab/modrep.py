@@ -33,9 +33,9 @@ Both minimality tests read only how the two-sided socle soc2 = soc(R) acts:
 every nonzero two-sided ideal, an annihilator among them, meets soc2, and
 soc2 kills JM, so it acts through maps M/JM -> soc(M).  `minimal_faithful`
 checks faithfulness and returns a `MinimalityReport`, which decides each
-side on its first read by `_kills`, the one rank-drop test that
-`strongness` runs on a system's corners: the quotient side asks it of
-soc2's transposed maps.
+side on its first read by `_kills`, the rank-drop test that `strongness`
+runs on a system's corners: the quotient side asks it of soc2's transposed
+maps.
 
 The shrinks descend along `minimal_faithful`'s witnesses: `shrink_submodule`
 steps to a faithful maximal submodule, and `shrink_quotient` to a faithful
@@ -68,9 +68,10 @@ from .exactla import (
     num_projective_points,
     row_rank,
     solve,
+    transposed,
     vec_combo,
 )
-from .strongness import BilinearSystem, BlockSpec, _kills, _transposed, prop41_check
+from .strongness import BilinearSystem, BlockSpec, _kills, prop41_check
 
 
 class ModuleRep:
@@ -483,7 +484,7 @@ class MinimalityReport:
     @functools.cached_property
     def quotient_witness(self) -> Subspace | None:
         """The first simple L in soc(M) with M/L faithful, or None."""
-        m, maps = self.module, [_transposed(x, self._top.dim) for x in self._soc_maps]
+        m, maps = self.module, [transposed(x, self._top.dim) for x in self._soc_maps]
         return next((l_sub for _f, _u, l_sub in simple_socle_submodules(m, self._budget)
                      if not _kills(m.field, maps, m.dim, kernel(l_sub.basis_mat()).basis_rows)), None)
 

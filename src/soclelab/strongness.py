@@ -26,19 +26,17 @@ degrees are read off the W_fe of the generators, kept once per system.
 
 The coverage conditions, the orbit-swap conditions, N-strength and the
 base case of relative strength ask one question of a sub-bimodule: does
-some nonzero element kill a given maximal submodule of B?  It is decided
-per member on the W_fe (`_kills_maximal`): A's own for coverage and
-relative strength, each part's for strength, those of T a S for the swap
-conditions, which run over the tuples of corner subspaces that a T a S can
-take, each decided once.  For strength that is exact because a nonzero
-block X of W_fe is itself the element X (x) E_00.  Each is one rank test
-per corner, `_kills`, the package's one rank-drop test; `modrep` decides a
-module's two minimality properties with it on soc(R)'s maps.  The mirror
-question, does some nonzero element map B into the simple submodule
-span(mu) (x) k^{n_f} of C, is asked of the transpose (T, S, A^T)
-(`BilinearSystem.transpose`): X has its columns in span(mu) exactly when
-X^T kills the hyperplane with normal mu, hyperplane i for point i
-(`_off_sets`), so failing members and witness families map back by index.
+some nonzero element kill a given maximal submodule of B, or map B into a
+given simple submodule of C?  It is decided per member on the W_fe
+(`_kills_maximal`, `_maps_into_simple`): A's own for coverage and relative
+strength, each part's for strength, those of T a S for the swap conditions,
+which run over the tuples of corner subspaces that a T a S can take, each
+decided once.  For strength that is exact because a nonzero block X of
+W_fe is itself the element X (x) E_00.  Each is one rank test per corner,
+`_kills` or `_lands_in`; `modrep` decides a module's two minimality
+properties with `_kills` alone, on soc(R)'s maps and on their transposes.
+`BilinearSystem.transpose` is k-duality on systems: (S, T, A) goes to
+(T, S, A^T), which swaps the two questions.
 """
 
 from __future__ import annotations
@@ -112,17 +110,24 @@ class BilinearSystem:
         self.a_basis = tuple(a_basis)
         self.dim_b = sum(b.module_dim() for b in self.s_blocks)
         self.dim_c = sum(b.module_dim() for b in self.t_blocks)
-        self._b_offsets, self._c_offsets = (
-            tuple(itertools.accumulate((b.module_dim() for b in blocks), initial=0))[:-1]
-            for blocks in (self.s_blocks, self.t_blocks))
+        self._b_offsets = self._offsets(self.s_blocks)
+        self._c_offsets = self._offsets(self.t_blocks)
         self._a_span: Subspace | None = None
         self._corner_spaces: dict | None = None
-        self._transpose: BilinearSystem | None = None
         for a in self.a_basis:
             if a.field != field or (a.rows, a.cols) != (self.dim_c, self.dim_b):
                 raise InputError("system generator has wrong shape or field")
         if not _skip_verify:
             self._verify_balanced()
+
+    @staticmethod
+    def _offsets(blocks) -> tuple[int, ...]:
+        out = []
+        at = 0
+        for b in blocks:
+            out.append(at)
+            at += b.module_dim()
+        return tuple(out)
 
     # -- spans and corners --------------------------------------------------------
     def _verify_balanced(self):
@@ -152,16 +157,11 @@ class BilinearSystem:
         return self._corner_spaces
 
     def transpose(self) -> "BilinearSystem":
-        """The system (T, S, A^T), built on first read and kept; its own
-        transpose is this system.  Its corner spaces are A's W_fe with each
-        basis row transposed, keyed (e, f) (`_transpose_corners`): bases,
-        not RREF, built with no elimination."""
-        if self._transpose is None:
-            dual = BilinearSystem(self.field, self.t_blocks, self.s_blocks,
-                                  tuple(a.transpose() for a in self.a_basis), _skip_verify=True)
-            dual._corner_spaces = _transpose_corners(self, self.corner_spaces())
-            dual._transpose, self._transpose = self, dual
-        return self._transpose
+        """The system (T, S, A^T), the k-dual of this one: B and C swap and
+        each generator is transposed.  The block algebras are closed under
+        transposition, so the span stays balanced and is not checked again."""
+        return BilinearSystem(self.field, self.t_blocks, self.s_blocks,
+                              tuple(a.transpose() for a in self.a_basis), _skip_verify=True)
 
     def block_maps(self, f: int | None = None, e: int | None = None) -> list[Mat]:
         """The generators with every entry outside codomain block f and domain
@@ -255,17 +255,18 @@ def predicates(sys: BilinearSystem) -> PredicateReport:
     Nondegeneracy is the independence of the generating maps.  The first
     coverage condition asks, for every maximal submodule of B, for a nonzero
     element of A annihilating it; the second, for every simple submodule of
-    C, for a nonzero element of A mapping B into it, which is the first
-    condition of the transpose.  The first member that fails is reported.
+    C, for a nonzero element of A mapping B into it.  Both are decided on
+    A's W_fe (`_kills_maximal`, `_maps_into_simple`); the first member that
+    fails is reported.
     """
     # vacuously true for empty A; false exactly when the generators are dependent
     nondeg = sys.a_span().dim == len(sys.a_basis)
-    b_fail, c_fail = (next(((e, i, hyper) for e, i, hyper in _maximal_members(side)
-                            if not _kills_maximal(side, side.corner_spaces(), e, hyper)), None)
-                      for side in (sys, sys.transpose()))
-    if c_fail is not None:  # hyperplane i of the transpose's block f is the kernel of point i of C's
-        c_fail = c_fail[0], list(enum_coeff_points(sys.field, sys.t_blocks[c_fail[0]].mult))[c_fail[1]]
-    return PredicateReport(nondeg, b_fail is None, c_fail is None, b_fail and (b_fail[0], b_fail[2]), c_fail)
+    corners = sys.corner_spaces()
+    b_fail = next(
+        ((e, hyper) for e, hyper in _maximal_members(sys) if not _kills_maximal(sys, corners, e, hyper)), None
+    )
+    c_fail = next(((f, mu) for f, mu in _simple_members(sys) if not _maps_into_simple(sys, corners, f, mu)), None)
+    return PredicateReport(nondeg, b_fail is None, c_fail is None, b_fail, c_fail)
 
 
 # ---------------------------------------------------------------------------
@@ -329,26 +330,20 @@ def tensor_maps(sys: BilinearSystem, f: int, e: int, u_rows) -> list[Mat]:
 
 
 def _maximal_members(sys: BilinearSystem):
-    """Yield (e, i, H) for every maximal submodule H (x) k^{n_e} (+) (the
-    other S-blocks) of B: H runs over the hyperplanes of k^{s_e} in
-    `full_hyperplanes` order, given by basis rows, and is the i-th, the
-    kernel of point i of P(k^{s_e}) (`_off_sets`)."""
+    """Yield (e, H) for every maximal submodule H (x) k^{n_e} (+) (the other
+    S-blocks) of B: H runs over the hyperplanes of k^{s_e} in
+    `enum_hyperplanes` order, given by basis rows."""
     for e, be in enumerate(sys.s_blocks):
-        for i, hyper in enumerate(full_hyperplanes(sys.field, be.mult)):
-            yield e, i, hyper.basis_rows
+        for hyper in full_hyperplanes(sys.field, be.mult):
+            yield e, hyper.basis_rows
 
 
-def _transposed(x, s: int) -> tuple:
-    """The transpose of the row-major matrix x with s columns, row-major."""
-    return tuple(itertools.chain.from_iterable(x[c::s] for c in range(s)))
-
-
-def _transpose_corners(sys: BilinearSystem, corners: dict) -> dict:
-    """The corner bases of the transposed sub-bimodule in the transpose of
-    sys: each t_f x s_e basis row of W_fe transposed, keyed (e, f), in key
-    order.  A transposed basis is a basis, so no elimination runs."""
-    return {(e, f): tuple(_transposed(x, sys.s_blocks[e].mult) for x in corners[f, e])
-            for e, f in sorted((e, f) for f, e in corners)}
+def _simple_members(sys: BilinearSystem):
+    """Yield (f, mu) for every simple submodule span(mu) (x) k^{n_f} of C:
+    mu runs over the points of P(k^{t_f}) in `enum_coeff_points` order."""
+    for f, bf in enumerate(sys.t_blocks):
+        for mu in enum_coeff_points(sys.field, bf.mult):
+            yield f, mu
 
 
 @functools.lru_cache(maxsize=None)
@@ -376,6 +371,31 @@ def _kills(field: Field, maps, s: int, vectors) -> bool:
     return row_rank(images, len(images[0]), field) < len(images)
 
 
+def _lands_in(field: Field, maps, s: int, pivot_rows) -> bool:
+    """Whether some nonzero combination of the independent row-major t x s
+    matrices `maps` has every column in the span of the given RREF rows of
+    k^t.  A column v reduces to v less v[p] rho over the rows rho with their
+    leading 1 at p: read by rows of X, row r loses rho[r] times row p, and
+    row p vanishes, so it is left out.  That is linear in X, so the answer is
+    a rank drop of the reduced maps."""
+    sub, mul = field.tables.sub, field.tables.mul
+    leads = [rho.index(1) for rho in pivot_rows]
+    images = []
+    for x in maps:
+        image = []
+        for r in range(len(x) // s):
+            if r in leads:
+                continue
+            v = x[r * s:(r + 1) * s]
+            for p, rho in zip(leads, pivot_rows):
+                if rho[r]:
+                    mc = mul[rho[r]]
+                    v = [sub[a][mc[b]] for a, b in zip(v, x[p * s:(p + 1) * s])]
+            image.extend(v)
+        images.append(image)
+    return row_rank(images, len(images[0]) if images else 0, field) < len(images)
+
+
 def _kills_maximal(sys: BilinearSystem, corners: dict, e: int, hyper) -> bool:
     """Whether some nonzero element of the sub-bimodule with the given corner
     bases kills the maximal submodule H (x) k^{n_e} (+) (the other S-blocks).
@@ -388,6 +408,21 @@ def _kills_maximal(sys: BilinearSystem, corners: dict, e: int, hyper) -> bool:
     s_e = 1, H = 0 and any nonzero W_fe qualifies."""
     s = sys.s_blocks[e].mult
     return any(_kills(sys.field, basis, s, hyper) for (_f, e2), basis in corners.items() if e2 == e)
+
+
+def _maps_into_simple(sys: BilinearSystem, corners: dict, f: int, mu) -> bool:
+    """Whether some nonzero element of the sub-bimodule with the given corner
+    bases maps B into the simple submodule span(mu) (x) k^{n_f} of C.
+
+    Dually to `_kills_maximal`, an element maps into it exactly when its
+    components outside row block f vanish and every multiplicity block of
+    its (f, e) components has its columns in span(mu).  So the answer is yes
+    exactly when some W_fe in row f holds a nonzero X with columns in
+    span(mu): one `_lands_in` of W_fe modulo mu, a point with its leading 1,
+    per corner.  When t_f = 1 the only point is mu = (1) and any nonzero W_fe
+    qualifies."""
+    return any(_lands_in(sys.field, basis, sys.s_blocks[e].mult, (mu,))
+               for (f2, e), basis in corners.items() if f2 == f)
 
 
 def _corner_hypotheses(sys: BilinearSystem, corners: dict) -> tuple[bool, bool]:
@@ -426,17 +461,12 @@ def _swap_failures(sys: BilinearSystem, corners: dict) -> tuple[bool, bool]:
     Forward fails when a's image generates a simple submodule but no nonzero
     element of T a S kills a maximal submodule of B; backward fails when
     ker(a) contains a maximal submodule but no nonzero element of T a S maps
-    B into a simple submodule of C, asked of the transposed corners."""
+    B into a simple submodule of C."""
     simple_image, maximal_kernel = _corner_hypotheses(sys, corners)
     return (
-        simple_image and not _kills_some_maximal(sys, corners),
-        maximal_kernel and not _kills_some_maximal(sys.transpose(), _transpose_corners(sys, corners)),
+        simple_image and not any(_kills_maximal(sys, corners, e, hyper) for e, hyper in _maximal_members(sys)),
+        maximal_kernel and not any(_maps_into_simple(sys, corners, f, mu) for f, mu in _simple_members(sys)),
     )
-
-
-def _kills_some_maximal(sys: BilinearSystem, corners: dict) -> bool:
-    """Whether some nonzero element of the given corners kills a maximal submodule of B."""
-    return any(_kills_maximal(sys, corners, e, hyper) for e, _i, hyper in _maximal_members(sys))
 
 
 def small_conditions(sys: BilinearSystem, budget: Budget = DEFAULT_BUDGET) -> None:
@@ -505,7 +535,9 @@ class StrongReport:
         }
 
 
-def _strength(sys: BilinearSystem, part_corners: list[dict], side: str, block: int, N, budget: Budget) -> StrongReport:
+def _strong_parts(
+    sys: BilinearSystem, part_corners: list[dict], side: str, block: int, N, budget: Budget
+) -> StrongReport:
     """Left or right N-strength of the union of the parts, each a
     sub-bimodule given by its corner bases, on codomain block f = block
     (left) or domain block e = block (right).
@@ -518,52 +550,37 @@ def _strength(sys: BilinearSystem, part_corners: list[dict], side: str, block: i
 
     Right: for every family of at most floor(N) points of k^s, some element's
     kernel contains a maximal submodule (multiplicity dimension s - 1) that
-    misses every member (`_strong_parts`).  Left strength is right strength
-    on domain block f of the transpose, with the parts' corners transposed:
-    an image lies in span(mu) exactly when the transposed element kills the
-    hyperplane with normal mu, and point j lies off hyperplane i exactly
-    when point i lies off hyperplane j (`_off_sets`).  So hyperplane i of a
-    failing left family is point i of the transpose's.
-    """
-    if side == "left":
-        sys, part_corners = sys.transpose(), [_transpose_corners(sys, corners) for corners in part_corners]
-    family = _strong_parts(sys, part_corners, block, N, budget, f"{side}-strong family enumeration")
-    if family is None:
-        return StrongReport(True, side, N, None)
-    dim = sys.s_blocks[block].mult
-    members = [hyper.basis_rows for hyper in full_hyperplanes(sys.field, dim)] if side == "left" \
-        else tuple(enum_coeff_points(sys.field, dim))
-    return StrongReport(False, side, N, [list(members[m]) for m in family])
+    misses every member.  Families of simple submodules suffice: shrinking a
+    member to a simple submodule inside it hardens the not-contained
+    requirement.
 
-
-def _strong_parts(sys: BilinearSystem, part_corners: list[dict], block: int, N, budget: Budget,
-                  site: str) -> tuple[int, ...] | None:
-    """The first family of points of k^s, by index, for which right
-    N-strength on domain block e = block fails, or None.  Families of simple
-    submodules suffice: shrinking a member to a simple submodule inside it
-    hardens the not-contained requirement.  No element is walked: a
-    hyperplane H is some element's kernel multiplicity space exactly when a
-    part passes `_kills_maximal` at H (one block X (x) E_00 suffices, see
-    the module docstring), and a family fails when no such H lies off every
-    member (`_off_sets`).  The charge at `site` stays families times the
-    parts' elements up to scalars, made before any member is enumerated.
+    No element is walked: a point p is some element's image multiplicity
+    space exactly when a part passes `_maps_into_simple` at p, and a
+    hyperplane H some element's kernel multiplicity space exactly when a part
+    passes `_kills_maximal` at H (one block X (x) E_00 suffices, see the
+    module docstring).  A family fails when no qualifying point (left) or
+    hyperplane (right) lies off every member (`_off_sets`).  The charge stays
+    families times the parts' elements up to scalars, though none is walked,
+    and it is made before any member is enumerated.
     """
-    field = sys.field
-    dim = sys.s_blocks[block].mult
+    field, left = sys.field, side == "left"
+    dim = (sys.t_blocks if left else sys.s_blocks)[block].mult
     n_members = num_projective_points(dim, field.q)  # as many hyperplanes as points
     max_k = min(int(math.floor(N)), n_members)
     total_families = sum(math.comb(n_members, k) for k in range(0, max_k + 1))
     n_elements = sum(num_projective_points(_bimodule_dim(sys, corners), field.q) for corners in part_corners)
-    budget.guard(site, total_families * max(n_elements, 1))
+    budget.guard(f"{side}-strong family enumeration", total_families * max(n_elements, 1))
 
-    qualifying = sum(1 << i for i, hyper in enumerate(full_hyperplanes(field, dim))
-                     if any(_kills_maximal(sys, corners, block, hyper.basis_rows) for corners in part_corners))
+    points = tuple(enum_coeff_points(field, dim))
+    hyperplanes = [hyper.basis_rows for hyper in full_hyperplanes(field, dim)]
+    members, duals, test = (hyperplanes, points, _maps_into_simple) if left else (points, hyperplanes, _kills_maximal)
+    qualifying = sum(1 << i for i, x in enumerate(duals) if any(test(sys, c, block, x) for c in part_corners))
     off = _off_sets(field, dim)
     for k in range(0, max_k + 1):
-        for family in itertools.combinations(range(n_members), k):
+        for family in itertools.combinations(range(len(members)), k):
             if not functools.reduce(operator.and_, (off[m] for m in family), qualifying):
-                return family
-    return None
+                return StrongReport(False, side, N, [list(members[m]) for m in family])
+    return StrongReport(True, side, N, None)
 
 
 def _side_block(sys: BilinearSystem, side: str, t_block: int | None, s_block: int | None) -> int:
@@ -601,7 +618,7 @@ def n_strong(
     block = _side_block(sys, side, t_block, s_block)
     f, e = (block, s_block) if side == "left" else (t_block, block)
     corners = {fe: w for fe, w in sys.corner_spaces().items() if f in (None, fe[0]) and e in (None, fe[1])}
-    return _strength(sys, [corners], side, block, N, budget)
+    return _strong_parts(sys, [corners], side, block, N, budget)
 
 
 def union_split(
@@ -626,12 +643,12 @@ def union_split(
     for idx, (part, corners) in enumerate(zip(parts, part_corners)):
         if row_rank([a.flatten() for a in part], sys.dim_b * sys.dim_c, sys.field) != _bimodule_dim(sys, corners):
             raise PreconditionError(f"part {idx} does not span a sub-bimodule")
-    union_report = _strength(sys, part_corners, side, block, N, budget)
+    union_report = _strong_parts(sys, part_corners, side, block, N, budget)
     if not union_report.strong:
         return None, union_report
     target = Fraction(N) / len(parts)
     for idx, corners in enumerate(part_corners):
-        rep = _strength(sys, [corners], side, block, target, budget)
+        rep = _strong_parts(sys, [corners], side, block, target, budget)
         if rep.strong:
             return idx, rep
     raise TheoremViolation(f"union is {N}-strong but no part of {len(parts)} is {target}-strong")
@@ -805,17 +822,14 @@ def relative_n_strong(
 
     y_prime is a submodule of the codomain block given by its multiplicity
     subspace.  W is the row f A, or the corner f A e when s_block is given.
-    Length 1: some nonzero element of W maps into it, that is, some nonzero
-    element of the transpose kills the hyperplane with the line's normal
-    (`_kills_maximal` on the transposed W_fe in column f, or at (e, f)
-    alone).  Length r+1: for every length-(r-1) submodule below it, more
-    than N length-r intermediates are relatively strong.  Memoized on
-    canonical forms.  Every subspace the recursion enumerates is charged to
-    the budget.
+    Length 1: some nonzero element of W maps into it (`_maps_into_simple`
+    on A's W_fe in row f, or at (f, e) alone).  Length r+1: for every
+    length-(r-1) submodule below it, more than N length-r intermediates are
+    relatively strong.  Memoized on canonical forms.  Every subspace the
+    recursion enumerates is charged to the budget.
     """
     f = _side_block(sys, "left", t_block, s_block)
-    dual = sys.transpose()
-    corners = {ef: basis for ef, basis in dual.corner_spaces().items() if s_block is None or ef[0] == s_block}
+    corners = {fe: basis for fe, basis in sys.corner_spaces().items() if s_block is None or fe[1] == s_block}
     if y_prime.dim == 0:
         raise PreconditionError("relative strength needs a nonzero submodule")
     memo: dict = {}
@@ -838,8 +852,8 @@ def relative_n_strong(
             return memo[key]
         r = sub.dim
         if r == 1:
-            normal = kernel(sub.basis_mat()).basis_rows
-            result = _kills_maximal(dual, corners, f, normal)
+            # a 1-dimensional RREF basis row is the point with its leading 1
+            result = _maps_into_simple(sys, corners, f, sub.basis_rows[0])
         else:
             result = True
             for below in subspaces_of_dim(sub, r - 2):

@@ -653,52 +653,6 @@ def union_split_by_elements(sys: BilinearSystem, parts, side: str, N, t_block=No
     raise TheoremViolation(f"union is {N}-strong but no part of {len(parts)} is {target}-strong")
 
 
-# -- the C-side member tests by reduction modulo the target: the
-# direct-definition oracles for the questions `strongness` and `modrep` ask
-# as `_kills` on the transpose --
-
-def lands_in(field, maps, s: int, pivot_rows) -> bool:
-    """Whether some nonzero combination of the independent row-major t x s
-    matrices `maps` has every column in the span of the given RREF rows of
-    k^t.  A column v reduces to v less v[p] rho over the rows rho with their
-    leading 1 at p: read by rows of X, row r loses rho[r] times row p, and
-    row p vanishes, so it is left out.  That is linear in X, so the answer is
-    a rank drop of the reduced maps."""
-    sub, mul = field.tables.sub, field.tables.mul
-    leads = [rho.index(1) for rho in pivot_rows]
-    images = []
-    for x in maps:
-        image = []
-        for r in range(len(x) // s):
-            if r in leads:
-                continue
-            v = x[r * s:(r + 1) * s]
-            for p, rho in zip(leads, pivot_rows):
-                if rho[r]:
-                    mc = mul[rho[r]]
-                    v = [sub[a][mc[b]] for a, b in zip(v, x[p * s:(p + 1) * s])]
-            image.extend(v)
-        images.append(image)
-    return row_rank(images, len(images[0]) if images else 0, field) < len(images)
-
-
-def maps_into_simple(sys: BilinearSystem, corners: dict, f: int, mu) -> bool:
-    """Whether some nonzero element of the sub-bimodule with the given corner
-    bases maps B into the simple submodule span(mu) (x) k^{n_f} of C: some
-    W_fe in row f holds a nonzero X with its columns in span(mu), one
-    `lands_in` of W_fe modulo mu, a point with its leading 1, per corner."""
-    return any(lands_in(sys.field, basis, sys.s_blocks[e].mult, (mu,))
-               for (f2, e), basis in corners.items() if f2 == f)
-
-
-def simple_members(sys: BilinearSystem):
-    """Yield (f, mu) for every simple submodule span(mu) (x) k^{n_f} of C:
-    mu runs over the points of P(k^{t_f}) in `enum_coeff_points` order."""
-    for f, bf in enumerate(sys.t_blocks):
-        for mu in enum_coeff_points(sys.field, bf.mult):
-            yield f, mu
-
-
 # -- k-duality: the transposed system, the opposite algebra and the dual module --
 
 def transpose_system(sys: BilinearSystem) -> BilinearSystem:

@@ -11,7 +11,7 @@ from soclelab.algebra import socle_is_central, socles
 from soclelab.budget import Budget
 from soclelab.corpus import faithful_corpus, random_split_system
 from soclelab.errors import BudgetExceeded
-from soclelab.exactla import Subspace, enum_coeff_points, full_hyperplanes
+from soclelab.exactla import Subspace, enum_coeff_points, full_hyperplanes, transposed
 from soclelab.gallery import make_line_cover_system
 from soclelab.gf import field_make
 from soclelab.modrep import module_report
@@ -42,18 +42,18 @@ def point_index(field, dim: int, mu) -> int:
 
 
 def test_transpose_matches_the_verifying_constructor():
-    # the kept transpose has the transposed generators and, keyed (e, f) in
-    # key order, bases of the corner spaces that the balance check and the
-    # corner read compute afresh; its own transpose is the system
+    # the transpose skips the balance check: the verifying constructor takes
+    # the same transposed generators, and each corner space W_ef of the
+    # transpose is W_fe with its t_f x s_e basis rows transposed
     for sys_obj in duality_systems():
         dual, fresh = sys_obj.transpose(), transpose_system(sys_obj)
         assert (dual.s_blocks, dual.t_blocks, dual.a_basis) == (fresh.s_blocks, fresh.t_blocks, fresh.a_basis)
-        assert list(dual.corner_spaces()) == list(fresh.corner_spaces())
-        for key, basis in dual.corner_spaces().items():
-            ambient = len(basis[0])
-            assert Subspace.from_vectors(sys_obj.field, ambient, basis).basis_rows == fresh.corner_spaces()[key]
-            assert len(basis) == len(fresh.corner_spaces()[key])
-        assert sys_obj.transpose() is dual and dual.transpose() is sys_obj
+        assert dual.corner_spaces() == fresh.corner_spaces()
+        assert dual.transpose().a_basis == sys_obj.a_basis
+        assert len(dual.corner_spaces()) == len(sys_obj.corner_spaces())
+        for (f, e), basis in sys_obj.corner_spaces().items():
+            rows = [transposed(x, sys_obj.s_blocks[e].mult) for x in basis]
+            assert Subspace.from_vectors(sys_obj.field, len(rows[0]), rows).basis_rows == dual.corner_spaces()[e, f]
 
 
 def test_transpose_swaps_the_coverage_conditions():

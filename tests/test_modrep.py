@@ -19,7 +19,7 @@ from soclelab.exactla import (
     mat_vec,
 )
 from soclelab.gf import Field, field_make
-from soclelab import exactla, modrep
+from soclelab import exactla, modrep, strongness
 from soclelab.gallery import (
     criterion8_algebras,
     iter_gallery_algebras,
@@ -57,7 +57,6 @@ from soclelab.strongness import predicates
 
 from helpers import (
     images_on,
-    lands_in,
     matrix_combination,
     random_invertible,
     residuals_mod,
@@ -1035,13 +1034,13 @@ def test_shrink_annihilator_dims_by_rank_match_the_intersections(rng):
     # dim(soc(R) ∩ ann) = dim soc(R) - rank of soc(R)'s basis acting, for
     # any subspace, invariant (zero and full included) or not; `_kills` on
     # soc(R)'s row-major actions, and on their transposes at W's orthogonal
-    # complement, says whether it is nonzero, as does the reduction oracle
+    # complement, says whether it is nonzero, as does strongness's `_lands_in`
     checked = dropped = 0
     for m in shrink_test_modules():
         soc_r = socles(m.algebra).twosided
         soc_actions = [m.act_mat(r) for r in soc_r.basis_rows]
         maps = [act.entries for act in soc_actions]
-        maps_t = [modrep._transposed(x, m.dim) for x in maps]
+        maps_t = [modrep.transposed(x, m.dim) for x in maps]
         subs = invariant_subspaces(m)
         for _ in range(12):
             k = rng.randint(1, m.dim)
@@ -1054,7 +1053,7 @@ def test_shrink_annihilator_dims_by_rank_match_the_intersections(rng):
             on_quot = soc_annihilator_dim(m.field, residuals_mod(soc_actions, w), m.dim * m.dim)
             assert on_quot == soc_r.intersect(annihilator_of_quotient(m, w)).dim
             assert modrep._kills(m.field, maps_t, m.dim, kernel(w.basis_mat()).basis_rows) == (on_quot > 0)
-            assert lands_in(m.field, maps, m.dim, w.basis_rows) == (on_quot > 0)
+            assert strongness._lands_in(m.field, maps, m.dim, w.basis_rows) == (on_quot > 0)
             checked += 1
             dropped += 0 < on_sub < soc_r.dim
     assert checked > 100 and dropped
@@ -1262,7 +1261,7 @@ def kxy_twice() -> ModuleRep:
 def test_minimal_runs_no_socle_scan_when_a_maximal_submodule_is_faithful(monkeypatch):
     m = kxy_twice()
     calls = {name: counted(monkeypatch, name)
-             for name in ("socle_subspace", "simple_socle_submodules", "_transposed", "_preimage")}
+             for name in ("socle_subspace", "simple_socle_submodules", "transposed", "_preimage")}
     report = minimal_faithful(m)
     assert not report.no_faithful_max_submodule
     assert not report.minimal
@@ -1272,7 +1271,7 @@ def test_minimal_runs_no_socle_scan_when_a_maximal_submodule_is_faithful(monkeyp
     assert report.no_faithful_simple_quotient == flag
     assert report.quotient_witness is report.quotient_witness
     assert (len(calls["socle_subspace"]), len(calls["simple_socle_submodules"])) == (1, 1)
-    assert len(calls["_transposed"]) == socles(m.algebra).twosided.dim  # soc(R)'s maps, each transposed once
+    assert len(calls["transposed"]) == socles(m.algebra).twosided.dim  # soc(R)'s maps, each transposed once
     assert calls["_preimage"] == []
     # the submodule witness is built once, on its first read
     witness = report.submodule_witness

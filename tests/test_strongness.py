@@ -16,8 +16,6 @@ from soclelab.exactla import (
     RowBasis,
     Subspace,
     all_subspaces,
-    enum_coeff_points,
-    full_hyperplanes,
     kernel,
     num_projective_points,
     num_subspaces,
@@ -28,6 +26,7 @@ from soclelab.gallery import make_cross, make_line_cover_system
 from soclelab.strongness import (
     BilinearSystem,
     BlockSpec,
+    StrongReport,
     n_strong,
     no_union_cover,
     predicates,
@@ -41,22 +40,20 @@ from soclelab.strongness import (
     _corner_hypotheses,
     _corner_orbits,
     _kills_maximal,
+    _maps_into_simple,
     _maximal_members,
+    _simple_members,
     _swap_failures,
-    _transpose_corners,
 )
 
-import helpers
 from helpers import (
     annihilating_combo,
     coverage_by_full_size_solves,
     enum_points,
     image_in_submodule_combo,
-    maps_into_simple,
     maximal_b_submodules,
     rref_gauss_jordan,
     simple_c_submodules,
-    simple_members,
     strong_parts_by_elements,
     to_bilinear,
     union_split_by_elements,
@@ -220,9 +217,8 @@ def _kernel_contains_maximal(sys_obj, a):
 def per_element_swap_failures(sys_obj, a):
     """Oracle: the swap failures at a, with both hypotheses read off a itself,
     T a S built only when one holds, and the members listed by the full-size
-    enumerations.  The per-member tests, `_kills_maximal` on the system and
-    the `maps_into_simple` oracle, are looked up on their modules, so a test
-    that patches them patches the oracle too."""
+    enumerations.  The per-member tests are looked up on the module, so a
+    test that patches them patches the oracle too."""
     simple_image = _image_is_inside_simple(sys_obj, a)
     maximal_kernel = _kernel_contains_maximal(sys_obj, a)
     if not (simple_image or maximal_kernel):
@@ -231,7 +227,7 @@ def per_element_swap_failures(sys_obj, a):
     return (
         simple_image and not any(strongness._kills_maximal(sys_obj, corners, e, hyper)
                                  for e, hyper, _ in maximal_b_submodules(sys_obj)),
-        maximal_kernel and not any(helpers.maps_into_simple(sys_obj, corners, f, mu)
+        maximal_kernel and not any(strongness._maps_into_simple(sys_obj, corners, f, mu)
                                    for f, mu, _ in simple_c_submodules(sys_obj)),
     )
 
@@ -350,21 +346,10 @@ def test_corner_read_matches_index_selection():
             assert list(_corner_orbits(sys_obj, group).items()) == list(corner_blocks_by_index(sys_obj, group).items())
 
 
-def maps_into_simple_by_transpose(sys_obj, corners, f, mu) -> bool:
-    """The derived C-side member test: `_kills_maximal` on the transposed
-    corners, in the transpose, at the hyperplane whose index is mu's."""
-    dim = sys_obj.t_blocks[f].mult
-    i = list(enum_coeff_points(sys_obj.field, dim)).index(mu)
-    hyper = list(full_hyperplanes(sys_obj.field, dim))[i].basis_rows
-    return _kills_maximal(sys_obj.transpose(), _transpose_corners(sys_obj, corners), f, hyper)
-
-
 def test_per_member_corner_tests_match_full_size_solves():
     # at every point a, each maximal submodule of B and each simple submodule
     # of C is decided on the corners of T a S and by a full-size solve over a
-    # basis of T a S, built from the matrix units; a simple submodule of C is
-    # decided as a maximal one of the transpose's B, matched by index, and by
-    # the reduction oracle
+    # basis of T a S, built from the matrix units
     systems = corner_check_systems()
     assert any(b.n > 1 for sys_obj in systems for b in sys_obj.s_blocks)
     assert any(b.n > 1 for sys_obj in systems for b in sys_obj.t_blocks)
@@ -373,20 +358,12 @@ def test_per_member_corner_tests_match_full_size_solves():
     for sys_obj in systems:
         field = sys_obj.field
         maximal, simple = list(maximal_b_submodules(sys_obj)), list(simple_c_submodules(sys_obj))
-        # the members come in the order of the full-size enumerations, the
-        # transpose's maximal ones with the indices of C's points
-        members = list(_maximal_members(sys_obj))
-        assert [(e, hyper) for e, _i, hyper in members] == [(e, hyper) for e, hyper, _ in maximal]
-        assert [i for _e, i, _h in members] == [i for b in sys_obj.s_blocks
-                                               for i in range(num_projective_points(b.mult, field.q))]
-        dual_members = list(_maximal_members(sys_obj.transpose()))
-        assert list(simple_members(sys_obj)) == [(f, mu) for f, mu, _ in simple]
-        assert [(f, i) for f, i, _h in dual_members] == [
-            (f, list(enum_coeff_points(field, sys_obj.t_blocks[f].mult)).index(mu)) for f, mu, _ in simple]
+        # the members come in the order of the full-size enumerations
+        assert list(_maximal_members(sys_obj)) == [(e, hyper) for e, hyper, _ in maximal]
+        assert list(_simple_members(sys_obj)) == [(f, mu) for f, mu, _ in simple]
         for vec in enum_points(sys_obj.a_span()):
             a = Mat._of(field, sys_obj.dim_c, sys_obj.dim_b, tuple(vec))
             corners = _corner_orbits(sys_obj, (a,))
-            dual_corners = _transpose_corners(sys_obj, corners)
             orbit = unit_orbit(sys_obj, a)
             for e, hyper, vectors in maximal:
                 by_corners = _kills_maximal(sys_obj, corners, e, hyper)
@@ -394,10 +371,10 @@ def test_per_member_corner_tests_match_full_size_solves():
                     sys_obj.to_json(), vec, e, hyper)
                 kills += by_corners
                 false_kills += not by_corners
-            for (f, mu, vectors), (_f, _i, hyper) in zip(simple, dual_members):
-                by_corners = _kills_maximal(sys_obj.transpose(), dual_corners, f, hyper)
-                assert by_corners == maps_into_simple(sys_obj, corners, f, mu) == (
-                    image_in_submodule_combo(sys_obj, orbit, vectors) is not None), (sys_obj.to_json(), vec, f, mu)
+            for f, mu, vectors in simple:
+                by_corners = _maps_into_simple(sys_obj, corners, f, mu)
+                assert by_corners == (image_in_submodule_combo(sys_obj, orbit, vectors) is not None), (
+                    sys_obj.to_json(), vec, f, mu)
                 maps += by_corners
                 false_maps += not by_corners
             checked += 1
@@ -438,25 +415,21 @@ def test_per_member_corner_tests_pinned():
     hyperplanes, points = ((0, 1), (1, 1), (1, 0)), ((1, 0), (1, 1), (0, 1))
     identity = _corner_orbits(sys_obj, (Mat.identity(GF2, 2),))
     assert identity == {(0, 0): ((1, 0, 0, 1),)}
-    assert list(_maximal_members(sys_obj)) == [(0, i, (h,)) for i, h in enumerate(hyperplanes)]
-    assert list(simple_members(sys_obj)) == [(0, mu) for mu in points]
-    # each C-side answer by the transpose and by the reduction oracle
-    into_simple = (maps_into_simple_by_transpose, maps_into_simple)
+    assert list(_maximal_members(sys_obj)) == [(0, (h,)) for h in hyperplanes]
+    assert list(_simple_members(sys_obj)) == [(0, mu) for mu in points]
     assert not any(_kills_maximal(sys_obj, identity, 0, (h,)) for h in hyperplanes)
-    assert not any(test(sys_obj, identity, 0, mu) for test in into_simple for mu in points)
+    assert not any(_maps_into_simple(sys_obj, identity, 0, mu) for mu in points)
     rank_one = _corner_orbits(sys_obj, (Mat.unit(GF2, 2, 2, 0, 1),))
     assert [_kills_maximal(sys_obj, rank_one, 0, (h,)) for h in hyperplanes] == [False, False, True]
-    for test in into_simple:
-        assert [test(sys_obj, rank_one, 0, mu) for mu in points] == [True, False, False]
+    assert [_maps_into_simple(sys_obj, rank_one, 0, mu) for mu in points] == [True, False, False]
     lower = _corner_orbits(sys_obj, (Mat.unit(GF2, 2, 2, 1, 0),))
-    for test in into_simple:
-        assert [test(sys_obj, lower, 0, mu) for mu in points] == [False, False, True]
+    assert [_maps_into_simple(sys_obj, lower, 0, mu) for mu in points] == [False, False, True]
     # s_e = 1: the only maximal submodule of B is zero, which every nonzero
     # element kills, so the kernel side holds on any nonzero corner
     column_sys = full_hom_system(GF2, 1, 2)
     column = _corner_orbits(column_sys, (Mat.from_rows(GF2, [[1], [1]]),))
     assert column == {(0, 0): ((1, 1),)}
-    assert list(_maximal_members(column_sys)) == [(0, 0, ())]
+    assert list(_maximal_members(column_sys)) == [(0, ())]
     assert _kills_maximal(column_sys, column, 0, ())
     # a member of another block sees none of these corners
     two_blocks = BilinearSystem(GF2, (BlockSpec(1, 1), BlockSpec(1, 1)), (BlockSpec(1, 1),),
@@ -496,13 +469,12 @@ def test_memoised_swap_decision_matches_the_per_element_oracle(monkeypatch, patc
     # `_swap_failures` on a point's corner tuple (the corners of T a S) must
     # match the per-element oracle read off the point itself, at every point,
     # and points must share tuples.  Unpatched, split systems never fail a
-    # swap direction, so every decision is (False, False); with the
-    # per-member tests patched to False (`_kills_maximal`, which both
-    # directions ask, and the oracle's `maps_into_simple`) a decision is the
-    # pair of hypotheses, so the decisions compared are nontrivial
+    # swap direction, so every decision is (False, False); with both
+    # per-member tests patched to False a decision is the pair of hypotheses,
+    # so the decisions compared are nontrivial
     if patched:
         monkeypatch.setattr(strongness, "_kills_maximal", _no_corner_solution)
-        monkeypatch.setattr(helpers, "maps_into_simple", _no_corner_solution)
+        monkeypatch.setattr(strongness, "_maps_into_simple", _no_corner_solution)
     points = failing = reused = 0
     for sys_obj in corner_check_systems():
         field = sys_obj.field
@@ -630,16 +602,10 @@ def test_small_conditions_charges_tuples_not_points(monkeypatch):
 def test_a_swap_failure_in_either_direction_raises(monkeypatch, patched, direction):
     # TWO_BY_TWO: W_01 and W_10 are spanned by one vector of k^2, so each
     # element of those corners has a simple image and a kernel holding a
-    # maximal submodule; with one direction's per-member test patched to
-    # False, that direction fails there, and a failure in one direction is a
-    # violation.  The backward test, `maps_into_simple` (the oracle in
-    # helpers), is asked as `_kills_maximal` on the transpose, so it is
-    # patched there
+    # maximal submodule; with one per-member test patched to False, that
+    # direction fails there, and a failure in one direction is a violation
     assert small_conditions(TWO_BY_TWO) is None
-    target = TWO_BY_TWO if patched == "_kills_maximal" else TWO_BY_TWO.transpose()
-    real = strongness._kills_maximal
-    monkeypatch.setattr(strongness, "_kills_maximal",
-                        lambda sys_obj, *args: sys_obj is not target and real(sys_obj, *args))
+    monkeypatch.setattr(strongness, patched, _no_corner_solution)
     with pytest.raises(TheoremViolation, match=f"fails the {direction} swap condition"):
         small_conditions(TWO_BY_TWO)
 
@@ -974,8 +940,7 @@ def test_member_tests_match_the_element_walk():
 
 def test_strength_charge_comes_before_any_member_is_enumerated(monkeypatch):
     # at cap 0 the family charge stops n_strong, on either side, before it
-    # enumerates a point or a hyperplane of k^dim; with room, a run
-    # enumerates the hyperplanes, and a failing one lists points
+    # enumerates a point or a hyperplane of k^dim; with room, both run
     calls = []
     for name in ("enum_coeff_points", "full_hyperplanes"):
         monkeypatch.setattr(strongness, name,
@@ -985,8 +950,7 @@ def test_strength_charge_comes_before_any_member_is_enumerated(monkeypatch):
         assert raised(lambda: n_strong(sys_obj, side, 3, s_block=s_block, budget=Budget(max_enumeration=0)))[0] \
             == f"{side}-strong family enumeration"
     assert calls == []
-    assert n_strong(sys_obj, "left", 3).strong
-    assert not n_strong(full_hom_system(GF2, 2, 1), "right", 3, s_block=0).strong
+    n_strong(sys_obj, "left", 3)
     assert set(calls) == {"enum_coeff_points", "full_hyperplanes"}
 
 
@@ -1034,12 +998,12 @@ def test_union_split_not_strong_returns_counterexample():
 
 
 def test_union_split_raises_when_no_part_is_strong(monkeypatch):
-    # the union law is proved: with the strength of the union forced (no
-    # failing family) and that of each single part forced to fail (the empty
-    # family), a strong union with no strong part is a violation
+    # the union law is proved: with the union forced strong and each single
+    # part forced to fail on the empty family, a strong union with no strong
+    # part is a violation
     parts = [LINE_COVER_2.block_maps(0, e) for e in range(3)]
-    monkeypatch.setattr(strongness, "_strong_parts",
-                        lambda sys_obj, part_corners, *args: None if len(part_corners) > 1 else ())
+    monkeypatch.setattr(strongness, "_strong_parts", lambda sys_obj, part_corners, side, block, N, budget:
+                        StrongReport(len(part_corners) > 1, side, N, None if len(part_corners) > 1 else []))
     with pytest.raises(TheoremViolation, match=r"union is 2-strong but no part of 3 is 2/3-strong"):
         union_split(LINE_COVER_2, parts, "left", 2, t_block=0)
 
@@ -1054,6 +1018,7 @@ def test_no_union_cover_raises_on_a_cover_within_the_lemma(monkeypatch):
     with pytest.raises(TheoremViolation, match=r"covers \(k\^1\)\^2 over F_2: contradicts the covering lemma"):
         no_union_cover(GF2, BlockSpec(1, 2), 2)
     assert not no_union_cover(GF2, BlockSpec(1, 2), 3)
+
 
 def test_no_union_cover_values():
     assert no_union_cover(GF2, BlockSpec(1, 2), 2)
@@ -1151,7 +1116,7 @@ def test_relative_base_case_matches_brute_force():
     checked = strong = 0
     for sys_obj in systems:
         field = sys_obj.field
-        for f, mu in simple_members(sys_obj):
+        for f, mu in _simple_members(sys_obj):
             line = Subspace.from_vectors(field, sys_obj.t_blocks[f].mult, [mu])
             for e in (None, *range(len(sys_obj.s_blocks))):
                 got = relative_n_strong(sys_obj, 1, line, t_block=f, s_block=e)
