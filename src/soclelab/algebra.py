@@ -44,6 +44,7 @@ from .exactla import (
     SpanTracker,
     Subspace,
     _full_rank_kernels,
+    free_positions,
     kernel,
     mat_of_columns,
     mat_of_rows,
@@ -280,8 +281,7 @@ class Algebra:
         residue acts invertibly on it by left multiplication.  R/J has the
         basis of J's free positions; column j of L_i, the left
         multiplication of b_i, is b_i b_j mod J read at those positions."""
-        pivots = set(J.pivots)
-        free = [k for k in range(self.dim) if k not in pivots]
+        free = free_positions(self.dim, J.pivots)
         if not free:
             return False
         n = len(free)
@@ -305,9 +305,6 @@ class Algebra:
         if self.certificate is None or not self.certificate.split:
             raise NotSplitError("operation requires a split certificate (matrix-unit blocks)")
         return self.certificate.blocks
-
-    def block_idempotent(self, f: int) -> Coords:
-        return self.certificate.idempotent(self.field, f)
 
     # -- serialization ----------------------------------------------------------------
     def to_json(self) -> dict:
@@ -815,7 +812,7 @@ def _socles(r: Algebra, budget: Budget) -> SocleTriple:
         right_rows.extend(r.right_mult_mat(v).row_list())
     left = kernel(mat_of_rows(r.field, r.dim, left_rows))
     right = kernel(mat_of_rows(r.field, r.dim, right_rows))
-    return SocleTriple(left, right, left.intersect(right))
+    return SocleTriple(left, right, kernel(mat_of_rows(r.field, r.dim, left_rows + right_rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +832,7 @@ def _corner_lengths(r: Algebra, ideal: Subspace, budget: Budget) -> dict[tuple[i
         for j in J.basis_rows:
             if r.mul_coords(j, v) != zero or r.mul_coords(v, j) != zero:
                 raise PreconditionError("ideal is not killed by the radical on both sides")
-    idempotents = [r.block_idempotent(i) for i in range(len(blocks))]
+    idempotents = [r.certificate.idempotent(r.field, i) for i in range(len(blocks))]
     lengths = {}
     for fi, f in enumerate(idempotents):
         fx = [r.mul_coords(f, v) for v in ideal.basis_rows]

@@ -28,7 +28,9 @@ from .exactla import (
     Mat,
     Subspace,
     enum_subspaces,
+    mat_of_columns,
     mat_vec,
+    unit_residuals,
     vec_combo,
 )
 from .gallery import criterion8_algebras, make_row_diagonal_pair
@@ -47,13 +49,9 @@ def _embed_through(w_sub: Subspace, g: Mat, proj: Mat) -> Mat:
 
 
 def _projection(k_sub: Subspace) -> Mat:
-    """The map F^n -> F^r with kernel exactly k_sub (complement coords)."""
-    n = k_sub.ambient_dim
-    pivots = set(k_sub.pivots)
-    free = [t for t in range(n) if t not in pivots]
-    # column j is the residual of the j-th unit vector, read at the free coordinates
-    residuals = [k_sub.reduce(tuple(1 if s == j else 0 for s in range(n))) for j in range(n)]
-    return Mat._of(k_sub.field, len(free), n, tuple(residuals[j][t] for t in free for j in range(n)))
+    """The map F^n -> F^r with kernel exactly k_sub (complement coords):
+    column j is the residual of the j-th unit vector (`unit_residuals`)."""
+    return mat_of_columns(k_sub.field, k_sub.ambient_dim - k_sub.dim, unit_residuals(k_sub))
 
 
 def _invertible_matrices(field: Field, r: int) -> list[Mat]:

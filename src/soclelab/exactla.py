@@ -15,6 +15,15 @@ oracle.  Every combination of rows by coefficients (`Mat.mul`, `Mat.apply`,
 `mat_vec`) is one `vec_combo`.  `Subspace.full` and, up to a bound,
 `full_hyperplanes` are built once per field and dimension and then shared.
 
+Each linear-algebra question has one entry point: a dimension is
+`row_rank`, a span `Subspace.from_vectors` (`_span` for the package's own
+vectors), a null space `kernel`, membership `Subspace.contains_vector`,
+coordinates over independent vectors `SpanTracker.express` (None off their
+span), and a quotient F^n / S is read in S's complement coordinates.  That
+is the quotient table: `free_positions` lists the coordinates off S's
+pivots, once per shape, and `unit_residuals` gives the residual of each
+unit vector modulo S at them, in closed form, with no elimination.
+
 The radical oracle's full-rank test (`_full_rank_kernels`) packs a whole
 n*n matrix into Python ints over F_2 (one word, as M4RI packs rows:
 Albrecht, Bard & Hart, ACM TOMS 37, 2010) and F_3 (two bit-planes, as in
@@ -218,7 +227,7 @@ def _full_rank_kernels(field: Field, n: int):
     matrices, and full_rank tests one for invertibility.  Over F_2 a matrix
     is one word and over F_3 a pair of bit-planes; otherwise it stays a list
     of field codes, tested by `_echelon` with stop_at_gap."""
-    if field.is_gf2:
+    if field.q == 2:
         return _pack_gf2, int.__xor__, lambda word: _full_rank_gf2(word, n)
     if field.q == 3:
         return _pack_gf3, _add_gf3, lambda planes: _full_rank_gf3(*planes, n)
@@ -418,25 +427,13 @@ class Mat:
         return [self.row(i) for i in range(self.rows)]
 
     # arithmetic ----------------------------------------------------------------
-    def _same_shape(self, other: "Mat"):
+    def add(self, other: "Mat") -> "Mat":
         if self.field != other.field:
             raise InputError("mixed fields")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("shape mismatch")
-
-    def add(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
         add = self.field.tables.add
         return Mat._of(self.field, self.rows, self.cols, tuple([add[a][b] for a, b in zip(self.entries, other.entries)]))
-
-    def sub(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        sub = self.field.tables.sub
-        return Mat._of(self.field, self.rows, self.cols, tuple([sub[a][b] for a, b in zip(self.entries, other.entries)]))
-
-    def neg(self) -> "Mat":
-        neg = self.field.tables.neg
-        return Mat._of(self.field, self.rows, self.cols, tuple([neg[a] for a in self.entries]))
 
     def scale(self, c: int) -> "Mat":
         mc = self.field.tables.mul[c]
@@ -642,43 +639,12 @@ class Subspace:
         return coords
 
     def contains(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
-        return all(self.contains_vector(v) for v in other.basis_rows)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return Subspace.from_vectors(self.field, self.ambient_dim, list(self.basis_rows) + list(other.basis_rows))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        ra, rb = self.dim, other.dim
-        if ra == 0 or rb == 0:
-            return Subspace.zero(self.field, self.ambient_dim)
-        field = self.field
-        # columns: basis of self, then negated basis of other; kernel gives combos
-        cols = [list(v) for v in self.basis_rows] + [[field.neg(x) for x in v] for v in other.basis_rows]
-        m = mat_of_columns(field, self.ambient_dim, cols)
-        combos = kernel(m)
-        vectors = [vec_combo(field, list(self.basis_rows), combo[:ra]) for combo in combos.basis_rows]
-        return Subspace.from_vectors(field, self.ambient_dim, vectors)
-
-    def _check_compatible(self, other: "Subspace"):
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             raise InputError("ambient mismatch")
+        return all(self.contains_vector(v) for v in other.basis_rows)
 
     def sort_key(self):
         return (self.dim, self.pivots, self.basis_rows)
-
-    def to_json(self) -> dict:
-        return {"field": self.field.to_json(), "ambient_dim": self.ambient_dim, "basis": self.basis_mat().to_json()}
-
-    @staticmethod
-    def from_json(data: dict) -> "Subspace":
-        with decoding("subspace", data):
-            field = Field.from_json(data["field"])
-            rows = Mat.from_json(data["basis"], field).row_list()
-            ambient_dim = json_int(data, "ambient_dim")
-        return Subspace.from_vectors(field, ambient_dim, rows)
 
 
 def kernel(m: Mat) -> Subspace:
@@ -705,22 +671,28 @@ def kernel(m: Mat) -> Subspace:
     return Subspace(m.field, ncols, tuple(basis), tuple(free))
 
 
-def image(m: Mat) -> Subspace:
-    """Column space of m, as a subspace of F_q^rows."""
-    return Subspace.from_vectors(m.field, m.rows, m.transpose().row_list())
+# ---------------------------------------------------------------------------
+# the quotient table
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def free_positions(dim: int, pivots: tuple[int, ...]) -> tuple[int, ...]:
+    """The coordinates of F^dim off the given pivots, one table per shape:
+    the complement coordinates of a quotient by a subspace with those pivots."""
+    return tuple(k for k in range(dim) if k not in pivots)
 
 
-def solve(m: Mat, target) -> Vec | None:
-    """One solution x of m x = target, or None when inconsistent."""
-    field = m.field
-    aug_rows = [list(m.row(i)) + [target[i]] for i in range(m.rows)]
-    reduced, pivots = rref_rows(aug_rows, m.cols + 1, field)
-    if m.cols in pivots:
-        return None
-    x = [0] * m.cols
-    for row, p in zip(reduced, pivots):
-        x[p] = row[m.cols]
-    return tuple(x)
+def unit_residuals(sub: Subspace) -> list[Vec]:
+    """The residual of each unit vector e_k modulo sub, read at sub's free
+    positions (it is zero at the pivots): e_k off the pivots, and e_k minus
+    its pivot row at a pivot.  Reduction is linear, so the residual of v at
+    the free positions is the combination of these by v's coordinates."""
+    neg = sub.field.tables.neg
+    free = free_positions(sub.ambient_dim, sub.pivots)
+    res = list(Subspace.full(sub.field, len(free)).basis_rows)
+    for p, row in zip(sub.pivots, sub.basis_rows):  # ascending, so each lands at index p
+        res.insert(p, tuple([neg[row[f]] for f in free]))
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -168,19 +168,11 @@ class Field:
     def elements(self) -> range:
         return range(self.q)
 
-    def nonzero(self) -> range:
-        return range(1, self.q)
-
     def coeffs(self, a: int) -> tuple[int, ...]:
         return _decode(a, self.p, self.e)
 
     def from_coeffs(self, coeffs) -> int:
         return _encode(coeffs, self.p)
-
-    @property
-    def is_gf2(self) -> bool:
-        """True when q = 2: linear algebra may use the bit-packed fast path."""
-        return self.q == 2
 
     # -- JSON ---------------------------------------------------------------
     def to_json(self) -> dict:

@@ -56,18 +56,18 @@ from .budget import DEFAULT_BUDGET, Budget
 from .errors import InputError, NotSplitError, PreconditionError, TheoremViolation
 from .exactla import (
     Mat,
+    SpanTracker,
     Subspace,
     enum_coeff_points,
     enum_hyperplanes,
+    free_positions,
     full_hyperplanes,
-    image,
     kernel,
     mat_of_columns,
     mat_of_rows,
     mat_vec,
     num_projective_points,
     row_rank,
-    solve,
     transposed,
     vec_combo,
 )
@@ -229,7 +229,7 @@ class QuotientData:
     def __init__(self, m: ModuleRep, sub: Subspace):
         self.module = m
         self.sub = sub
-        self.free_positions = _free_positions(m.dim, sub.pivots)
+        self.free_positions = free_positions(m.dim, sub.pivots)
         self.algebra = m.algebra
         self.field = m.field
         self.dim = len(self.free_positions)
@@ -319,13 +319,12 @@ class BlockPart:
         self._rep = rep
         self._block = block
         self._units: dict[tuple[int, int], Mat] = {}
+        w = Subspace.full(rep.field, rep.dim) if sub is None else sub
         if self.identity:
-            self.mult = Subspace.full(rep.field, rep.dim) if sub is None else sub
-        elif sub is None:
-            self.mult = image(self.unit(0, 0))
+            self.mult = w
         else:
             e00 = self.unit(0, 0)
-            self.mult = Subspace.from_vectors(rep.field, rep.dim, [e00.apply(v) for v in sub.basis_rows])
+            self.mult = Subspace.from_vectors(rep.field, rep.dim, [e00.apply(v) for v in w.basis_rows])
 
     def unit(self, i: int, j: int) -> Mat:
         mat = self._units.get((i, j))
@@ -497,13 +496,7 @@ class MinimalityReport:
         return self.no_faithful_max_submodule and self.no_faithful_simple_quotient
 
 
-# position tables, one per shape: the coordinates of F^dim off the pivots,
-# and the row-major entries of a dim x dim matrix in the given columns
-@functools.lru_cache(maxsize=None)
-def _free_positions(dim: int, pivots: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(k for k in range(dim) if k not in pivots)
-
-
+# the row-major entries of a dim x dim matrix in the given columns, one table per shape
 @functools.lru_cache(maxsize=None)
 def _entry_positions(dim: int, columns: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i * dim + k for i in range(dim) for k in columns)
@@ -610,23 +603,24 @@ def system_from_module(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> Bilinea
     soc_m = socle_subspace(m, budget)
 
     def adapted(rep: ModuleRep | QuotientData, sub: Subspace | None, dim: int):
+        """(block specs, adapted basis columns, a SpanTracker over them)."""
         specs, columns = [], []
         for part in block_decomposition(rep, sub):
             specs.append(BlockSpec(part.n, part.mult.dim))
             for u in part.mult.basis_rows:
                 columns.extend(part.summand(u))
-        if len(columns) != dim or Subspace.from_vectors(rep.field, rep.dim, columns).dim != dim:
+        basis = SpanTracker(rep.field, rep.dim, len(columns))
+        if len(columns) != dim or not all(basis.add(c) for c in columns):
             raise TheoremViolation("adapted block basis failed to decompose the module")
-        return tuple(specs), columns
+        return tuple(specs), columns, basis
 
-    s_blocks, b_columns = adapted(qd, None, qd.dim)
-    t_blocks, c_columns = adapted(m, soc_m, soc_m.dim)
-    # change of basis: standard layout -> module coordinates
-    c_basis_mat = mat_of_columns(m.field, m.dim, c_columns)  # dim M x dim_c
+    s_blocks, b_columns, _ = adapted(qd, None, qd.dim)
+    # change of basis: module coordinates -> standard layout, by the socle's tracker
+    t_blocks, c_columns, c_basis = adapted(m, soc_m, soc_m.dim)
     a_mats = []
     for a in soc_r.basis_rows:
         act = m.act_mat(a)
-        cols = [solve(c_basis_mat, act.apply(qd.lift(b))) for b in b_columns]
+        cols = [c_basis.express(act.apply(qd.lift(b))) for b in b_columns]
         if None in cols:
             raise TheoremViolation("socle image left the adapted socle basis span")
         a_mats.append(mat_of_columns(m.field, len(c_columns), cols))

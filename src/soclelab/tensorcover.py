@@ -7,10 +7,10 @@ factor of a nonzero rank-one element of A, and dually for column factors.
 When both hold, dim(A) >= m + n - 1; a verified instance violating that
 bound is reported as a theorem violation (a bug), never as a result.
 
-Both conditions are read from one table per space, `_unit_residuals`: the
-residual modulo A of each unit vector, at the free coordinates of A's RREF
-(it is zero at the pivots).  Reduction is linear, so b (x) e_j has residual
-sum_i b_i res[i n + j] and e_i (x) c has sum_j c_j res[i n + j].  A vector
+Both conditions are read from one table per space, `exactla.unit_residuals`:
+the residual modulo A of each unit vector, at the free coordinates of A's
+RREF (it is zero at the pivots).  Reduction is linear, so b (x) e_j has
+residual sum_i b_i res[i n + j] and e_i (x) c has sum_j c_j res[i n + j].  A vector
 lies in A exactly when its residual is zero, so the table is exact: the
 partners {c : b (x) c in A} are the kernel of b's residual columns.
 
@@ -40,6 +40,7 @@ from .exactla import (
     mat_of_columns,
     num_projective_points,
     row_rank,
+    unit_residuals,
     vec_combo,
 )
 from .gf import Field
@@ -80,12 +81,6 @@ class TensorSubspace:
     def full(field: Field, m: int, n: int) -> "TensorSubspace":
         return TensorSubspace.from_flat(field, m, n, Subspace.full(field, m * n))
 
-    def transpose(self) -> "TensorSubspace":
-        return TensorSubspace(self.field, self.n, self.m, tuple(mat.transpose() for mat in self.basis))
-
-    def sort_key(self):
-        return self.flat().sort_key()
-
     def to_json(self) -> dict:
         return {
             "field": self.field.to_json(),
@@ -113,17 +108,6 @@ def rank_one(field: Field, b, c) -> Mat:
 # the coverage conditions
 # ---------------------------------------------------------------------------
 
-def _unit_residuals(flat: Subspace) -> list:
-    """The residual of each unit vector e_k modulo the flat space, at its free
-    coordinates: e_k off the pivots, and e_k minus its pivot row at a pivot."""
-    neg = flat.field.tables.neg
-    free = [k for k in range(flat.ambient_dim) if k not in flat.pivots]
-    res = list(Subspace.full(flat.field, len(free)).basis_rows)
-    for p, row in zip(flat.pivots, flat.basis_rows):  # ascending, so each lands at index p
-        res.insert(p, tuple([neg[row[f]] for f in free]))
-    return res
-
-
 def _side(field: Field, res: list, m: int, n: int, rows: bool):
     """(point, residuals) for each projective point of one side: those of
     b (x) e_j for the row point b, or of e_i (x) c for the column point c."""
@@ -149,7 +133,7 @@ def _both_conditions_flat(flat: Subspace, m: int, n: int) -> bool:
     field, width = flat.field, m * n - flat.dim
     if min(m, n) > width:  # neither side is tested, so no residual table is built
         return True
-    res = _unit_residuals(flat)
+    res = unit_residuals(flat)
     for rows, count in ((True, n), (False, m)):
         if count <= width and any(row_rank(r, width, field) == count for _, r in _side(field, res, m, n, rows)):
             return False
@@ -186,12 +170,12 @@ def _coverage(flat: Subspace, m: int, n: int, rows: bool, res: list, kernels: di
 
 def check_cond_b(a: TensorSubspace) -> CoverageSide:
     """Row coverage: every projective point of F_q^m is a row factor in A."""
-    return _coverage(flat := a.flat(), a.m, a.n, True, _unit_residuals(flat), {})
+    return _coverage(flat := a.flat(), a.m, a.n, True, unit_residuals(flat), {})
 
 
 def check_cond_c(a: TensorSubspace) -> CoverageSide:
     """Column coverage: every projective point of F_q^n is a column factor in A."""
-    return _coverage(flat := a.flat(), a.m, a.n, False, _unit_residuals(flat), {})
+    return _coverage(flat := a.flat(), a.m, a.n, False, unit_residuals(flat), {})
 
 
 @dataclass
@@ -229,7 +213,7 @@ def _witnessed_report(flat: Subspace, m: int, n: int, kernels: dict) -> Coverage
     """Both witnessed coverage conditions of the flat space, from one residual
     table, and dim >= m + n - 1; both holding below the bound raises
     TheoremViolation, since it is an implementation bug by definition."""
-    res = _unit_residuals(flat)
+    res = unit_residuals(flat)
     cond_b, cond_c = (_coverage(flat, m, n, rows, res, kernels) for rows in (True, False))
     report = CoverageReport(m, n, flat.dim, cond_b, cond_c, flat.dim >= m + n - 1)
     if report.both_hold and not report.bound_holds:

@@ -21,7 +21,6 @@ from soclelab.exactla import (
     num_projective_points,
     row_rank,
     rref_rows,
-    solve,
     vec_combo,
 )
 from soclelab.modrep import ModuleRep, block_decomposition, quotient_action, radical_image, restrict_action, socle_subspace
@@ -38,6 +37,11 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
     return num // den
+
+
+def intersection_dim(a: Subspace, b: Subspace) -> int:
+    """dim(a ∩ b) by the dimension formula, from the span of both bases."""
+    return a.dim + b.dim - Subspace.from_vectors(a.field, a.ambient_dim, a.basis_rows + b.basis_rows).dim
 
 
 def enum_points(s: Subspace):
@@ -334,7 +338,7 @@ def semisimple_lengths(rep, budget=DEFAULT_BUDGET) -> dict[int, int]:
             raise PreconditionError("module is not killed by the radical")
     lengths = {}
     for f, block in enumerate(blocks):
-        rank = rep.act_mat(alg.block_idempotent(f)).rank()
+        rank = rep.act_mat(alg.certificate.idempotent(alg.field, f)).rank()
         if rank % block.n:
             raise TheoremViolation("block rank not divisible by block size: certificate corrupt")
         lengths[f] = rank // block.n
@@ -368,10 +372,11 @@ def bimodule_length_by_corner_spans(r, ideal, budget=DEFAULT_BUDGET) -> int:
     """Sum over all block pairs of dim(f X e) / (n_f n_e), one corner span each."""
     blocks = r.blocks()
     _check_killed_by_radical(r, ideal, budget)
+    idem = [r.certificate.idempotent(r.field, i) for i in range(len(blocks))]
     total = 0
     for fi, bf in enumerate(blocks):
         for ei, be in enumerate(blocks):
-            corner = _corner_space(r, r.block_idempotent(fi), ideal, r.block_idempotent(ei))
+            corner = _corner_space(r, idem[fi], ideal, idem[ei])
             if corner.dim % (bf.n * be.n):
                 raise TheoremViolation("corner dimension not divisible by block sizes")
             total += corner.dim // (bf.n * be.n)
@@ -386,7 +391,7 @@ def socle_graph_by_vertex_spans(r, budget=DEFAULT_BUDGET) -> tuple:
     blocks = r.blocks()
     soc = socles(r, budget).twosided
     _check_killed_by_radical(r, soc, budget)
-    idem = [r.block_idempotent(i) for i in range(len(blocks))]
+    idem = [r.certificate.idempotent(r.field, i) for i in range(len(blocks))]
 
     def nonzero(vectors) -> bool:
         return Subspace.from_vectors(r.field, r.dim, vectors).dim > 0
@@ -408,6 +413,19 @@ def socle_graph_by_vertex_spans(r, budget=DEFAULT_BUDGET) -> tuple:
 
 # -- the induced system through built modules: the oracle for `system_from_module`,
 # which reads the kept top and soc(M) in M's own coordinates --
+
+def solve(m: Mat, target) -> tuple | None:
+    """One solution x of m x = target by eliminating the augmented matrix,
+    or None when inconsistent."""
+    aug_rows = [list(m.row(i)) + [target[i]] for i in range(m.rows)]
+    reduced, pivots = rref_rows(aug_rows, m.cols + 1, m.field)
+    if m.cols in pivots:
+        return None
+    x = [0] * m.cols
+    for row, p in zip(reduced, pivots):
+        x[p] = row[m.cols]
+    return tuple(x)
+
 
 def system_from_module_by_restriction(m, budget=DEFAULT_BUDGET) -> BilinearSystem:
     """The induced system with adapted bases taken in two modules built for
@@ -659,6 +677,11 @@ def transpose_system(sys: BilinearSystem) -> BilinearSystem:
     """(T, S, A^T) through the verifying constructor: the balance check and
     the corner spaces run afresh on the transposed full-size maps."""
     return BilinearSystem(sys.field, sys.t_blocks, sys.s_blocks, tuple(a.transpose() for a in sys.a_basis))
+
+
+def transpose_tensor(ts: TensorSubspace) -> TensorSubspace:
+    """{X^T : X in ts}, an n x m tensor subspace."""
+    return TensorSubspace(ts.field, ts.n, ts.m, tuple(mat.transpose() for mat in ts.basis))
 
 
 def opposite_algebra(alg):

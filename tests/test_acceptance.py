@@ -14,7 +14,7 @@ from soclelab import reproduce
 from soclelab.budget import Budget
 from soclelab.corpus import iter_generator_modules, iter_weighted_generator_modules
 from soclelab.errors import BudgetExceeded, TheoremViolation
-from soclelab.gallery import criterion8_algebras
+from soclelab.gallery import criterion8_algebras, make_row_diagonal_pair
 from soclelab.modrep import faithful, local_socle_check, minimal_faithful
 from soclelab.reproduce import (
     battery_corner_minimality,
@@ -186,6 +186,25 @@ def test_local_bound_battery_counts_each_violation_by_its_weight(monkeypatch):
     for item in items:
         assert item["details"]["violations"] == item["details"]["minimal"]
         assert item["verdict"] == "violation" and not item["ok"]
+
+
+@pytest.mark.parametrize("shrink, counter", [
+    ("shrink_submodule", "submodule_violations"),
+    ("shrink_quotient", "quotient_violations"),
+    ("shrink_subfactor", "subfactor_violations"),
+])
+def test_shrink_battery_counts_each_violation_once(monkeypatch, shrink, counter):
+    def violated(*_args):
+        raise TheoremViolation("forced")
+
+    module = make_row_diagonal_pair()[1]
+    monkeypatch.setattr(reproduce, "faithful_corpus", lambda rng, min_count: [("row-diagonal", module)])
+    monkeypatch.setattr(reproduce, shrink, violated)
+    [item] = battery_shrink_bounds(SEED, min_count=1)
+    counters = ("submodule_violations", "quotient_violations", "subfactor_violations")
+    assert {k: item["details"][k] for k in counters} == {k: int(k == counter) for k in counters}
+    assert item["details"]["modules"] == 1
+    assert item["verdict"] == "violation" and not item["ok"]
 
 
 def test_criterion_09_no_false_violation_on_random_systems():

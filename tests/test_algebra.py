@@ -46,6 +46,7 @@ from soclelab.gallery import (
 
 from helpers import (
     bimodule_length_by_corner_spans,
+    intersection_dim,
     nilpotent_ideal_defect_by_products,
     radical_by_code_scan,
     residue_is_division_by_quotient,
@@ -905,8 +906,11 @@ def test_improved_bound_on_graphs():
 def test_socle_killed_by_radical_on_every_gallery_algebra():
     from soclelab.gallery import iter_gallery_algebras
 
+    # and it is all of left ∩ right: {x : Jx = 0 = xJ}
     for name, alg in iter_gallery_algebras():
-        soc = socles(alg).twosided
+        triple = socles(alg)
+        soc = triple.twosided
+        assert soc.dim == intersection_dim(triple.left, triple.right), name
         J = alg.radical()
         zero = (0,) * alg.dim
         for v in soc.basis_rows:
@@ -1078,7 +1082,7 @@ def unital_closure_by_products(alg: Algebra, indices) -> Subspace:
     span = Subspace.from_vectors(alg.field, alg.dim, [alg.one] + [alg.basis_coords(g) for g in indices])
     while True:
         products = [alg.mul_coords(x, y) for x in span.basis_rows for y in span.basis_rows]
-        grown = span.sum(Subspace.from_vectors(alg.field, alg.dim, products))
+        grown = Subspace.from_vectors(alg.field, alg.dim, list(span.basis_rows) + products)
         if grown == span:
             return span
         span = grown

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from soclelab import algebra, reproduce, tensorcover
+from soclelab import algebra, modrep, reproduce, tensorcover
 from soclelab.cli import main
 from soclelab.errors import InputError, TheoremViolation
 from soclelab.exactla import Subspace
@@ -214,6 +214,21 @@ def test_module_shrink(tmp_path, capsys):
         record = json.loads(out.strip().splitlines()[-1])
         assert record["details"]["top_length"] <= 3
         assert record["details"]["socle_length"] <= 3
+
+
+@pytest.mark.parametrize("mode", ["sub", "quot", "subfactor"])
+def test_module_shrink_reports_a_missed_bound_as_a_violation(tmp_path, capsys, monkeypatch, mode):
+    # a shrunk module over the bound (here a patched bound of 0) exits 4
+    _ring, module = make_row_diagonal_pair()
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module.to_json()))
+    monkeypatch.setattr(modrep, "shrink_bound", lambda m, budget: 0)
+    code, out = run(capsys, "module", "shrink", str(path), "--mode", mode)
+    assert code == 4
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [record["verdict"] for record in records] == ["violation"]
+    shrunk = "shrunk quotient" if mode == "quot" else "shrunk submodule"  # subfactor shrinks the submodule first
+    assert records[0]["details"]["error"].startswith(f"{shrunk} exceeds")
 
 
 def test_system_check_and_strong(tmp_path, capsys):

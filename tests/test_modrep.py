@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +13,6 @@ from soclelab.exactla import (
     Mat,
     Subspace,
     enum_hyperplanes,
-    image,
     kernel,
     mat_of_columns,
     mat_of_rows,
@@ -57,6 +57,7 @@ from soclelab.strongness import predicates
 
 from helpers import (
     images_on,
+    intersection_dim,
     matrix_combination,
     random_invertible,
     residuals_mod,
@@ -157,6 +158,30 @@ def test_system_from_module_matches_the_restricted_socle_oracle():
     assert any(block.n == 2 for m in modules for block in m.algebra.blocks())
     for m in modules:
         assert system_from_module(m).to_json() == system_from_module_by_restriction(m).to_json()
+
+
+class _DependentTracker(exactla.SpanTracker):
+    def add(self, vec) -> bool:
+        return False
+
+
+class _OffSpanTracker(exactla.SpanTracker):
+    def express(self, vec):
+        return None
+
+
+@pytest.mark.parametrize("tracker, message", [
+    (_DependentTracker, "adapted block basis failed to decompose the module"),
+    (_OffSpanTracker, "socle image left the adapted socle basis span"),
+], ids=["dependent-basis", "image-off-span"])
+def test_system_from_module_violations(monkeypatch, tracker, message):
+    # an adapted basis that its SpanTracker finds dependent, or a socle image
+    # that the tracker cannot express over the adapted socle basis
+    module = make_row_diagonal_pair()[1]
+    system_from_module(module)  # the true answers: no violation
+    monkeypatch.setattr(modrep, "SpanTracker", tracker)
+    with pytest.raises(TheoremViolation, match=message):
+        system_from_module(module)
 
 
 # -- construction ----------------------------------------------------------------
@@ -283,6 +308,24 @@ def test_block_multiplicities_match_idempotent_ranks_on_the_gallery():
             assert (ts.top_length, ts.socle_length) == top_socle_lengths(m), (name, m.dim)
 
 
+@pytest.mark.parametrize("on", ["top", "socle"])
+def test_semisimple_length_rejects_a_lost_multiplicity_space(monkeypatch, on):
+    # a block of several that is not the identity takes its multiplicity space
+    # E_f,00 W as the span of E_f,00 on W's basis, W the whole top or the
+    # socle; with every E_f,00 read as zero those spaces cannot fill W
+    module = make_row_diagonal_pair()[1]
+    args = (top(module),) if on == "top" else (module, socle_subspace(module))
+    ts = top_socle(module)
+    assert semisimple_length(*args) == (ts.top_length if on == "top" else ts.socle_length)
+    assert len(module.algebra.blocks()) > 1
+    def zero_unit(part, i, j):
+        return Mat.zero(part._rep.field, part._rep.dim, part._rep.dim)
+
+    monkeypatch.setattr(modrep.BlockPart, "unit", zero_unit)
+    with pytest.raises(TheoremViolation, match="block projections do not decompose the module"):
+        semisimple_length(*args)
+
+
 @pytest.mark.parametrize("module", [regular_module(KXY), make_row_diagonal_pair()[1]], ids=["local", "row-diagonal"])
 def test_semisimple_length_rejects_parts_that_miss_a_vector(monkeypatch, module):
     real = modrep.block_decomposition
@@ -335,7 +378,7 @@ def test_socle_equals_sum_of_simple_submodules():
         count = 0
         for _f, _u, l_sub in simple_socle_submodules(mod):
             count += 1
-            total = total.sum(l_sub)
+            total = Subspace.from_vectors(mod.field, mod.dim, total.basis_rows + l_sub.basis_rows)
         assert total == soc
         assert count >= 1
 
@@ -946,7 +989,7 @@ def block_parts_by_images(rep: ModuleRep, sub: Subspace | None) -> list:
     for block in rep.algebra.blocks():
         e00 = rep.act_mat(block.unit(0, 0))
         if sub is None:
-            mult = image(e00)
+            mult = Subspace.from_vectors(rep.field, rep.dim, e00.transpose().row_list())  # the column space
         else:
             mult = Subspace.from_vectors(rep.field, rep.dim, [e00.apply(v) for v in sub.basis_rows])
         summands = [[rep.act_mat(block.unit(i, 0)).apply(u) for i in range(block.n)] for u in mult.basis_rows]
@@ -1030,6 +1073,27 @@ def test_shrinks_reverify_the_bound(monkeypatch, shrink, message):
         shrink(module)
 
 
+def test_shrinks_reverify_faithfulness_and_the_subfactor_bounds(monkeypatch):
+    # with no witness the descent takes no step; a patched faithfulness answer
+    # then fails each shrink's own re-check, and a patched bound of 0 fails the
+    # subfactor's check past its two (patched) shrinks
+    _ring, module = make_row_diagonal_pair()
+    no_witness = SimpleNamespace(submodule_witness=None, quotient_witness=None)
+    with monkeypatch.context() as patch:
+        patch.setattr(modrep, "shrink_bound", lambda m, budget: 3)
+        patch.setattr(modrep, "minimal_faithful", lambda m, budget: no_witness)
+        patch.setattr(modrep, "faithful", lambda m: (False, None))
+        with pytest.raises(TheoremViolation, match="shrunk submodule lost faithfulness"):
+            shrink_submodule(module)
+        with pytest.raises(TheoremViolation, match="shrunk quotient lost faithfulness"):
+            shrink_quotient(module)
+    monkeypatch.setattr(modrep, "shrink_submodule", lambda m, budget: m)
+    monkeypatch.setattr(modrep, "shrink_quotient", lambda m, budget: m)
+    monkeypatch.setattr(modrep, "shrink_bound", lambda m, budget: 0)
+    with pytest.raises(TheoremViolation, match="subfactor violates a shrink bound"):
+        shrink_subfactor(module)
+
+
 def test_shrink_annihilator_dims_by_rank_match_the_intersections(rng):
     # dim(soc(R) ∩ ann) = dim soc(R) - rank of soc(R)'s basis acting, for
     # any subspace, invariant (zero and full included) or not; `_kills` on
@@ -1048,10 +1112,10 @@ def test_shrink_annihilator_dims_by_rank_match_the_intersections(rng):
                                                                for _ in range(k)]))
         for w in subs:
             on_sub = soc_annihilator_dim(m.field, images_on(soc_actions, w), w.dim * m.dim)
-            assert on_sub == soc_r.intersect(annihilator_of_subspace(m, w)).dim
+            assert on_sub == intersection_dim(soc_r, annihilator_of_subspace(m, w))
             assert modrep._kills(m.field, maps, m.dim, w.basis_rows) == (on_sub > 0)
             on_quot = soc_annihilator_dim(m.field, residuals_mod(soc_actions, w), m.dim * m.dim)
-            assert on_quot == soc_r.intersect(annihilator_of_quotient(m, w)).dim
+            assert on_quot == intersection_dim(soc_r, annihilator_of_quotient(m, w))
             assert modrep._kills(m.field, maps_t, m.dim, kernel(w.basis_mat()).basis_rows) == (on_quot > 0)
             assert strongness._lands_in(m.field, maps, m.dim, w.basis_rows) == (on_quot > 0)
             checked += 1
@@ -1075,7 +1139,7 @@ def elementary(field, n: int, r: int, c: int, x: int) -> tuple[Mat, Mat]:
     """I + x E_rc (r != c) and its inverse I - x E_rc."""
     unit = Mat.unit(field, n, n, r, c)
     ident = Mat.identity(field, n)
-    return ident.add(unit.scale(x)), ident.sub(unit.scale(x))
+    return ident.add(unit.scale(x)), ident.add(unit.scale(field.neg(x)))
 
 
 def perturbed_actions(alg, rng) -> tuple:
@@ -1100,7 +1164,7 @@ def perturbed_actions(alg, rng) -> tuple:
         action[i] = Mat(field, n, n, tuple(entries))
         # rho(b_k) = one_k^-1 (I - sum over t != k of one_t rho(b_t))
         rest = mat_vec(action, tuple(0 if t == k else x for t, x in enumerate(alg.one)))
-        action[k] = Mat.identity(field, n).sub(rest).scale(field.inv(alg.one[k]))
+        action[k] = Mat.identity(field, n).add(rest.scale(field.neg(1))).scale(field.inv(alg.one[k]))
     return tuple(action)
 
 
@@ -1130,7 +1194,7 @@ def closure_under_every_basis_action(m: ModuleRep, vectors) -> Subspace:
     span = Subspace.from_vectors(m.field, m.dim, vectors)
     while True:
         images = [mat.apply(v) for mat in m.action for v in span.basis_rows]
-        grown = span.sum(Subspace.from_vectors(m.field, m.dim, images))
+        grown = Subspace.from_vectors(m.field, m.dim, list(span.basis_rows) + images)
         if grown == span:
             return span
         span = grown
@@ -1148,7 +1212,7 @@ def test_position_tables_match_their_direct_reading():
         numbered = Mat._of(GF2, dim, dim, tuple(range(dim * dim)))  # entry (i, k) holds its own position
         for r in range(dim + 1):
             for pivots in itertools.combinations(range(dim), r):
-                free = modrep._free_positions(dim, pivots)
+                free = exactla.free_positions(dim, pivots)
                 assert free == tuple(sorted(set(range(dim)) - set(pivots)))
                 assert modrep._entry_positions(dim, free) == tuple(numbered[i, k] for i in range(dim) for k in free)
 

@@ -3,6 +3,9 @@ import importlib.util
 import json
 import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,3 +132,21 @@ def test_only_the_cli_chooses_the_budget(tmp_path):
     )
     assert budget_policy_breaches(tmp_path) == [
         "lib:1: default_budget", "lib:4: budget or", "lib:4: default_budget", "lib:5: budget or"]
+
+
+def test_reachable_reports_a_method_whose_name_is_shared(tmp_path):
+    # an uncalled Mat.sub hides from unused_defs behind every other `sub`
+    # (the field tables' and the Field method), but no run calls its code
+    src = tmp_path / "src"
+    ignore = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(SRC.parent, src, ignore=ignore)
+    shutil.copytree(TOOLS, tmp_path / "tools", ignore=ignore)
+    exactla = src / "soclelab" / "exactla.py"
+    anchor = '    def scale(self, c: int) -> "Mat":\n'
+    text = exactla.read_text()
+    assert text.count(anchor) == 1
+    exactla.write_text(text.replace(anchor, '    def sub(self, other: "Mat") -> "Mat":\n        return self\n\n' + anchor))
+    assert load_tool().unused(src) == sorted(load_tool().ALLOWED)
+    result = subprocess.run([sys.executable, str(tmp_path / "tools" / "reachable.py"), str(src)],
+                            capture_output=True, text=True, cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (1, "never called: exactla.Mat.sub\n")
