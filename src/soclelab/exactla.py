@@ -12,8 +12,11 @@ plus a back-substitution by `_reduce`, `row_rank` the sweep's pivot count,
 and `RowBasis`, `SpanTracker` and `Subspace.reduce` reduce through
 `_reduce`, over every field; tests cross-check them against a Gauss-Jordan
 oracle.  Every combination of rows by coefficients (`Mat.mul`, `Mat.apply`,
-`mat_vec`) is one `vec_combo`.  `Subspace.full` and, up to a bound,
-`full_hyperplanes` are built once per field and dimension and then shared.
+`mat_vec`) is one `vec_combo`.  `Subspace.full`, the unit rows and, up to
+a bound, `full_hyperplanes` and the point tuple of `enum_coeff_points` are
+built once per field (or width, or q) and dimension and then shared.
+`enum_subspaces` builds each pivot pattern's row choices once, and a
+subspace is one pick per row, RREF by construction.
 
 Each linear-algebra question has one entry point: a dimension is
 `row_rank`, a span `Subspace.from_vectors` (`_span` for the package's own
@@ -612,8 +615,7 @@ class Subspace:
     def full(field: Field, ambient_dim: int) -> "Subspace":
         """F_q^n with the unit basis, built once per (field, n) and then
         shared, as every Subspace is immutable."""
-        rows = tuple(tuple(1 if i == j else 0 for j in range(ambient_dim)) for i in range(ambient_dim))
-        return Subspace(field, ambient_dim, rows, tuple(range(ambient_dim)))
+        return Subspace(field, ambient_dim, _unit_rows(ambient_dim), tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -682,6 +684,13 @@ def free_positions(dim: int, pivots: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(k for k in range(dim) if k not in pivots)
 
 
+@lru_cache(maxsize=None)
+def _unit_rows(dim: int) -> tuple[Vec, ...]:
+    """The unit vectors of F^dim, one table per width: codes 0 and 1 are the
+    same in every field."""
+    return tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
+
+
 def unit_residuals(sub: Subspace) -> list[Vec]:
     """The residual of each unit vector e_k modulo sub, read at sub's free
     positions (it is zero at the pivots): e_k off the pivots, and e_k minus
@@ -689,7 +698,7 @@ def unit_residuals(sub: Subspace) -> list[Vec]:
     the free positions is the combination of these by v's coordinates."""
     neg = sub.field.tables.neg
     free = free_positions(sub.ambient_dim, sub.pivots)
-    res = list(Subspace.full(sub.field, len(free)).basis_rows)
+    res = list(_unit_rows(len(free)))
     for p, row in zip(sub.pivots, sub.basis_rows):  # ascending, so each lands at index p
         res.insert(p, tuple([neg[row[f]] for f in free]))
     return res
@@ -714,16 +723,36 @@ def num_subspaces(dim: int, q: int, max_dim: int) -> int:
     return total
 
 
+# the most points (so hyperplanes) of P(F^t) that `enum_coeff_points` and
+# `full_hyperplanes` keep: a larger t enumerates them afresh.  Measured with
+# tracemalloc on CPython 3.11, a kept tuple of hyperplanes costs 0.80 MB at
+# F_2^10 (1,023), the largest kept over F_2, against 1.81 MB at F_2^11, the
+# first left out; so each shared tuple stays under 1 MB
+_SHARED_POINTS = 1024
+
+
 def enum_coeff_points(field: Field, dim: int):
     """Canonical representatives of the 1-dim subspaces of F_q^dim.
 
-    Yields vectors whose first nonzero coordinate is 1; one per projective
-    point, in a fixed order (leading position ascending, tail in code order).
-    """
+    Vectors whose first nonzero coordinate is 1; one per projective point,
+    in a fixed order (leading position ascending, tail in code order).  Up
+    to `_SHARED_POINTS` of them come as one tuple, built once per
+    (q, dim) and then shared, as `full_hyperplanes` are; more are
+    enumerated afresh, one at a time."""
+    if num_projective_points(dim, field.q) > _SHARED_POINTS:
+        return _coeff_points(field.q, dim)
+    return _shared_points(field.q, dim)
+
+
+def _coeff_points(q: int, dim: int):
     for lead in range(dim):
-        tail_len = dim - lead - 1
-        for tail in itertools.product(field.elements(), repeat=tail_len):
+        for tail in itertools.product(range(q), repeat=dim - lead - 1):
             yield (0,) * lead + (1,) + tail
+
+
+@lru_cache(maxsize=None)
+def _shared_points(q: int, dim: int) -> tuple[Vec, ...]:
+    return tuple(_coeff_points(q, dim))
 
 
 def enum_hyperplanes(s: Subspace):
@@ -760,20 +789,12 @@ def enum_hyperplanes(s: Subspace):
         yield Subspace(field, s.ambient_dim, tuple(rows), pivots[:k] + pivots[k + 1:])
 
 
-# the most hyperplanes of F^t that `full_hyperplanes` keeps: a larger t
-# enumerates its hyperplanes afresh (the default budget allows a million).
-# Measured with tracemalloc on CPython 3.11, a kept tuple costs 0.80 MB at
-# F_2^10 (1,023 hyperplanes), the largest kept over F_2, against 1.81 MB at
-# F_2^11, the first left out; so each shared tuple stays under 1 MB
-_SHARED_HYPERPLANES = 1024
-
-
 def full_hyperplanes(field: Field, t: int):
     """The hyperplanes of F^t in `enum_hyperplanes` order (none when t = 0).
-    Up to `_SHARED_HYPERPLANES` of them come as one tuple, enumerated once
+    Up to `_SHARED_POINTS` of them come as one tuple, enumerated once
     per (field, t) and then shared, as `Subspace.full` is; more are
     enumerated afresh, one at a time."""
-    if num_projective_points(t, field.q) > _SHARED_HYPERPLANES:
+    if num_projective_points(t, field.q) > _SHARED_POINTS:
         return enum_hyperplanes(Subspace.full(field, t))
     return _shared_hyperplanes(field, t)
 
@@ -786,22 +807,17 @@ def _shared_hyperplanes(field: Field, t: int) -> tuple[Subspace, ...]:
 def enum_subspaces(field: Field, n: int, dim: int):
     """All dim-dimensional subspaces of F_q^n by direct RREF enumeration:
     pivot columns in `combinations` order, then the free entries in
-    `product` order."""
+    `product` order.  The rows of a pivot pattern vary independently, so
+    each row's choices (its 1 at its pivot, any entries right of it off the
+    other pivots) are built once per pattern and a subspace is one pick per
+    row, in the same order."""
+    elements = field.elements()
     for pivots in itertools.combinations(range(n), dim):
-        pivot_set = set(pivots)
-        free_positions = [
-            (i, j)
-            for i in range(dim)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivot_set
-        ]
-        for values in itertools.product(field.elements(), repeat=len(free_positions)):
-            rows = [[0] * n for _ in range(dim)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), v in zip(free_positions, values):
-                rows[i][j] = v
-            yield Subspace(field, n, tuple(tuple(r) for r in rows), pivots)
+        choices = [[(0,) * p + (1,) + tail
+                    for tail in itertools.product(*[(0,) if j in pivots else elements for j in range(p + 1, n)])]
+                   for p in pivots]
+        for rows in itertools.product(*choices):
+            yield Subspace(field, n, rows, pivots)
 
 
 def all_subspaces(field: Field, n: int, dims=None):

@@ -87,14 +87,14 @@ def battery_coverage_bound(budget: Budget = DEFAULT_BUDGET) -> list[dict]:
 
 # -- criterion 2 -------------------------------------------------------------
 
-def battery_cross_tightness() -> list[dict]:
+def battery_cross_tightness(budget: Budget = DEFAULT_BUDGET) -> list[dict]:
     items = []
     for q in (2, 3):
         field = field_make(q)
         for m in range(1, 5):
             for n in range(1, 5):
                 ts = make_cross(m, n, field)
-                report = check_bound(ts)
+                report = check_bound(ts, budget=budget)
                 ok = ts.dim == m + n - 1 and report.both_hold
                 items.append(_item(f"cross-tight-m{m}-n{n}-q{q}", ok, dim=ts.dim))
     return items
@@ -419,7 +419,7 @@ def run_target(target: str, seed: int = 20260808, budget: Budget = DEFAULT_BUDGE
     batteries = {
         "paper-2": lambda: (
             battery_coverage_bound(budget)
-            + battery_cross_tightness()
+            + battery_cross_tightness(budget)
             + battery_corner_minimality(budget)
             + battery_socle_forms(budget)
             + battery_radical_agreement(budget)

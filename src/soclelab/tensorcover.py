@@ -12,7 +12,10 @@ the residual modulo A of each unit vector, at the free coordinates of A's
 RREF (it is zero at the pivots).  Reduction is linear, so b (x) e_j has
 residual sum_i b_i res[i n + j] and e_i (x) c has sum_j c_j res[i n + j].  A vector
 lies in A exactly when its residual is zero, so the table is exact: the
-partners {c : b (x) c in A} are the kernel of b's residual columns.
+partners {c : b (x) c in A} are the kernel of b's residual columns.  The
+scan and the certification cut the table into the same groups (`_groups`)
+and walk the shared point tuple of `enum_coeff_points`; the search scans
+`enum_subspaces`, one pick per row from each pivot pattern's row choices.
 
 Both conditions quantify over projective points rather than all nonzero
 vectors: rank-one membership is scalar-homogeneous, so nothing is lost and
@@ -108,12 +111,9 @@ def rank_one(field: Field, b, c) -> Mat:
 # the coverage conditions
 # ---------------------------------------------------------------------------
 
-def _side(field: Field, res: list, m: int, n: int, rows: bool):
-    """(point, residuals) for each projective point of one side: those of
-    b (x) e_j for the row point b, or of e_i (x) c for the column point c."""
-    groups, k = ([res[j::n] for j in range(n)], m) if rows else ([res[i * n:i * n + n] for i in range(m)], n)
-    for p in enum_coeff_points(field, k):
-        yield p, [vec_combo(field, g, p) for g in groups]
+def _groups(res: list, m: int, n: int, rows: bool) -> tuple[list, int]:
+    """(groups, k) of one side: b (x) e_j's residual (e_i (x) c's) is group j (i) combined by the point."""
+    return ([res[j::n] for j in range(n)], m) if rows else ([res[i * n:i * n + n] for i in range(m)], n)
 
 
 def _partners(flat: Subspace, res: list, m: int, n: int, rows: bool, kernels: dict):
@@ -121,10 +121,11 @@ def _partners(flat: Subspace, res: list, m: int, n: int, rows: bool, kernels: di
     partner of a row point b is {c : b (x) c in A}, and dually.  `kernels`
     maps each residual matrix met so far (over flat's field) to its kernel."""
     field, width = flat.field, m * n - flat.dim
-    for p, residuals in _side(field, res, m, n, rows):
-        key = tuple(residuals)
+    groups, k = _groups(res, m, n, rows)
+    for p in enum_coeff_points(field, k):
+        key = tuple([vec_combo(field, g, p) for g in groups])
         if key not in kernels:
-            kernels[key] = kernel(mat_of_columns(field, width, residuals))
+            kernels[key] = kernel(mat_of_columns(field, width, key))
         yield p, kernels[key]
 
 
@@ -135,8 +136,11 @@ def _both_conditions_flat(flat: Subspace, m: int, n: int) -> bool:
         return True
     res = unit_residuals(flat)
     for rows, count in ((True, n), (False, m)):
-        if count <= width and any(row_rank(r, width, field) == count for _, r in _side(field, res, m, n, rows)):
-            return False
+        if count <= width:
+            groups, k = _groups(res, m, n, rows)
+            for p in enum_coeff_points(field, k):
+                if row_rank([vec_combo(field, g, p) for g in groups], width, field) == count:
+                    return False
     return True
 
 
@@ -231,14 +235,17 @@ def check_bound(
 
     With `check_minimality`, a space satisfying both conditions is minimal
     when none of its hyperplanes does; hyperplanes suffice because the
-    conditions are upward monotone.  The scan is charged to the budget before
-    it starts, and the first satisfying hyperplane of `enum_hyperplanes` is
+    conditions are upward monotone.  Both scans, the projective points of
+    the two sides and then the hyperplanes, are charged to the budget before
+    they start, and the first satisfying hyperplane of `enum_hyperplanes` is
     reported in RREF, whatever basis A was given in.
     """
+    q = a.field.q
+    budget.guard("coverage point enumeration", num_projective_points(a.m, q) + num_projective_points(a.n, q))
     flat = a.flat()
     report = _witnessed_report(flat, a.m, a.n, {})
     if check_minimality and report.both_hold:
-        budget.guard("minimality hyperplane enumeration", num_projective_points(a.dim, a.field.q))
+        budget.guard("minimality hyperplane enumeration", num_projective_points(a.dim, q))
         hit = next((h for h in enum_hyperplanes(flat) if _both_conditions_flat(h, a.m, a.n)), None)
         report.minimal = hit is None
         if hit is not None:
@@ -333,7 +340,8 @@ def search_minimal(
         for flat in satisfiers:
             if not below or not any(h in below for h in enum_hyperplanes(flat)):
                 # certify what is reported: witnesses re-checked by membership,
-                # and a space below the bound raises TheoremViolation
+                # and a space below the bound raises TheoremViolation; the charged
+                # subspace scan bounds it: one walk of the points per satisfier
                 if not _witnessed_report(flat, m, n, kernels).both_hold:
                     raise TheoremViolation("search satisfier failed the witnessed coverage check")
                 minimal.append(flat)

@@ -53,6 +53,28 @@ def enum_points(s: Subspace):
         yield vec_combo(field, basis, coeffs)
 
 
+def enum_subspaces_by_free_entries(field, n: int, dim: int):
+    """All dim-dimensional subspaces of F_q^n, each RREF built afresh from one
+    product of all its free entries: pivot columns in `combinations` order,
+    then the free entries in `product` order.  The oracle for
+    `enum_subspaces`, which picks each subspace's rows from per-row tables."""
+    for pivots in itertools.combinations(range(n), dim):
+        pivot_set = set(pivots)
+        free_positions = [
+            (i, j)
+            for i in range(dim)
+            for j in range(pivots[i] + 1, n)
+            if j not in pivot_set
+        ]
+        for values in itertools.product(field.elements(), repeat=len(free_positions)):
+            rows = [[0] * n for _ in range(dim)]
+            for i, p in enumerate(pivots):
+                rows[i][p] = 1
+            for (i, j), v in zip(free_positions, values):
+                rows[i][j] = v
+            yield Subspace(field, n, tuple(tuple(r) for r in rows), pivots)
+
+
 def rref_gauss_jordan(rows, ncols: int, field) -> tuple[list[list[int]], list[int]]:
     """RREF by Gauss-Jordan elimination through the field tables: each pivot
     column is cleared in every other row at once.  The oracle for the column

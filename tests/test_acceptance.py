@@ -66,6 +66,15 @@ def test_coverage_bound_battery_is_charged_to_the_budget():
     assert info.value.needed == 2825
 
 
+def test_cross_tightness_battery_is_charged_to_the_budget():
+    # the largest case, 4x4 over F_3, has 40 + 40 projective points on its
+    # two sides: a cap of 80 gives the uncapped items, 79 stops the battery
+    assert battery_cross_tightness(Budget(max_enumeration=80)) == battery_cross_tightness()
+    with pytest.raises(BudgetExceeded) as info:
+        battery_cross_tightness(Budget(max_enumeration=79))
+    assert (info.value.what, info.value.needed) == ("coverage point enumeration", 80)
+
+
 def test_capped_reproduce_stops_at_the_radical_oracle():
     # under a cap of 5000 the radical-agreement battery reaches
     # triangular-4x4-q3, a ring of 3^10 elements, and the run stops at the

@@ -1,13 +1,14 @@
 import hashlib
 import json
+import re
 
 import pytest
 
 from soclelab import algebra, modrep, reproduce, tensorcover
 from soclelab.cli import main
 from soclelab.errors import InputError, TheoremViolation
-from soclelab.exactla import Subspace
-from soclelab.gallery import make_row_diagonal_pair
+from soclelab.exactla import Mat, Subspace
+from soclelab.gallery import make_cross, make_row_diagonal_pair
 from soclelab.gf import field_make
 from soclelab.strongness import BilinearSystem, BlockSpec, tensor_maps
 
@@ -70,6 +71,52 @@ def test_cover_check_minimal_uses_the_cli_budget(tmp_path, capsys):
     assert "minimality hyperplane enumeration" in record["details"]["error"]
     code, _ = run(capsys, "--budget", "7", "cover", "check", str(path), "--minimal")
     assert code == 0
+
+
+def test_cover_check_charges_the_points_of_both_sides(tmp_path, capsys):
+    # the 2x3 cross space over F_3 has 4 + 13 projective points on its two
+    # sides: a cap of 17 gives the uncapped output, 16 stops before the scan
+    path = write_gallery(tmp_path, capsys, "cross", "m=2", "n=3", "q=3")
+    uncapped = run(capsys, "cover", "check", str(path))
+    assert uncapped[0] == 0
+    assert run(capsys, "--budget", "17", "cover", "check", str(path)) == uncapped
+    code, out = run(capsys, "--budget", "16", "cover", "check", str(path))
+    assert code == 3
+    record = json.loads(out.strip().splitlines()[-1])
+    assert record["verdict"] == "budget"
+    assert record["details"]["error"] == "budget exceeded in coverage point enumeration: needs 17, cap 16"
+
+
+def _witness_off_the_space(monkeypatch, field):
+    # every witness b (x) c is taken as E_11, which the 2x2 cross space lacks
+    ts = make_cross(2, 2, field)  # before the patch: the gallery certifies its space
+    monkeypatch.setattr(tensorcover, "rank_one", lambda f, b, c: Mat.unit(f, len(b), len(c), 1, 1))
+    return ts
+
+
+def _conditions_forced_below_the_bound(monkeypatch, field):
+    # both conditions reported to hold for a one-dimensional space
+    monkeypatch.setattr(tensorcover, "_coverage", lambda *args: tensorcover.CoverageSide(True, [], None))
+    return tensorcover.TensorSubspace(field, 2, 2, (Mat.unit(field, 2, 2, 0, 0),))
+
+
+@pytest.mark.parametrize("force, message", [
+    (_witness_off_the_space, "coverage witness failed membership re-check"),
+    (_conditions_forced_below_the_bound, "coverage conditions hold but dim 1 < 2+2-1 for m=2, n=2, q=2"),
+])
+def test_cover_check_reports_each_coverage_violation(tmp_path, capsys, monkeypatch, force, message):
+    # tensorcover's two theorem checks: the library raises, and the command
+    # exits 4 with one "violation" record naming the failed check
+    ts = force(monkeypatch, field_make(2))
+    with pytest.raises(TheoremViolation, match="^" + re.escape(message) + "$"):
+        tensorcover.check_bound(ts)
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(ts.to_json()))
+    code, out = run(capsys, "cover", "check", str(path))
+    assert code == 4
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["command"], r["verdict"]) for r in records] == [("cover check", "violation")]
+    assert records[0]["details"] == {"error": message}
 
 
 def test_algebra_analyze(tmp_path, capsys):

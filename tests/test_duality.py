@@ -14,7 +14,7 @@ from soclelab.errors import BudgetExceeded
 from soclelab.exactla import Subspace, enum_coeff_points, full_hyperplanes, transposed
 from soclelab.gallery import make_line_cover_system
 from soclelab.gf import field_make
-from soclelab.modrep import module_report
+from soclelab.modrep import module_report, shrink_quotient, shrink_submodule, top_socle
 from soclelab.strongness import n_strong, predicates, prop41_check
 
 from helpers import dual_module, opposite_algebra, transpose_system
@@ -172,3 +172,22 @@ def test_opposite_algebra_swaps_the_one_sided_socles():
         assert (theirs.left, theirs.right, theirs.twosided) == (mine.right, mine.left, mine.twosided)
         assert socle_is_central(opposite) == socle_is_central(alg)
     assert len(seen) >= 5
+
+
+def test_shrinking_the_dual_quotient_side_is_the_dual_of_the_submodule_shrink():
+    # submodules of M are the annihilators of quotients of M*, so the
+    # quotient-shrink of M* over R^op has the dimension of M's
+    # submodule-shrink, with top and socle lengths trading places
+    opposites = {}
+    shrunk, lopsided = 0, 0
+    for name, m in duality_corpus():
+        if id(m.algebra) not in opposites:
+            opposites[id(m.algebra)] = m.algebra, opposite_algebra(m.algebra)
+        sub = shrink_submodule(m)
+        quot = shrink_quotient(dual_module(m, opposites[id(m.algebra)][1]))
+        assert sub.dim == quot.dim, name
+        mine, theirs = top_socle(sub), top_socle(quot)
+        assert (mine.top_length, mine.socle_length) == (theirs.socle_length, theirs.top_length), name
+        shrunk += sub.dim < m.dim
+        lopsided += mine.top_length != mine.socle_length
+    assert shrunk and lopsided

@@ -26,7 +26,14 @@ from soclelab.exactla import (
 )
 from soclelab.gf import Field, field_make
 
-from helpers import enum_points, gaussian_binomial, matrix_combination, rref_gauss_jordan, solve
+from helpers import (
+    enum_points,
+    enum_subspaces_by_free_entries,
+    gaussian_binomial,
+    matrix_combination,
+    rref_gauss_jordan,
+    solve,
+)
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -312,6 +319,38 @@ def test_row_rank_is_the_dimension_of_the_span(field, rng):
         if vectors:
             m = Mat.from_rows(field, vectors)
             assert rank == m.rank() == len(vectors) - kernel(m.transpose()).dim
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f"q{f.q}")
+def test_enum_subspaces_matches_one_product_over_all_free_entries(field):
+    # the per-row tables give the subspaces (rows and pivots) in the order
+    # of building each RREF afresh from one product of its free entries, in
+    # every dimension of F_q^n, n <= 4, and of F_2^6
+    for n in range(5) if field.q > 2 else (0, 1, 2, 3, 4, 6):
+        for dim in range(n + 1):
+            got = list(enum_subspaces(field, n, dim))
+            assert got == list(enum_subspaces_by_free_entries(field, n, dim)), (n, dim)
+            assert len(got) == gaussian_binomial(n, dim, field.q)
+
+
+def test_coeff_points_are_one_shared_tuple_up_to_the_bound():
+    # up to the bound the points come as one tuple per (q, dim), in the
+    # generator's order, and a second call (with an equal field) returns the
+    # same object; past it they come one at a time, in the same order
+    shared = afresh = 0
+    for field in ORACLE_FIELDS:
+        for dim in range(6):
+            points = enum_coeff_points(field, dim)
+            want = list(exactla._coeff_points(field.q, dim))
+            assert list(points) == want == sorted(want, key=lambda v: (v.index(1), v))
+            assert len(want) == num_projective_points(dim, field.q)
+            if len(want) <= exactla._SHARED_POINTS:
+                assert type(points) is tuple and enum_coeff_points(field_make(field.p, field.e), dim) is points
+                shared += 1
+            else:
+                assert type(points) is not tuple
+                afresh += 1
+    assert shared and afresh
 
 
 def test_subspace_counts_match_gaussian_binomials():
