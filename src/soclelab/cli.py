@@ -99,8 +99,8 @@ class Reporter:
         self.timing = args.timing
         self.started = time.monotonic()
 
-    def emit(self, command: str, verdict: str, details, inputs=None):
-        record = {"command": command, "inputs": inputs or {}, "verdict": verdict, "details": details}
+    def emit(self, command: str, verdict: str, details, inputs: dict):
+        record = {"command": command, "inputs": inputs, "verdict": verdict, "details": details}
         if self.timing:
             record["timing"] = round(time.monotonic() - self.started, 3)
         print(json.dumps(record, sort_keys=True))
@@ -422,12 +422,13 @@ def main(argv=None) -> int:
     key = (args.command, getattr(args, "subcommand", None))
     # every record of a run, an error record too, carries this one name
     command = " ".join(part for part in (*key, getattr(args, "target", None)) if part)
+    # every record of a run, an error record too, names the inputs read so far
+    inputs: dict[str, str] = {}
     try:
         # the run's one budget: no library call reads SOCLELAB_BUDGET
         budget = Budget.of_cap(args.budget) if args.budget is not None else default_budget()
         if getattr(args, "out", None) == "":
             raise InputError("--out needs a file path, got an empty string")
-        inputs: dict[str, str] = {}
         records, table = COMMANDS[key](args, inputs, budget)
         for verdict, details in records:
             reporter.emit(command, verdict, details, inputs)
@@ -443,7 +444,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         traceback.print_exc()  # to stderr, so stdout keeps its one record
         verdict, details = "internal-error", {"error": str(exc), "exception": type(exc).__name__}
-    reporter.emit(command, verdict, details)
+    reporter.emit(command, verdict, details, inputs)
     return VERDICT_EXIT[verdict]
 
 

@@ -203,6 +203,54 @@ def test_rejects_a_local_certificate_whose_residue_ring_is_not_division():
     assert local.certificate.local
 
 
+def _analyze_record(tmp_path, capsys, data):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(data))
+    code = main(["algebra", "analyze", str(path)])
+    (record,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    return code, record
+
+
+# the upper triangular 2x2 matrices over F_2, basis E00, E11, E01: radical
+# span(E01), blocks E00 and E11; each certificate breaks one later check
+@pytest.mark.parametrize("certificate, message", [
+    ({"radical_basis": [[0, 0, 1]], "split": False, "local": False},
+     "certificate must claim split blocks or a local (division) quotient"),
+    ({"radical_basis": [[0, 0, 1]], "split": True,
+      "blocks": [{"n": 1, "matrix_units": [[1, 0, 0]]}, {"n": 1, "matrix_units": [[1, 0, 1]]}]},
+     "bad certificate: matrix units dependent modulo the radical"),
+    # E00 and the identity: E00 * 1 is not in J, as blocks (0, 1) need
+    ({"radical_basis": [[0, 0, 1]], "split": True,
+      "blocks": [{"n": 1, "matrix_units": [[1, 0, 0]]}, {"n": 1, "matrix_units": [[1, 1, 0]]}]},
+     "bad certificate: matrix-unit relation fails at blocks (0,1)"),
+], ids=["neither-split-nor-local", "units-dependent-mod-J", "unit-relation"])
+def test_analyze_rejects_each_bad_certificate(tmp_path, capsys, certificate, message):
+    data = make_triangular(2, GF2, False).to_json()
+    data["certificate"] = certificate
+    code, record = _analyze_record(tmp_path, capsys, data)
+    assert (code, record["verdict"], record["details"]) == (2, "input-error", {"error": message})
+
+
+def test_analyze_rejects_idempotents_that_miss_the_identity(tmp_path, capsys, monkeypatch):
+    # units that fill R/J and satisfy the unit relations have an idempotent
+    # sum that is a left identity of R/J, so only a forced sum reaches the check
+    data = make_triangular(2, GF2, False).to_json()
+    monkeypatch.setattr(algebra.CertifiedStructure, "idempotent", lambda self, field, f: (0,) * self.radical.ambient_dim)
+    code, record = _analyze_record(tmp_path, capsys, data)
+    message = "bad certificate: block idempotents do not sum to the identity modulo J"
+    assert (code, record["verdict"], record["details"]) == (2, "input-error", {"error": message})
+
+
+def test_certificate_radical_in_the_wrong_space_is_rejected():
+    # JSON decoding sizes the radical to the algebra, so only a direct
+    # construction can hand over a radical of another ambient dimension
+    tri = make_triangular(2, GF2, False)
+    cert = algebra.CertifiedStructure(Subspace.zero(GF2, tri.dim + 1), True, tri.certificate.blocks, False)
+    with pytest.raises(InputError) as excinfo:
+        Algebra(GF2, tri.dim, tri.mult, tri.one, certificate=cert)
+    assert str(excinfo.value) == "bad certificate: radical basis lives in the wrong space"
+
+
 def test_residue_division_test_matches_the_quotient_structure_constants():
     # the left multiplications mod J against the quotient's structure
     # constants, on the radical, zero and seeded random subspaces of the gallery

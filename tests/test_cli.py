@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,7 @@ from soclelab import algebra, modrep, reproduce, tensorcover
 from soclelab.cli import main
 from soclelab.errors import InputError, TheoremViolation
 from soclelab.exactla import Mat, Subspace
-from soclelab.gallery import make_cross, make_row_diagonal_pair
+from soclelab.gallery import make_cross, make_row_diagonal_pair, make_square_zero_extension
 from soclelab.gf import field_make
 from soclelab.strongness import BilinearSystem, BlockSpec, tensor_maps
 
@@ -85,6 +86,16 @@ def test_cover_check_charges_the_points_of_both_sides(tmp_path, capsys):
     record = json.loads(out.strip().splitlines()[-1])
     assert record["verdict"] == "budget"
     assert record["details"]["error"] == "budget exceeded in coverage point enumeration: needs 17, cap 16"
+
+
+def test_a_capped_run_names_the_input_it_read(tmp_path, capsys):
+    # an error record names the inputs read before the error, as a pass does
+    path = write_gallery(tmp_path, capsys, "cross")
+    code, out = run(capsys, "--budget", "0", "cover", "check", str(path))
+    assert code == 3
+    record = json.loads(out)
+    assert record["verdict"] == "budget"
+    assert record["inputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 def _witness_off_the_space(monkeypatch, field):
@@ -173,8 +184,10 @@ def test_unreadable_input_is_an_input_error(tmp_path, capsys, case):
     assert code == 2
     records = [json.loads(line) for line in out.splitlines()]
     assert len(records) == 1
+    # the unreadable file has no hash; a module file read before its algebra_ref has one
+    read = {} if argv[2] == named else {argv[2]: hashlib.sha256(Path(argv[2]).read_bytes()).hexdigest()}
     assert (records[0]["command"], records[0]["verdict"], records[0]["inputs"]) \
-        == (" ".join(argv[:2]), "input-error", {})
+        == (" ".join(argv[:2]), "input-error", read)
     assert named in records[0]["details"]["error"] and message in records[0]["details"]["error"]
 
 
@@ -276,6 +289,32 @@ def test_module_shrink_reports_a_missed_bound_as_a_violation(tmp_path, capsys, m
     assert [record["verdict"] for record in records] == ["violation"]
     shrunk = "shrunk quotient" if mode == "quot" else "shrunk submodule"  # subfactor shrinks the submodule first
     assert records[0]["details"]["error"].startswith(f"{shrunk} exceeds")
+
+
+def test_a_failed_local_bound_is_a_violation(tmp_path, capsys, monkeypatch):
+    # the regular module of square-zero-extension q=2 g=2 is minimal over a
+    # local algebra with central socle, and meets the local bound
+    # l(M/JM) + l(soc M) <= l(soc R) + 1 with equality; one more top length
+    # fails it, and the bound has no field-size hypothesis
+    module = modrep.regular_module(make_square_zero_extension(field_make(2), 2))
+    lengths = modrep.top_socle
+
+    def inflated(m, budget):
+        ts = lengths(m, budget)
+        return modrep.TopSocle(ts.top_length + 1, ts.socle_length)
+
+    monkeypatch.setattr(modrep, "top_socle", inflated)
+    message = "local socle bound failed: 2+2 > 2+1"
+    with pytest.raises(TheoremViolation, match="^" + re.escape(message) + "$"):
+        modrep.local_socle_check(module)
+    path = tmp_path / "szr.json"
+    path.write_text(json.dumps(module.to_json()))
+    code, out = run(capsys, "module", "check", str(path))
+    assert code == 4
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["command"], r["verdict"], r["details"]) for r in records] == \
+        [("module check", "violation", {"error": message})]
+    assert records[0]["inputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 def test_system_check_and_strong(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import importlib.util
 import json
 import os
@@ -7,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -17,6 +19,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "soclelab"
 def load_tool(name: str = "unused_defs"):
     spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # a dataclass looks its module up there
     spec.loader.exec_module(module)
     return module
 
@@ -132,6 +135,32 @@ def test_only_the_cli_chooses_the_budget(tmp_path):
     )
     assert budget_policy_breaches(tmp_path) == [
         "lib:1: default_budget", "lib:4: budget or", "lib:4: default_budget", "lib:5: budget or"]
+
+
+def test_each_module_imports_first():
+    # each module imported with no soclelab module loaded, as in a fresh
+    # interpreter, so an import cycle that the usual import order hides fails
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        with mock.patch.dict(sys.modules):
+            for name in [name for name in sys.modules if name.partition(".")[0] == "soclelab"]:
+                del sys.modules[name]
+            importlib.import_module(f"soclelab.{path.stem}")
+
+
+def test_runs_names_each_entry_off_its_pin_or_exit_code(capsys):
+    # a pin one hex digit off and a wrong exit code: one line each, exit 1
+    runs = load_tool("runs")
+    names = [run.name for run in runs.RUNS]
+    assert len(names) == len(set(names))
+    assert all(run.same[0] in names[:i] for i, run in enumerate(runs.RUNS) if run.same)
+    pin = runs.RUNS[names.index("gallery list")].sha256
+    off = pin[:-1] + ("1" if pin[-1] == "0" else "0")
+    table = [runs.Run("gallery list", off), runs.Run("gallery make cross", exit=1)]
+    assert runs.main(table) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"gallery list: sha256 {pin}, pinned {off}", "gallery make cross: exit 0, expected 1"]
 
 
 def test_reachable_reports_a_method_whose_name_is_shared(tmp_path):

@@ -1,12 +1,8 @@
 """List every function or method in src/ that no end-to-end run calls.
 
 Runs the package in process under `sys.setprofile`, which sees each Python
-call, and walks these runs in a temporary directory:
-  - `reproduce all`;
-  - one run of each CLI subcommand, on inputs written by `gallery make`;
-  - one capped `--budget` run;
-  - `algebra analyze --oracle` on an algebra over F_5, whose radical oracle
-    takes the generic full-rank sweep (`_echelon` with stop_at_gap).
+call, over every entry of the end-to-end table in `tools/runs.py`, writers
+included.
 A def counts as called when its code object ran at least once.  Unlike
 `tools/unused_defs.py`, which matches by name, this sees a method whose name
 another attribute shares (`sub`, `neg`, ...).  Module-level and class-level
@@ -21,10 +17,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
-import io
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 # defs that no end-to-end run calls, with why they stay
@@ -32,8 +25,6 @@ ALLOWED = {
     "algebra._coset_representative":
         "runs only when the radical scan rejects a coset before the span grows, which no gallery ring does; "
         "the radical oracle tests and the benchmark's random triangular rings reach it",
-    "corpus.iter_generator_modules":
-        "the benchmark's module-scan stream and the tests' per-candidate oracle for the weighted battery",
     "corpus.square_zero_matrices": "the flat pool that the tests compare with the containment scan and the brute-force set",
     "gf.Field.__repr__": "names fields in test ids and in debugging output",
     "gf.Field._tables": "the benchmark tracer wraps it to count table lookups (gf.table_lookups); test_gf reads it",
@@ -47,8 +38,6 @@ ALLOWED = {
         "the benchmark tracer counts it (strongness.mult_space.calls); the tests use it as the literal definition",
     "strongness.BilinearSystem.kernel_mult_space":
         "the benchmark tracer counts it (strongness.mult_space.calls); the tests use it as the literal definition",
-    "strongness.BilinearSystem.transpose": "the CI system-strong step writes the transposed systems with it",
-    "tensorcover.TensorSubspace.full": "the CI cover-check step writes the full 2x2 space over F_3 with it",
 }
 
 
@@ -70,39 +59,6 @@ def definitions(src: Path) -> dict[tuple[str, int], str]:
     return found
 
 
-def runs(work: Path) -> list[list[str]]:
-    """The CLI argument lists, in order: every gallery item is made, and
-    the runs after them read what they wrote."""
-    gallery = [
-        ("cross.json", ["cross"]),
-        ("corner.json", ["corner"]),
-        ("tri.json", ["triangular"]),
-        ("tri5.json", ["triangular", "n=2", "q=5"]),
-        ("mat.json", ["matrix-algebra"]),
-        ("sz.json", ["square-zero-extension"]),
-        ("tt.json", ["twisted-truncated"]),
-        ("lc.json", ["line-cover-system", "q=2", "d=2"]),
-        ("rd.json", ["row-diagonal-module"]),
-    ]
-    out = [["gallery", "list"], ["gallery", "make", "number-field-example"]]
-    out += [["gallery", "make", *args, "-o", str(work / name)] for name, args in gallery]
-    out += [
-        ["--pretty", "cover", "check", str(work / "cross.json"), "--minimal"],
-        ["cover", "check", str(work / "corner.json")],
-        ["--timing", "cover", "search-minimal", "--m", "2", "--n", "2", "--q", "2"],
-        ["algebra", "analyze", str(work / "tri.json")],
-        ["algebra", "analyze", str(work / "tri5.json"), "--oracle"],
-        ["module", "check", str(work / "rd.json")],
-        ["module", "shrink", str(work / "rd.json"), "--mode", "subfactor"],
-        ["system", "check", str(work / "lc.json")],
-        ["system", "strong", str(work / "lc.json"), "--side", "left", "--N", "1", "--relative"],
-        ["strong", str(work / "lc.json"), "--side", "right", "--N", "2", "--block", ",0"],
-        ["--budget", "5000", "reproduce", "paper-2", "--out", str(work / "capped.json")],
-        ["reproduce", "all", "--out", str(work / "all.json")],
-    ]
-    return out
-
-
 def called_code(src: Path) -> set[tuple[str, int]]:
     """(file, first line) of every code object under src that the runs call."""
     sys.path.insert(0, str(src))
@@ -110,25 +66,23 @@ def called_code(src: Path) -> set[tuple[str, int]]:
 
     if not Path(cli.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"imported soclelab from {cli.__file__}, not from {src}")
+    import runs  # after soclelab, so its writers use the package imported from src
+
     seen: set = set()
 
     def profile(frame, event, _arg):
         if event == "call":
             seen.add(frame.f_code)
 
-    here = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
+    @contextlib.contextmanager
+    def profiled():
+        sys.setprofile(profile)
         try:
-            for argv in runs(Path(tmp)):
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                    sys.setprofile(profile)
-                    try:
-                        cli.main(argv)
-                    finally:
-                        sys.setprofile(None)
+            yield
         finally:
-            os.chdir(here)
+            sys.setprofile(None)
+
+    runs.execute(runs.RUNS, profiled)
     prefix = str(src)
     return {(code.co_filename, code.co_firstlineno) for code in seen if code.co_filename.startswith(prefix)}
 
