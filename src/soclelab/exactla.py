@@ -31,13 +31,13 @@ The radical oracle's full-rank test (`_full_rank_kernels`) packs a whole
 n*n matrix into Python ints over F_2 (one word, as M4RI packs rows:
 Albrecht, Bard & Hart, ACM TOMS 37, 2010) and F_3 (two bit-planes, as in
 Boothby & Bradshaw's bitslicing, arXiv:0901.1413), and eliminates column by
-column with a few word operations.  Every other field takes `_echelon` with
-stop_at_gap, the early exit at the first column without a pivot; the tests
-keep that sweep as the oracle for the packed kernels.  The F_3 bit-planes
-also serve `Mat.mul_is_zero`, the module relations' zero-product test: for
-each column t, the rows of A holding 1 (or -1) there take row t of B (or its
-negation) in one multiply by a row-set word.  Other fields and non-square
-shapes combine rows and stop at the first nonzero one.
+column with a few word operations; every other field takes `_echelon` with
+stop_at_gap, the tests' oracle for the packed kernels.  The F_2 word
+(`_pack_gf2`) also packs `tensorcover`'s coverage residuals over F_2, and
+the F_3 bit-planes serve `Mat.mul_is_zero`, the module relations'
+zero-product test: for each column t, the rows of A holding 1 (or -1) there
+take row t of B (or its negation) in one multiply by a row-set word.  Other
+fields and non-square shapes combine rows and stop at the first nonzero one.
 
 Matrix validation runs only on external input: `Mat(...)`, `Mat.from_rows`
 and `Mat.from_json` check shape and entry range.  Every matrix the package

@@ -13,9 +13,12 @@ RREF (it is zero at the pivots).  Reduction is linear, so b (x) e_j has
 residual sum_i b_i res[i n + j] and e_i (x) c has sum_j c_j res[i n + j].  A vector
 lies in A exactly when its residual is zero, so the table is exact: the
 partners {c : b (x) c in A} are the kernel of b's residual columns.  The
-scan and the certification cut the table into the same groups (`_groups`)
-and walk the shared point tuple of `enum_coeff_points`; the search scans
-`enum_subspaces`, one pick per row from each pivot pattern's row choices.
+certification, and the scan over every field but F_2, cut the table into
+the same groups (`_groups`) and walk the shared point tuple of
+`enum_coeff_points`; over F_2 the scan XORs one word per residual
+(`_residual_words`) and tests independence in an XOR basis.  The search
+scans `enum_subspaces`, one pick per row from each pivot pattern's row
+choices.
 
 Both conditions quantify over projective points rather than all nonzero
 vectors: rank-one membership is scalar-homogeneous, so nothing is lost and
@@ -30,15 +33,18 @@ full.  Both certify by `_witnessed_report`, one kernel per residual matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import xor
 
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import InputError, PreconditionError, TheoremViolation, decoding, json_int
 from .exactla import (
     Mat,
     Subspace,
+    _pack_gf2,
     enum_coeff_points,
     enum_hyperplanes,
     enum_subspaces,
+    free_positions,
     kernel,
     mat_of_columns,
     num_projective_points,
@@ -131,9 +137,43 @@ def _partners(flat: Subspace, res: list, m: int, n: int, rows: bool, kernels: di
 
 def _both_conditions_flat(flat: Subspace, m: int, n: int) -> bool:
     # b is uncovered when its residuals are independent, never when they outnumber the free coordinates
-    field, width = flat.field, m * n - flat.dim
+    width = m * n - flat.dim
     if min(m, n) > width:  # neither side is tested, so no residual table is built
         return True
+    if flat.field.q != 2:
+        return _both_conditions_generic(flat, m, n)
+    res = _residual_words(flat)
+    for rows, count in ((True, n), (False, m)) if n <= m else ((False, m), (True, n)):  # fewer words first
+        if count <= width:
+            units = list(zip(*_groups(res, m, n, rows)[0]))  # units[t]: coordinate t's word in each group
+            combos = [(0,) * count]  # per support mask, from the mask with its lowest bit cleared
+            for mask in range(1, 1 << len(units)):
+                low = mask & -mask
+                combos.append(combo := tuple(map(xor, combos[mask ^ low], units[low.bit_length() - 1])))
+                basis = []  # min(w, w ^ b) clears b's top bit from w, and no later basis word sets it
+                for w in combo:
+                    for b in basis:
+                        w = min(w, w ^ b)
+                    if not w:
+                        break
+                    basis.append(w)
+                else:
+                    return False
+    return True
+
+
+def _residual_words(flat: Subspace) -> list[int]:
+    """`unit_residuals` over F_2, each packed by `_pack_gf2`, read straight from the pivot rows."""
+    free = free_positions(flat.ambient_dim, flat.pivots)
+    res = [1 << t for t in range(len(free))]
+    for p, row in zip(flat.pivots, flat.basis_rows):  # ascending, so each lands at index p
+        res.insert(p, _pack_gf2([row[f] for f in free]))
+    return res
+
+
+def _both_conditions_generic(flat: Subspace, m: int, n: int) -> bool:
+    """`_both_conditions_flat` from `unit_residuals`: the path of q > 2, and the oracle of F_2's words."""
+    field, width = flat.field, m * n - flat.dim
     res = unit_residuals(flat)
     for rows, count in ((True, n), (False, m)):
         if count <= width:

@@ -25,7 +25,7 @@ from soclelab.exactla import (
 )
 from soclelab.modrep import ModuleRep, block_decomposition, quotient_action, radical_image, restrict_action, socle_subspace
 from soclelab.strongness import BilinearSystem, BlockSpec, StrongReport, _side_block
-from soclelab.tensorcover import TensorSubspace, _both_conditions_flat
+from soclelab.tensorcover import TensorSubspace, _both_conditions_generic
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -204,14 +204,15 @@ def minimal_by_hyperplane_kernels(a: TensorSubspace) -> tuple[bool, TensorSubspa
     """Hyperplane minimality built one hyperplane at a time in A's own basis:
     for each projective point phi of the coefficient space, the kernel of phi
     combined with A's basis matrices.  The oracle for `check_minimal`, which
-    takes the closed-form hyperplanes of A's RREF instead.  A must satisfy
-    both coverage conditions."""
+    takes the closed-form hyperplanes of A's RREF instead.  It tests each
+    candidate by the generic coverage path, so it shares no code with F_2's
+    packed words.  A must satisfy both coverage conditions."""
     field, d = a.field, a.dim
     basis = list(a.basis)
     for phi in enum_coeff_points(field, d):
         coeff_kernel = kernel(mat_of_rows(field, d, [phi]))
         candidate = TensorSubspace(field, a.m, a.n, tuple(mat_vec(basis, c) for c in coeff_kernel.basis_rows))
-        if _both_conditions_flat(candidate.flat(), a.m, a.n):
+        if _both_conditions_generic(candidate.flat(), a.m, a.n):
             return False, candidate
     return True, None
 

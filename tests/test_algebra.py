@@ -570,6 +570,25 @@ def test_radical_oracle_self_checks_raise_theorem_violation(tmp_path, capsys, mo
     assert records[0]["details"]["error"].startswith(message)
 
 
+def test_corner_dimension_off_the_block_sizes_is_a_violation(tmp_path, capsys, monkeypatch):
+    # M_2(F_2) has one block, n = 2, and its socle is the whole algebra, the
+    # one corner of dimension 4; a corner rank one too high is not divisible
+    # by n * n.  The corner rank is algebra's only `row_rank` call
+    path = tmp_path / "m22.json"
+    path.write_text(json.dumps(make_matrix_algebra(2, field_make(2)).to_json()))
+    alg = Algebra.from_json(json.loads(path.read_text()))
+    assert bimodule_length(alg, socles(alg).twosided) == 1
+    monkeypatch.setattr(algebra, "row_rank", lambda rows, ncols, field: row_rank(rows, ncols, field) + 1)
+    message = "corner dimension 5 not divisible by 4: certificate corrupt"
+    with pytest.raises(TheoremViolation, match="^" + re.escape(message) + "$"):
+        bimodule_length(alg, socles(alg).twosided)
+    capsys.readouterr()
+    assert main(["algebra", "analyze", str(path)]) == 4
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["command"], r["verdict"], r["details"]) for r in records] == \
+        [("algebra analyze", "violation", {"error": message})]
+
+
 def test_left_ideal_rows_are_the_combinations_of_structure_constants():
     # the radical oracle builds row i of a basis of Rx as b_i x, the
     # combination of the b_i b_j by the x_j
@@ -938,6 +957,9 @@ def test_improved_bound_formula_values():
     assert improved_bound_value(-1, (1, 2, 2, 2), 7) == 6
     assert improved_bound_value(-2, (1, 1, 3), 5) == 3
     assert improved_bound_value(0, (2, 2), 4) == 4
+    # -chi above the edge count: no SocleGraph has it (chi = V - E >= -E), so a direct call
+    with pytest.raises(TheoremViolation, match="^graph has fewer edges than vertices minus chi allows$"):
+        improved_bound_value(-3, (1, 1), 5)
 
 
 def test_improved_bound_on_graphs():

@@ -1,10 +1,15 @@
 import hashlib
 import itertools
+import json
 import math
 import operator
+import random
+import re
 
 import pytest
 
+from soclelab import corpus
+from soclelab.cli import main
 from soclelab.corpus import (
     ModuleAssembler,
     _invertible_matrices,
@@ -19,7 +24,7 @@ from soclelab.corpus import (
     square_zero_classes,
     square_zero_matrices,
 )
-from soclelab.errors import InputError
+from soclelab.errors import InputError, TheoremViolation
 from soclelab.exactla import Mat, enum_subspaces
 from soclelab.gf import field_make
 from soclelab.gallery import (
@@ -255,6 +260,20 @@ def test_faithful_corpus_contents(rng):
     for _name, mod in corpus:
         ok, _ = faithful(mod)
         assert ok
+
+
+def test_a_corpus_short_of_its_count_is_a_violation(tmp_path, capsys, monkeypatch):
+    # no random module is ever assembled, so the corpus keeps its fixtures
+    # and gives up after its last round; `reproduce paper-6` reports it
+    monkeypatch.setattr(corpus, "random_generator_module", lambda assembler, dim, rng: None)
+    message = "corpus generation failed to reach the requested count"
+    with pytest.raises(TheoremViolation, match="^" + re.escape(message) + "$"):
+        faithful_corpus(random.Random(0), min_count=40)
+    monkeypatch.chdir(tmp_path)
+    assert main(["reproduce", "paper-6"]) == 4
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["command"], r["verdict"], r["details"]) for r in records] == \
+        [("reproduce paper-6", "violation", {"error": message})]
 
 
 def test_random_split_system_well_formed(rng):

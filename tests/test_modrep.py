@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 from types import SimpleNamespace
@@ -7,6 +8,7 @@ import pytest
 
 from soclelab.algebra import algebra_make, bimodule_length, socle_graph, socles
 from soclelab.budget import Budget
+from soclelab.cli import main
 from soclelab.corpus import ModuleAssembler, iter_generator_modules, random_generator_module
 from soclelab.errors import BudgetExceeded, InputError, NotSplitError, PreconditionError, TheoremViolation
 from soclelab.exactla import (
@@ -235,6 +237,33 @@ def test_relation_error_names_the_first_failing_pair_not_the_generator_pair():
     assert [j for j in range(4) if not unchecked._relation_holds(3, j)][0] == 1
     with pytest.raises(InputError, match=pair_error(2, 1)):
         ModuleRep(alg, 2, action)
+
+
+def test_a_generator_pair_that_fails_alone_is_a_violation(tmp_path, capsys, monkeypatch):
+    # the relation test fails once, on the first generator pair, and holds on
+    # every pair of the rescan, which then finds no pair to name
+    module = regular_module(KX2)
+    path = tmp_path / "kx2.json"
+    path.write_text(json.dumps(module.to_json()))
+    holds = ModuleRep._relation_holds
+
+    def failing_once():
+        calls = []
+
+        def relation_holds(self, i, j):
+            calls.append((i, j))
+            return len(calls) > 1 and holds(self, i, j)
+        return relation_holds
+
+    message = "a generator pair failed but no basis pair does"
+    monkeypatch.setattr(ModuleRep, "_relation_holds", failing_once())
+    with pytest.raises(TheoremViolation, match="^" + re.escape(message) + "$"):
+        ModuleRep(KX2, module.dim, module.action)
+    monkeypatch.setattr(ModuleRep, "_relation_holds", failing_once())
+    assert main(["module", "check", str(path)]) == 4
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["command"], r["verdict"], r["details"]) for r in records] == \
+        [("module check", "violation", {"error": message})]
 
 
 def test_zero_relation_targets_still_reject():

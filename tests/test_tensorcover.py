@@ -7,6 +7,7 @@ from soclelab.errors import BudgetExceeded, InputError, PreconditionError, Theor
 from soclelab.exactla import (
     Mat,
     Subspace,
+    _pack_gf2,
     all_subspaces,
     enum_coeff_points,
     mat_vec,
@@ -131,16 +132,47 @@ def oracle_side(partners, columns: bool) -> CoverageSide:
 
 def test_both_conditions_build_the_residual_table_only_for_a_tested_side(monkeypatch):
     # over 2x2 a space of dim 3 or 4 leaves fewer than two free coordinates,
-    # so neither side is tested and the space satisfies both conditions
+    # so neither side is tested and the space satisfies both conditions.
+    # F_2 builds its table as packed words, every other field by unit_residuals
     built = []
-    monkeypatch.setattr(tensorcover, "unit_residuals", lambda flat: built.append(flat.dim) or unit_residuals(flat))
-    f7 = field_make(7)
-    for flat in all_subspaces(f7, 4, dims=(3, 4)):
-        assert tensorcover._both_conditions_flat(flat, 2, 2)
+
+    def table(name, build):
+        return lambda flat: built.append((name, flat.field.q, flat.dim)) or build(flat)
+
+    monkeypatch.setattr(tensorcover, "unit_residuals", table("residuals", unit_residuals))
+    monkeypatch.setattr(tensorcover, "_residual_words", table("words", tensorcover._residual_words))
+    for q in (2, 7):
+        for flat in all_subspaces(field_make(q), 4, dims=(3, 4)):
+            assert tensorcover._both_conditions_flat(flat, 2, 2)
     assert not built
-    for flat in all_subspaces(field_make(2), 4, dims=(1, 2)):
-        tensorcover._both_conditions_flat(flat, 2, 2)
-    assert set(built) == {1, 2}
+    for q in (2, 7):
+        for flat in all_subspaces(field_make(q), 4, dims=(1, 2)):
+            tensorcover._both_conditions_flat(flat, 2, 2)
+    assert set(built) == {("words", 2, 1), ("words", 2, 2), ("residuals", 7, 1), ("residuals", 7, 2)}
+
+
+def test_residual_words_pack_the_quotient_table():
+    # the F_2 words read off the pivot rows are the packed unit_residuals
+    for n in range(1, 7):
+        for flat in all_subspaces(GF2, n):
+            assert tensorcover._residual_words(flat) == [_pack_gf2(r) for r in unit_residuals(flat)]
+
+
+def test_packed_conditions_match_the_generic_path(rng):
+    # F_2's packed words against the generic path, its oracle: every subspace
+    # of the small shapes, then seeded random subspaces of 2x4 and 4x2 at
+    # every dimension, with each verdict seen on each shape
+    def verdict(flat, m, n):
+        packed = tensorcover._both_conditions_flat(flat, m, n)
+        assert packed == tensorcover._both_conditions_generic(flat, m, n), (m, n, flat)
+        return packed
+
+    for m, n in ((2, 2), (2, 3), (3, 2), (1, 3), (3, 1)):
+        assert {verdict(flat, m, n) for flat in all_subspaces(GF2, m * n)} == {True, False}, (m, n)
+    for m, n in ((2, 4), (4, 2)):
+        spaces = [Subspace.from_vectors(GF2, m * n, [[rng.randrange(2) for _ in range(m * n)] for _ in range(dim)])
+                  for dim in range(m * n + 1) for _ in range(40)]
+        assert {verdict(flat, m, n) for flat in spaces} == {True, False}, (m, n)
 
 
 def check_against_the_oracle(flat: Subspace, m: int, n: int, kernels: dict) -> list:
