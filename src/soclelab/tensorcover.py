@@ -13,9 +13,10 @@ RREF (it is zero at the pivots).  Reduction is linear, so b (x) e_j has
 residual sum_i b_i res[i n + j] and e_i (x) c has sum_j c_j res[i n + j].  A vector
 lies in A exactly when its residual is zero, so the table is exact: the
 partners {c : b (x) c in A} are the kernel of b's residual columns.  The
-certification, and the scan over every field but F_2, cut the table into
-the same groups (`_groups`) and walk the shared point tuple of
-`enum_coeff_points`; over F_2 the scan XORs one word per residual
+scan and the certification walk the shared point tuple of
+`enum_coeff_points`; the certification lays each coordinate's residuals in
+every group (`_groups`) end to end, so a point's matrix is one combination,
+and the scan combines each group, or over F_2 XORs one word per residual
 (`_residual_words`) and tests independence in an XOR basis.  The search
 scans `enum_subspaces`, one pick per row from each pivot pattern's row
 choices.
@@ -27,12 +28,13 @@ only, which suffices because the conditions are upward monotone (tested).
 `check_bound` tests each hyperplane of one space, in `enum_hyperplanes`
 order; the exhaustive `search_minimal` instead looks each one up among the
 satisfiers it found one dimension down, which it has already enumerated in
-full.  Both certify by `_witnessed_report`, one kernel per residual matrix.
+full.  Both certify by `_witnessed_report`, one witness table per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import xor
 
 from .budget import DEFAULT_BUDGET, Budget
@@ -46,9 +48,9 @@ from .exactla import (
     enum_subspaces,
     free_positions,
     kernel,
-    mat_of_columns,
     num_projective_points,
     row_rank,
+    transposed,
     unit_residuals,
     vec_combo,
 )
@@ -122,19 +124,6 @@ def _groups(res: list, m: int, n: int, rows: bool) -> tuple[list, int]:
     return ([res[j::n] for j in range(n)], m) if rows else ([res[i * n:i * n + n] for i in range(m)], n)
 
 
-def _partners(flat: Subspace, res: list, m: int, n: int, rows: bool, kernels: dict):
-    """(point, partner space) for each projective point of one side; the
-    partner of a row point b is {c : b (x) c in A}, and dually.  `kernels`
-    maps each residual matrix met so far (over flat's field) to its kernel."""
-    field, width = flat.field, m * n - flat.dim
-    groups, k = _groups(res, m, n, rows)
-    for p in enum_coeff_points(field, k):
-        key = tuple([vec_combo(field, g, p) for g in groups])
-        if key not in kernels:
-            kernels[key] = kernel(mat_of_columns(field, width, key))
-        yield p, kernels[key]
-
-
 def _both_conditions_flat(flat: Subspace, m: int, n: int) -> bool:
     # b is uncovered when its residuals are independent, never when they outnumber the free coordinates
     width = m * n - flat.dim
@@ -175,7 +164,7 @@ def _both_conditions_generic(flat: Subspace, m: int, n: int) -> bool:
     """`_both_conditions_flat` from `unit_residuals`: the path of q > 2, and the oracle of F_2's words."""
     field, width = flat.field, m * n - flat.dim
     res = unit_residuals(flat)
-    for rows, count in ((True, n), (False, m)):
+    for rows, count in ((True, n), (False, m)) if n <= m else ((False, m), (True, n)):  # fewer words first
         if count <= width:
             groups, k = _groups(res, m, n, rows)
             for p in enum_coeff_points(field, k):
@@ -199,16 +188,26 @@ class CoverageSide:
 
 
 def _coverage(flat: Subspace, m: int, n: int, rows: bool, res: list, kernels: dict) -> CoverageSide:
-    """One coverage condition, witnessed: the first basis vector of each
-    point's partner space is re-checked by membership before it is reported."""
-    witnesses = []
-    for p, partner in _partners(flat, res, m, n, rows, kernels):
-        if partner.dim == 0:
+    """One coverage condition, witnessed.  `kernels`, one field's witness
+    table, maps each residual matrix, keyed with its group count (its shape),
+    to its first partner or (), and each pair to b (x) c flattened."""
+    field, width = flat.field, m * n - flat.dim
+    groups, k = _groups(res, m, n, rows)
+    count, witnesses = len(groups), []
+    columns = [tuple(chain.from_iterable(unit)) for unit in zip(*groups)]
+    for p in enum_coeff_points(field, k):
+        key = (count, vec_combo(field, columns, p))
+        if (partner := kernels.get(key)) is None:
+            basis = kernel(Mat._of(field, width, count, transposed(key[1], width))).basis_rows
+            partner = kernels[key] = basis[0] if basis else ()
+        if not partner:
             return CoverageSide(False, witnesses, p)
-        b, c = (p, partner.basis_rows[0]) if rows else (partner.basis_rows[0], p)
-        if not flat.contains_vector(rank_one(flat.field, b, c).flatten()):
+        pair = (p, partner) if rows else (partner, p)
+        if (tensor := kernels.get(pair)) is None:
+            tensor = kernels[pair] = rank_one(field, *pair).flatten()
+        if not flat.contains_vector(tensor):
             raise TheoremViolation("coverage witness failed membership re-check")
-        witnesses.append((b, c))
+        witnesses.append(pair)
     return CoverageSide(True, witnesses, None)
 
 
@@ -352,7 +351,7 @@ def search_minimal(
     dimension d is scanned only after the scan of d - 1 finished, so the
     canonical satisfiers of d - 1 kept in `below` are all of them.  Each
     minimal satisfier is certified by `_witnessed_report` before it is
-    reported, with one partner-kernel dict for the whole call.
+    reported, with one witness table for the whole call.
     The budget caps the number of subspaces examined; on exhaustion the partial
     result is flagged incomplete.
 

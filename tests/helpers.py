@@ -25,7 +25,7 @@ from soclelab.exactla import (
 )
 from soclelab.modrep import ModuleRep, block_decomposition, quotient_action, radical_image, restrict_action, socle_subspace
 from soclelab.strongness import BilinearSystem, BlockSpec, StrongReport, _side_block
-from soclelab.tensorcover import TensorSubspace, _both_conditions_generic
+from soclelab.tensorcover import CoverageSide, TensorSubspace, _both_conditions_generic, _groups, rank_one
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -198,6 +198,35 @@ def coverage_sides(flat: Subspace, m: int, n: int) -> tuple[list, list]:
     rows = [(b, coverage_partner_space(flat, b, n)) for b in enum_coeff_points(field, m)]
     cols = [(c, coverage_partner_space(flat_t, c, m)) for c in enum_coeff_points(field, n)]
     return rows, cols
+
+
+def coverage_partners(flat: Subspace, res: list, m: int, n: int, rows: bool, kernels: dict):
+    """(point, partner space) for each projective point of one side, one
+    `vec_combo` per group of the residual table; the partner of a row point b
+    is {c : b (x) c in A}, and dually.  `kernels` maps each residual matrix
+    met so far (its tuple of columns, over flat's field) to its kernel."""
+    field, width = flat.field, m * n - flat.dim
+    groups, k = _groups(res, m, n, rows)
+    for p in enum_coeff_points(field, k):
+        key = tuple([vec_combo(field, g, p) for g in groups])
+        if key not in kernels:
+            kernels[key] = kernel(mat_of_columns(field, width, key))
+        yield p, kernels[key]
+
+
+def coverage_by_partner_kernels(flat: Subspace, m: int, n: int, rows: bool, res: list, kernels: dict) -> CoverageSide:
+    """One witnessed coverage condition from `coverage_partners`' whole kernels:
+    the oracle for tensorcover's `_coverage`, which keeps one partner row per
+    residual matrix and one rank-one vector per witness in its table."""
+    witnesses = []
+    for p, partner in coverage_partners(flat, res, m, n, rows, kernels):
+        if partner.dim == 0:
+            return CoverageSide(False, witnesses, p)
+        b, c = (p, partner.basis_rows[0]) if rows else (partner.basis_rows[0], p)
+        if not flat.contains_vector(rank_one(flat.field, b, c).flatten()):
+            raise TheoremViolation("coverage witness failed membership re-check")
+        witnesses.append((b, c))
+    return CoverageSide(True, witnesses, None)
 
 
 def minimal_by_hyperplane_kernels(a: TensorSubspace) -> tuple[bool, TensorSubspace | None]:

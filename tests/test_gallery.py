@@ -1,7 +1,13 @@
+import json
+import re
+from types import SimpleNamespace
+
 import pytest
 
+from soclelab import gallery
 from soclelab.algebra import bimodule_length, radical_bruteforce, socle_graph, socle_is_central, socles
-from soclelab.errors import InputError, OutOfScopeError
+from soclelab.cli import main
+from soclelab.errors import InputError, OutOfScopeError, TheoremViolation
 from soclelab.gf import field_make
 from soclelab.gallery import (
     LINE_COVER_EXPECTED,
@@ -18,7 +24,7 @@ from soclelab.gallery import (
 )
 from soclelab.modrep import faithful, graph_socle_check, minimal_faithful, radical_image, top_socle
 from soclelab.strongness import predicates, prop41_check, small_conditions
-from soclelab.tensorcover import check_cond_b, check_cond_c, check_minimal
+from soclelab.tensorcover import CoverageSide, TensorSubspace, check_cond_b, check_cond_c, check_minimal
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -60,6 +66,47 @@ def test_corner_minimality_depends_on_field():
 def test_corner_rejects_bad_parameter():
     with pytest.raises(InputError):
         make_corner_family(2, 3, 3, GF2)
+
+
+def _cross_span_one_short(monkeypatch):
+    # the span loses its last vector, e_(m-1) (x) c, which no other one spans
+    real = gallery.Subspace.from_vectors
+    monkeypatch.setattr(gallery, "Subspace", SimpleNamespace(from_vectors=lambda f, dim, vs: real(f, dim, vs[:-1])))
+
+
+def _corner_basis_one_short(monkeypatch):
+    monkeypatch.setattr(gallery, "TensorSubspace", lambda f, m, n, basis: TensorSubspace(f, m, n, basis[:-1]))
+
+
+def _failing(condition: str):
+    def force(monkeypatch):
+        monkeypatch.setattr(gallery, condition, lambda ts: CoverageSide(False, [], None))
+    return force
+
+
+@pytest.mark.parametrize("item, build, force, message", [
+    ("cross", lambda: make_cross(2, 2, GF2), _cross_span_one_short, "cross space has dimension 2, expected 3"),
+    ("cross", lambda: make_cross(2, 2, GF2), _failing("check_cond_b"), "cross space fails a coverage condition"),
+    ("cross", lambda: make_cross(2, 2, GF2), _failing("check_cond_c"), "cross space fails a coverage condition"),
+    ("corner", lambda: make_corner_family(3, 3, 2, GF2), _corner_basis_one_short,
+     "corner family has dimension 6, expected 7"),
+    ("corner", lambda: make_corner_family(3, 3, 2, GF2), _failing("check_cond_b"),
+     "corner family fails a coverage condition"),
+    ("corner", lambda: make_corner_family(3, 3, 2, GF2), _failing("check_cond_c"),
+     "corner family fails a coverage condition"),
+])
+def test_tensor_family_self_checks_are_violations(capsys, monkeypatch, item, build, force, message):
+    # each promise the cross and corner constructors check, forced to fail:
+    # the constructor raises, and `gallery make` (at its default parameters,
+    # the ones built here) exits 4 with one "violation" record naming it
+    force(monkeypatch)
+    with pytest.raises(TheoremViolation, match="^" + re.escape(message) + "$"):
+        build()
+    code = main(["gallery", "make", item])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 4
+    assert [(r["command"], r["verdict"]) for r in records] == [("gallery make", "violation")]
+    assert records[0]["details"] == {"error": message}
 
 
 # -- algebra constructors ---------------------------------------------------------

@@ -30,7 +30,10 @@ from soclelab.gallery import make_corner_family, make_cross
 from soclelab import tensorcover
 
 from helpers import (
+    coverage_by_partner_kernels,
+    coverage_partners,
     coverage_sides,
+    coverage_transpose_flat,
     minimal_by_hyperplane_kernels,
     random_invertible,
     to_bilinear,
@@ -182,8 +185,8 @@ def check_against_the_oracle(flat: Subspace, m: int, n: int, kernels: dict) -> l
     # `kernels` is shared by every space of one case, as in search_minimal
     rows, cols = coverage_sides(flat, m, n)
     res = unit_residuals(flat)
-    assert list(tensorcover._partners(flat, res, m, n, True, kernels)) == rows
-    assert list(tensorcover._partners(flat, res, m, n, False, kernels)) == cols
+    assert list(coverage_partners(flat, res, m, n, True, kernels)) == rows
+    assert list(coverage_partners(flat, res, m, n, False, kernels)) == cols
     both = all(partner.dim for _, partner in rows + cols)
     assert tensorcover._both_conditions_flat(flat, m, n) == both
     ts = TensorSubspace.from_flat(flat.field, m, n, flat)
@@ -206,6 +209,53 @@ def test_rank_coverage_matches_the_partner_spaces(rng):
                 dim = rng.randint(0, m * n)
                 vectors = [[rng.randrange(field.q) for _ in range(m * n)] for _ in range(dim)]
                 check_against_the_oracle(Subspace.from_vectors(field, m * n, vectors), m, n, kernels)
+
+
+def test_witness_table_matches_the_partner_kernel_oracle(rng):
+    # one combination per point and one witness table give each side the
+    # oracle's witnesses, in its order, and its failing point.  One table per
+    # field serves every shape and both sides, as one search's serves its
+    # dimensions, so a key that lost its shape would hand a partner of one
+    # width to a matrix of another.  Every subspace, but for 2x3 and 3x2 over
+    # F_4: their 565,723 subspaces each would take about 75 s, so they take
+    # seeded random ones
+    def sides(flat, m, n, table, oracle_table):
+        res = unit_residuals(flat)
+        got = [tensorcover._coverage(flat, m, n, rows, res, table).to_json() for rows in (True, False)]
+        want = [coverage_by_partner_kernels(flat, m, n, rows, res, oracle_table).to_json() for rows in (True, False)]
+        assert got == want, (m, n, flat)
+        return tuple(side["holds"] for side in got)
+
+    gf4 = field_make(2, 2)
+    for field in (GF2, GF3, gf4, field_make(5)):
+        table, oracle_table = {}, {}
+        for m, n in ((2, 2),) if field.q == 5 else ((2, 2), (2, 3), (3, 2)):
+            if field is gf4 and m * n == 6:
+                spaces = [Subspace.from_vectors(field, 6, [[rng.randrange(4) for _ in range(6)] for _ in range(dim)])
+                          for dim in range(7) for _ in range(30)]
+            else:
+                spaces = all_subspaces(field, m * n)
+            seen = {sides(flat, m, n, table, oracle_table) for flat in spaces}
+            assert {row for row, _ in seen} == {col for _, col in seen} == {True, False}, (m, n, field.q)
+
+
+def test_generic_conditions_test_the_side_of_fewer_words_first(monkeypatch):
+    # transposing a space swaps its sides, so every subspace of 2x3 over F_3
+    # and its transpose, which runs over every subspace of 3x2, get one
+    # verdict whichever side is tested first
+    verdicts = set()
+    for flat in all_subspaces(GF3, 6):
+        verdict = tensorcover._both_conditions_generic(flat, 2, 3)
+        assert tensorcover._both_conditions_generic(coverage_transpose_flat(flat, 2, 3), 3, 2) == verdict, flat
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    # the zero space fails at the first point of the first side tested: on
+    # 2x3 the column side (points of F^3, 2 words each), on 3x2 the row side
+    tested = []
+    monkeypatch.setattr(tensorcover, "enum_coeff_points", lambda field, k: tested.append(k) or enum_coeff_points(field, k))
+    for m, n in ((2, 3), (3, 2), (2, 2)):
+        assert not tensorcover._both_conditions_generic(Subspace.zero(GF3, m * n), m, n)
+    assert tested == [3, 3, 2]
 
 
 def test_coverage_is_invariant_under_changes_of_basis(rng):
@@ -428,25 +478,32 @@ def test_search_minimal_certifies_what_it_reports(monkeypatch):
 
 
 def test_search_minimal_computes_one_kernel_per_residual_matrix(monkeypatch):
-    # the partner dict of one search: each distinct residual matrix has its
-    # kernel computed once, while every point of every certified space is
-    # still re-checked by membership (8 row and 8 column points over F_7)
-    matrices, rechecks = [], []
-    real_kernel, real_contains = tensorcover.kernel, Subspace.contains_vector
+    # the witness table of one search: each distinct residual matrix has its
+    # kernel computed once and each distinct witness pair its rank-one vector,
+    # while every point of every certified space is still re-checked by
+    # membership (8 row and 8 column points over F_7)
+    matrices, pairs, rechecks = [], [], []
+    real_kernel, real_rank_one, real_contains = tensorcover.kernel, tensorcover.rank_one, Subspace.contains_vector
 
     def counted_kernel(mat):
         matrices.append((mat.rows, mat.cols, mat.entries))
         return real_kernel(mat)
+
+    def counted_rank_one(field, b, c):
+        pairs.append((b, c))
+        return real_rank_one(field, b, c)
 
     def counted_contains(self, vec):
         rechecks.append(vec)
         return real_contains(self, vec)
 
     monkeypatch.setattr(tensorcover, "kernel", counted_kernel)
+    monkeypatch.setattr(tensorcover, "rank_one", counted_rank_one)
     monkeypatch.setattr(Subspace, "contains_vector", counted_contains)
     result = search_minimal(2, 2, field_make(7))
     assert len(result.minimal) == 400
     assert len(matrices) == len(set(matrices)) == 49
+    assert len(pairs) == len(set(pairs)) == 64
     assert len(rechecks) == 16 * 400
 
 
