@@ -409,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     gm.add_argument("-o", "--out", default=None)
 
     rep = sub.add_parser("reproduce", help="run a verification battery")
-    rep.add_argument("target", help="paper-2 | paper-4 | paper-5.1 | paper-6 | all")
-    rep.add_argument("--seed", type=int, default=20260808, help="seed for the randomized batteries")
+    rep.add_argument("target", help=" | ".join(reproduce.TARGETS))
+    rep.add_argument("--seed", type=int, default=reproduce.SEED, help="seed for the randomized batteries")
     rep.add_argument("--out", default=None, help="bundle path (default soclelab-reproduce-<target>.json)")
 
     return parser

@@ -38,6 +38,9 @@ from .gf import Field
 from .modrep import ModuleRep, faithful, regular_module
 from .strongness import BilinearSystem, BlockSpec, SystemReport, prop41_check, tensor_maps
 
+GENERATOR_ATTEMPTS = 400  # random actions tried per `random_generator_module`
+SYSTEM_TRIES = 60  # random systems drawn per `random_verified_system`
+
 
 # ---------------------------------------------------------------------------
 # square-zero matrices
@@ -212,13 +215,11 @@ def iter_weighted_generator_modules(algebra: Algebra, dim: int):
     return _generator_modules(algebra, dim, per_class=True)
 
 
-def random_generator_module(
-    assembler: ModuleAssembler, dim: int, rng: random.Random, attempts: int = 400
-) -> ModuleRep | None:
+def random_generator_module(assembler: ModuleAssembler, dim: int, rng: random.Random) -> ModuleRep | None:
     """The first module assembled from random square-zero generator actions,
-    or None after the given number of attempts."""
+    or None after GENERATOR_ATTEMPTS attempts."""
     field = assembler.algebra.field
-    for _ in range(attempts):
+    for _ in range(GENERATOR_ATTEMPTS):
         mod = assembler.assemble([random_square_zero(field, dim, rng) for _ in assembler.algebra.generators()])
         if mod is not None:
             return mod
@@ -285,15 +286,13 @@ def random_split_system(field: Field, rng: random.Random) -> BilinearSystem:
     return BilinearSystem(field, s_blocks, t_blocks, tuple(a_mats), _skip_verify=True)
 
 
-def random_verified_system(
-    field: Field, rng: random.Random, max_tries: int = 60
-) -> tuple[BilinearSystem, SystemReport] | None:
+def random_verified_system(field: Field, rng: random.Random) -> tuple[BilinearSystem, SystemReport] | None:
     """A random split system whose hypotheses all verify: nondegeneracy, both
     coverage conditions, and the cardinality condition; the swap condition
     holds by the proved implication from the split block structure (under
     the cap of 1 its tuple scan runs only when there is one corner tuple)."""
     check_budget = Budget(max_enumeration=1)
-    for _ in range(max_tries):
+    for _ in range(SYSTEM_TRIES):
         sys = random_split_system(field, rng)
         report = prop41_check(sys, check_budget)
         if all(report.hypotheses_met.values()):

@@ -20,7 +20,7 @@ from .exactla import Mat, Subspace, enum_coeff_points, mat_of_columns, mat_of_ro
 from .gf import Field, field_make, field_of_order
 from .modrep import ModuleRep, quotient_action
 from .strongness import BilinearSystem, BlockSpec
-from .tensorcover import TensorSubspace, check_cond_b, check_cond_c, rank_one
+from .tensorcover import TensorSubspace, check_bound, rank_one
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,7 @@ def make_cross(m: int, n: int, field: Field, b=None, c=None) -> TensorSubspace:
     ts = TensorSubspace.from_flat(field, m, n, flat)
     if ts.dim != m + n - 1:
         raise TheoremViolation(f"cross space has dimension {ts.dim}, expected {m + n - 1}")
-    if not (check_cond_b(ts).holds and check_cond_c(ts).holds):
+    if not check_bound(ts).both_hold:
         raise TheoremViolation("cross space fails a coverage condition")
     return ts
 
@@ -69,7 +69,7 @@ def make_corner_family(m: int, n: int, t: int, field: Field) -> TensorSubspace:
     expected = t * (m + n - t) - (t - 1)
     if ts.dim != expected:
         raise TheoremViolation(f"corner family has dimension {ts.dim}, expected {expected}")
-    if not (check_cond_b(ts).holds and check_cond_c(ts).holds):
+    if not check_bound(ts).both_hold:
         raise TheoremViolation("corner family fails a coverage condition")
     return ts
 

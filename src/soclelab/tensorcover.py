@@ -211,16 +211,6 @@ def _coverage(flat: Subspace, m: int, n: int, rows: bool, res: list, kernels: di
     return CoverageSide(True, witnesses, None)
 
 
-def check_cond_b(a: TensorSubspace) -> CoverageSide:
-    """Row coverage: every projective point of F_q^m is a row factor in A."""
-    return _coverage(flat := a.flat(), a.m, a.n, True, unit_residuals(flat), {})
-
-
-def check_cond_c(a: TensorSubspace) -> CoverageSide:
-    """Column coverage: every projective point of F_q^n is a column factor in A."""
-    return _coverage(flat := a.flat(), a.m, a.n, False, unit_residuals(flat), {})
-
-
 @dataclass
 class CoverageReport:
     m: int
@@ -320,19 +310,6 @@ class SearchResult:
         }
 
 
-def _scan_dimension(field: Field, m: int, n: int, dim: int, cap: int) -> tuple[list[Subspace], int, bool]:
-    """Scan all dim-dimensional subspaces; returns (satisfiers, examined, complete)."""
-    found = []
-    examined = 0
-    for flat in enum_subspaces(field, m * n, dim):
-        if examined >= cap:
-            return found, examined, False
-        examined += 1
-        if _both_conditions_flat(flat, m, n):
-            found.append(flat)
-    return found, examined, True
-
-
 def search_minimal(
     m: int,
     n: int,
@@ -371,12 +348,15 @@ def search_minimal(
     complete = True
     below: set[Subspace] = set()  # every satisfier of dimension dim - 1
     for dim in range(0, m * n + 1):
-        if examined >= cap:
-            complete = False
-            break
-        satisfiers, scanned, complete = _scan_dimension(field, m, n, dim, cap - examined)
-        examined += scanned
-        for flat in satisfiers:
+        satisfiers: set[Subspace] = set()
+        for flat in enum_subspaces(field, m * n, dim):
+            if examined >= cap:  # every dimension has a subspace, so a cap spent at the end of one stops here
+                complete = False
+                break
+            examined += 1
+            if not _both_conditions_flat(flat, m, n):
+                continue
+            satisfiers.add(flat)
             if not below or not any(h in below for h in enum_hyperplanes(flat)):
                 # certify what is reported: witnesses re-checked by membership,
                 # and a space below the bound raises TheoremViolation; the charged
@@ -386,6 +366,6 @@ def search_minimal(
                 minimal.append(flat)
         if not complete:
             break
-        below = set(satisfiers)
+        below = satisfiers
     minimal.sort(key=Subspace.sort_key)
     return SearchResult([TensorSubspace.from_flat(field, m, n, flat) for flat in minimal], complete, examined)

@@ -1,12 +1,16 @@
 """Helpers shared by the test modules: constructions and enumerations that
 only the tests need, built on the package's public API."""
 
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 from soclelab.algebra import _encode_coords, _quasi_regular_flags, _unit_flags, algebra_make, socles
 from soclelab.budget import DEFAULT_BUDGET
+from soclelab.cli import VERDICT_EXIT
 from soclelab.errors import PreconditionError, TheoremViolation
 from soclelab.exactla import (
     Mat,
@@ -756,3 +760,28 @@ def dual_module(m: ModuleRep, opposite) -> ModuleRep:
     """M* = Hom_k(M, k) over the opposite algebra: each action transposed,
     verified afresh by the constructor."""
     return ModuleRep(opposite, m.dim, tuple(a.transpose() for a in m.action))
+
+
+RECORD_KEYS = ("command", "details", "inputs", "verdict")
+# most severe first: a run exits by the first of these among its verdicts
+VERDICT_SEVERITY = ("internal-error", "violation", "input-error", "budget", "counterexample", "pass")
+
+
+def check_records(code: int, out: str, command: str, read=(), optional=()) -> list[dict]:
+    """The JSON-line records of one CLI run's stdout, each checked for the
+    shape every record has: the keys, plus the `optional` ones the run asked
+    for (`timing`); the run's one command name; a verdict in `VERDICT_EXIT`;
+    and `inputs` mapping each path in `read`, and no other, to the sha256 of
+    its bytes.  The exit code must be that of the most severe verdict."""
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records, "a run prints at least one record"
+    hashes = {str(path): hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in read}
+    for record in records:
+        assert sorted(record) == sorted((*RECORD_KEYS, *optional))
+        assert record["command"] == command
+        assert record["verdict"] in VERDICT_EXIT
+        assert isinstance(record["details"], dict)
+        assert record["inputs"] == hashes
+    verdicts = {record["verdict"] for record in records}
+    assert code == VERDICT_EXIT[next(v for v in VERDICT_SEVERITY if v in verdicts)]
+    return records

@@ -5,15 +5,18 @@ with -s via the printed summary).  Time limits are the stated ceilings; the
 whole battery also backs the CLI reproduce targets.
 """
 
+import inspect
+import re
 import time
 from collections import Counter
 
 import pytest
 
 from soclelab import reproduce
-from soclelab.budget import Budget
+from soclelab.budget import DEFAULT_BUDGET, Budget
+from soclelab.cli import build_parser
 from soclelab.corpus import iter_generator_modules, iter_weighted_generator_modules
-from soclelab.errors import BudgetExceeded, TheoremViolation
+from soclelab.errors import BudgetExceeded, SocleLabError, TheoremViolation
 from soclelab.gallery import criterion8_algebras, make_row_diagonal_pair
 from soclelab.modrep import faithful, local_socle_check, minimal_faithful
 from soclelab.reproduce import (
@@ -61,7 +64,7 @@ def test_coverage_bound_battery_is_charged_to_the_budget():
     # each case is guarded before its scan: 2x2 over F_2 (67 subspaces) fits a
     # cap of 100, and 2x3 over F_2 (2,825) stops the battery
     with pytest.raises(BudgetExceeded) as info:
-        battery_coverage_bound(Budget(max_enumeration=100))
+        battery_coverage_bound(budget=Budget(max_enumeration=100))
     assert info.value.what == "coverage-bound subspace enumeration"
     assert info.value.needed == 2825
 
@@ -69,9 +72,9 @@ def test_coverage_bound_battery_is_charged_to_the_budget():
 def test_cross_tightness_battery_is_charged_to_the_budget():
     # the largest case, 4x4 over F_3, has 40 + 40 projective points on its
     # two sides: a cap of 80 gives the uncapped items, 79 stops the battery
-    assert battery_cross_tightness(Budget(max_enumeration=80)) == battery_cross_tightness()
+    assert battery_cross_tightness(budget=Budget(max_enumeration=80)) == battery_cross_tightness()
     with pytest.raises(BudgetExceeded) as info:
-        battery_cross_tightness(Budget(max_enumeration=79))
+        battery_cross_tightness(budget=Budget(max_enumeration=79))
     assert (info.value.what, info.value.needed) == ("coverage point enumeration", 80)
 
 
@@ -83,6 +86,60 @@ def test_capped_reproduce_stops_at_the_radical_oracle():
         reproduce.run_target("paper-2", budget=Budget.of_cap(5000))
     assert info.value.what == "radical oracle"
     assert (info.value.needed, info.value.cap) == (3**10, 5000)
+
+
+def test_corner_minimality_battery_checks_its_witness_on_the_budget(monkeypatch):
+    # the non-minimal corner's witness is re-checked by `check_bound` on the
+    # battery's own budget; `check_minimal` reaches tensorcover's, not this one
+    budget, seen, real = Budget(max_enumeration=5000), [], reproduce.check_bound
+
+    def recorder(a, *args, **kwargs):
+        seen.append(kwargs.get("budget"))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(reproduce, "check_bound", recorder)
+    items = battery_corner_minimality(budget=budget)
+    assert len(seen) == 1 and seen[0] is budget
+    assert all(item["ok"] for item in items)
+
+
+def test_run_target_runs_the_table_in_order(monkeypatch):
+    # with stub batteries in the table: "all" runs every entry in table
+    # order, a target only its own, each gets the run's seed and budget, and
+    # an unknown target raises before any battery runs
+    calls = []
+
+    def stub(name):
+        def battery(*, seed, budget):
+            calls.append((name, seed, budget))
+            return [{"name": name}]
+        return battery
+
+    table = (("paper-2", stub("a")), ("paper-4", stub("b")), ("paper-2", stub("c")), ("paper-6", stub("d")))
+    monkeypatch.setattr(reproduce, "BATTERIES", table)
+    budget = Budget(max_enumeration=7)
+    assert [item["name"] for item in reproduce.run_target("all", seed=3, budget=budget)] == ["a", "b", "c", "d"]
+    assert [item["name"] for item in reproduce.run_target("paper-2", seed=3, budget=budget)] == ["a", "c"]
+    assert reproduce.run_target("paper-5.1", seed=3, budget=budget) == []
+    assert [name for name, _, _ in calls] == ["a", "b", "c", "d", "a", "c"]
+    assert all(seed == 3 and got is budget for _, seed, got in calls)
+    calls.clear()
+    message = "unknown reproduce target 'paper-3'; choose from paper-2, paper-4, paper-5.1, paper-6, all"
+    with pytest.raises(SocleLabError, match="^" + re.escape(message) + "$"):
+        reproduce.run_target("paper-3")
+    assert calls == []
+
+
+def test_every_battery_takes_the_seed_and_the_budget():
+    # TARGETS is read from the table, with "all" last; each battery takes
+    # the run's seed and budget, as keywords, defaulting to SEED and the
+    # default budget
+    assert reproduce.TARGETS == ("paper-2", "paper-4", "paper-5.1", "paper-6", "all")
+    assert build_parser().parse_args(["reproduce", "all"]).seed == reproduce.SEED == SEED
+    keyword = inspect.Parameter.KEYWORD_ONLY
+    for _target, battery in reproduce.BATTERIES:
+        params = [(p.name, p.kind, p.default) for p in inspect.signature(battery).parameters.values()]
+        assert params == [("seed", keyword, SEED), ("budget", keyword, DEFAULT_BUDGET)]
 
 
 def test_criterion_02_cross_tightness():
@@ -165,7 +222,7 @@ def local_bound_answers(pairs) -> Counter:
     return counts
 
 
-def test_weighted_local_bound_counts_match_the_per_candidate_scan():
+def test_weighted_local_bound_counts_match_the_per_candidate_scan(monkeypatch):
     # the per-candidate stream is the oracle for the orbit-weighted one, per
     # algebra and dimension; the battery's totals at dims 1-3 are its sums
     totals = {}
@@ -176,7 +233,8 @@ def test_weighted_local_bound_counts_match_the_per_candidate_scan():
             assert local_bound_answers(iter_weighted_generator_modules(alg, dim)) == oracle
             if dim <= 3:
                 totals[name] += oracle
-    for item in battery_local_bound_exhaustive(max_dim=3):
+    monkeypatch.setattr(reproduce, "LOCAL_BOUND_MAX_DIM", 3)
+    for item in battery_local_bound_exhaustive():
         counts = totals[item["name"].removeprefix("local-bound-exhaustive-")]
         details = item["details"]
         assert details["scanned"] == sum(counts.values())
@@ -209,7 +267,8 @@ def test_shrink_battery_counts_each_violation_once(monkeypatch, shrink, counter)
     module = make_row_diagonal_pair()[1]
     monkeypatch.setattr(reproduce, "faithful_corpus", lambda rng, min_count: [("row-diagonal", module)])
     monkeypatch.setattr(reproduce, shrink, violated)
-    [item] = battery_shrink_bounds(SEED, min_count=1)
+    monkeypatch.setattr(reproduce, "SHRINK_MIN_COUNT", 1)
+    [item] = battery_shrink_bounds(seed=SEED)
     counters = ("submodule_violations", "quotient_violations", "subfactor_violations")
     assert {k: item["details"][k] for k in counters} == {k: int(k == counter) for k in counters}
     assert item["details"]["modules"] == 1
@@ -218,7 +277,7 @@ def test_shrink_battery_counts_each_violation_once(monkeypatch, shrink, counter)
 
 def test_criterion_09_no_false_violation_on_random_systems():
     t0 = time.monotonic()
-    items = battery_system_no_violation(SEED, count=500)
+    items = battery_system_no_violation(seed=SEED)
     elapsed = time.monotonic() - t0
     details = items[0]["details"]
     assert details["instances"] >= 500
@@ -228,7 +287,7 @@ def test_criterion_09_no_false_violation_on_random_systems():
 
 def test_criterion_10_shrink_bounds_on_corpus():
     t0 = time.monotonic()
-    items = battery_shrink_bounds(SEED, min_count=200)
+    items = battery_shrink_bounds(seed=SEED)
     elapsed = time.monotonic() - t0
     details = items[0]["details"]
     assert details["modules"] >= 200

@@ -6,12 +6,14 @@ from pathlib import Path
 import pytest
 
 from soclelab import algebra, modrep, reproduce, tensorcover
-from soclelab.cli import main
+from soclelab.cli import VERDICT_EXIT, main
 from soclelab.errors import InputError, TheoremViolation
 from soclelab.exactla import Mat, Subspace
 from soclelab.gallery import make_cross, make_row_diagonal_pair, make_square_zero_extension
 from soclelab.gf import field_make
 from soclelab.strongness import BilinearSystem, BlockSpec, tensor_maps
+
+from helpers import VERDICT_SEVERITY, check_records
 
 
 def run(capsys, *argv):
@@ -850,7 +852,7 @@ def test_reproduce_bundle_with_a_missed_expectation_exits_4(tmp_path, capsys, mo
     # a battery item that misses its expectation, positive or negative, has the
     # verdict "violation", so the run exits 4 by its verdicts alone
     def missed(target, seed, budget):
-        return [reproduce._item("met", True), reproduce._negative_item("missed", False, value=1)]
+        return [reproduce._item("met", True), reproduce._item("missed", False, "counterexample", value=1)]
 
     monkeypatch.setattr(reproduce, "run_target", missed)
     bundle = tmp_path / "bundle.json"
@@ -904,3 +906,53 @@ def test_pretty_table_goes_to_stderr_and_leaves_stdout_alone(capsys, argv, heade
     assert all(line[first:first + 2] == "  " for line in lines)
     assert any(line[first - 1] != " " for line in [lines[0], *lines[2:]])
     assert len(lines) == 2 + rows_of(json.loads(plain.out.strip().splitlines()[-1])["details"]) > 2
+
+
+RECORD_RUNS = [
+    # (argv, command, exit, files read): every subcommand on gallery inputs
+    ("cover check cross.json --minimal", "cover check", 0, ["cross.json"]),
+    ("cover search-minimal --m 2 --n 2 --q 2", "cover search-minimal", 0, []),
+    ("algebra analyze triangular.json --oracle", "algebra analyze", 0, ["triangular.json"]),
+    ("module check module.json", "module check", 1, ["module.json", "ring.json"]),
+    ("module shrink rd.json --mode sub", "module shrink", 0, ["rd.json"]),
+    ("system check lc.json", "system check", 1, ["lc.json"]),
+    ("system strong lc.json --side left --N 1", "system strong", 0, ["lc.json"]),
+    ("strong lc.json --side left --N 2", "system strong", 0, ["lc.json"]),
+    ("gallery list", "gallery list", 0, []),
+    ("gallery make corner", "gallery make", 0, []),
+    ("reproduce paper-5.1 --out bundle.json", "reproduce paper-5.1", 1, []),
+    # capped runs, one after its input was read
+    ("--budget 0 cover check cross.json", "cover check", 3, ["cross.json"]),
+    ("--budget 10 cover search-minimal --m 2 --n 2 --q 2", "cover search-minimal", 3, []),
+    # input errors
+    ("reproduce paper-3", "reproduce paper-3", 2, []),
+    ("cover check missing.json", "cover check", 2, []),
+    ("gallery make cross q=1", "gallery make", 2, []),
+]
+
+
+def test_every_record_has_the_one_shape(tmp_path, capsys, monkeypatch):
+    # each run's records pass `check_records`, and its exit is the expected one
+    assert sorted(VERDICT_SEVERITY) == sorted(VERDICT_EXIT)
+    monkeypatch.chdir(tmp_path)
+    for item, path in (("cross", "cross.json"), ("triangular", "triangular.json"),
+                       ("line-cover-system", "lc.json"), ("row-diagonal-module", "rd.json")):
+        assert main(["gallery", "make", item, "-o", path]) == 0
+    ring, module = make_row_diagonal_pair()
+    Path("ring.json").write_text(json.dumps(ring.to_json()))
+    Path("module.json").write_text(json.dumps({**module.to_json(inline_algebra=False), "algebra_ref": "ring.json"}))
+    capsys.readouterr()
+    for argv, command, code, read in RECORD_RUNS:
+        assert main(argv.split()) == code, argv
+        check_records(code, capsys.readouterr().out, command, read)
+    assert main(["--timing", "gallery", "list"]) == 0
+    check_records(0, capsys.readouterr().out, "gallery list", optional=["timing"])
+    # a forced violation, after its input was read
+    monkeypatch.setattr(tensorcover, "check_bound", _raise_violation)
+    assert main(["cover", "check", "cross.json"]) == 4
+    [record] = check_records(4, capsys.readouterr().out, "cover check", ["cross.json"])
+    assert record["verdict"] == "violation"
+
+
+def _raise_violation(*_args, **_kwargs):
+    raise TheoremViolation("forced")

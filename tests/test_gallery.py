@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +25,7 @@ from soclelab.gallery import (
 )
 from soclelab.modrep import faithful, graph_socle_check, minimal_faithful, radical_image, top_socle
 from soclelab.strongness import predicates, prop41_check, small_conditions
-from soclelab.tensorcover import CoverageSide, TensorSubspace, check_cond_b, check_cond_c, check_minimal
+from soclelab.tensorcover import CoverageSide, TensorSubspace, check_bound, check_minimal
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -37,13 +38,13 @@ def test_cross_dimensions():
     assert make_cross(1, 1, GF3).dim == 1
     ts = make_cross(3, 4, GF2)
     assert ts.dim == 6
-    assert check_cond_b(ts).holds and check_cond_c(ts).holds
+    assert check_bound(ts).both_hold
 
 
 def test_cross_with_custom_directions():
     ts = make_cross(2, 3, GF3, b=(1, 2), c=(0, 1, 1))
     assert ts.dim == 4
-    assert check_cond_b(ts).holds
+    assert check_bound(ts).cond_b.holds
 
 
 def test_corner_t1_equals_cross():
@@ -78,21 +79,24 @@ def _corner_basis_one_short(monkeypatch):
     monkeypatch.setattr(gallery, "TensorSubspace", lambda f, m, n, basis: TensorSubspace(f, m, n, basis[:-1]))
 
 
-def _failing(condition: str):
+def _failing(side: str):
+    # the constructor's one `check_bound` reports that side failed
     def force(monkeypatch):
-        monkeypatch.setattr(gallery, condition, lambda ts: CoverageSide(False, [], None))
+        real = gallery.check_bound
+        failed = {side: CoverageSide(False, [], None)}
+        monkeypatch.setattr(gallery, "check_bound", lambda ts: replace(real(ts), **failed))
     return force
 
 
 @pytest.mark.parametrize("item, build, force, message", [
     ("cross", lambda: make_cross(2, 2, GF2), _cross_span_one_short, "cross space has dimension 2, expected 3"),
-    ("cross", lambda: make_cross(2, 2, GF2), _failing("check_cond_b"), "cross space fails a coverage condition"),
-    ("cross", lambda: make_cross(2, 2, GF2), _failing("check_cond_c"), "cross space fails a coverage condition"),
+    ("cross", lambda: make_cross(2, 2, GF2), _failing("cond_b"), "cross space fails a coverage condition"),
+    ("cross", lambda: make_cross(2, 2, GF2), _failing("cond_c"), "cross space fails a coverage condition"),
     ("corner", lambda: make_corner_family(3, 3, 2, GF2), _corner_basis_one_short,
      "corner family has dimension 6, expected 7"),
-    ("corner", lambda: make_corner_family(3, 3, 2, GF2), _failing("check_cond_b"),
+    ("corner", lambda: make_corner_family(3, 3, 2, GF2), _failing("cond_b"),
      "corner family fails a coverage condition"),
-    ("corner", lambda: make_corner_family(3, 3, 2, GF2), _failing("check_cond_c"),
+    ("corner", lambda: make_corner_family(3, 3, 2, GF2), _failing("cond_c"),
      "corner family fails a coverage condition"),
 ])
 def test_tensor_family_self_checks_are_violations(capsys, monkeypatch, item, build, force, message):

@@ -20,8 +20,6 @@ from soclelab.tensorcover import (
     CoverageSide,
     TensorSubspace,
     check_bound,
-    check_cond_b,
-    check_cond_c,
     check_minimal,
     rank_one,
     search_minimal,
@@ -64,19 +62,26 @@ def brute_coverage(ts: TensorSubspace):
     return rows_ok, cols_ok
 
 
+def coverage_verdicts(ts: TensorSubspace) -> tuple[bool, bool]:
+    """(row coverage holds, column coverage holds), from one `check_bound`."""
+    report = check_bound(ts)
+    return report.cond_b.holds, report.cond_c.holds
+
+
 def test_full_space_satisfies_both():
     for field, m, n in ((GF2, 2, 2), (GF3, 2, 3), (GF2, 3, 2)):
         ts = TensorSubspace.full(field, m, n)
-        assert check_cond_b(ts).holds and check_cond_c(ts).holds
+        assert check_bound(ts).both_hold
 
 
 def test_single_rank_one_fails():
     b, c = (1, 0), (1, 0)
     ts = TensorSubspace(GF2, 2, 2, (rank_one(GF2, b, c),))
-    side = check_cond_b(ts)
+    report = check_bound(ts)
+    side = report.cond_b
     assert not side.holds
     assert side.failing is not None and side.failing != b
-    assert not check_cond_c(ts).holds
+    assert not report.cond_c.holds
 
 
 def test_cross_space_satisfies_and_is_tight():
@@ -91,7 +96,7 @@ def test_cross_space_satisfies_and_is_tight():
 
 def test_witnesses_verify_membership():
     ts = make_cross(2, 3, GF3)
-    side = check_cond_b(ts)
+    side = check_bound(ts).cond_b
     for b, c in side.witnesses:
         assert ts.flat().contains_vector(rank_one(GF3, b, c).flatten())
     assert len(side.witnesses) == (3**2 - 1) // 2
@@ -111,8 +116,7 @@ def test_solver_agrees_with_brute_force_oracle(rng):
             continue
         ts = TensorSubspace.from_flat(field, m, n, flat)
         rows_ok, cols_ok = brute_coverage(ts)
-        assert check_cond_b(ts).holds == rows_ok
-        assert check_cond_c(ts).holds == cols_ok
+        assert coverage_verdicts(ts) == (rows_ok, cols_ok)
 
 
 ORACLE_CASES = [
@@ -190,8 +194,9 @@ def check_against_the_oracle(flat: Subspace, m: int, n: int, kernels: dict) -> l
     both = all(partner.dim for _, partner in rows + cols)
     assert tensorcover._both_conditions_flat(flat, m, n) == both
     ts = TensorSubspace.from_flat(flat.field, m, n, flat)
-    assert check_cond_b(ts) == oracle_side(rows, columns=False)
-    assert check_cond_c(ts) == oracle_side(cols, columns=True)
+    report = check_bound(ts)
+    assert report.cond_b == oracle_side(rows, columns=False)
+    assert report.cond_c == oracle_side(cols, columns=True)
     return [partner.dim for _, partner in rows + cols]
 
 
@@ -271,15 +276,15 @@ def test_coverage_is_invariant_under_changes_of_basis(rng):
         p, _ = random_invertible(field, m, rng)
         q, _ = random_invertible(field, n, rng)
         moved = TensorSubspace(field, m, n, tuple(p.mul(t).mul(q) for t in ts.basis))
-        verdicts = (check_cond_b(ts).holds, check_cond_c(ts).holds)
+        sides = coverage_verdicts(ts)
         both = tensorcover._both_conditions_flat(ts.flat(), m, n)
-        assert both == all(verdicts)
-        assert (check_cond_b(moved).holds, check_cond_c(moved).holds) == verdicts
+        assert both == all(sides)
+        assert coverage_verdicts(moved) == sides
         assert tensorcover._both_conditions_flat(moved.flat(), m, n) == both
         transposed = transpose_tensor(ts)
-        assert (check_cond_b(transposed).holds, check_cond_c(transposed).holds) == verdicts[::-1]
+        assert coverage_verdicts(transposed) == sides[::-1]
         assert tensorcover._both_conditions_flat(transposed.flat(), n, m) == both
-        seen.add(verdicts)
+        seen.add(sides)
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -291,8 +296,7 @@ def test_transpose_duality(rng):
         if flat.dim == 0:
             continue
         ts = TensorSubspace.from_flat(GF2, m, n, flat)
-        assert check_cond_b(ts).holds == check_cond_c(transpose_tensor(ts)).holds
-        assert check_cond_c(ts).holds == check_cond_b(transpose_tensor(ts)).holds
+        assert coverage_verdicts(ts) == coverage_verdicts(transpose_tensor(ts))[::-1]
 
 
 def test_monotonicity_of_conditions(rng):
@@ -302,8 +306,7 @@ def test_monotonicity_of_conditions(rng):
         extra = tuple(rng.randrange(2) for _ in range(ts.m * ts.n))
         bigger_flat = Subspace.from_vectors(GF2, ts.m * ts.n, ts.flat().basis_rows + (extra,))
         bigger = TensorSubspace.from_flat(GF2, ts.m, ts.n, bigger_flat)
-        assert check_cond_b(bigger).holds
-        assert check_cond_c(bigger).holds
+        assert check_bound(bigger).both_hold
 
 
 def test_exhaustive_bound_f2_2x2():
@@ -315,7 +318,7 @@ def test_exhaustive_bound_f2_2x2():
         if flat.dim == 0:
             continue
         ts = TensorSubspace.from_flat(GF2, 2, 2, flat)
-        if check_cond_b(ts).holds and check_cond_c(ts).holds:
+        if check_bound(ts).both_hold:
             satisfying += 1
             assert ts.dim >= 3
     assert total == 67
@@ -341,7 +344,7 @@ def test_minimality_cross_and_full():
     is_min2, witness2 = check_minimal(full)
     assert not is_min2
     assert witness2 is not None and witness2.dim == 3
-    assert check_cond_b(witness2).holds and check_cond_c(witness2).holds
+    assert check_bound(witness2).both_hold
 
 
 def test_minimality_precondition():
@@ -358,7 +361,7 @@ def test_corner_family_minimality_split():
     is_min2, witness = check_minimal(ts2)
     assert not is_min2
     assert witness is not None
-    assert check_cond_b(witness).holds and check_cond_c(witness).holds
+    assert check_bound(witness).both_hold
     assert witness.dim == ts2.dim - 1
 
 
@@ -438,7 +441,7 @@ def test_search_minimal_agrees_with_check_minimal(m, n, q):
     expected = []
     for flat in all_subspaces(field, m * n):
         ts = TensorSubspace.from_flat(field, m, n, flat)
-        if check_cond_b(ts).holds and check_cond_c(ts).holds and check_minimal(ts)[0]:
+        if check_bound(ts).both_hold and check_minimal(ts)[0]:
             expected.append(flat.sort_key())
     assert expected
     result = search_minimal(m, n, field)
@@ -555,8 +558,7 @@ def test_to_bilinear_condition_mapping(rng):
         system = to_bilinear(ts)
         preds = predicates(system)
         assert preds.nondegenerate
-        assert preds.cond_b == check_cond_b(ts).holds
-        assert preds.cond_c == check_cond_c(ts).holds
+        assert (preds.cond_b, preds.cond_c) == coverage_verdicts(ts)
 
 
 def test_to_bilinear_examples():
@@ -599,6 +601,18 @@ def test_search_stops_at_the_cap(cap):
     assert not result.complete
     if cap == 2400:
         assert len(result.minimal) == 10  # a prefix of dimension 4 holds minimal spaces
+
+
+@pytest.mark.parametrize("cap, complete, minimal", [
+    (63, False, 0), (64, False, 0), (65, False, 0), (2824, False, 63), (2825, True, 63),
+])
+def test_search_cap_at_the_dimension_boundaries(cap, complete, minimal):
+    # 2x3 over F_2 has 1 + 63 subspaces of dimension <= 1 and 2,825 in all,
+    # the last of them the full space of dimension 6: a cap spent inside,
+    # at the end of or just past a dimension examines exactly the cap, and
+    # only the total completes the search
+    result = search_minimal(2, 3, GF2, budget=Budget(max_enumeration=cap))
+    assert (result.examined, result.complete, len(result.minimal)) == (cap, complete, minimal)
 
 
 def test_search_is_sequential_only():

@@ -114,6 +114,8 @@ RUNS: list[Run] = [
         output="soclelab-reproduce-all.json"),
     # the radical-agreement battery reaches a ring of 3^10 elements, over the cap
     Run("--budget 5000 reproduce paper-2", exit=3),
+    # an unknown target is an input error that names every target, in table order
+    Run("reproduce paper-3", "9dbfa6c24e82daeb06648035ea92fcabff6299b045bc9f84826c4bab4e470545", exit=2),
     Run("cover search-minimal --m 2 --n 2 --q 2", "120f98e14509642a24fb04d17b10b8aba0003f32ca7569d8b05384e66b8d2905"),
     Run("cover search-minimal --m 2 --n 2 --q 3", "c4c79d15493ef810a55baa9bce806043ec576561f165744554ddfed6b367319a"),
     Run("cover search-minimal --m 2 --n 3 --q 2", "ef24b20deede4bf8e451db483d0ee2dd4eac7f1d9abcae6982aaa6e362d749e9"),
