@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import InputError, NotSplitError, PreconditionError, TheoremViolation, decoding, json_bool, json_int
@@ -245,13 +245,9 @@ class Algebra:
         total = sum(b.n * b.n for b in cert.blocks)
         if total != self.dim - J.dim:
             raise InputError("bad certificate: block sizes do not fill the semisimple quotient")
-        residuals = RowBasis(self.field, self.dim)
-        for row in J.basis_rows:
-            residuals.add(row)
-        for block in cert.blocks:
-            for u in block.matrix_units:
-                if not residuals.add(u):
-                    raise InputError("bad certificate: matrix units dependent modulo the radical")
+        units = [u for block in cert.blocks for u in block.matrix_units]
+        if row_rank([*J.basis_rows, *units], self.dim, self.field) != J.dim + len(units):
+            raise InputError("bad certificate: matrix units dependent modulo the radical")
         # unit relations modulo J, including across blocks
         for f, bf in enumerate(cert.blocks):
             for g, bg in enumerate(cert.blocks):
@@ -884,13 +880,7 @@ class SocleGraph:
         return sum(self.edge_lengths)
 
     def to_json(self) -> dict:
-        return {
-            "left_vertices": list(self.left_vertices),
-            "right_vertices": list(self.right_vertices),
-            "edges": [list(e) for e in self.edges],
-            "edge_lengths": list(self.edge_lengths),
-            "chi": self.chi,
-        }
+        return asdict(self)
 
 
 def socle_graph(r: Algebra, budget: Budget = DEFAULT_BUDGET) -> SocleGraph:
@@ -917,17 +907,11 @@ def socle_is_central(r: Algebra, budget: Budget = DEFAULT_BUDGET) -> bool:
     return all(r.left_mult_mat(v).entries == r.right_mult_mat(v).entries for v in soc.basis_rows)
 
 
-def improved_bound_value(chi: int, edge_lengths, socle_len: int) -> int:
-    """The formula behind improved_bound: with nonnegative chi add it; with
-    negative chi subtract the -chi smallest edge lengths instead."""
-    if chi >= 0:
-        return socle_len + chi
-    drop = -chi
-    if drop > len(edge_lengths):
-        raise TheoremViolation("graph has fewer edges than vertices minus chi allows")
-    return socle_len - sum(sorted(edge_lengths)[:drop])
-
-
-def improved_bound(g: SocleGraph, socle_len: int) -> int:
-    """Sharper right-hand side for the length inequality, from the graph."""
-    return improved_bound_value(g.chi, g.edge_lengths, socle_len)
+def improved_bound(g: SocleGraph) -> int:
+    """Sharper right-hand side for the length inequality, from the graph:
+    the socle's bimodule length plus a nonnegative chi, or minus the -chi
+    smallest edge lengths for a negative one (chi = V - E, so -chi <= E)."""
+    if g.chi >= 0:
+        return g.socle_bimodule_length + g.chi
+    drop = -g.chi
+    return g.socle_bimodule_length - sum(sorted(g.edge_lengths)[:drop])

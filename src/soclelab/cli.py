@@ -162,11 +162,10 @@ def _cmd_algebra_analyze(args, inputs, budget: Budget):
     details["socle_central"] = algebra.socle_is_central(alg, budget)
     try:
         graph = algebra.socle_graph(alg, budget)
-        soc_len = graph.socle_bimodule_length
         details["blocks"] = [{"n": b.n} for b in alg.blocks()]
         details["socle_graph"] = graph.to_json()
-        details["socle_bimodule_length"] = soc_len
-        details["improved_bound_rhs"] = algebra.improved_bound(graph, soc_len)
+        details["socle_bimodule_length"] = graph.socle_bimodule_length
+        details["improved_bound_rhs"] = algebra.improved_bound(graph)
     except NotSplitError:
         details["blocks"] = "not split-certified"
     return [("pass", details)], ([[k, json.dumps(v)] for k, v in details.items()], ["key", "value"])

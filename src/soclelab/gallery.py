@@ -182,8 +182,6 @@ def make_twisted_truncated(p: int, d: int, n: int) -> Algebra:
                         out[idx(j + l, tt)] = c
                     row.append(tuple(out))
             mult.append(tuple(row))
-    # reshape into dim x dim
-    mult = tuple(tuple(mult[i][j] for j in range(dim)) for i in range(dim))
     one = tuple(1 if k == 0 else 0 for k in range(dim))
     radical = [tuple(1 if k == idx(j, t) else 0 for k in range(dim)) for j in range(1, n + 1) for t in range(d)]
     if d == 1:

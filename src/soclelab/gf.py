@@ -283,7 +283,3 @@ def field_of_order(q: int) -> Field:
     if q not in _ORDERS:
         raise InputError(f"unsupported field size {q}")
     return field_make(*_ORDERS[q])
-
-
-GF2 = field_make(2)
-GF3 = field_make(3)

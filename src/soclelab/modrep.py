@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .algebra import Algebra, Block, bimodule_length, socle_graph, socle_is_central, socles
 from .budget import DEFAULT_BUDGET, Budget
@@ -530,16 +530,7 @@ class ModuleReport:
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "faithful": self.faithful,
-            "annihilator_dim": self.annihilator_dim,
-            "top_length": self.top_length,
-            "socle_length": self.socle_length,
-            "no_faithful_max_submodule": self.no_faithful_max_submodule,
-            "no_faithful_simple_quotient": self.no_faithful_simple_quotient,
-            "inequality": self.inequality,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def _minimal_lengths(m: ModuleRep, budget: Budget) -> TopSocle:

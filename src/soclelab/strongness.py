@@ -47,7 +47,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .algebra import SocleGraph
@@ -711,14 +711,6 @@ class StrengthBudget:
     l_T: int
     cardD_ok: bool
 
-    def to_json(self) -> dict:
-        return {
-            "N_S": self.N_S, "N_T": self.N_T,
-            "d_S": self.d_S, "d_T": self.d_T,
-            "l_S": self.l_S, "l_T": self.l_T,
-            "cardD_ok": self.cardD_ok,
-        }
-
 
 @dataclass
 class SystemReport:
@@ -734,18 +726,7 @@ class SystemReport:
     field_size: int
 
     def to_json(self) -> dict:
-        return {
-            "budget": self.budget.to_json(),
-            "graph": self.graph.to_json(),
-            "lt_b": self.lt_b,
-            "lt_c": self.lt_c,
-            "lt_a": self.lt_a,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "hypotheses_met": dict(self.hypotheses_met),
-            "field_size": self.field_size,
-        }
+        return asdict(self)
 
 
 def system_graph(sys: BilinearSystem) -> tuple[SocleGraph, int]:

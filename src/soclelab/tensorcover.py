@@ -33,7 +33,7 @@ full.  Both certify by `_witnessed_report`, one witness table per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from operator import xor
 
@@ -180,11 +180,7 @@ class CoverageSide:
     failing: tuple | None  # first uncovered projective point, if any
 
     def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "witnesses": [[list(b), list(c)] for b, c in self.witnesses],
-            "failing": list(self.failing) if self.failing is not None else None,
-        }
+        return asdict(self)
 
 
 def _coverage(flat: Subspace, m: int, n: int, rows: bool, res: list, kernels: dict) -> CoverageSide:

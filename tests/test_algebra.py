@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,6 @@ from soclelab.algebra import (
     algebra_make,
     bimodule_length,
     improved_bound,
-    improved_bound_value,
     radical_bruteforce,
     socle_graph,
     socle_is_central,
@@ -573,12 +573,18 @@ def test_radical_oracle_self_checks_raise_theorem_violation(tmp_path, capsys, mo
 def test_corner_dimension_off_the_block_sizes_is_a_violation(tmp_path, capsys, monkeypatch):
     # M_2(F_2) has one block, n = 2, and its socle is the whole algebra, the
     # one corner of dimension 4; a corner rank one too high is not divisible
-    # by n * n.  The corner rank is algebra's only `row_rank` call
+    # by n * n.  Only the corner rank is raised: the certificate check's rank
+    # of the matrix units modulo the radical, also a `row_rank` call, stays true
     path = tmp_path / "m22.json"
     path.write_text(json.dumps(make_matrix_algebra(2, field_make(2)).to_json()))
     alg = Algebra.from_json(json.loads(path.read_text()))
     assert bimodule_length(alg, socles(alg).twosided) == 1
-    monkeypatch.setattr(algebra, "row_rank", lambda rows, ncols, field: row_rank(rows, ncols, field) + 1)
+
+    def corner_rank_raised(rows, ncols, field):
+        rank = row_rank(rows, ncols, field)
+        return rank + 1 if sys._getframe(1).f_code.co_name == "_corner_lengths" else rank
+
+    monkeypatch.setattr(algebra, "row_rank", corner_rank_raised)
     message = "corner dimension 5 not divisible by 4: certificate corrupt"
     with pytest.raises(TheoremViolation, match="^" + re.escape(message) + "$"):
         bimodule_length(alg, socles(alg).twosided)
@@ -953,24 +959,28 @@ def test_graph_validation():
 # -- improved bound -------------------------------------------------------------------------
 
 def test_improved_bound_formula_values():
-    assert improved_bound_value(1, (1, 1, 1), 3) == 4
-    assert improved_bound_value(-1, (1, 2, 2, 2), 7) == 6
-    assert improved_bound_value(-2, (1, 1, 3), 5) == 3
-    assert improved_bound_value(0, (2, 2), 4) == 4
-    # -chi above the edge count: no SocleGraph has it (chi = V - E >= -E), so a direct call
-    with pytest.raises(TheoremViolation, match="^graph has fewer edges than vertices minus chi allows$"):
-        improved_bound_value(-3, (1, 1), 5)
+    # chi > 0 adds chi to the socle's bimodule length
+    g = SocleGraph((0, 1), (0, 1), ((0, 0), (0, 1), (1, 1)), (1, 1, 1), 1)
+    assert improved_bound(g) == 4
+    # chi = 0 on a 4-cycle: the bimodule length itself
+    g = SocleGraph((0, 1), (0, 1), ((0, 0), (0, 1), (1, 1), (1, 0)), (2, 2, 1, 3), 0)
+    assert improved_bound(g) == 8
+    # chi = -2 on 3 + 3 vertices and 8 edges drops the two smallest lengths
+    edges = tuple((f, e) for f in range(3) for e in range(3) if (f, e) != (2, 2))
+    g = SocleGraph((0, 1, 2), (0, 1, 2), edges, (2, 1, 3, 2, 2, 1, 2, 2), -2)
+    assert improved_bound(g) == 15 - 1 - 1
 
 
 def test_improved_bound_on_graphs():
     ring, _ = make_row_diagonal_pair()
     g = socle_graph(ring)
-    assert improved_bound(g, 3) == 4
+    assert g.socle_bimodule_length == 3
+    assert improved_bound(g) == 4
     # a realizable graph with negative Euler characteristic
     g_neg = SocleGraph((0, 1), (0, 1, 2),
                        ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)),
                        (1, 2, 2, 2, 1, 1), -1)
-    assert improved_bound(g_neg, 9) == 8
+    assert improved_bound(g_neg) == 8
 
 
 def test_socle_killed_by_radical_on_every_gallery_algebra():
@@ -1034,7 +1044,7 @@ def test_even_loop_graph_has_chi_zero():
     # a 2k-cycle alternating sides: as many vertices as edges
     g = SocleGraph((0, 1), (0, 1), ((0, 0), (0, 1), (1, 1), (1, 0)), (1, 1, 1, 1), 0)
     assert g.chi == 0
-    assert improved_bound(g, 5) == 5
+    assert improved_bound(g) == g.socle_bimodule_length
 
 
 # -- centrality and locality -------------------------------------------------------------------

@@ -954,5 +954,43 @@ def test_every_record_has_the_one_shape(tmp_path, capsys, monkeypatch):
     assert record["verdict"] == "violation"
 
 
+SYSTEM_KEYS = {"budget", "graph", "lt_b", "lt_c", "lt_a", "lhs", "rhs", "holds", "hypotheses_met", "field_size"}
+BUDGET_KEYS = {"N_S", "N_T", "d_S", "d_T", "l_S", "l_T", "cardD_ok"}
+GRAPH_KEYS = {"left_vertices", "right_vertices", "edges", "edge_lengths", "chi"}
+MODULE_KEYS = {"faithful", "annihilator_dim", "top_length", "socle_length", "no_faithful_max_submodule",
+               "no_faithful_simple_quotient", "inequality", "notes"}
+SIDE_KEYS = {"holds", "witnesses", "failing"}
+
+
+def test_report_records_have_their_pinned_keys(tmp_path, capsys, monkeypatch):
+    # a report's details are its dataclass's fields, so a stray field would
+    # reach stdout: pin the key set of each nested record
+    monkeypatch.chdir(tmp_path)
+    for item, path in (("line-cover-system", "lc.json"), ("row-diagonal-module", "rd.json"),
+                       ("triangular", "tri.json"), ("cross", "cross.json")):
+        assert main(["gallery", "make", item, "-o", path]) == 0
+    # the regular module of a local algebra with central socle meets the local bound
+    local = modrep.regular_module(make_square_zero_extension(field_make(2), 2))
+    Path("szr.json").write_text(json.dumps(local.to_json()))
+    capsys.readouterr()
+
+    def details(argv: str, code: int) -> dict:
+        assert main(argv.split()) == code, argv
+        return json.loads(capsys.readouterr().out)["details"]
+
+    system = details("system check lc.json", 1)
+    assert (set(system), set(system["budget"]), set(system["graph"])) == (SYSTEM_KEYS, BUDGET_KEYS, GRAPH_KEYS)
+    graph_bound = details("module check rd.json", 1)
+    ineq = graph_bound["inequality"]
+    assert (set(graph_bound), ineq["kind"], set(ineq["system"])) == (MODULE_KEYS, "socle_graph", SYSTEM_KEYS)
+    assert set(ineq) == {"kind", "lhs", "rhs", "holds", "socle_bimodule_length", "chi", "hypotheses_met", "system"}
+    local_bound = details("module check szr.json", 0)
+    assert (set(local_bound), set(local_bound["inequality"])) == (
+        MODULE_KEYS, {"kind", "lhs", "rhs", "holds", "socle_dim"})
+    assert set(details("algebra analyze tri.json", 0)["socle_graph"]) == GRAPH_KEYS
+    cover = details("cover check cross.json", 0)
+    assert (set(cover["cond_b"]), set(cover["cond_c"])) == (SIDE_KEYS, SIDE_KEYS)
+
+
 def _raise_violation(*_args, **_kwargs):
     raise TheoremViolation("forced")

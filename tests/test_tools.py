@@ -50,6 +50,36 @@ def test_unused_defs_reports_one_unused_import_and_one_unused_def(tmp_path):
 
 
 
+def test_unused_defs_reports_a_module_level_name_nothing_reads(tmp_path, capsys):
+    # a name counts as read as a name or as an attribute, in any file;
+    # dunders and names bound inside a def are not module-level names
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "consts.py").write_text(
+        '__version__ = "0"\n'
+        "LIMIT = 4\n"
+        "TABLE: dict = {}\n"
+        "LEFT, PAIRED = 1, 2\n"
+        "PLANTED = 7\n"
+        "print(LEFT)\n"
+    )
+    (tmp_path / "pkg" / "user.py").write_text(
+        "from . import consts\n"
+        "from .consts import TABLE\n"
+        "\n"
+        "def total():\n"
+        "    local = consts.LIMIT + len(TABLE)\n"
+        "    return local\n"
+        "\n"
+        "print(total())\n"
+    )
+    tool = load_tool()
+    assert tool.unused_names(tmp_path) == ["consts.PAIRED", "consts.PLANTED"]
+    assert tool.main([str(tmp_path)]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if line.startswith("unused name")] == [
+        "unused name: consts.PAIRED", "unused name: consts.PLANTED"]
+
+
 def test_ledger_folds_paired_records(tmp_path):
     # three seeds of one workload in both trees, one seed only in the parent;
     # the change wins wall_s in two pairs and ties item_p50_ms in all three;

@@ -1,5 +1,6 @@
-"""List every def or class in src/ that no other src/ code names, and every
-module-level import that nothing else in its own file reads.
+"""List every def or class in src/ that no other src/ code names, every
+module-level import that nothing else in its own file reads, and every
+module-level name that nothing in src/ reads.
 
 A definition counts as used when its name occurs as a name or an attribute
 anywhere in src/ outside its own body.  Matching is by bare name, so a name
@@ -8,11 +9,14 @@ interpreter calls, are skipped.  Module-level and class-level definitions
 are scanned, each named as module.Qualname.  An import counts as read when
 the name it binds occurs as a name anywhere else in its file, annotations
 included (a quoted annotation is a string and does not count); `from
-__future__` imports are skipped.  Each is named as module.name.
+__future__` imports are skipped.  A name bound by a module-level assignment
+counts as read when it occurs as a name read or an attribute anywhere in
+src/; dunder names are skipped.  Each is named as module.name.
 
 Usage: python3 tools/unused_defs.py [SRC_DIR]   (default: src next to tools/)
-Exits 1 when it finds an unused import, an unused definition that ALLOWED
-does not list, or an ALLOWED entry that is used again or gone; stdlib only.
+Exits 1 when it finds an unused import, an unused module-level name, an
+unused definition that ALLOWED does not list, or an ALLOWED entry that is
+used again or gone; stdlib only.
 """
 
 from __future__ import annotations
@@ -82,10 +86,34 @@ def unused_imports(src: Path) -> list[str]:
     return sorted(found)
 
 
+def unused_names(src: Path) -> list[str]:
+    assigned, read = [], set()
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for sub in (sub for target in targets for sub in ast.walk(target)):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                    if not (sub.id.startswith("__") and sub.id.endswith("__")):
+                        assigned.append((f"{path.stem}.{sub.id}", sub.id))
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                read.add(sub.attr)
+    return sorted(qualname for qualname, name in assigned if name not in read)
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
     found = unused(src)
     problems = [f"unused import: {name}" for name in unused_imports(src)]
+    problems += [f"unused name: {name}" for name in unused_names(src)]
     problems += [f"unused: {name}" for name in found if name not in ALLOWED]
     problems += [f"allowed but used or gone: {name}" for name in ALLOWED if name not in found]
     for line in problems:
