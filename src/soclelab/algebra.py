@@ -2,12 +2,13 @@
 
 An Algebra carries verified structure constants (the identity law, and
 associativity on all basis triples as L_{b_i b_j} = L_{b_i} L_{b_j}, are
-checked at construction) and an
-optional certificate: the radical as an explicit nilpotent two-sided ideal,
-plus either matrix-unit bases exhibiting the semisimple quotient as a
-product of full matrix algebras over F_q ("split"), or a verified division
-quotient ("local", possibly non-split).  Certified claims are never trusted
-blindly; every piece is re-verified at construction time.
+checked at construction) and an optional certificate: the radical as an
+explicit nilpotent two-sided ideal, plus either matrix-unit bases
+exhibiting the semisimple quotient as a product of full matrix algebras
+over F_q ("split"), or a verified division quotient ("local", possibly
+non-split).  Certified claims are never trusted blindly; every piece is
+re-verified at construction time, however the Algebra is built: a split
+certificate is local exactly when it is one block with n = 1.
 
 The radical certificate has an independent oracle: an exhaustive scan of the
 whole ring by quasi-regularity (x is radical iff 1 - rx is invertible for
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field as dc_field
 
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import InputError, NotSplitError, PreconditionError, TheoremViolation, decoding, json_bool, json_int
@@ -51,7 +52,6 @@ from .exactla import (
     mat_vec,
     row_rank,
     rref_rows,
-    vec_add,
     vec_combo,
 )
 from .gf import Field
@@ -87,10 +87,7 @@ class CertifiedStructure:
 
     def idempotent(self, field: Field, f: int) -> Coords:
         block = self.blocks[f]
-        total = (0,) * self.radical.ambient_dim
-        for i in range(block.n):
-            total = vec_add(field, total, block.unit(i, i))
-        return total
+        return vec_combo(field, [block.unit(i, i) for i in range(block.n)], [1] * block.n)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +234,17 @@ class Algebra:
             raise InputError("certificate must claim split blocks or a local (division) quotient")
 
     def _verify_split_blocks(self, cert: CertifiedStructure):
+        """The split certificate's rules: `local` holds exactly for one block
+        with n = 1, each block has n^2 units, the units fill R/J and are
+        independent modulo J, and E_f,ij E_g,kl = [f = g, j = k] E_f,il
+        modulo J.  These imply that the idempotents sum to 1 modulo J: the
+        units are a basis of R/J, and e = sum_f,i E_f,ii has e E_g,kl = E_g,kl
+        for each, so e is a left identity of R/J, hence e = e 1 = 1."""
         J = cert.radical
+        local = len(cert.blocks) == 1 and cert.blocks[0].n == 1
+        if cert.local != local:
+            raise InputError(f"bad certificate: split blocks of sizes {[b.n for b in cert.blocks]} claim "
+                             f"local = {cert.local}, but only one block with n = 1 is local")
         for f, block in enumerate(cert.blocks):
             if block.n < 1 or len(block.matrix_units) != block.n * block.n:
                 raise InputError(f"bad certificate: block {f} has n = {block.n} and {len(block.matrix_units)} "
@@ -249,27 +256,13 @@ class Algebra:
         if row_rank([*J.basis_rows, *units], self.dim, self.field) != J.dim + len(units):
             raise InputError("bad certificate: matrix units dependent modulo the radical")
         # unit relations modulo J, including across blocks
-        for f, bf in enumerate(cert.blocks):
-            for g, bg in enumerate(cert.blocks):
-                for i in range(bf.n):
-                    for j in range(bf.n):
-                        for k in range(bg.n):
-                            for l in range(bg.n):
-                                prod = self.mul_coords(bf.unit(i, j), bg.unit(k, l))
-                                expect = bf.unit(i, l) if (f == g and j == k) else None
-                                diff = prod if expect is None else tuple(
-                                    self.field.sub(a, b) for a, b in zip(prod, expect)
-                                )
-                                if not J.contains_vector(diff):
-                                    raise InputError(
-                                        f"bad certificate: matrix-unit relation fails at blocks ({f},{g})"
-                                    )
-        total_one = (0,) * self.dim
-        for f in range(len(cert.blocks)):
-            total_one = vec_add(self.field, total_one, cert.idempotent(self.field, f))
-        diff = tuple(self.field.sub(a, b) for a, b in zip(total_one, self.one))
-        if not J.contains_vector(diff):
-            raise InputError("bad certificate: block idempotents do not sum to the identity modulo J")
+        for (f, bf), (g, bg) in itertools.product(enumerate(cert.blocks), repeat=2):
+            for i, j, k, l in itertools.product(range(bf.n), range(bf.n), range(bg.n), range(bg.n)):
+                prod = self.mul_coords(bf.unit(i, j), bg.unit(k, l))
+                if f == g and j == k:
+                    prod = tuple(map(self.field.sub, prod, bf.unit(i, l)))
+                if not J.contains_vector(prod):
+                    raise InputError(f"bad certificate: matrix-unit relation fails at blocks ({f},{g})")
 
     # -- residue ring ------------------------------------------------------------
     def _residue_is_division(self, J: Subspace) -> bool:
@@ -425,13 +418,8 @@ def algebra_make(
             Block(int(b["n"]), tuple(tuple(u) for u in b["matrix_units"]))
             for b in certificate.get("blocks", [])
         )
-        if split:
-            local = len(blocks) == 1 and blocks[0].n == 1  # R/J is a division ring exactly then
-            if certificate.get("local", local) != local:
-                raise InputError(f"bad certificate: split blocks of sizes {[b.n for b in blocks]} claim "
-                                 f"local = {certificate['local']}, but only one block with n = 1 is local")
-        else:
-            local = bool(certificate.get("local", False))
+        # an omitted split `local` is the one the blocks imply, which the Algebra checks
+        local = bool(certificate.get("local", split and len(blocks) == 1 and blocks[0].n == 1))
         cert_obj = CertifiedStructure(radical, split, blocks if split else (), local)
 
     return Algebra(field, dim, mult, tuple(one), matrix_basis, cert_obj)
@@ -854,20 +842,19 @@ class SocleGraph:
     """Bipartite graph on quotient blocks with edges where f soc(R) e != 0.
 
     The vertices are the edge endpoints: a left vertex f has f soc(R) != 0,
-    a right vertex e has soc(R) e != 0.  chi is vertices minus edges;
-    edge_lengths are bimodule lengths of the corner spaces, parallel to
-    edges.
+    a right vertex e has soc(R) e != 0.  edge_lengths are bimodule lengths
+    of the corner spaces, parallel to edges.  chi, vertices minus edges, is
+    derived from them and never given.
     """
 
     left_vertices: tuple[int, ...]
     right_vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     edge_lengths: tuple[int, ...]
-    chi: int
+    chi: int = dc_field(init=False)
 
     def __post_init__(self):
-        if self.chi != len(self.left_vertices) + len(self.right_vertices) - len(self.edges):
-            raise InputError("inconsistent Euler characteristic")
+        object.__setattr__(self, "chi", len(self.left_vertices) + len(self.right_vertices) - len(self.edges))
         left, right = set(self.left_vertices), set(self.right_vertices)
         for f, e in self.edges:
             if f not in left or e not in right:
@@ -896,7 +883,7 @@ def socle_graph(r: Algebra, budget: Budget = DEFAULT_BUDGET) -> SocleGraph:
     edges = tuple(lengths)
     left = tuple(sorted({f for f, _ in edges}))
     right = tuple(sorted({e for _, e in edges}))
-    return SocleGraph(left, right, edges, tuple(lengths.values()), len(left) + len(right) - len(edges))
+    return SocleGraph(left, right, edges, tuple(lengths.values()))
 
 
 def socle_is_central(r: Algebra, budget: Budget = DEFAULT_BUDGET) -> bool:

@@ -547,11 +547,6 @@ def mat_of_columns(field: Field, nrows: int, columns) -> Mat:
     return Mat._of(field, nrows, len(columns), tuple(itertools.chain.from_iterable(zip(*columns))))
 
 
-def vec_add(field: Field, a, b) -> Vec:
-    add = field.tables.add
-    return tuple([add[x][y] for x, y in zip(a, b)])
-
-
 def transposed(entries, cols: int) -> Vec:
     """The entries of the transpose of a row-major matrix with `cols` columns, row-major."""
     return tuple(itertools.chain.from_iterable(entries[j::cols] for j in range(cols)))

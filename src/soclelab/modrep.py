@@ -306,16 +306,16 @@ class BlockPart:
     computed on first use and then kept.
 
     W (the whole module when it is not given) must be killed by J: a top
-    M/JM or a socle.  When R/J is F itself (one block, n = 1), `identity`
-    is set: the certificate checks that E_0,00 is 1 modulo J, so it acts on
-    W as the identity.  Then mult is W itself and summand(u) is [u], and no
-    image is taken, nor any action read: for a top given as its
+    M/JM or a socle.  When R/J is F itself (the certificate is local),
+    `identity` is set: the certificate checks that E_0,00 is 1 modulo J, so
+    it acts on W as the identity.  Then mult is W itself and summand(u) is
+    [u], and no image is taken, nor any action read: for a top given as its
     QuotientData, the quotient's action matrices are never built."""
 
     def __init__(self, rep: ModuleRep | QuotientData, f: int, block: Block, sub: Subspace | None):
         self.f = f
         self.n = block.n
-        self.identity = block.n == 1 and len(rep.algebra.blocks()) == 1
+        self.identity = rep.algebra.certificate.local
         self._rep = rep
         self._block = block
         self._units: dict[tuple[int, int], Mat] = {}
@@ -575,8 +575,8 @@ def local_socle_check(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> ModuleRe
 
     The statement carries no field-size hypothesis, so a verified instance
     violating it is an implementation bug (TheoremViolation)."""
-    blocks = m.algebra.blocks()
-    if len(blocks) != 1 or blocks[0].n != 1:
+    m.algebra.blocks()  # NotSplitError when absent
+    if not m.algebra.certificate.local:
         raise PreconditionError("operation requires a local algebra (single block of size one)")
     if not socle_is_central(m.algebra, budget):
         raise PreconditionError("socle of the algebra is not central")
@@ -681,7 +681,7 @@ def module_report(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> ModuleReport
             report.no_faithful_simple_quotient = minimality.no_faithful_simple_quotient
             if not minimality.minimal:
                 notes.append("module is not minimal: no inequality asserted")
-            elif len(blocks) == 1 and blocks[0].n == 1 and socle_is_central(m.algebra, budget):
+            elif m.algebra.certificate.local and socle_is_central(m.algebra, budget):
                 report.inequality = _local_inequality(m, ts, budget)
             else:
                 report.inequality, graph_notes = _graph_inequality(m, ts, budget)

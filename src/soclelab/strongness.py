@@ -729,16 +729,13 @@ class SystemReport:
         return asdict(self)
 
 
-def system_graph(sys: BilinearSystem) -> tuple[SocleGraph, int]:
-    """Block graph of the system plus the bimodule length of A."""
+def system_graph(sys: BilinearSystem) -> SocleGraph:
+    """Block graph of the system; its edge lengths sum to the bimodule length of A."""
     left_vertices = tuple(f for f, b in enumerate(sys.t_blocks) if b.mult > 0)
     right_vertices = tuple(e for e, b in enumerate(sys.s_blocks) if b.mult > 0)
     # a nonzero W_fe has t_f, s_e > 0, so its corner joins two vertices
     corners = sys.corner_spaces()
-    lengths = tuple(len(basis) for basis in corners.values())
-    chi = len(left_vertices) + len(right_vertices) - len(corners)
-    graph = SocleGraph(left_vertices, right_vertices, tuple(corners), lengths, chi)
-    return graph, sum(lengths)
+    return SocleGraph(left_vertices, right_vertices, tuple(corners), tuple(len(basis) for basis in corners.values()))
 
 
 def strength_budget(sys: BilinearSystem) -> StrengthBudget:
@@ -761,7 +758,8 @@ def prop41_check(sys: BilinearSystem, budget: Budget = DEFAULT_BUDGET) -> System
     implementation bug (the statement is proved) and raises TheoremViolation.
     """
     preds = predicates(sys)
-    graph, lt_a = system_graph(sys)
+    graph = system_graph(sys)
+    lt_a = graph.socle_bimodule_length
     sbudget = strength_budget(sys)
     lt_b = sum(b.mult for b in sys.s_blocks)
     lt_c = sum(b.mult for b in sys.t_blocks)

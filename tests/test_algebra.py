@@ -231,16 +231,6 @@ def test_analyze_rejects_each_bad_certificate(tmp_path, capsys, certificate, mes
     assert (code, record["verdict"], record["details"]) == (2, "input-error", {"error": message})
 
 
-def test_analyze_rejects_idempotents_that_miss_the_identity(tmp_path, capsys, monkeypatch):
-    # units that fill R/J and satisfy the unit relations have an idempotent
-    # sum that is a left identity of R/J, so only a forced sum reaches the check
-    data = make_triangular(2, GF2, False).to_json()
-    monkeypatch.setattr(algebra.CertifiedStructure, "idempotent", lambda self, field, f: (0,) * self.radical.ambient_dim)
-    code, record = _analyze_record(tmp_path, capsys, data)
-    message = "bad certificate: block idempotents do not sum to the identity modulo J"
-    assert (code, record["verdict"], record["details"]) == (2, "input-error", {"error": message})
-
-
 def test_certificate_radical_in_the_wrong_space_is_rejected():
     # JSON decoding sizes the radical to the algebra, so only a direct
     # construction can hand over a radical of another ambient dimension
@@ -951,24 +941,22 @@ def test_semisimple_graph():
 
 def test_graph_validation():
     with pytest.raises(InputError):
-        SocleGraph((0,), (0,), ((0, 0),), (1,), 7)  # wrong chi
-    with pytest.raises(InputError):
-        SocleGraph((0,), (0,), ((0, 1),), (1,), 1)  # edge endpoint not a vertex
+        SocleGraph((0,), (0,), ((0, 1),), (1,))  # edge endpoint not a vertex
 
 
 # -- improved bound -------------------------------------------------------------------------
 
 def test_improved_bound_formula_values():
     # chi > 0 adds chi to the socle's bimodule length
-    g = SocleGraph((0, 1), (0, 1), ((0, 0), (0, 1), (1, 1)), (1, 1, 1), 1)
-    assert improved_bound(g) == 4
+    g = SocleGraph((0, 1), (0, 1), ((0, 0), (0, 1), (1, 1)), (1, 1, 1))
+    assert (g.chi, improved_bound(g)) == (1, 4)
     # chi = 0 on a 4-cycle: the bimodule length itself
-    g = SocleGraph((0, 1), (0, 1), ((0, 0), (0, 1), (1, 1), (1, 0)), (2, 2, 1, 3), 0)
-    assert improved_bound(g) == 8
+    g = SocleGraph((0, 1), (0, 1), ((0, 0), (0, 1), (1, 1), (1, 0)), (2, 2, 1, 3))
+    assert (g.chi, improved_bound(g)) == (0, 8)
     # chi = -2 on 3 + 3 vertices and 8 edges drops the two smallest lengths
     edges = tuple((f, e) for f in range(3) for e in range(3) if (f, e) != (2, 2))
-    g = SocleGraph((0, 1, 2), (0, 1, 2), edges, (2, 1, 3, 2, 2, 1, 2, 2), -2)
-    assert improved_bound(g) == 15 - 1 - 1
+    g = SocleGraph((0, 1, 2), (0, 1, 2), edges, (2, 1, 3, 2, 2, 1, 2, 2))
+    assert (g.chi, improved_bound(g)) == (-2, 15 - 1 - 1)
 
 
 def test_improved_bound_on_graphs():
@@ -979,8 +967,8 @@ def test_improved_bound_on_graphs():
     # a realizable graph with negative Euler characteristic
     g_neg = SocleGraph((0, 1), (0, 1, 2),
                        ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)),
-                       (1, 2, 2, 2, 1, 1), -1)
-    assert improved_bound(g_neg) == 8
+                       (1, 2, 2, 2, 1, 1))
+    assert (g_neg.chi, improved_bound(g_neg)) == (-1, 8)
 
 
 def test_socle_killed_by_radical_on_every_gallery_algebra():
@@ -1042,7 +1030,7 @@ def test_socle_dimension_decomposes_over_edges():
 
 def test_even_loop_graph_has_chi_zero():
     # a 2k-cycle alternating sides: as many vertices as edges
-    g = SocleGraph((0, 1), (0, 1), ((0, 0), (0, 1), (1, 1), (1, 0)), (1, 1, 1, 1), 0)
+    g = SocleGraph((0, 1), (0, 1), ((0, 0), (0, 1), (1, 1), (1, 0)), (1, 1, 1, 1))
     assert g.chi == 0
     assert improved_bound(g) == g.socle_bimodule_length
 
@@ -1121,6 +1109,15 @@ def test_split_certificate_local_claim_must_match_its_blocks(scalar):
         Algebra.from_json(data)
     del data["certificate"]["local"]  # the claim is optional, and then derived
     assert Algebra.from_json(data).to_json() == alg.to_json()
+
+
+def test_direct_construction_checks_the_split_local_claim():
+    # the rule lives in the Algebra, so a certificate built without
+    # algebra_make cannot claim that two blocks are local either
+    tri = make_triangular(2, GF2, False)
+    cert = algebra.CertifiedStructure(tri.certificate.radical, True, tri.certificate.blocks, True)
+    with pytest.raises(InputError, match="only one block with n = 1 is local"):
+        Algebra(GF2, tri.dim, tri.mult, tri.one, certificate=cert)
 
 
 def test_split_certificate_rejects_an_empty_block():

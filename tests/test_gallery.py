@@ -100,10 +100,15 @@ def _failing(side: str):
      "corner family fails a coverage condition"),
 ])
 def test_tensor_family_self_checks_are_violations(capsys, monkeypatch, item, build, force, message):
-    # each promise the cross and corner constructors check, forced to fail:
-    # the constructor raises, and `gallery make` (at its default parameters,
-    # the ones built here) exits 4 with one "violation" record naming it
+    # each promise the cross and corner constructors check, forced to fail at
+    # the item's default parameters, the ones built here
     force(monkeypatch)
+    _make_is_a_violation(capsys, item, build, message)
+
+
+def _make_is_a_violation(capsys, item, build, message):
+    # the constructor raises, and `gallery make` exits 4 with one "violation"
+    # record naming it
     with pytest.raises(TheoremViolation, match="^" + re.escape(message) + "$"):
         build()
     code = main(["gallery", "make", item])
@@ -111,6 +116,34 @@ def test_tensor_family_self_checks_are_violations(capsys, monkeypatch, item, bui
     assert code == 4
     assert [(r["command"], r["verdict"]) for r in records] == [("gallery make", "violation")]
     assert records[0]["details"] == {"error": message}
+
+
+def _socle_centrality_flipped(monkeypatch):
+    real = gallery.socle_is_central
+    monkeypatch.setattr(gallery, "socle_is_central", lambda alg: not real(alg))
+
+
+def _span_check_starts_nonzero(monkeypatch):
+    # act_on_span sums the span's matrix units from Mat.zero(F, 4, 3); a
+    # nonzero start makes the sum miss the product
+    real = gallery.Mat.zero
+    monkeypatch.setattr(gallery.Mat, "zero", staticmethod(
+        lambda field, rows, cols: gallery.Mat.unit(field, rows, cols, 0, 0) if (rows, cols) == (4, 3)
+        else real(field, rows, cols)))
+
+
+@pytest.mark.parametrize("item, build, force, message", [
+    ("twisted-truncated", lambda: make_twisted_truncated(2, 2, 2), _socle_centrality_flipped,
+     "twisted truncated ring p=2, d=2, n=2: socle centrality False disagrees with divisibility True"),
+    ("row-diagonal-module", make_row_diagonal_pair, _span_check_starts_nonzero,
+     "module span is not invariant under the ring"),
+])
+def test_algebra_constructor_self_checks_are_violations(capsys, monkeypatch, item, build, force, message):
+    # the twisted ring's socle centrality against divisibility, and the
+    # row-diagonal module's span invariance, each forced to fail at the
+    # item's default parameters
+    force(monkeypatch)
+    _make_is_a_violation(capsys, item, build, message)
 
 
 # -- algebra constructors ---------------------------------------------------------

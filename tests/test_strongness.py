@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -701,8 +702,8 @@ def test_block_maps_and_graph_match_projector_products():
                 if dim:
                     edges.append((f, e))
                     lengths.append(dim // pair)
-        graph, lt_a = system_graph(sys_obj)
-        assert (graph.edges, graph.edge_lengths, lt_a) == (tuple(edges), tuple(lengths), sum(lengths))
+        graph = system_graph(sys_obj)
+        assert (graph.edges, graph.edge_lengths) == (tuple(edges), tuple(lengths))
         degrees = strength_budget(sys_obj)
         assert degrees.d_T == max(sum(1 for f2, _ in edges if f2 == f) for f, _ in edges)
         assert degrees.d_S == max(sum(1 for _, e2 in edges if e2 == e) for _, e in edges)
@@ -1050,13 +1051,14 @@ def test_prop41_cross_system_over_f3_holds():
 
 def test_prop41_raises_when_all_hypotheses_hold_but_the_inequality_fails(monkeypatch, tmp_path, capsys):
     # the cross system over F_3 meets every hypothesis with lhs = rhs = 4;
-    # with lt(A) forced one lower, the proved inequality fails, a violation,
-    # and `system check` reports it as verdict "violation", exit 4
+    # with lt(A) forced one lower (its one edge, of length 3, made 2), the
+    # proved inequality fails, a violation, and `system check` reports it as
+    # verdict "violation", exit 4
     sys_obj = to_bilinear(make_cross(2, 2, GF3))
     path = tmp_path / "cross3.json"
     path.write_text(json.dumps(sys_obj.to_json()))
     real = strongness.system_graph
-    monkeypatch.setattr(strongness, "system_graph", lambda s: (real(s)[0], real(s)[1] - 1))
+    monkeypatch.setattr(strongness, "system_graph", lambda s: dataclasses.replace(real(s), edge_lengths=(2,)))
     with pytest.raises(TheoremViolation, match=r"all hypotheses hold over F_3 but 4 > 3"):
         prop41_check(sys_obj)
     capsys.readouterr()
@@ -1076,9 +1078,9 @@ def test_prop41_line_cover_family():
 
 
 def test_system_graph_structure():
-    graph, lt_a = system_graph(LINE_COVER_2)
+    graph = system_graph(LINE_COVER_2)
     assert len(graph.left_vertices) == 1 and len(graph.right_vertices) == 3
-    assert lt_a == 3 and graph.edge_lengths == (1, 1, 1)
+    assert graph.socle_bimodule_length == 3 and graph.edge_lengths == (1, 1, 1)
 
 
 # -- relative strength (experimental) --------------------------------------------------------
