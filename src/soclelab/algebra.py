@@ -38,7 +38,9 @@ import operator
 from dataclasses import asdict, dataclass, field as dc_field
 
 from .budget import DEFAULT_BUDGET, Budget
-from .errors import InputError, NotSplitError, PreconditionError, TheoremViolation, decoding, json_bool, json_int
+from .errors import (
+    InputError, NotSplitError, PreconditionError, TheoremViolation, decoding, json_bool, json_int, json_keys,
+)
 from .exactla import (
     Mat,
     RowBasis,
@@ -325,6 +327,7 @@ class Algebra:
     @staticmethod
     def from_json(data: dict) -> "Algebra":
         with decoding("algebra", data):
+            json_keys(data, ("field", "dim", "one", "mult", "matrix_basis", "certificate"))
             field = Field.from_json(data["field"])
 
             def dec_coords(raw, width):
@@ -344,12 +347,15 @@ class Algebra:
             cert_spec = None
             if data.get("certificate"):
                 raw = data["certificate"]
+                json_keys(raw, ("radical_basis", "split", "local", "blocks"), "certificate key")
+
+                def block(b):
+                    json_keys(b, ("n", "matrix_units"), "block key")
+                    return {"n": json_int(b, "n"), "matrix_units": [dec_coords(u, dim) for u in b["matrix_units"]]}
+
                 cert_spec = {
                     "radical_basis": [dec_coords(v, dim) for v in raw.get("radical_basis", [])],
-                    "blocks": [
-                        {"n": json_int(b, "n"), "matrix_units": [dec_coords(u, dim) for u in b["matrix_units"]]}
-                        for b in raw.get("blocks", [])
-                    ],
+                    "blocks": [block(b) for b in raw.get("blocks", [])],
                 }
                 cert_spec.update((flag, json_bool(raw, flag)) for flag in ("split", "local") if flag in raw)
         return algebra_make(field, dim=dim, mult=mult, matrix_basis=matrix_basis, one=one, certificate=cert_spec)

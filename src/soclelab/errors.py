@@ -78,6 +78,15 @@ def json_bool(data: dict, key: str) -> bool:
     return _json_typed(data, key, bool, "true or false")
 
 
+def json_keys(data: dict, keys: tuple[str, ...], what: str = "key") -> None:
+    """Reject any key of data outside keys, the keys its decoder reads (for
+    use inside `decoding`); what names such a key, as "block key" in a nested
+    object.  Data that is not an object is left to the decoder's own error."""
+    unknown = sorted(set(data) - set(keys)) if isinstance(data, dict) else []
+    if unknown:
+        raise ValueError(f"unknown {what} {unknown[0]!r}")
+
+
 def _json_typed(data, key, kind: type, named: str):
     value = data[key]
     if type(value) is not kind:

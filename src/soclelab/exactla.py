@@ -51,7 +51,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InputError, decoding, json_int
+from .errors import InputError, decoding, json_int, json_keys
 from .gf import Field
 
 Vec = tuple  # tuple of element codes
@@ -509,8 +509,11 @@ class Mat:
     @staticmethod
     def from_json(data: dict, field: Field | None = None) -> "Mat":
         with decoding("matrix", data):
+            json_keys(data, ("field", "rows", "cols", "entries"))
             if field is None:
                 field = Field.from_json(data.get("field", {}))
+            elif "field" in data and Field.from_json(data["field"]) != field:
+                raise ValueError("matrix field differs from the enclosing field")
             rows = [[field.element_from_json(x, "matrix entry") for x in row] for row in data["entries"]]
             shape = json_int(data, "rows"), json_int(data, "cols")
         mat = Mat.from_rows(field, rows) if rows else Mat.zero(field, 0, shape[1])

@@ -7,7 +7,7 @@ canonical, and enumeration is simply 0, 1, ..., q-1 (code order; for e = 1
 this is the usual residue order, for e > 1 it is lexicographic on the
 coefficient vector read from the highest-degree digit down).
 
-Fields bigger than a configured cap (default q <= 9) are rejected: every
+Fields bigger than the cap DEFAULT_MAX_Q (q <= 9) are rejected: every
 search in this package enumerates projective points or whole element sets,
 and the cap keeps those loops at desk scale.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from .errors import InputError, decoding, json_int
+from .errors import InputError, decoding, json_int, json_keys
 
 DEFAULT_MAX_Q = 9
 
@@ -181,6 +181,7 @@ class Field:
     @staticmethod
     def from_json(data: dict) -> "Field":
         with decoding("field", data):
+            json_keys(data, ("p", "e", "modulus"))
             p, e = json_int(data, "p"), json_int(data, "e")
             coeffs = data.get("modulus") or []
             modulus = [json_int(coeffs, k) for k in range(len(coeffs))]
@@ -238,28 +239,28 @@ def _field_tables(p: int, e: int, modulus: tuple[int, ...]) -> _Tables:
     return _Tables(p, e, modulus)
 
 
-def field_make(p: int, e: int = 1, modulus=None, max_q: int = DEFAULT_MAX_Q) -> Field:
+def field_make(p: int, e: int = 1, modulus=None) -> Field:
     """Construct F_{p^e}, finding a default irreducible modulus when needed.
 
-    Rejects non-prime p, reducible moduli, and q beyond the configured cap.
+    Rejects non-prime p, reducible moduli, and q beyond DEFAULT_MAX_Q.
     """
-    return _field_make(int(p), int(e), None if modulus is None else tuple(modulus), int(max_q))
+    return _field_make(int(p), int(e), None if modulus is None else tuple(modulus))
 
 
 @lru_cache(maxsize=None)
-def _field_make(p: int, e: int, modulus, max_q: int) -> Field:
+def _field_make(p: int, e: int, modulus) -> Field:
     # the bound comes before is_prime(p) and p**e, which never end for a huge p or e
-    if p > max_q:
-        raise InputError(f"characteristic {p} exceeds the configured field bound {max_q}")
+    if p > DEFAULT_MAX_Q:
+        raise InputError(f"characteristic {p} exceeds the configured field bound {DEFAULT_MAX_Q}")
     if not is_prime(p):
         raise InputError(f"characteristic {p} is not prime")
     if e < 1:
         raise InputError(f"extension degree must be >= 1, got {e}")
-    if e > max_q:  # then p^e >= 2^e > max_q
-        raise InputError(f"q = {p}^{e} exceeds the configured field bound {max_q}")
+    if e > DEFAULT_MAX_Q:  # then p^e >= 2^e > DEFAULT_MAX_Q
+        raise InputError(f"q = {p}^{e} exceeds the configured field bound {DEFAULT_MAX_Q}")
     q = p**e
-    if q > max_q:
-        raise InputError(f"q = {q} exceeds the configured field bound {max_q}")
+    if q > DEFAULT_MAX_Q:
+        raise InputError(f"q = {q} exceeds the configured field bound {DEFAULT_MAX_Q}")
     if e == 1:
         mod = (0, 1)
         if modulus is not None and tuple(int(c) % p for c in modulus) not in ((0, 1),):

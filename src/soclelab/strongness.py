@@ -52,7 +52,7 @@ from fractions import Fraction
 
 from .algebra import SocleGraph
 from .budget import DEFAULT_BUDGET, Budget
-from .errors import BudgetExceeded, InputError, PreconditionError, TheoremViolation, decoding, json_int
+from .errors import BudgetExceeded, InputError, PreconditionError, TheoremViolation, decoding, json_int, json_keys
 from .exactla import (
     Mat,
     Subspace,
@@ -229,9 +229,15 @@ class BilinearSystem:
     @staticmethod
     def from_json(data: dict) -> "BilinearSystem":
         with decoding("system", data):
+            json_keys(data, ("field", "s_blocks", "t_blocks", "a_basis"))
             field = Field.from_json(data["field"])
-            s_blocks = tuple(BlockSpec(json_int(b, "n"), json_int(b, "mult")) for b in data["s_blocks"])
-            t_blocks = tuple(BlockSpec(json_int(b, "n"), json_int(b, "mult")) for b in data["t_blocks"])
+
+            def block(raw):
+                json_keys(raw, ("n", "mult"), "block key")
+                return BlockSpec(json_int(raw, "n"), json_int(raw, "mult"))
+
+            s_blocks = tuple(block(b) for b in data["s_blocks"])
+            t_blocks = tuple(block(b) for b in data["t_blocks"])
             a_basis = tuple(Mat.from_json(mj, field) for mj in data["a_basis"])
         return BilinearSystem(field, s_blocks, t_blocks, a_basis)
 

@@ -38,7 +38,7 @@ from itertools import chain
 from operator import xor
 
 from .budget import DEFAULT_BUDGET, Budget
-from .errors import InputError, PreconditionError, TheoremViolation, decoding, json_int
+from .errors import InputError, PreconditionError, TheoremViolation, decoding, json_int, json_keys
 from .exactla import (
     Mat,
     Subspace,
@@ -103,6 +103,7 @@ class TensorSubspace:
     @staticmethod
     def from_json(data: dict) -> "TensorSubspace":
         with decoding("tensor subspace", data):
+            json_keys(data, ("field", "m", "n", "basis"))
             field = Field.from_json(data["field"])
             basis = tuple(Mat.from_json(mj, field) for mj in data["basis"])
             m, n = json_int(data, "m"), json_int(data, "n")

@@ -612,6 +612,52 @@ def test_malformed_input_json_is_an_input_error(tmp_path, capsys, command, sourc
     assert message in record["details"]["error"]
 
 
+def _renamed(data, old, new):
+    data[new] = data.pop(old)
+    return data
+
+
+def _with_key(target):
+    target["extra"] = 1
+
+
+@pytest.mark.parametrize("command, source, edit, message", [
+    # a misspelled certificate was read as no certificate: exit 0, "not split-certified"
+    (["algebra", "analyze"], ("triangular", "n=2", "q=2"), lambda d: _renamed(d, "certificate", "certifcate"),
+     "bad algebra JSON: unknown key 'certifcate'"),
+    # a misspelled modulus was read as the default one
+    (["algebra", "analyze"], ("matrix-algebra", "n=1", "q=9"), lambda d: _renamed(d["field"], "modulus", "modulos"),
+     "bad field JSON: unknown key 'modulos'"),
+    (["algebra", "analyze"], ("triangular", "n=2", "q=2"), lambda d: _with_key(d["certificate"]),
+     "bad algebra JSON: unknown certificate key 'extra'"),
+    (["algebra", "analyze"], ("triangular", "n=2", "q=2"), lambda d: _with_key(d["certificate"]["blocks"][1]),
+     "bad algebra JSON: unknown block key 'extra'"),
+    (["algebra", "analyze"], ("matrix-algebra", "n=2", "q=2"), lambda d: _with_key(d["matrix_basis"][3]),
+     "bad matrix JSON: unknown key 'extra'"),
+    # a nested matrix's own field was never compared with the enclosing one
+    (["algebra", "analyze"], ("matrix-algebra", "n=2", "q=2"),
+     lambda d: d["matrix_basis"][0].update(field={"p": 5, "e": 1, "modulus": []}),
+     "bad matrix JSON: matrix field differs from the enclosing field"),
+    (["system", "check"], ("line-cover-system", "q=2", "d=2"), lambda d: _with_key(d),
+     "bad system JSON: unknown key 'extra'"),
+    (["system", "check"], ("line-cover-system", "q=2", "d=2"), lambda d: _with_key(d["t_blocks"][0]),
+     "bad system JSON: unknown block key 'extra'"),
+    (["cover", "check"], ("cross", "m=2", "n=2", "q=2"), lambda d: _with_key(d),
+     "bad tensor subspace JSON: unknown key 'extra'"),
+], ids=["algebra", "field", "certificate", "certificate-block", "matrix", "matrix-field", "system", "system-block", "tensor-subspace"])
+def test_unknown_key_is_an_input_error(tmp_path, capsys, command, source, edit, message):
+    # each object a decoder reads has a fixed key set, and any other key is
+    # named in an input error, never ignored
+    data = json.loads(write_gallery(tmp_path, capsys, *source).read_text())
+    edit(data)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, *command, str(path))
+    assert code == 2
+    record = json.loads(out.strip().splitlines()[-1])
+    assert (record["verdict"], record["details"]["error"]) == ("input-error", message)
+
+
 def test_gallery_round_trips(tmp_path, capsys):
     # every gallery object must survive serialize -> parse -> serialize
     from soclelab.algebra import Algebra

@@ -103,13 +103,6 @@ def test_bound_is_checked_before_primality_and_the_power(monkeypatch):
         field_make(2, 9)
 
 
-def test_bound_is_configurable():
-    f16 = field_make(2, 4, max_q=16)
-    assert len(list(f16.elements())) == 16
-    for a in range(1, 16):
-        assert f16.mul(a, f16.inv(a)) == 1
-
-
 def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
@@ -142,6 +135,13 @@ def test_field_json_modulus_coefficients_must_be_integers():
         with pytest.raises(InputError, match=message):
             Field.from_json({"p": 2, "e": 2, "modulus": modulus})
     assert Field.from_json({"p": 2, "e": 2, "modulus": [1, 1]}) == field_make(2, 2)
+
+
+def test_field_json_rejects_an_unknown_key():
+    # a misspelled modulus was read as the default one, (1, 0, 1) for p = 3, e = 2
+    with pytest.raises(InputError, match=r"^bad field JSON: unknown key 'modulos'$"):
+        Field.from_json({"p": 3, "e": 2, "modulos": [2, 2]})
+    assert Field.from_json({"p": 3, "e": 2, "modulus": [2, 2]}).modulus == (2, 2, 1)
 
 
 def test_field_json_modulus_coefficients_must_lie_in_the_prime_field():

@@ -16,7 +16,7 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 SRC = Path(__file__).resolve().parent.parent / "src" / "soclelab"
 
 
-def load_tool(name: str = "unused_defs"):
+def load_tool(name: str):
     spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module  # a dataclass looks its module up there
@@ -24,9 +24,37 @@ def load_tool(name: str = "unused_defs"):
     return module
 
 
-def test_unused_defs_reports_one_unused_import_and_one_unused_def(tmp_path):
+def source_problems(root: Path) -> list[str]:
+    gate = load_tool("unused")
+    return gate.source_problems(gate.parse(root))
+
+
+def run_gate(tmp_path: Path, kept: str, plant=None) -> tuple[int, list[str]]:
+    """The gate's exit code and printed lines on a copy of the tree whose
+    runs table keeps only the entry named kept, after plant(src, tools)
+    edits the copy."""
+    src, tools = tmp_path / "src", tmp_path / "tools"
+    ignore = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(SRC.parent, src, ignore=ignore)
+    shutil.copytree(TOOLS, tools, ignore=ignore)
+    with open(tools / "runs.py", "a") as runs:
+        runs.write(f"\nRUNS = [run for run in RUNS if run.name == {kept!r}]\n")
+    if plant is not None:
+        plant(src, tools)
+    result = subprocess.run([sys.executable, str(tools / "unused.py")], capture_output=True, text=True, cwd=tmp_path)
+    return result.returncode, result.stdout.splitlines()
+
+
+def replace_once(path: Path, old: str, new: str) -> None:
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+
+
+def test_gate_reports_one_unused_import(tmp_path):
     # each kept import is read once: in code, in an annotation, under an
-    # alias, or as a dotted module's first name
+    # alias, or as a dotted module's first name; an uncalled def is the
+    # profile's to report, not the source pass's
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "core.py").write_text(
         "from __future__ import annotations\n"
@@ -42,15 +70,11 @@ def test_unused_defs_reports_one_unused_import_and_one_unused_def(tmp_path):
         "def orphan():\n"
         "    return None\n"
     )
-    (tmp_path / "pkg" / "user.py").write_text("from .core import used\n\nVALUE = used(1)\n")
-    tool = load_tool()
-    assert tool.unused_imports(tmp_path) == ["core.dumps"]
-    assert tool.unused(tmp_path) == ["core.orphan"]
-    assert tool.main([str(tmp_path)]) == 1
+    (tmp_path / "pkg" / "user.py").write_text("from .core import used\n\nprint(used(1))\n")
+    assert source_problems(tmp_path) == ["unused import: core.dumps"]
 
 
-
-def test_unused_defs_reports_a_module_level_name_nothing_reads(tmp_path, capsys):
+def test_gate_reports_a_module_level_name_nothing_reads(tmp_path):
     # a name counts as read as a name or as an attribute, in any file;
     # dunders and names bound inside a def are not module-level names
     (tmp_path / "pkg").mkdir()
@@ -72,12 +96,39 @@ def test_unused_defs_reports_a_module_level_name_nothing_reads(tmp_path, capsys)
         "\n"
         "print(total())\n"
     )
-    tool = load_tool()
-    assert tool.unused_names(tmp_path) == ["consts.PAIRED", "consts.PLANTED"]
-    assert tool.main([str(tmp_path)]) == 1
-    printed = capsys.readouterr().out.splitlines()
-    assert [line for line in printed if line.startswith("unused name")] == [
-        "unused name: consts.PAIRED", "unused name: consts.PLANTED"]
+    assert source_problems(tmp_path) == ["unused name: consts.PAIRED", "unused name: consts.PLANTED"]
+
+
+def test_gate_reports_a_class_nothing_else_names(tmp_path):
+    # a class counts as named from another file, as an attribute, or from
+    # a method of its own outer class, but not from its own body
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "shapes.py").write_text(
+        "class Used:\n"
+        "    pass\n"
+        "\n"
+        "class Orphan:\n"
+        "    def again(self):\n"
+        "        return Orphan()\n"
+        "\n"
+        "class Outer:\n"
+        "    class Inner:\n"
+        "        pass\n"
+        "\n"
+        "    class Nested:\n"
+        "        pass\n"
+        "\n"
+        "    def make(self):\n"
+        "        return self.Nested()\n"
+    )
+    (tmp_path / "pkg" / "user.py").write_text(
+        "from . import shapes\n"
+        "from .shapes import Used\n"
+        "\n"
+        "print(Used, shapes.Outer)\n"
+    )
+    assert source_problems(tmp_path) == ["unnamed class: shapes.Orphan", "unnamed class: shapes.Outer.Inner"]
+    assert source_problems(SRC.parent) == []
 
 
 def test_ledger_folds_paired_records(tmp_path):
@@ -194,19 +245,48 @@ def test_runs_names_each_entry_off_its_pin_or_exit_code(capsys):
 
 
 def test_reachable_reports_a_method_whose_name_is_shared(tmp_path):
-    # an uncalled Mat.sub hides from unused_defs behind every other `sub`
-    # (the field tables' and the Field method), but no run calls its code
-    src = tmp_path / "src"
-    ignore = shutil.ignore_patterns("__pycache__")
-    shutil.copytree(SRC.parent, src, ignore=ignore)
-    shutil.copytree(TOOLS, tmp_path / "tools", ignore=ignore)
-    exactla = src / "soclelab" / "exactla.py"
-    anchor = '    def scale(self, c: int) -> "Mat":\n'
-    text = exactla.read_text()
-    assert text.count(anchor) == 1
-    exactla.write_text(text.replace(anchor, '    def sub(self, other: "Mat") -> "Mat":\n        return self\n\n' + anchor))
-    names = load_tool()
-    assert names.unused(src) == sorted(names.ALLOWED)  # nothing new by name
-    result = subprocess.run([sys.executable, str(tmp_path / "tools" / "reachable.py"), str(src)],
-                            capture_output=True, text=True, cwd=tmp_path)
-    assert (result.returncode, result.stdout) == (1, "never called: exactla.Mat.sub\n")
+    # an uncalled Mat.sub hides from a name scan behind every other `sub`
+    # (the field tables' and the Field method), but no CLI call runs its code
+    def plant(src, _tools):
+        anchor = '    def scale(self, c: int) -> "Mat":\n'
+        replace_once(src / "soclelab" / "exactla.py", anchor,
+                     '    def sub(self, other: "Mat") -> "Mat":\n        return self\n\n' + anchor)
+        assert source_problems(src) == []
+
+    code, lines = run_gate(tmp_path, "gallery list", plant)
+    assert code == 1 and "never called: exactla.Mat.sub" in lines
+    assert not any(line.startswith("allowed but") for line in lines)
+
+
+def test_gate_exits_1_on_a_planted_import_and_name(tmp_path):
+    # the source pass's problems fail the gate as the profile's do (one
+    # cheap entry leaves most defs uncalled, so those lines are printed too)
+    def plant(src, _tools):
+        with open(src / "soclelab" / "gf.py", "a") as gf:
+            gf.write("\nimport os\n\nPLANTED = 7\n")
+
+    code, lines = run_gate(tmp_path, "gallery list", plant)
+    assert code == 1 and lines[:2] == ["unused import: gf.os", "unused name: gf.PLANTED"]
+
+
+def test_gate_reports_a_def_that_only_a_writer_calls(tmp_path):
+    # full223.json's writer builds TensorSubspace.full outside the profile,
+    # so without its table entry the def is reported
+    def plant(_src, tools):
+        replace_once(tools / "unused.py", '    "tensorcover.TensorSubspace.full":', '    "planted.unlisted":')
+
+    code, lines = run_gate(tmp_path, "cover check full223.json --minimal", plant)
+    assert code == 1 and "never called: tensorcover.TensorSubspace.full" in lines
+    assert "allowed but called or gone: planted.unlisted" in lines
+
+
+def test_gate_reports_a_table_entry_that_is_called_again(tmp_path):
+    # `gallery list` calls neither Field.neg nor Field.div until a call of
+    # the one is planted in the listing
+    def plant(src, _tools):
+        anchor = "def _cmd_gallery_list(args, inputs, budget: Budget):\n"
+        replace_once(src / "soclelab" / "cli.py", anchor, anchor + "    field_of_order(2).neg(0)\n")
+
+    code, lines = run_gate(tmp_path, "gallery list", plant)
+    assert code == 1 and "allowed but called or gone: gf.Field.neg" in lines
+    assert "allowed but called or gone: gf.Field.div" not in lines

@@ -9,7 +9,7 @@ an earlier entry whose stdout (or whose `details[key]`) must be the `same`.
 `main` runs the table in process through `cli.main`, in one fresh
 temporary directory, so later entries read what earlier ones wrote, and
 each input keeps its relative name, which enters the reports.
-`tools/reachable.py` profiles the same table.
+`tools/unused.py` profiles the same table's CLI calls, not its writers.
 
 Usage: python3 tools/runs.py
 Prints one line per mismatch and exits 1 on any; silent and exit 0 when
@@ -275,8 +275,8 @@ RUNS: list[Run] = [
 
 
 def execute(table: list[Run], wrap=contextlib.nullcontext) -> list[tuple[Run, int, bytes]]:
-    """(entry, exit code, output bytes) for each entry in order; each writer
-    and CLI call runs inside wrap(), with stdout and stderr captured."""
+    """(entry, exit code, output bytes) for each entry in order; each CLI
+    call runs inside wrap(), after its writer, with stdout and stderr captured."""
     here = os.getcwd()
     results = []
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
@@ -285,13 +285,14 @@ def execute(table: list[Run], wrap=contextlib.nullcontext) -> list[tuple[Run, in
         try:
             for run in table:
                 out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), wrap():
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                     if run.write is not None:
                         run.write()
-                    try:
-                        code = cli.main(run.argv)
-                    except SystemExit as exc:  # argparse rejected the argv
-                        code = exc.code
+                    with wrap():
+                        try:
+                            code = cli.main(run.argv)
+                        except SystemExit as exc:  # argparse rejected the argv
+                            code = exc.code
                 output = out.getvalue().encode()
                 if run.output is not None:
                     output = Path(run.output).read_bytes() if Path(run.output).is_file() else b""
