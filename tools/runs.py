@@ -121,6 +121,8 @@ RUNS: list[Run] = [
     Run("cover search-minimal --m 2 --n 3 --q 2", "ef24b20deede4bf8e451db483d0ee2dd4eac7f1d9abcae6982aaa6e362d749e9"),
     Run("cover search-minimal --m 2 --n 2 --q 7", "d3d23ba56b272b80ff86a1e6b96b97b1749b8133a4325c95408f1cf1afd65743"),
     Run("cover search-minimal --m 3 --n 2 --q 2", "9c8115e4c070ec381e5bb4cadc668fb4a996558f7418ef93c2967309bc1e0d3c"),
+    # the generic (q > 2) scan beyond 2x2
+    Run("cover search-minimal --m 2 --n 3 --q 3", "9a2e53b49e46cbecf901e7b66887b0964a99125ade2e961738275e66d6735f41"),
     # an extension field, and the one-row and one-column shapes
     Run("cover search-minimal --m 2 --n 2 --q 4", "dd3416c0086857f36b4c140e3f55a01db37314a50de99c5540137247f621a3a7"),
     Run("cover search-minimal --m 1 --n 3 --q 3", "39a9f08ff6323ca691b4f40f303376770dfd59c2e7f7c0a7269e009612cdb644"),
