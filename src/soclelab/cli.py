@@ -46,6 +46,8 @@ from .errors import (
     NotSplitError,
     SocleLabError,
     TheoremViolation,
+    decoding,
+    json_keys,
 )
 from .exactla import Subspace
 from .gf import field_of_order
@@ -177,6 +179,8 @@ def _resolve_module(args, inputs) -> modrep.ModuleRep:
         raise InputError(f"{args.file} does not hold a JSON object")
     if isinstance(data.get("module"), dict):
         # the shape `gallery make row-diagonal-module` writes: {"algebra", "module"}
+        with decoding("module file", data):
+            json_keys(data, ("algebra", "module"))
         outer, data = data, dict(data["module"])
         if "algebra" in outer:
             data.setdefault("algebra", outer["algebra"])

@@ -9,14 +9,15 @@ All elimination goes through one core.  `_echelon` is a forward column
 sweep over the field tables, and `_reduce` subtracts pivot rows from one
 vector.  `_rref` (and its list-returning wrapper `rref_rows`) is the sweep
 plus a back-substitution by `_reduce`, `row_rank` the sweep's pivot count,
-and `RowBasis`, `SpanTracker` and `Subspace.reduce` reduce through
-`_reduce`, over every field; tests cross-check them against a Gauss-Jordan
-oracle.  Every combination of rows by coefficients (`Mat.mul`, `Mat.apply`,
-`mat_vec`) is one `vec_combo`.  `Subspace.full`, the unit rows and, up to
-a bound, `full_hyperplanes` and the point tuple of `enum_coeff_points` are
-built once per field (or width, or q) and dimension and then shared.
-`enum_subspaces` builds each pivot pattern's row choices once, and a
-subspace is one pick per row, RREF by construction.
+and `RowBasis`, `SpanTracker`, `Subspace.reduce` and `contains_vector`
+reduce through `_reduce`, over every field; tests cross-check them against
+a Gauss-Jordan oracle.  Every combination of rows by coefficients
+(`Mat.mul`, `Mat.apply`, `mat_vec`) is one `vec_combo`.  `Subspace.full`,
+the unit rows and, up to a bound, `full_hyperplanes` and the point tuple of
+`enum_coeff_points` are built once per field (or width, or q) and
+dimension and then shared.
+`enum_pivot_patterns` builds each pivot pattern's row choices once, and
+`enum_subspaces` (or `tensorcover`'s scan) picks one per row.
 
 Each linear-algebra question has one entry point: a dimension is
 `row_rank`, a span `Subspace.from_vectors` (`_span` for the package's own
@@ -35,9 +36,7 @@ column with a few word operations; every other field takes `_echelon` with
 stop_at_gap, the tests' oracle for the packed kernels.  The F_2 word
 (`_pack_gf2`) also packs `tensorcover`'s coverage residuals over F_2, and
 the F_3 bit-planes serve `Mat.mul_is_zero`, the module relations'
-zero-product test: for each column t, the rows of A holding 1 (or -1) there
-take row t of B (or its negation) in one multiply by a row-set word.  Other
-fields and non-square shapes combine rows and stop at the first nonzero one.
+zero-product test (`_mul_is_zero_gf3`).
 
 Matrix validation runs only on external input: `Mat(...)`, `Mat.from_rows`
 and `Mat.from_json` check shape and entry range.  Every matrix the package
@@ -629,7 +628,8 @@ class Subspace:
         return tuple(_reduce(vec, zip(self.pivots, self.basis_rows), tables.sub, tables.mul))
 
     def contains_vector(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        tables = self.field.tables
+        return not any(_reduce(vec, zip(self.pivots, self.basis_rows), tables.sub, tables.mul))
 
     def coordinates_of(self, vec) -> Vec:
         """Coefficients of vec in the canonical basis; errors if not a member."""
@@ -802,18 +802,21 @@ def _shared_hyperplanes(field: Field, t: int) -> tuple[Subspace, ...]:
     return tuple(enum_hyperplanes(Subspace.full(field, t))) if t else ()
 
 
-def enum_subspaces(field: Field, n: int, dim: int):
-    """All dim-dimensional subspaces of F_q^n by direct RREF enumeration:
-    pivot columns in `combinations` order, then the free entries in
-    `product` order.  The rows of a pivot pattern vary independently, so
-    each row's choices (its 1 at its pivot, any entries right of it off the
-    other pivots) are built once per pattern and a subspace is one pick per
-    row, in the same order."""
+def enum_pivot_patterns(field: Field, n: int, dim: int):
+    """(pivots, choices) per pivot pattern of the dim-dimensional subspaces
+    of F_q^n, in `combinations` order: choices[i] lists row i's RREF rows
+    in `product` order, and the pattern's subspaces are their `product`."""
     elements = field.elements()
     for pivots in itertools.combinations(range(n), dim):
-        choices = [[(0,) * p + (1,) + tail
-                    for tail in itertools.product(*[(0,) if j in pivots else elements for j in range(p + 1, n)])]
-                   for p in pivots]
+        yield pivots, [[(0,) * p + (1,) + tail
+                        for tail in itertools.product(*[(0,) if j in pivots else elements for j in range(p + 1, n)])]
+                       for p in pivots]
+
+
+def enum_subspaces(field: Field, n: int, dim: int):
+    """All dim-dimensional subspaces of F_q^n, one pick per row from each
+    pattern of `enum_pivot_patterns`, RREF by construction."""
+    for pivots, choices in enum_pivot_patterns(field, n, dim):
         for rows in itertools.product(*choices):
             yield Subspace(field, n, rows, pivots)
 

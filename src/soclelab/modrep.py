@@ -53,7 +53,7 @@ from dataclasses import asdict, dataclass
 
 from .algebra import Algebra, Block, bimodule_length, socle_graph, socle_is_central, socles
 from .budget import DEFAULT_BUDGET, Budget
-from .errors import InputError, NotSplitError, PreconditionError, TheoremViolation
+from .errors import InputError, NotSplitError, PreconditionError, TheoremViolation, decoding, json_keys
 from .exactla import (
     Mat,
     SpanTracker,
@@ -151,6 +151,8 @@ class ModuleRep:
     def from_json(data: dict, algebra: Algebra | None = None) -> "ModuleRep":
         if not isinstance(data, dict):
             raise InputError("module JSON must be an object")
+        with decoding("module", data):
+            json_keys(data, ("dim", "action", "algebra", "algebra_ref"))
         dim, action = data.get("dim"), data.get("action")
         if type(dim) is not int or dim < 0:
             raise InputError(f"module JSON needs a nonnegative integer dim, got {dim!r}")

@@ -29,7 +29,7 @@ from .algebra import (
 from .budget import DEFAULT_BUDGET, Budget
 from .corpus import faithful_corpus, iter_weighted_generator_modules, random_verified_system
 from .errors import SocleLabError, TheoremViolation
-from .exactla import Mat, all_subspaces, num_subspaces
+from .exactla import Mat, enum_pivot_patterns, num_subspaces
 from .gallery import (
     LINE_COVER_EXPECTED,
     ROW_DIAGONAL_EXPECTED,
@@ -58,7 +58,7 @@ from .modrep import (
     top_socle,
 )
 from .strongness import BilinearSystem, BlockSpec, n_strong, no_union_cover, prop41_check, tensor_maps, union_split
-from .tensorcover import check_bound, check_minimal, _both_conditions_flat
+from .tensorcover import check_bound, check_minimal, _coverage_scan
 
 
 SEED = 20260808  # the default seed of the randomized batteries
@@ -82,10 +82,11 @@ def battery_coverage_bound(*, seed: int = SEED, budget: Budget = DEFAULT_BUDGET)
         budget.guard("coverage-bound subspace enumeration", num_subspaces(m * n, q, m * n))
         field = field_make(q)
         total, dims = 0, []  # dims: of the satisfying subspaces
-        for flat in all_subspaces(field, m * n):
-            total += 1
-            if _both_conditions_flat(flat, m, n):
-                dims.append(flat.dim)
+        for dim in range(m * n + 1):
+            for _, _, holds in _coverage_scan(field, m, n, enum_pivot_patterns(field, m * n, dim)):
+                total += 1
+                if holds:
+                    dims.append(dim)
         items.append(_item(
             f"coverage-bound-exhaustive-m{m}-n{n}-q{q}",
             dims and min(dims) >= m + n - 1,

@@ -17,9 +17,11 @@ scan and the certification walk the shared point tuple of
 `enum_coeff_points`; the certification lays each coordinate's residuals in
 every group (`_groups`) end to end, so a point's matrix is one combination,
 and the scan combines each group, or over F_2 XORs one word per residual
-(`_residual_words`) and tests independence in an XOR basis.  The search
-scans `enum_subspaces`, one pick per row from each pivot pattern's row
-choices.
+(`_pack_gf2`) and tests independence in an XOR basis.  The scan walks
+`enum_pivot_patterns`, where a pivot row's residual is its negated free
+entries: each row choice's is computed once per pattern, and a subspace's
+table is assembled from its rows'.  The search and criterion 1 read the
+scan's verdicts, and the search builds a `Subspace` only for a satisfier.
 
 Both conditions quantify over projective points rather than all nonzero
 vectors: rank-one membership is scalar-homogeneous, so nothing is lost and
@@ -34,7 +36,7 @@ full.  Both certify by `_witnessed_report`, one witness table per call.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import chain
+from itertools import chain, islice, product
 from operator import xor
 
 from .budget import DEFAULT_BUDGET, Budget
@@ -43,12 +45,14 @@ from .exactla import (
     Mat,
     Subspace,
     _pack_gf2,
+    _unit_rows,
     enum_coeff_points,
     enum_hyperplanes,
-    enum_subspaces,
+    enum_pivot_patterns,
     free_positions,
     kernel,
     num_projective_points,
+    num_subspaces,
     row_rank,
     transposed,
     unit_residuals,
@@ -125,53 +129,65 @@ def _groups(res: list, m: int, n: int, rows: bool) -> tuple[list, int]:
     return ([res[j::n] for j in range(n)], m) if rows else ([res[i * n:i * n + n] for i in range(m)], n)
 
 
-def _both_conditions_flat(flat: Subspace, m: int, n: int) -> bool:
+def _residual(field: Field, row, free):
+    """A pivot row's residual at the free coordinates: its entries there
+    negated, packed by `_pack_gf2` into one word over F_2 (where -1 = 1)."""
+    neg = field.tables.neg
+    return _pack_gf2([row[f] for f in free]) if field.q == 2 else tuple([neg[row[f]] for f in free])
+
+
+def _covers(field: Field, res: list, m: int, n: int, width: int) -> bool:
     # b is uncovered when its residuals are independent, never when they outnumber the free coordinates
-    width = m * n - flat.dim
-    if min(m, n) > width:  # neither side is tested, so no residual table is built
-        return True
-    if flat.field.q != 2:
-        return _both_conditions_generic(flat, m, n)
-    res = _residual_words(flat)
     for rows, count in ((True, n), (False, m)) if n <= m else ((False, m), (True, n)):  # fewer words first
-        if count <= width:
-            units = list(zip(*_groups(res, m, n, rows)[0]))  # units[t]: coordinate t's word in each group
-            combos = [(0,) * count]  # per support mask, from the mask with its lowest bit cleared
-            for mask in range(1, 1 << len(units)):
-                low = mask & -mask
-                combos.append(combo := tuple(map(xor, combos[mask ^ low], units[low.bit_length() - 1])))
-                basis = []  # min(w, w ^ b) clears b's top bit from w, and no later basis word sets it
-                for w in combo:
-                    for b in basis:
-                        w = min(w, w ^ b)
-                    if not w:
-                        break
-                    basis.append(w)
-                else:
-                    return False
-    return True
-
-
-def _residual_words(flat: Subspace) -> list[int]:
-    """`unit_residuals` over F_2, each packed by `_pack_gf2`, read straight from the pivot rows."""
-    free = free_positions(flat.ambient_dim, flat.pivots)
-    res = [1 << t for t in range(len(free))]
-    for p, row in zip(flat.pivots, flat.basis_rows):  # ascending, so each lands at index p
-        res.insert(p, _pack_gf2([row[f] for f in free]))
-    return res
-
-
-def _both_conditions_generic(flat: Subspace, m: int, n: int) -> bool:
-    """`_both_conditions_flat` from `unit_residuals`: the path of q > 2, and the oracle of F_2's words."""
-    field, width = flat.field, m * n - flat.dim
-    res = unit_residuals(flat)
-    for rows, count in ((True, n), (False, m)) if n <= m else ((False, m), (True, n)):  # fewer words first
-        if count <= width:
+        if count > width:
+            continue
+        if field.q != 2:
             groups, k = _groups(res, m, n, rows)
             for p in enum_coeff_points(field, k):
                 if row_rank([vec_combo(field, g, p) for g in groups], width, field) == count:
                     return False
+            continue
+        units = _groups(res, m, n, not rows)[0]  # units[t]: coordinate t's word in each group
+        combos = [(0,) * count]  # per support mask, from the mask with its lowest bit cleared
+        for mask in range(1, 1 << len(units)):
+            low = mask & -mask
+            combos.append(combo := tuple(map(xor, combos[mask ^ low], units[low.bit_length() - 1])))
+            basis = []  # min(w, w ^ b) clears b's top bit from w, and no later basis word sets it
+            for w in combo:
+                for b in basis:
+                    w = min(w, w ^ b)
+                if not w:
+                    break
+                basis.append(w)
+            else:
+                return False
     return True
+
+
+def _both_conditions_flat(flat: Subspace, m: int, n: int) -> bool:
+    """Both coverage conditions of one space: the scan of one pattern, one choice per row."""
+    return next(_coverage_scan(flat.field, m, n, [(flat.pivots, [[row] for row in flat.basis_rows])]))[2]
+
+
+def _coverage_scan(field: Field, m: int, n: int, patterns):
+    """(pivots, rows, holds) for each subspace of the m*n matrices in the
+    `enum_pivot_patterns` patterns, holds whether both conditions hold: each
+    row choice's residual once per pattern, in lists parallel to the choices."""
+    for pivots, choices in patterns:
+        width = m * n - len(pivots)
+        if min(m, n) > width:  # neither side is tested, so no residual table is built
+            for rows in product(*choices):
+                yield pivots, rows, True
+            continue
+        free = free_positions(m * n, pivots)
+        residuals = [[_residual(field, row, free) for row in rows] for rows in choices]
+        res = [1 << t for t in range(width)] if field.q == 2 else list(_unit_rows(width))
+        for p in pivots:  # ascending, so each lands at index p
+            res.insert(p, None)
+        for rows, picked in zip(product(*choices), product(*residuals)):
+            for p, r in zip(pivots, picked):
+                res[p] = r
+            yield pivots, rows, _covers(field, res, m, n, width)
 
 
 @dataclass
@@ -323,11 +339,11 @@ def search_minimal(
     monotonicity).  That is decided by lookup, not by re-testing: the
     hyperplanes of a dimension-d satisfier have dimension d - 1, and
     dimension d is scanned only after the scan of d - 1 finished, so the
-    canonical satisfiers of d - 1 kept in `below` are all of them.  Each
-    minimal satisfier is certified by `_witnessed_report` before it is
+    satisfiers of d - 1 kept in `below`, by their RREF rows, are all of them.
+    Each minimal satisfier is certified by `_witnessed_report` before it is
     reported, with one witness table for the whole call.
-    The budget caps the number of subspaces examined; on exhaustion the partial
-    result is flagged incomplete.
+    The budget caps the number of subspaces examined, checked before each
+    one is tested; on exhaustion the partial result is flagged incomplete.
 
     The search is sequential.  `threads` accepts only 1: the benchmark's
     coverage-search workload (`perfbench/workloads.py`) still passes
@@ -338,31 +354,28 @@ def search_minimal(
         raise InputError(f"search_minimal runs sequentially; threads must be 1, got {threads!r}")
     if m < 1 or n < 1:
         raise InputError("tensor factors must be nonzero")
-    cap = budget.max_enumeration
     examined = 0
     minimal: list[Subspace] = []
     kernels: dict = {}
-    complete = True
-    below: set[Subspace] = set()  # every satisfier of dimension dim - 1
+    below: set = set()  # the basis rows of every satisfier of dimension dim - 1
     for dim in range(0, m * n + 1):
-        satisfiers: set[Subspace] = set()
-        for flat in enum_subspaces(field, m * n, dim):
-            if examined >= cap:  # every dimension has a subspace, so a cap spent at the end of one stops here
-                complete = False
-                break
+        satisfiers: set = set()
+        # islice stops at the cap before the scan tests one more subspace
+        scan = _coverage_scan(field, m, n, enum_pivot_patterns(field, m * n, dim))
+        for pivots, rows, holds in islice(scan, budget.max_enumeration - examined):
             examined += 1
-            if not _both_conditions_flat(flat, m, n):
+            if not holds:
                 continue
-            satisfiers.add(flat)
-            if not below or not any(h in below for h in enum_hyperplanes(flat)):
+            satisfiers.add(rows)
+            flat = Subspace(field, m * n, rows, pivots)
+            if not below or not any(h.basis_rows in below for h in enum_hyperplanes(flat)):
                 # certify what is reported: witnesses re-checked by membership,
                 # and a space below the bound raises TheoremViolation; the charged
                 # subspace scan bounds it: one walk of the points per satisfier
                 if not _witnessed_report(flat, m, n, kernels).both_hold:
                     raise TheoremViolation("search satisfier failed the witnessed coverage check")
                 minimal.append(flat)
-        if not complete:
-            break
         below = satisfiers
     minimal.sort(key=Subspace.sort_key)
+    complete = examined == num_subspaces(m * n, field.q, m * n)
     return SearchResult([TensorSubspace.from_flat(field, m, n, flat) for flat in minimal], complete, examined)

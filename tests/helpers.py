@@ -16,8 +16,10 @@ from soclelab.exactla import (
     Mat,
     RowBasis,
     Subspace,
+    _pack_gf2,
     enum_coeff_points,
     enum_hyperplanes,
+    free_positions,
     kernel,
     mat_of_columns,
     mat_of_rows,
@@ -25,11 +27,12 @@ from soclelab.exactla import (
     num_projective_points,
     row_rank,
     rref_rows,
+    unit_residuals,
     vec_combo,
 )
 from soclelab.modrep import ModuleRep, block_decomposition, quotient_action, radical_image, restrict_action, socle_subspace
 from soclelab.strongness import BilinearSystem, BlockSpec, StrongReport, _side_block
-from soclelab.tensorcover import CoverageSide, TensorSubspace, _both_conditions_generic, _groups, rank_one
+from soclelab.tensorcover import CoverageSide, TensorSubspace, _groups, rank_one
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -233,6 +236,32 @@ def coverage_by_partner_kernels(flat: Subspace, m: int, n: int, rows: bool, res:
     return CoverageSide(True, witnesses, None)
 
 
+def both_conditions_generic(flat: Subspace, m: int, n: int) -> bool:
+    """Both coverage conditions from `unit_residuals`, built afresh for the
+    one space, with a rank per projective point over every field.  The oracle
+    for `tensorcover`'s scan and `_both_conditions_flat`, which take their
+    table from per-row residuals and test F_2's packed words in an XOR basis."""
+    field, width = flat.field, m * n - flat.dim
+    res = unit_residuals(flat)
+    for rows, count in ((True, n), (False, m)) if n <= m else ((False, m), (True, n)):  # fewer words first
+        if count <= width:
+            groups, k = _groups(res, m, n, rows)
+            for p in enum_coeff_points(field, k):
+                if row_rank([vec_combo(field, g, p) for g in groups], width, field) == count:
+                    return False
+    return True
+
+
+def residual_words(flat: Subspace) -> list[int]:
+    """`unit_residuals` over F_2, each packed by `_pack_gf2`, read straight
+    from the pivot rows: the oracle of the scan's packed tables."""
+    free = free_positions(flat.ambient_dim, flat.pivots)
+    res = [1 << t for t in range(len(free))]
+    for p, row in zip(flat.pivots, flat.basis_rows):  # ascending, so each lands at index p
+        res.insert(p, _pack_gf2([row[f] for f in free]))
+    return res
+
+
 def minimal_by_hyperplane_kernels(a: TensorSubspace) -> tuple[bool, TensorSubspace | None]:
     """Hyperplane minimality built one hyperplane at a time in A's own basis:
     for each projective point phi of the coefficient space, the kernel of phi
@@ -245,7 +274,7 @@ def minimal_by_hyperplane_kernels(a: TensorSubspace) -> tuple[bool, TensorSubspa
     for phi in enum_coeff_points(field, d):
         coeff_kernel = kernel(mat_of_rows(field, d, [phi]))
         candidate = TensorSubspace(field, a.m, a.n, tuple(mat_vec(basis, c) for c in coeff_kernel.basis_rows))
-        if _both_conditions_generic(candidate.flat(), a.m, a.n):
+        if both_conditions_generic(candidate.flat(), a.m, a.n):
             return False, candidate
     return True, None
 

@@ -644,7 +644,13 @@ def _with_key(target):
      "bad system JSON: unknown block key 'extra'"),
     (["cover", "check"], ("cross", "m=2", "n=2", "q=2"), lambda d: _with_key(d),
      "bad tensor subspace JSON: unknown key 'extra'"),
-], ids=["algebra", "field", "certificate", "certificate-block", "matrix", "matrix-field", "system", "system-block", "tensor-subspace"])
+    # a misspelled algebra_ref beside an inline algebra was ignored, and the inline one read
+    (["module", "check"], ("row-diagonal-module",), lambda d: d["module"].update(algebra_reff="ring.json"),
+     "bad module JSON: unknown key 'algebra_reff'"),
+    (["module", "check"], ("row-diagonal-module",), lambda d: _with_key(d),
+     "bad module file JSON: unknown key 'extra'"),
+], ids=["algebra", "field", "certificate", "certificate-block", "matrix", "matrix-field", "system", "system-block",
+        "tensor-subspace", "module", "module-file"])
 def test_unknown_key_is_an_input_error(tmp_path, capsys, command, source, edit, message):
     # each object a decoder reads has a fixed key set, and any other key is
     # named in an input error, never ignored

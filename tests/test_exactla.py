@@ -13,6 +13,7 @@ from soclelab.exactla import (
     all_subspaces,
     enum_coeff_points,
     enum_hyperplanes,
+    enum_pivot_patterns,
     enum_subspaces,
     free_positions,
     kernel,
@@ -331,6 +332,24 @@ def test_enum_subspaces_matches_one_product_over_all_free_entries(field):
             got = list(enum_subspaces(field, n, dim))
             assert got == list(enum_subspaces_by_free_entries(field, n, dim)), (n, dim)
             assert len(got) == gaussian_binomial(n, dim, field.q)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f"q{f.q}")
+def test_enum_subspaces_is_the_product_over_the_pivot_patterns(field):
+    # one pattern per pivot set, in `combinations` order, with one list of
+    # choices per row, each with its 1 at its pivot and zeros at the other
+    # pivots; their product, pattern by pattern, is `enum_subspaces`
+    for n in range(5) if field.q > 2 else (0, 1, 2, 3, 4, 6):
+        for dim in range(n + 1):
+            patterns = list(enum_pivot_patterns(field, n, dim))
+            assert [pivots for pivots, _ in patterns] == list(itertools.combinations(range(n), dim))
+            for pivots, choices in patterns:
+                assert len(choices) == dim
+                for p, rows in zip(pivots, choices):
+                    assert all(row[p] == 1 and not any(row[c] for c in pivots if c != p) for row in rows)
+            product = [Subspace(field, n, rows, pivots)
+                       for pivots, choices in patterns for rows in itertools.product(*choices)]
+            assert list(enum_subspaces(field, n, dim)) == product, (n, dim)
 
 
 def test_coeff_points_are_one_shared_tuple_up_to_the_bound():

@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +11,8 @@ from soclelab.exactla import (
     _pack_gf2,
     all_subspaces,
     enum_coeff_points,
+    enum_pivot_patterns,
+    enum_subspaces,
     mat_vec,
     num_projective_points,
     unit_residuals,
@@ -28,12 +31,14 @@ from soclelab.gallery import make_corner_family, make_cross
 from soclelab import tensorcover
 
 from helpers import (
+    both_conditions_generic,
     coverage_by_partner_kernels,
     coverage_partners,
     coverage_sides,
     coverage_transpose_flat,
     minimal_by_hyperplane_kernels,
     random_invertible,
+    residual_words,
     to_bilinear,
     transpose_tensor,
 )
@@ -137,32 +142,80 @@ def oracle_side(partners, columns: bool) -> CoverageSide:
     return CoverageSide(True, witnesses, None)
 
 
+def scan_dim(field, m, n, dim):
+    """The search's scan of the dim-dimensional subspaces of the m*n matrices."""
+    return tensorcover._coverage_scan(field, m, n, enum_pivot_patterns(field, m * n, dim))
+
+
 def test_both_conditions_build_the_residual_table_only_for_a_tested_side(monkeypatch):
     # over 2x2 a space of dim 3 or 4 leaves fewer than two free coordinates,
     # so neither side is tested and the space satisfies both conditions.
-    # F_2 builds its table as packed words, every other field by unit_residuals
-    built = []
+    # F_2 builds its table as packed words, every other field as tuples; the
+    # per-space test and the scan build each residual by the one per-row helper
+    built, real = [], tensorcover._residual
 
-    def table(name, build):
-        return lambda flat: built.append((name, flat.field.q, flat.dim)) or build(flat)
+    def residual(field, row, free):
+        out = real(field, row, free)
+        built.append(("words" if type(out) is int else "residuals", field.q, 4 - len(free)))
+        return out
 
-    monkeypatch.setattr(tensorcover, "unit_residuals", table("residuals", unit_residuals))
-    monkeypatch.setattr(tensorcover, "_residual_words", table("words", tensorcover._residual_words))
+    monkeypatch.setattr(tensorcover, "_residual", residual)
     for q in (2, 7):
         for flat in all_subspaces(field_make(q), 4, dims=(3, 4)):
             assert tensorcover._both_conditions_flat(flat, 2, 2)
+        for dim in (3, 4):
+            assert all(holds for _, _, holds in scan_dim(field_make(q), 2, 2, dim))
     assert not built
+    expected = {("words", 2, 1), ("words", 2, 2), ("residuals", 7, 1), ("residuals", 7, 2)}
     for q in (2, 7):
         for flat in all_subspaces(field_make(q), 4, dims=(1, 2)):
             tensorcover._both_conditions_flat(flat, 2, 2)
-    assert set(built) == {("words", 2, 1), ("words", 2, 2), ("residuals", 7, 1), ("residuals", 7, 2)}
+    assert set(built) == expected
+    built.clear()
+    for q in (2, 7):
+        for dim in (1, 2):
+            list(scan_dim(field_make(q), 2, 2, dim))
+    assert set(built) == expected
 
 
-def test_residual_words_pack_the_quotient_table():
-    # the F_2 words read off the pivot rows are the packed unit_residuals
+def test_residual_words_pack_the_quotient_table(monkeypatch):
+    # the F_2 words read off the pivot rows are the packed unit_residuals, and
+    # the per-space test and the scan assemble exactly these tables, and
+    # unit_residuals itself over the other fields, for every subspace
     for n in range(1, 7):
         for flat in all_subspaces(GF2, n):
-            assert tensorcover._residual_words(flat) == [_pack_gf2(r) for r in unit_residuals(flat)]
+            assert residual_words(flat) == [_pack_gf2(r) for r in unit_residuals(flat)]
+    tables = []
+    monkeypatch.setattr(tensorcover, "_covers", lambda field, res, m, n, width: tables.append(list(res)) or True)
+    for m, n, field in ((2, 3, GF2), (3, 2, GF2), (2, 2, GF3), (2, 2, field_make(2, 2))):
+        def oracle(flat):
+            return residual_words(flat) if field.q == 2 else unit_residuals(flat)
+
+        for dim in range(m * n - 1):  # every dimension with a side to test
+            flats = list(enum_subspaces(field, m * n, dim))
+            for flat in flats:
+                tensorcover._both_conditions_flat(flat, m, n)
+            list(scan_dim(field, m, n, dim))
+            expected = [oracle(flat) for flat in flats]
+            assert tables == expected + expected, (m, n, field.q, dim)
+            tables.clear()
+
+
+@pytest.mark.parametrize("m, n, q", [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 7), (2, 3, 2), (3, 2, 2), (1, 3, 5)])
+def test_scan_matches_the_per_space_oracle(m, n, q):
+    # the scan yields every subspace of each dimension in `enum_subspaces`
+    # order, with the verdict that the oracle's table, built afresh from
+    # unit_residuals for the one space, gives it; both verdicts occur
+    field = field_make(q) if q != 4 else field_make(2, 2)
+    verdicts = set()
+    for dim in range(m * n + 1):
+        scanned = list(scan_dim(field, m, n, dim))
+        flats = list(enum_subspaces(field, m * n, dim))
+        assert [(pivots, rows) for pivots, rows, _ in scanned] == [(f.pivots, f.basis_rows) for f in flats]
+        for (_, _, holds), flat in zip(scanned, flats):
+            assert holds == both_conditions_generic(flat, m, n), (m, n, q, flat)
+            verdicts.add(holds)
+    assert verdicts == {True, False}
 
 
 def test_packed_conditions_match_the_generic_path(rng):
@@ -171,7 +224,7 @@ def test_packed_conditions_match_the_generic_path(rng):
     # every dimension, with each verdict seen on each shape
     def verdict(flat, m, n):
         packed = tensorcover._both_conditions_flat(flat, m, n)
-        assert packed == tensorcover._both_conditions_generic(flat, m, n), (m, n, flat)
+        assert packed == both_conditions_generic(flat, m, n), (m, n, flat)
         return packed
 
     for m, n in ((2, 2), (2, 3), (3, 2), (1, 3), (3, 1)):
@@ -251,11 +304,11 @@ def test_witness_table_matches_the_partner_kernel_oracle(rng):
 def test_generic_conditions_test_the_side_of_fewer_words_first(monkeypatch):
     # transposing a space swaps its sides, so every subspace of 2x3 over F_3
     # and its transpose, which runs over every subspace of 3x2, get one
-    # verdict whichever side is tested first
+    # verdict whichever side is tested first; F_3 takes the generic test
     verdicts = set()
     for flat in all_subspaces(GF3, 6):
-        verdict = tensorcover._both_conditions_generic(flat, 2, 3)
-        assert tensorcover._both_conditions_generic(coverage_transpose_flat(flat, 2, 3), 3, 2) == verdict, flat
+        verdict = tensorcover._both_conditions_flat(flat, 2, 3)
+        assert tensorcover._both_conditions_flat(coverage_transpose_flat(flat, 2, 3), 3, 2) == verdict, flat
         verdicts.add(verdict)
     assert verdicts == {True, False}
     # the zero space fails at the first point of the first side tested: on
@@ -263,7 +316,7 @@ def test_generic_conditions_test_the_side_of_fewer_words_first(monkeypatch):
     tested = []
     monkeypatch.setattr(tensorcover, "enum_coeff_points", lambda field, k: tested.append(k) or enum_coeff_points(field, k))
     for m, n in ((2, 3), (3, 2), (2, 2)):
-        assert not tensorcover._both_conditions_generic(Subspace.zero(GF3, m * n), m, n)
+        assert not tensorcover._both_conditions_flat(Subspace.zero(GF3, m * n), m, n)
     assert tested == [3, 3, 2]
 
 
@@ -453,6 +506,15 @@ def test_search_minimal_agrees_with_check_minimal(m, n, q):
     assert sorted(t.flat().sort_key() for t in result.minimal) == sorted(expected)
 
 
+def scan_of(verdict):
+    """A stand-in for the search's scan: every subspace of the patterns, in
+    their order, with the verdict `verdict(flat)` in place of the coverage test."""
+    def scan(field, m, n, patterns):
+        return ((pivots, rows, verdict(Subspace(field, m * n, rows, pivots)))
+                for pivots, choices in patterns for rows in itertools.product(*choices))
+    return scan
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_search_minimal_lookup_finds_a_lone_satisfying_hyperplane(q, monkeypatch):
     # On every shape small enough for a test, each non-minimal coverage
@@ -466,7 +528,7 @@ def test_search_minimal_lookup_finds_a_lone_satisfying_hyperplane(q, monkeypatch
     field = field_make(q)
     monkeypatch.setattr(tensorcover, "_witnessed_report", lambda flat, m, n, kernels: SimpleNamespace(both_hold=True))
     for gen in all_subspaces(field, 3, dims=(1, 2)):
-        monkeypatch.setattr(tensorcover, "_both_conditions_flat", lambda flat, m, n, gen=gen: flat.contains(gen))
+        monkeypatch.setattr(tensorcover, "_coverage_scan", scan_of(lambda flat, gen=gen: flat.contains(gen)))
         result = search_minimal(1, 3, field)
         assert result.complete
         assert [t.flat() for t in result.minimal] == [gen]
@@ -475,7 +537,7 @@ def test_search_minimal_lookup_finds_a_lone_satisfying_hyperplane(q, monkeypatch
 def test_search_minimal_certifies_what_it_reports(monkeypatch):
     # a fast scan that accepts every nonzero space is caught by the witnessed
     # check, and one the witnessed check also accepts by the bound
-    monkeypatch.setattr(tensorcover, "_both_conditions_flat", lambda flat, m, n: flat.dim >= 1)
+    monkeypatch.setattr(tensorcover, "_coverage_scan", scan_of(lambda flat: flat.dim >= 1))
     with pytest.raises(TheoremViolation, match="witnessed coverage check"):
         search_minimal(2, 2, GF2)
     holding = CoverageSide(True, [], None)
@@ -546,6 +608,18 @@ def test_search_budget_exhaustion_flagged():
     result = search_minimal(2, 2, GF2, budget=Budget(max_enumeration=10))
     assert not result.complete
     assert result.examined <= 10
+
+
+@pytest.mark.parametrize("cap", [0, 1, 10, 16, 17, 40])
+def test_search_tests_no_subspace_past_the_cap(cap, monkeypatch):
+    # the cap is checked before each subspace's test: on 2x2 over F_2 every
+    # subspace of dimension <= 2 (1 + 15 + 35 of them) is tested, so a cap
+    # inside those dimensions tests exactly the subspaces it examines
+    tested = []
+    real = tensorcover._covers
+    monkeypatch.setattr(tensorcover, "_covers", lambda *args: tested.append(1) or real(*args))
+    result = search_minimal(2, 2, GF2, budget=Budget(max_enumeration=cap))
+    assert (result.examined, result.complete, len(tested)) == (cap, False, cap)
 
 
 def test_to_bilinear_condition_mapping(rng):
