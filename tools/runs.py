@@ -211,6 +211,13 @@ RUNS: list[Run] = [
     Run("system strong lc3.json --side left --N 1 --block 0,2 --relative",
         "552f35dff982d4328de321b4990381fa3f1f205c7d6978ae4560ae26791be633", exit=1),
     Run("system strong lc2.json --side left --N 1 --relative"),
+    # a 3-dimensional codomain block: relative strength recurses through
+    # subspaces of dimension 2, and its memo and containment skip both fire
+    Run("gallery make line-cover-system q=2 d=3 -o lc23.json"),
+    Run("system strong lc23.json --side left --N 2 --relative",
+        "f28882368dfe4fc5e12b0cbf245cc92b2c006d1c1dd2e74cca5646efdd969d3b"),
+    Run("system strong lc23.json --side left --N 3 --relative",
+        "9c5663699f9f683d97ec7d56731c3d0b97697052869c1708fa512e89fee0f4ad", exit=1),
     Run("strong lc2.json --side right --N 2 --block ,0"),
     # seeded random split systems with n = 2 blocks whose N = 2 failure has a 2-member witness family
     Run("system strong rs2.json --side right --N 2 --block ,1",
