@@ -181,9 +181,9 @@ def _resolve_module(args, inputs) -> modrep.ModuleRep:
         # the shape `gallery make row-diagonal-module` writes: {"algebra", "module"}
         with decoding("module file", data):
             json_keys(data, ("algebra", "module"))
-        outer, data = data, dict(data["module"])
-        if "algebra" in outer:
-            data.setdefault("algebra", outer["algebra"])
+            outer, data = data, dict(data["module"])
+            if "algebra" in outer and data.setdefault("algebra", outer["algebra"]) != outer["algebra"]:
+                raise ValueError("'algebra' differs from the module's own 'algebra'")
     ring = None
     if "algebra_ref" in data:
         if not isinstance(data["algebra_ref"], str):

@@ -153,6 +153,8 @@ class ModuleRep:
             raise InputError("module JSON must be an object")
         with decoding("module", data):
             json_keys(data, ("dim", "action", "algebra", "algebra_ref"))
+            if "algebra" in data and "algebra_ref" in data:
+                raise ValueError("give one of 'algebra' and 'algebra_ref', not both")
         dim, action = data.get("dim"), data.get("action")
         if type(dim) is not int or dim < 0:
             raise InputError(f"module JSON needs a nonnegative integer dim, got {dim!r}")
@@ -622,31 +624,22 @@ def system_from_module(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> Bilinea
 
 def _graph_inequality(m: ModuleRep, ts: TopSocle, budget: Budget) -> tuple[dict, tuple[str, ...]]:
     """top_length + socle_length <= lt(soc R) + chi(G) for a minimal
-    faithful module, with the induced system's hypotheses and, when it
-    fails, a note naming the unmet ones."""
+    faithful module, as the report of its induced system, whose lt_b, lt_c
+    and graph must be the module's top and socle lengths and the algebra's
+    socle graph (a TheoremViolation otherwise); when the inequality fails,
+    a note names the unmet hypotheses."""
     graph = socle_graph(m.algebra, budget)
-    soc_len = graph.socle_bimodule_length
-    lhs = ts.top_length + ts.socle_length
-    rhs = soc_len + graph.chi
-    sys_report = prop41_check(system_from_module(m, budget), budget)
+    report = prop41_check(system_from_module(m, budget), budget)
+    if (report.lt_b, report.lt_c, report.graph) != (ts.top_length, ts.socle_length, graph):
+        raise TheoremViolation("induced system disagrees with the module's lengths or the algebra's socle graph")
     notes = ()
-    if lhs > rhs:
-        failed = [k for k, v in sys_report.hypotheses_met.items() if not v]
+    if not report.holds:
+        failed = [k for k, v in report.hypotheses_met.items() if not v]
         notes = (
             "inequality fails over F_%d; unmet hypotheses: %s (the proved statement assumes an infinite field)"
             % (m.field.q, ", ".join(failed) if failed else "none"),
         )
-    inequality = {
-        "kind": "socle_graph",
-        "lhs": lhs,
-        "rhs": rhs,
-        "holds": lhs <= rhs,
-        "socle_bimodule_length": soc_len,
-        "chi": graph.chi,
-        "hypotheses_met": sys_report.hypotheses_met,
-        "system": sys_report.to_json(),
-    }
-    return inequality, notes
+    return {"kind": "socle_graph", **report.to_json()}, notes
 
 
 def graph_socle_check(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> ModuleReport:
@@ -655,8 +648,8 @@ def graph_socle_check(m: ModuleRep, budget: Budget = DEFAULT_BUDGET) -> ModuleRe
     top_length + socle_length <= bimodule length of soc(R) + chi(G).
 
     Over a finite field the proved statement's field-size hypothesis fails,
-    so holds = False is a legitimate outcome; the attached system report
-    records which hypotheses were actually met."""
+    so holds = False is a legitimate outcome; the inequality, the induced
+    system's report, records which hypotheses were actually met."""
     m.algebra.blocks()  # raises NotSplitError when absent
     ts = _minimal_lengths(m, budget)
     return _minimal_report(ts, *_graph_inequality(m, ts, budget))

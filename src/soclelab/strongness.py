@@ -715,7 +715,11 @@ class StrengthBudget:
     d_T: int
     l_S: int
     l_T: int
-    cardD_ok: bool
+
+    @property
+    def cardD_ok(self) -> bool:
+        """The cardinality hypothesis: q >= d_T l_S and q >= d_S l_T, with q = N_S = N_T."""
+        return self.N_S >= self.d_T * self.l_S and self.N_T >= self.d_S * self.l_T
 
 
 @dataclass
@@ -751,8 +755,7 @@ def strength_budget(sys: BilinearSystem) -> StrengthBudget:
     d_S = max(Counter(e for _, e in edges).values(), default=0)
     l_S = max((b.mult for b in sys.s_blocks), default=0)
     l_T = max((b.mult for b in sys.t_blocks), default=0)
-    cardD_ok = q >= d_T * l_S and q >= d_S * l_T
-    return StrengthBudget(q, q, d_S, d_T, l_S, l_T, cardD_ok)
+    return StrengthBudget(q, q, d_S, d_T, l_S, l_T)
 
 
 def prop41_check(sys: BilinearSystem, budget: Budget = DEFAULT_BUDGET) -> SystemReport:
@@ -823,8 +826,6 @@ def relative_n_strong(
 
     def subspaces_of_dim(space: Subspace, d: int):
         nonlocal examined
-        if d > space.dim:
-            return
         for inner in enum_subspaces(field, space.dim, d):
             examined += 1
             budget.guard("relative-strength subspace enumeration", examined)

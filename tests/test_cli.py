@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -9,9 +10,10 @@ from soclelab import algebra, modrep, reproduce, tensorcover
 from soclelab.cli import VERDICT_EXIT, main
 from soclelab.errors import InputError, TheoremViolation
 from soclelab.exactla import Mat, Subspace
-from soclelab.gallery import make_cross, make_row_diagonal_pair, make_square_zero_extension
+from soclelab.gallery import make_cross, make_matrix_algebra, make_row_diagonal_pair, make_square_zero_extension
+from soclelab.gallery import make_triangular
 from soclelab.gf import field_make
-from soclelab.strongness import BilinearSystem, BlockSpec, tensor_maps
+from soclelab.strongness import BilinearSystem, BlockSpec, prop41_check, tensor_maps
 
 from helpers import VERDICT_SEVERITY, check_records
 
@@ -266,6 +268,38 @@ def test_module_check_with_algebra_ref(tmp_path, capsys):
     assert json.loads(out)["inputs"] == {str(p): digest for p, digest in sha.items()}
 
 
+def _module_file(module, ring_ref: bool = False, outer=None) -> dict:
+    """module's JSON with its inline algebra, beside an algebra_ref to
+    ring.json, or wrapped in a module file whose algebra is outer."""
+    data = module.to_json()
+    if ring_ref:
+        data["algebra_ref"] = "ring.json"
+    return data if outer is None else {"algebra": outer.to_json(), "module": data}
+
+
+@pytest.mark.parametrize("build, message", [
+    # the inline algebra was ignored and the ref's ring read
+    (lambda sz, tri: _module_file(sz, ring_ref=True),
+     "bad module JSON: give one of 'algebra' and 'algebra_ref', not both"),
+    # the module file's algebra was ignored and the module's own read
+    (lambda sz, tri: _module_file(sz, outer=tri),
+     "bad module file JSON: 'algebra' differs from the module's own 'algebra'"),
+    (lambda sz, tri: {"algebra": sz.algebra.to_json(), "module": _module_file(sz, ring_ref=True)},
+     "bad module JSON: give one of 'algebra' and 'algebra_ref', not both"),
+], ids=["inline-and-ref", "file-and-module", "file-and-ref"])
+def test_a_module_states_its_algebra_once(tmp_path, capsys, build, message):
+    # a second, different statement of the algebra is an input error that
+    # names both keys, never a silent choice of one
+    sz = modrep.regular_module(make_square_zero_extension(field_make(2), 2))
+    (tmp_path / "ring.json").write_text(json.dumps(sz.algebra.to_json()))
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(build(sz, make_triangular(2, field_make(2)))))
+    for command in (["module", "check", str(path)], ["module", "shrink", str(path), "--mode", "sub"]):
+        code, out = run(capsys, *command)
+        record = json.loads(out)
+        assert (code, record["verdict"], record["details"]["error"]) == (2, "input-error", message)
+
+
 def test_module_shrink(tmp_path, capsys):
     _ring, module = make_row_diagonal_pair()
     path = tmp_path / "module.json"
@@ -317,6 +351,58 @@ def test_a_failed_local_bound_is_a_violation(tmp_path, capsys, monkeypatch):
     assert [(r["command"], r["verdict"], r["details"]) for r in records] == \
         [("module check", "violation", {"error": message})]
     assert records[0]["inputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def _graph_bound_module(name: str) -> modrep.ModuleRep:
+    """The row-diagonal module, which fails the graph bound over F_2, or the
+    natural module of M_2(F_3), which meets it with equality."""
+    if name == "rdm":
+        return make_row_diagonal_pair()[1]
+    m23 = make_matrix_algebra(2, field_make(3))
+    return modrep.ModuleRep(m23, 2, m23.matrix_basis)
+
+
+@pytest.mark.parametrize("name, exit_code", [("rdm", 1), ("ma2", 0)])
+def test_graph_bound_is_the_induced_systems_report(tmp_path, capsys, name, exit_code):
+    # the bound and the induced system's inequality are one statement, printed once
+    module = _graph_bound_module(name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(module.to_json()))
+    code, out = run(capsys, "module", "check", str(path))
+    ineq = json.loads(out)["details"]["inequality"]
+    assert code == exit_code
+    report = prop41_check(modrep.system_from_module(module)).to_json()
+    assert ineq == json.loads(json.dumps({"kind": "socle_graph", **report}))
+    assert not {"system", "chi", "socle_bimodule_length"} & set(ineq)
+    assert "cardD_ok" not in ineq["budget"] and "cardD" in ineq["hypotheses_met"]
+
+
+def _shifted_report(field: str):
+    report = modrep.prop41_check
+    return "prop41_check", lambda sys, budget: dataclasses.replace(
+        report(sys, budget), **{field: getattr(report(sys, budget), field) + 1})
+
+
+def _longer_socle_graph():
+    graph = modrep.socle_graph
+    return "socle_graph", lambda r, budget: dataclasses.replace(
+        graph(r, budget), edge_lengths=tuple(n + 1 for n in graph(r, budget).edge_lengths))
+
+
+@pytest.mark.parametrize("name", ["rdm", "ma2"])
+@pytest.mark.parametrize("force", [lambda: _shifted_report("lt_b"), lambda: _shifted_report("lt_c"),
+                                   _longer_socle_graph], ids=["lt_b", "lt_c", "graph"])
+def test_an_induced_system_that_disagrees_is_a_violation(tmp_path, capsys, monkeypatch, name, force):
+    # the induced system's lengths must be the module's top and socle lengths
+    # and its graph the algebra's socle graph; forcing one apart exits 4
+    module = _graph_bound_module(name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(module.to_json()))
+    monkeypatch.setattr(modrep, *force())
+    code, out = run(capsys, "module", "check", str(path))
+    record = json.loads(out)
+    assert (code, record["verdict"], record["details"]) == (
+        4, "violation", {"error": "induced system disagrees with the module's lengths or the algebra's socle graph"})
 
 
 def test_system_check_and_strong(tmp_path, capsys):
@@ -1007,7 +1093,7 @@ def test_every_record_has_the_one_shape(tmp_path, capsys, monkeypatch):
 
 
 SYSTEM_KEYS = {"budget", "graph", "lt_b", "lt_c", "lt_a", "lhs", "rhs", "holds", "hypotheses_met", "field_size"}
-BUDGET_KEYS = {"N_S", "N_T", "d_S", "d_T", "l_S", "l_T", "cardD_ok"}
+BUDGET_KEYS = {"N_S", "N_T", "d_S", "d_T", "l_S", "l_T"}
 GRAPH_KEYS = {"left_vertices", "right_vertices", "edges", "edge_lengths", "chi"}
 MODULE_KEYS = {"faithful", "annihilator_dim", "top_length", "socle_length", "no_faithful_max_submodule",
                "no_faithful_simple_quotient", "inequality", "notes"}
@@ -1034,8 +1120,9 @@ def test_report_records_have_their_pinned_keys(tmp_path, capsys, monkeypatch):
     assert (set(system), set(system["budget"]), set(system["graph"])) == (SYSTEM_KEYS, BUDGET_KEYS, GRAPH_KEYS)
     graph_bound = details("module check rd.json", 1)
     ineq = graph_bound["inequality"]
-    assert (set(graph_bound), ineq["kind"], set(ineq["system"])) == (MODULE_KEYS, "socle_graph", SYSTEM_KEYS)
-    assert set(ineq) == {"kind", "lhs", "rhs", "holds", "socle_bimodule_length", "chi", "hypotheses_met", "system"}
+    # the graph bound is its induced system's report, with its kind
+    assert (set(graph_bound), ineq.pop("kind"), set(ineq)) == (MODULE_KEYS, "socle_graph", SYSTEM_KEYS)
+    assert (set(ineq["budget"]), set(ineq["graph"])) == (BUDGET_KEYS, GRAPH_KEYS)
     local_bound = details("module check szr.json", 0)
     assert (set(local_bound), set(local_bound["inequality"])) == (
         MODULE_KEYS, {"kind", "lhs", "rhs", "holds", "socle_dim"})

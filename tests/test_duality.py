@@ -145,11 +145,14 @@ def test_dual_module_report_swaps_top_and_socle():
         swapped = dict(dual, top_length=dual["socle_length"], socle_length=dual["top_length"],
                        no_faithful_max_submodule=dual["no_faithful_simple_quotient"],
                        no_faithful_simple_quotient=dual["no_faithful_max_submodule"])
-        if report["inequality"] and "system" in report["inequality"]:
-            # the induced system of M* is the transpose of M's, up to bases: only its own report differs
-            system, dual_system = report["inequality"].pop("system"), swapped["inequality"].pop("system")
-            assert (system["lt_b"], system["lt_c"], system["holds"]) == \
-                (dual_system["lt_c"], dual_system["lt_b"], dual_system["holds"])
+        if report["inequality"] and report["inequality"]["kind"] == "socle_graph":
+            # the bound is the report of the induced system, and that of M* is
+            # the transpose of M's, up to bases: its lengths trade places, its
+            # graph keeps chi, and the rest of the report stays
+            system, dual_system = ({k: ineq.pop(k) for k in ("lt_b", "lt_c", "graph", "budget")}
+                                   for ineq in (report["inequality"], swapped["inequality"]))
+            assert (system["lt_b"], system["lt_c"], system["graph"]["chi"]) == \
+                (dual_system["lt_c"], dual_system["lt_b"], dual_system["graph"]["chi"])
         assert report == swapped, name
         flags = report["no_faithful_max_submodule"], report["no_faithful_simple_quotient"]
         minimal += all(flags)

@@ -1150,6 +1150,46 @@ def test_relative_strength_charges_its_enumeration():
     assert relative_n_strong(LINE_COVER_2, 1, target, t_block=0, budget=Budget(max_enumeration=4))
 
 
+def test_relative_strength_on_a_three_dimensional_block(monkeypatch):
+    # line-cover-system q=2 d=3 has codomain multiplicity 3: F_2^3 has 7
+    # lines and 7 planes, each line in 3 planes and each plane on 3 lines
+    lc23 = make_line_cover_system(GF2, 3)
+    target = Subspace.full(GF2, 3)
+    simple = strongness._maps_into_simple
+    points = []
+    monkeypatch.setattr(strongness, "_maps_into_simple", lambda *args: points.append(args[-1]) or simple(*args))
+    # only the 3 planes through a line count for it, so N = 3 fails
+    assert [relative_n_strong(lc23, N, target, t_block=0) for N in (1, 2, 3)] == [True, True, False]
+    points.clear()
+    assert relative_n_strong(lc23, 2, target, t_block=0)
+    # the planes recur under each line below them, and their lines under each
+    # plane: the memo asks each line once
+    assert sorted(points) == sorted(enum_points(target))
+    # 7 lines below, 7 planes for each, and each plane once: its zero
+    # subspace and its 3 lines
+    assert relative_n_strong(lc23, 2, target, t_block=0, budget=Budget(max_enumeration=7 + 7 * 7 + 7 * 4))
+    with pytest.raises(BudgetExceeded, match="relative-strength subspace enumeration") as exc:
+        relative_n_strong(lc23, 2, target, t_block=0, budget=Budget(max_enumeration=83))
+    assert (exc.value.needed, exc.value.cap) == (84, 83)
+
+
+def test_relative_strength_counts_only_the_planes_through_each_line():
+    # x E_00 + y E_11 + z (E_20 + E_21) maps F_2^2 into one line of F_2^3 only
+    # when one of x, y, z is nonzero, so exactly the coordinate lines receive
+    # a map, and exactly the three coordinate planes are relatively 1-strong.
+    # None of them holds the line of (1, 1, 1), so F_2^3 is not 1-strong,
+    # though more than one plane is
+    unit = functools.partial(Mat.unit, GF2, 3, 2)
+    sys_obj = BilinearSystem(GF2, (BlockSpec(1, 2),), (BlockSpec(1, 3),),
+                             (unit(0, 0), unit(1, 1), unit(2, 0).add(unit(2, 1))))
+    target = Subspace.full(GF2, 3)
+    strong = [sub.basis_rows for sub in all_subspaces(GF2, 3, (1, 2))
+              if relative_n_strong(sys_obj, 1, sub, t_block=0)]
+    assert strong == [((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),),
+                      ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1))]
+    assert not relative_n_strong(sys_obj, 1, target, t_block=0)
+
+
 def test_relative_full_map_space_small_n():
     for field in (GF2, GF3):
         q = field.q

@@ -186,10 +186,10 @@ RUNS: list[Run] = [
     # rs3.json has an n = 2 codomain block, so T a S is larger than span(a),
     # and holds it after 29 tuples
     Run("gallery make line-cover-system q=2 d=2 -o lc2.json"),
-    Run("system check lc2.json", "e2d53af071f6f8862144dc49699d1f3ea39c9f450db39dba1a6b5c435cca449a", exit=1),
+    Run("system check lc2.json", "4fe650cc73e5e9bbb5b968f2b4db1c1c29edf6524633b9d1c7c31607922b7e52", exit=1),
     Run("gallery make line-cover-system q=3 d=2 -o lc3.json"),
-    Run("system check lc3.json", "f2ba9fe813b99f5a2c46644ac846b3877d36a4e4596f57d81ed2be8efe91598b", exit=1),
-    Run("system check rs3.json", "3e5f570c8b8f50185a4d5dda61e125e983c459c21cce5614e80f5d17b8e192bb",
+    Run("system check lc3.json", "0ffa3f73150fc2684dbef9182aabffade9ceb3e3a2b378a967ab26df89ad0c6f", exit=1),
+    Run("system check rs3.json", "2b939ddf7c5e8525bd450782cbd6ebe3c54711d34cf2af46a1fa5f1a48fea51d",
         write=_writes("rs3.json", _split_system(3, 21))),
     # rdm.json is the bare module of the gallery's {"algebra", "module"} file rd.json
     Run("module shrink rdm.json --mode sub", "fb8c1104e0da5fb26a43eed901156f9eaa5d9199bfc836962675d55af9ed000b",
@@ -241,7 +241,7 @@ RUNS: list[Run] = [
     # rdm.json is minimal and fails the block-graph bound over F_2; its direct
     # sum rd2.json is faithful, not minimal, and each shrink mode steps down to
     # a 5-dimensional faithful module
-    Run("module check rdm.json", "854c20bc3641b1f6c04419b0960dfc1f023f82aca357d719d48ffd994e26c910", exit=1),
+    Run("module check rdm.json", "0f5009169fc44d12a6910782592b4d96e701422286f7dcbbac045188031e7d88", exit=1),
     Run("module check rd2.json", "45865bb0d2c2713ec304bd19aefc164579469ba793ad10dc70e87da9d328af59",
         write=_writes("rd2.json", lambda: make_row_diagonal_pair()[1], doubled=True)),
     Run("module check rd.json", exit=1),
@@ -264,7 +264,7 @@ RUNS: list[Run] = [
     # the natural module R·E_00 of M_2(F_3): simple, so minimal; its n = 2
     # block runs the summand path of the induced system, and the graph bound
     # holds with equality
-    Run("module check ma2.json", "bbccf392b29ebba3b0c48412d15e82dd1fa1353d7e3cbd41295657dfaa032cba",
+    Run("module check ma2.json", "878dec46217dc9fb884355b9a030ebddaff0aa46d800dbe40e1f227c38e5680e",
         write=_writes("ma2.json", _natural_m23)),
     # the first faithful 4-dimensional module of F_3[x]/(x^2) in the exhaustive
     # stream, and the first faithful minimal 3-dimensional one of
