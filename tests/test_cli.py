@@ -378,15 +378,21 @@ def test_graph_bound_is_the_induced_systems_report(tmp_path, capsys, name, exit_
 
 
 def _shifted_report(field: str):
-    report = modrep.prop41_check
-    return "prop41_check", lambda sys, budget: dataclasses.replace(
-        report(sys, budget), **{field: getattr(report(sys, budget), field) + 1})
+    real = modrep.prop41_check
+
+    def shifted(sys_obj, budget):
+        report = real(sys_obj, budget)
+        return dataclasses.replace(report, **{field: getattr(report, field) + 1})
+    return "prop41_check", shifted
 
 
 def _longer_socle_graph():
-    graph = modrep.socle_graph
-    return "socle_graph", lambda r, budget: dataclasses.replace(
-        graph(r, budget), edge_lengths=tuple(n + 1 for n in graph(r, budget).edge_lengths))
+    real = modrep.socle_graph
+
+    def longer(ring, budget):
+        graph = real(ring, budget)
+        return dataclasses.replace(graph, edge_lengths=tuple(n + 1 for n in graph.edge_lengths))
+    return "socle_graph", longer
 
 
 @pytest.mark.parametrize("name", ["rdm", "ma2"])
